@@ -197,7 +197,8 @@ BENCHMARK(BM_FxpMatmul_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // ---------------------------------------------------------------------
 // Per-call vs. session inference: the per-call path rebuilds the plan
 // and reallocates working buffers every run; the session amortises both
-// and fuses the inter-stage transforms. Same layer, same inputs,
+// and reads the inter-stage transforms through gathered column panels.
+// Same layer, same inputs,
 // bit-identical outputs — only the setup/allocation cost differs.
 // ---------------------------------------------------------------------
 
@@ -226,7 +227,7 @@ BM_TtInfer_Session(benchmark::State &state)
     TtMatrix tt = TtMatrix::random(cfg, rng);
     MatrixD x(cfg.inSize(), batch), y;
     x.setNormal(rng);
-    InferSessionD session = makeSession(tt, SessionOptions{FuseMode::On});
+    InferSessionD session = makeSession(tt);
     session.runInto(x, y); // warm-up: arena + gather tables
     for (auto _ : state) {
         session.runInto(x, y);
@@ -238,15 +239,27 @@ BM_TtInfer_Session(benchmark::State &state)
 BENCHMARK(BM_TtInfer_Session)->Arg(1)->Arg(32);
 
 void
-BM_TtInfer_Session_Materialized(benchmark::State &state)
+BM_TtInferF32_Session(benchmark::State &state)
 {
+    // BM_TtInfer_Session on f32 copies of the same cores.
     const size_t batch = state.range(0);
     Rng rng(9);
     const TtLayerConfig cfg = workloads::vggFc6();
     TtMatrix tt = TtMatrix::random(cfg, rng);
-    MatrixD x(cfg.inSize(), batch), y;
+    std::vector<MatrixF> cores;
+    for (size_t h = 1; h <= cfg.d(); ++h) {
+        const MatrixD &u = tt.core(h).unfolded();
+        MatrixF f(u.rows(), u.cols());
+        for (size_t i = 0; i < u.size(); ++i)
+            f.flat()[i] = static_cast<float>(u.flat()[i]);
+        cores.push_back(std::move(f));
+    }
+    std::vector<const MatrixF *> ptrs;
+    for (const MatrixF &c : cores)
+        ptrs.push_back(&c);
+    MatrixF x(cfg.inSize(), batch), y;
     x.setNormal(rng);
-    InferSessionD session = makeSession(tt, SessionOptions{FuseMode::Off});
+    InferSessionF session(cfg, ptrs);
     session.runInto(x, y);
     for (auto _ : state) {
         session.runInto(x, y);
@@ -255,7 +268,7 @@ BM_TtInfer_Session_Materialized(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * multCompact(cfg) *
                             batch);
 }
-BENCHMARK(BM_TtInfer_Session_Materialized)->Arg(1)->Arg(32);
+BENCHMARK(BM_TtInferF32_Session)->Arg(1)->Arg(32);
 
 void
 BM_TtInferFxp_PerCall(benchmark::State &state)
@@ -287,7 +300,7 @@ BM_TtInferFxp_Session(benchmark::State &state)
     xf.setUniform(rng, -1, 1);
     Matrix<int16_t> x = quantizeMatrix(xf, FxpFormat{16, 8});
     Matrix<int16_t> y;
-    InferSessionFxp session(fxp, SessionOptions{FuseMode::On});
+    InferSessionFxp session(fxp);
     session.runInto(x, y);
     for (auto _ : state) {
         session.runInto(x, y);
@@ -341,29 +354,6 @@ BM_GemmF32_Isa(benchmark::State &state, simd::Isa isa)
 }
 
 void
-BM_GemmGatheredF32_Isa(benchmark::State &state, simd::Isa isa)
-{
-    Rng rng(12);
-    const size_t cols_out = kIsaN / 8; // 8 batch blocks
-    MatrixF a(kIsaM, kIsaK), v(kIsaK, kIsaN), c(kIsaM, kIsaN);
-    a.setUniform(rng, -1, 1);
-    v.setUniform(rng, -1, 1);
-    std::vector<size_t> offset(kIsaK * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(
-            rng.intIn(0, static_cast<int64_t>(kIsaK * cols_out) - 1));
-    for (auto _ : state) {
-        c.fill(0.0f);
-        simd::gemmTileGatheredF32(isa, kIsaN, kIsaK, a.data(), v.data(),
-                                  offset.data(), cols_out,
-                                  kIsaK * cols_out, c.data(), 0, kIsaM,
-                                  0, kIsaN);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
-}
-
-void
 BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 {
     // Same operands as BM_GemmF32_Isa, consumed through the packed
@@ -387,11 +377,10 @@ BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 void
 BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
 {
-    // The gathered workload of BM_GemmGatheredF32_Isa through the
-    // pack-then-dense panel path (gemm::gemmPackedGatheredBlocked's
-    // inner loop, with the ISA explicit): gather each kColBlock-wide
-    // panel of virtual B into contiguous scratch, then run the packed
-    // microkernel on it.
+    // A permuted TT-stage operand through the panel path
+    // (gemm::gatheredPanels' inner loop, serial, with the ISA
+    // explicit): gather each kColBlock-wide panel into contiguous
+    // scratch, then run the packed microkernel on it.
     Rng rng(12);
     const size_t cols_out = kIsaN / 8; // 8 batch blocks
     MatrixF a(kIsaM, kIsaK), v(kIsaK, kIsaN), c(kIsaM, kIsaN);
@@ -401,32 +390,22 @@ BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
     for (auto &o : offset)
         o = static_cast<size_t>(
             rng.intIn(0, static_cast<int64_t>(kIsaK * cols_out) - 1));
-    const size_t block_stride = kIsaK * cols_out;
+    gemm::GatherB g;
+    g.offset = offset.data();
+    g.cols_out = cols_out;
+    g.block_stride = kIsaK * cols_out;
+    g.batch = kIsaN / cols_out;
     std::vector<float> pa(pack::packedAElems(kIsaM, kIsaK));
     pack::packA(kIsaM, kIsaK, a.data(), pa.data());
-    std::vector<float> bscratch(kIsaK * gemm::kColBlock);
+    std::vector<float> panel(kIsaK * gemm::kColBlock);
     for (auto _ : state) {
         c.fill(0.0f);
         for (size_t p0 = 0; p0 < kIsaN; p0 += gemm::kColBlock) {
-            const size_t p1 = std::min(kIsaN, p0 + gemm::kColBlock);
-            const size_t w = p1 - p0;
-            for (size_t kk = 0; kk < kIsaK; ++kk) {
-                const size_t *off = offset.data() + kk * cols_out;
-                float *dst = bscratch.data() + kk * w;
-                size_t q = p0 % cols_out;
-                const float *vb =
-                    v.data() + (p0 / cols_out) * block_stride;
-                for (size_t jj = 0; jj < w; ++jj) {
-                    dst[jj] = vb[off[q]];
-                    if (++q == cols_out) {
-                        q = 0;
-                        vb += block_stride;
-                    }
-                }
-            }
+            const size_t w = std::min(kIsaN - p0, gemm::kColBlock);
+            gemm::gatherPanel(kIsaK, v.data(), g, p0, w, panel.data());
             simd::gemmPackedF32(isa, false, kIsaK, pa.data(),
-                                bscratch.data(), w, c.data() + p0,
-                                kIsaN, 0, kIsaM, 0, w);
+                                panel.data(), w, c.data() + p0, kIsaN, 0,
+                                kIsaM, 0, w);
         }
         benchmark::DoNotOptimize(c.data());
     }
@@ -445,8 +424,8 @@ BM_FxpMatmul_Isa(benchmark::State &state, simd::Isa isa)
     auto x = quantizeMatrix(xf, fmt.act_in);
     Matrix<int16_t> out(kIsaM, kIsaN);
     for (auto _ : state) {
-        fxpBlock(isa, kIsaK, kIsaN, w.data(), x.data(), fmt, out.data(),
-                 0, kIsaM, 0, kIsaN);
+        fxpBlock(isa, kIsaK, kIsaN, kIsaN, w.data(), x.data(), fmt,
+                 out.data(), 0, kIsaM, 0, kIsaN);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
@@ -463,11 +442,6 @@ registerIsaSweeps()
         benchmark::RegisterBenchmark(
             ("BM_GemmF32_Isa/" + name).c_str(),
             [isa](benchmark::State &s) { BM_GemmF32_Isa(s, isa); });
-        benchmark::RegisterBenchmark(
-            ("BM_GemmGatheredF32_Isa/" + name).c_str(),
-            [isa](benchmark::State &s) {
-                BM_GemmGatheredF32_Isa(s, isa);
-            });
         benchmark::RegisterBenchmark(
             ("BM_GemmF32_Packed/" + name).c_str(),
             [isa](benchmark::State &s) {

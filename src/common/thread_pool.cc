@@ -104,9 +104,14 @@ void
 ThreadPool::startWorkers(size_t n_workers)
 {
     stop_ = false;
+    // A new worker must wait for the *next* job: starting it at
+    // generation 0 would replay the last finished job, count it done
+    // twice and let a later parallelFor return (or hang) while a chunk
+    // still runs.
+    const uint64_t seen = job_generation_;
     workers_.reserve(n_workers);
     for (size_t i = 0; i < n_workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, seen] { workerLoop(seen); });
 }
 
 void
@@ -123,10 +128,9 @@ ThreadPool::stopWorkers()
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(uint64_t seen)
 {
     t_in_parallel_region = true;
-    uint64_t seen = 0;
     for (;;) {
         {
             std::unique_lock<std::mutex> lk(mu_);

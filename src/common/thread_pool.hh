@@ -100,7 +100,7 @@ class ThreadPool
 
     void startWorkers(size_t n_workers);
     void stopWorkers();
-    void workerLoop();
+    void workerLoop(uint64_t seen);
     void runChunks();
 
     size_t n_threads_ = 1;

@@ -11,7 +11,9 @@
  *
  * The TT compact-scheme stages are short and wide (tens of rows, tens
  * of thousands of batched columns), so the kernels split whichever
- * output axis is larger rather than always splitting rows.
+ * output axis is larger rather than always splitting rows. Their
+ * permuted inter-stage operands go through one driver for every dtype
+ * (gatheredPanels): gather a column panel, run the dense kernel on it.
  *
  * Float and double tiles dispatch to the SIMD kernel layer
  * (linalg/simd.hh): lanes run across output columns only, so the SIMD
@@ -23,6 +25,7 @@
 #define TIE_LINALG_GEMM_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <type_traits>
 
@@ -164,106 +167,6 @@ gemmBlocked(size_t m, size_t n, size_t k, const T *a, const T *b, T *c)
 }
 
 /**
- * Gather view of a GEMM B operand, used to fuse the TT inter-stage
- * Transform (a pure permutation) into the next stage's operand read so
- * the transformed matrix is never materialized (tt/infer_session.hh).
- *
- * The virtual B has batch column blocks of cols_out columns each;
- * element (kk, b * cols_out + q) is read from the source buffer at
- * offset[kk * cols_out + q] + b * block_stride. The offset table is
- * precomputed once per (permutation, batch) by the caller.
- */
-struct GatherB
-{
-    const size_t *offset = nullptr; ///< k x cols_out base offsets
-    size_t cols_out = 0;            ///< columns per batch block
-    size_t block_stride = 0;        ///< source offset step per block
-    size_t batch = 1;
-};
-
-/**
- * C[i0:i1, j0:j1) += A[i0:i1, :] * B[:, j0:j1) where B is the gathered
- * view @p g over the source buffer @p v. Loop structure and k order are
- * identical to gemmTile, so fusing the gather changes no result bit.
- */
-template <typename T>
-inline void
-gemmTileGathered(size_t n, size_t k, const T *a, const T *v,
-                 const GatherB &g, T *c, size_t i0, size_t i1,
-                 size_t j0, size_t j1)
-{
-    if constexpr (std::is_same_v<T, float>) {
-        simd::gemmTileGatheredF32(simd::activeIsa(), n, k, a, v,
-                                  g.offset, g.cols_out, g.block_stride,
-                                  c, i0, i1, j0, j1);
-    } else if constexpr (std::is_same_v<T, double>) {
-        simd::gemmTileGatheredF64(simd::activeIsa(), n, k, a, v,
-                                  g.offset, g.cols_out, g.block_stride,
-                                  c, i0, i1, j0, j1);
-    } else {
-        for (size_t k0 = 0; k0 < k; k0 += kDepthBlock) {
-            const size_t k1 = std::min(k, k0 + kDepthBlock);
-            for (size_t i = i0; i < i1; ++i) {
-                const T *arow = a + i * k;
-                T *crow = c + i * n;
-                for (size_t kk = k0; kk < k1; ++kk) {
-                    const T aik = arow[kk];
-                    const size_t *off = g.offset + kk * g.cols_out;
-                    size_t q = j0 % g.cols_out;
-                    const T *vb =
-                        v + (j0 / g.cols_out) * g.block_stride;
-                    for (size_t j = j0; j < j1; ++j) {
-                        crow[j] += aik * vb[off[q]];
-                        if (++q == g.cols_out) {
-                            q = 0;
-                            vb += g.block_stride;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/**
- * C = A * gather(B) (C must be zero-initialised; m x cols_out*batch
- * row-major), parallelised like gemmBlocked. Bit-identical to
- * materializing the permutation and calling gemmBlocked.
- */
-template <typename T>
-void
-gemmGatheredBlocked(size_t m, size_t k, const T *a, const T *v,
-                    const GatherB &g, T *c)
-{
-    const size_t n = g.cols_out * g.batch;
-    if (m == 0 || n == 0 || k == 0)
-        return;
-    if (obs::enabled()) {
-        KernelStats &ks = KernelStats::get();
-        ks.gemm_calls.add();
-        ks.gemm_madds.add(m * n * k);
-        ks.simd_isa.set(static_cast<int64_t>(simd::activeIsa()));
-    }
-    obs::ScopedTimer timer(KernelStats::get().gemm_us);
-    obs::HostSpan span("gemm.gathered");
-    if (m * n * k < kParallelMinWork) {
-        gemmTileGathered(n, k, a, v, g, c, 0, m, 0, n);
-        return;
-    }
-    if (m >= n) {
-        parallelFor(0, m, kRowBlock, [&](size_t i0, size_t i1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTileGathered(n, k, a, v, g, c, i0, i1, 0, n);
-        });
-    } else {
-        parallelFor(0, n, kColBlock, [&](size_t j0, size_t j1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTileGathered(n, k, a, v, g, c, 0, m, j0, j1);
-        });
-    }
-}
-
-/**
  * Inner tile over a packed A operand (linalg/pack.hh), dispatching to
  * the register-blocked microkernel. @p fast only affects float (see
  * simd::FastMode); with fast false the result is bit-identical to
@@ -325,28 +228,135 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
 }
 
 /**
- * C = packedA * gather(B): the packed replacement for
- * gemmGatheredBlocked. Instead of feeding the indirect per-element
- * read to the GEMM (which defeats vectorization — the regression that
- * made fused lose to materialized on wide stages,
- * docs/performance.md), each kColBlock-wide panel of the gathered
- * virtual B is first packed contiguously into @p bscratch (k x panel
- * width, caller-owned, >= k * kColBlock elements, reused across
- * panels and calls), then the dense packed microkernel consumes it.
- * One sequential pass per element replaces k indirect reads per
- * column.
+ * Gather view of a GEMM B operand: the TT inter-stage Transform (a
+ * pure permutation) read straight out of the previous stage's buffer
+ * (tt/infer_session.hh), so the whole transformed matrix is never
+ * materialized.
  *
- * The panel loop is serial (one shared scratch); the gather pass and
- * the microkernel parallelise inside each panel, partitioned over
- * disjoint output/scratch ranges, so results stay bit-identical to
- * gemmGatheredBlocked for every thread count — and to the scalar
- * path when @p fast is false.
+ * The virtual B has batch column blocks of cols_out columns each;
+ * element (kk, b * cols_out + q) is read from the source buffer at
+ * offset[kk * cols_out + q] + b * block_stride. The offset table is
+ * precomputed once per (permutation, batch) by the caller.
+ */
+struct GatherB
+{
+    const size_t *offset = nullptr; ///< k x cols_out base offsets
+    size_t cols_out = 0;            ///< columns per batch block
+    size_t block_stride = 0;        ///< source offset step per block
+    size_t batch = 1;
+};
+
+/** kColBlock-wide column panels covering @p n columns. */
+inline size_t
+panelCount(size_t n)
+{
+    return (n + kColBlock - 1) / kColBlock;
+}
+
+/**
+ * Panel slots gatheredPanels uses for an m x n x k product: one below
+ * kParallelMinWork (without touching the pool), else
+ * min(threadCount(), panelCount(n)). Callers size their scratch to
+ * slots * k * kColBlock elements before the steady state.
+ */
+inline size_t
+panelSlots(size_t m, size_t n, size_t k)
+{
+    if (m * n * k < kParallelMinWork)
+        return 1;
+    return std::min(threadCount(), panelCount(n));
+}
+
+/**
+ * Copy columns [p0, p0 + w) of the gathered view @p g over @p v into
+ * @p panel (k x w row-major): one sequential write pass per element.
+ */
+template <typename T>
+inline void
+gatherPanel(size_t k, const T *v, const GatherB &g, size_t p0, size_t w,
+            T *panel)
+{
+    // Runs that stay inside one batch block make the inner copy a
+    // plain indexed load with no wrap test.
+    for (size_t j = 0; j < w;) {
+        const size_t b = (p0 + j) / g.cols_out;
+        const size_t q0 = p0 + j - b * g.cols_out;
+        const size_t len = std::min(w - j, g.cols_out - q0);
+        const T *vb = v + b * g.block_stride;
+        for (size_t kk = 0; kk < k; ++kk) {
+            const size_t *off = g.offset + kk * g.cols_out + q0;
+            T *dst = panel + kk * w + j;
+            for (size_t t = 0; t < len; ++t)
+                dst[t] = vb[off[t]];
+        }
+        j += len;
+    }
+}
+
+/**
+ * The inter-stage panel driver shared by every dtype: for each
+ * kColBlock-wide column panel of the m x (cols_out * batch) product
+ * A * gather(v), gather the k x w panel into scratch, then call
+ * @p dense(panel, p0, w), which runs the dtype's dense kernel over all
+ * m rows and writes output columns [p0, p0 + w).
+ *
+ * Panels run in parallel and are never split: S = min(@p slots,
+ * panelSlots(m, n, k)) slots each own one k x kColBlock scratch panel
+ * and claim the next unclaimed panel until none is left, so a slowed
+ * thread does not hold back a fixed share. @p scratch holds
+ * @p slots >= 1 such panels. Each output column is produced by exactly
+ * one dense call over one gathered panel, whichever slot runs it, so
+ * results are bit-identical to materializing the permutation and
+ * running the dense kernel, for every thread count.
+ */
+template <typename T, typename Dense>
+void
+gatheredPanels(size_t m, size_t k, const T *v, const GatherB &g,
+               T *scratch, size_t slots, Dense &&dense)
+{
+    const size_t n = g.cols_out * g.batch;
+    if (m == 0 || n == 0 || k == 0)
+        return;
+    const size_t panels = panelCount(n);
+    const size_t used = std::min(slots, panelSlots(m, n, k));
+    std::atomic<size_t> next{0};
+    auto run = [&](size_t s0, size_t s1) {
+        for (size_t s = s0; s < s1; ++s) {
+            T *panel = scratch + s * k * kColBlock;
+            for (;;) {
+                const size_t p =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (p >= panels)
+                    break;
+                const size_t p0 = p * kColBlock;
+                const size_t w = std::min(kColBlock, n - p0);
+                gatherPanel(k, v, g, p0, w, panel);
+                dense(static_cast<const T *>(panel), p0, w);
+            }
+        }
+    };
+    if (used <= 1)
+        run(0, 1);
+    else
+        parallelFor(0, used, 1, run);
+    if (obs::enabled()) {
+        KernelStats &ks = KernelStats::get();
+        ks.packed_panels.add(panels);
+        ks.pack_bytes.add(k * n * sizeof(T));
+    }
+}
+
+/**
+ * C = packedA * gather(B) (C m x cols_out*batch row-major, pa packed
+ * by pack::packA): gatheredPanels feeding the dense packed microkernel.
+ * @p bscratch holds @p slots k x kColBlock panels. Bit-identical to
+ * materializing the permutation and calling gemmPackedBlocked.
  */
 template <typename T>
 void
 gemmPackedGatheredBlocked(size_t m, size_t k, const T *pa, const T *v,
                           const GatherB &g, T *c, T *bscratch,
-                          bool fast)
+                          size_t slots, bool fast)
 {
     const size_t n = g.cols_out * g.batch;
     if (m == 0 || n == 0 || k == 0)
@@ -359,45 +369,12 @@ gemmPackedGatheredBlocked(size_t m, size_t k, const T *pa, const T *v,
     }
     obs::ScopedTimer timer(KernelStats::get().gemm_us);
     obs::HostSpan span("gemm.packed_gathered");
-    for (size_t p0 = 0; p0 < n; p0 += kColBlock) {
-        const size_t p1 = std::min(n, p0 + kColBlock);
-        const size_t w = p1 - p0;
-        auto packRows = [&](size_t klo, size_t khi) {
-            for (size_t kk = klo; kk < khi; ++kk) {
-                const size_t *off = g.offset + kk * g.cols_out;
-                T *dst = bscratch + kk * w;
-                size_t q = p0 % g.cols_out;
-                const T *vb =
-                    v + (p0 / g.cols_out) * g.block_stride;
-                for (size_t jj = 0; jj < w; ++jj) {
-                    dst[jj] = vb[off[q]];
-                    if (++q == g.cols_out) {
-                        q = 0;
-                        vb += g.block_stride;
-                    }
-                }
-            }
-        };
-        if (k * w < kParallelMinWork)
-            packRows(0, k);
-        else
-            parallelFor(0, k, 0, packRows);
-        if (obs::enabled()) {
-            KernelStats &ks = KernelStats::get();
-            ks.packed_panels.add();
-            ks.pack_bytes.add(k * w * sizeof(T));
-        }
-        T *cw = c + p0; // column window shares C's row stride n
-        auto compute = [&](size_t i0, size_t i1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmPackedTile(k, pa, bscratch, w, cw, n, fast, i0, i1, 0,
-                           w);
-        };
-        if (m * w * k < kParallelMinWork)
-            compute(0, m);
-        else
-            parallelFor(0, m, kRowBlock, compute);
-    }
+    gatheredPanels(m, k, v, g, bscratch, slots,
+                   [&](const T *panel, size_t p0, size_t w) {
+                       obs::HostSpan tile("gemm.tile");
+                       gemmPackedTile(k, pa, panel, w, c + p0, n, fast,
+                                      0, m, 0, w);
+                   });
 }
 
 /** y = A * x with A (m x n) row-major, parallelised over rows. */

@@ -15,11 +15,10 @@
  *
  * TT inference is the ideal packing client: each stage's weight core is
  * fixed per session, so InferSession packs every core once at warm-up
- * (tt/infer_session.hh) and the per-call cost is zero. The gathered
- * (fused-Transform) operand is packed per column panel into a
- * session-owned scratch by gemm::gemmPackedGatheredBlocked, turning the
- * indirect per-element read into one sequential pass plus a dense
- * microkernel — see docs/performance.md.
+ * (tt/infer_session.hh) and the per-call cost is zero. The permuted
+ * inter-stage operand is gathered per column panel into session-owned
+ * slot scratch by gemm::gatheredPanels, so the microkernel always reads
+ * a dense B — see docs/performance.md.
  *
  * Packing only moves bytes; every arithmetic chain still runs in the
  * microkernel in the same ascending-k order with separate multiply and

@@ -189,35 +189,6 @@ tileScalar(size_t n, size_t k, const T *a, const T *b, T *c, size_t i0,
     }
 }
 
-template <typename T>
-void
-tileGatheredScalar(size_t n, size_t k, const T *a, const T *v,
-                   const size_t *offset, size_t cols_out,
-                   size_t block_stride, T *c, size_t i0, size_t i1,
-                   size_t j0, size_t j1)
-{
-    for (size_t k0 = 0; k0 < k; k0 += gemm::kDepthBlock) {
-        const size_t k1 = std::min(k, k0 + gemm::kDepthBlock);
-        for (size_t i = i0; i < i1; ++i) {
-            const T *arow = a + i * k;
-            T *crow = c + i * n;
-            for (size_t kk = k0; kk < k1; ++kk) {
-                const T aik = arow[kk];
-                const size_t *off = offset + kk * cols_out;
-                size_t q = j0 % cols_out;
-                const T *vb = v + (j0 / cols_out) * block_stride;
-                for (size_t j = j0; j < j1; ++j) {
-                    crow[j] += aik * vb[off[q]];
-                    if (++q == cols_out) {
-                        q = 0;
-                        vb += block_stride;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /**
  * Scalar tail shared by every vector kernel: finishes columns
  * [j, j1) of row i with the same ascending-k chain the vector lanes
@@ -285,23 +256,6 @@ packedColTail(size_t k, const T *ap, const T *b, size_t ldb, T *c,
                 cj += ap[kk * MR + r] * b[kk * ldb + jj];
             crow[jj] = cj;
         }
-    }
-}
-
-template <typename T>
-inline void
-rowTailGathered(size_t k, const T *arow, const T *v,
-                const size_t *offset, size_t cols_out,
-                size_t block_stride, T *crow, size_t j, size_t j1)
-{
-    for (; j < j1; ++j) {
-        const size_t blk = j / cols_out;
-        const size_t q = j - blk * cols_out;
-        const T *vb = v + blk * block_stride;
-        T cj = crow[j];
-        for (size_t kk = 0; kk < k; ++kk)
-            cj += arow[kk] * vb[offset[kk * cols_out + q]];
-        crow[j] = cj;
     }
 }
 
@@ -448,157 +402,6 @@ tileF64Sse(size_t n, size_t k, const double *a, const double *b,
             _mm_storeu_pd(crow + j, c0);
         }
         rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
-/**
- * Gathered x86 tiles: the lane -> source-block geometry is k-invariant,
- * so it is computed once per column block; the per-kk gather itself is
- * a lane-wise load (the offsets are arbitrary size_t, too wide for the
- * hardware gather's 32-bit fast path). The arithmetic chain and C
- * traffic are vectorized exactly like the dense tiles.
- */
-__attribute__((target("avx2"))) void
-tileGatheredF32Avx2(size_t n, size_t k, const float *a, const float *v,
-                    const size_t *offset, size_t cols_out,
-                    size_t block_stride, float *c, size_t i0, size_t i1,
-                    size_t j0, size_t j1)
-{
-    constexpr size_t W = 8;
-    for (size_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const float *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / cols_out;
-                q[l] = (j + l) - blk * cols_out;
-                base[l] = v + blk * block_stride;
-            }
-            __m256 acc = _mm256_loadu_ps(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = offset + kk * cols_out;
-                alignas(32) float tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_set1_ps(arow[kk]),
-                                       _mm256_load_ps(tmp)));
-            }
-            _mm256_storeu_ps(crow + j, acc);
-        }
-        rowTailGathered(k, arow, v, offset, cols_out, block_stride,
-                        crow, j, j1);
-    }
-}
-
-__attribute__((target("avx2"))) void
-tileGatheredF64Avx2(size_t n, size_t k, const double *a,
-                    const double *v, const size_t *offset,
-                    size_t cols_out, size_t block_stride, double *c,
-                    size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    for (size_t i = i0; i < i1; ++i) {
-        const double *arow = a + i * k;
-        double *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const double *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / cols_out;
-                q[l] = (j + l) - blk * cols_out;
-                base[l] = v + blk * block_stride;
-            }
-            __m256d acc = _mm256_loadu_pd(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = offset + kk * cols_out;
-                alignas(32) double tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(arow[kk]),
-                                       _mm256_load_pd(tmp)));
-            }
-            _mm256_storeu_pd(crow + j, acc);
-        }
-        rowTailGathered(k, arow, v, offset, cols_out, block_stride,
-                        crow, j, j1);
-    }
-}
-
-__attribute__((target("sse4.2"))) void
-tileGatheredF32Sse(size_t n, size_t k, const float *a, const float *v,
-                   const size_t *offset, size_t cols_out,
-                   size_t block_stride, float *c, size_t i0, size_t i1,
-                   size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    for (size_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const float *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / cols_out;
-                q[l] = (j + l) - blk * cols_out;
-                base[l] = v + blk * block_stride;
-            }
-            __m128 acc = _mm_loadu_ps(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = offset + kk * cols_out;
-                alignas(16) float tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                acc = _mm_add_ps(acc,
-                                 _mm_mul_ps(_mm_set1_ps(arow[kk]),
-                                            _mm_load_ps(tmp)));
-            }
-            _mm_storeu_ps(crow + j, acc);
-        }
-        rowTailGathered(k, arow, v, offset, cols_out, block_stride,
-                        crow, j, j1);
-    }
-}
-
-__attribute__((target("sse4.2"))) void
-tileGatheredF64Sse(size_t n, size_t k, const double *a, const double *v,
-                   const size_t *offset, size_t cols_out,
-                   size_t block_stride, double *c, size_t i0, size_t i1,
-                   size_t j0, size_t j1)
-{
-    constexpr size_t W = 2;
-    for (size_t i = i0; i < i1; ++i) {
-        const double *arow = a + i * k;
-        double *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const double *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / cols_out;
-                q[l] = (j + l) - blk * cols_out;
-                base[l] = v + blk * block_stride;
-            }
-            __m128d acc = _mm_loadu_pd(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = offset + kk * cols_out;
-                alignas(16) double tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                acc = _mm_add_pd(acc,
-                                 _mm_mul_pd(_mm_set1_pd(arow[kk]),
-                                            _mm_load_pd(tmp)));
-            }
-            _mm_storeu_pd(crow + j, acc);
-        }
-        rowTailGathered(k, arow, v, offset, cols_out, block_stride,
-                        crow, j, j1);
     }
 }
 
@@ -942,76 +745,6 @@ tileF64Neon(size_t n, size_t k, const double *a, const double *b,
     }
 }
 
-void
-tileGatheredF32Neon(size_t n, size_t k, const float *a, const float *v,
-                    const size_t *offset, size_t cols_out,
-                    size_t block_stride, float *c, size_t i0, size_t i1,
-                    size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    for (size_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const float *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / cols_out;
-                q[l] = (j + l) - blk * cols_out;
-                base[l] = v + blk * block_stride;
-            }
-            float32x4_t acc = vld1q_f32(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = offset + kk * cols_out;
-                float tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                acc = vaddq_f32(acc, vmulq_f32(vdupq_n_f32(arow[kk]),
-                                               vld1q_f32(tmp)));
-            }
-            vst1q_f32(crow + j, acc);
-        }
-        rowTailGathered(k, arow, v, offset, cols_out, block_stride,
-                        crow, j, j1);
-    }
-}
-
-void
-tileGatheredF64Neon(size_t n, size_t k, const double *a,
-                    const double *v, const size_t *offset,
-                    size_t cols_out, size_t block_stride, double *c,
-                    size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 2;
-    for (size_t i = i0; i < i1; ++i) {
-        const double *arow = a + i * k;
-        double *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const double *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / cols_out;
-                q[l] = (j + l) - blk * cols_out;
-                base[l] = v + blk * block_stride;
-            }
-            float64x2_t acc = vld1q_f64(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = offset + kk * cols_out;
-                double tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                acc = vaddq_f64(acc, vmulq_f64(vdupq_n_f64(arow[kk]),
-                                               vld1q_f64(tmp)));
-            }
-            vst1q_f64(crow + j, acc);
-        }
-        rowTailGathered(k, arow, v, offset, cols_out, block_stride,
-                        crow, j, j1);
-    }
-}
-
 /**
  * Packed NEON microkernels — same register blocking as the x86 ones
  * (kRowPanel x 2 vectors). The Fast variant fuses via vfmaq_f32.
@@ -1232,74 +965,6 @@ gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
         break;
     }
     TIE_PANIC("gemmTileF64 dispatched to ", isaName(isa),
-              ", which this build cannot execute");
-}
-
-void
-gemmTileGatheredF32(Isa isa, size_t n, size_t k, const float *a,
-                    const float *v, const size_t *offset,
-                    size_t cols_out, size_t block_stride, float *c,
-                    size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    switch (isa) {
-      case Isa::Scalar:
-        tileGatheredScalar(n, k, a, v, offset, cols_out, block_stride,
-                           c, i0, i1, j0, j1);
-        return;
-#if TIE_SIMD_X86
-      case Isa::Avx2:
-        tileGatheredF32Avx2(n, k, a, v, offset, cols_out, block_stride,
-                            c, i0, i1, j0, j1);
-        return;
-      case Isa::Sse42:
-        tileGatheredF32Sse(n, k, a, v, offset, cols_out, block_stride,
-                           c, i0, i1, j0, j1);
-        return;
-#endif
-#if TIE_SIMD_NEON
-      case Isa::Neon:
-        tileGatheredF32Neon(n, k, a, v, offset, cols_out, block_stride,
-                            c, i0, i1, j0, j1);
-        return;
-#endif
-      default:
-        break;
-    }
-    TIE_PANIC("gemmTileGatheredF32 dispatched to ", isaName(isa),
-              ", which this build cannot execute");
-}
-
-void
-gemmTileGatheredF64(Isa isa, size_t n, size_t k, const double *a,
-                    const double *v, const size_t *offset,
-                    size_t cols_out, size_t block_stride, double *c,
-                    size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    switch (isa) {
-      case Isa::Scalar:
-        tileGatheredScalar(n, k, a, v, offset, cols_out, block_stride,
-                           c, i0, i1, j0, j1);
-        return;
-#if TIE_SIMD_X86
-      case Isa::Avx2:
-        tileGatheredF64Avx2(n, k, a, v, offset, cols_out, block_stride,
-                            c, i0, i1, j0, j1);
-        return;
-      case Isa::Sse42:
-        tileGatheredF64Sse(n, k, a, v, offset, cols_out, block_stride,
-                           c, i0, i1, j0, j1);
-        return;
-#endif
-#if TIE_SIMD_NEON
-      case Isa::Neon:
-        tileGatheredF64Neon(n, k, a, v, offset, cols_out, block_stride,
-                            c, i0, i1, j0, j1);
-        return;
-#endif
-      default:
-        break;
-    }
-    TIE_PANIC("gemmTileGatheredF64 dispatched to ", isaName(isa),
               ", which this build cannot execute");
 }
 

@@ -79,10 +79,10 @@ size_t doubleLanes(Isa isa);
 size_t fxpLanes(Isa isa);
 
 /**
- * Float fast-arithmetic policy, mirroring FuseMode (tt/infer_session).
- * The default keeps the determinism contract above: separate multiply
- * and add, bit-identical to scalar on every ISA. TIE_FAST=1 permits
- * FMA and fused multiply-accumulate chains in the *float32* packed
+ * Float fast-arithmetic policy of the packed kernels. The default
+ * keeps the determinism contract above: separate multiply and add,
+ * bit-identical to scalar on every ISA. TIE_FAST=1 permits FMA and
+ * fused multiply-accumulate chains in the *float32* packed
  * microkernels only — f64 and the fixed-point MAC chain stay bit-exact
  * regardless. The accuracy contract of the fast path (a per-element
  * rounding bound, asserted in tests/test_simd.cc) is documented in
@@ -123,25 +123,6 @@ void gemmTileF32(Isa isa, size_t n, size_t k, const float *a,
 void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
                  const double *b, double *c, size_t i0, size_t i1,
                  size_t j0, size_t j1);
-
-/**
- * Gathered-operand variants backing gemm::gemmGatheredBlocked (the
- * fused inter-stage Transform read of tt/infer_session). The gather
- * offsets are applied per lane; the arithmetic chain is identical to
- * gemmTileF32/F64, so fusing changes no result bit.
- *
- * The gather geometry mirrors gemm::GatherB: virtual element
- * (kk, b * cols_out + q) reads v[offset[kk * cols_out + q] +
- * b * block_stride].
- */
-void gemmTileGatheredF32(Isa isa, size_t n, size_t k, const float *a,
-                         const float *v, const size_t *offset,
-                         size_t cols_out, size_t block_stride, float *c,
-                         size_t i0, size_t i1, size_t j0, size_t j1);
-void gemmTileGatheredF64(Isa isa, size_t n, size_t k, const double *a,
-                         const double *v, const size_t *offset,
-                         size_t cols_out, size_t block_stride, double *c,
-                         size_t i0, size_t i1, size_t j0, size_t j1);
 
 /**
  * Register-blocked microkernel over a packed A operand (linalg/pack.hh

@@ -140,7 +140,7 @@ fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
         gemm::KernelStats::get().simd_isa.set(
             static_cast<int64_t>(isa));
     auto block = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-        fxpBlock(isa, k, n, w, x, fmt, out, i0, i1, j0, j1);
+        fxpBlock(isa, k, n, n, w, x, fmt, out, i0, i1, j0, j1);
     };
     if (m * k * n < gemm::kParallelMinWork) {
         block(0, m, 0, n);
@@ -158,29 +158,18 @@ fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
 void
 fxpMatmulGathered(size_t m, size_t k, const int16_t *w, const int16_t *v,
                   const gemm::GatherB &g, const MacFormat &fmt,
-                  int16_t *out)
+                  int16_t *out, int16_t *scratch, size_t slots)
 {
     const size_t n = g.cols_out * g.batch;
-    // Same partitioning and per-element MAC order as fxpMatmulRaw; the
-    // gathered operand read changes no result bit.
     const simd::Isa isa = simd::activeIsa();
     if (obs::enabled())
         gemm::KernelStats::get().simd_isa.set(
             static_cast<int64_t>(isa));
-    auto block = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-        fxpBlockGathered(isa, k, w, v, g, fmt, out, i0, i1, j0, j1);
-    };
-    if (m * k * n < gemm::kParallelMinWork) {
-        block(0, m, 0, n);
-    } else if (m >= n) {
-        parallelFor(0, m, gemm::kRowBlock, [&](size_t i0, size_t i1) {
-            block(i0, i1, 0, n);
-        });
-    } else {
-        parallelFor(0, n, gemm::kColBlock, [&](size_t j0, size_t j1) {
-            block(0, m, j0, j1);
-        });
-    }
+    gemm::gatheredPanels(m, k, v, g, scratch, slots,
+                         [&](const int16_t *panel, size_t p0, size_t wd) {
+                             fxpBlock(isa, k, wd, n, w, panel, fmt,
+                                      out + p0, 0, m, 0, wd);
+                         });
 }
 
 Matrix<int16_t>

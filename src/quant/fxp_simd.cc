@@ -1,7 +1,6 @@
 #include "quant/fxp_simd.hh"
 
 #include "common/logging.hh"
-#include "linalg/gemm.hh"
 #include "quant/fxp.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -35,48 +34,24 @@ fxpSimdEligible(const MacFormat &fmt)
 namespace {
 
 /**
- * Scalar reference chains — the loops fxpMatmulRaw / fxpMatmulGathered
- * ran before the SIMD layer existed. Every vector kernel below must
- * produce identical bits.
+ * Scalar reference chain — the loop fxpMatmulRaw ran before the SIMD
+ * layer existed, with separate operand (@p ldx) and output (@p ldo)
+ * row strides. Every vector kernel below must produce identical bits.
  */
 void
-scalarBlock(size_t k, size_t n, const int16_t *w, const int16_t *x,
-            const MacFormat &fmt, int16_t *out, size_t i0, size_t i1,
-            size_t j0, size_t j1)
+scalarBlock(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+            const int16_t *x, const MacFormat &fmt, int16_t *out,
+            size_t i0, size_t i1, size_t j0, size_t j1)
 {
     for (size_t i = i0; i < i1; ++i) {
         const int16_t *wrow = w + i * k;
         for (size_t j = j0; j < j1; ++j) {
             int64_t acc = 0;
             for (size_t kk = 0; kk < k; ++kk)
-                accumulate(acc, macProduct(wrow[kk], x[kk * n + j], fmt),
+                accumulate(acc,
+                           macProduct(wrow[kk], x[kk * ldx + j], fmt),
                            fmt.acc_bits);
-            out[i * n + j] = requantizeAcc(acc, fmt);
-        }
-    }
-}
-
-void
-scalarBlockGathered(size_t k, const int16_t *w, const int16_t *v,
-                    const gemm::GatherB &g, const MacFormat &fmt,
-                    int16_t *out, size_t i0, size_t i1, size_t j0,
-                    size_t j1)
-{
-    const size_t n = g.cols_out * g.batch;
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        for (size_t j = j0; j < j1; ++j) {
-            const size_t b = j / g.cols_out;
-            const size_t q = j - b * g.cols_out;
-            const int16_t *vb = v + b * g.block_stride;
-            int64_t acc = 0;
-            for (size_t kk = 0; kk < k; ++kk)
-                accumulate(
-                    acc,
-                    macProduct(wrow[kk],
-                               vb[g.offset[kk * g.cols_out + q]], fmt),
-                    fmt.acc_bits);
-            out[i * n + j] = requantizeAcc(acc, fmt);
+            out[i * ldo + j] = requantizeAcc(acc, fmt);
         }
     }
 }
@@ -112,9 +87,9 @@ laneParams(const MacFormat &fmt)
 #if TIE_SIMD_X86
 
 __attribute__((target("avx2"))) void
-blockAvx2(size_t k, size_t n, const int16_t *w, const int16_t *x,
-          const MacFormat &fmt, const LaneParams &p, int16_t *out,
-          size_t i0, size_t i1, size_t j0, size_t j1)
+blockAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+          const int16_t *x, const MacFormat &fmt, const LaneParams &p,
+          int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
 {
     constexpr size_t W = 8;
     const __m256i pbias = _mm256_set1_epi32(p.pbias);
@@ -134,7 +109,7 @@ blockAvx2(size_t k, size_t n, const int16_t *w, const int16_t *x,
                 const __m256i wv =
                     _mm256_set1_epi32(static_cast<int32_t>(wrow[kk]));
                 const __m128i xr = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(x + kk * n + j));
+                    reinterpret_cast<const __m128i *>(x + kk * ldx + j));
                 const __m256i xv = _mm256_cvtepi16_epi32(xr);
                 __m256i prod = _mm256_mullo_epi32(wv, xv);
                 prod = _mm256_sra_epi32(_mm256_add_epi32(prod, pbias),
@@ -153,18 +128,18 @@ blockAvx2(size_t k, size_t n, const int16_t *w, const int16_t *x,
             packed = _mm256_permute4x64_epi64(packed,
                                               _MM_SHUFFLE(3, 1, 2, 0));
             _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(out + i * n + j),
+                reinterpret_cast<__m128i *>(out + i * ldo + j),
                 _mm256_castsi256_si128(packed));
         }
         if (j < j1)
-            scalarBlock(k, n, w, x, fmt, out, i, i + 1, j, j1);
+            scalarBlock(k, ldx, ldo, w, x, fmt, out, i, i + 1, j, j1);
     }
 }
 
 __attribute__((target("sse4.2"))) void
-blockSse(size_t k, size_t n, const int16_t *w, const int16_t *x,
-         const MacFormat &fmt, const LaneParams &p, int16_t *out,
-         size_t i0, size_t i1, size_t j0, size_t j1)
+blockSse(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+         const int16_t *x, const MacFormat &fmt, const LaneParams &p,
+         int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
 {
     constexpr size_t W = 4;
     const __m128i pbias = _mm_set1_epi32(p.pbias);
@@ -184,7 +159,7 @@ blockSse(size_t k, size_t n, const int16_t *w, const int16_t *x,
                 const __m128i wv =
                     _mm_set1_epi32(static_cast<int32_t>(wrow[kk]));
                 const __m128i xr = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(x + kk * n + j));
+                    reinterpret_cast<const __m128i *>(x + kk * ldx + j));
                 const __m128i xv = _mm_cvtepi16_epi32(xr);
                 __m128i prod = _mm_mullo_epi32(wv, xv);
                 prod = _mm_sra_epi32(_mm_add_epi32(prod, pbias), pcnt);
@@ -195,122 +170,10 @@ blockSse(size_t k, size_t n, const int16_t *w, const int16_t *x,
             acc = _mm_min_epi32(_mm_max_epi32(acc, out_lo), out_hi);
             const __m128i packed = _mm_packs_epi32(acc, acc);
             _mm_storel_epi64(
-                reinterpret_cast<__m128i *>(out + i * n + j), packed);
+                reinterpret_cast<__m128i *>(out + i * ldo + j), packed);
         }
         if (j < j1)
-            scalarBlock(k, n, w, x, fmt, out, i, i + 1, j, j1);
-    }
-}
-
-__attribute__((target("avx2"))) void
-blockGatheredAvx2(size_t k, const int16_t *w, const int16_t *v,
-                  const gemm::GatherB &g, const MacFormat &fmt,
-                  const LaneParams &p, int16_t *out, size_t i0,
-                  size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 8;
-    const size_t n = g.cols_out * g.batch;
-    const __m256i pbias = _mm256_set1_epi32(p.pbias);
-    const __m128i pcnt = _mm_cvtsi32_si128(p.pshift);
-    const __m256i acc_hi = _mm256_set1_epi32(p.acc_hi);
-    const __m256i acc_lo = _mm256_set1_epi32(p.acc_lo);
-    const __m256i rbias = _mm256_set1_epi32(p.rbias);
-    const __m128i rcnt = _mm_cvtsi32_si128(p.rshift);
-    const __m256i out_hi = _mm256_set1_epi32(p.out_hi);
-    const __m256i out_lo = _mm256_set1_epi32(p.out_lo);
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const int16_t *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / g.cols_out;
-                q[l] = (j + l) - blk * g.cols_out;
-                base[l] = v + blk * g.block_stride;
-            }
-            __m256i acc = _mm256_setzero_si256();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = g.offset + kk * g.cols_out;
-                alignas(16) int16_t tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                const __m256i xv = _mm256_cvtepi16_epi32(_mm_load_si128(
-                    reinterpret_cast<const __m128i *>(tmp)));
-                const __m256i wv =
-                    _mm256_set1_epi32(static_cast<int32_t>(wrow[kk]));
-                __m256i prod = _mm256_mullo_epi32(wv, xv);
-                prod = _mm256_sra_epi32(_mm256_add_epi32(prod, pbias),
-                                        pcnt);
-                acc = _mm256_add_epi32(acc, prod);
-                acc = _mm256_min_epi32(_mm256_max_epi32(acc, acc_lo),
-                                       acc_hi);
-            }
-            acc = _mm256_sra_epi32(_mm256_add_epi32(acc, rbias), rcnt);
-            acc = _mm256_min_epi32(_mm256_max_epi32(acc, out_lo),
-                                   out_hi);
-            __m256i packed = _mm256_packs_epi32(acc, acc);
-            packed = _mm256_permute4x64_epi64(packed,
-                                              _MM_SHUFFLE(3, 1, 2, 0));
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(out + i * n + j),
-                _mm256_castsi256_si128(packed));
-        }
-        if (j < j1)
-            scalarBlockGathered(k, w, v, g, fmt, out, i, i + 1, j, j1);
-    }
-}
-
-__attribute__((target("sse4.2"))) void
-blockGatheredSse(size_t k, const int16_t *w, const int16_t *v,
-                 const gemm::GatherB &g, const MacFormat &fmt,
-                 const LaneParams &p, int16_t *out, size_t i0,
-                 size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    const size_t n = g.cols_out * g.batch;
-    const __m128i pbias = _mm_set1_epi32(p.pbias);
-    const __m128i pcnt = _mm_cvtsi32_si128(p.pshift);
-    const __m128i acc_hi = _mm_set1_epi32(p.acc_hi);
-    const __m128i acc_lo = _mm_set1_epi32(p.acc_lo);
-    const __m128i rbias = _mm_set1_epi32(p.rbias);
-    const __m128i rcnt = _mm_cvtsi32_si128(p.rshift);
-    const __m128i out_hi = _mm_set1_epi32(p.out_hi);
-    const __m128i out_lo = _mm_set1_epi32(p.out_lo);
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const int16_t *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / g.cols_out;
-                q[l] = (j + l) - blk * g.cols_out;
-                base[l] = v + blk * g.block_stride;
-            }
-            __m128i acc = _mm_setzero_si128();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = g.offset + kk * g.cols_out;
-                alignas(8) int16_t tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                const __m128i xv = _mm_cvtepi16_epi32(_mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(tmp)));
-                const __m128i wv =
-                    _mm_set1_epi32(static_cast<int32_t>(wrow[kk]));
-                __m128i prod = _mm_mullo_epi32(wv, xv);
-                prod = _mm_sra_epi32(_mm_add_epi32(prod, pbias), pcnt);
-                acc = _mm_add_epi32(acc, prod);
-                acc = _mm_min_epi32(_mm_max_epi32(acc, acc_lo), acc_hi);
-            }
-            acc = _mm_sra_epi32(_mm_add_epi32(acc, rbias), rcnt);
-            acc = _mm_min_epi32(_mm_max_epi32(acc, out_lo), out_hi);
-            const __m128i packed = _mm_packs_epi32(acc, acc);
-            _mm_storel_epi64(
-                reinterpret_cast<__m128i *>(out + i * n + j), packed);
-        }
-        if (j < j1)
-            scalarBlockGathered(k, w, v, g, fmt, out, i, i + 1, j, j1);
+            scalarBlock(k, ldx, ldo, w, x, fmt, out, i, i + 1, j, j1);
     }
 }
 
@@ -319,9 +182,9 @@ blockGatheredSse(size_t k, const int16_t *w, const int16_t *v,
 #if TIE_SIMD_NEON
 
 void
-blockNeon(size_t k, size_t n, const int16_t *w, const int16_t *x,
-          const MacFormat &fmt, const LaneParams &p, int16_t *out,
-          size_t i0, size_t i1, size_t j0, size_t j1)
+blockNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+          const int16_t *x, const MacFormat &fmt, const LaneParams &p,
+          int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
 {
     constexpr size_t W = 4;
     const int32x4_t pbias = vdupq_n_s32(p.pbias);
@@ -341,7 +204,7 @@ blockNeon(size_t k, size_t n, const int16_t *w, const int16_t *x,
                 const int32x4_t wv =
                     vdupq_n_s32(static_cast<int32_t>(wrow[kk]));
                 const int32x4_t xv =
-                    vmovl_s16(vld1_s16(x + kk * n + j));
+                    vmovl_s16(vld1_s16(x + kk * ldx + j));
                 int32x4_t prod = vmulq_s32(wv, xv);
                 prod = vshlq_s32(vaddq_s32(prod, pbias), pcnt);
                 acc = vaddq_s32(acc, prod);
@@ -349,60 +212,10 @@ blockNeon(size_t k, size_t n, const int16_t *w, const int16_t *x,
             }
             acc = vshlq_s32(vaddq_s32(acc, rbias), rcnt);
             acc = vminq_s32(vmaxq_s32(acc, out_lo), out_hi);
-            vst1_s16(out + i * n + j, vqmovn_s32(acc));
+            vst1_s16(out + i * ldo + j, vqmovn_s32(acc));
         }
         if (j < j1)
-            scalarBlock(k, n, w, x, fmt, out, i, i + 1, j, j1);
-    }
-}
-
-void
-blockGatheredNeon(size_t k, const int16_t *w, const int16_t *v,
-                  const gemm::GatherB &g, const MacFormat &fmt,
-                  const LaneParams &p, int16_t *out, size_t i0,
-                  size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    const size_t n = g.cols_out * g.batch;
-    const int32x4_t pbias = vdupq_n_s32(p.pbias);
-    const int32x4_t pcnt = vdupq_n_s32(-p.pshift);
-    const int32x4_t acc_hi = vdupq_n_s32(p.acc_hi);
-    const int32x4_t acc_lo = vdupq_n_s32(p.acc_lo);
-    const int32x4_t rbias = vdupq_n_s32(p.rbias);
-    const int32x4_t rcnt = vdupq_n_s32(-p.rshift);
-    const int32x4_t out_hi = vdupq_n_s32(p.out_hi);
-    const int32x4_t out_lo = vdupq_n_s32(p.out_lo);
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            const int16_t *base[W];
-            size_t q[W];
-            for (size_t l = 0; l < W; ++l) {
-                const size_t blk = (j + l) / g.cols_out;
-                q[l] = (j + l) - blk * g.cols_out;
-                base[l] = v + blk * g.block_stride;
-            }
-            int32x4_t acc = vdupq_n_s32(0);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const size_t *off = g.offset + kk * g.cols_out;
-                int16_t tmp[W];
-                for (size_t l = 0; l < W; ++l)
-                    tmp[l] = base[l][off[q[l]]];
-                const int32x4_t xv = vmovl_s16(vld1_s16(tmp));
-                const int32x4_t wv =
-                    vdupq_n_s32(static_cast<int32_t>(wrow[kk]));
-                int32x4_t prod = vmulq_s32(wv, xv);
-                prod = vshlq_s32(vaddq_s32(prod, pbias), pcnt);
-                acc = vaddq_s32(acc, prod);
-                acc = vminq_s32(vmaxq_s32(acc, acc_lo), acc_hi);
-            }
-            acc = vshlq_s32(vaddq_s32(acc, rbias), rcnt);
-            acc = vminq_s32(vmaxq_s32(acc, out_lo), out_hi);
-            vst1_s16(out + i * n + j, vqmovn_s32(acc));
-        }
-        if (j < j1)
-            scalarBlockGathered(k, w, v, g, fmt, out, i, i + 1, j, j1);
+            scalarBlock(k, ldx, ldo, w, x, fmt, out, i, i + 1, j, j1);
     }
 }
 
@@ -411,65 +224,33 @@ blockGatheredNeon(size_t k, const int16_t *w, const int16_t *v,
 } // namespace
 
 void
-fxpBlock(simd::Isa isa, size_t k, size_t n, const int16_t *w,
-         const int16_t *x, const MacFormat &fmt, int16_t *out,
-         size_t i0, size_t i1, size_t j0, size_t j1)
+fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
+         const int16_t *w, const int16_t *x, const MacFormat &fmt,
+         int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
 {
     if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt)) {
-        scalarBlock(k, n, w, x, fmt, out, i0, i1, j0, j1);
+        scalarBlock(k, ldx, ldo, w, x, fmt, out, i0, i1, j0, j1);
         return;
     }
     const LaneParams p = laneParams(fmt);
     switch (isa) {
 #if TIE_SIMD_X86
       case simd::Isa::Avx2:
-        blockAvx2(k, n, w, x, fmt, p, out, i0, i1, j0, j1);
+        blockAvx2(k, ldx, ldo, w, x, fmt, p, out, i0, i1, j0, j1);
         return;
       case simd::Isa::Sse42:
-        blockSse(k, n, w, x, fmt, p, out, i0, i1, j0, j1);
+        blockSse(k, ldx, ldo, w, x, fmt, p, out, i0, i1, j0, j1);
         return;
 #endif
 #if TIE_SIMD_NEON
       case simd::Isa::Neon:
-        blockNeon(k, n, w, x, fmt, p, out, i0, i1, j0, j1);
+        blockNeon(k, ldx, ldo, w, x, fmt, p, out, i0, i1, j0, j1);
         return;
 #endif
       default:
         break;
     }
     TIE_PANIC("fxpBlock dispatched to ", simd::isaName(isa),
-              ", which this build cannot execute");
-}
-
-void
-fxpBlockGathered(simd::Isa isa, size_t k, const int16_t *w,
-                 const int16_t *v, const gemm::GatherB &g,
-                 const MacFormat &fmt, int16_t *out, size_t i0,
-                 size_t i1, size_t j0, size_t j1)
-{
-    if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt)) {
-        scalarBlockGathered(k, w, v, g, fmt, out, i0, i1, j0, j1);
-        return;
-    }
-    const LaneParams p = laneParams(fmt);
-    switch (isa) {
-#if TIE_SIMD_X86
-      case simd::Isa::Avx2:
-        blockGatheredAvx2(k, w, v, g, fmt, p, out, i0, i1, j0, j1);
-        return;
-      case simd::Isa::Sse42:
-        blockGatheredSse(k, w, v, g, fmt, p, out, i0, i1, j0, j1);
-        return;
-#endif
-#if TIE_SIMD_NEON
-      case simd::Isa::Neon:
-        blockGatheredNeon(k, w, v, g, fmt, p, out, i0, i1, j0, j1);
-        return;
-#endif
-      default:
-        break;
-    }
-    TIE_PANIC("fxpBlockGathered dispatched to ", simd::isaName(isa),
               ", which this build cannot execute");
 }
 

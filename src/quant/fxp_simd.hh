@@ -31,9 +31,6 @@
 namespace tie {
 
 struct MacFormat;
-namespace gemm {
-struct GatherB;
-}
 
 /**
  * True when @p fmt's MAC chain is exact in 32-bit lanes: accumulator
@@ -43,24 +40,17 @@ struct GatherB;
 bool fxpSimdEligible(const MacFormat &fmt);
 
 /**
- * out[i0:i1, j0:j1) of the m x n fixed-point GEMM out = w (m x k) *
- * x (k x n), all row-major int16 raw values — the block kernel behind
- * fxpMatmulRaw. Isa::Scalar (or an ineligible @p fmt) runs the
+ * out[i0:i1, j0:j1) of the fixed-point GEMM out = w (m x k) * x, all
+ * row-major int16 raw values: x has row stride @p ldx and out row
+ * stride @p ldo, so the kernel reads a gathered column panel (ldx =
+ * panel width) and writes straight into the full-width output — the
+ * block kernel behind fxpMatmulRaw (ldx = ldo = n) and
+ * fxpMatmulGathered. Isa::Scalar (or an ineligible @p fmt) runs the
  * reference chain; every other ISA is bit-identical to it.
  */
-void fxpBlock(simd::Isa isa, size_t k, size_t n, const int16_t *w,
-              const int16_t *x, const MacFormat &fmt, int16_t *out,
-              size_t i0, size_t i1, size_t j0, size_t j1);
-
-/**
- * Gathered-operand variant behind fxpMatmulGathered: the B operand is
- * read through the gemm::GatherB view @p g (the fused inter-stage
- * Transform of tt/infer_session). n is g.cols_out * g.batch.
- */
-void fxpBlockGathered(simd::Isa isa, size_t k, const int16_t *w,
-                      const int16_t *v, const gemm::GatherB &g,
-                      const MacFormat &fmt, int16_t *out, size_t i0,
-                      size_t i1, size_t j0, size_t j1);
+void fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
+              const int16_t *w, const int16_t *x, const MacFormat &fmt,
+              int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1);
 
 } // namespace tie
 

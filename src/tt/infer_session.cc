@@ -1,46 +1,11 @@
 #include "tt/infer_session.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 
 namespace tie {
-
-FuseMode
-resolveFuseMode(FuseMode requested)
-{
-    if (requested != FuseMode::Env)
-        return requested;
-    const char *s = std::getenv("TIE_FUSE");
-    if (s == nullptr || *s == '\0')
-        return FuseMode::Auto;
-    if (std::strcmp(s, "auto") == 0)
-        return FuseMode::Auto;
-    if (std::strcmp(s, "on") == 0)
-        return FuseMode::On;
-    if (std::strcmp(s, "off") == 0)
-        return FuseMode::Off;
-    TIE_FATAL("TIE_FUSE='", s, "' must be auto, on or off");
-}
-
-bool
-fuseStage(FuseMode resolved, size_t ncols)
-{
-    switch (resolved) {
-      case FuseMode::On:
-        return true;
-      case FuseMode::Off:
-        return false;
-      case FuseMode::Auto:
-        return ncols < kAutoFuseMaxCols;
-      case FuseMode::Env:
-        break;
-    }
-    TIE_PANIC("fuseStage called with an unresolved FuseMode");
-}
 
 namespace {
 
@@ -50,8 +15,6 @@ struct SessionStats
     obs::Counter &runs;
     obs::Counter &plan_builds;
     obs::Counter &plan_cache_hits;
-    obs::Counter &stages_fused;
-    obs::Counter &stages_materialized;
     obs::Gauge &arena_bytes;
 
     static SessionStats &
@@ -66,12 +29,6 @@ struct SessionStats
             obs::StatRegistry::instance().counter(
                 "session.plan_cache_hits",
                 "runs reusing the cached arena and offset tables"),
-            obs::StatRegistry::instance().counter(
-                "session.stages_fused",
-                "Transforms fused into the next stage's GEMM read"),
-            obs::StatRegistry::instance().counter(
-                "session.stages_materialized",
-                "Transforms materialized through a buffer"),
             obs::StatRegistry::instance().gauge(
                 "session.arena_bytes",
                 "ping-pong arena bytes after the last (re)build"),
@@ -110,6 +67,45 @@ rebuildTables(const CompactPlan &plan, size_t batch,
         max_elems =
             std::max(max_elems, cfg.coreRows(h) * cfg.stageCols(h));
     return max_elems * batch;
+}
+
+/**
+ * Grow @p scratch to one k x kColBlock gather panel per slot for the
+ * widest gathered stage (1 <= h < d) at @p batch on the current pool,
+ * and return the slot count. Runs before the stage loop, so a batch
+ * change or a pool resize allocates once and the steady state never.
+ */
+template <typename T>
+size_t
+ensurePanelScratch(const TtLayerConfig &cfg, size_t batch,
+                   pack::AlignedBuf<T> &scratch)
+{
+    size_t max_k = 0, slots = 1;
+    for (size_t h = 1; h < cfg.d(); ++h) {
+        const size_t k = cfg.coreCols(h);
+        max_k = std::max(max_k, k);
+        slots = std::max(slots,
+                         gemm::panelSlots(cfg.coreRows(h),
+                                          cfg.stageCols(h) * batch, k));
+    }
+    scratch.resize(std::max(scratch.size(),
+                            slots * max_k * gemm::kColBlock));
+    return slots;
+}
+
+/** Stage h's (1 <= h < d) permuted operand over the V_{h+1} buffer. */
+gemm::GatherB
+gatherView(const CompactPlan &plan,
+           const std::vector<std::vector<size_t>> &offsets, size_t h,
+           size_t batch)
+{
+    const TransformSpec &spec = plan.transformAfter(h + 1);
+    gemm::GatherB gb;
+    gb.offset = offsets[h - 1].data();
+    gb.cols_out = spec.cols_out;
+    gb.block_stride = spec.cols_in;
+    gb.batch = batch;
+    return gb;
 }
 
 template <typename T>
@@ -257,18 +253,10 @@ InferSessionT<T>::InferSessionT(const TtLayerConfig &cfg,
 template <typename T>
 InferSessionT<T>::InferSessionT(TtLayerView<T> layer, SessionOptions opts)
     : plan_(layer.cfg), cores_(std::move(layer.cores)), opts_(opts),
-      mode_(resolveFuseMode(opts.fuse)),
       fast_(simd::resolveFastMode(opts.fast) == simd::FastMode::On)
 {
-    const TtLayerConfig &cfg = plan_.config();
-    checkCoreViews(cfg, cores_);
+    checkCoreViews(plan_.config(), cores_);
     packCores();
-    // Gathered-B panel scratch: one kColBlock-wide panel of the widest
-    // fusable stage operand (stage h < d reads k = coreCols(h) rows).
-    size_t max_k = 0;
-    for (size_t h = 1; h + 1 <= cfg.d(); ++h)
-        max_k = std::max(max_k, cfg.coreCols(h));
-    bscratch_.resize(max_k * gemm::kColBlock);
 }
 
 /**
@@ -338,6 +326,7 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
         packCores();
     }
     ensureBatch(batch);
+    const size_t slots = ensurePanelScratch(cfg, batch, bscratch_);
     if (obs::enabled())
         SessionStats::get().runs.add();
     obs::HostSpan span("session.run");
@@ -375,30 +364,16 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
         const size_t m = g.rows;
         const size_t k = g.cols;
         const size_t ncols = cfg.stageCols(h) * batch;
+        const T *pa = packed_[h - 1].data();
 
-        bool gather = false;
-        if (h < d) {
+        // Capture runs materialize the permuted operand for backward.
+        const bool gather = h < d && capture == nullptr;
+        if (h < d && capture) {
             const TransformSpec &spec = plan_.transformAfter(h + 1);
-            if (capture == nullptr && fuseStage(mode_, ncols)) {
-                gather = true;
-                if (obs::enabled())
-                    SessionStats::get().stages_fused.add();
-            } else {
-                T *dst;
-                if (capture) {
-                    Matrix<T> &cap = (*capture)[h - 1];
-                    ensureShape(cap, spec.rows_out,
-                                spec.cols_out * batch);
-                    dst = cap.data();
-                } else {
-                    dst = live == 0 ? half1 : half0;
-                }
-                gatherInto(spec, offsets_[h - 1], batch, op, dst);
-                live = capture ? -1 : (live == 0 ? 1 : 0);
-                op = dst;
-                if (obs::enabled())
-                    SessionStats::get().stages_materialized.add();
-            }
+            Matrix<T> &cap = (*capture)[h - 1];
+            ensureShape(cap, spec.rows_out, spec.cols_out * batch);
+            gatherInto(spec, offsets_[h - 1], batch, op, cap.data());
+            op = cap.data();
         }
 
         T *out = (h == 1 && ydirect != nullptr)
@@ -406,18 +381,12 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
                      : (live == 0 ? half1 : half0);
         std::fill_n(out, m * ncols, T(0));
         if (gather) {
-            const TransformSpec &spec = plan_.transformAfter(h + 1);
-            gemm::GatherB gb;
-            gb.offset = offsets_[h - 1].data();
-            gb.cols_out = spec.cols_out;
-            gb.block_stride = spec.cols_in;
-            gb.batch = batch;
-            gemm::gemmPackedGatheredBlocked(m, k, packed_[h - 1].data(),
-                                            op, gb, out,
-                                            bscratch_.data(), fast_);
+            const gemm::GatherB gb = gatherView(plan_, offsets_, h, batch);
+            gemm::gemmPackedGatheredBlocked(m, k, pa, op, gb, out,
+                                            bscratch_.data(), slots,
+                                            fast_);
         } else {
-            gemm::gemmPackedBlocked(m, ncols, k, packed_[h - 1].data(),
-                                    op, out, fast_);
+            gemm::gemmPackedBlocked(m, ncols, k, pa, op, out, fast_);
         }
 
         const size_t sm = m * k * ncols;
@@ -519,10 +488,9 @@ InferSessionFxp::InferSessionFxp(const TtMatrixFxp &tt,
 }
 
 InferSessionFxp::InferSessionFxp(TtFxpLayerView layer,
-                                 SessionOptions opts)
+                                 SessionOptions /*opts*/)
     : plan_(layer.cfg), cores_(std::move(layer.cores)),
-      fmt_(std::move(layer.fmt)), opts_(opts),
-      mode_(resolveFuseMode(opts.fuse))
+      fmt_(std::move(layer.fmt))
 {
     const TtLayerConfig &cfg = plan_.config();
     TIE_CHECK_ARG(fmt_.size() == cfg.d(), "fxp layer has ",
@@ -592,6 +560,7 @@ InferSessionFxp::runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
     }
     ensureShape(y, cfg.outSize(), batch);
     ensureBatch(batch);
+    const size_t slots = ensurePanelScratch(cfg, batch, scratch_);
     if (obs::enabled())
         SessionStats::get().runs.add();
     obs::HostSpan span("session.run_fxp");
@@ -620,34 +589,13 @@ InferSessionFxp::runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
         const size_t k = g.cols;
         const size_t ncols = cfg.stageCols(h) * batch;
 
-        bool gather = false;
-        if (h < d) {
-            const TransformSpec &spec = plan_.transformAfter(h + 1);
-            if (fuseStage(mode_, ncols)) {
-                gather = true;
-                if (obs::enabled())
-                    SessionStats::get().stages_fused.add();
-            } else {
-                int16_t *dst = live == 0 ? half1 : half0;
-                gatherInto(spec, offsets_[h - 1], batch, op, dst);
-                live = live == 0 ? 1 : 0;
-                op = dst;
-                if (obs::enabled())
-                    SessionStats::get().stages_materialized.add();
-            }
-        }
-
         int16_t *out = (h == 1 && batch == 1)
                            ? y.data()
                            : (live == 0 ? half1 : half0);
-        if (gather) {
-            const TransformSpec &spec = plan_.transformAfter(h + 1);
-            gemm::GatherB gb;
-            gb.offset = offsets_[h - 1].data();
-            gb.cols_out = spec.cols_out;
-            gb.block_stride = spec.cols_in;
-            gb.batch = batch;
-            fxpMatmulGathered(m, k, g.data, op, gb, fmt, out);
+        if (h < d) {
+            const gemm::GatherB gb = gatherView(plan_, offsets_, h, batch);
+            fxpMatmulGathered(m, k, g.data, op, gb, fmt, out,
+                              scratch_.data(), slots);
         } else {
             fxpMatmulRaw(m, k, ncols, g.data, op, fmt, out);
         }

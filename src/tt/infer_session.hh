@@ -11,18 +11,18 @@
  * perform **zero heap allocations**: the arena, the per-stage gather
  * offset tables and the caller's output storage are all reused.
  *
- * The inter-stage Transform is a pure permutation, so by default it is
- * fused into the next stage's GEMM operand read (gemm::GatherB /
- * fxpMatmulGathered) and the transformed matrix is never materialized.
- * Fusion preserves the per-element k-loop order of the unfused kernels,
- * so results are bit-identical to compactInfer / compactInferFxp for
- * every shape, batch and thread count — tests assert exact equality.
- *
- * Both the fused and materialized stage loops execute on the SIMD
- * kernel layer (linalg/simd.hh) through gemmBlocked /
- * gemmGatheredBlocked / fxpMatmulRaw / fxpMatmulGathered, so session
- * outputs are additionally bit-identical across dispatch ISAs
- * (TIE_SIMD); the active path is reported by the simd.isa gauge.
+ * The inter-stage Transform is a pure permutation, so it is never
+ * materialized as a whole: every stage reads the permuted operand out
+ * of the previous stage's buffer one kColBlock-wide column panel at a
+ * time (gemm::gatheredPanels), then runs the dense kernel on the panel
+ * — the packed microkernel for float (gemm::gemmPackedGatheredBlocked),
+ * fxpBlock for int16 (fxpMatmulGathered). Only capture runs, whose
+ * backward pass needs the operands, materialize them. One path for
+ * every dtype; it keeps the per-element k-loop order of the dense
+ * kernels, so results are bit-identical to compactInfer /
+ * compactInferFxp for every shape, batch, thread count and dispatch
+ * ISA (TIE_SIMD) — tests assert exact equality. The active path is
+ * reported by the simd.isa gauge.
  *
  * compactInfer, compactInferVec and compactInferFxp (tt_infer.hh) are
  * thin wrappers over a transient session; long-lived callers
@@ -40,54 +40,9 @@
 
 namespace tie {
 
-/**
- * Inter-stage Transform execution policy. Fusing reads the permuted
- * operand directly out of the previous stage's buffer during the GEMM
- * (the TIE working-SRAM read scheme, no intermediate storage);
- * materializing copies it through the arena first — identical bits,
- * one extra memory pass, but a contiguous (vectorizable) B operand.
- * docs/performance.md measures the tradeoff: on host CPUs the
- * materialized path wins on wide stages because the indirect
- * per-element read defeats vectorization.
- */
-enum class FuseMode
-{
-    Env,  ///< resolve from TIE_FUSE (auto|on|off) at construction;
-          ///< unset means Auto. A malformed value is a fatal error.
-    Auto, ///< per stage: fuse narrow stages, materialize wide ones
-    On,   ///< always fuse (the TIE hardware read scheme)
-    Off,  ///< always materialize through the arena
-};
-
-/**
- * Resolve Env against the TIE_FUSE environment variable; any other
- * mode passes through. fatal() on a TIE_FUSE value that is not
- * "auto", "on" or "off".
- */
-FuseMode resolveFuseMode(FuseMode requested);
-
-/**
- * Batched stage widths (stageCols(h) * batch) at or above this many
- * columns are materialized under FuseMode::Auto; narrower stages are
- * fused. Sits between the regimes measured in docs/performance.md:
- * fusion's saved memory pass wins on short/narrow stages, contiguous
- * vectorizable reads win on wide ones.
- */
-inline constexpr size_t kAutoFuseMaxCols = 512;
-
-/** True when a stage of @p ncols batched columns should fuse. */
-bool fuseStage(FuseMode resolved, size_t ncols);
-
 /** Session construction knobs. */
 struct SessionOptions
 {
-    /**
-     * Transform policy; the default defers to TIE_FUSE and falls back
-     * to Auto. Capture-mode runs always materialize regardless (the
-     * backward pass needs the operands). Every mode is bit-identical.
-     */
-    FuseMode fuse = FuseMode::Env;
-
     /**
      * Float fast-arithmetic policy; the default defers to TIE_FAST
      * and falls back to Off. On permits FMA in the float32 stage
@@ -201,7 +156,8 @@ class InferSessionT
      * runInto that additionally materializes the operand consumed by
      * each stage h into capture[h-1] (resized as needed) — what
      * TtDense::backward needs to form weight gradients. Capture runs
-     * take the materialized path but produce identical outputs.
+     * run the dense kernel on the captured operands and produce
+     * identical outputs.
      */
     void runCapture(const Matrix<T> &x, Matrix<T> &y,
                     std::vector<Matrix<T>> &capture,
@@ -212,7 +168,7 @@ class InferSessionT
 
     /**
      * Bytes held in packed operand panels: every stage core packed at
-     * warm-up plus the gathered-B panel scratch. Separate from
+     * warm-up plus the gathered column-panel scratch. Separate from
      * arenaBytes(), which models the paper's dual working SRAMs.
      */
     size_t
@@ -242,7 +198,6 @@ class InferSessionT
      */
     std::vector<const Matrix<T> *> bound_;
     SessionOptions opts_;
-    FuseMode mode_ = FuseMode::Auto; ///< opts_.fuse resolved (never Env)
     bool fast_ = false; ///< opts_.fast resolved (f32 FMA permitted)
 
     /**
@@ -253,7 +208,7 @@ class InferSessionT
      * buffers are grow-only, so steady-state repacks never allocate.
      */
     std::vector<pack::AlignedBuf<T>> packed_;
-    /** Gathered-B panel scratch for gemm::gemmPackedGatheredBlocked. */
+    /** Column-panel scratch, one panel per slot (gemm::gatheredPanels). */
     pack::AlignedBuf<T> bscratch_;
 
     bool has_batch_ = false;
@@ -313,8 +268,8 @@ class InferSessionFxp
     /** Like InferSessionT::bound_: re-read tt's cores/formats each
         run when constructed over a TtMatrixFxp. */
     const TtMatrixFxp *bound_ = nullptr;
-    SessionOptions opts_;
-    FuseMode mode_ = FuseMode::Auto; ///< opts_.fuse resolved (never Env)
+    /** Column-panel scratch, as InferSessionT::bscratch_. */
+    pack::AlignedBuf<int16_t> scratch_;
 
     bool has_batch_ = false;
     size_t batch_ = 0;

@@ -32,10 +32,9 @@ import json, sys
 r = json.load(open(sys.argv[1]))
 names = {b["name"] for b in r["benchmarks"]}
 for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
-             "BM_TtInfer_Session_Materialized/1",
              "BM_TtInferFxp_PerCall/1", "BM_TtInferFxp_Session/1",
              # the per-ISA SIMD sweeps always include the scalar path
-             "BM_GemmF32_Isa/scalar", "BM_GemmGatheredF32_Isa/scalar",
+             "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_GemmGatheredF32_Packed/scalar",
              "BM_FxpMatmul_Isa/scalar"):

@@ -140,6 +140,24 @@ EOF
         echo "bench_diff accepted a 10x latency regression" >&2
         exit 1
     fi
+    # A baseline row with no current counterpart (a deleted or renamed
+    # benchmark) is reported as missing and fails with exit 1, with
+    # and without --match.
+    python3 - "$DIR/serve_stats.json" "$DIR/serve_drop.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+del d["stats"]["distributions"]["serve.phase.infer_us"]
+json.dump(d, open(sys.argv[2], "w"))
+EOF
+    for m in "" "--match=serve.phase"; do
+        rc=0
+        "$BENCH_DIFF" $m "$DIR/serve_stats.json" "$DIR/serve_drop.json" \
+            > "$DIR/drop.txt" 2>&1 || rc=$?
+        if [ "$rc" -ne 1 ] || ! grep -q "missing" "$DIR/drop.txt"; then
+            echo "bench_diff $m: dropped row gave exit $rc" >&2
+            exit 1
+        fi
+    done
 fi
 
 echo "cli smoke ok"

@@ -1,8 +1,8 @@
 /**
  * @file
  * InferSession tests: bit-identity against the pre-session compact
- * pipeline (rebuilt here from the public primitives it was made of),
- * fused vs. materialized equality, capture-mode operands, the
+ * pipeline (rebuilt here from the public primitives it was made of)
+ * for f64, f32 and int16, capture-mode operands, the
  * stage-first InferStats convention, arena sizing, observability
  * counters, and — via a global operator new/delete hook — the
  * zero-heap-allocation guarantee of steady-state runs.
@@ -19,6 +19,7 @@
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "linalg/gemm.hh"
 #include "obs/stat_registry.hh"
 #include "tt/cost_model.hh"
 #include "tt/infer_session.hh"
@@ -85,19 +86,45 @@ namespace {
 // The compact pipeline exactly as the entry points executed it before
 // InferSession existed: materialized transforms via the public
 // primitives. The session must match this bit for bit.
-MatrixD
-referenceCompact(const TtMatrix &tt, const MatrixD &x)
+template <typename T>
+Matrix<T>
+referenceCompactCores(const TtLayerConfig &cfg,
+                      const std::vector<Matrix<T>> &cores,
+                      const Matrix<T> &x)
 {
-    const TtLayerConfig &cfg = tt.config();
     const size_t batch = x.cols();
     CompactPlan plan(cfg);
-    MatrixD v = plan.reshapeInput(x);
+    Matrix<T> v = plan.reshapeInput(x);
     for (size_t h = cfg.d(); h >= 1; --h) {
-        v = matmul(tt.core(h).unfolded(), v);
+        v = matmul(cores[h - 1], v);
         if (h > 1)
             v = applyTransformBatched(plan.transformAfter(h), v, batch);
     }
     return plan.flattenOutput(v, batch);
+}
+
+MatrixD
+referenceCompact(const TtMatrix &tt, const MatrixD &x)
+{
+    std::vector<MatrixD> cores;
+    for (size_t h = 1; h <= tt.d(); ++h)
+        cores.push_back(tt.core(h).unfolded());
+    return referenceCompactCores(tt.config(), cores, x);
+}
+
+/** f32 copies of a TtMatrix's unfolded cores. */
+std::vector<MatrixF>
+floatCores(const TtMatrix &tt)
+{
+    std::vector<MatrixF> out;
+    for (size_t h = 1; h <= tt.d(); ++h) {
+        const MatrixD &u = tt.core(h).unfolded();
+        MatrixF f(u.rows(), u.cols());
+        for (size_t i = 0; i < u.size(); ++i)
+            f.flat()[i] = static_cast<float>(u.flat()[i]);
+        out.push_back(std::move(f));
+    }
+    return out;
 }
 
 Matrix<int16_t>
@@ -133,7 +160,36 @@ testConfigs()
     d4.n = {3, 2, 3, 2};
     d4.r = {1, 3, 2, 4, 1};
 
-    return {d2, d3, d4};
+    // Wide enough that gathered stages span several column panels and
+    // clear gemm::kParallelMinWork, so 4 threads run parallel slots.
+    TtLayerConfig wide;
+    wide.m = {4, 5, 4};
+    wide.n = {3, 4, 5};
+    wide.r = {1, 6, 5, 1};
+
+    return {d2, d3, d4, wide};
+}
+
+/** Batches of the reference sweeps; 37 leaves ragged last panels. */
+const size_t kSweepBatches[] = {1, 7, 37, 64};
+
+TEST(InferSession, SweepCoversRaggedParallelPanels)
+{
+    // The sweeps below must reach a gathered stage that runs parallel
+    // slots and whose last panel is partial with a width that is not a
+    // lane multiple, so the kernels' scalar column tails run through
+    // the strided panel path.
+    bool covered = false;
+    for (const TtLayerConfig &cfg : testConfigs())
+        for (size_t batch : kSweepBatches)
+            for (size_t h = 1; h < cfg.d(); ++h) {
+                const size_t n = cfg.stageCols(h) * batch;
+                const size_t tail = n % gemm::kColBlock;
+                covered |= n > gemm::kColBlock && tail % 8 != 0 &&
+                           cfg.coreRows(h) * n * cfg.coreCols(h) >=
+                               gemm::kParallelMinWork;
+            }
+    EXPECT_TRUE(covered);
 }
 
 /** Restores the ambient pool size when a test rescales it. */
@@ -149,23 +205,18 @@ TEST(InferSession, BitIdenticalToReferenceAcrossShapesBatchesThreads)
     Rng rng(42);
     for (const TtLayerConfig &cfg : testConfigs()) {
         TtMatrix tt = TtMatrix::random(cfg, rng);
-        InferSessionD fused = makeSession(tt);
-        InferSessionD materialized =
-            makeSession(tt, SessionOptions{FuseMode::Off});
-        for (size_t batch : {size_t(1), size_t(7), size_t(64)}) {
+        InferSessionD session = makeSession(tt);
+        for (size_t batch : kSweepBatches) {
             MatrixD x(cfg.inSize(), batch);
             x.setUniform(rng);
             const MatrixD ref = referenceCompact(tt, x);
             for (size_t threads : {size_t(1), size_t(4)}) {
                 setThreadCount(threads);
                 MatrixD y;
-                fused.runInto(x, y);
+                session.runInto(x, y);
                 EXPECT_TRUE(y == ref)
                     << cfg.toString() << " batch " << batch
                     << " threads " << threads;
-                MatrixD ym;
-                materialized.runInto(x, ym);
-                EXPECT_TRUE(ym == ref) << "materialized path";
                 EXPECT_TRUE(compactInfer(tt, x) == ref)
                     << "compactInfer wrapper";
             }
@@ -180,9 +231,8 @@ TEST(InferSession, FxpBitIdenticalToReference)
     for (const TtLayerConfig &cfg : testConfigs()) {
         TtMatrix tt = TtMatrix::random(cfg, rng);
         TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
-        InferSessionFxp fused(fxp);
-        InferSessionFxp materialized(fxp, SessionOptions{FuseMode::Off});
-        for (size_t batch : {size_t(1), size_t(7), size_t(64)}) {
+        InferSessionFxp session(fxp);
+        for (size_t batch : kSweepBatches) {
             MatrixF xf(cfg.inSize(), batch);
             xf.setUniform(rng);
             Matrix<int16_t> x = quantizeMatrix(xf, FxpFormat{16, 8});
@@ -190,15 +240,41 @@ TEST(InferSession, FxpBitIdenticalToReference)
             for (size_t threads : {size_t(1), size_t(4)}) {
                 setThreadCount(threads);
                 Matrix<int16_t> y;
-                fused.runInto(x, y);
+                session.runInto(x, y);
                 EXPECT_TRUE(y == ref)
                     << cfg.toString() << " batch " << batch
                     << " threads " << threads;
-                Matrix<int16_t> ym;
-                materialized.runInto(x, ym);
-                EXPECT_TRUE(ym == ref) << "materialized path";
                 EXPECT_TRUE(compactInferFxp(fxp, x) == ref)
                     << "compactInferFxp wrapper";
+            }
+        }
+    }
+}
+
+TEST(InferSession, F32BitIdenticalToReference)
+{
+    ThreadCountGuard guard;
+    Rng rng(13);
+    for (const TtLayerConfig &cfg : testConfigs()) {
+        const std::vector<MatrixF> cores =
+            floatCores(TtMatrix::random(cfg, rng));
+        std::vector<const MatrixF *> ptrs;
+        for (const MatrixF &c : cores)
+            ptrs.push_back(&c);
+        SessionOptions exact; // bit-identity holds with TIE_FAST set too
+        exact.fast = simd::FastMode::Off;
+        InferSessionF session(cfg, ptrs, exact);
+        for (size_t batch : kSweepBatches) {
+            MatrixF x(cfg.inSize(), batch);
+            x.setUniform(rng);
+            const MatrixF ref = referenceCompactCores(cfg, cores, x);
+            for (size_t threads : {size_t(1), size_t(4)}) {
+                setThreadCount(threads);
+                MatrixF y;
+                session.runInto(x, y);
+                EXPECT_TRUE(y == ref)
+                    << cfg.toString() << " batch " << batch
+                    << " threads " << threads;
             }
         }
     }
@@ -403,6 +479,54 @@ TEST(InferSession, SteadyStateRunsDoNotHeapAllocate)
         << "steady-state fxp runs must not touch the heap";
 }
 
+TEST(InferSession, PoolResizeAllocatesOnceThenSteadyStateIsFree)
+{
+    // Growing the pool adds panel slots, so the first run after a
+    // resize may grow the slot scratch; every run after it must not
+    // touch the heap.
+    ThreadCountGuard guard;
+    Rng rng(43);
+    const TtLayerConfig cfg = TtLayerConfig::uniform(3, 4, 4, 3);
+    TtMatrix tt = TtMatrix::random(cfg, rng);
+    TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    InferSessionD session = makeSession(tt);
+    InferSessionFxp fsession(fxp);
+
+    const size_t batch = 64; // several panels per gathered stage
+    MatrixD x(cfg.inSize(), batch), y;
+    x.setUniform(rng);
+    MatrixF xf(cfg.inSize(), batch);
+    xf.setUniform(rng);
+    const Matrix<int16_t> xq = quantizeMatrix(xf, FxpFormat{16, 8});
+    Matrix<int16_t> yq;
+
+    setThreadCount(1);
+    session.runInto(x, y);
+    fsession.runInto(xq, yq);
+    setThreadCount(4);
+    session.runInto(x, y);
+    fsession.runInto(xq, yq);
+
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < 5; ++i)
+        session.runInto(x, y);
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "float runs after a pool resize must not touch the heap";
+
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < 5; ++i)
+        fsession.runInto(xq, yq);
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "fxp runs after a pool resize must not touch the heap";
+
+    EXPECT_TRUE(y == referenceCompact(tt, x));
+    EXPECT_TRUE(yq == referenceCompactFxp(fxp, xq));
+}
+
 TEST(InferSession, ObservabilityCountersTrackRuns)
 {
     Rng rng(23);
@@ -425,107 +549,10 @@ TEST(InferSession, ObservabilityCountersTrackRuns)
     EXPECT_EQ(reg.counter("session.runs").value(), 3u);
     EXPECT_EQ(reg.counter("session.plan_builds").value(), 2u);
     EXPECT_EQ(reg.counter("session.plan_cache_hits").value(), 1u);
-    // d-1 fused transforms per run, nothing materialized.
-    EXPECT_EQ(reg.counter("session.stages_fused").value(),
-              3 * (cfg.d() - 1));
-    EXPECT_EQ(reg.counter("session.stages_materialized").value(), 0u);
     EXPECT_EQ(static_cast<size_t>(
                   reg.gauge("session.arena_bytes").value()),
               session.arenaBytes());
     reg.resetAll();
-}
-
-/** Saves and restores TIE_FUSE around a test. */
-struct FuseEnvGuard
-{
-    std::string saved;
-    bool was_set = false;
-
-    FuseEnvGuard()
-    {
-        const char *v = std::getenv("TIE_FUSE");
-        if (v != nullptr) {
-            was_set = true;
-            saved = v;
-        }
-    }
-
-    ~FuseEnvGuard()
-    {
-        if (was_set)
-            setenv("TIE_FUSE", saved.c_str(), 1);
-        else
-            unsetenv("TIE_FUSE");
-    }
-};
-
-TEST(FuseMode, EnvResolutionAndPassThrough)
-{
-    FuseEnvGuard guard;
-    unsetenv("TIE_FUSE");
-    EXPECT_EQ(resolveFuseMode(FuseMode::Env), FuseMode::Auto);
-
-    setenv("TIE_FUSE", "on", 1);
-    EXPECT_EQ(resolveFuseMode(FuseMode::Env), FuseMode::On);
-    setenv("TIE_FUSE", "off", 1);
-    EXPECT_EQ(resolveFuseMode(FuseMode::Env), FuseMode::Off);
-    setenv("TIE_FUSE", "auto", 1);
-    EXPECT_EQ(resolveFuseMode(FuseMode::Env), FuseMode::Auto);
-
-    // Explicit modes ignore the environment.
-    setenv("TIE_FUSE", "off", 1);
-    EXPECT_EQ(resolveFuseMode(FuseMode::On), FuseMode::On);
-    EXPECT_EQ(resolveFuseMode(FuseMode::Auto), FuseMode::Auto);
-}
-
-TEST(FuseMode, AutoFusesNarrowStagesOnly)
-{
-    EXPECT_TRUE(fuseStage(FuseMode::On, 1 << 20));
-    EXPECT_FALSE(fuseStage(FuseMode::Off, 1));
-    EXPECT_TRUE(fuseStage(FuseMode::Auto, kAutoFuseMaxCols - 1));
-    EXPECT_FALSE(fuseStage(FuseMode::Auto, kAutoFuseMaxCols));
-    EXPECT_FALSE(fuseStage(FuseMode::Auto, kAutoFuseMaxCols + 1));
-}
-
-TEST(FuseMode, AllModesBitIdentical)
-{
-    FuseEnvGuard guard;
-    unsetenv("TIE_FUSE");
-    Rng rng(29);
-    for (const TtLayerConfig &cfg : testConfigs()) {
-        TtMatrix tt = TtMatrix::random(cfg, rng);
-        InferSessionD fused = makeSession(tt, SessionOptions{FuseMode::On});
-        InferSessionD mat = makeSession(tt, SessionOptions{FuseMode::Off});
-        InferSessionD autos =
-            makeSession(tt, SessionOptions{FuseMode::Auto});
-        setenv("TIE_FUSE", "auto", 1);
-        InferSessionD env = makeSession(tt); // default: FuseMode::Env
-        unsetenv("TIE_FUSE");
-        // Batch 64 pushes stage widths across kAutoFuseMaxCols, so the
-        // Auto sessions mix fused and materialized stages in one run.
-        for (size_t batch : {size_t(1), size_t(64)}) {
-            MatrixD x(cfg.inSize(), batch);
-            x.setUniform(rng);
-            const MatrixD ref = referenceCompact(tt, x);
-            MatrixD y;
-            fused.runInto(x, y);
-            EXPECT_TRUE(y == ref) << "on";
-            mat.runInto(x, y);
-            EXPECT_TRUE(y == ref) << "off";
-            autos.runInto(x, y);
-            EXPECT_TRUE(y == ref) << "auto";
-            env.runInto(x, y);
-            EXPECT_TRUE(y == ref) << "env";
-        }
-    }
-}
-
-TEST(FuseModeFatal, MalformedEnvValueDies)
-{
-    FuseEnvGuard guard;
-    setenv("TIE_FUSE", "sometimes", 1);
-    EXPECT_EXIT(resolveFuseMode(FuseMode::Env),
-                ::testing::ExitedWithCode(1), "TIE_FUSE");
 }
 
 /** Saves and restores TIE_FAST around a test. */
@@ -590,17 +617,8 @@ TEST(FastMode, F32SessionFastStaysWithinAccuracyContract)
     unsetenv("TIE_FAST");
     Rng rng(37);
     const TtLayerConfig cfg = testConfigs()[2]; // d = 4
-    TtMatrix tt = TtMatrix::random(cfg, rng);
-    std::vector<MatrixF> fcores;
-    fcores.reserve(cfg.d());
-    for (size_t h = 1; h <= cfg.d(); ++h) {
-        const MatrixD &u = tt.core(h).unfolded();
-        MatrixF f(u.rows(), u.cols());
-        for (size_t i = 0; i < u.rows(); ++i)
-            for (size_t j = 0; j < u.cols(); ++j)
-                f.at(i, j) = static_cast<float>(u.at(i, j));
-        fcores.push_back(std::move(f));
-    }
+    const std::vector<MatrixF> fcores =
+        floatCores(TtMatrix::random(cfg, rng));
     std::vector<const MatrixF *> ptrs;
     for (const MatrixF &f : fcores)
         ptrs.push_back(&f);

@@ -7,6 +7,7 @@
  * relativeError fixes.
  */
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -97,6 +98,31 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce)
             }
         }
     }
+}
+
+TEST(ParallelFor, ReturnsOnlyAfterEveryChunkEndsAcrossResizes)
+{
+    // Workers started by a resize must not take the last finished job
+    // for a new one: such a stale wake-up reports "done" twice, and
+    // parallelFor could then return while another worker still runs a
+    // chunk over caller-owned data.
+    ThreadCountGuard guard;
+    std::atomic<int> in_flight{0};
+    int escaped = 0;
+    for (int round = 0; round < 300; ++round) {
+        setThreadCount(round % 2 ? 4 : 3);
+        for (int job = 0; job < 2; ++job) {
+            parallelFor(0, 64, 1, [&](size_t, size_t) {
+                in_flight.fetch_add(1);
+                volatile int spin = 0;
+                for (int i = 0; i < 2000; ++i)
+                    spin = spin + i;
+                in_flight.fetch_sub(1);
+            });
+            escaped += in_flight.load() != 0;
+        }
+    }
+    EXPECT_EQ(escaped, 0);
 }
 
 TEST(ParallelFor, NonZeroBeginAndEmptyRange)

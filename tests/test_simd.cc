@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "linalg/gemm.hh"
 #include "linalg/pack.hh"
 #include "linalg/simd.hh"
@@ -150,6 +152,35 @@ randomBuf(size_t count, Rng &rng)
     return out;
 }
 
+/** Random gather table: k x cols_out offsets into one batch block. */
+std::vector<size_t>
+randomOffsets(size_t k, size_t cols_out, Rng &rng)
+{
+    std::vector<size_t> offset(k * cols_out);
+    for (auto &o : offset)
+        o = static_cast<size_t>(rng.intIn(0, k * cols_out - 1));
+    return offset;
+}
+
+/**
+ * The gathered operand of @p g over @p v written out as a dense
+ * k x (cols_out * batch) row-major matrix, element by element.
+ */
+template <typename T>
+std::vector<T>
+materialize(size_t k, const std::vector<T> &v, const gemm::GatherB &g)
+{
+    const size_t n = g.cols_out * g.batch;
+    std::vector<T> out(k * n);
+    for (size_t kk = 0; kk < k; ++kk)
+        for (size_t bb = 0; bb < g.batch; ++bb)
+            for (size_t q = 0; q < g.cols_out; ++q)
+                out[kk * n + bb * g.cols_out + q] =
+                    v[g.offset[kk * g.cols_out + q] +
+                      bb * g.block_stride];
+    return out;
+}
+
 // Shapes chosen to exercise full vectors, remainder columns for every
 // lane width (8/4/1) and degenerate edges.
 struct Shape
@@ -230,60 +261,6 @@ TEST(SimdGemm, UnalignedColumnWindowMatchesScalar)
     }
 }
 
-TEST(SimdGemm, GatheredMatchesMaterializedOnEveryIsa)
-{
-    Rng rng(0x6a7);
-    const size_t m = 4, k = 12, cols_out = 21, batch = 3;
-    const size_t n = cols_out * batch;
-    const auto a = randomBuf<float>(m * k, rng);
-    const auto v = randomBuf<float>(k * n, rng);
-
-    // Random gather table over one batch block of v.
-    std::vector<size_t> offset(k * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(rng.intIn(0, k * cols_out - 1));
-    const size_t block_stride = k * cols_out;
-
-    // Materialize B explicitly, then compare every ISA's gathered
-    // kernel against scalar-dense on the materialized operand.
-    std::vector<float> bmat(k * n);
-    for (size_t kk = 0; kk < k; ++kk)
-        for (size_t bb = 0; bb < batch; ++bb)
-            for (size_t q = 0; q < cols_out; ++q)
-                bmat[kk * n + bb * cols_out + q] =
-                    v[offset[kk * cols_out + q] + bb * block_stride];
-    std::vector<float> ref(m * n, 0.0f);
-    simd::gemmTileF32(Isa::Scalar, n, k, a.data(), bmat.data(),
-                      ref.data(), 0, m, 0, n);
-
-    for (Isa isa : supportedIsas()) {
-        std::vector<float> c(m * n, 0.0f);
-        simd::gemmTileGatheredF32(isa, n, k, a.data(), v.data(),
-                                  offset.data(), cols_out, block_stride,
-                                  c.data(), 0, m, 0, n);
-        EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                              c.size() * sizeof(float)),
-                  0)
-            << simd::isaName(isa);
-    }
-
-    std::vector<double> ad(a.begin(), a.end()), vd(v.begin(), v.end());
-    std::vector<double> refd(m * n, 0.0);
-    std::vector<double> bmatd(bmat.begin(), bmat.end());
-    simd::gemmTileF64(Isa::Scalar, n, k, ad.data(), bmatd.data(),
-                      refd.data(), 0, m, 0, n);
-    for (Isa isa : supportedIsas()) {
-        std::vector<double> c(m * n, 0.0);
-        simd::gemmTileGatheredF64(isa, n, k, ad.data(), vd.data(),
-                                  offset.data(), cols_out, block_stride,
-                                  c.data(), 0, m, 0, n);
-        EXPECT_EQ(std::memcmp(c.data(), refd.data(),
-                              c.size() * sizeof(double)),
-                  0)
-            << simd::isaName(isa);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Packed-panel microkernel: the default path must be bit-identical to
 // the unpacked kernels and the scalar reference (packed == unpacked ==
@@ -333,6 +310,58 @@ checkPackedBitIdentity()
                 << s.n;
         }
     }
+}
+
+template <typename T>
+void
+checkGatheredPanelsOnEveryIsa()
+{
+    // What gemm::gatheredPanels does per panel, on every ISA: gather a
+    // k x w column panel, then run the packed kernel reading the panel
+    // (ldb = w) and writing the full-width C (ldc = n). n spans a full
+    // and a ragged panel.
+    Rng rng(0x6a7);
+    const size_t m = 5, k = 12, cols_out = 21, batch = 15;
+    const size_t n = cols_out * batch;
+    const auto a = randomBuf<T>(m * k, rng);
+    const auto v = randomBuf<T>(k * n, rng);
+    const std::vector<size_t> offset = randomOffsets(k, cols_out, rng);
+    gemm::GatherB g;
+    g.offset = offset.data();
+    g.cols_out = cols_out;
+    g.block_stride = k * cols_out;
+    g.batch = batch;
+
+    const std::vector<T> bmat = materialize(k, v, g);
+    std::vector<T> ref(m * n, T(0));
+    if constexpr (std::is_same_v<T, float>)
+        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), bmat.data(),
+                          ref.data(), 0, m, 0, n);
+    else
+        simd::gemmTileF64(Isa::Scalar, n, k, a.data(), bmat.data(),
+                          ref.data(), 0, m, 0, n);
+
+    std::vector<T> pa(pack::packedAElems(m, k));
+    pack::packA(m, k, a.data(), pa.data());
+    std::vector<T> panel(k * gemm::kColBlock);
+    for (Isa isa : supportedIsas()) {
+        std::vector<T> c(m * n, T(0));
+        for (size_t p0 = 0; p0 < n; p0 += gemm::kColBlock) {
+            const size_t w = std::min(gemm::kColBlock, n - p0);
+            gemm::gatherPanel(k, v.data(), g, p0, w, panel.data());
+            packedGemm<T>(isa, false, k, pa.data(), panel.data(), w,
+                          c.data() + p0, n, 0, m, 0, w);
+        }
+        EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)),
+                  0)
+            << simd::isaName(isa);
+    }
+}
+
+TEST(SimdGemm, GatheredMatchesMaterializedOnEveryIsa)
+{
+    checkGatheredPanelsOnEveryIsa<float>();
+    checkGatheredPanelsOnEveryIsa<double>();
 }
 
 TEST(SimdPacked, F32BitIdenticalToScalarOnEveryIsa)
@@ -408,42 +437,50 @@ TEST(SimdPacked, BlockedWrapperMatchesUnpacked)
 
 template <typename T>
 void
-checkPackedGatheredMatchesGathered(size_t batch)
+checkPackedGatheredMatchesMaterialized(size_t batch)
 {
     Rng rng(0x9acf + batch);
     const size_t m = 6, k = 12, cols_out = 21;
     const size_t n = cols_out * batch;
     const auto a = randomBuf<T>(m * k, rng);
     const auto v = randomBuf<T>(k * n, rng);
-    std::vector<size_t> offset(k * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(rng.intIn(0, k * cols_out - 1));
+    const std::vector<size_t> offset = randomOffsets(k, cols_out, rng);
     gemm::GatherB g;
     g.offset = offset.data();
     g.cols_out = cols_out;
     g.block_stride = k * cols_out;
     g.batch = batch;
 
-    std::vector<T> ref(m * n, T(0)), c(m * n, T(0));
-    gemm::gemmGatheredBlocked(m, k, a.data(), v.data(), g, ref.data());
     std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
-    std::vector<T> bscratch(k * std::min(n, gemm::kColBlock));
-    gemm::gemmPackedGatheredBlocked(m, k, pa.data(), v.data(), g,
-                                    c.data(), bscratch.data(), false);
-    EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)),
-              0)
-        << "batch=" << batch;
+    const std::vector<T> bmat = materialize(k, v, g);
+    std::vector<T> ref(m * n, T(0));
+    gemm::gemmPackedBlocked(m, n, k, pa.data(), bmat.data(), ref.data(),
+                            false);
+    for (size_t threads : {size_t(1), size_t(4)}) {
+        setThreadCount(threads);
+        const size_t slots = gemm::panelSlots(m, n, k);
+        std::vector<T> c(m * n, T(0));
+        std::vector<T> bscratch(slots * k * gemm::kColBlock);
+        gemm::gemmPackedGatheredBlocked(m, k, pa.data(), v.data(), g,
+                                        c.data(), bscratch.data(), slots,
+                                        false);
+        EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)),
+                  0)
+            << "batch=" << batch << " threads=" << threads;
+    }
 }
 
-TEST(SimdPacked, GatheredMatchesUnpackedGatheredForEveryBatch)
+TEST(SimdPacked, GatheredMatchesMaterializedForEveryBatch)
 {
-    // batch = 64 pushes n past kColBlock, exercising the serial panel
-    // loop and the scratch reuse across panels.
-    for (size_t batch : {size_t(1), size_t(7), size_t(64)}) {
-        checkPackedGatheredMatchesGathered<float>(batch);
-        checkPackedGatheredMatchesGathered<double>(batch);
+    // batch 37 and 64 push n past kColBlock: several panels, parallel
+    // slots at 4 threads, and (37) a ragged last panel.
+    const size_t ambient = threadCount();
+    for (size_t batch : {size_t(1), size_t(7), size_t(37), size_t(64)}) {
+        checkPackedGatheredMatchesMaterialized<float>(batch);
+        checkPackedGatheredMatchesMaterialized<double>(batch);
     }
+    setThreadCount(ambient);
 }
 
 TEST(SimdPacked, FastModeF32WithinDocumentedBound)
@@ -536,15 +573,36 @@ checkFxpBitIdentity(const MacFormat &fmt, uint64_t seed)
         const auto w = randomI16(s.m * s.k, rng);
         const auto x = randomI16(s.k * s.n, rng);
         std::vector<int16_t> ref(s.m * s.n, 0);
-        fxpBlock(Isa::Scalar, s.k, s.n, w.data(), x.data(), fmt,
+        fxpBlock(Isa::Scalar, s.k, s.n, s.n, w.data(), x.data(), fmt,
                  ref.data(), 0, s.m, 0, s.n);
+        // The same operand with a padded row stride, written into a
+        // wider output: ldx != ldo, as for a gathered column panel.
+        const size_t ldx = s.n + 3, ldo = s.n + 5;
+        std::vector<int16_t> xs(s.k * ldx, 0);
+        for (size_t kk = 0; kk < s.k; ++kk)
+            std::copy_n(x.data() + kk * s.n, s.n, xs.data() + kk * ldx);
         for (Isa isa : supportedIsas()) {
             std::vector<int16_t> out(s.m * s.n, 0);
-            fxpBlock(isa, s.k, s.n, w.data(), x.data(), fmt, out.data(),
-                     0, s.m, 0, s.n);
+            fxpBlock(isa, s.k, s.n, s.n, w.data(), x.data(), fmt,
+                     out.data(), 0, s.m, 0, s.n);
             EXPECT_EQ(out, ref)
                 << simd::isaName(isa) << " " << s.m << "x" << s.k << "x"
                 << s.n;
+            for (size_t j0 : {size_t(0), size_t(1)}) {
+                if (j0 >= s.n)
+                    continue;
+                std::vector<int16_t> so(s.m * ldo, 99);
+                fxpBlock(isa, s.k, ldx, ldo, w.data(), xs.data(), fmt,
+                         so.data(), 0, s.m, j0, s.n);
+                for (size_t i = 0; i < s.m; ++i)
+                    for (size_t j = 0; j < ldo; ++j)
+                        ASSERT_EQ(so[i * ldo + j],
+                                  j >= j0 && j < s.n ? ref[i * s.n + j]
+                                                     : int16_t(99))
+                            << simd::isaName(isa) << " strided " << s.m
+                            << "x" << s.k << "x" << s.n << " j0=" << j0
+                            << " (" << i << "," << j << ")";
+            }
         }
     }
 }
@@ -592,11 +650,11 @@ TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)
     for (size_t j0 : {size_t(1), size_t(3), size_t(11)}) {
         const size_t j1 = n - 1;
         std::vector<int16_t> ref(m * n, 99), out(m * n, 99);
-        fxpBlock(Isa::Scalar, k, n, w.data(), x.data(), fmt, ref.data(),
-                 0, m, j0, j1);
+        fxpBlock(Isa::Scalar, k, n, n, w.data(), x.data(), fmt,
+                 ref.data(), 0, m, j0, j1);
         for (Isa isa : supportedIsas()) {
             std::fill(out.begin(), out.end(), int16_t(99));
-            fxpBlock(isa, k, n, w.data(), x.data(), fmt, out.data(),
+            fxpBlock(isa, k, n, n, w.data(), x.data(), fmt, out.data(),
                      0, m, j0, j1);
             EXPECT_EQ(out, ref) << simd::isaName(isa) << " j0=" << j0;
         }
@@ -605,36 +663,37 @@ TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)
 
 TEST(SimdFxp, GatheredMatchesMaterializedOnEveryIsa)
 {
+    // What fxpMatmulGathered does per panel, on every ISA: fxpBlock
+    // reads the gathered k x w panel (ldx = w) and writes the
+    // full-width output (ldo = n). n spans a full and a ragged panel
+    // whose width is not a lane multiple.
     MacFormat fmt;
     Rng rng(0x9a7);
-    const size_t m = 3, k = 10, cols_out = 13, batch = 4;
+    const size_t m = 3, k = 10, cols_out = 13, batch = 23;
     const size_t n = cols_out * batch;
     const auto w = randomI16(m * k, rng);
     const auto v = randomI16(k * n, rng);
-
-    std::vector<size_t> offset(k * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(rng.intIn(0, k * cols_out - 1));
+    const std::vector<size_t> offset = randomOffsets(k, cols_out, rng);
     gemm::GatherB g;
     g.offset = offset.data();
     g.cols_out = cols_out;
     g.block_stride = k * cols_out;
     g.batch = batch;
 
-    std::vector<int16_t> xmat(k * n);
-    for (size_t kk = 0; kk < k; ++kk)
-        for (size_t bb = 0; bb < batch; ++bb)
-            for (size_t q = 0; q < cols_out; ++q)
-                xmat[kk * n + bb * cols_out + q] =
-                    v[offset[kk * cols_out + q] + bb * g.block_stride];
+    const std::vector<int16_t> xmat = materialize(k, v, g);
     std::vector<int16_t> ref(m * n, 0);
-    fxpBlock(Isa::Scalar, k, n, w.data(), xmat.data(), fmt, ref.data(),
-             0, m, 0, n);
+    fxpBlock(Isa::Scalar, k, n, n, w.data(), xmat.data(), fmt,
+             ref.data(), 0, m, 0, n);
 
+    std::vector<int16_t> panel(k * gemm::kColBlock);
     for (Isa isa : supportedIsas()) {
         std::vector<int16_t> out(m * n, 0);
-        fxpBlockGathered(isa, k, w.data(), v.data(), g, fmt, out.data(),
-                         0, m, 0, n);
+        for (size_t p0 = 0; p0 < n; p0 += gemm::kColBlock) {
+            const size_t pw = std::min(gemm::kColBlock, n - p0);
+            gemm::gatherPanel(k, v.data(), g, p0, pw, panel.data());
+            fxpBlock(isa, k, pw, n, w.data(), panel.data(), fmt,
+                     out.data() + p0, 0, m, 0, pw);
+        }
         EXPECT_EQ(out, ref) << simd::isaName(isa);
     }
 }

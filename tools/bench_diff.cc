@@ -22,10 +22,13 @@
  * timed_out) is reported but never gates. A regression is a direction-
  * adjusted worsening of more than --threshold percent whose absolute
  * change also exceeds --floor (noise floor, metric's native unit).
- * Metrics present in only one file are listed but never fail the gate
- * (benchmarks come and go); use the table to spot them.
+ * A metric only the current run has is listed as "added". A baseline
+ * metric the current run lacks is listed as "missing" and fails the
+ * gate: a deleted or renamed benchmark must come with a baseline edit,
+ * or it would escape the comparison silently.
  *
- * Exit codes: 0 clean, 2 regression(s), 1 usage/parse error.
+ * Exit codes: 0 clean, 2 regression(s), 1 usage/parse error or
+ * missing metric(s).
  */
 
 #include <cmath>
@@ -172,7 +175,8 @@ usage()
            "Diffs two BENCH_*.json reports (google-benchmark or obs\n"
            "session schema). Exits 2 when any gated metric worsened\n"
            "by more than PCT percent (default 10) with an absolute\n"
-           "change above ABS in the metric's unit (default 0).\n"
+           "change above ABS in the metric's unit (default 0), and\n"
+           "1 when a baseline metric is missing from the current run.\n"
            "--match compares only metrics whose name contains SUBSTR\n"
            "(for per-family thresholds: run once broadly, again with\n"
            "a tighter threshold on one family).\n"
@@ -267,15 +271,20 @@ main(int argc, char **argv)
             t.row({kv.first, TextTable::num(b), TextTable::num(c),
                    TextTable::num(delta, 1), verdict});
     }
+    size_t missing = 0;
     for (const auto &kv : base)
-        if (cur.find(kv.first) == cur.end())
+        if (cur.find(kv.first) == cur.end()) {
+            ++missing;
             t.row({kv.first, TextTable::num(kv.second.value), "-",
-                   "-", "removed"});
+                   "-", "missing"});
+        }
 
     t.print();
     std::cout << compared << " metric(s) compared, " << regressions
-              << " regressed, " << improved << " improved (threshold "
-              << TextTable::num(threshold, 1) << "%, floor "
-              << TextTable::num(floor_abs, 3) << ")\n";
-    return regressions > 0 ? 2 : 0;
+              << " regressed, " << improved << " improved, " << missing
+              << " missing (threshold " << TextTable::num(threshold, 1)
+              << "%, floor " << TextTable::num(floor_abs, 3) << ")\n";
+    if (regressions > 0)
+        return 2;
+    return missing > 0 ? 1 : 0;
 }
