@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the software kernels: compact vs
  * naive TT inference, dense GEMV, the two Transform implementations
- * (index-map vs the paper's literal 4-step), the fixed-point GEMM, and
- * TT-SVD. These measure host wall-clock, complementing the simulator's
+ * (index-map vs the paper's literal 4-step), the fixed-point GEMM,
+ * TT-SVD, and the cluster wire codec (CRC-32, request frame round
+ * trip). These measure host wall-clock, complementing the simulator's
  * cycle counts.
  *
  * The *_Threads benchmarks sweep the pool size over the same input so
@@ -23,9 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/wire.hh"
 #include "common/thread_pool.hh"
 #include "obs/report.hh"
 #include "core/workloads.hh"
+#include "io/crc32.hh"
 #include "linalg/gemm.hh"
 #include "linalg/pack.hh"
 #include "linalg/simd.hh"
@@ -325,6 +328,57 @@ BM_TtSvd(benchmark::State &state)
         benchmark::DoNotOptimize(ttSvdMatrix(w, cfg));
 }
 BENCHMARK(BM_TtSvd);
+
+// ---------------------------------------------------------------------
+// Cluster wire codec: the CPU a request frame costs per hop, apart
+// from the socket. 4096 f64 values is one VGG-FC7 activation (32 KiB).
+// ---------------------------------------------------------------------
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    Rng rng(21);
+    std::vector<uint8_t> buf(n);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.intIn(0, 255));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(io::crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Crc32)->Arg(32768);
+
+void
+BM_WireInferRoundTrip(benchmark::State &state)
+{
+    // One InferRequest frame encoded into a reused buffer and decoded
+    // back into a reused message, with both CRCs and every check: the
+    // router's encode plus the worker's decode of one request.
+    const size_t n = static_cast<size_t>(state.range(0));
+    Rng rng(22);
+    std::vector<double> x(n);
+    for (double &v : x)
+        v = rng.uniform(-1, 1);
+    std::vector<uint8_t> frame;
+    cluster::InferRequestMsg req;
+    uint64_t id = 0;
+    for (auto _ : state) {
+        cluster::encodeInferRequest(++id, 0, x.data(), n, &frame);
+        cluster::WireFrame f;
+        size_t consumed = 0;
+        const cluster::DecodeStatus st = cluster::tryDecodeFrame(
+            frame.data(), frame.size(), &f, &consumed);
+        if (st != cluster::DecodeStatus::Ok ||
+            !cluster::decodeInferRequest(f, &req)) {
+            state.SkipWithError("wire round trip failed");
+            break;
+        }
+        benchmark::DoNotOptimize(req.x.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * frame.size());
+}
+BENCHMARK(BM_WireInferRoundTrip)->Arg(4096);
 
 // ---------------------------------------------------------------------
 // Per-ISA kernel sweeps: the explicit-Isa entry points of the SIMD

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <utility>
@@ -16,6 +17,9 @@ namespace {
 
 /** Poll tick for loops that must notice stop_flag_ promptly. */
 constexpr int kTickMs = 50;
+
+/** Waited-out request nodes kept for reuse; more are freed. */
+constexpr size_t kMaxSpareNodes = 64;
 
 } // namespace
 
@@ -44,6 +48,7 @@ Router::Router(RouterOptions opts) : opts_(std::move(opts))
         r->endpoint = ep;
         replicas_.push_back(std::move(r));
     }
+    spare_.reserve(kMaxSpareNodes);
 }
 
 Router::~Router()
@@ -75,8 +80,13 @@ Router::attachReplica(size_t idx, std::string *error)
             *error = err;
         return false;
     }
+    // Each connection accepts no payload larger than the biggest
+    // message it can legitimately carry; the data connection widens
+    // to a full response once the handshake names the model.
     r.data.reset(dfd);
+    r.data.setMaxPayload(kHelloAckPayload);
     r.health.reset(hfd);
+    r.health.setMaxPayload(kHealthReportPayload);
 
     // Handshake on the data connection: the ack pins the model
     // interface this replica serves.
@@ -119,6 +129,8 @@ Router::attachReplica(size_t idx, std::string *error)
         return false;
     }
 
+    r.data.setMaxPayload(
+        std::max<uint64_t>(kHelloAckPayload, inferPayloadSize(out_size_)));
     r.drain_acked.store(false, std::memory_order_relaxed);
     r.reported_load.store(0, std::memory_order_relaxed);
     r.alive.store(true, std::memory_order_release);
@@ -194,8 +206,7 @@ Router::stop()
     std::lock_guard<std::mutex> lk(mu_);
     for (auto &kv : pending_) {
         if (!kv.second.terminal)
-            completeLocked(kv.first, kv.second, ClusterStatus::Shed,
-                           {});
+            completeLocked(kv.second, ClusterStatus::Shed);
     }
 }
 
@@ -226,18 +237,17 @@ bool
 Router::dispatchLocked(uint64_t id, Pending &p, int r)
 {
     Replica &rep = *replicas_[r];
-    InferRequestMsg req;
-    req.req_id = id;
-    req.deadline_us = p.deadline_us;
-    req.x = p.x;
-    const std::vector<uint8_t> payload = encodeInferRequest(req);
     std::string err;
-    bool sent;
+    bool sent = false;
     {
+        // Encode straight from the retained input into the replica's
+        // reused tx buffer, which send_mu guards with the socket.
         std::lock_guard<std::mutex> lk(rep.send_mu);
-        sent = rep.data.open() &&
-               rep.data.sendFrame(WireType::InferRequest, payload,
-                                  opts_.io_timeout_ms, &err);
+        if (rep.data.open()) {
+            encodeInferRequest(id, p.deadline_us, p.x.data(), p.x.size(),
+                               rep.data.txBuffer());
+            sent = rep.data.sendEncoded(opts_.io_timeout_ms, &err);
+        }
     }
     if (!sent) {
         TIE_WARN_ONCE("router: dispatch to ",
@@ -250,10 +260,9 @@ Router::dispatchLocked(uint64_t id, Pending &p, int r)
 }
 
 void
-Router::completeLocked(uint64_t id, Pending &p, ClusterStatus st,
-                       std::vector<double> y)
+Router::completeLocked(Pending &p, ClusterStatus st,
+                       const std::vector<double> *y)
 {
-    (void)id;
     if (p.replica >= 0) {
         replicas_[p.replica]->outstanding.fetch_sub(
             1, std::memory_order_relaxed);
@@ -261,9 +270,8 @@ Router::completeLocked(uint64_t id, Pending &p, ClusterStatus st,
     }
     p.terminal = true;
     p.status = st;
-    p.y = std::move(y);
-    p.x.clear();
-    p.x.shrink_to_fit();
+    if (y != nullptr)
+        p.y.assign(y->begin(), y->end());
     {
         std::lock_guard<std::mutex> lk(stats_mu_);
         switch (st) {
@@ -307,7 +315,7 @@ Router::failOverLocked(size_t idx)
             }
         }
         if (!moved)
-            completeLocked(kv.first, p, ClusterStatus::Shed, {});
+            completeLocked(p, ClusterStatus::Shed);
     }
 }
 
@@ -330,12 +338,24 @@ Router::submit(const double *x, uint64_t deadline_us)
         return {};
     }
     const uint64_t id = next_id_++;
-    Pending &p = pending_[id];
+    PendingMap::iterator it;
+    if (spare_.empty()) {
+        it = pending_.try_emplace(id).first;
+    } else {
+        PendingMap::node_type node = std::move(spare_.back());
+        spare_.pop_back();
+        node.key() = id;
+        it = pending_.insert(std::move(node)).position;
+    }
+    Pending &p = it->second;
     p.x.assign(x, x + in_size_);
     p.deadline_us = deadline_us;
     p.attempts = 1;
+    p.replica = -1;
+    p.terminal = false;
+    p.status = ClusterStatus::Shed;
     if (!dispatchLocked(id, p, r)) {
-        pending_.erase(id);
+        pending_.erase(it);
         std::lock_guard<std::mutex> slk(stats_mu_);
         ++stats_.shed;
         return {};
@@ -359,9 +379,13 @@ Router::wait(ClusterTicket t, std::vector<double> *out)
                   t.id);
     done_cv_.wait(lk, [&] { return it->second.terminal; });
     const ClusterStatus st = it->second.status;
+    // Swapping hands the caller the output and keeps the caller's old
+    // buffer for the next request this node carries.
     if (st == ClusterStatus::Done && out != nullptr)
-        *out = std::move(it->second.y);
-    pending_.erase(it);
+        out->swap(it->second.y);
+    PendingMap::node_type node = pending_.extract(it);
+    if (spare_.size() < kMaxSpareNodes)
+        spare_.push_back(std::move(node));
     return st;
 }
 
@@ -406,7 +430,7 @@ Router::receiverLoop(size_t idx)
                      r.endpoint.toString());
             break;
         }
-        InferResponseMsg resp;
+        InferResponseMsg &resp = r.resp;
         if (!decodeInferResponse(f, &resp)) {
             TIE_WARN("router: malformed InferResponse from ",
                      r.endpoint.toString());
@@ -427,13 +451,11 @@ Router::receiverLoop(size_t idx)
             static_cast<serve::RequestStatus>(resp.status);
         if (status == serve::RequestStatus::Done &&
             resp.y.size() == out_size_) {
-            completeLocked(resp.req_id, p, ClusterStatus::Done,
-                           std::move(resp.y));
+            completeLocked(p, ClusterStatus::Done, &resp.y);
         } else if (status == serve::RequestStatus::TimedOut) {
             // The worker's own deadline fired; retrying would only
             // serve an answer that is already late.
-            completeLocked(resp.req_id, p, ClusterStatus::TimedOut,
-                           {});
+            completeLocked(p, ClusterStatus::TimedOut);
         } else {
             // Rejected (admission control / draining) or garbage:
             // give another replica a chance before shedding.
@@ -452,8 +474,7 @@ Router::receiverLoop(size_t idx)
                 }
             }
             if (!moved)
-                completeLocked(resp.req_id, p, ClusterStatus::Shed,
-                               {});
+                completeLocked(p, ClusterStatus::Shed);
         }
     }
     // The connection is gone: every request this replica still owes

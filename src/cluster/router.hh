@@ -151,6 +151,7 @@ class Router
         FrameConn data;     ///< guarded by send_mu for writes
         FrameConn health;   ///< monitor thread only
         std::mutex send_mu; ///< serializes data-connection sends
+        InferResponseMsg resp; ///< receiver's decode scratch
         std::thread receiver;
         std::atomic<bool> alive{false};
         std::atomic<bool> drain_acked{false};
@@ -158,7 +159,11 @@ class Router
         std::atomic<uint64_t> reported_load{0}; ///< from health
     };
 
-    /** One in-flight request (pending_ map, guarded by mu_). */
+    /**
+     * One in-flight request (pending_ map, guarded by mu_). Map nodes
+     * are recycled through spare_, so x and y keep their capacity
+     * from one request to the next.
+     */
     struct Pending
     {
         std::vector<double> x; ///< retained for re-dispatch
@@ -177,8 +182,9 @@ class Router
     int pickReplica(); ///< least-loaded live, -1 when none
     /** Send req to replica r. False when the send fails. */
     bool dispatchLocked(uint64_t id, Pending &p, int r);
-    void completeLocked(uint64_t id, Pending &p, ClusterStatus st,
-                        std::vector<double> y);
+    /** Make @p p terminal; Done copies @p y into it. */
+    void completeLocked(Pending &p, ClusterStatus st,
+                        const std::vector<double> *y = nullptr);
     /** Re-dispatch or shed every pending request owned by @p idx. */
     void failOverLocked(size_t idx);
 
@@ -189,7 +195,9 @@ class Router
 
     mutable std::mutex mu_; ///< pending_ + dispatch bookkeeping
     std::condition_variable done_cv_;
-    std::map<uint64_t, Pending> pending_;
+    using PendingMap = std::map<uint64_t, Pending>;
+    PendingMap pending_;
+    std::vector<PendingMap::node_type> spare_; ///< waited-out nodes
     uint64_t next_id_ = 1;
 
     std::thread monitor_;

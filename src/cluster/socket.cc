@@ -52,6 +52,60 @@ newSocket(int domain, std::string *error)
     return fd;
 }
 
+/**
+ * sendAllTimed on an fd that is already nonblocking (FrameConn sets
+ * the flag once when it adopts the fd, not on every send).
+ */
+bool
+sendAll(int fd, const void *data, size_t len, int timeout_ms,
+        std::string *error)
+{
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(timeout_ms);
+    const uint8_t *p = static_cast<const uint8_t *>(data);
+    size_t off = 0;
+    while (off < len) {
+        const ssize_t n =
+            ::send(fd, p + off, len - off, MSG_NOSIGNAL);
+        if (n > 0) {
+            off += static_cast<size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+            setError(error,
+                     strCat("send() failed: ", std::strerror(errno)));
+            return false;
+        }
+        // Buffer full: wait for the peer to drain, bounded by the
+        // deadline — a reader that never drains costs timeout_ms,
+        // not forever.
+        const int wait = remainingMs(deadline);
+        if (wait == 0) {
+            setError(error, strCat("send timed out after ",
+                                   timeout_ms, " ms with ", len - off,
+                                   " bytes unsent"));
+            return false;
+        }
+        pollfd pfd{};
+        pfd.fd = fd;
+        pfd.events = POLLOUT;
+        const int r = ::poll(&pfd, 1, wait);
+        if (r < 0 && errno != EINTR) {
+            setError(error,
+                     strCat("poll() failed: ", std::strerror(errno)));
+            return false;
+        }
+        if (r > 0 && (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) &&
+            !(pfd.revents & POLLOUT)) {
+            setError(error, "peer closed the connection");
+            return false;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -113,50 +167,7 @@ sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
                                std::strerror(errno)));
         return false;
     }
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    size_t off = 0;
-    while (off < len) {
-        const ssize_t n =
-            ::send(fd, p + off, len - off, MSG_NOSIGNAL);
-        if (n > 0) {
-            off += static_cast<size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-            setError(error,
-                     strCat("send() failed: ", std::strerror(errno)));
-            return false;
-        }
-        // Buffer full: wait for the peer to drain, bounded by the
-        // deadline — a reader that never drains costs timeout_ms,
-        // not forever.
-        const int wait = remainingMs(deadline);
-        if (wait == 0) {
-            setError(error, strCat("send timed out after ",
-                                   timeout_ms, " ms with ", len - off,
-                                   " bytes unsent"));
-            return false;
-        }
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLOUT;
-        const int r = ::poll(&pfd, 1, wait);
-        if (r < 0 && errno != EINTR) {
-            setError(error,
-                     strCat("poll() failed: ", std::strerror(errno)));
-            return false;
-        }
-        if (r > 0 && (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) &&
-            !(pfd.revents & POLLOUT)) {
-            setError(error, "peer closed the connection");
-            return false;
-        }
-    }
-    return true;
+    return sendAll(fd, data, len, timeout_ms, error);
 }
 
 bool
@@ -374,6 +385,11 @@ FrameConn::reset(int fd)
 {
     close();
     fd_ = fd;
+    if (fd_ >= 0 && !setNonBlocking(fd_)) {
+        TIE_WARN("cannot make fd ", fd_, " nonblocking (",
+                 std::strerror(errno), "); closing it");
+        close();
+    }
 }
 
 void
@@ -383,20 +399,31 @@ FrameConn::close()
         ::close(fd_);
         fd_ = -1;
     }
-    rx_.clear();
+    rx_begin_ = rx_end_ = frame_size_ = 0;
+}
+
+void
+FrameConn::setMaxPayload(uint64_t bytes)
+{
+    max_payload_ = std::min(bytes, kWireMaxPayload);
 }
 
 bool
 FrameConn::sendFrame(WireType type, const void *payload, size_t len,
                      int timeout_ms, std::string *error)
 {
+    encodeFrame(type, payload, len, &tx_);
+    return sendEncoded(timeout_ms, error);
+}
+
+bool
+FrameConn::sendEncoded(int timeout_ms, std::string *error)
+{
     if (fd_ < 0) {
-        setError(error, "sendFrame on a closed connection");
+        setError(error, "send on a closed connection");
         return false;
     }
-    const std::vector<uint8_t> frame = encodeFrame(type, payload, len);
-    return sendAllTimed(fd_, frame.data(), frame.size(), timeout_ms,
-                        error);
+    return sendAll(fd_, tx_.data(), tx_.size(), timeout_ms, error);
 }
 
 FrameConn::RecvStatus
@@ -407,35 +434,61 @@ FrameConn::recvFrame(WireFrame *out, int timeout_ms,
         setError(error, "recvFrame on a closed connection");
         return RecvStatus::Closed;
     }
-    if (!setNonBlocking(fd_)) {
-        setError(error, strCat("fcntl(O_NONBLOCK) failed: ",
-                               std::strerror(errno)));
-        return RecvStatus::Closed;
-    }
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     for (;;) {
-        if (!rx_.empty()) {
-            size_t consumed = 0;
-            const DecodeStatus st = tryDecodeFrame(
-                rx_.data(), rx_.size(), out, &consumed, error);
-            if (st == DecodeStatus::Ok) {
-                rx_.erase(rx_.begin(),
-                          rx_.begin() +
-                              static_cast<ptrdiff_t>(consumed));
-                return RecvStatus::Ok;
-            }
+        const uint8_t *frame = rx_.data() + rx_begin_;
+        const size_t have = rx_end_ - rx_begin_;
+        if (frame_size_ == 0) {
+            // Each header is checked once, as soon as it is complete;
+            // its size claim is held to the cap before the buffer is
+            // sized for it.
+            const DecodeStatus st = decodeFrameHeader(
+                frame, have, max_payload_, &header_, error);
             if (st == DecodeStatus::Corrupt)
                 return RecvStatus::Corrupt;
+            if (st == DecodeStatus::Ok)
+                frame_size_ = kWireHeaderSize +
+                              static_cast<size_t>(header_.payload_size);
         }
-        uint8_t buf[4096];
-        const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+        if (frame_size_ != 0 && have >= frame_size_) {
+            const uint8_t *payload = frame + kWireHeaderSize;
+            if (verifyPayload(header_, payload, error) !=
+                DecodeStatus::Ok)
+                return RecvStatus::Corrupt;
+            out->type = header_.type;
+            out->payload = payload;
+            out->payload_size = frame_size_ - kWireHeaderSize;
+            rx_begin_ += frame_size_;
+            frame_size_ = 0;
+            return RecvStatus::Ok;
+        }
+
+        // Make room for the rest of this frame (or of its header) so
+        // the bytes land where they are decoded. Any earlier frame the
+        // caller held a view of is dead by now, so the unread tail may
+        // move to the front.
+        const size_t want =
+            frame_size_ != 0 ? frame_size_ : kWireHeaderSize;
+        if (have == 0 || rx_begin_ + want > rx_.size()) {
+            if (have != 0)
+                std::memmove(rx_.data(), frame, have);
+            rx_begin_ = 0;
+            rx_end_ = have;
+            if (want > rx_.size()) {
+                rx_.reserve(want); // exactly one frame, no slack
+                rx_.resize(want);
+            }
+        }
+
+        const ssize_t n =
+            ::recv(fd_, rx_.data() + rx_end_, rx_.size() - rx_end_, 0);
         if (n > 0) {
-            rx_.insert(rx_.end(), buf, buf + n);
+            rx_end_ += static_cast<size_t>(n);
             continue;
         }
         if (n == 0) {
-            if (!rx_.empty())
+            if (have != 0)
                 setError(error, "peer closed mid-frame");
             return RecvStatus::Closed;
         }

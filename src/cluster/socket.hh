@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cluster/wire.hh"
 
@@ -102,69 +103,87 @@ int connectTimed(const Endpoint &ep, int timeout_ms,
                  std::string *error = nullptr);
 
 /**
- * A connected peer speaking the wire protocol: owns the fd plus an
- * incremental receive buffer, so partially-arrived frames survive
- * between recvFrame calls. Not thread-safe; callers serialize sends
- * and receives independently (one writer, one reader is fine —
- * the buffer is only touched by recvFrame).
+ * A connected peer speaking the wire protocol: owns the fd, a reused
+ * transmit buffer and a reused receive buffer, so partially-arrived
+ * frames survive between recvFrame calls and the steady state neither
+ * allocates nor copies a frame more than once per hop. Not
+ * thread-safe; callers serialize sends and receives independently
+ * (one writer, one reader is fine — the tx buffer is only touched by
+ * senders, the rx buffer only by recvFrame).
  */
 class FrameConn
 {
   public:
     FrameConn() = default;
-    explicit FrameConn(int fd) : fd_(fd) {}
+    explicit FrameConn(int fd) { reset(fd); }
     ~FrameConn() { close(); }
 
     FrameConn(const FrameConn &) = delete;
     FrameConn &operator=(const FrameConn &) = delete;
-    FrameConn(FrameConn &&o) noexcept { *this = std::move(o); }
-    FrameConn &
-    operator=(FrameConn &&o) noexcept
-    {
-        if (this != &o) {
-            close();
-            fd_ = o.fd_;
-            o.fd_ = -1;
-            rx_ = std::move(o.rx_);
-        }
-        return *this;
-    }
 
     bool open() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
-    /** Adopt @p fd (closing any previous one); clears the buffer. */
+    /**
+     * Adopt @p fd (closing any previous one), make it nonblocking and
+     * drop any buffered bytes. The buffers keep their capacity and
+     * the payload cap is kept. An fd that cannot be made nonblocking
+     * is closed, so every later call fails instead of blocking.
+     */
     void reset(int fd = -1);
 
     void close();
 
+    /**
+     * Largest payload recvFrame accepts (default and ceiling:
+     * kWireMaxPayload). A CRC-valid header claiming more is Corrupt
+     * before any buffer is sized for it, so the rx buffer never grows
+     * past kWireHeaderSize + this limit.
+     */
+    void setMaxPayload(uint64_t bytes);
+
+    /** Bytes the receive buffer holds allocated (diagnostics). */
+    size_t rxCapacity() const { return rx_.capacity(); }
+
     /** Encode + send one frame within @p timeout_ms. */
     bool sendFrame(WireType type, const void *payload, size_t len,
                    int timeout_ms, std::string *error = nullptr);
-    bool
-    sendFrame(WireType type, const std::vector<uint8_t> &payload,
-              int timeout_ms, std::string *error = nullptr)
-    {
-        return sendFrame(type, payload.data(), payload.size(),
-                         timeout_ms, error);
-    }
+
+    /**
+     * The reused transmit buffer: a typed encoder (wire.hh) writes a
+     * frame into it, then sendEncoded() sends that frame. Belongs to
+     * whichever thread sends on this connection.
+     */
+    std::vector<uint8_t> *txBuffer() { return &tx_; }
+    bool sendEncoded(int timeout_ms, std::string *error = nullptr);
 
     /** Outcome of recvFrame. */
     enum class RecvStatus { Ok, Timeout, Closed, Corrupt };
 
     /**
      * Receive one whole frame, waiting at most @p timeout_ms for the
-     * bytes to arrive. Timeout leaves any partial frame buffered (a
-     * later call continues it); Closed means orderly EOF between
-     * frames or mid-frame death; Corrupt is the wire protocol's
-     * fail-stop rejection (the connection must be dropped).
+     * bytes to arrive. On Ok, @p out views the payload inside the rx
+     * buffer until the next recvFrame, reset or close. Timeout leaves
+     * any partial frame buffered (a later call continues it); Closed
+     * means orderly EOF between frames or mid-frame death; Corrupt is
+     * the wire protocol's fail-stop rejection (the connection must be
+     * dropped).
      */
     RecvStatus recvFrame(WireFrame *out, int timeout_ms,
                          std::string *error = nullptr);
 
   private:
     int fd_ = -1;
+    uint64_t max_payload_ = kWireMaxPayload;
+    std::vector<uint8_t> tx_;
+
+    // Received bytes live in rx_[rx_begin_, rx_end_); the frame that
+    // starts at rx_begin_ has a checked header once frame_size_ != 0.
     std::vector<uint8_t> rx_;
+    size_t rx_begin_ = 0;
+    size_t rx_end_ = 0;
+    size_t frame_size_ = 0;
+    WireHeader header_;
 };
 
 } // namespace cluster

@@ -1,5 +1,6 @@
 #include "cluster/wire.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -11,31 +12,43 @@ namespace cluster {
 namespace {
 
 // The protocol is defined little-endian; like the .tie loader we
-// serialize through explicit byte shifts so the code is correct on
-// any host endianness.
+// serialize fields through explicit byte shifts so the code is correct
+// on any host endianness.
 
 void
-putU32(std::vector<uint8_t> &b, uint32_t v)
+storeU32(uint8_t *p, uint32_t v)
 {
-    b.push_back(static_cast<uint8_t>(v));
-    b.push_back(static_cast<uint8_t>(v >> 8));
-    b.push_back(static_cast<uint8_t>(v >> 16));
-    b.push_back(static_cast<uint8_t>(v >> 24));
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
+    p[2] = static_cast<uint8_t>(v >> 16);
+    p[3] = static_cast<uint8_t>(v >> 24);
 }
 
 void
-putU64(std::vector<uint8_t> &b, uint64_t v)
+storeU64(uint8_t *p, uint64_t v)
 {
-    putU32(b, static_cast<uint32_t>(v));
-    putU32(b, static_cast<uint32_t>(v >> 32));
+    storeU32(p, static_cast<uint32_t>(v));
+    storeU32(p + 4, static_cast<uint32_t>(v >> 32));
 }
 
+// Activation arrays are the bulk of every frame. On a little-endian
+// host their wire image is their memory image, so they move with one
+// memcpy; per-value shifts are left for big-endian hosts (compilers
+// vectorize those loops into byte shuffles instead of plain copies).
+
 void
-putF64(std::vector<uint8_t> &b, double v)
+storeF64s(uint8_t *p, const double *v, size_t n)
 {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(b, bits);
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(p, v, 8 * n);
+    } else {
+        for (size_t i = 0; i < n; ++i) {
+            uint64_t bits;
+            std::memcpy(&bits, &v[i], sizeof(bits));
+            storeU64(p + 8 * i, bits);
+        }
+    }
 }
 
 uint32_t
@@ -54,13 +67,20 @@ getU64(const uint8_t *p)
            static_cast<uint64_t>(getU32(p + 4)) << 32;
 }
 
-double
-getF64(const uint8_t *p)
+void
+getF64s(const uint8_t *p, size_t n, std::vector<double> *out)
 {
-    const uint64_t bits = getU64(p);
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    out->resize(n);
+    double *v = out->data();
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(v, p, 8 * n);
+    } else {
+        for (size_t i = 0; i < n; ++i) {
+            const uint64_t bits = getU64(p + 8 * i);
+            std::memcpy(&v[i], &bits, sizeof(bits));
+        }
+    }
 }
 
 void
@@ -68,6 +88,64 @@ setError(std::string *error, const std::string &msg)
 {
     if (error != nullptr)
         *error = msg;
+}
+
+/**
+ * Size @p out for a frame with @p payload_len payload bytes and return
+ * where the payload goes; finishFrame fills the header once the
+ * payload is in place.
+ */
+uint8_t *
+beginFrame(std::vector<uint8_t> *out, size_t payload_len)
+{
+    TIE_CHECK_ARG(payload_len <= kWireMaxPayload,
+                  "wire payload of ", payload_len,
+                  " bytes exceeds the ", kWireMaxPayload, " cap");
+    out->resize(kWireHeaderSize + payload_len);
+    return out->data() + kWireHeaderSize;
+}
+
+void
+finishFrame(WireType type, std::vector<uint8_t> *out)
+{
+    uint8_t *h = out->data();
+    const size_t payload_len = out->size() - kWireHeaderSize;
+    std::memcpy(h, kWireMagic, 4);
+    storeU32(h + 4, kWireVersion);
+    storeU32(h + 8, static_cast<uint32_t>(type));
+    storeU32(h + 12, 0); // reserved
+    storeU64(h + 16, payload_len);
+    storeU32(h + 24, payload_len == 0
+                         ? 0
+                         : io::crc32(h + kWireHeaderSize, payload_len));
+    storeU32(h + 28, io::crc32(h, 28));
+}
+
+/** beginFrame for an Infer* message carrying the @p n values at @p v. */
+uint8_t *
+beginInferFrame(std::vector<uint8_t> *out, const double *v, size_t n)
+{
+    TIE_CHECK_ARG(v != nullptr || n == 0, "null wire values with count ",
+                  n);
+    TIE_CHECK_ARG(n <= (kWireMaxPayload - 16) / 8, n,
+                  " wire values exceed the ", kWireMaxPayload,
+                  " byte payload cap");
+    return beginFrame(out, inferPayloadSize(n));
+}
+
+/** Frame of type @p t whose payload is exactly @p size bytes? */
+bool
+frameIs(const WireFrame &f, WireType t, size_t size)
+{
+    return f.type == t && f.payload_size == size;
+}
+
+/** Payload of an Infer* frame: 16 fixed bytes + a whole f64 count. */
+bool
+inferFrameIs(const WireFrame &f, WireType t)
+{
+    return f.type == t && f.payload_size >= 16 &&
+           (f.payload_size - 16) % 8 == 0;
 }
 
 } // namespace
@@ -79,32 +157,21 @@ wireTypeKnown(uint32_t t)
            t <= static_cast<uint32_t>(WireType::DrainAck);
 }
 
-std::vector<uint8_t>
-encodeFrame(WireType type, const void *payload, size_t payload_len)
+void
+encodeFrame(WireType type, const void *payload, size_t payload_len,
+            std::vector<uint8_t> *out)
 {
-    TIE_CHECK_ARG(payload_len <= kWireMaxPayload,
-                  "wire payload of ", payload_len,
-                  " bytes exceeds the ", kWireMaxPayload, " cap");
     TIE_CHECK_ARG(payload != nullptr || payload_len == 0,
                   "null wire payload with nonzero length");
-    std::vector<uint8_t> b;
-    b.reserve(kWireHeaderSize + payload_len);
-    b.insert(b.end(), kWireMagic, kWireMagic + 4);
-    putU32(b, kWireVersion);
-    putU32(b, static_cast<uint32_t>(type));
-    putU32(b, 0); // reserved
-    putU64(b, payload_len);
-    putU32(b, payload_len == 0 ? 0 : io::crc32(payload, payload_len));
-    putU32(b, io::crc32(b.data(), b.size()));
+    uint8_t *p = beginFrame(out, payload_len);
     if (payload_len != 0)
-        b.insert(b.end(), static_cast<const uint8_t *>(payload),
-                 static_cast<const uint8_t *>(payload) + payload_len);
-    return b;
+        std::memcpy(p, payload, payload_len);
+    finishFrame(type, out);
 }
 
 DecodeStatus
-tryDecodeFrame(const uint8_t *data, size_t len, WireFrame *out,
-               size_t *consumed, std::string *error)
+decodeFrameHeader(const uint8_t *data, size_t len, uint64_t max_payload,
+                  WireHeader *out, std::string *error)
 {
     if (len == 0)
         return DecodeStatus::NeedMore;
@@ -142,54 +209,75 @@ tryDecodeFrame(const uint8_t *data, size_t len, WireFrame *out,
         return DecodeStatus::Corrupt;
     }
     const uint64_t payload_size = getU64(data + 16);
-    if (payload_size > kWireMaxPayload) {
+    if (payload_size > max_payload) {
         setError(error, strCat("wire frame: payload of ", payload_size,
-                               " bytes exceeds the ", kWireMaxPayload,
+                               " bytes exceeds the ", max_payload,
                                " cap"));
         return DecodeStatus::Corrupt;
     }
-    if (len < kWireHeaderSize + payload_size)
-        return DecodeStatus::NeedMore;
+    out->type = static_cast<WireType>(type);
+    out->payload_size = payload_size;
+    out->payload_crc = getU32(data + 24);
+    return DecodeStatus::Ok;
+}
 
-    const uint8_t *payload = data + kWireHeaderSize;
-    const uint32_t payload_crc = getU32(data + 24);
-    const uint32_t actual_crc =
-        payload_size == 0
-            ? 0
-            : io::crc32(payload, static_cast<size_t>(payload_size));
-    if (actual_crc != payload_crc) {
+DecodeStatus
+verifyPayload(const WireHeader &h, const uint8_t *payload,
+              std::string *error)
+{
+    const size_t size = static_cast<size_t>(h.payload_size);
+    const uint32_t actual = size == 0 ? 0 : io::crc32(payload, size);
+    if (actual != h.payload_crc) {
         setError(error, "wire frame: payload CRC mismatch");
         return DecodeStatus::Corrupt;
     }
+    return DecodeStatus::Ok;
+}
 
-    out->type = static_cast<WireType>(type);
-    out->payload.assign(payload, payload + payload_size);
-    *consumed = kWireHeaderSize + static_cast<size_t>(payload_size);
+DecodeStatus
+tryDecodeFrame(const uint8_t *data, size_t len, WireFrame *out,
+               size_t *consumed, std::string *error)
+{
+    WireHeader h;
+    DecodeStatus st =
+        decodeFrameHeader(data, len, kWireMaxPayload, &h, error);
+    if (st != DecodeStatus::Ok)
+        return st;
+    if (len - kWireHeaderSize < h.payload_size)
+        return DecodeStatus::NeedMore;
+    const uint8_t *payload = data + kWireHeaderSize;
+    st = verifyPayload(h, payload, error);
+    if (st != DecodeStatus::Ok)
+        return st;
+
+    out->type = h.type;
+    out->payload = payload;
+    out->payload_size = static_cast<size_t>(h.payload_size);
+    *consumed = kWireHeaderSize + out->payload_size;
     return DecodeStatus::Ok;
 }
 
 // ---------------------------------------------------------------------
-// Typed payloads
+// Typed messages
 // ---------------------------------------------------------------------
 
-std::vector<uint8_t>
-encodeHelloAck(const HelloAckMsg &m)
+void
+encodeHelloAck(const HelloAckMsg &m, std::vector<uint8_t> *frame)
 {
-    std::vector<uint8_t> b;
-    b.reserve(28);
-    putU64(b, m.in_size);
-    putU64(b, m.out_size);
-    putU64(b, m.layers);
-    putU32(b, m.pid);
-    return b;
+    uint8_t *p = beginFrame(frame, kHelloAckPayload);
+    storeU64(p, m.in_size);
+    storeU64(p + 8, m.out_size);
+    storeU64(p + 16, m.layers);
+    storeU32(p + 24, m.pid);
+    finishFrame(WireType::HelloAck, frame);
 }
 
 bool
 decodeHelloAck(const WireFrame &f, HelloAckMsg *out)
 {
-    if (f.type != WireType::HelloAck || f.payload.size() != 28)
+    if (!frameIs(f, WireType::HelloAck, kHelloAckPayload))
         return false;
-    const uint8_t *p = f.payload.data();
+    const uint8_t *p = f.payload;
     out->in_size = getU64(p);
     out->out_size = getU64(p + 8);
     out->layers = getU64(p + 16);
@@ -197,85 +285,75 @@ decodeHelloAck(const WireFrame &f, HelloAckMsg *out)
     return out->in_size > 0 && out->out_size > 0 && out->layers > 0;
 }
 
-std::vector<uint8_t>
-encodeInferRequest(const InferRequestMsg &m)
+void
+encodeInferRequest(uint64_t req_id, uint64_t deadline_us,
+                   const double *x, size_t n, std::vector<uint8_t> *frame)
 {
-    std::vector<uint8_t> b;
-    b.reserve(16 + m.x.size() * 8);
-    putU64(b, m.req_id);
-    putU64(b, m.deadline_us);
-    for (double v : m.x)
-        putF64(b, v);
-    return b;
+    uint8_t *p = beginInferFrame(frame, x, n);
+    storeU64(p, req_id);
+    storeU64(p + 8, deadline_us);
+    storeF64s(p + 16, x, n);
+    finishFrame(WireType::InferRequest, frame);
 }
 
 bool
 decodeInferRequest(const WireFrame &f, InferRequestMsg *out)
 {
-    if (f.type != WireType::InferRequest || f.payload.size() < 16 ||
-        (f.payload.size() - 16) % 8 != 0)
+    if (!inferFrameIs(f, WireType::InferRequest))
         return false;
-    const uint8_t *p = f.payload.data();
+    const uint8_t *p = f.payload;
     out->req_id = getU64(p);
     out->deadline_us = getU64(p + 8);
-    const size_t n = (f.payload.size() - 16) / 8;
-    out->x.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        out->x[i] = getF64(p + 16 + i * 8);
+    const size_t n = (f.payload_size - 16) / 8;
+    getF64s(p + 16, n, &out->x);
     return n > 0;
 }
 
-std::vector<uint8_t>
-encodeInferResponse(const InferResponseMsg &m)
+void
+encodeInferResponse(uint64_t req_id, uint32_t status, const double *y,
+                    size_t n, std::vector<uint8_t> *frame)
 {
-    std::vector<uint8_t> b;
-    b.reserve(16 + m.y.size() * 8);
-    putU64(b, m.req_id);
-    putU32(b, m.status);
-    putU32(b, 0); // reserved
-    for (double v : m.y)
-        putF64(b, v);
-    return b;
+    uint8_t *p = beginInferFrame(frame, y, n);
+    storeU64(p, req_id);
+    storeU32(p + 8, status);
+    storeU32(p + 12, 0); // reserved
+    storeF64s(p + 16, y, n);
+    finishFrame(WireType::InferResponse, frame);
 }
 
 bool
 decodeInferResponse(const WireFrame &f, InferResponseMsg *out)
 {
-    if (f.type != WireType::InferResponse || f.payload.size() < 16 ||
-        (f.payload.size() - 16) % 8 != 0)
+    if (!inferFrameIs(f, WireType::InferResponse))
         return false;
-    const uint8_t *p = f.payload.data();
+    const uint8_t *p = f.payload;
     out->req_id = getU64(p);
     out->status = getU32(p + 8);
     if (getU32(p + 12) != 0)
         return false;
-    const size_t n = (f.payload.size() - 16) / 8;
-    out->y.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        out->y[i] = getF64(p + 16 + i * 8);
+    getF64s(p + 16, (f.payload_size - 16) / 8, &out->y);
     return true;
 }
 
-std::vector<uint8_t>
-encodeHealthReport(const HealthReportMsg &m)
+void
+encodeHealthReport(const HealthReportMsg &m, std::vector<uint8_t> *frame)
 {
-    std::vector<uint8_t> b;
-    b.reserve(40);
-    putU64(b, m.queue_depth);
-    putU64(b, m.in_flight);
-    putU64(b, m.done);
-    putU64(b, m.shed);
-    putU32(b, m.draining);
-    putU32(b, 0); // reserved
-    return b;
+    uint8_t *p = beginFrame(frame, kHealthReportPayload);
+    storeU64(p, m.queue_depth);
+    storeU64(p + 8, m.in_flight);
+    storeU64(p + 16, m.done);
+    storeU64(p + 24, m.shed);
+    storeU32(p + 32, m.draining);
+    storeU32(p + 36, 0); // reserved
+    finishFrame(WireType::HealthReport, frame);
 }
 
 bool
 decodeHealthReport(const WireFrame &f, HealthReportMsg *out)
 {
-    if (f.type != WireType::HealthReport || f.payload.size() != 40)
+    if (!frameIs(f, WireType::HealthReport, kHealthReportPayload))
         return false;
-    const uint8_t *p = f.payload.data();
+    const uint8_t *p = f.payload;
     out->queue_depth = getU64(p);
     out->in_flight = getU64(p + 8);
     out->done = getU64(p + 16);

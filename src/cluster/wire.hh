@@ -72,11 +72,25 @@ enum class WireType : uint32_t
 /** True for the type values a v1 peer may legally send. */
 bool wireTypeKnown(uint32_t t);
 
-/** One decoded frame: the type plus the raw payload bytes. */
+/**
+ * One decoded frame: the type plus a view of the payload bytes. The
+ * view points into the buffer the frame was decoded from and lives
+ * exactly as long as those bytes do — for FrameConn::recvFrame, until
+ * the next recvFrame, reset or close on that connection.
+ */
 struct WireFrame
 {
     WireType type = WireType::Hello;
-    std::vector<uint8_t> payload;
+    const uint8_t *payload = nullptr;
+    size_t payload_size = 0;
+};
+
+/** A frame header that passed every check decodeFrameHeader makes. */
+struct WireHeader
+{
+    WireType type = WireType::Hello;
+    uint64_t payload_size = 0;
+    uint32_t payload_crc = 0;
 };
 
 /** Outcome of tryDecodeFrame over a byte window. */
@@ -88,25 +102,51 @@ enum class DecodeStatus
               ///< connection, never resynchronize
 };
 
-/** Frame @p payload_len bytes of @p payload as a wire message. */
-std::vector<uint8_t> encodeFrame(WireType type, const void *payload,
-                                 size_t payload_len);
+/**
+ * Encode a frame carrying @p payload_len bytes of @p payload into
+ * @p out, which is resized to exactly the frame and keeps its
+ * capacity between calls.
+ */
+void encodeFrame(WireType type, const void *payload, size_t payload_len,
+                 std::vector<uint8_t> *out);
+
+/**
+ * Validate the header at the first @p len bytes of @p data: magic,
+ * header CRC, version, type, reserved field, and a payload size of at
+ * most @p max_payload. Corrupt as soon as a byte seen so far is wrong
+ * (a bad magic prefix fails before the header is complete), NeedMore
+ * while the header is incomplete, Ok with @p out filled otherwise.
+ */
+DecodeStatus decodeFrameHeader(const uint8_t *data, size_t len,
+                               uint64_t max_payload, WireHeader *out,
+                               std::string *error = nullptr);
+
+/**
+ * Check the @p h.payload_size bytes at @p payload against the payload
+ * CRC of their validated header @p h: Ok or Corrupt.
+ */
+DecodeStatus verifyPayload(const WireHeader &h, const uint8_t *payload,
+                           std::string *error = nullptr);
 
 /**
  * Decode one frame from the first @p len bytes at @p data. On Ok,
- * fills @p out and sets @p consumed to the frame's total size. On
- * Corrupt, @p error (when non-null) receives a diagnostic. NeedMore
- * is only returned while the window is shorter than the frame claims
- * *and* every byte seen so far is consistent with a valid frame.
+ * fills @p out with a view into @p data and sets @p consumed to the
+ * frame's total size. On Corrupt, @p error (when non-null) receives a
+ * diagnostic. NeedMore is only returned while the window is shorter
+ * than the frame claims *and* every byte seen so far is consistent
+ * with a valid frame.
  */
 DecodeStatus tryDecodeFrame(const uint8_t *data, size_t len,
                             WireFrame *out, size_t *consumed,
                             std::string *error = nullptr);
 
 // ---------------------------------------------------------------------
-// Typed payloads. Every decode validates the exact payload size and
-// every field before returning true; false means the payload is
-// malformed (treat like Corrupt).
+// Typed messages. Each encoder writes a whole frame into a
+// caller-owned buffer (resized to fit, capacity kept). Every decode
+// validates the frame type, the exact payload size and every field
+// before returning true; false means the payload is malformed (treat
+// like Corrupt). Decoders fill vectors by resize, so a message reused
+// across calls stops allocating once it has seen the largest payload.
 // ---------------------------------------------------------------------
 
 /** HelloAck: the serving interface of the worker's model. */
@@ -148,16 +188,34 @@ struct HealthReportMsg
     uint32_t draining = 0;
 };
 
-std::vector<uint8_t> encodeHelloAck(const HelloAckMsg &m);
+/** Payload bytes of a HelloAck / HealthReport frame. */
+inline constexpr size_t kHelloAckPayload = 28;
+inline constexpr size_t kHealthReportPayload = 40;
+
+/** Payload bytes of an InferRequest/InferResponse carrying n values. */
+constexpr uint64_t
+inferPayloadSize(uint64_t n)
+{
+    return 16 + 8 * n;
+}
+
+void encodeHelloAck(const HelloAckMsg &m, std::vector<uint8_t> *frame);
 bool decodeHelloAck(const WireFrame &f, HelloAckMsg *out);
 
-std::vector<uint8_t> encodeInferRequest(const InferRequestMsg &m);
+/** InferRequest frame carrying the @p n values at @p x. */
+void encodeInferRequest(uint64_t req_id, uint64_t deadline_us,
+                        const double *x, size_t n,
+                        std::vector<uint8_t> *frame);
 bool decodeInferRequest(const WireFrame &f, InferRequestMsg *out);
 
-std::vector<uint8_t> encodeInferResponse(const InferResponseMsg &m);
+/** InferResponse frame carrying the @p n values at @p y (n may be 0). */
+void encodeInferResponse(uint64_t req_id, uint32_t status,
+                         const double *y, size_t n,
+                         std::vector<uint8_t> *frame);
 bool decodeInferResponse(const WireFrame &f, InferResponseMsg *out);
 
-std::vector<uint8_t> encodeHealthReport(const HealthReportMsg &m);
+void encodeHealthReport(const HealthReportMsg &m,
+                        std::vector<uint8_t> *frame);
 bool decodeHealthReport(const WireFrame &f, HealthReportMsg *out);
 
 } // namespace cluster

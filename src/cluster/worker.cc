@@ -16,6 +16,17 @@ namespace {
 /** Poll tick for loops that must notice stop_flag_ promptly. */
 constexpr int kTickMs = 100;
 
+/** Raise @p peak to at least @p v. */
+void
+raiseTo(std::atomic<size_t> &peak, size_t v)
+{
+    size_t seen = peak.load(std::memory_order_relaxed);
+    while (v > seen) {
+        if (peak.compare_exchange_weak(seen, v))
+            break;
+    }
+}
+
 } // namespace
 
 ClusterWorker::ClusterWorker(serve::ServableModel model,
@@ -106,6 +117,8 @@ ClusterWorker::acceptLoop()
             continue;
         auto conn = std::make_unique<Conn>();
         conn->io.reset(fd);
+        // Nothing a peer may send is larger than one InferRequest.
+        conn->io.setMaxPayload(inferPayloadSize(server_->inSize()));
         Conn *c = conn.get();
         c->reader = std::thread([this, c] { readerLoop(*c); });
         c->writer = std::thread([this, c] { writerLoop(*c); });
@@ -136,6 +149,7 @@ ClusterWorker::pushItem(Conn &c, Item item)
 void
 ClusterWorker::readerLoop(Conn &c)
 {
+    InferRequestMsg req; // decode scratch, reused for every request
     for (;;) {
         if (stop_flag_.load(std::memory_order_relaxed))
             break;
@@ -143,6 +157,7 @@ ClusterWorker::readerLoop(Conn &c)
         std::string err;
         const FrameConn::RecvStatus st =
             c.io.recvFrame(&f, kTickMs, &err);
+        raiseTo(rx_peak_, c.io.rxCapacity());
         if (st == FrameConn::RecvStatus::Timeout)
             continue;
         if (st == FrameConn::RecvStatus::Closed)
@@ -155,94 +170,59 @@ ClusterWorker::readerLoop(Conn &c)
             break;
         }
 
+        Item item;
         switch (f.type) {
-          case WireType::Hello: {
-            HelloAckMsg ack;
-            ack.in_size = server_->inSize();
-            ack.out_size = server_->outSize();
-            ack.layers = model_.views.size();
-            ack.pid = static_cast<uint32_t>(::getpid());
-            Item item;
-            item.kind = Item::Kind::Ready;
-            item.type = WireType::HelloAck;
-            item.payload = encodeHelloAck(ack);
-            pushItem(c, std::move(item));
+          case WireType::Hello:
+            item.kind = Item::Kind::HelloAck;
             break;
-          }
-          case WireType::HealthCheck: {
-            HealthReportMsg rep;
-            rep.queue_depth = server_->queueDepth();
-            rep.in_flight = in_flight_.load();
-            rep.done = done_.load();
-            rep.shed = shed_.load();
-            rep.draining = draining_.load() ? 1 : 0;
-            Item item;
-            item.kind = Item::Kind::Ready;
-            item.type = WireType::HealthReport;
-            item.payload = encodeHealthReport(rep);
-            pushItem(c, std::move(item));
+          case WireType::HealthCheck:
+            item.kind = Item::Kind::HealthReport;
+            item.health.queue_depth = server_->queueDepth();
+            item.health.in_flight = in_flight_.load();
+            item.health.done = done_.load();
+            item.health.shed = shed_.load();
+            item.health.draining = draining_.load() ? 1 : 0;
             break;
-          }
           case WireType::InferRequest: {
-            InferRequestMsg req;
             if (!decodeInferRequest(f, &req) ||
                 req.x.size() != server_->inSize()) {
                 TIE_WARN("cluster worker: malformed InferRequest "
-                         "(payload ", f.payload.size(),
+                         "(payload ", f.payload_size,
                          " bytes); dropping connection");
                 goto done;
             }
-            Item item;
-            if (draining_.load(std::memory_order_relaxed)) {
-                // Drained replicas shed explicitly: the router sees
-                // Rejected and re-dispatches, nothing times out.
-                InferResponseMsg resp;
-                resp.req_id = req.req_id;
-                resp.status = static_cast<uint32_t>(
-                    serve::RequestStatus::Rejected);
-                shed_.fetch_add(1);
-                item.kind = Item::Kind::Ready;
-                item.type = WireType::InferResponse;
-                item.payload = encodeInferResponse(resp);
-                pushItem(c, std::move(item));
-                break;
-            }
+            item.req_id = req.req_id;
+            // Drained replicas shed explicitly: the router sees
+            // Rejected and re-dispatches, nothing times out. The
+            // server copies the input, so req is free again at once.
             const serve::Ticket t =
-                server_->submit(req.x.data(), req.deadline_us);
+                draining_.load(std::memory_order_relaxed)
+                    ? serve::Ticket{}
+                    : server_->submit(req.x.data(), req.deadline_us);
             if (!t.valid()) {
-                InferResponseMsg resp;
-                resp.req_id = req.req_id;
-                resp.status = static_cast<uint32_t>(
-                    serve::RequestStatus::Rejected);
                 shed_.fetch_add(1);
-                item.kind = Item::Kind::Ready;
-                item.type = WireType::InferResponse;
-                item.payload = encodeInferResponse(resp);
+                item.kind = Item::Kind::Rejected;
             } else {
                 in_flight_.fetch_add(1);
                 item.kind = Item::Kind::Ticket;
-                item.req_id = req.req_id;
                 item.ticket = t;
             }
-            pushItem(c, std::move(item));
             break;
           }
-          case WireType::Drain: {
+          case WireType::Drain:
             draining_.store(true, std::memory_order_relaxed);
             // The ack is queued behind every response already owed on
             // this connection, so by the time the router reads it all
             // prior work on this replica has terminal outcomes.
-            Item item;
             item.kind = Item::Kind::DrainAck;
-            pushItem(c, std::move(item));
             break;
-          }
           default:
             TIE_WARN("cluster worker: unexpected ",
                      static_cast<uint32_t>(f.type),
                      " frame; dropping connection");
             goto done;
         }
+        pushItem(c, std::move(item));
     }
 done:
     {
@@ -255,69 +235,75 @@ done:
 void
 ClusterWorker::writerLoop(Conn &c)
 {
+    std::vector<double> y; // output scratch, reused for every response
+    std::vector<uint8_t> *tx = c.io.txBuffer();
     for (;;) {
         Item item;
         {
             std::unique_lock<std::mutex> lk(c.mu);
             c.cv.wait(lk, [&c] { return c.closed || !c.q.empty(); });
             if (c.q.empty())
-                return; // closed and fully drained
+                break; // closed and fully drained
             item = std::move(c.q.front());
             c.q.pop_front();
         }
 
-        if (item.kind == Item::Kind::Ticket) {
+        switch (item.kind) {
+          case Item::Kind::HelloAck: {
+            HelloAckMsg ack;
+            ack.in_size = server_->inSize();
+            ack.out_size = server_->outSize();
+            ack.layers = model_.views.size();
+            ack.pid = static_cast<uint32_t>(::getpid());
+            encodeHelloAck(ack, tx);
+            break;
+          }
+          case Item::Kind::HealthReport:
+            encodeHealthReport(item.health, tx);
+            break;
+          case Item::Kind::Rejected:
+            encodeInferResponse(
+                item.req_id,
+                static_cast<uint32_t>(serve::RequestStatus::Rejected),
+                nullptr, 0, tx);
+            break;
+          case Item::Kind::Ticket: {
             // Every accepted ticket is waited even when the peer is
             // gone: slots must recycle and the done/shed accounting
             // must stay exact.
-            std::vector<double> y;
             const serve::RequestStatus st =
                 server_->wait(item.ticket, &y);
             in_flight_.fetch_sub(1);
-            InferResponseMsg resp;
-            resp.req_id = item.req_id;
-            resp.status = static_cast<uint32_t>(st);
-            if (st == serve::RequestStatus::Done) {
-                done_.fetch_add(1);
-                resp.y = std::move(y);
-            } else {
-                shed_.fetch_add(1);
-            }
-            const std::vector<uint8_t> payload =
-                encodeInferResponse(resp);
-            std::string err;
-            if (c.io.open() &&
-                !c.io.sendFrame(WireType::InferResponse, payload,
-                                opts_.io_timeout_ms, &err))
-                TIE_WARN_ONCE("cluster worker: response send "
-                              "failed: ", err);
-            continue;
+            const bool done = st == serve::RequestStatus::Done;
+            (done ? done_ : shed_).fetch_add(1);
+            encodeInferResponse(item.req_id, static_cast<uint32_t>(st),
+                                y.data(), done ? y.size() : 0, tx);
+            break;
+          }
+          case Item::Kind::DrainAck:
+            encodeFrame(WireType::DrainAck, nullptr, 0, tx);
+            break;
         }
+
+        std::string err;
+        if (c.io.open() && !c.io.sendEncoded(opts_.io_timeout_ms, &err))
+            TIE_WARN_ONCE("cluster worker: send failed: ", err);
 
         if (item.kind == Item::Kind::DrainAck) {
             // All prior responses are out; the server backlog from
-            // this connection is terminal. Flush the ack and publish
-            // the drained state for waitDrained()/tie_worker.
-            std::string err;
-            if (c.io.open() &&
-                !c.io.sendFrame(WireType::DrainAck, nullptr, 0,
-                                opts_.io_timeout_ms, &err))
-                TIE_WARN("cluster worker: DrainAck send failed: ",
-                         err);
+            // this connection is terminal. Publish the drained state
+            // for waitDrained()/tie_worker.
             {
                 std::lock_guard<std::mutex> lk(drain_mu_);
                 drained_.store(true, std::memory_order_relaxed);
             }
             drain_cv_.notify_all();
-            continue;
         }
-
-        std::string err;
-        if (c.io.open() &&
-            !c.io.sendFrame(item.type, item.payload,
-                            opts_.io_timeout_ms, &err))
-            TIE_WARN_ONCE("cluster worker: send failed: ", err);
     }
+    // Every response this connection owed is out: let the peer see
+    // the end of the stream now (a dropped corrupt client reads EOF)
+    // rather than when the worker stops and closes the fd.
+    ::shutdown(c.io.fd(), SHUT_RDWR);
 }
 
 } // namespace cluster

@@ -14,7 +14,10 @@
  * Structure per connection: a reader thread decodes frames and
  * submits to the server (admission control included — a full queue
  * becomes an explicit Rejected response, never silence), and a writer
- * thread collects tickets in FIFO order and sends the responses.
+ * thread collects tickets in FIFO order and sends the responses. Once
+ * the reader stops (peer EOF, or a corrupt or oversized frame) and
+ * every owed response is out, the writer shuts the socket down so the
+ * peer sees the end of the stream.
  * Health checks ride a separate connection so they are never queued
  * behind inference. Graceful drain: on a Drain frame the worker
  * refuses new work (Rejected), finishes everything already accepted,
@@ -98,21 +101,31 @@ class ClusterWorker
      */
     bool waitDrained(int timeout_ms);
 
+    /**
+     * Largest receive buffer any connection has allocated, in bytes.
+     * Each connection caps its payloads at one InferRequest of this
+     * model, so this never exceeds kWireHeaderSize +
+     * inferPayloadSize(in_size) however large a size a peer claims.
+     */
+    size_t rxBufferPeak() const { return rx_peak_.load(); }
+
     uint64_t doneCount() const { return done_.load(); }
     uint64_t shedCount() const { return shed_.load(); }
     uint64_t inFlight() const { return in_flight_.load(); }
     bool draining() const { return draining_.load(); }
 
   private:
-    /** One queued response-side work item (FIFO per connection). */
+    /**
+     * One queued response-side work item (FIFO per connection). The
+     * writer encodes each into the connection's tx buffer.
+     */
     struct Item
     {
-        enum class Kind { Ready, Ticket, DrainAck };
-        Kind kind = Kind::Ready;
-        WireType type = WireType::HelloAck; ///< Ready payload type
-        std::vector<uint8_t> payload;       ///< Ready payload
-        uint64_t req_id = 0;                ///< Ticket
-        serve::Ticket ticket;               ///< Ticket
+        enum class Kind { HelloAck, HealthReport, Rejected, Ticket, DrainAck };
+        Kind kind = Kind::HelloAck;
+        uint64_t req_id = 0;    ///< Rejected, Ticket
+        serve::Ticket ticket;   ///< Ticket
+        HealthReportMsg health; ///< HealthReport (taken at receipt)
     };
 
     struct Conn
@@ -149,6 +162,7 @@ class ClusterWorker
     std::atomic<uint64_t> done_{0};
     std::atomic<uint64_t> shed_{0};
     std::atomic<uint64_t> in_flight_{0};
+    std::atomic<size_t> rx_peak_{0};
 };
 
 } // namespace cluster

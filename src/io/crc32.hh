@@ -2,8 +2,12 @@
  * @file
  * CRC-32 (IEEE 802.3: polynomial 0xEDB88320, reflected, init/final
  * xor 0xFFFFFFFF) — the per-section integrity check of the .tie model
- * artifact (tie_format.hh). Self-contained table-driven
- * implementation; matches zlib's crc32() bit for bit.
+ * artifact (tie_format.hh) and of every cluster wire frame
+ * (cluster/wire.hh). Self-contained, portable slicing-by-8
+ * implementation (eight 256-entry tables, eight input bytes per step,
+ * no ISA dispatch) whose values are those of the classic byte-at-a-time
+ * CRC-32 and of zlib's crc32(), bit for bit: tests/test_tie_format.cc
+ * pins them with known answers and a bit-serial reference.
  */
 
 #ifndef TIE_IO_CRC32_HH

@@ -6,8 +6,9 @@
 # paper numbers are deterministic; only host wall-clock stats may vary).
 #
 # With --micro BIN, instead smoke-tests the google-benchmark micro
-# binary: runs the session-vs-per-call inference family briefly and
-# validates the BENCH_micro.json report it writes by default.
+# binary: runs the session-vs-per-call inference family, the per-ISA
+# kernel sweeps and the wire codec briefly and validates the
+# BENCH_micro.json report it writes by default.
 #
 # With --serve BIN, runs the serving sweep (serve_sweep --quick) and
 # validates the BENCH_serve.json schema: the structured per-point
@@ -24,8 +25,9 @@ trap 'rm -rf "$DIR"' EXIT
 
 if [ "$1" = "--micro" ]; then
     BIN="$2"
-    (cd "$DIR" && "$BIN" --benchmark_filter='BM_TtInfer|_Isa|_Packed' \
-                         --benchmark_min_time=0.01 >/dev/null 2>&1)
+    (cd "$DIR" && "$BIN" \
+        --benchmark_filter='BM_TtInfer|_Isa|_Packed|BM_Crc32|BM_WireInfer' \
+        --benchmark_min_time=0.01 >/dev/null 2>&1)
     python3 -m json.tool "$DIR/BENCH_micro.json" >/dev/null
     python3 - "$DIR/BENCH_micro.json" <<'EOF'
 import json, sys
@@ -37,7 +39,9 @@ for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_GemmGatheredF32_Packed/scalar",
-             "BM_FxpMatmul_Isa/scalar"):
+             "BM_FxpMatmul_Isa/scalar",
+             # the cluster wire codec
+             "BM_Crc32/32768", "BM_WireInferRoundTrip/4096"):
     assert want in names, f"missing {want}: {sorted(names)}"
 EOF
     echo "micro bench smoke ok"

@@ -4,18 +4,21 @@
  * every-truncation / every-bit-flip discipline the .tie loader
  * gets), the bounded socket layer, child-process control, and
  * end-to-end worker/router integration — sharding, health, drain,
- * fail-over, and the any-replica-same-bits contract.
+ * fail-over, the any-replica-same-bits contract, and the request
+ * path's steady-state heap allocation budget.
  */
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +36,61 @@
 #include "serve/load_gen.hh"
 #include "tt/tt_matrix.hh"
 
+// ---------------------------------------------------------------------
+// Global allocation hook, as in test_serve.cc (counting off by default;
+// flipped on only around steady-state regions).
+// ---------------------------------------------------------------------
+
+static std::atomic<bool> g_count_allocs{false};
+static std::atomic<uint64_t> g_alloc_count{0};
+
+static void *
+countedAlloc(std::size_t sz)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    void *p = std::malloc(sz ? sz : 1);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void *
+operator new(std::size_t sz)
+{
+    return countedAlloc(sz);
+}
+
+void *
+operator new[](std::size_t sz)
+{
+    return countedAlloc(sz);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
 namespace tie {
 namespace cluster {
 namespace {
@@ -41,11 +99,39 @@ namespace {
 // Wire protocol
 // ---------------------------------------------------------------------
 
+/** Decode a buffer that must hold exactly one valid frame. */
+WireFrame
+decodeWhole(const std::vector<uint8_t> &frame)
+{
+    WireFrame f;
+    size_t consumed = 0;
+    std::string err;
+    EXPECT_EQ(tryDecodeFrame(frame.data(), frame.size(), &f, &consumed,
+                             &err),
+              DecodeStatus::Ok)
+        << err;
+    EXPECT_EQ(consumed, frame.size());
+    return f;
+}
+
+/** Lower-case hex of @p bytes, for golden-byte comparisons. */
+std::string
+hex(const std::vector<uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string s;
+    for (uint8_t b : bytes) {
+        s += digits[b >> 4];
+        s += digits[b & 0xf];
+    }
+    return s;
+}
+
 TEST(Wire, FrameLayoutGoldenBytes)
 {
     const uint8_t payload[3] = {0xaa, 0xbb, 0xcc};
-    const std::vector<uint8_t> f =
-        encodeFrame(WireType::InferRequest, payload, sizeof(payload));
+    std::vector<uint8_t> f;
+    encodeFrame(WireType::InferRequest, payload, sizeof(payload), &f);
     ASSERT_EQ(f.size(), kWireHeaderSize + 3);
     // Fixed fields, byte for byte (all little-endian).
     EXPECT_EQ(f[0], 'T');
@@ -72,18 +158,36 @@ TEST(Wire, FrameLayoutGoldenBytes)
     EXPECT_EQ(std::memcmp(f.data() + 32, payload, 3), 0);
 }
 
+TEST(Wire, InferFramesMatchProtocolV1GoldenHex)
+{
+    // Whole frames as the original append-a-byte-at-a-time encoders
+    // produced them (header, both CRCs, fixed fields, f64 bits): the
+    // in-place encoders must reproduce protocol v1 byte for byte.
+    std::vector<uint8_t> f;
+    const double x[4] = {1.0, -2.5, -0.0, 5e-324};
+    encodeInferRequest(0x0102030405060708ull, 123456789, x, 4, &f);
+    EXPECT_EQ(hex(f), "54494557010000000300000000000000"
+                      "3000000000000000d4a47d00a6a6600d"
+                      "080706050403020115cd5b0700000000"
+                      "000000000000f03f00000000000004c0"
+                      "00000000000000800100000000000000");
+
+    const double y[2] = {0.375, std::numeric_limits<double>::infinity()};
+    encodeInferResponse(42, 0, y, 2, &f);
+    EXPECT_EQ(hex(f), "54494557010000000400000000000000"
+                      "200000000000000090fc219121ece307"
+                      "2a000000000000000000000000000000"
+                      "000000000000d83f000000000000f07f");
+}
+
 TEST(Wire, EmptyPayloadRoundTrip)
 {
-    const std::vector<uint8_t> f =
-        encodeFrame(WireType::Drain, nullptr, 0);
+    std::vector<uint8_t> f;
+    encodeFrame(WireType::Drain, nullptr, 0, &f);
     ASSERT_EQ(f.size(), kWireHeaderSize);
-    WireFrame out;
-    size_t consumed = 0;
-    EXPECT_EQ(tryDecodeFrame(f.data(), f.size(), &out, &consumed),
-              DecodeStatus::Ok);
+    const WireFrame out = decodeWhole(f);
     EXPECT_EQ(out.type, WireType::Drain);
-    EXPECT_TRUE(out.payload.empty());
-    EXPECT_EQ(consumed, kWireHeaderSize);
+    EXPECT_EQ(out.payload_size, 0u);
 }
 
 TEST(Wire, TypedMessagesRoundTripBitExactly)
@@ -93,11 +197,10 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     hello.out_size = 64;
     hello.layers = 3;
     hello.pid = 4242;
-    WireFrame f;
-    f.type = WireType::HelloAck;
-    f.payload = encodeHelloAck(hello);
+    std::vector<uint8_t> buf;
+    encodeHelloAck(hello, &buf);
     HelloAckMsg hello2;
-    ASSERT_TRUE(decodeHelloAck(f, &hello2));
+    ASSERT_TRUE(decodeHelloAck(decodeWhole(buf), &hello2));
     EXPECT_EQ(hello2.in_size, 64u);
     EXPECT_EQ(hello2.out_size, 64u);
     EXPECT_EQ(hello2.layers, 3u);
@@ -105,36 +208,27 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
 
     // Hostile doubles: signed zero, denormal, inf, NaN — all must
     // survive the wire bit-for-bit.
-    InferRequestMsg req;
-    req.req_id = 7;
-    req.deadline_us = 12345;
-    req.x = {1.0, -0.0, 5e-324,
-             std::numeric_limits<double>::infinity(),
-             std::numeric_limits<double>::quiet_NaN()};
-    f.type = WireType::InferRequest;
-    f.payload = encodeInferRequest(req);
+    const std::vector<double> x = {
+        1.0, -0.0, 5e-324, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    encodeInferRequest(7, 12345, x.data(), x.size(), &buf);
     InferRequestMsg req2;
-    ASSERT_TRUE(decodeInferRequest(f, &req2));
+    ASSERT_TRUE(decodeInferRequest(decodeWhole(buf), &req2));
     EXPECT_EQ(req2.req_id, 7u);
     EXPECT_EQ(req2.deadline_us, 12345u);
-    ASSERT_EQ(req2.x.size(), req.x.size());
-    EXPECT_EQ(std::memcmp(req2.x.data(), req.x.data(),
-                          req.x.size() * sizeof(double)),
+    ASSERT_EQ(req2.x.size(), x.size());
+    EXPECT_EQ(std::memcmp(req2.x.data(), x.data(),
+                          x.size() * sizeof(double)),
               0);
 
-    InferResponseMsg resp;
-    resp.req_id = 7;
-    resp.status = 3;
-    resp.y = {2.5, -0.0};
-    f.type = WireType::InferResponse;
-    f.payload = encodeInferResponse(resp);
+    const std::vector<double> y = {2.5, -0.0};
+    encodeInferResponse(7, 3, y.data(), y.size(), &buf);
     InferResponseMsg resp2;
-    ASSERT_TRUE(decodeInferResponse(f, &resp2));
+    ASSERT_TRUE(decodeInferResponse(decodeWhole(buf), &resp2));
     EXPECT_EQ(resp2.req_id, 7u);
     EXPECT_EQ(resp2.status, 3u);
     ASSERT_EQ(resp2.y.size(), 2u);
-    EXPECT_EQ(std::memcmp(resp2.y.data(), resp.y.data(),
-                          2 * sizeof(double)),
+    EXPECT_EQ(std::memcmp(resp2.y.data(), y.data(), 2 * sizeof(double)),
               0);
 
     HealthReportMsg rep;
@@ -143,10 +237,9 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     rep.done = 100;
     rep.shed = 3;
     rep.draining = 1;
-    f.type = WireType::HealthReport;
-    f.payload = encodeHealthReport(rep);
+    encodeHealthReport(rep, &buf);
     HealthReportMsg rep2;
-    ASSERT_TRUE(decodeHealthReport(f, &rep2));
+    ASSERT_TRUE(decodeHealthReport(decodeWhole(buf), &rep2));
     EXPECT_EQ(rep2.queue_depth, 5u);
     EXPECT_EQ(rep2.in_flight, 2u);
     EXPECT_EQ(rep2.done, 100u);
@@ -154,44 +247,58 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     EXPECT_EQ(rep2.draining, 1u);
 }
 
+TEST(Wire, TypedDecodersKeepTheCallersCapacity)
+{
+    // A reused message stops allocating: decoding a payload no larger
+    // than the last one keeps the vector's storage.
+    const std::vector<double> x(64, 0.5);
+    std::vector<uint8_t> buf;
+    encodeInferRequest(1, 0, x.data(), x.size(), &buf);
+    InferRequestMsg req;
+    ASSERT_TRUE(decodeInferRequest(decodeWhole(buf), &req));
+    const double *storage = req.x.data();
+    encodeInferRequest(2, 0, x.data(), 32, &buf);
+    ASSERT_TRUE(decodeInferRequest(decodeWhole(buf), &req));
+    EXPECT_EQ(req.x.size(), 32u);
+    EXPECT_EQ(req.x.data(), storage);
+}
+
 TEST(Wire, TypedDecodersRejectMalformedPayloads)
 {
-    WireFrame f;
-    f.type = WireType::HelloAck;
-    f.payload.assign(27, 0); // one byte short
+    std::vector<uint8_t> payload;
+    auto view = [&payload](WireType t, size_t size) {
+        payload.assign(size, 0);
+        return WireFrame{t, payload.data(), payload.size()};
+    };
     HelloAckMsg hello;
-    EXPECT_FALSE(decodeHelloAck(f, &hello));
-    f.payload.assign(28, 0); // right size, zero in_size
-    EXPECT_FALSE(decodeHelloAck(f, &hello));
+    // One byte short.
+    EXPECT_FALSE(decodeHelloAck(view(WireType::HelloAck, 27), &hello));
+    // Right size, zero in_size.
+    EXPECT_FALSE(decodeHelloAck(view(WireType::HelloAck, 28), &hello));
 
-    f.type = WireType::InferRequest;
-    f.payload.assign(16, 0); // header only, no activations
     InferRequestMsg req;
-    EXPECT_FALSE(decodeInferRequest(f, &req));
-    f.payload.assign(16 + 12, 0); // not a multiple of 8
-    EXPECT_FALSE(decodeInferRequest(f, &req));
+    // Header only, no activations.
+    EXPECT_FALSE(
+        decodeInferRequest(view(WireType::InferRequest, 16), &req));
+    // Not a multiple of 8.
+    EXPECT_FALSE(
+        decodeInferRequest(view(WireType::InferRequest, 16 + 12), &req));
 
-    f.type = WireType::InferResponse;
-    f.payload.assign(16, 0);
-    f.payload[12] = 1; // nonzero reserved field
     InferResponseMsg resp;
+    WireFrame f = view(WireType::InferResponse, 16);
+    payload[12] = 1; // nonzero reserved field
     EXPECT_FALSE(decodeInferResponse(f, &resp));
 
     // A frame of the wrong type never decodes as another message.
-    f.type = WireType::HealthReport;
-    f.payload.assign(16, 0);
-    EXPECT_FALSE(decodeInferResponse(f, &resp));
+    EXPECT_FALSE(
+        decodeInferResponse(view(WireType::HealthReport, 16), &resp));
 }
 
 TEST(Wire, EveryTruncationIsNeedMoreOrCorruptNeverOk)
 {
-    InferRequestMsg req;
-    req.req_id = 1;
-    req.deadline_us = 0;
-    req.x = {0.25, 0.5, 0.75};
-    const std::vector<uint8_t> payload = encodeInferRequest(req);
-    const std::vector<uint8_t> frame = encodeFrame(
-        WireType::InferRequest, payload.data(), payload.size());
+    const double x[3] = {0.25, 0.5, 0.75};
+    std::vector<uint8_t> frame;
+    encodeInferRequest(1, 0, x, 3, &frame);
 
     for (size_t len = 0; len < frame.size(); ++len) {
         WireFrame out;
@@ -218,13 +325,9 @@ TEST(Wire, EveryTruncationIsNeedMoreOrCorruptNeverOk)
 
 TEST(Wire, EveryBitFlipIsCorrupt)
 {
-    InferRequestMsg req;
-    req.req_id = 99;
-    req.deadline_us = 1000;
-    req.x = {1.5, -2.5};
-    const std::vector<uint8_t> payload = encodeInferRequest(req);
-    const std::vector<uint8_t> frame = encodeFrame(
-        WireType::InferRequest, payload.data(), payload.size());
+    const double x[2] = {1.5, -2.5};
+    std::vector<uint8_t> frame;
+    encodeInferRequest(99, 1000, x, 2, &frame);
 
     for (size_t i = 0; i < frame.size(); ++i) {
         for (int bit = 0; bit < 8; ++bit) {
@@ -242,17 +345,24 @@ TEST(Wire, EveryBitFlipIsCorrupt)
     }
 }
 
+/** A Hello frame whose CRC-valid header claims @p payload bytes. */
+std::vector<uint8_t>
+forgedSizeClaim(uint64_t payload)
+{
+    std::vector<uint8_t> evil;
+    encodeFrame(WireType::Hello, nullptr, 0, &evil);
+    std::memcpy(evil.data() + 16, &payload, 8); // LE host
+    const uint32_t crc = io::crc32(evil.data(), 28);
+    std::memcpy(evil.data() + 28, &crc, 4);
+    return evil;
+}
+
 TEST(Wire, OversizedPayloadClaimIsCorruptEvenWithValidCrc)
 {
     // Forge a header that claims a payload over the cap but carries
     // a *correct* header CRC: the cap check must fire on its own,
     // not hide behind CRC validation.
-    std::vector<uint8_t> evil =
-        encodeFrame(WireType::Hello, nullptr, 0);
-    const uint64_t huge = kWireMaxPayload + 1;
-    std::memcpy(evil.data() + 16, &huge, 8); // LE host
-    const uint32_t crc = io::crc32(evil.data(), 28);
-    std::memcpy(evil.data() + 28, &crc, 4);
+    const std::vector<uint8_t> evil = forgedSizeClaim(kWireMaxPayload + 1);
     WireFrame out;
     size_t consumed = 0;
     std::string err;
@@ -333,13 +443,11 @@ TEST(Socket, FrameConnReassemblesSplitFramesAndFailsStop)
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     FrameConn rx(sv[1]);
 
-    InferResponseMsg msg;
-    msg.req_id = 11;
-    msg.status = 3;
-    msg.y = {1.0, 2.0, 3.0};
-    const std::vector<uint8_t> payload = encodeInferResponse(msg);
-    const std::vector<uint8_t> frame = encodeFrame(
-        WireType::InferResponse, payload.data(), payload.size());
+    const double y[3] = {1.0, 2.0, 3.0};
+    std::vector<uint8_t> frame;
+    encodeInferResponse(11, 3, y, 3, &frame);
+    const std::vector<uint8_t> payload(frame.begin() + kWireHeaderSize,
+                                       frame.end());
 
     // Dribble the frame in two arbitrary chunks; the first recv must
     // time out (frame incomplete) but keep the partial bytes.
@@ -352,11 +460,13 @@ TEST(Socket, FrameConnReassemblesSplitFramesAndFailsStop)
               static_cast<ssize_t>(frame.size() - cut));
     ASSERT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Ok);
     EXPECT_EQ(out.type, WireType::InferResponse);
-    EXPECT_EQ(out.payload, payload);
+    EXPECT_EQ(std::vector<uint8_t>(out.payload,
+                                   out.payload + out.payload_size),
+              payload);
 
     // Two frames in one burst: both decode, in order.
-    const std::vector<uint8_t> drain =
-        encodeFrame(WireType::Drain, nullptr, 0);
+    std::vector<uint8_t> drain;
+    encodeFrame(WireType::Drain, nullptr, 0, &drain);
     std::vector<uint8_t> burst = frame;
     burst.insert(burst.end(), drain.begin(), drain.end());
     ASSERT_EQ(::send(sv[0], burst.data(), burst.size(), 0),
@@ -380,6 +490,34 @@ TEST(Socket, FrameConnReassemblesSplitFramesAndFailsStop)
     rx.reset(sv[1] >= 0 ? ::dup(sv[1]) : -1);
     ::close(sv[0]);
     EXPECT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Closed);
+}
+
+TEST(Socket, FrameConnRejectsAClaimOverItsCapBeforeBuffering)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    FrameConn rx(sv[1]);
+    rx.setMaxPayload(64);
+
+    // A frame right at the cap is received whole...
+    const std::vector<uint8_t> body(64, 0x11);
+    std::vector<uint8_t> frame;
+    encodeFrame(WireType::Hello, body.data(), body.size(), &frame);
+    ASSERT_TRUE(sendAllTimed(sv[0], frame.data(), frame.size(), 1000));
+    WireFrame out;
+    ASSERT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Ok);
+    EXPECT_EQ(out.payload_size, 64u);
+
+    // ...and a CRC-valid header claiming one byte more is Corrupt on
+    // the header alone: no payload follows, and none is waited for.
+    const std::vector<uint8_t> evil = forgedSizeClaim(65);
+    ASSERT_TRUE(sendAllTimed(sv[0], evil.data(), evil.size(), 1000));
+    std::string err;
+    EXPECT_EQ(rx.recvFrame(&out, 1000, &err),
+              FrameConn::RecvStatus::Corrupt);
+    EXPECT_NE(err.find("cap"), std::string::npos) << err;
+    EXPECT_LE(rx.rxCapacity(), kWireHeaderSize + 64);
+    ::close(sv[0]);
 }
 
 TEST(Socket, ListenConnectRoundTripTcpAndUnix)
@@ -727,6 +865,79 @@ TEST_F(ClusterTest, RouterRefusesAMismatchedReplicaSet)
     other.stop();
     w0->stop();
     ::unlink(other_path.c_str());
+}
+
+TEST_F(ClusterTest, WorkerSurvivesAnOversizedCrcValidClaim)
+{
+    auto w0 = makeWorker("w0");
+    std::string err;
+
+    // A CRC-valid header claiming 1 MiB: far under the protocol's
+    // 1 GiB ceiling, but more than any frame this 16-input model's
+    // worker can be sent. The worker drops the connection without
+    // sizing a buffer for the claim.
+    const int bad = connectTimed(w0->endpoint(), 1000, &err);
+    ASSERT_GE(bad, 0) << err;
+    const std::vector<uint8_t> evil = forgedSizeClaim(1u << 20);
+    ASSERT_TRUE(sendAllTimed(bad, evil.data(), evil.size(), 1000, &err))
+        << err;
+    FrameConn dropped(bad);
+    WireFrame f;
+    EXPECT_EQ(dropped.recvFrame(&f, 5000), FrameConn::RecvStatus::Closed);
+
+    // It keeps serving well-formed peers afterwards.
+    RouterOptions ropts;
+    ropts.workers = {w0->endpoint()};
+    Router router(ropts);
+    ASSERT_TRUE(router.start(&err)) << err;
+    const std::vector<double> x(router.inSize(), 1.0);
+    const ClusterTicket t = router.submit(x.data());
+    ASSERT_TRUE(t.valid());
+    EXPECT_EQ(router.wait(t), ClusterStatus::Done);
+    router.stop();
+    w0->stop();
+    EXPECT_GT(w0->rxBufferPeak(), 0u);
+    EXPECT_LE(w0->rxBufferPeak(),
+              kWireHeaderSize + inferPayloadSize(router.inSize()));
+}
+
+TEST_F(ClusterTest, SteadyStateRequestsStayWithinTheAllocationBudget)
+{
+    // Router and worker share this process, so the count covers both
+    // ends of the wire. What may remain per request is the router's
+    // pending-map node and the caller's output vector; the frame
+    // buffers, decode scratch and response vectors are all reused.
+    auto w0 = makeWorker("w0");
+    RouterOptions ropts;
+    ropts.workers = {w0->endpoint()};
+    Router router(ropts);
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+
+    const std::vector<double> x =
+        serve::makeRequestInput(5, 0, router.inSize());
+    std::vector<double> y;
+    auto serveOne = [&] {
+        const ClusterTicket t = router.submit(x.data());
+        ASSERT_TRUE(t.valid());
+        ASSERT_EQ(router.wait(t, &y), ClusterStatus::Done);
+    };
+    for (int i = 0; i < 50; ++i)
+        serveOne();
+
+    constexpr int kRequests = 200;
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < kRequests; ++i)
+        serveOne();
+    g_count_allocs.store(false);
+    const uint64_t allocs = g_alloc_count.load();
+    EXPECT_LE(allocs, 2u * kRequests)
+        << allocs << " heap allocations over " << kRequests
+        << " steady-state requests";
+
+    router.stop();
+    w0->stop();
 }
 
 TEST_F(ClusterTest, WorkerSurvivesACorruptClient)

@@ -131,6 +131,67 @@ image(const std::vector<TtMatrix> &chain, bool fxp = false)
 }
 
 // ---------------------------------------------------------------------
+// CRC-32 known answers. Every other CRC check in the suite compares
+// io::crc32 with itself, so these pin its values independently: the
+// standard check value and a bit-at-a-time reference.
+// ---------------------------------------------------------------------
+
+/** Bit-serial CRC-32 (reflected 0xEDB88320, init/xorout ~0). */
+uint32_t
+referenceCrc32(const uint8_t *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/** Deterministic non-trivial bytes. */
+std::vector<uint8_t>
+crcInput(size_t n)
+{
+    std::vector<uint8_t> b(n);
+    uint32_t s = 0x9E3779B9u;
+    for (uint8_t &v : b) {
+        s = s * 1664525u + 1013904223u;
+        v = static_cast<uint8_t>(s >> 24);
+    }
+    return b;
+}
+
+TEST(Crc32, KnownAnswers)
+{
+    EXPECT_EQ(io::crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(io::crc32("", 0), 0u);
+    EXPECT_EQ(io::crc32(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesBitSerialReferenceAtEveryLengthAndAlignment)
+{
+    const std::vector<uint8_t> buf = crcInput(1024 + 8);
+    for (size_t off = 0; off < 8; ++off)
+        for (size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(io::crc32(buf.data() + off, len),
+                      referenceCrc32(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
+TEST(Crc32, ChainedCallsEqualOneShotAtEverySplit)
+{
+    const std::vector<uint8_t> buf = crcInput(300);
+    const uint32_t whole = io::crc32(buf.data(), buf.size());
+    EXPECT_EQ(whole, referenceCrc32(buf.data(), buf.size()));
+    for (size_t k = 0; k <= buf.size(); ++k)
+        ASSERT_EQ(io::crc32(buf.data() + k, buf.size() - k,
+                            io::crc32(buf.data(), k)),
+                  whole)
+            << "split at " << k;
+}
+
+// ---------------------------------------------------------------------
 // Byte-level layout: the documented header, byte for byte.
 // ---------------------------------------------------------------------
 
