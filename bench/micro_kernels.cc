@@ -466,23 +466,39 @@ BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
     state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
 }
 
+/** fxpBlock over a whole m x k x n GEMM in the default MacFormat. */
 void
-BM_FxpMatmul_Isa(benchmark::State &state, simd::Isa isa)
+fxpMatmulIsa(benchmark::State &state, simd::Isa isa, size_t m, size_t k,
+             size_t n)
 {
     Rng rng(13);
-    MatrixF wf(kIsaM, kIsaK), xf(kIsaK, kIsaN);
+    MatrixF wf(m, k), xf(k, n);
     wf.setUniform(rng, -1, 1);
     xf.setUniform(rng, -1, 1);
     MacFormat fmt;
     auto w = quantizeMatrix(wf, fmt.weight);
     auto x = quantizeMatrix(xf, fmt.act_in);
-    Matrix<int16_t> out(kIsaM, kIsaN);
+    Matrix<int16_t> out(m, n);
     for (auto _ : state) {
-        fxpBlock(isa, kIsaK, kIsaN, kIsaN, w.data(), x.data(), fmt,
-                 out.data(), 0, kIsaM, 0, kIsaN);
+        fxpBlock(isa, k, n, n, w.data(), x.data(), fmt, out.data(), 0, m,
+                 0, n);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+
+void
+BM_FxpMatmul_Isa(benchmark::State &state, simd::Isa isa)
+{
+    fxpMatmulIsa(state, isa, kIsaM, kIsaK, kIsaN);
+}
+
+/** The VGG-FC7 TT stage at batch 8: a 16 x 16 core on 8192 columns. */
+void
+BM_FxpMatmul_Stage(benchmark::State &state, simd::Isa isa)
+{
+    fxpMatmulIsa(state, isa, 16, 16, 8192);
 }
 
 void
@@ -514,6 +530,9 @@ registerIsaSweeps()
         benchmark::RegisterBenchmark(
             ("BM_FxpMatmul_Isa/" + name).c_str(),
             [isa](benchmark::State &s) { BM_FxpMatmul_Isa(s, isa); });
+        benchmark::RegisterBenchmark(
+            ("BM_FxpMatmul_Stage/" + name).c_str(),
+            [isa](benchmark::State &s) { BM_FxpMatmul_Stage(s, isa); });
     }
 }
 

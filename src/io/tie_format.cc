@@ -156,7 +156,8 @@ macFormatError(const MacFormat &f, std::string *err)
         return bad("act_out format");
     if (f.acc_bits < 1 || f.acc_bits > 63)
         return bad("acc_bits");
-    if (f.product_shift < 0 || f.product_shift > 32)
+    // Above 30 the rounded product (w * x + 2^(s-1)) overflows int32.
+    if (f.product_shift < 0 || f.product_shift > kMaxProductShift)
         return bad("product_shift");
     return false;
 }

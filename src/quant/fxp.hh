@@ -65,6 +65,13 @@ Matrix<int16_t> quantizeMatrix(const MatrixF &m, const FxpFormat &fmt);
 MatrixF dequantizeMatrix(const Matrix<int16_t> &m, const FxpFormat &fmt);
 
 /**
+ * Largest MacFormat::product_shift the MAC chain accepts: up to 30 the
+ * rounded product w * x + 2^(shift-1) of any two int16 values fits in
+ * int32; at 31 it overflows for w = x = -32768.
+ */
+inline constexpr int kMaxProductShift = 30;
+
+/**
  * Datapath arithmetic configuration for one compact-scheme stage:
  * weight format, input activation format, accumulator width, the right
  * shift applied to every product before accumulation (aligns the 32-bit

@@ -1,5 +1,8 @@
 #include "quant/fxp_simd.hh"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/logging.hh"
 #include "quant/fxp.hh"
 
@@ -23,11 +26,12 @@ bool
 fxpSimdEligible(const MacFormat &fmt)
 {
     const int rshift = fmt.accFracBits() - fmt.act_out.frac_bits;
-    // |w * x| <= 2^30; after a rounding shift of s the product fits in
-    // 31 - s bits, the accumulator clamps to acc_bits, and every
-    // intermediate sum then stays strictly inside int32 (see header).
+    // The pair product carries pbias = 2^(s-1) as an int16 (s <= 15);
+    // |w * x + pbias| < 2^31, after the shift the accumulator clamps to
+    // acc_bits, and every intermediate sum then stays strictly inside
+    // int32 (see header).
     return fmt.acc_bits >= 2 && fmt.acc_bits <= 30 &&
-           fmt.product_shift <= 30 && rshift >= 0 && rshift <= 30 &&
+           fmt.product_shift <= 15 && rshift >= 0 && rshift <= 30 &&
            fmt.act_out.total_bits >= 2 && fmt.act_out.total_bits <= 16;
 }
 
@@ -84,65 +88,162 @@ laneParams(const MacFormat &fmt)
     return p;
 }
 
-#if TIE_SIMD_X86
+/** Rows of one register tile: each operand load feeds this many. */
+constexpr size_t kTileRows = 4;
 
-__attribute__((target("avx2"))) void
-blockAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-          const int16_t *x, const MacFormat &fmt, const LaneParams &p,
-          int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
+/**
+ * rows(i, R) over the kTileRows-row tiles of [i0, i1), then once over
+ * the 1-3 remaining rows; R is a std::integral_constant, so every
+ * kernel instantiates at a fixed tile height.
+ */
+template <typename Rows>
+void
+forRowTiles(size_t i0, size_t i1, Rows rows)
 {
-    constexpr size_t W = 8;
-    const __m256i pbias = _mm256_set1_epi32(p.pbias);
-    const __m128i pcnt = _mm_cvtsi32_si128(p.pshift);
-    const __m256i acc_hi = _mm256_set1_epi32(p.acc_hi);
-    const __m256i acc_lo = _mm256_set1_epi32(p.acc_lo);
-    const __m256i rbias = _mm256_set1_epi32(p.rbias);
-    const __m128i rcnt = _mm_cvtsi32_si128(p.rshift);
-    const __m256i out_hi = _mm256_set1_epi32(p.out_hi);
-    const __m256i out_lo = _mm256_set1_epi32(p.out_lo);
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            __m256i acc = _mm256_setzero_si256();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m256i wv =
-                    _mm256_set1_epi32(static_cast<int32_t>(wrow[kk]));
-                const __m128i xr = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(x + kk * ldx + j));
-                const __m256i xv = _mm256_cvtepi16_epi32(xr);
-                __m256i prod = _mm256_mullo_epi32(wv, xv);
-                prod = _mm256_sra_epi32(_mm256_add_epi32(prod, pbias),
-                                        pcnt);
-                acc = _mm256_add_epi32(acc, prod);
-                acc = _mm256_min_epi32(_mm256_max_epi32(acc, acc_lo),
-                                       acc_hi);
-            }
-            acc = _mm256_sra_epi32(_mm256_add_epi32(acc, rbias), rcnt);
-            acc = _mm256_min_epi32(_mm256_max_epi32(acc, out_lo),
-                                   out_hi);
-            // Values already sit inside int16 range, so the saturating
-            // pack is a pure narrowing; the permute undoes its 128-bit
-            // lane interleave.
-            __m256i packed = _mm256_packs_epi32(acc, acc);
-            packed = _mm256_permute4x64_epi64(packed,
-                                              _MM_SHUFFLE(3, 1, 2, 0));
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(out + i * ldo + j),
-                _mm256_castsi256_si128(packed));
-        }
-        if (j < j1)
-            scalarBlock(k, ldx, ldo, w, x, fmt, out, i, i + 1, j, j1);
+    size_t i = i0;
+    for (; i + kTileRows <= i1; i += kTileRows)
+        rows(i, std::integral_constant<size_t, kTileRows>());
+    switch (i1 - i) {
+      case 3:
+        rows(i, std::integral_constant<size_t, 3>());
+        break;
+      case 2:
+        rows(i, std::integral_constant<size_t, 2>());
+        break;
+      case 1:
+        rows(i, std::integral_constant<size_t, 1>());
+        break;
     }
 }
 
-__attribute__((target("sse4.2"))) void
-blockSse(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-         const int16_t *x, const MacFormat &fmt, const LaneParams &p,
-         int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
+#if TIE_SIMD_X86
+
+/** k steps per weight-pair table: kTileRows x 256 int32 = 4 KiB. */
+constexpr size_t kPairChunk = 256;
+
+/**
+ * The (w, pbias) int16 pairs of rows [i, i + R) for k steps
+ * [k0, k0 + kc), as int32 words pairs[r * kPairChunk + kk]: madd_epi16
+ * of one pair with an (x, 1) pair is w * x + pbias, exactly.
+ */
+template <size_t R>
+void
+buildPairs(size_t k, const int16_t *w, size_t i, size_t k0, size_t kc,
+           int32_t pbias, int32_t *pairs)
 {
-    constexpr size_t W = 4;
-    const __m128i pbias = _mm_set1_epi32(p.pbias);
+    const uint32_t hi = static_cast<uint32_t>(pbias) << 16;
+    for (size_t r = 0; r < R; ++r) {
+        const int16_t *wrow = w + (i + r) * k + k0;
+        for (size_t kk = 0; kk < kc; ++kk)
+            pairs[r * kPairChunk + kk] = static_cast<int32_t>(
+                hi | static_cast<uint16_t>(wrow[kk]));
+    }
+}
+
+/** One MAC step of the chain: rounding shift, add, saturate. */
+__attribute__((target("avx2"), always_inline)) inline __m256i
+macAvx2(__m256i acc, __m256i prod_biased, __m256i pcnt, __m256i lo,
+        __m256i hi)
+{
+    acc = _mm256_add_epi32(acc, _mm256_srav_epi32(prod_biased, pcnt));
+    return _mm256_min_epi32(_mm256_max_epi32(acc, lo), hi);
+}
+
+/**
+ * Rows [i, i + R) x columns [j0, j1) (j1 - j0 >= 16) in R x 16 tiles:
+ * R rows x 2 vectors of 8 int32 accumulators. The last tile overlaps
+ * its predecessor instead of leaving a column remainder; the
+ * recomputed columns get the same bits.
+ */
+template <size_t R>
+__attribute__((target("avx2"))) void
+rowsAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+         const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
+         size_t j0, size_t j1)
+{
+    constexpr size_t W = 16;
+    int32_t pairs[kTileRows * kPairChunk];
+    const bool one_chunk = k <= kPairChunk;
+    if (one_chunk)
+        buildPairs<R>(k, w, i, 0, k, p.pbias, pairs);
+    const __m256i one = _mm256_set1_epi16(1);
+    const __m256i pcnt = _mm256_set1_epi32(p.pshift);
+    const __m256i acc_hi = _mm256_set1_epi32(p.acc_hi);
+    const __m256i acc_lo = _mm256_set1_epi32(p.acc_lo);
+    const __m256i rbias = _mm256_set1_epi32(p.rbias);
+    const __m256i rcnt = _mm256_set1_epi32(p.rshift);
+    const __m256i out_hi = _mm256_set1_epi32(p.out_hi);
+    const __m256i out_lo = _mm256_set1_epi32(p.out_lo);
+    for (size_t j = j0;; j += W) {
+        j = j + W <= j1 ? j : j1 - W;
+        __m256i acc[R][2];
+        for (size_t r = 0; r < R; ++r)
+            acc[r][0] = acc[r][1] = _mm256_setzero_si256();
+        for (size_t k0 = 0; k0 < k; k0 += kPairChunk) {
+            const size_t kc = std::min(kPairChunk, k - k0);
+            if (!one_chunk)
+                buildPairs<R>(k, w, i, k0, kc, p.pbias, pairs);
+            const int16_t *xk = x + k0 * ldx + j;
+            for (size_t kk = 0; kk < kc; ++kk, xk += ldx) {
+                // (x, 1) pairs: columns 0-3 | 8-11 and 4-7 | 12-15.
+                const __m256i xv = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(xk));
+                const __m256i xlo = _mm256_unpacklo_epi16(xv, one);
+                const __m256i xhi = _mm256_unpackhi_epi16(xv, one);
+                for (size_t r = 0; r < R; ++r) {
+                    const __m256i wp =
+                        _mm256_set1_epi32(pairs[r * kPairChunk + kk]);
+                    acc[r][0] = macAvx2(acc[r][0],
+                                        _mm256_madd_epi16(xlo, wp), pcnt,
+                                        acc_lo, acc_hi);
+                    acc[r][1] = macAvx2(acc[r][1],
+                                        _mm256_madd_epi16(xhi, wp), pcnt,
+                                        acc_lo, acc_hi);
+                }
+            }
+        }
+        for (size_t r = 0; r < R; ++r) {
+            __m256i q[2];
+            for (size_t h = 0; h < 2; ++h) {
+                q[h] = _mm256_srav_epi32(
+                    _mm256_add_epi32(acc[r][h], rbias), rcnt);
+                q[h] = _mm256_min_epi32(_mm256_max_epi32(q[h], out_lo),
+                                        out_hi);
+            }
+            // Values already sit inside int16 range, so the saturating
+            // pack is a pure narrowing, and its per-128-bit-lane
+            // interleave puts the two halves back in column order.
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(out + (i + r) * ldo + j),
+                _mm256_packs_epi32(q[0], q[1]));
+        }
+        if (j + W == j1)
+            return;
+    }
+}
+
+/** macAvx2 on 4 lanes; SSE4.2 has no per-lane shift, so pcnt is scalar. */
+__attribute__((target("sse4.2"), always_inline)) inline __m128i
+macSse(__m128i acc, __m128i prod_biased, __m128i pcnt, __m128i lo,
+       __m128i hi)
+{
+    acc = _mm_add_epi32(acc, _mm_sra_epi32(prod_biased, pcnt));
+    return _mm_min_epi32(_mm_max_epi32(acc, lo), hi);
+}
+
+/** rowsAvx2 with R x 8 tiles: R rows x 2 vectors of 4 int32 lanes. */
+template <size_t R>
+__attribute__((target("sse4.2"))) void
+rowsSse(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+        const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
+        size_t j0, size_t j1)
+{
+    constexpr size_t W = 8;
+    int32_t pairs[kTileRows * kPairChunk];
+    const bool one_chunk = k <= kPairChunk;
+    if (one_chunk)
+        buildPairs<R>(k, w, i, 0, k, p.pbias, pairs);
+    const __m128i one = _mm_set1_epi16(1);
     const __m128i pcnt = _mm_cvtsi32_si128(p.pshift);
     const __m128i acc_hi = _mm_set1_epi32(p.acc_hi);
     const __m128i acc_lo = _mm_set1_epi32(p.acc_lo);
@@ -150,30 +251,44 @@ blockSse(size_t k, size_t ldx, size_t ldo, const int16_t *w,
     const __m128i rcnt = _mm_cvtsi32_si128(p.rshift);
     const __m128i out_hi = _mm_set1_epi32(p.out_hi);
     const __m128i out_lo = _mm_set1_epi32(p.out_lo);
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            __m128i acc = _mm_setzero_si128();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m128i wv =
-                    _mm_set1_epi32(static_cast<int32_t>(wrow[kk]));
-                const __m128i xr = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(x + kk * ldx + j));
-                const __m128i xv = _mm_cvtepi16_epi32(xr);
-                __m128i prod = _mm_mullo_epi32(wv, xv);
-                prod = _mm_sra_epi32(_mm_add_epi32(prod, pbias), pcnt);
-                acc = _mm_add_epi32(acc, prod);
-                acc = _mm_min_epi32(_mm_max_epi32(acc, acc_lo), acc_hi);
+    for (size_t j = j0;; j += W) {
+        j = j + W <= j1 ? j : j1 - W;
+        __m128i acc[R][2];
+        for (size_t r = 0; r < R; ++r)
+            acc[r][0] = acc[r][1] = _mm_setzero_si128();
+        for (size_t k0 = 0; k0 < k; k0 += kPairChunk) {
+            const size_t kc = std::min(kPairChunk, k - k0);
+            if (!one_chunk)
+                buildPairs<R>(k, w, i, k0, kc, p.pbias, pairs);
+            const int16_t *xk = x + k0 * ldx + j;
+            for (size_t kk = 0; kk < kc; ++kk, xk += ldx) {
+                const __m128i xv = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(xk));
+                const __m128i xlo = _mm_unpacklo_epi16(xv, one);
+                const __m128i xhi = _mm_unpackhi_epi16(xv, one);
+                for (size_t r = 0; r < R; ++r) {
+                    const __m128i wp =
+                        _mm_set1_epi32(pairs[r * kPairChunk + kk]);
+                    acc[r][0] = macSse(acc[r][0], _mm_madd_epi16(xlo, wp),
+                                       pcnt, acc_lo, acc_hi);
+                    acc[r][1] = macSse(acc[r][1], _mm_madd_epi16(xhi, wp),
+                                       pcnt, acc_lo, acc_hi);
+                }
             }
-            acc = _mm_sra_epi32(_mm_add_epi32(acc, rbias), rcnt);
-            acc = _mm_min_epi32(_mm_max_epi32(acc, out_lo), out_hi);
-            const __m128i packed = _mm_packs_epi32(acc, acc);
-            _mm_storel_epi64(
-                reinterpret_cast<__m128i *>(out + i * ldo + j), packed);
         }
-        if (j < j1)
-            scalarBlock(k, ldx, ldo, w, x, fmt, out, i, i + 1, j, j1);
+        for (size_t r = 0; r < R; ++r) {
+            __m128i q[2];
+            for (size_t h = 0; h < 2; ++h) {
+                q[h] = _mm_sra_epi32(_mm_add_epi32(acc[r][h], rbias),
+                                     rcnt);
+                q[h] = _mm_min_epi32(_mm_max_epi32(q[h], out_lo), out_hi);
+            }
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(out + (i + r) * ldo + j),
+                _mm_packs_epi32(q[0], q[1]));
+        }
+        if (j + W == j1)
+            return;
     }
 }
 
@@ -181,12 +296,26 @@ blockSse(size_t k, size_t ldx, size_t ldo, const int16_t *w,
 
 #if TIE_SIMD_NEON
 
-void
-blockNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-          const int16_t *x, const MacFormat &fmt, const LaneParams &p,
-          int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
+/** One MAC step of the chain on 4 lanes (pcnt = -pshift). */
+inline int32x4_t
+macNeon(int32x4_t acc, int32x4_t prod_biased, int32x4_t pcnt,
+        int32x4_t lo, int32x4_t hi)
 {
-    constexpr size_t W = 4;
+    acc = vaddq_s32(acc, vshlq_s32(prod_biased, pcnt));
+    return vminq_s32(vmaxq_s32(acc, lo), hi);
+}
+
+/**
+ * rowsAvx2 with R x 8 tiles: R rows x 2 vectors of 4 int32 lanes.
+ * vmlal_n_s16 widens pbias + w * x exactly, so no pair table.
+ */
+template <size_t R>
+void
+rowsNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+         const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
+         size_t j0, size_t j1)
+{
+    constexpr size_t W = 8;
     const int32x4_t pbias = vdupq_n_s32(p.pbias);
     const int32x4_t pcnt = vdupq_n_s32(-p.pshift);
     const int32x4_t acc_hi = vdupq_n_s32(p.acc_hi);
@@ -195,27 +324,36 @@ blockNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
     const int32x4_t rcnt = vdupq_n_s32(-p.rshift);
     const int32x4_t out_hi = vdupq_n_s32(p.out_hi);
     const int32x4_t out_lo = vdupq_n_s32(p.out_lo);
-    for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            int32x4_t acc = vdupq_n_s32(0);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const int32x4_t wv =
-                    vdupq_n_s32(static_cast<int32_t>(wrow[kk]));
-                const int32x4_t xv =
-                    vmovl_s16(vld1_s16(x + kk * ldx + j));
-                int32x4_t prod = vmulq_s32(wv, xv);
-                prod = vshlq_s32(vaddq_s32(prod, pbias), pcnt);
-                acc = vaddq_s32(acc, prod);
-                acc = vminq_s32(vmaxq_s32(acc, acc_lo), acc_hi);
+    const int16_t *wrow = w + i * k;
+    for (size_t j = j0;; j += W) {
+        j = j + W <= j1 ? j : j1 - W;
+        int32x4_t acc[R][2];
+        for (size_t r = 0; r < R; ++r)
+            acc[r][0] = acc[r][1] = vdupq_n_s32(0);
+        const int16_t *xk = x + j;
+        for (size_t kk = 0; kk < k; ++kk, xk += ldx) {
+            const int16x8_t xv = vld1q_s16(xk);
+            const int16x4_t xlo = vget_low_s16(xv);
+            const int16x4_t xhi = vget_high_s16(xv);
+            for (size_t r = 0; r < R; ++r) {
+                const int16_t wv = wrow[r * k + kk];
+                acc[r][0] = macNeon(acc[r][0], vmlal_n_s16(pbias, xlo, wv),
+                                    pcnt, acc_lo, acc_hi);
+                acc[r][1] = macNeon(acc[r][1], vmlal_n_s16(pbias, xhi, wv),
+                                    pcnt, acc_lo, acc_hi);
             }
-            acc = vshlq_s32(vaddq_s32(acc, rbias), rcnt);
-            acc = vminq_s32(vmaxq_s32(acc, out_lo), out_hi);
-            vst1_s16(out + i * ldo + j, vqmovn_s32(acc));
         }
-        if (j < j1)
-            scalarBlock(k, ldx, ldo, w, x, fmt, out, i, i + 1, j, j1);
+        for (size_t r = 0; r < R; ++r) {
+            int32x4_t q[2];
+            for (size_t h = 0; h < 2; ++h) {
+                q[h] = vshlq_s32(vaddq_s32(acc[r][h], rbias), rcnt);
+                q[h] = vminq_s32(vmaxq_s32(q[h], out_lo), out_hi);
+            }
+            vst1q_s16(out + (i + r) * ldo + j,
+                      vcombine_s16(vqmovn_s32(q[0]), vqmovn_s32(q[1])));
+        }
+        if (j + W == j1)
+            return;
     }
 }
 
@@ -228,7 +366,10 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
          const int16_t *w, const int16_t *x, const MacFormat &fmt,
          int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
 {
-    if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt)) {
+    // A window narrower than one tile (two vectors of int32 lanes) has
+    // no full tile to run, so it takes the scalar chain too.
+    if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt) ||
+        j1 - j0 < 2 * simd::fxpLanes(isa)) {
         scalarBlock(k, ldx, ldo, w, x, fmt, out, i0, i1, j0, j1);
         return;
     }
@@ -236,15 +377,24 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
     switch (isa) {
 #if TIE_SIMD_X86
       case simd::Isa::Avx2:
-        blockAvx2(k, ldx, ldo, w, x, fmt, p, out, i0, i1, j0, j1);
+        forRowTiles(i0, i1, [&](size_t i, auto rows) {
+            rowsAvx2<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
+                                            j0, j1);
+        });
         return;
       case simd::Isa::Sse42:
-        blockSse(k, ldx, ldo, w, x, fmt, p, out, i0, i1, j0, j1);
+        forRowTiles(i0, i1, [&](size_t i, auto rows) {
+            rowsSse<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
+                                           j0, j1);
+        });
         return;
 #endif
 #if TIE_SIMD_NEON
       case simd::Isa::Neon:
-        blockNeon(k, ldx, ldo, w, x, fmt, p, out, i0, i1, j0, j1);
+        forRowTiles(i0, i1, [&](size_t i, auto rows) {
+            rowsNeon<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
+                                            j0, j1);
+        });
         return;
 #endif
       default:

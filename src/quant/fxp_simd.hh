@@ -10,14 +10,30 @@
  * (multiply, rounding shift, saturating accumulate, requantize) with
  * the exact integer semantics of macProduct / accumulate /
  * requantizeAcc — so every ISA is bit-identical to the scalar chain by
- * construction, including remainder columns, which run the scalar
- * code.
+ * construction.
  *
- * Lane math runs in 32-bit registers, which is exact only when the
- * intermediate |acc + product| cannot exceed int32 (fxpSimdEligible);
- * the TIE datapath (16-bit operands, 24-bit accumulator, 8-bit product
- * shift) qualifies with a wide margin. Ineligible formats always take
- * the scalar chain, on every ISA.
+ * Register tile: one kernel per ISA holds 4 rows x 2 vectors of int32
+ * accumulators (4 x 16 columns on AVX2, 4 x 8 on SSE4.2 and NEON), so
+ * each operand load feeds 4 rows, each weight broadcast feeds 2 column
+ * vectors, and 8 independent chains hide the add -> max -> min latency
+ * of the saturating accumulate. Row windows that are not a multiple of
+ * 4 end with one 1-3 row tile; a column window that is not a multiple
+ * of the tile width ends with a tile overlapping its predecessor (the
+ * recomputed columns get the same bits); a window narrower than one
+ * tile takes the scalar chain.
+ *
+ * Pair product: on x86, one madd_epi16 of the (x, 1) and
+ * (w, 2^(shift-1)) 16-bit pairs yields the rounded product's
+ * w * x + bias exactly, where the bias pairs of a 4-row tile come from
+ * a weight-pair table on the stack (256 k steps at a time); NEON's
+ * vmlal_n_s16 widens bias + w * x the same way.
+ *
+ * Eligibility (fxpSimdEligible): the bias must fit an int16
+ * (product_shift <= 15), and the lane math runs in 32-bit registers,
+ * which is exact only when the intermediate |acc + product| cannot
+ * exceed int32. The TIE datapath (16-bit operands, 24-bit accumulator,
+ * 8-bit product shift) qualifies with a wide margin. Ineligible
+ * formats always take the scalar chain, on every ISA.
  */
 
 #ifndef TIE_QUANT_FXP_SIMD_HH
@@ -33,9 +49,11 @@ namespace tie {
 struct MacFormat;
 
 /**
- * True when @p fmt's MAC chain is exact in 32-bit lanes: accumulator
- * and shifts narrow enough that no intermediate exceeds int32, and a
- * non-negative requantize shift (the datapath never widens on output).
+ * True when @p fmt's MAC chain is exact in the vector kernels: a
+ * product shift of at most 15 (its rounding bias is an int16 operand
+ * of the pair product), an accumulator and requantize shift narrow
+ * enough that no intermediate exceeds int32, and a non-negative
+ * requantize shift (the datapath never widens on output).
  */
 bool fxpSimdEligible(const MacFormat &fmt);
 

@@ -91,6 +91,11 @@ TtMatrixFxp::quantize(const TtMatrix &tt, const std::vector<MacFormat> &fmts)
     TIE_CHECK_ARG(fmts.size() == tt.d(),
                   "need one MacFormat per stage, got ", fmts.size(),
                   " for d=", tt.d());
+    for (const MacFormat &f : fmts)
+        TIE_CHECK_ARG(f.product_shift >= 0 &&
+                          f.product_shift <= kMaxProductShift,
+                      "product_shift ", f.product_shift,
+                      " outside [0, ", kMaxProductShift, "]");
     TtMatrixFxp out;
     out.config = tt.config();
     out.stage_fmt = fmts;

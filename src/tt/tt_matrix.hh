@@ -65,13 +65,17 @@ struct TtMatrixFxp
     std::vector<Matrix<int16_t>> cores; ///< unfolded, stage order 1..d
     std::vector<MacFormat> stage_fmt;   ///< arithmetic format per stage
 
-    /** Quantise a float-valued TT matrix with the given formats. */
+    /**
+     * Quantise a float-valued TT matrix with the given formats; dies
+     * on a product_shift outside [0, kMaxProductShift].
+     */
     static TtMatrixFxp quantize(const TtMatrix &tt,
                                 const std::vector<MacFormat> &fmts);
 
     /**
      * Convenience: choose per-stage weight formats from each core's
-     * max |value| and a shared activation format.
+     * max |value| and a shared activation format (product_shift as
+     * in quantize).
      */
     static TtMatrixFxp quantizeAuto(const TtMatrix &tt,
                                     const FxpFormat &act_fmt,

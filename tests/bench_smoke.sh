@@ -26,7 +26,7 @@ trap 'rm -rf "$DIR"' EXIT
 if [ "$1" = "--micro" ]; then
     BIN="$2"
     (cd "$DIR" && "$BIN" \
-        --benchmark_filter='BM_TtInfer|_Isa|_Packed|BM_Crc32|BM_WireInfer' \
+        --benchmark_filter='BM_TtInfer|_Isa|_Packed|_Stage|BM_Crc32|BM_WireInfer' \
         --benchmark_min_time=0.01 >/dev/null 2>&1)
     python3 -m json.tool "$DIR/BENCH_micro.json" >/dev/null
     python3 - "$DIR/BENCH_micro.json" <<'EOF'
@@ -39,7 +39,7 @@ for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_GemmGatheredF32_Packed/scalar",
-             "BM_FxpMatmul_Isa/scalar",
+             "BM_FxpMatmul_Isa/scalar", "BM_FxpMatmul_Stage/scalar",
              # the cluster wire codec
              "BM_Crc32/32768", "BM_WireInferRoundTrip/4096"):
     assert want in names, f"missing {want}: {sorted(names)}"

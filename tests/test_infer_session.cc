@@ -670,8 +670,13 @@ TEST(InferSession, PackingCountersAndFootprintTrackWarmup)
     EXPECT_GT(session.packedBytes(), 0u);
 }
 
+// Earlier tests leave thread-pool workers running, and a "fast"
+// death test forks the process with them alive; "threadsafe" re-executes
+// the binary for the child, so these pass when the whole binary runs.
+
 TEST(InferSessionFatal, InputRowsMismatchDies)
 {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Rng rng(1);
     const TtLayerConfig cfg = testConfigs()[0];
     TtMatrix tt = TtMatrix::random(cfg, rng);
@@ -683,6 +688,7 @@ TEST(InferSessionFatal, InputRowsMismatchDies)
 
 TEST(InferSessionFatal, MismatchedStageFormatsDie)
 {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Rng rng(2);
     const TtLayerConfig cfg = testConfigs()[1];
     TtMatrix tt = TtMatrix::random(cfg, rng);

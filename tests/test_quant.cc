@@ -10,6 +10,7 @@
 
 #include "common/random.hh"
 #include "quant/fxp.hh"
+#include "tt/tt_matrix.hh"
 
 namespace tie {
 namespace {
@@ -101,6 +102,44 @@ TEST(Fxp, MacProductMatchesScaledMultiply)
     // Product raw = 1048576, shifted by 8 -> 4096, acc frac = 12.
     EXPECT_EQ(p, 4096);
     EXPECT_DOUBLE_EQ(dequantize(p, FxpFormat{32, fmt.accFracBits()}), 1.0);
+}
+
+TEST(Fxp, MacProductExactAtTheLargestShift)
+{
+    // kMaxProductShift is the last shift whose rounded product stays in
+    // int32 for every operand pair, including (-32768)^2 = 2^30.
+    ASSERT_EQ(kMaxProductShift, 30);
+    MacFormat fmt;
+    fmt.product_shift = kMaxProductShift;
+    const int16_t ends[] = {-32768, -32767, -1, 0, 1, 32767};
+    for (int16_t w : ends) {
+        for (int16_t x : ends) {
+            const int64_t exact =
+                (int64_t(w) * x + (int64_t(1) << 29)) >> 30;
+            EXPECT_EQ(macProduct(w, x, fmt), exact) << w << "*" << x;
+        }
+    }
+    EXPECT_EQ(macProduct(-32768, -32768, fmt), 1);
+}
+
+TEST(Fxp, QuantizeRejectsProductShiftOutOfRange)
+{
+    Rng rng(3);
+    TtLayerConfig cfg;
+    cfg.m = {2, 2};
+    cfg.n = {2, 2};
+    cfg.r = {1, 2, 1};
+    const TtMatrix tt = TtMatrix::random(cfg, rng);
+    EXPECT_EXIT(TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8},
+                                          kMaxProductShift + 1),
+                ::testing::ExitedWithCode(1), "product_shift 31");
+    std::vector<MacFormat> fmts(2);
+    fmts[1].product_shift = -1;
+    EXPECT_EXIT(TtMatrixFxp::quantize(tt, fmts),
+                ::testing::ExitedWithCode(1), "product_shift -1");
+    fmts[1].product_shift = kMaxProductShift;
+    EXPECT_EQ(TtMatrixFxp::quantize(tt, fmts).stage_fmt[1].product_shift,
+              kMaxProductShift);
 }
 
 TEST(Fxp, AccumulateSaturatesAt24Bits)

@@ -640,6 +640,82 @@ TEST(SimdFxp, SaturatingFormatsBitIdenticalOnEveryIsa)
     checkFxpBitIdentity(wide, 0xf4);
 }
 
+/**
+ * Every tile remainder of the register-blocked kernels against
+ * Isa::Scalar: row windows of 1-9 rows (every height mod 4, starting
+ * at row 0 and row 1), column windows one short of, at and one past
+ * multiples of 8 and 16 starting at j0 in {0, 1, 7} with ldx != ldo,
+ * and k in {1, 16, 300} (300 outgrows one weight-pair table). Output
+ * outside the window must keep its sentinel.
+ */
+void
+sweepFxpTiles(const MacFormat &fmt, uint64_t seed)
+{
+    Rng rng(seed);
+    const size_t widths[] = {7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49};
+    const size_t max_cols = 7 + 49, max_rows = 1 + 9;
+    const size_t ldx = max_cols + 3, ldo = max_cols + 5;
+    for (size_t k : {size_t(1), size_t(16), size_t(300)}) {
+        const auto w = randomI16(max_rows * k, rng);
+        const auto x = randomI16(k * ldx, rng);
+        for (size_t i0 : {size_t(0), size_t(1)}) {
+            for (size_t rows = 1; rows <= 9; ++rows) {
+                for (size_t width : widths) {
+                    for (size_t j0 : {size_t(0), size_t(1), size_t(7)}) {
+                        const size_t i1 = i0 + rows, j1 = j0 + width;
+                        std::vector<int16_t> ref(max_rows * ldo, 99);
+                        fxpBlock(Isa::Scalar, k, ldx, ldo, w.data(),
+                                 x.data(), fmt, ref.data(), i0, i1, j0,
+                                 j1);
+                        for (Isa isa : supportedIsas()) {
+                            std::vector<int16_t> out(max_rows * ldo, 99);
+                            fxpBlock(isa, k, ldx, ldo, w.data(), x.data(),
+                                     fmt, out.data(), i0, i1, j0, j1);
+                            ASSERT_EQ(out, ref)
+                                << simd::isaName(isa) << " k=" << k
+                                << " rows [" << i0 << "," << i1
+                                << ") cols [" << j0 << "," << j1 << ")";
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdFxp, TileRemaindersMatchScalarOnEveryIsa)
+{
+    MacFormat fmt;
+    ASSERT_TRUE(fxpSimdEligible(fmt));
+    sweepFxpTiles(fmt, 0x5eed1);
+
+    // The saturating 12-bit accumulator: the clamp fires on most steps.
+    MacFormat sat;
+    sat.acc_bits = 12;
+    sat.product_shift = 0;
+    sat.act_out = FxpFormat{8, 2};
+    ASSERT_TRUE(fxpSimdEligible(sat));
+    sweepFxpTiles(sat, 0x5eed2);
+}
+
+TEST(SimdFxp, ProductShiftEligibilityEndsAt15)
+{
+    // The pair product carries the rounding bias 2^(shift-1) as an
+    // int16, so 15 is the last eligible shift; 16 runs the scalar chain
+    // on every ISA and must still match it.
+    MacFormat last;
+    last.product_shift = 15;
+    last.act_out = FxpFormat{16, 4}; // keeps the requantize shift >= 0
+    ASSERT_TRUE(fxpSimdEligible(last));
+    sweepFxpTiles(last, 0x5eed3);
+
+    MacFormat past = last;
+    past.product_shift = 16;
+    ASSERT_GE(past.accFracBits(), past.act_out.frac_bits);
+    EXPECT_FALSE(fxpSimdEligible(past));
+    sweepFxpTiles(past, 0x5eed4);
+}
+
 TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)
 {
     MacFormat fmt;

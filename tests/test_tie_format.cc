@@ -443,6 +443,28 @@ TEST(TieFormat, HostileSectionTableOffsetCannotWrapBoundsCheck)
     }
 }
 
+TEST(TieFormat, ProductShiftPastTheInt32BoundIsRejected)
+{
+    // The serializer writes whatever the matrix holds, so this artifact
+    // carries valid CRCs; at product_shift 31 the MAC chain's rounded
+    // product w * x + 2^30 overflows int32, so the loader must refuse it.
+    TtMatrix tt = sampleLayer(17);
+    TtMatrixFxp q = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    q.stage_fmt[1].product_shift = kMaxProductShift + 1;
+    TieModel m;
+    std::string err;
+    EXPECT_FALSE(TieModel::tryParse(
+        io::serializeTieModel({io::makeLayerSpec(tt, q)}), &m, &err));
+    EXPECT_NE(err.find("product_shift"), std::string::npos) << err;
+
+    q.stage_fmt[1].product_shift = kMaxProductShift;
+    ASSERT_TRUE(TieModel::tryParse(
+        io::serializeTieModel({io::makeLayerSpec(tt, q)}), &m, &err))
+        << err;
+    EXPECT_EQ(m.toTtMatrixFxp(0).stage_fmt[1].product_shift,
+              kMaxProductShift);
+}
+
 TEST(TieFormat, SaveRejectsMoreLayersThanTheReaderAccepts)
 {
     // The reader caps n_layers at 65536; a save beyond that must fail
