@@ -429,41 +429,41 @@ BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 }
 
 void
-BM_GemmGatheredF32_Packed(benchmark::State &state, simd::Isa isa)
+BM_StageStoreF32_Packed(benchmark::State &state, simd::Isa isa)
 {
-    // A permuted TT-stage operand through the panel path
-    // (gemm::gatheredPanels' inner loop, serial, with the ISA
-    // explicit): gather each kColBlock-wide panel into contiguous
-    // scratch, then run the packed microkernel on it.
+    // One VGG-FC7 TT stage at batch 8 (16 x 16 core, 8192 columns)
+    // through the session's staged-panel path, serial with the ISA
+    // explicit: per kColBlock-wide panel, the packed microkernel reads
+    // the operand panel in place into a zeroed staging tile, then the
+    // tile is stored through the stage descriptor (4-way interleave)
+    // into the next stage's operand.
+    const size_t batch = 8;
+    const StageDescriptor desc =
+        LayerProgram::compile(workloads::vggFc7()).stages.front();
+    const size_t m = desc.rows, k = desc.inner;
+    const size_t n = size_t(desc.cols) * batch;
     Rng rng(12);
-    const size_t cols_out = kIsaN / 8; // 8 batch blocks
-    MatrixF a(kIsaM, kIsaK), v(kIsaK, kIsaN), c(kIsaM, kIsaN);
+    MatrixF a(m, k), b(k, n);
+    std::vector<float> next(m * n); // the operand permutes V_h's elements
     a.setUniform(rng, -1, 1);
-    v.setUniform(rng, -1, 1);
-    std::vector<size_t> offset(kIsaK * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(
-            rng.intIn(0, static_cast<int64_t>(kIsaK * cols_out) - 1));
-    gemm::GatherB g;
-    g.offset = offset.data();
-    g.cols_out = cols_out;
-    g.block_stride = kIsaK * cols_out;
-    g.batch = kIsaN / cols_out;
-    std::vector<float> pa(pack::packedAElems(kIsaM, kIsaK));
-    pack::packA(kIsaM, kIsaK, a.data(), pa.data());
-    std::vector<float> panel(kIsaK * gemm::kColBlock);
+    b.setUniform(rng, -1, 1);
+    std::vector<float> pa(pack::packedAElems(m, k));
+    pack::packA(m, k, a.data(), pa.data());
+    std::vector<float> tile(m * gemm::kColBlock);
     for (auto _ : state) {
-        c.fill(0.0f);
-        for (size_t p0 = 0; p0 < kIsaN; p0 += gemm::kColBlock) {
-            const size_t w = std::min(kIsaN - p0, gemm::kColBlock);
-            gemm::gatherPanel(kIsaK, v.data(), g, p0, w, panel.data());
-            simd::gemmPackedF32(isa, false, kIsaK, pa.data(),
-                                panel.data(), w, c.data() + p0, kIsaN, 0,
-                                kIsaM, 0, w);
+        for (size_t p0 = 0; p0 < n; p0 += gemm::kColBlock) {
+            const size_t w = std::min(n - p0, gemm::kColBlock);
+            std::fill(tile.begin(), tile.end(), 0.0f);
+            simd::gemmPackedF32(isa, false, k, pa.data(), b.data() + p0 * k,
+                                w, tile.data(), gemm::kColBlock, 0, m, 0,
+                                w);
+            storeStageTile(isa, desc, tile.data(), p0, w, batch,
+                           next.data());
         }
-        benchmark::DoNotOptimize(c.data());
+        benchmark::DoNotOptimize(next.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
 }
 
 /** fxpBlock over a whole m x k x n GEMM in the default MacFormat. */
@@ -523,9 +523,9 @@ registerIsaSweeps()
                 BM_GemmF32_Packed(s, isa, true);
             });
         benchmark::RegisterBenchmark(
-            ("BM_GemmGatheredF32_Packed/" + name).c_str(),
+            ("BM_StageStoreF32_Packed/" + name).c_str(),
             [isa](benchmark::State &s) {
-                BM_GemmGatheredF32_Packed(s, isa);
+                BM_StageStoreF32_Packed(s, isa);
             });
         benchmark::RegisterBenchmark(
             ("BM_FxpMatmul_Isa/" + name).c_str(),

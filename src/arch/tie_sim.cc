@@ -1,6 +1,6 @@
 #include "arch/tie_sim.hh"
 
-#include "arch/program.hh"
+#include "tt/stage_program.hh"
 #include "arch/stats_io.hh"
 
 namespace tie {
@@ -27,7 +27,7 @@ struct ResidentInput
  * of the operand element at (row k, global column qt) of this stage's
  * operand, where the source holds `batch` sample blocks side by side.
  * The per-sample mapping is the controller's arithmetic address
- * generator (arch/program.hh) — exactly the computation the grouped
+ * generator (tt/stage_program.hh) — exactly the computation the grouped
  * read scheme of Algorithm 2 performs; no lookup tables exist in the
  * hardware. For the identity (stage-d) case the generator folds in the
  * resident-input geometry, which also realises the paper's inter-layer

@@ -11,9 +11,10 @@
  *
  * The TT compact-scheme stages are short and wide (tens of rows, tens
  * of thousands of batched columns), so the kernels split whichever
- * output axis is larger rather than always splitting rows. Their
- * permuted inter-stage operands go through one driver for every dtype
- * (gatheredPanels): gather a column panel, run the dense kernel on it.
+ * output axis is larger rather than always splitting rows. Every
+ * stage goes through one driver for every dtype (stagedPanels): run
+ * the dense kernel on a column panel into a staging tile, then store
+ * the tile straight into the next stage's operand layout.
  *
  * Float and double tiles dispatch to the SIMD kernel layer
  * (linalg/simd.hh): lanes run across output columns only, so the SIMD
@@ -227,25 +228,6 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
     }
 }
 
-/**
- * Gather view of a GEMM B operand: the TT inter-stage Transform (a
- * pure permutation) read straight out of the previous stage's buffer
- * (tt/infer_session.hh), so the whole transformed matrix is never
- * materialized.
- *
- * The virtual B has batch column blocks of cols_out columns each;
- * element (kk, b * cols_out + q) is read from the source buffer at
- * offset[kk * cols_out + q] + b * block_stride. The offset table is
- * precomputed once per (permutation, batch) by the caller.
- */
-struct GatherB
-{
-    const size_t *offset = nullptr; ///< k x cols_out base offsets
-    size_t cols_out = 0;            ///< columns per batch block
-    size_t block_stride = 0;        ///< source offset step per block
-    size_t batch = 1;
-};
-
 /** kColBlock-wide column panels covering @p n columns. */
 inline size_t
 panelCount(size_t n)
@@ -254,10 +236,32 @@ panelCount(size_t n)
 }
 
 /**
- * Panel slots gatheredPanels uses for an m x n x k product: one below
+ * Column-panel layout of a rows x n operand: columns are cut into
+ * panels of @p panel columns, and each panel is stored as its own
+ * row-major block, the panels one after another. panel >= n is plain
+ * row-major. The last panel may be narrower, so the layout holds
+ * exactly rows * n elements. panelLd is the row stride of the panel
+ * holding column @p col; panelOffset the offset of element
+ * (row, col).
+ */
+inline size_t
+panelLd(size_t n, size_t panel, size_t col)
+{
+    return std::min(panel, n - col / panel * panel);
+}
+
+inline size_t
+panelOffset(size_t rows, size_t n, size_t panel, size_t row, size_t col)
+{
+    const size_t p0 = col / panel * panel;
+    return p0 * rows + row * panelLd(n, panel, col) + (col - p0);
+}
+
+/**
+ * Tile slots stagedPanels uses for an m x n x k product: one below
  * kParallelMinWork (without touching the pool), else
- * min(threadCount(), panelCount(n)). Callers size their scratch to
- * slots * k * kColBlock elements before the steady state.
+ * min(threadCount(), panelCount(n)). Callers size their staging tiles
+ * to slots * m * kColBlock elements before the steady state.
  */
 inline size_t
 panelSlots(size_t m, size_t n, size_t k)
@@ -268,53 +272,30 @@ panelSlots(size_t m, size_t n, size_t k)
 }
 
 /**
- * Copy columns [p0, p0 + w) of the gathered view @p g over @p v into
- * @p panel (k x w row-major): one sequential write pass per element.
- */
-template <typename T>
-inline void
-gatherPanel(size_t k, const T *v, const GatherB &g, size_t p0, size_t w,
-            T *panel)
-{
-    // Runs that stay inside one batch block make the inner copy a
-    // plain indexed load with no wrap test.
-    for (size_t j = 0; j < w;) {
-        const size_t b = (p0 + j) / g.cols_out;
-        const size_t q0 = p0 + j - b * g.cols_out;
-        const size_t len = std::min(w - j, g.cols_out - q0);
-        const T *vb = v + b * g.block_stride;
-        for (size_t kk = 0; kk < k; ++kk) {
-            const size_t *off = g.offset + kk * g.cols_out + q0;
-            T *dst = panel + kk * w + j;
-            for (size_t t = 0; t < len; ++t)
-                dst[t] = vb[off[t]];
-        }
-        j += len;
-    }
-}
-
-/**
  * The inter-stage panel driver shared by every dtype: for each
- * kColBlock-wide column panel of the m x (cols_out * batch) product
- * A * gather(v), gather the k x w panel into scratch, then call
- * @p dense(panel, p0, w), which runs the dtype's dense kernel over all
- * m rows and writes output columns [p0, p0 + w).
+ * kColBlock-wide column panel [p0, p0 + w) of the m x n product
+ * A * B, with B (k x n) in the panel layout @p bpanel (n for
+ * row-major, or kColBlock), @p dense(bp, ldb, tile, w) runs the
+ * dtype's dense kernel over all m rows, reading the panel's B columns
+ * in place (bp, row stride ldb), into the slot's m x kColBlock staging
+ * tile (row stride kColBlock). Then @p store(tile, p0, w) writes the
+ * tile wherever the consumer reads it — for a TT stage, the next
+ * stage's operand (tt/stage_program.hh), so no stage ever gathers its
+ * operand.
  *
  * Panels run in parallel and are never split: S = min(@p slots,
- * panelSlots(m, n, k)) slots each own one k x kColBlock scratch panel
- * and claim the next unclaimed panel until none is left, so a slowed
- * thread does not hold back a fixed share. @p scratch holds
- * @p slots >= 1 such panels. Each output column is produced by exactly
- * one dense call over one gathered panel, whichever slot runs it, so
- * results are bit-identical to materializing the permutation and
- * running the dense kernel, for every thread count.
+ * panelSlots(m, n, k)) slots each own one tile and claim the next
+ * unclaimed panel until none is left, so a slowed thread does not
+ * hold back a fixed share. @p tiles holds @p slots >= 1 tiles. Each
+ * output column is produced by exactly one dense call and stored once,
+ * whichever slot runs it, so results are bit-identical to running the
+ * dense kernel over the whole product, for every thread count.
  */
-template <typename T, typename Dense>
+template <typename T, typename Dense, typename Store>
 void
-gatheredPanels(size_t m, size_t k, const T *v, const GatherB &g,
-               T *scratch, size_t slots, Dense &&dense)
+stagedPanels(size_t m, size_t n, size_t k, const T *b, size_t bpanel,
+             T *tiles, size_t slots, Dense &&dense, Store &&store)
 {
-    const size_t n = g.cols_out * g.batch;
     if (m == 0 || n == 0 || k == 0)
         return;
     const size_t panels = panelCount(n);
@@ -322,7 +303,7 @@ gatheredPanels(size_t m, size_t k, const T *v, const GatherB &g,
     std::atomic<size_t> next{0};
     auto run = [&](size_t s0, size_t s1) {
         for (size_t s = s0; s < s1; ++s) {
-            T *panel = scratch + s * k * kColBlock;
+            T *tile = tiles + s * m * kColBlock;
             for (;;) {
                 const size_t p =
                     next.fetch_add(1, std::memory_order_relaxed);
@@ -330,8 +311,9 @@ gatheredPanels(size_t m, size_t k, const T *v, const GatherB &g,
                     break;
                 const size_t p0 = p * kColBlock;
                 const size_t w = std::min(kColBlock, n - p0);
-                gatherPanel(k, v, g, p0, w, panel);
-                dense(static_cast<const T *>(panel), p0, w);
+                dense(b + panelOffset(k, n, bpanel, 0, p0),
+                      panelLd(n, bpanel, p0), tile, w);
+                store(static_cast<const T *>(tile), p0, w);
             }
         }
     };
@@ -339,26 +321,21 @@ gatheredPanels(size_t m, size_t k, const T *v, const GatherB &g,
         run(0, 1);
     else
         parallelFor(0, used, 1, run);
-    if (obs::enabled()) {
-        KernelStats &ks = KernelStats::get();
-        ks.packed_panels.add(panels);
-        ks.pack_bytes.add(k * n * sizeof(T));
-    }
 }
 
 /**
- * C = packedA * gather(B) (C m x cols_out*batch row-major, pa packed
- * by pack::packA): gatheredPanels feeding the dense packed microkernel.
- * @p bscratch holds @p slots k x kColBlock panels. Bit-identical to
- * materializing the permutation and calling gemmPackedBlocked.
+ * packedA * B (pa packed by pack::packA, B k x n in the panel layout
+ * @p bpanel) through stagedPanels: each panel's tile is zeroed,
+ * accumulated by the packed microkernel reading B in place, then
+ * handed to @p store. @p tiles holds @p slots m x kColBlock tiles.
+ * Bit-identical to gemmPackedBlocked into a zeroed C.
  */
-template <typename T>
+template <typename T, typename Store>
 void
-gemmPackedGatheredBlocked(size_t m, size_t k, const T *pa, const T *v,
-                          const GatherB &g, T *c, T *bscratch,
-                          size_t slots, bool fast)
+gemmPackedStaged(size_t m, size_t n, size_t k, const T *pa, const T *b,
+                 size_t bpanel, T *tiles, size_t slots, bool fast,
+                 Store &&store)
 {
-    const size_t n = g.cols_out * g.batch;
     if (m == 0 || n == 0 || k == 0)
         return;
     if (obs::enabled()) {
@@ -368,13 +345,16 @@ gemmPackedGatheredBlocked(size_t m, size_t k, const T *pa, const T *v,
         ks.simd_isa.set(static_cast<int64_t>(simd::activeIsa()));
     }
     obs::ScopedTimer timer(KernelStats::get().gemm_us);
-    obs::HostSpan span("gemm.packed_gathered");
-    gatheredPanels(m, k, v, g, bscratch, slots,
-                   [&](const T *panel, size_t p0, size_t w) {
-                       obs::HostSpan tile("gemm.tile");
-                       gemmPackedTile(k, pa, panel, w, c + p0, n, fast,
-                                      0, m, 0, w);
-                   });
+    obs::HostSpan span("gemm.packed_staged");
+    stagedPanels(m, n, k, b, bpanel, tiles, slots,
+                 [&](const T *bp, size_t ldb, T *tile, size_t w) {
+                     obs::HostSpan t("gemm.tile");
+                     for (size_t i = 0; i < m; ++i)
+                         std::fill_n(tile + i * kColBlock, w, T(0));
+                     gemmPackedTile(k, pa, bp, ldb, tile, kColBlock, fast,
+                                    0, m, 0, w);
+                 },
+                 store);
 }
 
 /** y = A * x with A (m x n) row-major, parallelised over rows. */

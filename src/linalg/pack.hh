@@ -15,10 +15,11 @@
  *
  * TT inference is the ideal packing client: each stage's weight core is
  * fixed per session, so InferSession packs every core once at warm-up
- * (tt/infer_session.hh) and the per-call cost is zero. The permuted
- * inter-stage operand is gathered per column panel into session-owned
- * slot scratch by gemm::gatheredPanels, so the microkernel always reads
- * a dense B — see docs/performance.md.
+ * (tt/infer_session.hh) and the per-call cost is zero. The B operand
+ * needs no packing: every stage stores its output straight into the
+ * next stage's operand layout (gemm::stagedPanels,
+ * tt/stage_program.hh), so the microkernel always reads a dense B in
+ * place — see docs/performance.md.
  *
  * Packing only moves bytes; every arithmetic chain still runs in the
  * microkernel in the same ascending-k order with separate multiply and

@@ -1,7 +1,9 @@
 #include "linalg/simd.hh"
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "linalg/gemm.hh"
@@ -1041,6 +1043,201 @@ gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
     TIE_PANIC("gemmPackedF64 dispatched to ", isaName(isa),
               ", which this build cannot execute");
 }
+
+namespace {
+
+#if TIE_SIMD_X86
+/** Four rows of one vector step, loaded as raw 128/256-bit lanes. */
+template <typename T>
+__attribute__((target("sse4.2"))) size_t
+interleave4Sse(const T *src, size_t lds, size_t len, T *dst)
+{
+    constexpr size_t V = 16 / sizeof(T);
+    size_t c = 0;
+    for (; c + V <= len; c += V) {
+        const __m128i a =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(src + c));
+        const __m128i b = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(src + lds + c));
+        const __m128i e = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(src + 2 * lds + c));
+        const __m128i f = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(src + 3 * lds + c));
+        __m128i o[4];
+        if constexpr (sizeof(T) == 8) {
+            o[0] = _mm_unpacklo_epi64(a, b);
+            o[1] = _mm_unpacklo_epi64(e, f);
+            o[2] = _mm_unpackhi_epi64(a, b);
+            o[3] = _mm_unpackhi_epi64(e, f);
+        } else if constexpr (sizeof(T) == 4) {
+            const __m128i ab0 = _mm_unpacklo_epi32(a, b);
+            const __m128i ab1 = _mm_unpackhi_epi32(a, b);
+            const __m128i ef0 = _mm_unpacklo_epi32(e, f);
+            const __m128i ef1 = _mm_unpackhi_epi32(e, f);
+            o[0] = _mm_unpacklo_epi64(ab0, ef0);
+            o[1] = _mm_unpackhi_epi64(ab0, ef0);
+            o[2] = _mm_unpacklo_epi64(ab1, ef1);
+            o[3] = _mm_unpackhi_epi64(ab1, ef1);
+        } else {
+            static_assert(sizeof(T) == 2, "2-, 4- or 8-byte elements");
+            const __m128i ab0 = _mm_unpacklo_epi16(a, b);
+            const __m128i ab1 = _mm_unpackhi_epi16(a, b);
+            const __m128i ef0 = _mm_unpacklo_epi16(e, f);
+            const __m128i ef1 = _mm_unpackhi_epi16(e, f);
+            o[0] = _mm_unpacklo_epi32(ab0, ef0);
+            o[1] = _mm_unpackhi_epi32(ab0, ef0);
+            o[2] = _mm_unpacklo_epi32(ab1, ef1);
+            o[3] = _mm_unpackhi_epi32(ab1, ef1);
+        }
+        __m128i *out = reinterpret_cast<__m128i *>(dst + 4 * c);
+        for (size_t i = 0; i < 4; ++i)
+            _mm_storeu_si128(out + i, o[i]);
+    }
+    return c;
+}
+
+template <typename T>
+__attribute__((target("avx2"))) size_t
+interleave4Avx2(const T *src, size_t lds, size_t len, T *dst)
+{
+    // In-lane unpacks build 4-element groups per 128-bit half; the
+    // cross-lane permutes put the halves in column order.
+    constexpr size_t V = 32 / sizeof(T);
+    size_t c = 0;
+    for (; c + V <= len; c += V) {
+        const __m256i a = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(src + c));
+        const __m256i b = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(src + lds + c));
+        const __m256i e = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(src + 2 * lds + c));
+        const __m256i f = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(src + 3 * lds + c));
+        __m256i u0, u1, u2, u3;
+        if constexpr (sizeof(T) == 8) {
+            // Each unpack already holds a full 2-element pair, so the
+            // permutes join (a, b) pairs with (e, f) pairs directly.
+            const __m256i ab0 = _mm256_unpacklo_epi64(a, b);
+            const __m256i ab1 = _mm256_unpackhi_epi64(a, b);
+            const __m256i ef0 = _mm256_unpacklo_epi64(e, f);
+            const __m256i ef1 = _mm256_unpackhi_epi64(e, f);
+            u0 = _mm256_permute2x128_si256(ab0, ef0, 0x20);
+            u1 = _mm256_permute2x128_si256(ab1, ef1, 0x20);
+            u2 = _mm256_permute2x128_si256(ab0, ef0, 0x31);
+            u3 = _mm256_permute2x128_si256(ab1, ef1, 0x31);
+        } else {
+            __m256i ab0, ab1, ef0, ef1;
+            if constexpr (sizeof(T) == 4) {
+                ab0 = _mm256_unpacklo_epi32(a, b);
+                ab1 = _mm256_unpackhi_epi32(a, b);
+                ef0 = _mm256_unpacklo_epi32(e, f);
+                ef1 = _mm256_unpackhi_epi32(e, f);
+                u0 = _mm256_unpacklo_epi64(ab0, ef0);
+                u1 = _mm256_unpackhi_epi64(ab0, ef0);
+                u2 = _mm256_unpacklo_epi64(ab1, ef1);
+                u3 = _mm256_unpackhi_epi64(ab1, ef1);
+            } else {
+                static_assert(sizeof(T) == 2,
+                              "2-, 4- or 8-byte elements");
+                ab0 = _mm256_unpacklo_epi16(a, b);
+                ab1 = _mm256_unpackhi_epi16(a, b);
+                ef0 = _mm256_unpacklo_epi16(e, f);
+                ef1 = _mm256_unpackhi_epi16(e, f);
+                u0 = _mm256_unpacklo_epi32(ab0, ef0);
+                u1 = _mm256_unpackhi_epi32(ab0, ef0);
+                u2 = _mm256_unpacklo_epi32(ab1, ef1);
+                u3 = _mm256_unpackhi_epi32(ab1, ef1);
+            }
+            const __m256i v0 = _mm256_permute2x128_si256(u0, u1, 0x20);
+            const __m256i v1 = _mm256_permute2x128_si256(u2, u3, 0x20);
+            const __m256i v2 = _mm256_permute2x128_si256(u0, u1, 0x31);
+            const __m256i v3 = _mm256_permute2x128_si256(u2, u3, 0x31);
+            u0 = v0;
+            u1 = v1;
+            u2 = v2;
+            u3 = v3;
+        }
+        __m256i *out = reinterpret_cast<__m256i *>(dst + 4 * c);
+        _mm256_storeu_si256(out, u0);
+        _mm256_storeu_si256(out + 1, u1);
+        _mm256_storeu_si256(out + 2, u2);
+        _mm256_storeu_si256(out + 3, u3);
+    }
+    return c;
+}
+#endif // TIE_SIMD_X86
+
+#if TIE_SIMD_NEON
+/** vst4 is the 4-way interleaving store itself. */
+template <typename T>
+size_t
+interleave4Neon(const T *src, size_t lds, size_t len, T *dst)
+{
+    constexpr size_t V = 16 / sizeof(T);
+    size_t c = 0;
+    for (; c + V <= len; c += V) {
+        const T *s = src + c;
+        if constexpr (std::is_same_v<T, double>) {
+            float64x2x4_t v = {{vld1q_f64(s), vld1q_f64(s + lds),
+                                vld1q_f64(s + 2 * lds),
+                                vld1q_f64(s + 3 * lds)}};
+            vst4q_f64(dst + 4 * c, v);
+        } else if constexpr (std::is_same_v<T, float>) {
+            float32x4x4_t v = {{vld1q_f32(s), vld1q_f32(s + lds),
+                                vld1q_f32(s + 2 * lds),
+                                vld1q_f32(s + 3 * lds)}};
+            vst4q_f32(dst + 4 * c, v);
+        } else {
+            static_assert(std::is_same_v<T, int16_t>,
+                          "int16_t, float or double elements");
+            int16x8x4_t v = {{vld1q_s16(s), vld1q_s16(s + lds),
+                              vld1q_s16(s + 2 * lds),
+                              vld1q_s16(s + 3 * lds)}};
+            vst4q_s16(dst + 4 * c, v);
+        }
+    }
+    return c;
+}
+#endif // TIE_SIMD_NEON
+
+} // namespace
+
+template <typename T>
+void
+interleave4(Isa isa, const T *src, size_t lds, size_t len, T *dst)
+{
+    size_t c = 0;
+    switch (isa) {
+      case Isa::Scalar:
+        break;
+#if TIE_SIMD_X86
+      case Isa::Avx2:
+        c = interleave4Avx2(src, lds, len, dst);
+        break;
+      case Isa::Sse42:
+        c = interleave4Sse(src, lds, len, dst);
+        break;
+#endif
+#if TIE_SIMD_NEON
+      case Isa::Neon:
+        c = interleave4Neon(src, lds, len, dst);
+        break;
+#endif
+      default:
+        TIE_PANIC("interleave4 dispatched to ", isaName(isa),
+                  ", which this build cannot execute");
+    }
+    for (; c < len; ++c)
+        for (size_t i = 0; i < 4; ++i)
+            dst[4 * c + i] = src[i * lds + c];
+}
+
+template void interleave4<int16_t>(Isa, const int16_t *, size_t, size_t,
+                                   int16_t *);
+template void interleave4<float>(Isa, const float *, size_t, size_t,
+                                 float *);
+template void interleave4<double>(Isa, const double *, size_t, size_t,
+                                  double *);
 
 } // namespace simd
 } // namespace tie

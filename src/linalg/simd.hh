@@ -155,6 +155,22 @@ void gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
                    const double *b, size_t ldb, double *c, size_t ldc,
                    size_t i0, size_t i1, size_t j0, size_t j1);
 
+/**
+ * 4-way interleave of four rows @p lds elements apart:
+ *
+ *   dst[4 * c + i] = src[i * lds + c]   for c < len, i < 4
+ *
+ * i.e. a 4 x len transpose written as 4 * len consecutive elements —
+ * the inter-stage store of every TT stage with m_h = 4
+ * (tt/stage_program.hh). One kernel per ISA for 2-, 4- and 8-byte
+ * elements (AVX2/SSE4.2 unpack + lane permutes, NEON vst4); columns
+ * past the last full vector take the scalar loop. Pure data
+ * movement: bit-identical on every ISA. Instantiated for int16_t,
+ * float and double.
+ */
+template <typename T>
+void interleave4(Isa isa, const T *src, size_t lds, size_t len, T *dst);
+
 } // namespace simd
 } // namespace tie
 

@@ -84,9 +84,16 @@ TtDense::backward(const MatrixF &dy)
             add(gcores_[h - 1], matmul(dv, op.transposed()));
         MatrixF dop = matmul(cores_[h - 1].transposed(), dv);
         if (h < cfg_.d()) {
-            dv = applyTransformBatched(
-                invertTransform(session_->plan().transformAfter(h + 1)),
-                dop, batch_);
+            // The inverse through the stage-(h+1) descriptor: element
+            // (p, q) of V_{h+1} is operand element operandDest(p, q).
+            const StageDescriptor &sd = session_->plan().stage(h + 1);
+            MatrixF dnext(sd.rows, size_t(sd.cols) * batch_);
+            for (size_t p = 0; p < dnext.rows(); ++p)
+                for (size_t q = 0; q < dnext.cols(); ++q) {
+                    const auto [dp, dq] = operandDest(sd, p, q);
+                    dnext(p, q) = dop(dp, dq);
+                }
+            dv = std::move(dnext);
         } else {
             // dO_d is dX': invert CompactPlan::reshapeInput.
             const size_t nd = cfg_.n.back();

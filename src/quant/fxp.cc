@@ -155,23 +155,6 @@ fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
     }
 }
 
-void
-fxpMatmulGathered(size_t m, size_t k, const int16_t *w, const int16_t *v,
-                  const gemm::GatherB &g, const MacFormat &fmt,
-                  int16_t *out, int16_t *scratch, size_t slots)
-{
-    const size_t n = g.cols_out * g.batch;
-    const simd::Isa isa = simd::activeIsa();
-    if (obs::enabled())
-        gemm::KernelStats::get().simd_isa.set(
-            static_cast<int64_t>(isa));
-    gemm::gatheredPanels(m, k, v, g, scratch, slots,
-                         [&](const int16_t *panel, size_t p0, size_t wd) {
-                             fxpBlock(isa, k, wd, n, w, panel, fmt,
-                                      out + p0, 0, m, 0, wd);
-                         });
-}
-
 Matrix<int16_t>
 fxpMatmul(const Matrix<int16_t> &w, const Matrix<int16_t> &x,
           const MacFormat &fmt)

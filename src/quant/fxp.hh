@@ -121,19 +121,6 @@ Matrix<int16_t> fxpMatmul(const Matrix<int16_t> &w,
 void fxpMatmulRaw(size_t m, size_t k, size_t n, const int16_t *w,
                   const int16_t *x, const MacFormat &fmt, int16_t *out);
 
-/**
- * out (m x cols_out*batch) = w (m x k) * gather(v) with the gathered
- * operand view @p g (see linalg/gemm.hh) — the TT inter-stage
- * Transform. gemm::gatheredPanels gathers each column panel into
- * @p scratch (@p slots k x gemm::kColBlock panels) and runs fxpBlock
- * on it; bit-identical to materializing the permutation and calling
- * fxpMatmulRaw.
- */
-void fxpMatmulGathered(size_t m, size_t k, const int16_t *w,
-                       const int16_t *v, const gemm::GatherB &g,
-                       const MacFormat &fmt, int16_t *out,
-                       int16_t *scratch, size_t slots);
-
 /** Fixed-point ReLU (negative raw values clamp to zero). */
 Matrix<int16_t> fxpRelu(const Matrix<int16_t> &m);
 

@@ -60,10 +60,10 @@ bool fxpSimdEligible(const MacFormat &fmt);
 /**
  * out[i0:i1, j0:j1) of the fixed-point GEMM out = w (m x k) * x, all
  * row-major int16 raw values: x has row stride @p ldx and out row
- * stride @p ldo, so the kernel reads a gathered column panel (ldx =
- * panel width) and writes straight into the full-width output — the
- * block kernel behind fxpMatmulRaw (ldx = ldo = n) and
- * fxpMatmulGathered. Isa::Scalar (or an ineligible @p fmt) runs the
+ * stride @p ldo, so the kernel reads one column panel of the operand in
+ * place and writes a staging tile (ldo = gemm::kColBlock) — the block
+ * kernel behind fxpMatmulRaw (ldx = ldo = n) and the fixed-point
+ * session stages. Isa::Scalar (or an ineligible @p fmt) runs the
  * reference chain; every other ISA is bit-identical to it.
  */
 void fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "linalg/gemm.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
+#include "quant/fxp_simd.hh"
 
 namespace tie {
 
@@ -25,10 +27,10 @@ struct SessionStats
                 "session.runs", "InferSession inference calls"),
             obs::StatRegistry::instance().counter(
                 "session.plan_builds",
-                "arena/offset-table (re)builds on batch change"),
+                "arena (re)builds on batch change"),
             obs::StatRegistry::instance().counter(
                 "session.plan_cache_hits",
-                "runs reusing the cached arena and offset tables"),
+                "runs reusing the cached arena"),
             obs::StatRegistry::instance().gauge(
                 "session.arena_bytes",
                 "ping-pong arena bytes after the last (re)build"),
@@ -38,74 +40,70 @@ struct SessionStats
 };
 
 /**
- * Rebuild the per-stage gather tables for @p batch and return the
- * element count one ping-pong half must hold: the largest of the
- * reshaped input (N) and every stage output coreRows(h) * stageCols(h),
- * times the batch — workingBufferElems scaled to the batch, i.e. the
- * capacity of one of the paper's dual working SRAMs.
+ * Elements one ping-pong half must hold at @p batch: the largest of the
+ * reshaped input (N) and every stage output coreRows(h) * stageCols(h)
+ * (each stage stores its output, permuted, as the next stage's
+ * operand — same element count), times the batch —
+ * workingBufferElems scaled to the batch, i.e. the capacity of one of
+ * the paper's dual working SRAMs.
  */
 size_t
-rebuildTables(const CompactPlan &plan, size_t batch,
-              std::vector<std::vector<size_t>> &offsets)
+halfElems(const TtLayerConfig &cfg, size_t batch)
 {
-    const TtLayerConfig &cfg = plan.config();
-    const size_t d = cfg.d();
-    offsets.resize(d >= 1 ? d - 1 : 0);
-    for (size_t h = 1; h + 1 <= d; ++h) {
-        const TransformSpec &spec = plan.transformAfter(h + 1);
-        std::vector<size_t> &tab = offsets[h - 1];
-        tab.resize(spec.numel());
-        for (size_t e = 0; e < spec.numel(); ++e) {
-            const size_t src = spec.src_of_dst[e];
-            const size_t sp = src / spec.cols_in;
-            const size_t sq = src - sp * spec.cols_in;
-            tab[e] = sp * (spec.cols_in * batch) + sq;
-        }
-    }
     size_t max_elems = cfg.inSize();
-    for (size_t h = 1; h <= d; ++h)
+    for (size_t h = 1; h <= cfg.d(); ++h)
         max_elems =
             std::max(max_elems, cfg.coreRows(h) * cfg.stageCols(h));
     return max_elems * batch;
 }
 
 /**
- * Grow @p scratch to one k x kColBlock gather panel per slot for the
- * widest gathered stage (1 <= h < d) at @p batch on the current pool,
- * and return the slot count. Runs before the stage loop, so a batch
- * change or a pool resize allocates once and the steady state never.
+ * Grow @p tiles to one m x kColBlock staging tile per slot for the
+ * tallest stage at @p batch on the current pool, and return the slot
+ * count. Runs before the stage loop, so a batch change or a pool
+ * resize allocates once and the steady state never.
  */
 template <typename T>
 size_t
-ensurePanelScratch(const TtLayerConfig &cfg, size_t batch,
-                   pack::AlignedBuf<T> &scratch)
+ensureStagingTiles(const TtLayerConfig &cfg, size_t batch,
+                   pack::AlignedBuf<T> &tiles)
 {
-    size_t max_k = 0, slots = 1;
-    for (size_t h = 1; h < cfg.d(); ++h) {
-        const size_t k = cfg.coreCols(h);
-        max_k = std::max(max_k, k);
+    size_t max_m = 0, slots = 1;
+    for (size_t h = 1; h <= cfg.d(); ++h) {
+        const size_t m = cfg.coreRows(h);
+        max_m = std::max(max_m, m);
         slots = std::max(slots,
-                         gemm::panelSlots(cfg.coreRows(h),
-                                          cfg.stageCols(h) * batch, k));
+                         gemm::panelSlots(m, cfg.stageCols(h) * batch,
+                                          cfg.coreCols(h)));
     }
-    scratch.resize(std::max(scratch.size(),
-                            slots * max_k * gemm::kColBlock));
+    tiles.resize(std::max(tiles.size(),
+                          slots * max_m * gemm::kColBlock));
     return slots;
 }
 
-/** Stage h's (1 <= h < d) permuted operand over the V_{h+1} buffer. */
-gemm::GatherB
-gatherView(const CompactPlan &plan,
-           const std::vector<std::vector<size_t>> &offsets, size_t h,
-           size_t batch)
+/**
+ * Column-panel layout (gemm::panelOffset) of stage h's operand, ncols
+ * columns wide: stage d reads the reshaped input row-major; every
+ * other operand is stored in kColBlock panels by the stage before, so
+ * each panel a stage reads is one contiguous k x kColBlock block. (Rows
+ * a whole batch wide sit a multiple of 4 KiB apart on VGG-FC7 and
+ * would share L1 sets.)
+ */
+size_t
+operandPanel(size_t h, size_t d, size_t ncols)
 {
-    const TransformSpec &spec = plan.transformAfter(h + 1);
-    gemm::GatherB gb;
-    gb.offset = offsets[h - 1].data();
-    gb.cols_out = spec.cols_out;
-    gb.block_stride = spec.cols_in;
-    gb.batch = batch;
-    return gb;
+    return h == d ? ncols : gemm::kColBlock;
+}
+
+/** stagedPanels store: the tile goes where stage @p d's consumer reads. */
+template <typename T>
+auto
+storeFor(const StageDescriptor &d, size_t batch, T *out)
+{
+    const simd::Isa isa = simd::activeIsa();
+    return [&d, batch, out, isa](const T *tile, size_t p0, size_t w) {
+        storeStageTile(isa, d, tile, p0, w, batch, out);
+    };
 }
 
 template <typename T>
@@ -114,37 +112,6 @@ ensureShape(Matrix<T> &m, size_t r, size_t c)
 {
     if (m.rows() != r || m.cols() != c)
         m = Matrix<T>(r, c);
-}
-
-/**
- * Materialize the batched permutation @p spec of @p src into @p dst
- * using a prebuilt offset table — element-for-element the same copy as
- * applyTransformBatched, writing caller storage instead of allocating.
- */
-template <typename T>
-void
-gatherInto(const TransformSpec &spec, const std::vector<size_t> &tab,
-           size_t batch, const T *src, T *dst)
-{
-    if (batch == 0)
-        return;
-    const size_t cols_out = spec.cols_out;
-    const size_t cols_in = spec.cols_in;
-    const size_t elems = spec.numel();
-    auto body = [&](size_t lo, size_t hi) {
-        for (size_t e = lo; e < hi; ++e) {
-            const size_t p = e / cols_out;
-            const size_t q = e - p * cols_out;
-            T *drow = dst + p * cols_out * batch + q;
-            const T *s = src + tab[e];
-            for (size_t b = 0; b < batch; ++b)
-                drow[b * cols_out] = s[b * cols_in];
-        }
-    };
-    if (elems * batch < gemm::kParallelMinWork)
-        body(0, elems);
-    else
-        parallelFor(0, elems, 0, body);
 }
 
 /** CompactPlan::reshapeInput into caller storage (x is N x batch). */
@@ -196,6 +163,29 @@ checkCoreViews(const TtLayerConfig &c,
         TIE_CHECK_ARG(v.rows == c.coreRows(h) && v.cols == c.coreCols(h),
                       "stage ", h, " core is ", v.rows, "x", v.cols,
                       ", expected ", c.coreRows(h), "x", c.coreCols(h));
+    }
+}
+
+/**
+ * Fixed-point stage formats: one per stage, and each stage's act_out
+ * must feed the next stage's act_in. Checked at construction and on
+ * every re-bind of a TtMatrixFxp-backed session.
+ */
+void
+checkFormatChain(const TtLayerConfig &cfg,
+                 const std::vector<MacFormat> &fmt)
+{
+    TIE_CHECK_ARG(fmt.size() == cfg.d(), "fxp layer has ", fmt.size(),
+                  " stage formats for d = ", cfg.d());
+    for (size_t h = cfg.d(); h >= 2; --h) {
+        const MacFormat &cur = fmt[h - 1];
+        const MacFormat &next = fmt[h - 2];
+        TIE_CHECK_ARG(cur.act_out.frac_bits == next.act_in.frac_bits &&
+                          cur.act_out.total_bits ==
+                              next.act_in.total_bits,
+                      "stage ", h,
+                      " act_out format does not match stage ", h - 1,
+                      " act_in format");
     }
 }
 
@@ -290,7 +280,7 @@ InferSessionT<T>::ensureBatch(size_t batch)
         SessionStats::get().plan_cache_hits.add();
         return;
     }
-    half_ = rebuildTables(plan_, batch, offsets_);
+    half_ = halfElems(plan_.config(), batch);
     if (arena_.size() < 2 * half_)
         arena_.resize(2 * half_);
     has_batch_ = true;
@@ -326,7 +316,7 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
         packCores();
     }
     ensureBatch(batch);
-    const size_t slots = ensurePanelScratch(cfg, batch, bscratch_);
+    const size_t slots = ensureStagingTiles(cfg, batch, tiles_);
     if (obs::enabled())
         SessionStats::get().runs.add();
     obs::HostSpan span("session.run");
@@ -364,30 +354,29 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
         const size_t m = g.rows;
         const size_t k = g.cols;
         const size_t ncols = cfg.stageCols(h) * batch;
-        const T *pa = packed_[h - 1].data();
 
-        // Capture runs materialize the permuted operand for backward.
-        const bool gather = h < d && capture == nullptr;
+        // Capture runs keep a row-major copy of each stage's operand
+        // for backward.
+        const size_t bpanel = operandPanel(h, d, ncols);
         if (h < d && capture) {
-            const TransformSpec &spec = plan_.transformAfter(h + 1);
             Matrix<T> &cap = (*capture)[h - 1];
-            ensureShape(cap, spec.rows_out, spec.cols_out * batch);
-            gatherInto(spec, offsets_[h - 1], batch, op, cap.data());
-            op = cap.data();
+            ensureShape(cap, k, ncols);
+            for (size_t p0 = 0; p0 < ncols; p0 += bpanel)
+                for (size_t row = 0; row < k; ++row)
+                    std::copy_n(
+                        op + gemm::panelOffset(k, ncols, bpanel, row, p0),
+                        gemm::panelLd(ncols, bpanel, p0),
+                        cap.data() + row * ncols + p0);
         }
 
+        // Stage h stores its output as stage h-1's operand; stage 1
+        // stores V_1 as is.
         T *out = (h == 1 && ydirect != nullptr)
                      ? ydirect
                      : (live == 0 ? half1 : half0);
-        std::fill_n(out, m * ncols, T(0));
-        if (gather) {
-            const gemm::GatherB gb = gatherView(plan_, offsets_, h, batch);
-            gemm::gemmPackedGatheredBlocked(m, k, pa, op, gb, out,
-                                            bscratch_.data(), slots,
-                                            fast_);
-        } else {
-            gemm::gemmPackedBlocked(m, ncols, k, pa, op, out, fast_);
-        }
+        gemm::gemmPackedStaged(m, ncols, k, packed_[h - 1].data(), op,
+                               bpanel, tiles_.data(), slots, fast_,
+                               storeFor(plan_.stage(h), batch, out));
 
         const size_t sm = m * k * ncols;
         mults += sm;
@@ -492,21 +481,8 @@ InferSessionFxp::InferSessionFxp(TtFxpLayerView layer,
     : plan_(layer.cfg), cores_(std::move(layer.cores)),
       fmt_(std::move(layer.fmt))
 {
-    const TtLayerConfig &cfg = plan_.config();
-    TIE_CHECK_ARG(fmt_.size() == cfg.d(), "fxp layer has ",
-                  fmt_.size(), " stage formats for d = ", cfg.d());
-    checkCoreViews(cfg, cores_);
-    // Each stage's output format must feed the next stage's input.
-    for (size_t h = cfg.d(); h >= 2; --h) {
-        const MacFormat &cur = fmt_[h - 1];
-        const MacFormat &next = fmt_[h - 2];
-        TIE_CHECK_ARG(cur.act_out.frac_bits == next.act_in.frac_bits &&
-                          cur.act_out.total_bits ==
-                              next.act_in.total_bits,
-                      "stage ", h,
-                      " act_out format does not match stage ", h - 1,
-                      " act_in format");
-    }
+    checkCoreViews(plan_.config(), cores_);
+    checkFormatChain(plan_.config(), fmt_);
 }
 
 void
@@ -516,7 +492,7 @@ InferSessionFxp::ensureBatch(size_t batch)
         SessionStats::get().plan_cache_hits.add();
         return;
     }
-    half_ = rebuildTables(plan_, batch, offsets_);
+    half_ = halfElems(plan_.config(), batch);
     if (arena_.size() < 2 * half_)
         arena_.resize(2 * half_);
     has_batch_ = true;
@@ -557,12 +533,16 @@ InferSessionFxp::runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
             fmt_[i] = bound_->stage_fmt[i];
         }
         checkCoreViews(cfg, cores_);
+        checkFormatChain(cfg, fmt_);
     }
     ensureShape(y, cfg.outSize(), batch);
     ensureBatch(batch);
-    const size_t slots = ensurePanelScratch(cfg, batch, scratch_);
-    if (obs::enabled())
+    const size_t slots = ensureStagingTiles(cfg, batch, tiles_);
+    const simd::Isa isa = simd::activeIsa();
+    if (obs::enabled()) {
         SessionStats::get().runs.add();
+        gemm::KernelStats::get().simd_isa.set(static_cast<int64_t>(isa));
+    }
     obs::HostSpan span("session.run_fxp");
 
     int16_t *const half0 = arena_.data();
@@ -592,13 +572,14 @@ InferSessionFxp::runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
         int16_t *out = (h == 1 && batch == 1)
                            ? y.data()
                            : (live == 0 ? half1 : half0);
-        if (h < d) {
-            const gemm::GatherB gb = gatherView(plan_, offsets_, h, batch);
-            fxpMatmulGathered(m, k, g.data, op, gb, fmt, out,
-                              scratch_.data(), slots);
-        } else {
-            fxpMatmulRaw(m, k, ncols, g.data, op, fmt, out);
-        }
+        gemm::stagedPanels(
+            m, ncols, k, op, operandPanel(h, d, ncols), tiles_.data(),
+            slots,
+            [&](const int16_t *bp, size_t ldb, int16_t *tile, size_t w) {
+                fxpBlock(isa, k, ldb, gemm::kColBlock, g.data, bp, fmt,
+                         tile, 0, m, 0, w);
+            },
+            storeFor(plan_.stage(h), batch, out));
 
         const size_t sm = m * k * ncols;
         mults += sm;

@@ -3,26 +3,32 @@
  * Reusable compact-scheme inference sessions — paper Algorithm 1 as a
  * persistent object instead of a per-call pipeline.
  *
- * A session is built once per TT matrix: the CompactPlan (every
- * inter-stage TransformSpec) is constructed at that point, and a single
- * arena sized to the maximum per-stage working set backs two ping-pong
- * buffers, mirroring the paper's dual working SRAMs (Sec. 3.2 / 4.4).
- * After the first run() at a given batch size, steady-state calls
- * perform **zero heap allocations**: the arena, the per-stage gather
- * offset tables and the caller's output storage are all reused.
+ * A session is built once per TT matrix: the CompactPlan (the
+ * controller's stage program, tt/stage_program.hh — a few scalars per
+ * stage) is compiled at that point, every stage core is packed, and a
+ * single arena sized to the maximum per-stage working set backs two
+ * ping-pong buffers, mirroring the paper's dual working SRAMs
+ * (Sec. 3.2 / 4.4). After the first run() at a given batch size,
+ * steady-state calls perform **zero heap allocations**: the arena, the
+ * staging tiles and the caller's output storage are all reused.
  *
- * The inter-stage Transform is a pure permutation, so it is never
- * materialized as a whole: every stage reads the permuted operand out
- * of the previous stage's buffer one kColBlock-wide column panel at a
- * time (gemm::gatheredPanels), then runs the dense kernel on the panel
- * — the packed microkernel for float (gemm::gemmPackedGatheredBlocked),
- * fxpBlock for int16 (fxpMatmulGathered). Only capture runs, whose
- * backward pass needs the operands, materialize them. One path for
- * every dtype; it keeps the per-element k-loop order of the dense
- * kernels, so results are bit-identical to compactInfer /
- * compactInferFxp for every shape, batch, thread count and dispatch
- * ISA (TIE_SIMD) — tests assert exact equality. The active path is
- * reported by the simd.isa gauge.
+ * The inter-stage Transform costs no pass of its own, as in TIE's
+ * working-SRAM write scheme (Algorithm 2): every stage runs its dense
+ * kernel — the packed microkernel for float, fxpBlock for int16 — one
+ * kColBlock-wide column panel at a time into a small staging tile
+ * (gemm::stagedPanels), then stores the tile through the stage
+ * descriptor straight into the layout the next stage reads
+ * (storeStageTile: a 4-way interleave per ISA when m_h = 4). That
+ * layout keeps each kColBlock-wide column panel of the operand as one
+ * contiguous block, so every stage reads a dense panel in place, and
+ * no session holds a per-element table. Stage d reads the reshaped
+ * input; stage 1 stores V_1 as is. Capture runs copy the materialized
+ * operands out row-major. One path for every dtype; the kernels keep
+ * their per-element k-loop order and the stores only move bits, so
+ * results are bit-identical to compactInfer / compactInferFxp for
+ * every shape, batch, thread count and dispatch ISA (TIE_SIMD) — tests
+ * assert exact equality. The active path is reported by the simd.isa
+ * gauge.
  *
  * compactInfer, compactInferVec and compactInferFxp (tt_infer.hh) are
  * thin wrappers over a transient session; long-lived callers
@@ -168,13 +174,13 @@ class InferSessionT
 
     /**
      * Bytes held in packed operand panels: every stage core packed at
-     * warm-up plus the gathered column-panel scratch. Separate from
+     * warm-up plus the per-slot staging tiles. Separate from
      * arenaBytes(), which models the paper's dual working SRAMs.
      */
     size_t
     packedBytes() const
     {
-        size_t b = bscratch_.size() * sizeof(T);
+        size_t b = tiles_.size() * sizeof(T);
         for (const pack::AlignedBuf<T> &p : packed_)
             b += p.size() * sizeof(T);
         return b;
@@ -208,20 +214,14 @@ class InferSessionT
      * buffers are grow-only, so steady-state repacks never allocate.
      */
     std::vector<pack::AlignedBuf<T>> packed_;
-    /** Column-panel scratch, one panel per slot (gemm::gatheredPanels). */
-    pack::AlignedBuf<T> bscratch_;
+    /** Staging tiles, one m x kColBlock tile per slot
+        (gemm::stagedPanels). */
+    pack::AlignedBuf<T> tiles_;
 
     bool has_batch_ = false;
     size_t batch_ = 0;
     size_t half_ = 0;     ///< elements per ping-pong half
     std::vector<T> arena_; ///< 2 * half_ elements (grow-only)
-    /**
-     * Per-stage gather tables, index h-1 for stage h (1 <= h < d):
-     * offsets_[h-1][p * stageCols(h) + q] is the linear offset of
-     * operand element (p, q) of batch block 0 inside the V_{h+1}
-     * buffer; block b adds b * stageCols(h+1).
-     */
-    std::vector<std::vector<size_t>> offsets_;
 };
 
 using InferSessionD = InferSessionT<double>;
@@ -233,8 +233,9 @@ InferSessionD makeSession(const TtMatrix &tt, SessionOptions opts = {});
 /**
  * Fixed-point session over a TtMatrixFxp (which must outlive it); the
  * bit-exact sibling of InferSessionT using the 16-bit MAC datapath.
- * Construction validates that every stage's act_out format feeds the
- * next stage's act_in format, as compactInferFxp did per call.
+ * Construction, and every run that re-binds a TtMatrixFxp's formats,
+ * validates that each stage's act_out format feeds the next stage's
+ * act_in format.
  */
 class InferSessionFxp
 {
@@ -268,14 +269,13 @@ class InferSessionFxp
     /** Like InferSessionT::bound_: re-read tt's cores/formats each
         run when constructed over a TtMatrixFxp. */
     const TtMatrixFxp *bound_ = nullptr;
-    /** Column-panel scratch, as InferSessionT::bscratch_. */
-    pack::AlignedBuf<int16_t> scratch_;
+    /** Staging tiles, as InferSessionT::tiles_. */
+    pack::AlignedBuf<int16_t> tiles_;
 
     bool has_batch_ = false;
     size_t batch_ = 0;
     size_t half_ = 0;
     std::vector<int16_t> arena_;
-    std::vector<std::vector<size_t>> offsets_; ///< as in InferSessionT
 };
 
 } // namespace tie

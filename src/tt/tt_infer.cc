@@ -152,19 +152,15 @@ compactInferFxp(const TtMatrixFxp &tt, const Matrix<int16_t> &x,
     return session.run(x, stats);
 }
 
-CompactPlan::CompactPlan(const TtLayerConfig &cfg) : cfg_(cfg)
-{
-    cfg_.validate();
-    transforms_.reserve(cfg_.d() >= 2 ? cfg_.d() - 1 : 0);
-    for (size_t h = 2; h <= cfg_.d(); ++h)
-        transforms_.push_back(makeStageTransform(cfg_, h));
-}
+CompactPlan::CompactPlan(const TtLayerConfig &cfg)
+    : cfg_(cfg), program_(LayerProgram::compile(cfg))
+{}
 
-const TransformSpec &
-CompactPlan::transformAfter(size_t h) const
+const StageDescriptor &
+CompactPlan::stage(size_t h) const
 {
-    TIE_REQUIRE(h >= 2 && h <= cfg_.d(), "transformAfter h out of range");
-    return transforms_[h - 2];
+    TIE_REQUIRE(h >= 1 && h <= cfg_.d(), "stage h out of range");
+    return program_.stages[cfg_.d() - h];
 }
 
 } // namespace tie

@@ -22,6 +22,7 @@
 
 #include <optional>
 
+#include "tt/stage_program.hh"
 #include "tt/tt_matrix.hh"
 #include "tt/tt_transform.hh"
 
@@ -81,9 +82,9 @@ Matrix<int16_t> compactInferFxp(const TtMatrixFxp &tt,
                                 InferStats *stats = nullptr);
 
 /**
- * Precomputed per-layer plan: stage operand shapes and transforms.
- * Building the TransformSpecs once amortises them across calls (the NN
- * layers and the simulator both hold a plan).
+ * Per-layer plan: the config plus the controller's stage program
+ * (tt/stage_program.hh) — a few scalars per stage, from which the
+ * sessions compute every inter-stage address. No per-element tables.
  */
 class CompactPlan
 {
@@ -92,8 +93,8 @@ class CompactPlan
 
     const TtLayerConfig &config() const { return cfg_; }
 
-    /** Transform applied after stage h (valid for 2 <= h <= d). */
-    const TransformSpec &transformAfter(size_t h) const;
+    /** Descriptor of stage h (1 <= h <= d). */
+    const StageDescriptor &stage(size_t h) const;
 
     /** Reshape x (N x B) into the stage-d operand X'. */
     template <typename T>
@@ -132,7 +133,7 @@ class CompactPlan
 
   private:
     TtLayerConfig cfg_;
-    std::vector<TransformSpec> transforms_; ///< index h-2 for stage h
+    LayerProgram program_; ///< stages in order h = d .. 1
 };
 
 } // namespace tie

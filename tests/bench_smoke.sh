@@ -38,7 +38,7 @@ for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              # the per-ISA SIMD sweeps always include the scalar path
              "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
-             "BM_GemmGatheredF32_Packed/scalar",
+             "BM_StageStoreF32_Packed/scalar",
              "BM_FxpMatmul_Isa/scalar", "BM_FxpMatmul_Stage/scalar",
              # the cluster wire codec
              "BM_Crc32/32768", "BM_WireInferRoundTrip/4096"):

@@ -19,6 +19,7 @@
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "core/workloads.hh"
 #include "linalg/gemm.hh"
 #include "obs/stat_registry.hh"
 #include "tt/cost_model.hh"
@@ -32,12 +33,15 @@
 
 static std::atomic<bool> g_count_allocs{false};
 static std::atomic<uint64_t> g_alloc_count{0};
+static std::atomic<uint64_t> g_alloc_bytes{0};
 
 static void *
 countedAlloc(std::size_t sz)
 {
-    if (g_count_allocs.load(std::memory_order_relaxed))
+    if (g_count_allocs.load(std::memory_order_relaxed)) {
         g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+        g_alloc_bytes.fetch_add(sz, std::memory_order_relaxed);
+    }
     void *p = std::malloc(sz ? sz : 1);
     if (p == nullptr)
         throw std::bad_alloc();
@@ -83,6 +87,25 @@ operator delete[](void *p, std::size_t) noexcept
 namespace tie {
 namespace {
 
+/**
+ * One stage GEMM of the reference pipeline: matmul, or with @p fast
+ * the packed kernel with FMA permitted (what a TIE_FAST f32 session
+ * runs per element).
+ */
+template <typename T>
+Matrix<T>
+stageProduct(const Matrix<T> &g, const Matrix<T> &v, bool fast)
+{
+    if (!fast)
+        return matmul(g, v);
+    std::vector<T> pa(pack::packedAElems(g.rows(), g.cols()));
+    pack::packA(g.rows(), g.cols(), g.data(), pa.data());
+    Matrix<T> out(g.rows(), v.cols());
+    gemm::gemmPackedBlocked(g.rows(), v.cols(), g.cols(), pa.data(),
+                            v.data(), out.data(), true);
+    return out;
+}
+
 // The compact pipeline exactly as the entry points executed it before
 // InferSession existed: materialized transforms via the public
 // primitives. The session must match this bit for bit.
@@ -90,15 +113,15 @@ template <typename T>
 Matrix<T>
 referenceCompactCores(const TtLayerConfig &cfg,
                       const std::vector<Matrix<T>> &cores,
-                      const Matrix<T> &x)
+                      const Matrix<T> &x, bool fast = false)
 {
     const size_t batch = x.cols();
     CompactPlan plan(cfg);
     Matrix<T> v = plan.reshapeInput(x);
     for (size_t h = cfg.d(); h >= 1; --h) {
-        v = matmul(cores[h - 1], v);
+        v = stageProduct(cores[h - 1], v, fast);
         if (h > 1)
-            v = applyTransformBatched(plan.transformAfter(h), v, batch);
+            v = applyTransformBatched(makeStageTransform(cfg, h), v, batch);
     }
     return plan.flattenOutput(v, batch);
 }
@@ -137,7 +160,7 @@ referenceCompactFxp(const TtMatrixFxp &tt, const Matrix<int16_t> &x)
     for (size_t h = cfg.d(); h >= 1; --h) {
         v = fxpMatmul(tt.cores[h - 1], v, tt.stage_fmt[h - 1]);
         if (h > 1)
-            v = applyTransformBatched(plan.transformAfter(h), v, batch);
+            v = applyTransformBatched(makeStageTransform(cfg, h), v, batch);
     }
     return plan.flattenOutput(v, batch);
 }
@@ -198,6 +221,117 @@ struct ThreadCountGuard
     size_t ambient = threadCount();
     ~ThreadCountGuard() { setThreadCount(ambient); }
 };
+
+/** A config and the batches its store sweep runs. */
+struct StoreCase
+{
+    TtLayerConfig cfg;
+    std::vector<size_t> batches;
+};
+
+/**
+ * Configs for the inter-stage store paths; testConfigs() never yields
+ * a segment (stageCols(h) / n_{h-1}) that is a multiple of a tile
+ * width. uniform(4, 4, 4, 4) has segments of 16 everywhere, so every
+ * tile of every dtype runs the interleave; `edges` (m_h = 4, segments
+ * 24 / 8 / 16) has tiles straddling segment edges, whose runs split
+ * and end in scalar tails; VGG-FC7 is the benchmark shape.
+ */
+std::vector<StoreCase>
+storeCases()
+{
+    TtLayerConfig edges;
+    edges.m = {4, 4, 4, 4};
+    edges.n = {2, 12, 3, 2};
+    edges.r = {1, 3, 2, 5, 1};
+    return {{TtLayerConfig::uniform(4, 4, 4, 4), {1, 7, 37}},
+            {edges, {1, 7, 37}},
+            {workloads::vggFc7(), {3}}};
+}
+
+TEST(InferSession, StoreConfigsBitIdenticalForEveryDtype)
+{
+    ThreadCountGuard guard;
+    Rng rng(53);
+    SessionOptions exact, fast;
+    exact.fast = simd::FastMode::Off;
+    fast.fast = simd::FastMode::On;
+    for (const StoreCase &sc : storeCases()) {
+        const TtLayerConfig &cfg = sc.cfg;
+        TtMatrix tt = TtMatrix::random(cfg, rng);
+        std::vector<MatrixD> dcores;
+        for (size_t h = 1; h <= cfg.d(); ++h)
+            dcores.push_back(tt.core(h).unfolded());
+        const std::vector<MatrixF> fcores = floatCores(tt);
+        std::vector<const MatrixF *> fptrs;
+        for (const MatrixF &c : fcores)
+            fptrs.push_back(&c);
+        TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+
+        InferSessionD s64 = makeSession(tt);
+        InferSessionF s32(cfg, fptrs, exact);
+        InferSessionF s32f(cfg, fptrs, fast);
+        InferSessionFxp s16(fxp);
+        for (size_t batch : sc.batches) {
+            MatrixD xd(cfg.inSize(), batch);
+            xd.setUniform(rng);
+            MatrixF xf(cfg.inSize(), batch);
+            xf.setUniform(rng);
+            const Matrix<int16_t> xq = quantizeMatrix(xf, FxpFormat{16, 8});
+            const MatrixD r64 = referenceCompactCores(cfg, dcores, xd);
+            const MatrixF r32 = referenceCompactCores(cfg, fcores, xf);
+            const MatrixF r32f =
+                referenceCompactCores(cfg, fcores, xf, true);
+            const Matrix<int16_t> r16 = referenceCompactFxp(fxp, xq);
+            for (size_t threads : {size_t(1), size_t(4)}) {
+                setThreadCount(threads);
+                const std::string at = cfg.toString() + " batch " +
+                                       std::to_string(batch) +
+                                       " threads " +
+                                       std::to_string(threads);
+                MatrixD y64;
+                MatrixF y32, y32f;
+                Matrix<int16_t> y16;
+                s64.runInto(xd, y64);
+                s32.runInto(xf, y32);
+                s32f.runInto(xf, y32f);
+                s16.runInto(xq, y16);
+                EXPECT_TRUE(y64 == r64) << "f64 " << at;
+                EXPECT_TRUE(y32 == r32) << "f32 exact " << at;
+                EXPECT_TRUE(y32f == r32f) << "f32 fast " << at;
+                EXPECT_TRUE(y16 == r16) << "int16 " << at;
+            }
+        }
+    }
+}
+
+TEST(InferSession, HoldsNoPerElementTables)
+{
+    // Building and warming a session needs its arena, packed cores and
+    // staging tiles, plus a few small vectors. A per-element offset
+    // table (one size_t per transformed element, 1.6 MiB on FC6) would
+    // blow the 64 KiB slack.
+    ThreadCountGuard guard;
+    setThreadCount(1);
+    Rng rng(47);
+    const TtLayerConfig cfg = workloads::vggFc6();
+    TtMatrix tt = TtMatrix::random(cfg, rng);
+    const size_t batch = 8;
+    MatrixD x(cfg.inSize(), batch), y(cfg.outSize(), batch);
+    x.setUniform(rng);
+
+    g_alloc_bytes.store(0);
+    g_count_allocs.store(true);
+    InferSessionD session = makeSession(tt);
+    session.runInto(x, y);
+    session.runInto(x, y);
+    g_count_allocs.store(false);
+    const uint64_t budget =
+        session.arenaBytes() + session.packedBytes() + (64u << 10);
+    EXPECT_LE(g_alloc_bytes.load(), budget)
+        << "arena " << session.arenaBytes() << " packed + tiles "
+        << session.packedBytes();
+}
 
 TEST(InferSession, BitIdenticalToReferenceAcrossShapesBatchesThreads)
 {
@@ -377,7 +511,7 @@ TEST(InferSession, CaptureReproducesStageOperands)
         EXPECT_TRUE(capture[h - 1] == op) << "stage " << h;
         MatrixD v = matmul(tt.core(h).unfolded(), op);
         if (h > 1)
-            op = applyTransformBatched(plan.transformAfter(h), v, batch);
+            op = applyTransformBatched(makeStageTransform(cfg, h), v, batch);
     }
 }
 
@@ -684,6 +818,27 @@ TEST(InferSessionFatal, InputRowsMismatchDies)
     MatrixD bad(cfg.inSize() + 1, 2), y;
     EXPECT_EXIT(session.runInto(bad, y), ::testing::ExitedWithCode(1),
                 "input rows");
+}
+
+TEST(InferSessionFatal, RebindWithMismatchedStageFormatsDies)
+{
+    // A TtMatrixFxp-backed session re-reads the formats every run, so
+    // a requantized owner whose stage chain no longer lines up must be
+    // refused there too, not only at construction.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rng rng(3);
+    const TtLayerConfig cfg = testConfigs()[1];
+    TtMatrix tt = TtMatrix::random(cfg, rng);
+    TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    InferSessionFxp session(fxp);
+    MatrixF xf(cfg.inSize(), 2);
+    xf.setUniform(rng);
+    const Matrix<int16_t> x = quantizeMatrix(xf, FxpFormat{16, 8});
+    Matrix<int16_t> y;
+    session.runInto(x, y);
+    fxp.stage_fmt[1].act_out.frac_bits += 1; // break the stage chain
+    EXPECT_EXIT(session.runInto(x, y), ::testing::ExitedWithCode(1),
+                "act_out format");
 }
 
 TEST(InferSessionFatal, MismatchedStageFormatsDie)

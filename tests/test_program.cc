@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/program.hh"
+#include "tt/stage_program.hh"
 #include "core/workloads.hh"
 #include "tt/tt_transform.hh"
 
@@ -123,6 +123,74 @@ TEST(AddressGen, PaperBenchmarksExactOnSpotChecks)
                 ASSERT_EQ(sq, lin % spec.cols_in) << b.name;
             }
         }
+    }
+}
+
+/**
+ * Both address generators against the permutation table, stage by
+ * stage: operandSource of stage h-1 reads what makeStageTransform(h)
+ * says, operandDest of stage h writes it back to the same operand
+ * element (also for a later batch block), and every V_h element lands
+ * where the table takes it from — so the two generators are inverse
+ * bijections and equal the table.
+ */
+void
+checkGeneratorsAgainstTable(const TtLayerConfig &cfg)
+{
+    const LayerProgram prog = LayerProgram::compile(cfg);
+    const size_t d = cfg.d();
+    const StageDescriptor &first = prog.stages.back();
+    ASSERT_TRUE(first.store_identity) << cfg.toString();
+    EXPECT_EQ(operandDest(first, 0, 5),
+              (std::pair<size_t, size_t>(0, 5)));
+    for (size_t h = 2; h <= d; ++h) {
+        const StageDescriptor &wr = prog.stages[d - h];     // stage h
+        const StageDescriptor &rd = prog.stages[d - h + 1]; // stage h-1
+        ASSERT_FALSE(wr.store_identity);
+        const TransformSpec spec = makeStageTransform(cfg, h);
+        ASSERT_EQ(spec.rows_in, wr.rows);
+        ASSERT_EQ(spec.cols_in, wr.cols);
+        ASSERT_EQ(spec.cols_out, wr.dst_cols);
+        const size_t b = 2;
+        for (uint32_t k = 0; k < rd.inner; ++k) {
+            for (uint32_t q = 0; q < rd.cols; ++q) {
+                const size_t lin = spec.src_of_dst[k * spec.cols_out + q];
+                const auto [sp, sq] = operandSource(rd, k, q);
+                ASSERT_EQ(sp, lin / spec.cols_in) << cfg.toString();
+                ASSERT_EQ(sq, lin % spec.cols_in) << cfg.toString();
+                const auto back = operandDest(wr, sp, sq);
+                ASSERT_EQ(back.first, k) << cfg.toString() << " h=" << h;
+                ASSERT_EQ(back.second, q) << cfg.toString() << " h=" << h;
+                const auto later = operandDest(wr, sp, b * wr.cols + sq);
+                ASSERT_EQ(later.first, k);
+                ASSERT_EQ(later.second, b * wr.dst_cols + q);
+            }
+        }
+        for (size_t p = 0; p < wr.rows; ++p) {
+            for (size_t q = 0; q < wr.cols; ++q) {
+                const auto [dp, dq] = operandDest(wr, p, q);
+                ASSERT_EQ(spec.src_of_dst[dp * spec.cols_out + dq],
+                          p * spec.cols_in + q)
+                    << cfg.toString() << " h=" << h;
+            }
+        }
+    }
+}
+
+TEST(OperandDest, InvertsSourceAndMatchesTableOnPaperLayers)
+{
+    for (const TtLayerConfig &cfg :
+         {workloads::vggFc6(), workloads::vggFc7(),
+          workloads::lstmUcf11()})
+        checkGeneratorsAgainstTable(cfg);
+}
+
+TEST(OperandDest, InvertsSourceAndMatchesTableOnFuzzConfigs)
+{
+    // test_fuzz's generator and transform-sweep seeds.
+    for (int i = 0; i < 25; ++i) {
+        Rng rng(20000 + i);
+        checkGeneratorsAgainstTable(randomConfig(rng));
     }
 }
 

@@ -152,35 +152,6 @@ randomBuf(size_t count, Rng &rng)
     return out;
 }
 
-/** Random gather table: k x cols_out offsets into one batch block. */
-std::vector<size_t>
-randomOffsets(size_t k, size_t cols_out, Rng &rng)
-{
-    std::vector<size_t> offset(k * cols_out);
-    for (auto &o : offset)
-        o = static_cast<size_t>(rng.intIn(0, k * cols_out - 1));
-    return offset;
-}
-
-/**
- * The gathered operand of @p g over @p v written out as a dense
- * k x (cols_out * batch) row-major matrix, element by element.
- */
-template <typename T>
-std::vector<T>
-materialize(size_t k, const std::vector<T> &v, const gemm::GatherB &g)
-{
-    const size_t n = g.cols_out * g.batch;
-    std::vector<T> out(k * n);
-    for (size_t kk = 0; kk < k; ++kk)
-        for (size_t bb = 0; bb < g.batch; ++bb)
-            for (size_t q = 0; q < g.cols_out; ++q)
-                out[kk * n + bb * g.cols_out + q] =
-                    v[g.offset[kk * g.cols_out + q] +
-                      bb * g.block_stride];
-    return out;
-}
-
 // Shapes chosen to exercise full vectors, remainder columns for every
 // lane width (8/4/1) and degenerate edges.
 struct Shape
@@ -314,43 +285,37 @@ checkPackedBitIdentity()
 
 template <typename T>
 void
-checkGatheredPanelsOnEveryIsa()
+checkStagedTilesOnEveryIsa()
 {
-    // What gemm::gatheredPanels does per panel, on every ISA: gather a
-    // k x w column panel, then run the packed kernel reading the panel
-    // (ldb = w) and writing the full-width C (ldc = n). n spans a full
-    // and a ragged panel.
+    // What gemm::gemmPackedStaged does per panel of a row-major B (the
+    // stage-d input), on every ISA: run the packed kernel reading B in
+    // place (ldb = n) into a zeroed staging tile (ldc = kColBlock), then
+    // copy the tile out. n spans a full and a ragged panel.
     Rng rng(0x6a7);
-    const size_t m = 5, k = 12, cols_out = 21, batch = 15;
-    const size_t n = cols_out * batch;
+    const size_t m = 5, k = 12, n = 315;
     const auto a = randomBuf<T>(m * k, rng);
-    const auto v = randomBuf<T>(k * n, rng);
-    const std::vector<size_t> offset = randomOffsets(k, cols_out, rng);
-    gemm::GatherB g;
-    g.offset = offset.data();
-    g.cols_out = cols_out;
-    g.block_stride = k * cols_out;
-    g.batch = batch;
-
-    const std::vector<T> bmat = materialize(k, v, g);
+    const auto b = randomBuf<T>(k * n, rng);
     std::vector<T> ref(m * n, T(0));
     if constexpr (std::is_same_v<T, float>)
-        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), bmat.data(),
+        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), b.data(),
                           ref.data(), 0, m, 0, n);
     else
-        simd::gemmTileF64(Isa::Scalar, n, k, a.data(), bmat.data(),
+        simd::gemmTileF64(Isa::Scalar, n, k, a.data(), b.data(),
                           ref.data(), 0, m, 0, n);
 
     std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
-    std::vector<T> panel(k * gemm::kColBlock);
+    std::vector<T> tile(m * gemm::kColBlock);
     for (Isa isa : supportedIsas()) {
         std::vector<T> c(m * n, T(0));
         for (size_t p0 = 0; p0 < n; p0 += gemm::kColBlock) {
             const size_t w = std::min(gemm::kColBlock, n - p0);
-            gemm::gatherPanel(k, v.data(), g, p0, w, panel.data());
-            packedGemm<T>(isa, false, k, pa.data(), panel.data(), w,
-                          c.data() + p0, n, 0, m, 0, w);
+            std::fill(tile.begin(), tile.end(), T(0));
+            packedGemm<T>(isa, false, k, pa.data(), b.data() + p0, n,
+                          tile.data(), gemm::kColBlock, 0, m, 0, w);
+            for (size_t i = 0; i < m; ++i)
+                std::copy_n(tile.data() + i * gemm::kColBlock, w,
+                            c.data() + i * n + p0);
         }
         EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)),
                   0)
@@ -358,10 +323,10 @@ checkGatheredPanelsOnEveryIsa()
     }
 }
 
-TEST(SimdGemm, GatheredMatchesMaterializedOnEveryIsa)
+TEST(SimdGemm, StagedTilesMatchDenseOnEveryIsa)
 {
-    checkGatheredPanelsOnEveryIsa<float>();
-    checkGatheredPanelsOnEveryIsa<double>();
+    checkStagedTilesOnEveryIsa<float>();
+    checkStagedTilesOnEveryIsa<double>();
 }
 
 TEST(SimdPacked, F32BitIdenticalToScalarOnEveryIsa)
@@ -437,48 +402,55 @@ TEST(SimdPacked, BlockedWrapperMatchesUnpacked)
 
 template <typename T>
 void
-checkPackedGatheredMatchesMaterialized(size_t batch)
+checkPackedStagedMatchesBlocked(size_t batch)
 {
     Rng rng(0x9acf + batch);
-    const size_t m = 6, k = 12, cols_out = 21;
-    const size_t n = cols_out * batch;
+    const size_t m = 6, k = 12, n = 21 * batch;
     const auto a = randomBuf<T>(m * k, rng);
-    const auto v = randomBuf<T>(k * n, rng);
-    const std::vector<size_t> offset = randomOffsets(k, cols_out, rng);
-    gemm::GatherB g;
-    g.offset = offset.data();
-    g.cols_out = cols_out;
-    g.block_stride = k * cols_out;
-    g.batch = batch;
+    const auto b = randomBuf<T>(k * n, rng);
 
     std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
-    const std::vector<T> bmat = materialize(k, v, g);
     std::vector<T> ref(m * n, T(0));
-    gemm::gemmPackedBlocked(m, n, k, pa.data(), bmat.data(), ref.data(),
+    gemm::gemmPackedBlocked(m, n, k, pa.data(), b.data(), ref.data(),
                             false);
+    // B row-major, and the same B in kColBlock column panels.
+    std::vector<T> bp(k * n);
+    for (size_t kk = 0; kk < k; ++kk)
+        for (size_t j = 0; j < n; ++j)
+            bp[gemm::panelOffset(k, n, gemm::kColBlock, kk, j)] =
+                b[kk * n + j];
     for (size_t threads : {size_t(1), size_t(4)}) {
         setThreadCount(threads);
-        const size_t slots = gemm::panelSlots(m, n, k);
-        std::vector<T> c(m * n, T(0));
-        std::vector<T> bscratch(slots * k * gemm::kColBlock);
-        gemm::gemmPackedGatheredBlocked(m, k, pa.data(), v.data(), g,
-                                        c.data(), bscratch.data(), slots,
-                                        false);
-        EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)),
-                  0)
-            << "batch=" << batch << " threads=" << threads;
+        for (size_t bpanel : {n, gemm::kColBlock}) {
+            const size_t slots = gemm::panelSlots(m, n, k);
+            std::vector<T> c(m * n, T(-7));
+            std::vector<T> tiles(slots * m * gemm::kColBlock, T(-9));
+            gemm::gemmPackedStaged(
+                m, n, k, pa.data(), bpanel == n ? b.data() : bp.data(),
+                bpanel, tiles.data(), slots, false,
+                [&](const T *tile, size_t p0, size_t w) {
+                    for (size_t i = 0; i < m; ++i)
+                        std::copy_n(tile + i * gemm::kColBlock, w,
+                                    c.data() + i * n + p0);
+                });
+            EXPECT_EQ(
+                std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)), 0)
+                << "batch=" << batch << " threads=" << threads
+                << " panel=" << bpanel;
+        }
     }
 }
 
-TEST(SimdPacked, GatheredMatchesMaterializedForEveryBatch)
+TEST(SimdPacked, StagedMatchesBlockedForEveryBatch)
 {
     // batch 37 and 64 push n past kColBlock: several panels, parallel
-    // slots at 4 threads, and (37) a ragged last panel.
+    // slots at 4 threads, and (37) a ragged last panel. The tiles start
+    // as garbage, so a missed zero fill shows.
     const size_t ambient = threadCount();
     for (size_t batch : {size_t(1), size_t(7), size_t(37), size_t(64)}) {
-        checkPackedGatheredMatchesMaterialized<float>(batch);
-        checkPackedGatheredMatchesMaterialized<double>(batch);
+        checkPackedStagedMatchesBlocked<float>(batch);
+        checkPackedStagedMatchesBlocked<double>(batch);
     }
     setThreadCount(ambient);
 }
@@ -737,41 +709,69 @@ TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)
     }
 }
 
-TEST(SimdFxp, GatheredMatchesMaterializedOnEveryIsa)
+TEST(SimdFxp, StagedTilesMatchDenseOnEveryIsa)
 {
-    // What fxpMatmulGathered does per panel, on every ISA: fxpBlock
-    // reads the gathered k x w panel (ldx = w) and writes the
-    // full-width output (ldo = n). n spans a full and a ragged panel
-    // whose width is not a lane multiple.
+    // What the fixed-point stage d does per panel, on every ISA:
+    // fxpBlock reads the row-major operand in place (ldx = n) and
+    // writes the m x w staging tile (ldo = kColBlock). n spans a full
+    // and a ragged panel whose width is not a lane multiple.
     MacFormat fmt;
     Rng rng(0x9a7);
-    const size_t m = 3, k = 10, cols_out = 13, batch = 23;
-    const size_t n = cols_out * batch;
+    const size_t m = 3, k = 10, n = 299;
     const auto w = randomI16(m * k, rng);
-    const auto v = randomI16(k * n, rng);
-    const std::vector<size_t> offset = randomOffsets(k, cols_out, rng);
-    gemm::GatherB g;
-    g.offset = offset.data();
-    g.cols_out = cols_out;
-    g.block_stride = k * cols_out;
-    g.batch = batch;
-
-    const std::vector<int16_t> xmat = materialize(k, v, g);
+    const auto x = randomI16(k * n, rng);
     std::vector<int16_t> ref(m * n, 0);
-    fxpBlock(Isa::Scalar, k, n, n, w.data(), xmat.data(), fmt,
-             ref.data(), 0, m, 0, n);
+    fxpBlock(Isa::Scalar, k, n, n, w.data(), x.data(), fmt, ref.data(),
+             0, m, 0, n);
 
-    std::vector<int16_t> panel(k * gemm::kColBlock);
+    std::vector<int16_t> tile(m * gemm::kColBlock);
     for (Isa isa : supportedIsas()) {
         std::vector<int16_t> out(m * n, 0);
         for (size_t p0 = 0; p0 < n; p0 += gemm::kColBlock) {
             const size_t pw = std::min(gemm::kColBlock, n - p0);
-            gemm::gatherPanel(k, v.data(), g, p0, pw, panel.data());
-            fxpBlock(isa, k, pw, n, w.data(), panel.data(), fmt,
-                     out.data() + p0, 0, m, 0, pw);
+            fxpBlock(isa, k, n, gemm::kColBlock, w.data(), x.data() + p0,
+                     fmt, tile.data(), 0, m, 0, pw);
+            for (size_t i = 0; i < m; ++i)
+                std::copy_n(tile.data() + i * gemm::kColBlock, pw,
+                            out.data() + i * n + p0);
         }
         EXPECT_EQ(out, ref) << simd::isaName(isa);
     }
+}
+
+template <typename T>
+void
+checkInterleave4OnEveryIsa()
+{
+    Rng rng(0x1e4 + sizeof(T));
+    for (size_t len : {size_t(0), size_t(1), size_t(3), size_t(7),
+                       size_t(8), size_t(15), size_t(16), size_t(17),
+                       size_t(33), size_t(69)}) {
+        const size_t lds = len + 5;
+        std::vector<T> src(4 * lds);
+        for (auto &v : src)
+            v = static_cast<T>(rng.intIn(-30000, 30000));
+        std::vector<T> ref(4 * len + 3, T(-1));
+        for (size_t c = 0; c < len; ++c)
+            for (size_t i = 0; i < 4; ++i)
+                ref[4 * c + i] = src[i * lds + c];
+        for (Isa isa : supportedIsas()) {
+            std::vector<T> dst(4 * len + 3, T(-1));
+            simd::interleave4(isa, src.data(), lds, len, dst.data());
+            EXPECT_EQ(dst, ref)
+                << simd::isaName(isa) << " " << sizeof(T) << "-byte len "
+                << len;
+        }
+    }
+}
+
+TEST(SimdInterleave, FourWayMatchesDefinitionOnEveryIsa)
+{
+    // Every element width, full vectors plus scalar tails, and nothing
+    // written past 4 * len.
+    checkInterleave4OnEveryIsa<int16_t>();
+    checkInterleave4OnEveryIsa<float>();
+    checkInterleave4OnEveryIsa<double>();
 }
 
 TEST(SimdFxp, PublicMatmulMatchesPerElementChain)
