@@ -504,8 +504,7 @@ BM_FxpMatmul_Stage(benchmark::State &state, simd::Isa isa)
 void
 registerIsaSweeps()
 {
-    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Sse42,
-                          simd::Isa::Avx2, simd::Isa::Neon}) {
+    for (simd::Isa isa : simd::kIsas) {
         if (!simd::isaSupported(isa))
             continue;
         const std::string name = simd::isaName(isa);

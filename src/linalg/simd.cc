@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -38,6 +40,8 @@ isaName(Isa isa)
         return "avx2";
       case Isa::Neon:
         return "neon";
+      case Isa::Avx512:
+        return "avx512";
     }
     TIE_PANIC("isaName called with invalid Isa ",
               static_cast<int>(isa));
@@ -54,6 +58,9 @@ isaSupported(Isa isa)
         return __builtin_cpu_supports("sse4.2");
       case Isa::Avx2:
         return __builtin_cpu_supports("avx2");
+      case Isa::Avx512:
+        return __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512bw");
 #endif
 #if TIE_SIMD_NEON
       case Isa::Neon:
@@ -68,7 +75,7 @@ unsigned
 supportedMask()
 {
     unsigned mask = 0;
-    for (Isa isa : {Isa::Scalar, Isa::Sse42, Isa::Avx2, Isa::Neon})
+    for (Isa isa : kIsas)
         if (isaSupported(isa))
             mask |= 1u << static_cast<unsigned>(isa);
     return mask;
@@ -81,23 +88,25 @@ resolveIsa(const char *env_value, unsigned supported_mask)
         return (supported_mask >> static_cast<unsigned>(isa)) & 1u;
     };
     if (env_value == nullptr || *env_value == '\0') {
-        for (Isa isa : {Isa::Avx2, Isa::Sse42, Isa::Neon})
+        for (Isa isa : kIsas)
             if (ok(isa))
                 return isa;
         return Isa::Scalar;
     }
-    for (Isa isa :
-         {Isa::Scalar, Isa::Sse42, Isa::Avx2, Isa::Neon}) {
-        if (std::strcmp(env_value, isaName(isa)) != 0)
-            continue;
-        if (!ok(isa))
-            TIE_FATAL("TIE_SIMD='", env_value, "' requested but ",
-                      isaName(isa),
-                      " is not supported on this host");
-        return isa;
+    std::string names;
+    for (Isa isa : kIsas) {
+        if (std::strcmp(env_value, isaName(isa)) == 0) {
+            if (!ok(isa))
+                TIE_FATAL("TIE_SIMD='", env_value, "' requested but ",
+                          isaName(isa),
+                          " is not supported on this host");
+            return isa;
+        }
+        if (!names.empty())
+            names += isa == kIsas[std::size(kIsas) - 1] ? " or " : ", ";
+        names += isaName(isa);
     }
-    TIE_FATAL("TIE_SIMD='", env_value,
-              "' must be scalar, sse, avx2 or neon");
+    TIE_FATAL("TIE_SIMD='", env_value, "' must be ", names);
 }
 
 Isa
@@ -112,6 +121,8 @@ size_t
 floatLanes(Isa isa)
 {
     switch (isa) {
+      case Isa::Avx512:
+        return 16;
       case Isa::Avx2:
         return 8;
       case Isa::Sse42:
@@ -127,6 +138,8 @@ size_t
 doubleLanes(Isa isa)
 {
     switch (isa) {
+      case Isa::Avx512:
+        return 8;
       case Isa::Avx2:
         return 4;
       case Isa::Sse42:
@@ -687,6 +700,106 @@ tilePackedF64Sse(size_t k, const double *pa, const double *b,
         tilePackedScalar(k, pa, b, ldb, c, ldc, i, i1, j0, j1);
 }
 
+/**
+ * Packed AVX-512 microkernels: the AVX2 register tile at twice the
+ * width, kRowPanel rows x 2 vectors (4 x 2 x 8 doubles, 4 x 2 x 16
+ * floats). Columns past the last full tile run the AVX2 kernel, and
+ * rows of a partial panel the scalar chain, so every element still
+ * runs its one ascending-k chain. Fma (TIE_FAST=1, f32 only) fuses
+ * each step; AVX-512F has FMA, so one target covers both.
+ */
+__attribute__((target("avx512f"))) void
+tilePackedF64Avx512(size_t k, const double *pa, const double *b,
+                    size_t ldb, double *c, size_t ldc, size_t i0,
+                    size_t i1, size_t j0, size_t j1)
+{
+    constexpr size_t MR = pack::kRowPanel, W = 8;
+    const size_t jv = j0 + (j1 - j0) / (2 * W) * (2 * W);
+    size_t i = i0;
+    for (; i + MR <= i1; i += MR) {
+        const double *ap = pa + i * k;
+        for (size_t j = j0; j < jv; j += 2 * W) {
+            __m512d acc0[MR], acc1[MR];
+            for (size_t r = 0; r < MR; ++r) {
+                acc0[r] = _mm512_loadu_pd(c + (i + r) * ldc + j);
+                acc1[r] = _mm512_loadu_pd(c + (i + r) * ldc + j + W);
+            }
+            for (size_t kk = 0; kk < k; ++kk) {
+                const double *av = ap + kk * MR;
+                const double *bp = b + kk * ldb + j;
+                const __m512d b0 = _mm512_loadu_pd(bp);
+                const __m512d b1 = _mm512_loadu_pd(bp + W);
+                for (size_t r = 0; r < MR; ++r) {
+                    const __m512d a = _mm512_set1_pd(av[r]);
+                    acc0[r] = _mm512_add_pd(acc0[r],
+                                            _mm512_mul_pd(a, b0));
+                    acc1[r] = _mm512_add_pd(acc1[r],
+                                            _mm512_mul_pd(a, b1));
+                }
+            }
+            for (size_t r = 0; r < MR; ++r) {
+                _mm512_storeu_pd(c + (i + r) * ldc + j, acc0[r]);
+                _mm512_storeu_pd(c + (i + r) * ldc + j + W, acc1[r]);
+            }
+        }
+    }
+    if (i < i1)
+        tilePackedScalar(k, pa, b, ldb, c, ldc, i, i1, j0, jv);
+    if (jv < j1)
+        tilePackedF64Avx2(k, pa, b, ldb, c, ldc, i0, i1, jv, j1);
+}
+
+template <bool Fma>
+__attribute__((target("avx512f"))) void
+tilePackedF32Avx512(size_t k, const float *pa, const float *b,
+                    size_t ldb, float *c, size_t ldc, size_t i0,
+                    size_t i1, size_t j0, size_t j1)
+{
+    constexpr size_t MR = pack::kRowPanel, W = 16;
+    const size_t jv = j0 + (j1 - j0) / (2 * W) * (2 * W);
+    size_t i = i0;
+    for (; i + MR <= i1; i += MR) {
+        const float *ap = pa + i * k;
+        for (size_t j = j0; j < jv; j += 2 * W) {
+            __m512 acc0[MR], acc1[MR];
+            for (size_t r = 0; r < MR; ++r) {
+                acc0[r] = _mm512_loadu_ps(c + (i + r) * ldc + j);
+                acc1[r] = _mm512_loadu_ps(c + (i + r) * ldc + j + W);
+            }
+            for (size_t kk = 0; kk < k; ++kk) {
+                const float *av = ap + kk * MR;
+                const float *bp = b + kk * ldb + j;
+                const __m512 b0 = _mm512_loadu_ps(bp);
+                const __m512 b1 = _mm512_loadu_ps(bp + W);
+                for (size_t r = 0; r < MR; ++r) {
+                    const __m512 a = _mm512_set1_ps(av[r]);
+                    if constexpr (Fma) {
+                        acc0[r] = _mm512_fmadd_ps(a, b0, acc0[r]);
+                        acc1[r] = _mm512_fmadd_ps(a, b1, acc1[r]);
+                    } else {
+                        acc0[r] = _mm512_add_ps(acc0[r],
+                                                _mm512_mul_ps(a, b0));
+                        acc1[r] = _mm512_add_ps(acc1[r],
+                                                _mm512_mul_ps(a, b1));
+                    }
+                }
+            }
+            for (size_t r = 0; r < MR; ++r) {
+                _mm512_storeu_ps(c + (i + r) * ldc + j, acc0[r]);
+                _mm512_storeu_ps(c + (i + r) * ldc + j + W, acc1[r]);
+            }
+        }
+    }
+    if (i < i1)
+        tilePackedScalar(k, pa, b, ldb, c, ldc, i, i1, j0, jv);
+    if (jv == j1)
+        return;
+    if constexpr (Fma)
+        tilePackedF32Avx2Fma(k, pa, b, ldb, c, ldc, i0, i1, jv, j1);
+    else
+        tilePackedF32Avx2(k, pa, b, ldb, c, ldc, i0, i1, jv, j1);
+}
+
 #endif // TIE_SIMD_X86
 
 #if TIE_SIMD_NEON
@@ -922,6 +1035,7 @@ gemmTileF32(Isa isa, size_t n, size_t k, const float *a, const float *b,
         tileScalar(n, k, a, b, c, i0, i1, j0, j1);
         return;
 #if TIE_SIMD_X86
+      case Isa::Avx512:
       case Isa::Avx2:
         tileF32Avx2(n, k, a, b, c, i0, i1, j0, j1);
         return;
@@ -951,6 +1065,7 @@ gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
         tileScalar(n, k, a, b, c, i0, i1, j0, j1);
         return;
 #if TIE_SIMD_X86
+      case Isa::Avx512:
       case Isa::Avx2:
         tileF64Avx2(n, k, a, b, c, i0, i1, j0, j1);
         return;
@@ -982,6 +1097,14 @@ gemmPackedF32(Isa isa, bool fast, size_t k, const float *pa,
         tilePackedScalar(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
         return;
 #if TIE_SIMD_X86
+      case Isa::Avx512:
+        if (fast)
+            tilePackedF32Avx512<true>(k, pa, b, ldb, c, ldc, i0, i1, j0,
+                                      j1);
+        else
+            tilePackedF32Avx512<false>(k, pa, b, ldb, c, ldc, i0, i1, j0,
+                                       j1);
+        return;
       case Isa::Avx2:
         // AVX2 does not strictly imply FMA3 (e.g. VIA Nano); guard the
         // fused kernel on the actual feature and fall back to exact.
@@ -1025,6 +1148,9 @@ gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
         tilePackedScalar(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
         return;
 #if TIE_SIMD_X86
+      case Isa::Avx512:
+        tilePackedF64Avx512(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
+        return;
       case Isa::Avx2:
         tilePackedF64Avx2(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
         return;
@@ -1211,6 +1337,7 @@ interleave4(Isa isa, const T *src, size_t lds, size_t len, T *dst)
       case Isa::Scalar:
         break;
 #if TIE_SIMD_X86
+      case Isa::Avx512:
       case Isa::Avx2:
         c = interleave4Avx2(src, lds, len, dst);
         break;

@@ -7,7 +7,13 @@
  * ISA enum and a set of kernel entry points that take the ISA as an
  * explicit argument; the process-wide path is resolved exactly once
  * (activeIsa) from cpuid-style feature detection, overridable with the
- * TIE_SIMD environment variable (scalar|sse|avx2|neon) for testing.
+ * TIE_SIMD environment variable (avx512|avx2|sse|neon|scalar) for
+ * testing. kIsas lists every path once, most preferred first; the
+ * resolver, the support mask, the tests and the benches all walk it.
+ *
+ * Avx512 (AVX-512F + AVX-512BW) runs 512-bit twins of the packed
+ * f32/f64 and fixed-point register tiles; every other kernel, and the
+ * column remainders of those three, run the AVX2 code under it.
  *
  * Determinism contract (see docs/performance.md):
  *  - Every kernel vectorizes across *output columns* only: each output
@@ -32,14 +38,22 @@
 namespace tie {
 namespace simd {
 
-/** Dispatchable instruction sets, ordered by preference (desc). */
+/**
+ * Dispatchable instruction sets. The values are stable: they are the
+ * exported simd.isa gauge.
+ */
 enum class Isa
 {
     Scalar = 0, ///< portable reference loops
     Sse42 = 1,  ///< x86 SSE4.2 (128-bit lanes)
     Avx2 = 2,   ///< x86 AVX2 (256-bit lanes)
     Neon = 3,   ///< AArch64 NEON (128-bit lanes)
+    Avx512 = 4, ///< x86 AVX-512F + AVX-512BW (512-bit lanes)
 };
+
+/** Every Isa, most preferred first: the order resolveIsa picks in. */
+inline constexpr Isa kIsas[] = {Isa::Avx512, Isa::Avx2, Isa::Sse42,
+                                Isa::Neon, Isa::Scalar};
 
 /** Stable lowercase name, matching the TIE_SIMD spelling. */
 const char *isaName(Isa isa);
@@ -53,11 +67,11 @@ unsigned supportedMask();
 /**
  * Resolve the dispatch path from a TIE_SIMD value and a support mask
  * (supportedMask() in production; tests pass synthetic masks). An
- * unset/empty value picks the best supported ISA (AVX2 > SSE4.2 >
- * NEON > scalar); a recognised value must be supported by the mask and
- * anything else is a fatal user error. Exposed separately from
- * activeIsa so tests can cover the parsing without forking processes
- * per ISA.
+ * unset/empty value picks the first supported ISA of kIsas (AVX-512 >
+ * AVX2 > SSE4.2 > NEON > scalar); a recognised value must be supported
+ * by the mask and anything else is a fatal user error. Exposed
+ * separately from activeIsa so tests can cover the parsing without
+ * forking processes per ISA.
  */
 Isa resolveIsa(const char *env_value, unsigned supported_mask);
 
@@ -69,10 +83,16 @@ Isa resolveIsa(const char *env_value, unsigned supported_mask);
  */
 Isa activeIsa();
 
-/** Float lanes per vector op: 8 (AVX2), 4 (SSE4.2/NEON), 1 (scalar). */
+/**
+ * Float lanes per vector op: 16 (AVX-512), 8 (AVX2), 4 (SSE4.2/NEON),
+ * 1 (scalar).
+ */
 size_t floatLanes(Isa isa);
 
-/** Double lanes per vector op: 4 (AVX2), 2 (SSE4.2/NEON), 1 (scalar). */
+/**
+ * Double lanes per vector op: 8 (AVX-512), 4 (AVX2), 2 (SSE4.2/NEON),
+ * 1 (scalar).
+ */
 size_t doubleLanes(Isa isa);
 
 /** int32 accumulator lanes of the fxp MAC chain (same as floatLanes). */
@@ -145,8 +165,9 @@ void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
  * scalar reference for every ISA and every panel split.
  *
  * @p fast true permits FMA in the f32 kernels on ISAs that have it
- * (AVX2+FMA, NEON); the f64 kernels ignore it. See FastMode for the
- * accuracy contract.
+ * (AVX2+FMA, AVX-512, NEON); the f64 kernels ignore it. Each lane
+ * fuses the same chain, so the fast AVX-512 and AVX2+FMA bits agree.
+ * See FastMode for the accuracy contract.
  */
 void gemmPackedF32(Isa isa, bool fast, size_t k, const float *pa,
                    const float *b, size_t ldb, float *c, size_t ldc,

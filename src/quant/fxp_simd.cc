@@ -222,6 +222,96 @@ rowsAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
     }
 }
 
+// GCC 12's avx512fintrin.h seeds the pass-through operand of the
+// unmasked _mm512_srav/max/min_epi32 with a self-initialised
+// _mm512_undefined_epi32(), which -W(maybe-)uninitialized reports after
+// inlining; no undefined lane is ever read. Clang neither raises it
+// nor knows -Wmaybe-uninitialized.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/** macAvx2 on 16 lanes. */
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline __m512i
+macAvx512(__m512i acc, __m512i prod_biased, __m512i pcnt, __m512i lo,
+          __m512i hi)
+{
+    acc = _mm512_add_epi32(acc, _mm512_srav_epi32(prod_biased, pcnt));
+    return _mm512_min_epi32(_mm512_max_epi32(acc, lo), hi);
+}
+
+/**
+ * rowsAvx2 with R x 32 tiles: R rows x 2 vectors of 16 int32 lanes
+ * (j1 - j0 >= 32). The unpacks and the pack work per 128-bit lane
+ * exactly as on AVX2, so the halves again land in column order.
+ */
+template <size_t R>
+__attribute__((target("avx512f,avx512bw"))) void
+rowsAvx512(size_t k, size_t ldx, size_t ldo, const int16_t *w,
+           const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
+           size_t j0, size_t j1)
+{
+    constexpr size_t W = 32;
+    int32_t pairs[kTileRows * kPairChunk];
+    const bool one_chunk = k <= kPairChunk;
+    if (one_chunk)
+        buildPairs<R>(k, w, i, 0, k, p.pbias, pairs);
+    const __m512i one = _mm512_set1_epi16(1);
+    const __m512i pcnt = _mm512_set1_epi32(p.pshift);
+    const __m512i acc_hi = _mm512_set1_epi32(p.acc_hi);
+    const __m512i acc_lo = _mm512_set1_epi32(p.acc_lo);
+    const __m512i rbias = _mm512_set1_epi32(p.rbias);
+    const __m512i rcnt = _mm512_set1_epi32(p.rshift);
+    const __m512i out_hi = _mm512_set1_epi32(p.out_hi);
+    const __m512i out_lo = _mm512_set1_epi32(p.out_lo);
+    for (size_t j = j0;; j += W) {
+        j = j + W <= j1 ? j : j1 - W;
+        __m512i acc[R][2];
+        for (size_t r = 0; r < R; ++r)
+            acc[r][0] = acc[r][1] = _mm512_setzero_si512();
+        for (size_t k0 = 0; k0 < k; k0 += kPairChunk) {
+            const size_t kc = std::min(kPairChunk, k - k0);
+            if (!one_chunk)
+                buildPairs<R>(k, w, i, k0, kc, p.pbias, pairs);
+            const int16_t *xk = x + k0 * ldx + j;
+            for (size_t kk = 0; kk < kc; ++kk, xk += ldx) {
+                const __m512i xv = _mm512_loadu_si512(xk);
+                const __m512i xlo = _mm512_unpacklo_epi16(xv, one);
+                const __m512i xhi = _mm512_unpackhi_epi16(xv, one);
+                for (size_t r = 0; r < R; ++r) {
+                    const __m512i wp =
+                        _mm512_set1_epi32(pairs[r * kPairChunk + kk]);
+                    acc[r][0] = macAvx512(acc[r][0],
+                                          _mm512_madd_epi16(xlo, wp),
+                                          pcnt, acc_lo, acc_hi);
+                    acc[r][1] = macAvx512(acc[r][1],
+                                          _mm512_madd_epi16(xhi, wp),
+                                          pcnt, acc_lo, acc_hi);
+                }
+            }
+        }
+        for (size_t r = 0; r < R; ++r) {
+            __m512i q[2];
+            for (size_t h = 0; h < 2; ++h) {
+                q[h] = _mm512_srav_epi32(
+                    _mm512_add_epi32(acc[r][h], rbias), rcnt);
+                q[h] = _mm512_min_epi32(_mm512_max_epi32(q[h], out_lo),
+                                        out_hi);
+            }
+            _mm512_storeu_si512(out + (i + r) * ldo + j,
+                                _mm512_packs_epi32(q[0], q[1]));
+        }
+        if (j + W == j1)
+            return;
+    }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 /** macAvx2 on 4 lanes; SSE4.2 has no per-lane shift, so pcnt is scalar. */
 __attribute__((target("sse4.2"), always_inline)) inline __m128i
 macSse(__m128i acc, __m128i prod_biased, __m128i pcnt, __m128i lo,
@@ -367,7 +457,10 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
          int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
 {
     // A window narrower than one tile (two vectors of int32 lanes) has
-    // no full tile to run, so it takes the scalar chain too.
+    // no full tile to run: under AVX-512 it takes the AVX2 tile, and
+    // below that the scalar chain.
+    if (isa == simd::Isa::Avx512 && j1 - j0 < 2 * simd::fxpLanes(isa))
+        isa = simd::Isa::Avx2;
     if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt) ||
         j1 - j0 < 2 * simd::fxpLanes(isa)) {
         scalarBlock(k, ldx, ldo, w, x, fmt, out, i0, i1, j0, j1);
@@ -376,6 +469,12 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
     const LaneParams p = laneParams(fmt);
     switch (isa) {
 #if TIE_SIMD_X86
+      case simd::Isa::Avx512:
+        forRowTiles(i0, i1, [&](size_t i, auto rows) {
+            rowsAvx512<decltype(rows)::value>(k, ldx, ldo, w, x, p, out,
+                                              i, j0, j1);
+        });
+        return;
       case simd::Isa::Avx2:
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
             rowsAvx2<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,

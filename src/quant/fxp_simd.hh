@@ -13,20 +13,23 @@
  * construction.
  *
  * Register tile: one kernel per ISA holds 4 rows x 2 vectors of int32
- * accumulators (4 x 16 columns on AVX2, 4 x 8 on SSE4.2 and NEON), so
- * each operand load feeds 4 rows, each weight broadcast feeds 2 column
- * vectors, and 8 independent chains hide the add -> max -> min latency
- * of the saturating accumulate. Row windows that are not a multiple of
- * 4 end with one 1-3 row tile; a column window that is not a multiple
- * of the tile width ends with a tile overlapping its predecessor (the
- * recomputed columns get the same bits); a window narrower than one
- * tile takes the scalar chain.
+ * accumulators (4 x 32 columns on AVX-512, 4 x 16 on AVX2, 4 x 8 on
+ * SSE4.2 and NEON), so each operand load feeds 4 rows, each weight
+ * broadcast feeds 2 column vectors, and 8 independent chains hide the
+ * add -> max -> min latency of the saturating accumulate. Row windows
+ * that are not a multiple of 4 end with one 1-3 row tile; a column
+ * window that is not a multiple of the tile width ends with a tile
+ * overlapping its predecessor (the recomputed columns get the same
+ * bits); a window narrower than one tile takes the AVX2 tile under
+ * AVX-512 (16-31 columns) and otherwise the scalar chain.
  *
  * Pair product: on x86, one madd_epi16 of the (x, 1) and
  * (w, 2^(shift-1)) 16-bit pairs yields the rounded product's
- * w * x + bias exactly, where the bias pairs of a 4-row tile come from
- * a weight-pair table on the stack (256 k steps at a time); NEON's
- * vmlal_n_s16 widens bias + w * x the same way.
+ * w * x + bias exactly, where the bias pairs of a 4-row tile come
+ * from a weight-pair table on the stack (256 k steps at a time); NEON's
+ * vmlal_n_s16 widens bias + w * x the same way. VNNI's vpdpwssd is
+ * not used: it adds two products before accumulating, while the chain
+ * saturates after every product.
  *
  * Eligibility (fxpSimdEligible): the bias must fit an int16
  * (product_shift <= 15), and the lane math runs in 32-bit registers,

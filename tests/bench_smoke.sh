@@ -81,7 +81,7 @@ assert counters["serve.batches"] > 0
 
 # Every report must record which SIMD path served the kernels.
 assert "simd.isa" in r["stats"]["gauges"], r["stats"]["gauges"]
-assert r["stats"]["gauges"]["simd.isa"] in (0, 1, 2, 3)
+assert r["stats"]["gauges"]["simd.isa"] in (0, 1, 2, 3, 4)
 
 dists = r["stats"]["distributions"]
 for name in ("serve.queue_wait_us", "serve.batch_size",

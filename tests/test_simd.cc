@@ -33,14 +33,14 @@ std::vector<Isa>
 supportedIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::Scalar, Isa::Sse42, Isa::Avx2, Isa::Neon}) {
+    for (Isa isa : simd::kIsas) {
         if (simd::isaSupported(isa))
             out.push_back(isa);
     }
     return out;
 }
 
-constexpr unsigned kAll = 0xf; // synthetic mask: everything supported
+constexpr unsigned kAll = 0x1f; // synthetic mask: everything supported
 constexpr unsigned
 bit(Isa isa)
 {
@@ -49,8 +49,9 @@ bit(Isa isa)
 
 TEST(SimdResolve, EmptyPicksBestSupported)
 {
-    EXPECT_EQ(simd::resolveIsa(nullptr, kAll), Isa::Avx2);
-    EXPECT_EQ(simd::resolveIsa("", kAll), Isa::Avx2);
+    EXPECT_EQ(simd::resolveIsa(nullptr, kAll), Isa::Avx512);
+    EXPECT_EQ(simd::resolveIsa("", kAll), Isa::Avx512);
+    EXPECT_EQ(simd::resolveIsa(nullptr, kAll & ~bit(Isa::Avx512)), Isa::Avx2);
     EXPECT_EQ(simd::resolveIsa(nullptr, bit(Isa::Scalar) | bit(Isa::Sse42)),
               Isa::Sse42);
     EXPECT_EQ(simd::resolveIsa(nullptr, bit(Isa::Scalar) | bit(Isa::Neon)),
@@ -64,6 +65,7 @@ TEST(SimdResolve, ExplicitNamesResolve)
     EXPECT_EQ(simd::resolveIsa("sse", kAll), Isa::Sse42);
     EXPECT_EQ(simd::resolveIsa("avx2", kAll), Isa::Avx2);
     EXPECT_EQ(simd::resolveIsa("neon", kAll), Isa::Neon);
+    EXPECT_EQ(simd::resolveIsa("avx512", kAll), Isa::Avx512);
     // scalar is always supported, even with a bare mask.
     EXPECT_EQ(simd::resolveIsa("scalar", bit(Isa::Scalar)), Isa::Scalar);
 }
@@ -74,16 +76,19 @@ TEST(SimdResolve, UnsupportedRequestIsFatal)
                 ::testing::ExitedWithCode(1), "not supported");
     EXPECT_EXIT(simd::resolveIsa("neon", bit(Isa::Scalar) | bit(Isa::Avx2)),
                 ::testing::ExitedWithCode(1), "not supported");
+    EXPECT_EXIT(
+        simd::resolveIsa("avx512", bit(Isa::Scalar) | bit(Isa::Avx2)),
+        ::testing::ExitedWithCode(1), "not supported");
 }
 
 TEST(SimdResolve, MalformedValueIsFatal)
 {
-    EXPECT_EXIT(simd::resolveIsa("avx512", kAll),
-                ::testing::ExitedWithCode(1),
-                "must be scalar, sse, avx2 or neon");
     EXPECT_EXIT(simd::resolveIsa("AVX2", kAll),
                 ::testing::ExitedWithCode(1),
-                "must be scalar, sse, avx2 or neon");
+                "must be avx512, avx2, sse, neon or scalar");
+    EXPECT_EXIT(simd::resolveIsa("AVX512", kAll),
+                ::testing::ExitedWithCode(1),
+                "must be avx512, avx2, sse, neon or scalar");
 }
 
 TEST(SimdResolve, ActiveIsaIsSupportedAndStable)
@@ -134,6 +139,9 @@ TEST(SimdResolve, MaskAndLanesAreConsistent)
     EXPECT_EQ(simd::doubleLanes(Isa::Avx2), 4u);
     EXPECT_EQ(simd::floatLanes(Isa::Sse42), 4u);
     EXPECT_EQ(simd::fxpLanes(Isa::Neon), 4u);
+    EXPECT_EQ(simd::floatLanes(Isa::Avx512), 16u);
+    EXPECT_EQ(simd::doubleLanes(Isa::Avx512), 8u);
+    EXPECT_EQ(simd::fxpLanes(Isa::Avx512), 16u);
     for (Isa isa : supportedIsas())
         EXPECT_STRNE(simd::isaName(isa), "");
 }
@@ -339,36 +347,55 @@ TEST(SimdPacked, F64BitIdenticalToScalarOnEveryIsa)
     checkPackedBitIdentity<double>();
 }
 
-TEST(SimdPacked, UnalignedWindowsAndPanelSplitsMatchScalar)
+template <typename T>
+void
+checkPackedWindows()
 {
     // Panel-aligned i0 with i1 ending mid-panel, plus column windows
-    // off every lane boundary; nothing outside the window may move.
-    Rng rng(0x9acd);
-    const size_t m = 11, k = 13, n = 37; // 2 full panels + 3-row tail
-    const auto a = randomBuf<float>(m * k, rng);
-    const auto b = randomBuf<float>(k * n, rng);
-    std::vector<float> pa(pack::packedAElems(m, k));
+    // one short of, at, one past and two tiles past the widest
+    // register tiles (16 doubles, 32 floats) from j0 = 0 and from
+    // j0 off every lane boundary; nothing outside the window may move.
+    Rng rng(0x9acd + sizeof(T));
+    const size_t m = 11, k = 13, n = 13 + 65; // 2 full panels + 3 rows
+    const auto a = randomBuf<T>(m * k, rng);
+    const auto b = randomBuf<T>(k * n, rng);
+    std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
     for (size_t i0 : {size_t(0), size_t(4), size_t(8)}) {
         for (size_t i1 : {i0 + 1, i0 + 3, m}) {
             for (size_t j0 : {size_t(0), size_t(1), size_t(13)}) {
-                const size_t j1 = n - 2;
-                std::vector<float> ref(m * n, -7.0f), c(m * n, -7.0f);
-                simd::gemmTileF32(Isa::Scalar, n, k, a.data(), b.data(),
-                                  ref.data(), i0, i1, j0, j1);
-                for (Isa isa : supportedIsas()) {
-                    std::fill(c.begin(), c.end(), -7.0f);
-                    packedGemm<float>(isa, false, k, pa.data(), b.data(),
+                for (size_t width : {15, 16, 17, 31, 32, 33, 65}) {
+                    const size_t j1 = j0 + width;
+                    std::vector<T> ref(m * n, T(-7)), c(m * n, T(-7));
+                    if constexpr (std::is_same_v<T, float>)
+                        simd::gemmTileF32(Isa::Scalar, n, k, a.data(),
+                                          b.data(), ref.data(), i0, i1,
+                                          j0, j1);
+                    else
+                        simd::gemmTileF64(Isa::Scalar, n, k, a.data(),
+                                          b.data(), ref.data(), i0, i1,
+                                          j0, j1);
+                    for (Isa isa : supportedIsas()) {
+                        std::fill(c.begin(), c.end(), T(-7));
+                        packedGemm<T>(isa, false, k, pa.data(), b.data(),
                                       n, c.data(), n, i0, i1, j0, j1);
-                    EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                                          c.size() * sizeof(float)),
-                              0)
-                        << simd::isaName(isa) << " i0=" << i0
-                        << " i1=" << i1 << " j0=" << j0;
+                        EXPECT_EQ(std::memcmp(c.data(), ref.data(),
+                                              c.size() * sizeof(T)),
+                                  0)
+                            << simd::isaName(isa) << " " << sizeof(T)
+                            << "-byte i0=" << i0 << " i1=" << i1
+                            << " j0=" << j0 << " width=" << width;
+                    }
                 }
             }
         }
     }
+}
+
+TEST(SimdPacked, UnalignedWindowsAndPanelSplitsMatchScalar)
+{
+    checkPackedWindows<float>();
+    checkPackedWindows<double>();
 }
 
 template <typename T>
@@ -485,6 +512,7 @@ TEST(SimdPacked, FastModeF32WithinDocumentedBound)
     const double gamma = k * eps / (1.0 - k * eps);
     std::vector<float> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
+    std::vector<float> fast_bits[std::size(simd::kIsas)];
     for (Isa isa : supportedIsas()) {
         for (bool fast : {false, true}) {
             std::vector<float> c(m * n, 0.0f);
@@ -497,7 +525,16 @@ TEST(SimdPacked, FastModeF32WithinDocumentedBound)
                     << simd::isaName(isa) << " fast=" << fast
                     << " elem " << e;
             }
+            if (fast)
+                fast_bits[static_cast<size_t>(isa)] = c;
         }
+    }
+    // Every lane fuses the same chain, so the 512- and 256-bit fused
+    // kernels agree bit for bit.
+    const auto &avx2 = fast_bits[static_cast<size_t>(Isa::Avx2)];
+    const auto &avx512 = fast_bits[static_cast<size_t>(Isa::Avx512)];
+    if (!avx512.empty()) {
+        EXPECT_EQ(avx512, avx2);
     }
 }
 
@@ -616,7 +653,8 @@ TEST(SimdFxp, SaturatingFormatsBitIdenticalOnEveryIsa)
  * Every tile remainder of the register-blocked kernels against
  * Isa::Scalar: row windows of 1-9 rows (every height mod 4, starting
  * at row 0 and row 1), column windows one short of, at and one past
- * multiples of 8 and 16 starting at j0 in {0, 1, 7} with ldx != ldo,
+ * multiples of 8, 16 and 32 starting at j0 in {0, 1, 7} with
+ * ldx != ldo,
  * and k in {1, 16, 300} (300 outgrows one weight-pair table). Output
  * outside the window must keep its sentinel.
  */
@@ -624,8 +662,9 @@ void
 sweepFxpTiles(const MacFormat &fmt, uint64_t seed)
 {
     Rng rng(seed);
-    const size_t widths[] = {7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49};
-    const size_t max_cols = 7 + 49, max_rows = 1 + 9;
+    const size_t widths[] = {7,  8,  9,  15, 16, 17, 31, 32,
+                             33, 47, 48, 49, 63, 64, 65};
+    const size_t max_cols = 7 + 65, max_rows = 1 + 9;
     const size_t ldx = max_cols + 3, ldo = max_cols + 5;
     for (size_t k : {size_t(1), size_t(16), size_t(300)}) {
         const auto w = randomI16(max_rows * k, rng);
