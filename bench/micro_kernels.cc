@@ -384,35 +384,19 @@ BENCHMARK(BM_WireInferRoundTrip)->Arg(4096);
 // Per-ISA kernel sweeps: the explicit-Isa entry points of the SIMD
 // layer on a short/wide TT-stage shape, one registration per ISA the
 // host supports (registered from main; BENCHMARK() can't enumerate the
-// host's ISAs statically). Compare e.g. BM_GemmF32_Isa/scalar against
-// .../avx2 — the outputs are bit-identical across the sweep, only the
+// host's ISAs statically). Compare e.g. BM_GemmF32_Packed/scalar
+// against .../avx2 — the outputs are bit-identical across the sweep, only the
 // wall-clock differs.
 // ---------------------------------------------------------------------
 
 constexpr size_t kIsaM = 64, kIsaK = 64, kIsaN = 4096;
 
 void
-BM_GemmF32_Isa(benchmark::State &state, simd::Isa isa)
-{
-    Rng rng(11);
-    MatrixF a(kIsaM, kIsaK), b(kIsaK, kIsaN), c(kIsaM, kIsaN);
-    a.setUniform(rng, -1, 1);
-    b.setUniform(rng, -1, 1);
-    for (auto _ : state) {
-        c.fill(0.0f);
-        simd::gemmTileF32(isa, kIsaN, kIsaK, a.data(), b.data(),
-                          c.data(), 0, kIsaM, 0, kIsaN);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * kIsaM * kIsaK * kIsaN);
-}
-
-void
 BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 {
-    // Same operands as BM_GemmF32_Isa, consumed through the packed
-    // register-blocked microkernel (pack cost excluded — sessions pack
-    // once at warm-up). fast=true additionally permits FMA.
+    // A short/wide TT-stage shape through the packed register-blocked
+    // microkernel (pack cost excluded — sessions pack once at
+    // warm-up). fast=true additionally permits FMA.
     Rng rng(11);
     MatrixF a(kIsaM, kIsaK), b(kIsaK, kIsaN), c(kIsaM, kIsaN);
     a.setUniform(rng, -1, 1);
@@ -508,9 +492,6 @@ registerIsaSweeps()
         if (!simd::isaSupported(isa))
             continue;
         const std::string name = simd::isaName(isa);
-        benchmark::RegisterBenchmark(
-            ("BM_GemmF32_Isa/" + name).c_str(),
-            [isa](benchmark::State &s) { BM_GemmF32_Isa(s, isa); });
         benchmark::RegisterBenchmark(
             ("BM_GemmF32_Packed/" + name).c_str(),
             [isa](benchmark::State &s) {

@@ -1,8 +1,10 @@
 /**
  * @file
- * Blocked, multithreaded GEMM/GEMV kernels on raw row-major buffers.
- * matmul / matVec (linalg) and fxpMatmul (quant) dispatch here, so
- * every GEMM-shaped stage in the library shares one execution layer.
+ * Blocked, multithreaded GEMM/GEMV drivers on raw row-major buffers.
+ * matmul (linalg) packs A and runs gemmPackedBlocked, matVec runs
+ * gemvBlocked, the session stages run gemmPackedStaged / stagedPanels
+ * and fxpMatmul (quant) splits on the same block constants, so every
+ * GEMM-shaped stage in the library shares one execution layer.
  *
  * Determinism: work is partitioned over *output* rows or columns, so
  * each output element is produced by exactly one chunk and its k-loop
@@ -16,10 +18,10 @@
  * the dense kernel on a column panel into a staging tile, then store
  * the tile straight into the next stage's operand layout.
  *
- * Float and double tiles dispatch to the SIMD kernel layer
- * (linalg/simd.hh): lanes run across output columns only, so the SIMD
- * paths are bit-identical to the scalar reference for every ISA and
- * the determinism guarantee above is ISA-independent.
+ * Float and double tiles dispatch to the one packed kernel family of
+ * the SIMD layer (linalg/simd.hh): lanes run across output columns
+ * only, so the SIMD paths are bit-identical to the scalar reference
+ * for every ISA and the determinism guarantee above is ISA-independent.
  */
 
 #ifndef TIE_LINALG_GEMM_HH
@@ -47,7 +49,7 @@ struct KernelStats
     obs::Counter &gemv_madds;
     obs::Distribution &gemm_us;
     obs::Gauge &simd_isa; ///< active dispatch path (simd::Isa ordinal)
-    obs::Counter &packed_panels; ///< operand panels packed (A + B)
+    obs::Counter &packed_panels; ///< A operand panels packed
     obs::Counter &pack_bytes;    ///< bytes written into packed panels
 
     static KernelStats &
@@ -66,7 +68,8 @@ struct KernelStats
                 "gemm.call_us", "wall-clock microseconds per GEMM"),
             obs::StatRegistry::instance().gauge(
                 "simd.isa",
-                "active SIMD path (0=scalar 1=sse 2=avx2 3=neon)"),
+                "active SIMD path (0=scalar 1=sse 2=avx2 3=neon "
+                "4=avx512)"),
             obs::StatRegistry::instance().counter(
                 "gemm.packed_panels",
                 "operand panels packed for the microkernel"),
@@ -88,90 +91,10 @@ inline constexpr size_t kDepthBlock = 128;
 inline constexpr size_t kParallelMinWork = size_t(1) << 15;
 
 /**
- * Vector lane count of the active float GEMM path (1 when the
- * dispatcher resolved to scalar); tests pin expectations against it.
- */
-inline size_t
-simdWidth()
-{
-    return simd::floatLanes(simd::activeIsa());
-}
-
-/**
- * C[i0:i1, j0:j1) += A[i0:i1, :] * B[:, j0:j1) with A (m x k), B
- * (k x n), C (m x n) row-major. The k loop is tiled but still ascends
- * monotonically per output element, matching the naive i-k-j loop
- * bit-for-bit. float/double tiles run the SIMD kernel layer
- * (linalg/simd.hh), which preserves exactly that per-element chain.
- */
-template <typename T>
-inline void
-gemmTile(size_t n, size_t k, const T *a, const T *b, T *c, size_t i0,
-         size_t i1, size_t j0, size_t j1)
-{
-    if constexpr (std::is_same_v<T, float>) {
-        simd::gemmTileF32(simd::activeIsa(), n, k, a, b, c, i0, i1, j0,
-                          j1);
-    } else if constexpr (std::is_same_v<T, double>) {
-        simd::gemmTileF64(simd::activeIsa(), n, k, a, b, c, i0, i1, j0,
-                          j1);
-    } else {
-        for (size_t k0 = 0; k0 < k; k0 += kDepthBlock) {
-            const size_t k1 = std::min(k, k0 + kDepthBlock);
-            for (size_t i = i0; i < i1; ++i) {
-                const T *arow = a + i * k;
-                T *crow = c + i * n;
-                for (size_t kk = k0; kk < k1; ++kk) {
-                    const T aik = arow[kk];
-                    const T *brow = b + kk * n;
-                    for (size_t j = j0; j < j1; ++j)
-                        crow[j] += aik * brow[j];
-                }
-            }
-        }
-    }
-}
-
-/**
- * C = A * B (C must be zero-initialised; m x n row-major), parallelised
- * over blocks of the larger output axis.
- */
-template <typename T>
-void
-gemmBlocked(size_t m, size_t n, size_t k, const T *a, const T *b, T *c)
-{
-    if (m == 0 || n == 0 || k == 0)
-        return;
-    if (obs::enabled()) {
-        KernelStats &ks = KernelStats::get();
-        ks.gemm_calls.add();
-        ks.gemm_madds.add(m * n * k);
-        ks.simd_isa.set(static_cast<int64_t>(simd::activeIsa()));
-    }
-    obs::ScopedTimer timer(KernelStats::get().gemm_us);
-    obs::HostSpan span("gemm");
-    if (m * n * k < kParallelMinWork) {
-        gemmTile(n, k, a, b, c, 0, m, 0, n);
-        return;
-    }
-    if (m >= n) {
-        parallelFor(0, m, kRowBlock, [&](size_t i0, size_t i1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTile(n, k, a, b, c, i0, i1, 0, n);
-        });
-    } else {
-        parallelFor(0, n, kColBlock, [&](size_t j0, size_t j1) {
-            obs::HostSpan tile("gemm.tile");
-            gemmTile(n, k, a, b, c, 0, m, j0, j1);
-        });
-    }
-}
-
-/**
  * Inner tile over a packed A operand (linalg/pack.hh), dispatching to
  * the register-blocked microkernel. @p fast only affects float (see
- * simd::FastMode); with fast false the result is bit-identical to
- * gemmTile on the same operands for every ISA.
+ * simd::FastMode); with fast false the result is bit-identical to the
+ * naive ascending-k i-k-j loop on the same operands for every ISA.
  */
 template <typename T>
 inline void
@@ -192,9 +115,10 @@ gemmPackedTile(size_t k, const T *pa, const T *b, size_t ldb, T *c,
 
 /**
  * C = packedA * B (C zero-initialised m x n row-major, B k x n
- * row-major, pa packed by pack::packA), parallelised like gemmBlocked.
- * kRowBlock is a multiple of pack::kRowPanel, so row chunks always
- * start on a panel boundary as the microkernel requires.
+ * row-major, pa packed by pack::packA), parallelised over blocks of
+ * the larger output axis. kRowBlock is a multiple of pack::kRowPanel,
+ * so row chunks always start on a panel boundary as the microkernel
+ * requires.
  */
 template <typename T>
 void

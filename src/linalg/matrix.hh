@@ -13,11 +13,13 @@
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "linalg/gemm.hh"
+#include "linalg/pack.hh"
 
 namespace tie {
 
@@ -152,20 +154,31 @@ using MatrixF = Matrix<float>;
 using MatrixD = Matrix<double>;
 
 /**
- * c = a * b via the blocked multithreaded kernel (gemm.hh). Every term
- * is executed — no data-dependent zero skipping — so wall-clock and any
- * FLOP accounting derived from shapes (rows * cols * cols) describe the
+ * c = a * b on the packed microkernel: A is packed per call
+ * (pack::packA) and gemm::gemmPackedBlocked runs the exact chain
+ * (fast = false), so c is bit-identical to the naive ascending-k
+ * i-k-j loop for every ISA and thread count. Every term is executed —
+ * no data-dependent zero skipping — so wall-clock and any FLOP
+ * accounting derived from shapes (rows * cols * cols) describe the
  * work actually done.
  */
 template <typename T>
 Matrix<T>
 matmul(const Matrix<T> &a, const Matrix<T> &b)
 {
+    static_assert(std::is_same_v<T, float> ||
+                      std::is_same_v<T, double>,
+                  "matmul runs the packed float/double kernels");
     TIE_CHECK_ARG(a.cols() == b.rows(), "matmul shape mismatch: ",
                   a.rows(), "x", a.cols(), " * ", b.rows(), "x", b.cols());
     Matrix<T> c(a.rows(), b.cols());
-    gemm::gemmBlocked(a.rows(), b.cols(), a.cols(), a.data(), b.data(),
-                      c.data());
+    if (a.size() == 0 || b.size() == 0)
+        return c;
+    pack::AlignedBuf<T> pa;
+    pa.resize(pack::packedAElems(a.rows(), a.cols()));
+    pack::packA(a.rows(), a.cols(), a.data(), pa.data());
+    gemm::gemmPackedBlocked(a.rows(), b.cols(), a.cols(), pa.data(),
+                            b.data(), c.data(), false);
     return c;
 }
 

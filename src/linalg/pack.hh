@@ -21,10 +21,13 @@
  * tt/stage_program.hh), so the microkernel always reads a dense B in
  * place — see docs/performance.md.
  *
+ * matmul (linalg/matrix.hh) packs A into a per-call AlignedBuf, so
+ * the packed microkernel is the only float GEMM kernel family.
+ *
  * Packing only moves bytes; every arithmetic chain still runs in the
  * microkernel in the same ascending-k order with separate multiply and
  * add (unless TIE_FAST — linalg/simd.hh), so packed results are
- * bit-identical to the unpacked kernels.
+ * bit-identical to the naive row-major i-k-j loop.
  */
 
 #ifndef TIE_LINALG_PACK_HH
@@ -115,8 +118,10 @@ class AlignedBuf
 /**
  * Pack the m x k row-major @p a into @p pa (packedAElems(m, k)
  * elements, layout above). The zero fill of the last partial panel is
- * part of the contract: the microkernel multiplies those lanes and
- * discards the rows, so they must not hold garbage (NaN * 0 != 0).
+ * part of the contract: the kernels run a partial panel's rows on the
+ * scalar chain today, but every panel stays fully defined so a
+ * full-panel kernel may multiply the padded lanes and discard the rows
+ * (garbage there could be NaN, and NaN * 0 != 0).
  */
 template <typename T>
 void

@@ -135,23 +135,6 @@ floatLanes(Isa isa)
 }
 
 size_t
-doubleLanes(Isa isa)
-{
-    switch (isa) {
-      case Isa::Avx512:
-        return 8;
-      case Isa::Avx2:
-        return 4;
-      case Isa::Sse42:
-      case Isa::Neon:
-        return 2;
-      case Isa::Scalar:
-        return 1;
-    }
-    return 1;
-}
-
-size_t
 fxpLanes(Isa isa)
 {
     return floatLanes(isa);
@@ -179,54 +162,10 @@ resolveFastMode(FastMode requested)
 namespace {
 
 /**
- * Scalar reference tiles — byte-for-byte the loops gemm::gemmBlocked
- * ran before the SIMD layer existed (k-panel, then rows, then the
- * ascending k / ascending j inner loops). Every vector kernel below
- * must produce identical bits.
- */
-template <typename T>
-void
-tileScalar(size_t n, size_t k, const T *a, const T *b, T *c, size_t i0,
-           size_t i1, size_t j0, size_t j1)
-{
-    for (size_t k0 = 0; k0 < k; k0 += gemm::kDepthBlock) {
-        const size_t k1 = std::min(k, k0 + gemm::kDepthBlock);
-        for (size_t i = i0; i < i1; ++i) {
-            const T *arow = a + i * k;
-            T *crow = c + i * n;
-            for (size_t kk = k0; kk < k1; ++kk) {
-                const T aik = arow[kk];
-                const T *brow = b + kk * n;
-                for (size_t j = j0; j < j1; ++j)
-                    crow[j] += aik * brow[j];
-            }
-        }
-    }
-}
-
-/**
- * Scalar tail shared by every vector kernel: finishes columns
- * [j, j1) of row i with the same ascending-k chain the vector lanes
- * run, keeping the partial sum in a register like the lanes do.
- */
-template <typename T>
-inline void
-rowTail(size_t n, size_t k, const T *arow, const T *b, T *crow,
-        size_t j, size_t j1)
-{
-    for (; j < j1; ++j) {
-        T cj = crow[j];
-        for (size_t kk = 0; kk < k; ++kk)
-            cj += arow[kk] * b[kk * n + j];
-        crow[j] = cj;
-    }
-}
-
-/**
  * Scalar reference over a packed A operand (linalg/pack.hh layout):
- * every output element runs the exact ascending-k separate-mul/add
- * chain of tileScalar, reading A through the panel interleave instead
- * of row-major. Handles any row range, including mid-panel starts and
+ * every output element runs the naive i-k-j loop's chain (ascending
+ * k, separate multiply and add), reading A through the panel
+ * interleave instead of row-major. Handles any row range, including mid-panel starts and
  * the zero-padded tail panel (whose padded rows are simply skipped).
  */
 template <typename T>
@@ -276,156 +215,12 @@ packedColTail(size_t k, const T *ap, const T *b, size_t ldb, T *c,
 
 #if TIE_SIMD_X86
 
-__attribute__((target("avx2"))) void
-tileF32Avx2(size_t n, size_t k, const float *a, const float *b,
-            float *c, size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 8;
-    for (size_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            __m256 c0 = _mm256_loadu_ps(crow + j);
-            __m256 c1 = _mm256_loadu_ps(crow + j + W);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m256 av = _mm256_set1_ps(arow[kk]);
-                const float *brow = b + kk * n + j;
-                c0 = _mm256_add_ps(
-                    c0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-                c1 = _mm256_add_ps(
-                    c1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + W)));
-            }
-            _mm256_storeu_ps(crow + j, c0);
-            _mm256_storeu_ps(crow + j + W, c1);
-        }
-        for (; j + W <= j1; j += W) {
-            __m256 c0 = _mm256_loadu_ps(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m256 av = _mm256_set1_ps(arow[kk]);
-                c0 = _mm256_add_ps(
-                    c0,
-                    _mm256_mul_ps(av, _mm256_loadu_ps(b + kk * n + j)));
-            }
-            _mm256_storeu_ps(crow + j, c0);
-        }
-        rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
-__attribute__((target("avx2"))) void
-tileF64Avx2(size_t n, size_t k, const double *a, const double *b,
-            double *c, size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    for (size_t i = i0; i < i1; ++i) {
-        const double *arow = a + i * k;
-        double *crow = c + i * n;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            __m256d c0 = _mm256_loadu_pd(crow + j);
-            __m256d c1 = _mm256_loadu_pd(crow + j + W);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m256d av = _mm256_set1_pd(arow[kk]);
-                const double *brow = b + kk * n + j;
-                c0 = _mm256_add_pd(
-                    c0, _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
-                c1 = _mm256_add_pd(
-                    c1, _mm256_mul_pd(av, _mm256_loadu_pd(brow + W)));
-            }
-            _mm256_storeu_pd(crow + j, c0);
-            _mm256_storeu_pd(crow + j + W, c1);
-        }
-        for (; j + W <= j1; j += W) {
-            __m256d c0 = _mm256_loadu_pd(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m256d av = _mm256_set1_pd(arow[kk]);
-                c0 = _mm256_add_pd(
-                    c0,
-                    _mm256_mul_pd(av, _mm256_loadu_pd(b + kk * n + j)));
-            }
-            _mm256_storeu_pd(crow + j, c0);
-        }
-        rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
-__attribute__((target("sse4.2"))) void
-tileF32Sse(size_t n, size_t k, const float *a, const float *b, float *c,
-           size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    for (size_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            __m128 c0 = _mm_loadu_ps(crow + j);
-            __m128 c1 = _mm_loadu_ps(crow + j + W);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m128 av = _mm_set1_ps(arow[kk]);
-                const float *brow = b + kk * n + j;
-                c0 = _mm_add_ps(c0, _mm_mul_ps(av, _mm_loadu_ps(brow)));
-                c1 = _mm_add_ps(c1,
-                                _mm_mul_ps(av, _mm_loadu_ps(brow + W)));
-            }
-            _mm_storeu_ps(crow + j, c0);
-            _mm_storeu_ps(crow + j + W, c1);
-        }
-        for (; j + W <= j1; j += W) {
-            __m128 c0 = _mm_loadu_ps(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m128 av = _mm_set1_ps(arow[kk]);
-                c0 = _mm_add_ps(
-                    c0, _mm_mul_ps(av, _mm_loadu_ps(b + kk * n + j)));
-            }
-            _mm_storeu_ps(crow + j, c0);
-        }
-        rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
-__attribute__((target("sse4.2"))) void
-tileF64Sse(size_t n, size_t k, const double *a, const double *b,
-           double *c, size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 2;
-    for (size_t i = i0; i < i1; ++i) {
-        const double *arow = a + i * k;
-        double *crow = c + i * n;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            __m128d c0 = _mm_loadu_pd(crow + j);
-            __m128d c1 = _mm_loadu_pd(crow + j + W);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m128d av = _mm_set1_pd(arow[kk]);
-                const double *brow = b + kk * n + j;
-                c0 = _mm_add_pd(c0, _mm_mul_pd(av, _mm_loadu_pd(brow)));
-                c1 = _mm_add_pd(c1,
-                                _mm_mul_pd(av, _mm_loadu_pd(brow + W)));
-            }
-            _mm_storeu_pd(crow + j, c0);
-            _mm_storeu_pd(crow + j + W, c1);
-        }
-        for (; j + W <= j1; j += W) {
-            __m128d c0 = _mm_loadu_pd(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const __m128d av = _mm_set1_pd(arow[kk]);
-                c0 = _mm_add_pd(
-                    c0, _mm_mul_pd(av, _mm_loadu_pd(b + kk * n + j)));
-            }
-            _mm_storeu_pd(crow + j, c0);
-        }
-        rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
 /**
  * Packed x86 microkernels: a kRowPanel x (2 vectors) accumulator block
  * held in registers, k innermost. Per k step: kRowPanel broadcasts
  * from the packed panel and 2 B vector loads feed 2 * kRowPanel
  * multiply-adds, so B is streamed kRowPanel times less often than by
- * the one-row tileF32* kernels. Separate mul + add keeps every
+ * a one-row kernel. Separate mul + add keeps every
  * element's chain bit-identical to tilePackedScalar; the *Fma variants
  * (TIE_FAST=1 only) contract them into fused multiply-adds.
  */
@@ -804,62 +599,6 @@ tilePackedF32Avx512(size_t k, const float *pa, const float *b,
 
 #if TIE_SIMD_NEON
 
-void
-tileF32Neon(size_t n, size_t k, const float *a, const float *b,
-            float *c, size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 4;
-    for (size_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            float32x4_t c0 = vld1q_f32(crow + j);
-            float32x4_t c1 = vld1q_f32(crow + j + W);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const float32x4_t av = vdupq_n_f32(arow[kk]);
-                const float *brow = b + kk * n + j;
-                c0 = vaddq_f32(c0, vmulq_f32(av, vld1q_f32(brow)));
-                c1 = vaddq_f32(c1, vmulq_f32(av, vld1q_f32(brow + W)));
-            }
-            vst1q_f32(crow + j, c0);
-            vst1q_f32(crow + j + W, c1);
-        }
-        for (; j + W <= j1; j += W) {
-            float32x4_t c0 = vld1q_f32(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const float32x4_t av = vdupq_n_f32(arow[kk]);
-                c0 = vaddq_f32(c0,
-                               vmulq_f32(av, vld1q_f32(b + kk * n + j)));
-            }
-            vst1q_f32(crow + j, c0);
-        }
-        rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
-void
-tileF64Neon(size_t n, size_t k, const double *a, const double *b,
-            double *c, size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t W = 2;
-    for (size_t i = i0; i < i1; ++i) {
-        const double *arow = a + i * k;
-        double *crow = c + i * n;
-        size_t j = j0;
-        for (; j + W <= j1; j += W) {
-            float64x2_t c0 = vld1q_f64(crow + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const float64x2_t av = vdupq_n_f64(arow[kk]);
-                c0 = vaddq_f64(c0,
-                               vmulq_f64(av, vld1q_f64(b + kk * n + j)));
-            }
-            vst1q_f64(crow + j, c0);
-        }
-        rowTail(n, k, arow, b, crow, j, j1);
-    }
-}
-
 /**
  * Packed NEON microkernels — same register blocking as the x86 ones
  * (kRowPanel x 2 vectors). The Fast variant fuses via vfmaq_f32.
@@ -1025,65 +764,6 @@ tilePackedF64Neon(size_t k, const double *pa, const double *b,
 #endif // TIE_SIMD_NEON
 
 } // namespace
-
-void
-gemmTileF32(Isa isa, size_t n, size_t k, const float *a, const float *b,
-            float *c, size_t i0, size_t i1, size_t j0, size_t j1)
-{
-    switch (isa) {
-      case Isa::Scalar:
-        tileScalar(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-#if TIE_SIMD_X86
-      case Isa::Avx512:
-      case Isa::Avx2:
-        tileF32Avx2(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-      case Isa::Sse42:
-        tileF32Sse(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-#endif
-#if TIE_SIMD_NEON
-      case Isa::Neon:
-        tileF32Neon(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-#endif
-      default:
-        break;
-    }
-    TIE_PANIC("gemmTileF32 dispatched to ", isaName(isa),
-              ", which this build cannot execute");
-}
-
-void
-gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
-            const double *b, double *c, size_t i0, size_t i1, size_t j0,
-            size_t j1)
-{
-    switch (isa) {
-      case Isa::Scalar:
-        tileScalar(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-#if TIE_SIMD_X86
-      case Isa::Avx512:
-      case Isa::Avx2:
-        tileF64Avx2(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-      case Isa::Sse42:
-        tileF64Sse(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-#endif
-#if TIE_SIMD_NEON
-      case Isa::Neon:
-        tileF64Neon(n, k, a, b, c, i0, i1, j0, j1);
-        return;
-#endif
-      default:
-        break;
-    }
-    TIE_PANIC("gemmTileF64 dispatched to ", isaName(isa),
-              ", which this build cannot execute");
-}
 
 void
 gemmPackedF32(Isa isa, bool fast, size_t k, const float *pa,

@@ -12,8 +12,8 @@
  * resolver, the support mask, the tests and the benches all walk it.
  *
  * Avx512 (AVX-512F + AVX-512BW) runs 512-bit twins of the packed
- * f32/f64 and fixed-point register tiles; every other kernel, and the
- * column remainders of those three, run the AVX2 code under it.
+ * f32/f64 and fixed-point register tiles; their column remainders and
+ * interleave4 run the AVX2 code under it.
  *
  * Determinism contract (see docs/performance.md):
  *  - Every kernel vectorizes across *output columns* only: each output
@@ -89,12 +89,6 @@ Isa activeIsa();
  */
 size_t floatLanes(Isa isa);
 
-/**
- * Double lanes per vector op: 8 (AVX-512), 4 (AVX2), 2 (SSE4.2/NEON),
- * 1 (scalar).
- */
-size_t doubleLanes(Isa isa);
-
 /** int32 accumulator lanes of the fxp MAC chain (same as floatLanes). */
 size_t fxpLanes(Isa isa);
 
@@ -131,20 +125,6 @@ FastMode resolveFastMode(const char *env_value);
 FastMode resolveFastMode(FastMode requested);
 
 /**
- * C[i0:i1, j0:j1) += A[i0:i1, :] * B[:, j0:j1) with A (m x k), B
- * (k x n), C (m x n) row-major — the inner tile of gemm::gemmBlocked.
- * Remainder columns (j1 - j0 not a lane multiple) run the scalar tail
- * of the same chain; results are bit-identical to Isa::Scalar for
- * every isa.
- */
-void gemmTileF32(Isa isa, size_t n, size_t k, const float *a,
-                 const float *b, float *c, size_t i0, size_t i1,
-                 size_t j0, size_t j1);
-void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
-                 const double *b, double *c, size_t i0, size_t i1,
-                 size_t j0, size_t j1);
-
-/**
  * Register-blocked microkernel over a packed A operand (linalg/pack.hh
  * layout: pack::kRowPanel-row panels, column-major within the panel):
  *
@@ -157,12 +137,14 @@ void gemmTileF64(Isa isa, size_t n, size_t k, const double *a,
  * rows past it run the scalar chain, and the zero-padded panel tail
  * is never written).
  *
+ * This is the one float GEMM kernel family: every float/double
+ * product in the library (matmul, TT stages, calibration) runs it.
  * The kernel holds a pack::kRowPanel x (2 vectors) accumulator block
- * in registers, so B is streamed kRowPanel times less often than by
- * gemmTileF32 — the packing win. Each output element still runs its
- * full ascending-k chain with separate multiply and add, so with
- * @p fast false results are bit-identical to gemmTileF32/F64 and the
- * scalar reference for every ISA and every panel split.
+ * in registers, so B is streamed kRowPanel times less often than by a
+ * one-row kernel — the packing win. Each output element still runs
+ * its full ascending-k chain with separate multiply and add, so with
+ * @p fast false results are bit-identical to the naive row-major
+ * i-k-j loop and to Isa::Scalar for every ISA and every panel split.
  *
  * @p fast true permits FMA in the f32 kernels on ISAs that have it
  * (AVX2+FMA, AVX-512, NEON); the f64 kernels ignore it. Each lane

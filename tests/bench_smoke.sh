@@ -36,7 +36,6 @@ names = {b["name"] for b in r["benchmarks"]}
 for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_TtInferFxp_PerCall/1", "BM_TtInferFxp_Session/1",
              # the per-ISA SIMD sweeps always include the scalar path
-             "BM_GemmF32_Isa/scalar",
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_StageStoreF32_Packed/scalar",
              "BM_FxpMatmul_Isa/scalar", "BM_FxpMatmul_Stage/scalar",

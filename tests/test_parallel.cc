@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -179,31 +180,65 @@ TEST(ParallelFor, PropagatesBodyException)
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
 }
 
-TEST(ParallelKernels, MatmulBitIdenticalAcrossThreadCounts)
+/**
+ * The semantic reference of matmul: the naive i-k-j loop, k ascending
+ * per output element, separate multiply and add (the build compiles
+ * with -ffp-contract=off).
+ */
+template <typename T>
+Matrix<T>
+naiveMatmul(const Matrix<T> &a, const Matrix<T> &b)
+{
+    Matrix<T> c(a.rows(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t kk = 0; kk < a.cols(); ++kk)
+            for (size_t j = 0; j < b.cols(); ++j)
+                c(i, j) += a(i, kk) * b(kk, j);
+    return c;
+}
+
+template <typename T>
+bool
+sameBits(const Matrix<T> &x, const Matrix<T> &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           (x.size() == 0 ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+template <typename T>
+void
+checkMatmulAcrossThreadCounts()
 {
     ThreadCountGuard guard;
     Rng rng(11);
 
     // Shapes exercise both partition axes (tall, wide, square) plus
-    // empty and 1xN edge cases.
+    // empty, k = 0 and 1xN edge cases.
     const std::vector<std::pair<size_t, size_t>> shapes = {
-        {0, 0}, {1, 1}, {1, 64}, {64, 1}, {5, 200}, {200, 5}, {48, 48}};
+        {0, 0},  {1, 1},   {1, 64},  {64, 1},
+        {5, 200}, {200, 5}, {48, 48}, {37, 600}};
     for (auto [m, n] : shapes) {
-        const size_t k = (m + n) % 37 + 1;
-        MatrixD a(m, k), b(k, n);
-        a.setNormal(rng);
-        b.setNormal(rng);
+        for (size_t k : {(m + n) % 37 + 1, size_t(0)}) {
+            Matrix<T> a(m, k), b(k, n);
+            a.setNormal(rng);
+            b.setNormal(rng);
 
-        setThreadCount(1);
-        MatrixD ref = matmul(a, b);
-        for (size_t nthreads : {size_t(2), size_t(7)}) {
-            setThreadCount(nthreads);
-            MatrixD got = matmul(a, b);
-            EXPECT_TRUE(got == ref)
-                << m << "x" << k << "*" << k << "x" << n
-                << " threads=" << nthreads;
+            const Matrix<T> ref = naiveMatmul(a, b);
+            for (size_t nthreads : {size_t(1), size_t(2), size_t(7)}) {
+                setThreadCount(nthreads);
+                EXPECT_TRUE(sameBits(matmul(a, b), ref))
+                    << sizeof(T) << "-byte " << m << "x" << k << "*" << k
+                    << "x" << n << " threads=" << nthreads;
+            }
         }
     }
+}
+
+TEST(ParallelKernels, MatmulBitIdenticalAcrossThreadCounts)
+{
+    checkMatmulAcrossThreadCounts<double>();
+    checkMatmulAcrossThreadCounts<float>();
 }
 
 TEST(ParallelKernels, MatVecBitIdenticalAcrossThreadCounts)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -96,7 +97,6 @@ TEST(SimdResolve, ActiveIsaIsSupportedAndStable)
     const Isa isa = simd::activeIsa();
     EXPECT_TRUE(simd::isaSupported(isa));
     EXPECT_EQ(simd::activeIsa(), isa);
-    EXPECT_EQ(gemm::simdWidth(), simd::floatLanes(isa));
 }
 
 TEST(SimdResolve, FastModeResolves)
@@ -134,20 +134,17 @@ TEST(SimdResolve, MaskAndLanesAreConsistent)
 {
     EXPECT_TRUE(simd::supportedMask() & bit(Isa::Scalar));
     EXPECT_EQ(simd::floatLanes(Isa::Scalar), 1u);
-    EXPECT_EQ(simd::doubleLanes(Isa::Scalar), 1u);
     EXPECT_EQ(simd::floatLanes(Isa::Avx2), 8u);
-    EXPECT_EQ(simd::doubleLanes(Isa::Avx2), 4u);
     EXPECT_EQ(simd::floatLanes(Isa::Sse42), 4u);
     EXPECT_EQ(simd::fxpLanes(Isa::Neon), 4u);
     EXPECT_EQ(simd::floatLanes(Isa::Avx512), 16u);
-    EXPECT_EQ(simd::doubleLanes(Isa::Avx512), 8u);
     EXPECT_EQ(simd::fxpLanes(Isa::Avx512), 16u);
     for (Isa isa : supportedIsas())
         EXPECT_STRNE(simd::isaName(isa), "");
 }
 
 // ---------------------------------------------------------------------
-// Float / double GEMM bit-identity vs the scalar reference.
+// Float / double GEMM operands and the naive reference loop.
 // ---------------------------------------------------------------------
 
 template <typename T>
@@ -171,80 +168,30 @@ const Shape kShapes[] = {
     {8, 4, 16}, {2, 130, 33}, {16, 9, 64}, {1, 5, 257},
 };
 
+/**
+ * The semantic reference of every float GEMM path: C[i0:i1, j0:j1) +=
+ * A * B over row-major A (m x k), B (k x n), C (m x n) as the naive
+ * i-k-j loop — k ascending per output element, separate multiply and
+ * add (the build compiles with -ffp-contract=off).
+ */
 template <typename T>
 void
-checkGemmBitIdentity()
+naiveGemm(size_t n, size_t k, const T *a, const T *b, T *c, size_t i0,
+          size_t i1, size_t j0, size_t j1)
 {
-    Rng rng(0x51a11);
-    for (const Shape &s : kShapes) {
-        const auto a = randomBuf<T>(s.m * s.k, rng);
-        const auto b = randomBuf<T>(s.k * s.n, rng);
-        std::vector<T> ref(s.m * s.n, T(0));
-        simd::Isa scalar = Isa::Scalar;
-        if constexpr (std::is_same_v<T, float>)
-            simd::gemmTileF32(scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
-        else
-            simd::gemmTileF64(scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
-        for (Isa isa : supportedIsas()) {
-            std::vector<T> c(s.m * s.n, T(0));
-            if constexpr (std::is_same_v<T, float>)
-                simd::gemmTileF32(isa, s.n, s.k, a.data(), b.data(),
-                                  c.data(), 0, s.m, 0, s.n);
-            else
-                simd::gemmTileF64(isa, s.n, s.k, a.data(), b.data(),
-                                  c.data(), 0, s.m, 0, s.n);
-            EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(T)),
-                      0)
-                << simd::isaName(isa) << " " << s.m << "x" << s.k << "x"
-                << s.n;
+    for (size_t i = i0; i < i1; ++i)
+        for (size_t kk = 0; kk < k; ++kk) {
+            const T aik = a[i * k + kk];
+            for (size_t j = j0; j < j1; ++j)
+                c[i * n + j] += aik * b[kk * n + j];
         }
-    }
-}
-
-TEST(SimdGemm, F32BitIdenticalToScalarOnEveryIsa)
-{
-    checkGemmBitIdentity<float>();
-}
-
-TEST(SimdGemm, F64BitIdenticalToScalarOnEveryIsa)
-{
-    checkGemmBitIdentity<double>();
-}
-
-TEST(SimdGemm, UnalignedColumnWindowMatchesScalar)
-{
-    // j0 not a lane multiple and j1 short of one: both the leading
-    // partial block and the tail must match the scalar chain, and
-    // nothing outside [j0, j1) may be written.
-    Rng rng(0xbeef);
-    const size_t m = 3, k = 11, n = 37;
-    const auto a = randomBuf<float>(m * k, rng);
-    const auto b = randomBuf<float>(k * n, rng);
-    for (size_t j0 : {size_t(1), size_t(5), size_t(13)}) {
-        const size_t j1 = n - 2;
-        std::vector<float> ref(m * n, -7.0f), c(m * n, -7.0f);
-        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), b.data(),
-                          ref.data(), 0, m, j0, j1);
-        for (Isa isa : supportedIsas()) {
-            std::fill(c.begin(), c.end(), -7.0f);
-            simd::gemmTileF32(isa, n, k, a.data(), b.data(), c.data(),
-                              0, m, j0, j1);
-            EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(float)),
-                      0)
-                << simd::isaName(isa) << " j0=" << j0;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Packed-panel microkernel: the default path must be bit-identical to
-// the unpacked kernels and the scalar reference (packed == unpacked ==
-// scalar) for every ISA, shape, panel split and batch; TIE_FAST only
-// bends f32 within the documented bound.
+// Packed-panel microkernel, the one float GEMM kernel family: the
+// default path must be bit-identical to the naive loop on every ISA
+// (packed == naive), for every shape, panel split and batch; TIE_FAST
+// only bends f32 within the documented bound.
 // ---------------------------------------------------------------------
 
 template <typename T>
@@ -270,12 +217,8 @@ checkPackedBitIdentity()
         const auto a = randomBuf<T>(s.m * s.k, rng);
         const auto b = randomBuf<T>(s.k * s.n, rng);
         std::vector<T> ref(s.m * s.n, T(0));
-        if constexpr (std::is_same_v<T, float>)
-            simd::gemmTileF32(Isa::Scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
-        else
-            simd::gemmTileF64(Isa::Scalar, s.n, s.k, a.data(), b.data(),
-                              ref.data(), 0, s.m, 0, s.n);
+        naiveGemm(s.n, s.k, a.data(), b.data(), ref.data(), 0, s.m, 0,
+                  s.n);
         std::vector<T> pa(pack::packedAElems(s.m, s.k));
         pack::packA(s.m, s.k, a.data(), pa.data());
         for (Isa isa : supportedIsas()) {
@@ -304,12 +247,7 @@ checkStagedTilesOnEveryIsa()
     const auto a = randomBuf<T>(m * k, rng);
     const auto b = randomBuf<T>(k * n, rng);
     std::vector<T> ref(m * n, T(0));
-    if constexpr (std::is_same_v<T, float>)
-        simd::gemmTileF32(Isa::Scalar, n, k, a.data(), b.data(),
-                          ref.data(), 0, m, 0, n);
-    else
-        simd::gemmTileF64(Isa::Scalar, n, k, a.data(), b.data(),
-                          ref.data(), 0, m, 0, n);
+    naiveGemm(n, k, a.data(), b.data(), ref.data(), 0, m, 0, n);
 
     std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
@@ -367,14 +305,8 @@ checkPackedWindows()
                 for (size_t width : {15, 16, 17, 31, 32, 33, 65}) {
                     const size_t j1 = j0 + width;
                     std::vector<T> ref(m * n, T(-7)), c(m * n, T(-7));
-                    if constexpr (std::is_same_v<T, float>)
-                        simd::gemmTileF32(Isa::Scalar, n, k, a.data(),
-                                          b.data(), ref.data(), i0, i1,
-                                          j0, j1);
-                    else
-                        simd::gemmTileF64(Isa::Scalar, n, k, a.data(),
-                                          b.data(), ref.data(), i0, i1,
-                                          j0, j1);
+                    naiveGemm(n, k, a.data(), b.data(), ref.data(), i0,
+                              i1, j0, j1);
                     for (Isa isa : supportedIsas()) {
                         std::fill(c.begin(), c.end(), T(-7));
                         packedGemm<T>(isa, false, k, pa.data(), b.data(),
@@ -398,15 +330,34 @@ TEST(SimdPacked, UnalignedWindowsAndPanelSplitsMatchScalar)
     checkPackedWindows<double>();
 }
 
+TEST(SimdPacked, PackALayoutZeroFillsLastPanel)
+{
+    // The documented layout, including the zero rows that pad the last
+    // panel; the buffer starts as NaN so a skipped fill shows.
+    const size_t m = 6, k = 3, rows = 8; // two panels, 2 padded rows
+    std::vector<double> a(m * k);
+    for (size_t e = 0; e < a.size(); ++e)
+        a[e] = double(e + 1);
+    std::vector<double> pa(pack::packedAElems(m, k), std::nan(""));
+    ASSERT_EQ(pa.size(), rows * k);
+    pack::packA(m, k, a.data(), pa.data());
+    for (size_t i = 0; i < rows; ++i)
+        for (size_t kk = 0; kk < k; ++kk)
+            EXPECT_EQ(pa[i / pack::kRowPanel * pack::kRowPanel * k +
+                         kk * pack::kRowPanel + i % pack::kRowPanel],
+                      i < m ? a[i * k + kk] : 0.0)
+                << "row " << i << " k " << kk;
+}
+
 template <typename T>
 void
-checkPackedBlockedMatchesUnpacked(size_t m, size_t n, size_t k)
+checkPackedBlockedMatchesNaive(size_t m, size_t n, size_t k)
 {
     Rng rng(0x9ace + m + n + k);
     const auto a = randomBuf<T>(m * k, rng);
     const auto b = randomBuf<T>(k * n, rng);
     std::vector<T> ref(m * n, T(0)), c(m * n, T(0));
-    gemm::gemmBlocked(m, n, k, a.data(), b.data(), ref.data());
+    naiveGemm(n, k, a.data(), b.data(), ref.data(), 0, m, 0, n);
     std::vector<T> pa(pack::packedAElems(m, k));
     pack::packA(m, k, a.data(), pa.data());
     gemm::gemmPackedBlocked(m, n, k, pa.data(), b.data(), c.data(),
@@ -418,13 +369,21 @@ checkPackedBlockedMatchesUnpacked(size_t m, size_t n, size_t k)
 
 TEST(SimdPacked, BlockedWrapperMatchesUnpacked)
 {
-    // Below and above the kParallelMinWork threshold, row- and
-    // column-dominant splits.
-    checkPackedBlockedMatchesUnpacked<float>(5, 9, 7);
-    checkPackedBlockedMatchesUnpacked<float>(64, 96, 64);
-    checkPackedBlockedMatchesUnpacked<float>(17, 1031, 33);
-    checkPackedBlockedMatchesUnpacked<double>(5, 9, 7);
-    checkPackedBlockedMatchesUnpacked<double>(64, 96, 64);
+    // Against the naive loop: below and above the kParallelMinWork
+    // threshold, row- and column-dominant splits, partial row panels
+    // (m % kRowPanel != 0), a single column, and k past kDepthBlock.
+    static_assert(gemm::kDepthBlock < 300);
+    for (auto [m, n, k] : {std::array<size_t, 3>{5, 9, 7},
+                           {64, 96, 64},
+                           {17, 1031, 33},
+                           {7, 1, 300},
+                           {300, 1, 9},
+                           {1, 1, 1},
+                           {33, 40, 300},
+                           {6, 517, 129}}) {
+        checkPackedBlockedMatchesNaive<float>(m, n, k);
+        checkPackedBlockedMatchesNaive<double>(m, n, k);
+    }
 }
 
 template <typename T>
