@@ -17,6 +17,11 @@
  * cluster throughput and tail latency against
  * bench/baselines/BENCH_cluster.json like any other report. --quick
  * shrinks request counts for smoke testing.
+ *
+ * --zoo DIR runs the same sweep over every artifact of the model zoo
+ * at DIR: each point gives each artifact its own replicas and Router
+ * and drives mixed traffic across the whole mix, each completed
+ * output verified against its tenant's reference.
  */
 
 #include <unistd.h>
@@ -27,14 +32,13 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_load.hh"
 #include "cluster/router.hh"
 #include "cluster/worker.hh"
 #include "common/table.hh"
 #include "io/tie_format.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
-#include "serve/multi_tenant.hh"
+#include "serve/load_gen.hh"
 #include "tt/tt_matrix.hh"
 #include "tune/zoo.hh"
 
@@ -46,13 +50,14 @@ struct SweepPoint
 {
     std::string label;
     size_t replicas = 1;
-    cluster::ClusterLoadOptions load;
+    serve::LoadGenOptions load;
     serve::LoadGenReport report;
     cluster::RouterStats stats;
 };
 
 void
-appendPointJson(obs::JsonWriter &w, const SweepPoint &p)
+appendPointJson(obs::JsonWriter &w, const SweepPoint &p,
+                const std::vector<std::string> &names)
 {
     const serve::LoadGenReport &r = p.report;
     w.beginObject();
@@ -71,148 +76,9 @@ appendPointJson(obs::JsonWriter &w, const SweepPoint &p)
     w.field("latency_p95_us", r.latency.p95);
     w.field("latency_p99_us", r.latency.p99);
     w.field("latency_max_us", r.latency.max);
+    if (names.size() > 1)
+        serve::appendTenantsJson(w, r, names);
     w.endObject();
-}
-
-/**
- * Multi-tenant cluster sweep over a model zoo (--zoo DIR): one
- * in-process ClusterWorker + Router per manifest artifact, mixed
- * closed-loop traffic across all of them, per-tenant bit-exact
- * verification. The zoo-mode twin of serve_sweep --zoo, one process
- * boundary further out.
- */
-int
-runZooSweep(const std::string &zoo_dir, bool quick)
-{
-    const tune::ZooManifest manifest =
-        tune::loadZooManifest(zoo_dir);
-    const size_t n_models = manifest.entries.size();
-    std::cout << "zoo: " << n_models << " model(s) from " << zoo_dir
-              << "\n\n";
-
-    char dir_tmpl[] = "/tmp/tie-cluster-zoo-XXXXXX";
-    if (::mkdtemp(dir_tmpl) == nullptr) {
-        std::cerr << "cannot create temp dir\n";
-        return 1;
-    }
-    const std::string dir = dir_tmpl;
-
-    cluster::ClusterLoadOptions lopts;
-    lopts.requests = quick ? 64 : 512;
-    lopts.clients = 4;
-    lopts.seed = 42;
-
-    std::vector<std::vector<std::vector<double>>> expected;
-    std::vector<std::unique_ptr<cluster::ClusterWorker>> workers;
-    std::vector<std::unique_ptr<cluster::Router>> routers;
-    for (size_t k = 0; k < n_models; ++k) {
-        const std::string path =
-            zoo_dir + "/" + manifest.entries[k].file;
-        io::TieModel artifact = io::TieModel::load(path);
-        expected.push_back(serve::tenantReferenceOutputs(
-            artifact.layers(), k, n_models, lopts.seed,
-            lopts.requests));
-
-        cluster::ClusterWorkerOptions wopts;
-        wopts.listen.kind = cluster::Endpoint::Kind::Unix;
-        wopts.listen.path = dir + "/m" + std::to_string(k) + ".sock";
-        wopts.server.workers = 1;
-        wopts.server.max_batch = 8;
-        wopts.server.batch_timeout_us = 200;
-        wopts.server.queue_capacity = 128;
-        workers.push_back(std::make_unique<cluster::ClusterWorker>(
-            std::move(artifact), wopts));
-        std::string err;
-        if (!workers.back()->start(&err)) {
-            std::cerr << "worker start failed: " << err << "\n";
-            return 1;
-        }
-
-        cluster::RouterOptions ropts;
-        ropts.workers = {workers.back()->endpoint()};
-        routers.push_back(std::make_unique<cluster::Router>(ropts));
-        if (!routers.back()->start(&err)) {
-            std::cerr << "router start failed: " << err << "\n";
-            return 1;
-        }
-    }
-
-    std::vector<cluster::Router *> router_ptrs;
-    for (const auto &r : routers)
-        router_ptrs.push_back(r.get());
-    const cluster::MixedClusterReport rep =
-        cluster::runMixedClusterLoad(router_ptrs, lopts, &expected);
-
-    for (auto &r : routers)
-        r->stop();
-    for (auto &w : workers)
-        w->stop();
-
-    TextTable t("multi-tenant cluster (1 replica per model)");
-    t.header({"model", "done/rej/to", "mismatch", "req/s", "p50 us",
-              "p99 us"});
-    for (size_t k = 0; k < n_models; ++k) {
-        const serve::LoadGenReport &r = rep.per_model[k];
-        t.row({manifest.entries[k].name,
-               std::to_string(r.completed) + "/" +
-                   std::to_string(r.rejected) + "/" +
-                   std::to_string(r.timed_out),
-               std::to_string(r.mismatched),
-               TextTable::num(r.achieved_qps, 0),
-               TextTable::num(r.latency.p50, 1),
-               TextTable::num(r.latency.p99, 1)});
-    }
-    const serve::LoadGenReport &a = rep.aggregate;
-    t.row({"aggregate",
-           std::to_string(a.completed) + "/" +
-               std::to_string(a.rejected) + "/" +
-               std::to_string(a.timed_out),
-           std::to_string(a.mismatched),
-           TextTable::num(a.achieved_qps, 0),
-           TextTable::num(a.latency.p50, 1),
-           TextTable::num(a.latency.p99, 1)});
-    t.print();
-
-    if (obs::Session *s = obs::Session::current();
-        s != nullptr && s->statsRequested()) {
-        obs::JsonWriter w;
-        w.beginObject();
-        w.field("zoo", zoo_dir);
-        w.field("quick", quick);
-        w.key("points").beginArray();
-        for (size_t k = 0; k < n_models; ++k) {
-            const serve::LoadGenReport &r = rep.per_model[k];
-            w.beginObject();
-            w.field("label", "zoo " + manifest.entries[k].name);
-            w.field("mode", "cluster-closed");
-            w.field("requests", static_cast<uint64_t>(r.submitted));
-            w.field("completed", static_cast<uint64_t>(r.completed));
-            w.field("rejected", static_cast<uint64_t>(r.rejected));
-            w.field("timed_out", static_cast<uint64_t>(r.timed_out));
-            w.field("mismatched",
-                    static_cast<uint64_t>(r.mismatched));
-            w.field("achieved_qps", r.achieved_qps);
-            w.field("latency_p50_us", r.latency.p50);
-            w.field("latency_p95_us", r.latency.p95);
-            w.field("latency_p99_us", r.latency.p99);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        s->setExtra("serve", w.str());
-    }
-
-    const size_t lost =
-        a.submitted - (a.completed + a.rejected + a.timed_out);
-    if (a.mismatched != 0 || lost != 0) {
-        std::cerr << "FAIL: " << a.mismatched
-                  << " mismatched output(s), " << lost
-                  << " lost request(s)\n";
-        return 1;
-    }
-    std::cout << "\nall multi-tenant cluster outputs bit-identical "
-                 "to the per-tenant references; no requests lost\n";
-    return 0;
 }
 
 } // namespace
@@ -230,20 +96,9 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--zoo") == 0 && i + 1 < argc)
             zoo_dir = argv[++i];
     }
-    if (!zoo_dir.empty())
-        return runZooSweep(zoo_dir, quick);
 
     std::cout << "== sharded cluster sweep =="
               << (quick ? " (quick)" : "") << "\n\n";
-
-    // Same mid-sized layer as serve_sweep (64 x 64, rank 4), packaged
-    // as the .tie artifact every replica maps.
-    TtLayerConfig cfg;
-    cfg.m = {4, 4, 4};
-    cfg.n = {4, 4, 4};
-    cfg.r = {1, 4, 4, 1};
-    Rng rng(1234);
-    const TtMatrix layer = TtMatrix::random(cfg, rng);
 
     char dir_tmpl[] = "/tmp/tie-cluster-sweep-XXXXXX";
     if (::mkdtemp(dir_tmpl) == nullptr) {
@@ -251,14 +106,40 @@ main(int argc, char **argv)
         return 1;
     }
     const std::string dir = dir_tmpl;
+
+    // The tenants: the same mid-sized layer as serve_sweep (64 x 64,
+    // rank 4), packaged as the .tie artifact every replica maps, or
+    // every artifact of the zoo.
+    TtLayerConfig cfg;
+    cfg.m = {4, 4, 4};
+    cfg.n = {4, 4, 4};
+    cfg.r = {1, 4, 4, 1};
+    Rng rng(1234);
     const std::string model_path = dir + "/model.tie";
-    io::saveTieModel(layer, model_path);
+    io::saveTieModel(TtMatrix::random(cfg, rng), model_path);
+    std::string model_desc = cfg.toString();
+    std::vector<std::string> names{model_desc}, paths{model_path};
+    if (!zoo_dir.empty()) {
+        model_desc = zoo_dir;
+        names.clear();
+        paths.clear();
+        for (const tune::ZooEntry &e :
+             tune::loadZooManifest(zoo_dir).entries) {
+            names.push_back(e.name);
+            paths.push_back(zoo_dir + "/" + e.file);
+        }
+        std::cout << "zoo: " << names.size() << " model(s) from "
+                  << zoo_dir << "\n\n";
+    }
+    const size_t n_models = paths.size();
 
     const uint64_t seed = 42;
     const size_t requests = quick ? 64 : 512;
-    const io::TieModel oracle = io::TieModel::load(model_path);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), seed, requests);
+    std::vector<serve::Oracle> expected;
+    for (size_t k = 0; k < n_models; ++k)
+        expected.push_back(serve::referenceOutputs(
+            io::TieModel::load(paths[k]).layers(), k, n_models, seed,
+            requests));
 
     size_t mismatched = 0, lost = 0;
     std::vector<SweepPoint> points;
@@ -274,39 +155,47 @@ main(int argc, char **argv)
         p.load.seed = seed;
         p.label = std::to_string(replicas) + " replica(s)";
 
+        // Each tenant gets its own replicas and Router.
         std::vector<std::unique_ptr<cluster::ClusterWorker>> workers;
-        std::vector<cluster::Endpoint> endpoints;
-        for (size_t i = 0; i < replicas; ++i) {
-            cluster::ClusterWorkerOptions wopts;
-            wopts.listen.kind = cluster::Endpoint::Kind::Unix;
-            wopts.listen.path = dir + "/r" + std::to_string(replicas) +
-                                "w" + std::to_string(i) + ".sock";
-            wopts.server.workers = 1;
-            wopts.server.max_batch = 8;
-            wopts.server.batch_timeout_us = 200;
-            wopts.server.queue_capacity = 128;
-            auto w = std::make_unique<cluster::ClusterWorker>(
-                io::TieModel::load(model_path), wopts);
+        std::vector<std::unique_ptr<cluster::Router>> routers;
+        std::vector<cluster::Router *> targets;
+        for (size_t k = 0; k < n_models; ++k) {
+            cluster::RouterOptions ropts;
+            for (size_t i = 0; i < replicas; ++i) {
+                cluster::ClusterWorkerOptions wopts;
+                wopts.listen.kind = cluster::Endpoint::Kind::Unix;
+                wopts.listen.path = dir + "/r" +
+                                    std::to_string(replicas) + "m" +
+                                    std::to_string(k) + "w" +
+                                    std::to_string(i) + ".sock";
+                wopts.server.workers = 1;
+                wopts.server.max_batch = 8;
+                wopts.server.batch_timeout_us = 200;
+                wopts.server.queue_capacity = 128;
+                workers.push_back(
+                    std::make_unique<cluster::ClusterWorker>(
+                        io::TieModel::load(paths[k]), wopts));
+                std::string err;
+                if (!workers.back()->start(&err)) {
+                    std::cerr << "worker start failed: " << err
+                              << "\n";
+                    return 1;
+                }
+                ropts.workers.push_back(workers.back()->endpoint());
+            }
+            routers.push_back(std::make_unique<cluster::Router>(ropts));
             std::string err;
-            if (!w->start(&err)) {
-                std::cerr << "worker start failed: " << err << "\n";
+            if (!routers.back()->start(&err)) {
+                std::cerr << "router start failed: " << err << "\n";
                 return 1;
             }
-            endpoints.push_back(w->endpoint());
-            workers.push_back(std::move(w));
+            targets.push_back(routers.back().get());
         }
-
-        cluster::RouterOptions ropts;
-        ropts.workers = endpoints;
-        cluster::Router router(ropts);
-        std::string err;
-        if (!router.start(&err)) {
-            std::cerr << "router start failed: " << err << "\n";
-            return 1;
+        p.report = serve::runLoadGen(targets, p.load, &expected);
+        for (const std::unique_ptr<cluster::Router> &r : routers) {
+            p.stats.redispatched += r->stats().redispatched;
+            r->stop();
         }
-        p.report = runClusterLoad(router, p.load, &expected);
-        p.stats = router.stats();
-        router.stop();
         for (auto &w : workers)
             w->stop();
 
@@ -338,11 +227,11 @@ main(int argc, char **argv)
         s != nullptr && s->statsRequested()) {
         obs::JsonWriter w;
         w.beginObject();
-        w.field("model", cfg.toString());
+        w.field("model", model_desc);
         w.field("quick", quick);
         w.key("points").beginArray();
         for (const SweepPoint &p : points)
-            appendPointJson(w, p);
+            appendPointJson(w, p, names);
         w.endArray();
         w.endObject();
         // The "serve" extra key is the schema bench_diff understands

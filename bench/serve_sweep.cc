@@ -18,12 +18,14 @@
  * --quick shrinks the request counts for smoke testing
  * (tests/bench_smoke.sh --serve).
  *
- * --zoo DIR switches to the multi-tenant sweep: every artifact of the
- * model zoo at DIR (tie_cli zoo-build) is published into a
- * ModelRegistry and mixed traffic is driven across the whole mix at
- * increasing concurrency, each completed output verified bit-exactly
+ * Each point publishes its tenants into a ModelRegistry built with
+ * the point's policy: the sweep's one layer, or with --zoo DIR every
+ * artifact of the model zoo at DIR (tie_cli zoo-build), driven as
+ * mixed traffic with each completed output verified bit-exactly
  * against its tenant's reference (docs/autotuning.md).
  */
+
+#include <unistd.h>
 
 #include <cstring>
 #include <iostream>
@@ -31,13 +33,12 @@
 #include <vector>
 
 #include "common/table.hh"
+#include "io/tie_format.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
 #include "serve/load_gen.hh"
 #include "serve/model_registry.hh"
-#include "serve/multi_tenant.hh"
-#include "serve/server.hh"
 #include "tt/tt_matrix.hh"
 #include "tune/zoo.hh"
 
@@ -67,7 +68,8 @@ struct FlightScope
 };
 
 void
-appendPointJson(obs::JsonWriter &w, const SweepPoint &p)
+appendPointJson(obs::JsonWriter &w, const SweepPoint &p,
+                const std::vector<std::string> &names)
 {
     const LoadGenReport &r = p.report;
     w.beginObject();
@@ -95,6 +97,8 @@ appendPointJson(obs::JsonWriter &w, const SweepPoint &p)
     w.field("queue_wait_p99_us", r.queue_wait.p99);
     w.field("service_p50_us", r.service.p50);
     w.field("service_p99_us", r.service.p99);
+    if (names.size() > 1)
+        appendTenantsJson(w, r, names);
     w.endObject();
 }
 
@@ -121,138 +125,6 @@ printPoints(const std::string &title,
     std::cout << "\n";
 }
 
-/**
- * Multi-tenant sweep over a model zoo (--zoo DIR): publish every
- * manifest artifact into a ModelRegistry and drive mixed closed-loop
- * traffic across the whole mix at increasing concurrency, verifying
- * every completed output bit-exactly against per-tenant references.
- */
-int
-runZooSweep(const std::string &zoo_dir, bool quick)
-{
-    ModelRegistry registry;
-    const std::vector<std::string> names =
-        tune::publishZoo(zoo_dir, registry);
-    const tune::ZooManifest manifest =
-        tune::loadZooManifest(zoo_dir);
-    const size_t n_models = names.size();
-    std::cout << "zoo: " << n_models << " model(s) from " << zoo_dir
-              << "\n\n";
-
-    const uint64_t seed = 42;
-    const size_t requests = quick ? 48 : 512;
-
-    // Per-tenant oracles straight from the artifacts the registry
-    // serves (same bytes, separate mapping).
-    std::vector<std::vector<std::vector<double>>> expected;
-    for (size_t k = 0; k < n_models; ++k) {
-        const ServableModel m = loadServable(
-            zoo_dir + "/" + manifest.entries[k].file);
-        expected.push_back(tenantReferenceOutputs(
-            m.views, k, n_models, seed, requests));
-    }
-
-    size_t mismatched = 0;
-    std::vector<std::pair<size_t, MultiTenantReport>> points;
-    for (size_t clients : {size_t(1), size_t(4), size_t(8)}) {
-        MultiTenantOptions mo;
-        mo.requests = requests;
-        mo.clients = clients;
-        mo.seed = seed;
-        points.emplace_back(
-            clients, runMultiTenant(registry, names, mo, &expected));
-        mismatched += points.back().second.aggregate.mismatched;
-    }
-
-    for (const auto &[clients, rep] : points) {
-        TextTable t("multi-tenant, " + std::to_string(clients) +
-                    " client(s)");
-        t.header({"model", "done/rej/to", "mismatch", "req/s",
-                  "p50 us", "p99 us"});
-        for (size_t k = 0; k < n_models; ++k) {
-            const LoadGenReport &r = rep.per_model[k];
-            t.row({rep.models[k],
-                   std::to_string(r.completed) + "/" +
-                       std::to_string(r.rejected) + "/" +
-                       std::to_string(r.timed_out),
-                   std::to_string(r.mismatched),
-                   TextTable::num(r.achieved_qps, 0),
-                   TextTable::num(r.latency.p50, 1),
-                   TextTable::num(r.latency.p99, 1)});
-        }
-        const LoadGenReport &a = rep.aggregate;
-        t.row({"aggregate",
-               std::to_string(a.completed) + "/" +
-                   std::to_string(a.rejected) + "/" +
-                   std::to_string(a.timed_out),
-               std::to_string(a.mismatched),
-               TextTable::num(a.achieved_qps, 0),
-               TextTable::num(a.latency.p50, 1),
-               TextTable::num(a.latency.p99, 1)});
-        t.print();
-        std::cout << "\n";
-    }
-
-    if (obs::Session *s = obs::Session::current();
-        s != nullptr && s->statsRequested()) {
-        obs::JsonWriter w;
-        w.beginObject();
-        w.field("zoo", zoo_dir);
-        w.field("quick", quick);
-        w.key("points").beginArray();
-        for (const auto &[clients, rep] : points) {
-            w.beginObject();
-            w.field("label", "zoo mix, " + std::to_string(clients) +
-                                 " cli");
-            w.field("mode", "closed");
-            w.field("clients", static_cast<uint64_t>(clients));
-            w.field("requests",
-                    static_cast<uint64_t>(rep.aggregate.submitted));
-            w.field("completed",
-                    static_cast<uint64_t>(rep.aggregate.completed));
-            w.field("rejected",
-                    static_cast<uint64_t>(rep.aggregate.rejected));
-            w.field("timed_out",
-                    static_cast<uint64_t>(rep.aggregate.timed_out));
-            w.field("mismatched",
-                    static_cast<uint64_t>(rep.aggregate.mismatched));
-            w.field("achieved_qps", rep.aggregate.achieved_qps);
-            w.field("latency_p50_us", rep.aggregate.latency.p50);
-            w.field("latency_p95_us", rep.aggregate.latency.p95);
-            w.field("latency_p99_us", rep.aggregate.latency.p99);
-            w.key("models").beginArray();
-            for (size_t k = 0; k < n_models; ++k) {
-                const LoadGenReport &r = rep.per_model[k];
-                w.beginObject();
-                w.field("model", rep.models[k]);
-                w.field("completed",
-                        static_cast<uint64_t>(r.completed));
-                w.field("mismatched",
-                        static_cast<uint64_t>(r.mismatched));
-                w.field("achieved_qps", r.achieved_qps);
-                w.field("latency_p50_us", r.latency.p50);
-                w.field("latency_p99_us", r.latency.p99);
-                w.endObject();
-            }
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        s->setExtra("serve", w.str());
-    }
-
-    if (mismatched != 0) {
-        std::cerr << "FAIL: " << mismatched
-                  << " served output(s) differed from the per-tenant "
-                     "references\n";
-        return 1;
-    }
-    std::cout << "all multi-tenant outputs bit-identical to the "
-                 "per-tenant references\n";
-    return 0;
-}
-
 } // namespace
 
 int
@@ -272,27 +144,61 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--zoo") == 0 && i + 1 < argc)
             zoo_dir = argv[++i];
     }
-    if (!zoo_dir.empty())
-        return runZooSweep(zoo_dir, quick);
 
     std::cout << "== dynamic-batching serve sweep =="
               << (quick ? " (quick)" : "") << "\n\n";
 
-    // One mid-sized TT layer (64 x 64, rank 4); the serving layer is
-    // model-agnostic, so the sweep isolates batching and queueing.
+    // The tenants: one mid-sized TT layer (64 x 64, rank 4), packaged
+    // as a .tie artifact — the serving layer is model-agnostic, so the
+    // sweep isolates batching and queueing — or every zoo artifact.
+    char dir_tmpl[] = "/tmp/tie-serve-sweep-XXXXXX";
+    if (::mkdtemp(dir_tmpl) == nullptr) {
+        std::cerr << "cannot create temp dir\n";
+        return 1;
+    }
+    const std::string model_path = std::string(dir_tmpl) + "/model.tie";
     TtLayerConfig cfg;
     cfg.m = {4, 4, 4};
     cfg.n = {4, 4, 4};
     cfg.r = {1, 4, 4, 1};
     Rng rng(1234);
-    const TtMatrix layer = TtMatrix::random(cfg, rng);
-    const std::vector<const TtMatrix *> model{&layer};
+    io::saveTieModel(TtMatrix::random(cfg, rng), model_path);
+    std::string model_desc = cfg.toString();
+    std::vector<std::string> names{"model"}, paths{model_path};
+    if (!zoo_dir.empty()) {
+        model_desc = zoo_dir;
+        names.clear();
+        paths.clear();
+        for (const tune::ZooEntry &e :
+             tune::loadZooManifest(zoo_dir).entries) {
+            names.push_back(e.name);
+            paths.push_back(zoo_dir + "/" + e.file);
+        }
+        std::cout << "zoo: " << names.size() << " model(s) from "
+                  << zoo_dir << "\n\n";
+    }
 
     const uint64_t seed = 42;
     const size_t closed_requests = quick ? 48 : 512;
     const size_t open_requests = quick ? 48 : 256;
-    const std::vector<std::vector<double>> expected = referenceOutputs(
-        model, seed, std::max(closed_requests, open_requests));
+    std::vector<Oracle> expected;
+    for (size_t k = 0; k < paths.size(); ++k)
+        expected.push_back(referenceOutputs(
+            io::TieModel::load(paths[k]).layers(), k, paths.size(), seed,
+            std::max(closed_requests, open_requests)));
+
+    // Every tenant published into one registry built with the point's
+    // policy; each entry's server carries its own flight tag, so the
+    // phase attribution splits per model.
+    auto run = [&](SweepPoint &p) {
+        ModelRegistry registry(p.server);
+        std::vector<RegistryTenant> tenants;
+        for (size_t k = 0; k < paths.size(); ++k) {
+            registry.publishFile(names[k], paths[k]);
+            tenants.push_back({&registry, names[k]});
+        }
+        p.report = runLoadGen(tenants, p.load, &expected);
+    };
 
     size_t mismatched = 0;
     std::vector<SweepPoint> closed, open;
@@ -313,8 +219,7 @@ main(int argc, char **argv)
             p.load.seed = seed;
             p.label = std::to_string(clients) + " cli, batch<=" +
                       std::to_string(policy.first);
-            Server server(model, p.server);
-            p.report = runLoadGen(server, p.load, &expected);
+            run(p);
             mismatched += p.report.mismatched;
             closed.push_back(p);
         }
@@ -333,8 +238,7 @@ main(int argc, char **argv)
         p.load.offered_qps = qps;
         p.load.seed = seed;
         p.label = "offered " + std::to_string(size_t(qps)) + " qps";
-        Server server(model, p.server);
-        p.report = runLoadGen(server, p.load, &expected);
+        run(p);
         mismatched += p.report.mismatched;
         open.push_back(p);
     }
@@ -349,8 +253,7 @@ main(int argc, char **argv)
         p.load.deadline_us = 1500;
         p.load.seed = seed;
         p.label = "overload + 1.5 ms deadline";
-        Server server(model, p.server);
-        p.report = runLoadGen(server, p.load, &expected);
+        run(p);
         mismatched += p.report.mismatched;
         open.push_back(p);
     }
@@ -360,17 +263,20 @@ main(int argc, char **argv)
         s != nullptr && s->statsRequested()) {
         obs::JsonWriter w;
         w.beginObject();
-        w.field("model", cfg.toString());
+        w.field("model", model_desc);
         w.field("quick", quick);
         w.key("points").beginArray();
         for (const SweepPoint &p : closed)
-            appendPointJson(w, p);
+            appendPointJson(w, p, names);
         for (const SweepPoint &p : open)
-            appendPointJson(w, p);
+            appendPointJson(w, p, names);
         w.endArray();
         w.endObject();
         s->setExtra("serve", w.str());
     }
+
+    ::unlink(model_path.c_str());
+    ::rmdir(dir_tmpl);
 
     if (mismatched != 0) {
         std::cerr << "FAIL: " << mismatched

@@ -5,7 +5,7 @@
  * fail-over.
  *
  * The client API mirrors serve::Server (submit -> ClusterTicket ->
- * wait), so the load generators drive a cluster exactly like a single
+ * wait), so the load generator drives a cluster exactly like a single
  * process. Internally each replica gets two connections: a data
  * connection (a receiver thread matches InferResponses to pending
  * requests by id) and a health connection (a monitor thread probes
@@ -79,6 +79,21 @@ enum class ClusterStatus : uint8_t
 };
 
 const char *toString(ClusterStatus s);
+
+/** The load generator's view of a cluster outcome: Shed is rejected. */
+inline serve::RequestStatus
+toRequestStatus(ClusterStatus s)
+{
+    switch (s) {
+      case ClusterStatus::Done:
+        return serve::RequestStatus::Done;
+      case ClusterStatus::TimedOut:
+        return serve::RequestStatus::TimedOut;
+      case ClusterStatus::Shed:
+        break;
+    }
+    return serve::RequestStatus::Rejected;
+}
 
 /** Lifetime counters (monotonic; read any time). */
 struct RouterStats

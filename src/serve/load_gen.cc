@@ -1,28 +1,15 @@
 #include "serve/load_gen.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <thread>
 
 #include "common/logging.hh"
-#include "common/random.hh"
+#include "obs/json.hh"
 
 namespace tie {
 namespace serve {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-elapsedS(Clock::time_point from, Clock::time_point to)
-{
-    return std::chrono::duration<double>(to - from).count();
-}
+namespace detail {
 
 void
 fillRequestInput(uint64_t seed, size_t index, std::vector<double> &x)
@@ -34,247 +21,143 @@ fillRequestInput(uint64_t seed, size_t index, std::vector<double> &x)
         v = rng.uniform(-1.0, 1.0);
 }
 
-bool
-bitIdentical(const std::vector<double> &a, const std::vector<double> &b)
+void
+Tally::record(RequestStatus st, double lat_us,
+              const RequestTiming *timing, const std::vector<double> &y,
+              const std::vector<double> *ref)
 {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(),
-                        a.size() * sizeof(double)) == 0);
-}
-
-/** Per-request outcome record, merged into the report at the end. */
-struct ClientTally
-{
-    size_t submitted = 0;
-    size_t completed = 0;
-    size_t rejected = 0;
-    size_t timed_out = 0;
-    size_t mismatched = 0;
-    std::vector<double> latency_us;
-    std::vector<double> queue_wait_us;
-    std::vector<double> service_us;
-
-    void
-    reserve(size_t n)
-    {
-        latency_us.reserve(n);
-        queue_wait_us.reserve(n);
-        service_us.reserve(n);
+    ++submitted;
+    if (st == RequestStatus::Rejected) {
+        ++rejected;
+        return;
     }
-};
+    if (st == RequestStatus::TimedOut) {
+        ++timed_out;
+        return;
+    }
+    TIE_REQUIRE(st == RequestStatus::Done, "load target returned ",
+                toString(st));
+    ++completed;
+    latency_us.push_back(lat_us);
+    if (timing != nullptr) {
+        queue_wait_us.push_back(timing->queue_wait_us);
+        service_us.push_back(timing->service_us);
+    }
+    // Bit-exact, not approximately-equal: every serving path must
+    // produce the batch-1 reference's bits.
+    if (ref != nullptr &&
+        (y.size() != ref->size() ||
+         (!y.empty() &&
+          std::memcmp(y.data(), ref->data(), y.size() * sizeof(double)) !=
+              0)))
+        ++mismatched;
+}
 
 void
-mergeTallies(std::vector<ClientTally> &tallies, LoadGenReport &rep,
-             std::vector<double> &latency, std::vector<double> &qwait,
-             std::vector<double> &service)
+Tally::merge(const Tally &o)
 {
-    for (ClientTally &t : tallies) {
-        rep.submitted += t.submitted;
-        rep.completed += t.completed;
-        rep.rejected += t.rejected;
-        rep.timed_out += t.timed_out;
-        rep.mismatched += t.mismatched;
-        latency.insert(latency.end(), t.latency_us.begin(),
-                       t.latency_us.end());
-        qwait.insert(qwait.end(), t.queue_wait_us.begin(),
-                     t.queue_wait_us.end());
-        service.insert(service.end(), t.service_us.begin(),
-                       t.service_us.end());
+    submitted += o.submitted;
+    completed += o.completed;
+    rejected += o.rejected;
+    timed_out += o.timed_out;
+    mismatched += o.mismatched;
+    latency_us.insert(latency_us.end(), o.latency_us.begin(),
+                      o.latency_us.end());
+    queue_wait_us.insert(queue_wait_us.end(), o.queue_wait_us.begin(),
+                         o.queue_wait_us.end());
+    service_us.insert(service_us.end(), o.service_us.begin(),
+                      o.service_us.end());
+}
+
+void
+checkLoad(const LoadGenOptions &opts, size_t n_tenants,
+          const std::vector<Oracle> *expected, bool timed)
+{
+    TIE_CHECK_ARG(n_tenants >= 1, "load gen needs at least one tenant");
+    TIE_CHECK_ARG(opts.requests >= 1, "load gen needs requests >= 1");
+    TIE_CHECK_ARG(opts.clients >= 1, "load gen needs clients >= 1");
+    TIE_CHECK_ARG(std::isfinite(opts.offered_qps) &&
+                      opts.offered_qps >= 0,
+                  "offered_qps must be finite and >= 0, got ",
+                  opts.offered_qps);
+    TIE_CHECK_ARG(timed || opts.offered_qps == 0,
+                  "open loop needs targets that report RequestTiming");
+    if (expected == nullptr)
+        return;
+    TIE_CHECK_ARG(expected->size() == n_tenants, "got ",
+                  expected->size(), " oracles for ", n_tenants,
+                  " tenants");
+    for (size_t k = 0; k < n_tenants; ++k) {
+        // Tenant k serves global ids k, k + N, ... below requests.
+        const size_t tenant_reqs =
+            opts.requests > k ? (opts.requests - k - 1) / n_tenants + 1
+                              : 0;
+        TIE_CHECK_ARG((*expected)[k].size() >= tenant_reqs, "tenant ", k,
+                      ": ", (*expected)[k].size(),
+                      " expected outputs for ", tenant_reqs,
+                      " requests");
     }
 }
 
 LoadGenReport
-runClosedLoop(Server &server, const LoadGenOptions &opts,
-              const std::vector<std::vector<double>> *expected)
+finishReport(const std::vector<Tally> &tallies, double wall_s,
+             const LoadGenOptions &opts)
 {
-    const size_t clients = std::max<size_t>(1, opts.clients);
-    std::vector<ClientTally> tallies(clients);
-    for (ClientTally &t : tallies)
-        t.reserve(opts.requests / clients + 1);
-
-    const Clock::time_point start = Clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-            ClientTally &tally = tallies[c];
-            std::vector<double> x(server.inSize());
-            std::vector<double> y;
-            for (size_t i = c; i < opts.requests; i += clients) {
-                fillRequestInput(opts.seed, i, x);
-                const Clock::time_point t0 = Clock::now();
-                const Ticket t = server.submit(x.data(),
-                                               opts.deadline_us);
-                ++tally.submitted;
-                if (!t.valid()) {
-                    ++tally.rejected;
-                    continue;
-                }
-                RequestTiming timing;
-                const RequestStatus st = server.wait(t, &y, &timing);
-                if (st == RequestStatus::TimedOut) {
-                    ++tally.timed_out;
-                    continue;
-                }
-                TIE_REQUIRE(st == RequestStatus::Done,
-                            "closed-loop wait returned ", toString(st));
-                ++tally.completed;
-                tally.latency_us.push_back(
-                    std::chrono::duration<double, std::micro>(
-                        Clock::now() - t0)
-                        .count());
-                tally.queue_wait_us.push_back(timing.queue_wait_us);
-                tally.service_us.push_back(timing.service_us);
-                if (expected != nullptr &&
-                    !bitIdentical(y, (*expected)[i]))
-                    ++tally.mismatched;
-            }
-        });
+    auto reportOf = [&](const Tally &t) {
+        LoadGenReport rep;
+        rep.open_loop = opts.offered_qps > 0;
+        rep.offered_qps = opts.offered_qps;
+        rep.wall_s = wall_s;
+        rep.submitted = t.submitted;
+        rep.completed = t.completed;
+        rep.rejected = t.rejected;
+        rep.timed_out = t.timed_out;
+        rep.mismatched = t.mismatched;
+        rep.achieved_qps = wall_s > 0 ? t.completed / wall_s : 0;
+        rep.latency = summarize(t.latency_us);
+        rep.queue_wait = summarize(t.queue_wait_us);
+        rep.service = summarize(t.service_us);
+        return rep;
+    };
+    Tally all;
+    std::vector<LoadGenReport> per_tenant;
+    for (const Tally &t : tallies) {
+        per_tenant.push_back(reportOf(t));
+        all.merge(t);
     }
-    for (std::thread &t : threads)
-        t.join();
-    const double wall_s = elapsedS(start, Clock::now());
-
-    LoadGenReport rep;
-    rep.open_loop = false;
-    rep.wall_s = wall_s;
-    std::vector<double> latency, qwait, service;
-    mergeTallies(tallies, rep, latency, qwait, service);
-    rep.achieved_qps = wall_s > 0 ? rep.completed / wall_s : 0;
-    rep.latency = summarize(std::move(latency));
-    rep.queue_wait = summarize(std::move(qwait));
-    rep.service = summarize(std::move(service));
+    LoadGenReport rep = reportOf(all);
+    rep.per_tenant = std::move(per_tenant);
     return rep;
 }
 
-LoadGenReport
-runOpenLoop(Server &server, const LoadGenOptions &opts,
-            const std::vector<std::vector<double>> *expected)
-{
-    TIE_CHECK_ARG(opts.offered_qps > 0,
-                  "open loop needs offered_qps > 0");
-    std::vector<Ticket> tickets(opts.requests);
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t produced = 0;
-
-    const Clock::time_point start = Clock::now();
-    std::thread pacer([&] {
-        Rng rng(opts.seed ^ 0xa5a5a5a55a5a5a5aull);
-        std::vector<double> x(server.inSize());
-        Clock::time_point next = Clock::now();
-        for (size_t i = 0; i < opts.requests; ++i) {
-            // Poisson arrivals: exponential inter-arrival gaps at the
-            // offered rate, independent of completions.
-            const double gap_s =
-                -std::log(1.0 - rng.uniform()) / opts.offered_qps;
-            next += std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(gap_s));
-            std::this_thread::sleep_until(next);
-            fillRequestInput(opts.seed, i, x);
-            const Ticket t = server.submit(x.data(), opts.deadline_us);
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                tickets[i] = t;
-                produced = i + 1;
-            }
-            cv.notify_one();
-        }
-    });
-
-    ClientTally tally;
-    tally.reserve(opts.requests);
-    std::vector<double> y;
-    for (size_t i = 0; i < opts.requests; ++i) {
-        Ticket t;
-        {
-            std::unique_lock<std::mutex> lk(mu);
-            cv.wait(lk, [&] { return produced > i; });
-            t = tickets[i];
-        }
-        ++tally.submitted;
-        if (!t.valid()) {
-            ++tally.rejected;
-            continue;
-        }
-        RequestTiming timing;
-        const RequestStatus st = server.wait(t, &y, &timing);
-        if (st == RequestStatus::TimedOut) {
-            ++tally.timed_out;
-            continue;
-        }
-        TIE_REQUIRE(st == RequestStatus::Done,
-                    "open-loop wait returned ", toString(st));
-        ++tally.completed;
-        // Server-side latency: a collector that falls behind the
-        // arrival rate would inflate client-measured numbers, so the
-        // open-loop summary uses the per-request timing instead.
-        tally.latency_us.push_back(timing.queue_wait_us +
-                                   timing.service_us);
-        tally.queue_wait_us.push_back(timing.queue_wait_us);
-        tally.service_us.push_back(timing.service_us);
-        if (expected != nullptr && !bitIdentical(y, (*expected)[i]))
-            ++tally.mismatched;
-    }
-    pacer.join();
-    const double wall_s = elapsedS(start, Clock::now());
-
-    LoadGenReport rep;
-    rep.open_loop = true;
-    rep.offered_qps = opts.offered_qps;
-    rep.wall_s = wall_s;
-    std::vector<ClientTally> tallies;
-    tallies.push_back(std::move(tally));
-    std::vector<double> latency, qwait, service;
-    mergeTallies(tallies, rep, latency, qwait, service);
-    rep.achieved_qps = wall_s > 0 ? rep.completed / wall_s : 0;
-    rep.latency = summarize(std::move(latency));
-    rep.queue_wait = summarize(std::move(qwait));
-    rep.service = summarize(std::move(service));
-    return rep;
-}
-
-} // namespace
+} // namespace detail
 
 std::vector<double>
 makeRequestInput(uint64_t seed, size_t index, size_t n)
 {
     std::vector<double> x(n);
-    fillRequestInput(seed, index, x);
+    detail::fillRequestInput(seed, index, x);
     return x;
 }
 
-std::vector<std::vector<double>>
-referenceOutputs(const std::vector<const TtMatrix *> &model,
-                 uint64_t seed, size_t requests, SessionOptions session)
-{
-    std::vector<TtLayerViewD> views;
-    views.reserve(model.size());
-    for (const TtMatrix *layer : model) {
-        TIE_CHECK_ARG(layer != nullptr,
-                      "referenceOutputs got a null layer");
-        views.push_back(layerView(*layer));
-    }
-    return referenceOutputs(views, seed, requests, session);
-}
-
-std::vector<std::vector<double>>
-referenceOutputs(const std::vector<TtLayerViewD> &model, uint64_t seed,
-                 size_t requests, SessionOptions session)
+Oracle
+referenceOutputs(const std::vector<TtLayerViewD> &model, size_t slot,
+                 size_t n_tenants, uint64_t seed, size_t requests)
 {
     TIE_CHECK_ARG(!model.empty(),
                   "referenceOutputs needs at least one layer");
+    TIE_CHECK_ARG(slot < n_tenants, "tenant slot ", slot,
+                  " out of range for ", n_tenants, " tenants");
     std::vector<InferSessionD> sessions;
     sessions.reserve(model.size());
     for (const TtLayerViewD &layer : model)
-        sessions.push_back(InferSessionD(layer, session));
+        sessions.push_back(InferSessionD(layer));
 
-    std::vector<std::vector<double>> out(requests);
-    std::vector<double> cur(model.front().cfg.inSize());
-    std::vector<double> nxt;
-    for (size_t i = 0; i < requests; ++i) {
-        fillRequestInput(seed, i, cur);
+    Oracle out;
+    std::vector<double> cur, nxt;
+    for (size_t i = slot; i < requests; i += n_tenants) {
+        cur.resize(model.front().cfg.inSize());
+        detail::fillRequestInput(seed, i, cur);
         std::vector<double> *a = &cur;
         std::vector<double> *b = &nxt;
         for (InferSessionD &s : sessions) {
@@ -282,10 +165,28 @@ referenceOutputs(const std::vector<TtLayerViewD> &model, uint64_t seed,
             s.runPtr(a->data(), 1, b->data());
             std::swap(a, b);
         }
-        out[i] = *a;
-        cur.resize(model.front().cfg.inSize());
+        out.push_back(*a);
     }
     return out;
+}
+
+void
+appendTenantsJson(obs::JsonWriter &w, const LoadGenReport &rep,
+                  const std::vector<std::string> &names)
+{
+    w.key("models").beginArray();
+    for (size_t k = 0; k < names.size(); ++k) {
+        const LoadGenReport &t = rep.per_tenant[k];
+        w.beginObject();
+        w.field("model", names[k]);
+        w.field("completed", static_cast<uint64_t>(t.completed));
+        w.field("mismatched", static_cast<uint64_t>(t.mismatched));
+        w.field("achieved_qps", t.achieved_qps);
+        w.field("latency_p50_us", t.latency.p50);
+        w.field("latency_p99_us", t.latency.p99);
+        w.endObject();
+    }
+    w.endArray();
 }
 
 LatencySummary
@@ -310,19 +211,6 @@ summarize(std::vector<double> samples)
     s.p99 = at(99);
     s.max = samples.back();
     return s;
-}
-
-LoadGenReport
-runLoadGen(Server &server, const LoadGenOptions &opts,
-           const std::vector<std::vector<double>> *expected)
-{
-    TIE_CHECK_ARG(opts.requests >= 1, "load gen needs requests >= 1");
-    if (expected != nullptr)
-        TIE_CHECK_ARG(expected->size() >= opts.requests,
-                      "expected outputs (", expected->size(),
-                      ") must cover all ", opts.requests, " requests");
-    return opts.offered_qps > 0 ? runOpenLoop(server, opts, expected)
-                                : runClosedLoop(server, opts, expected);
 }
 
 } // namespace serve

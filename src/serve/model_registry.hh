@@ -203,6 +203,29 @@ class ModelRegistry
     uint16_t next_model_id_ = 1;
 };
 
+/**
+ * One registered model as a load-generator tenant (serve::LoadTarget):
+ * a name bound to a registry. Unknown names are fatal, as in submit().
+ */
+struct RegistryTenant
+{
+    ModelRegistry *registry = nullptr;
+    std::string name;
+
+    size_t inSize() const { return registry->info(name).in_size; }
+    RegistryTicket
+    submit(const double *x, uint64_t deadline_us) const
+    {
+        return registry->submit(name, x, deadline_us);
+    }
+    RequestStatus
+    wait(RegistryTicket t, std::vector<double> *out,
+         RequestTiming *timing = nullptr) const
+    {
+        return registry->wait(t, out, timing);
+    }
+};
+
 } // namespace serve
 } // namespace tie
 

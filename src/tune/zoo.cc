@@ -1,5 +1,6 @@
 #include "tune/zoo.hh"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -38,6 +39,22 @@ readFileText(const std::string &path)
     return oss.str();
 }
 
+/**
+ * The one conversion of a manifest number to a count: a JSON number
+ * that is a whole value in [0, 2^53] (exact in a double, so the cast
+ * is defined). fatal() otherwise.
+ */
+size_t
+jsonCount(const obs::JsonValue *v, const char *key)
+{
+    TIE_CHECK_ARG(v && v->type == obs::JsonValue::Type::Number &&
+                      v->number >= 0 && v->number <= 0x1p53 &&
+                      v->number == std::floor(v->number),
+                  "zoo.json \"", key,
+                  "\" must be a whole number in [0, 2^53]");
+    return static_cast<size_t>(v->number);
+}
+
 std::vector<size_t>
 jsonFactors(const obs::JsonValue &v, const char *key)
 {
@@ -46,7 +63,7 @@ jsonFactors(const obs::JsonValue &v, const char *key)
                   "zoo.json model lacks array \"", key, "\"");
     std::vector<size_t> out;
     for (const auto &e : arr->array)
-        out.push_back(static_cast<size_t>(e.number));
+        out.push_back(jsonCount(&e, key));
     return out;
 }
 
@@ -206,8 +223,8 @@ loadZooManifest(const std::string &dir)
         e.config.validate();
         e.accuracy = m.num("accuracy");
         e.compression = m.num("compression");
-        e.mults = static_cast<size_t>(m.num("mults"));
-        e.sim_cycles = m.u64("sim_cycles");
+        e.mults = jsonCount(m.find("mults"), "mults");
+        e.sim_cycles = jsonCount(m.find("sim_cycles"), "sim_cycles");
         const obs::JsonValue *fxp = m.find("fxp");
         e.fxp = fxp && fxp->boolean;
         manifest.entries.push_back(std::move(e));

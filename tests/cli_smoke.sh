@@ -38,6 +38,36 @@ if "$CLI" info "$DIR/bad.tie" 2>"$DIR/err.txt"; then
 fi
 grep -q "tie" "$DIR/err.txt"
 
+# Numeric flags are checked: a sign on a count, garbage, trailing
+# garbage, an out-of-range value, inf and zero clients each fail with
+# exit 1 and a diagnostic, never an uncaught exception (exit 134).
+expect_bad_flag() {
+    rc=0
+    "$@" >/dev/null 2>"$DIR/flag_err.txt" || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q "invalid argument" "$DIR/flag_err.txt"
+    then
+        echo "expected exit 1 + diagnostic, got $rc: $*" >&2
+        cat "$DIR/flag_err.txt" >&2
+        exit 1
+    fi
+}
+for cmd in serve-bench cluster-bench; do
+    for flag in "--clients -1" "--clients 0" "--requests abc" \
+        "--requests 12x" "--requests 99999999999999999999999" \
+        "--seed +3"; do
+        # shellcheck disable=SC2086
+        expect_bad_flag "$CLI" $cmd "$DIR/s.tie" $flag
+    done
+done
+for flag in "--qps -5" "--qps inf" "--deadline-us 1.5" \
+    "--metrics-port 70000"; do
+    # shellcheck disable=SC2086
+    expect_bad_flag "$CLI" serve-bench "$DIR/s.tie" $flag
+done
+expect_bad_flag "$CLI" cluster-bench "$DIR/s.tie" --replicas -2
+expect_bad_flag "$CLI" synth "$DIR/x.ttm" --m 4,-4 --n 4,4
+expect_bad_flag "$CLI" tune abc 16
+
 # Observability: --stats-json / --trace-out must write valid JSON, and
 # the TIE_STATS_JSON / TIE_TRACE env fallbacks must do the same.
 "$CLI" simulate "$DIR/a.ttm" \

@@ -36,9 +36,30 @@ mkdir "$DIR/chaos"
 grep -q "chaos" "$DIR/chaos_out.txt"
 grep -q "all requests resolved.*| yes" "$DIR/chaos_out.txt"
 
+# Mixed traffic over a zoo: a hand-written two-entry manifest over two
+# save-model artifacts with different interfaces (no autotune needed)
+# feeds the same path as one model, one router per artifact.
+mkdir "$DIR/zoo" "$DIR/zoo_socks"
+"$CLI" save-model "$DIR/zoo/a.tie" --m 4,4 --n 4,4 --rank 3 --seed 9
+"$CLI" save-model "$DIR/zoo/b.tie" --m 2,4 --n 3,4 --rank 2 --seed 10
+cat > "$DIR/zoo/zoo.json" <<'EOF'
+{"name": "zoo", "models": [
+ {"model": "a", "family": "mlp", "budget": "x", "file": "a.tie",
+  "m": [4, 4], "n": [4, 4], "r": [1, 3, 1], "accuracy": 0,
+  "compression": 1, "mults": 0, "sim_cycles": 0, "fxp": false},
+ {"model": "b", "family": "mlp", "budget": "x", "file": "b.tie",
+  "m": [2, 4], "n": [3, 4], "r": [1, 2, 1], "accuracy": 0,
+  "compression": 1, "mults": 0, "sim_cycles": 0, "fxp": false}]}
+EOF
+"$CLI" cluster-bench --zoo "$DIR/zoo" --replicas 2 --requests 64 \
+    --clients 4 --worker-bin "$WORKER" --sock-dir "$DIR/zoo_socks" \
+    --stats-json="$DIR/zoo.json" > "$DIR/zoo_out.txt"
+grep -q "all requests resolved.*| yes" "$DIR/zoo_out.txt"
+grep -q "bit-exact vs single-process reference.*| yes" "$DIR/zoo_out.txt"
+
 # The JSON sidecars carry the machine-readable verdicts.
 python3 -m json.tool "$DIR/cb.json" >/dev/null
-python3 - "$DIR/cb.json" "$DIR/chaos.json" <<'EOF'
+python3 - "$DIR/cb.json" "$DIR/chaos.json" "$DIR/zoo.json" <<'EOF'
 import json, sys
 for path in sys.argv[1:]:
     r = json.load(open(path))
@@ -49,6 +70,10 @@ for path in sys.argv[1:]:
         == cb["requests"], (path, cb)
 chaos = json.load(open(sys.argv[2]))["cluster_bench"]
 assert chaos["chaos_kills"] >= 1, chaos
+zoo = json.load(open(sys.argv[3]))["cluster_bench"]
+assert [m["model"] for m in zoo["models"]] == ["a", "b"], zoo
+assert all(m["mismatched"] == 0 for m in zoo["models"]), zoo
+assert sum(m["completed"] for m in zoo["models"]) == zoo["completed"], zoo
 EOF
 
 # cluster_sweep --quick must emit a schema-valid BENCH_cluster.json

@@ -25,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_load.hh"
 #include "cluster/process.hh"
 #include "cluster/router.hh"
 #include "cluster/socket.hh"
@@ -636,8 +635,9 @@ class ClusterTest : public ::testing::Test
         ::rmdir(dir_.c_str());
     }
 
+    /** A replica serving @p model (default: the fixture's). */
     std::unique_ptr<ClusterWorker>
-    makeWorker(const std::string &name)
+    makeWorker(const std::string &name, const std::string &model = "")
     {
         ClusterWorkerOptions opts;
         opts.listen.kind = Endpoint::Kind::Unix;
@@ -646,7 +646,8 @@ class ClusterTest : public ::testing::Test
         opts.server.max_batch = 4;
         opts.server.queue_capacity = 32;
         auto w = std::make_unique<ClusterWorker>(
-            io::TieModel::load(model_path_), opts);
+            io::TieModel::load(model.empty() ? model_path_ : model),
+            opts);
         std::string err;
         EXPECT_TRUE(w->start(&err)) << err;
         return w;
@@ -670,16 +671,15 @@ TEST_F(ClusterTest, ShardedLoadIsBitIdenticalToReference)
     EXPECT_EQ(router.inSize(), 16u);
     EXPECT_EQ(router.outSize(), 16u);
 
-    ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests = 48;
     lopts.clients = 4;
     lopts.seed = 3;
     const io::TieModel oracle = io::TieModel::load(model_path_);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), lopts.seed,
-                                lopts.requests);
-    const serve::LoadGenReport rep =
-        runClusterLoad(router, lopts, &expected);
+    const std::vector<serve::Oracle> expected{serve::referenceOutputs(
+        oracle.layers(), 0, 1, lopts.seed, lopts.requests)};
+    const serve::LoadGenReport rep = serve::runLoadGen(
+        std::vector<Router *>{&router}, lopts, &expected);
 
     EXPECT_EQ(rep.completed, 48u);
     EXPECT_EQ(rep.rejected, 0u);
@@ -698,6 +698,69 @@ TEST_F(ClusterTest, ShardedLoadIsBitIdenticalToReference)
     router.stop();
     w0->stop();
     w1->stop();
+}
+
+TEST_F(ClusterTest, MixedTrafficOverTwoRoutersIsBitExactPerTenant)
+{
+    // A second, different model (12 -> 8 beside the fixture's
+    // 16 -> 16), each behind its own worker and Router: the load
+    // generator's mixed traffic, one process boundary out.
+    TtLayerConfig cfg;
+    cfg.m = {2, 4};
+    cfg.n = {3, 4};
+    cfg.r = {1, 2, 1};
+    Rng rng(11);
+    const std::string other_path = dir_ + "/other.tie";
+    io::saveTieModel(TtMatrix::random(cfg, rng), other_path);
+    const std::vector<std::string> paths{model_path_, other_path};
+
+    serve::LoadGenOptions lopts;
+    lopts.requests = 41;
+    lopts.clients = 3;
+    lopts.seed = 13;
+    std::vector<std::unique_ptr<ClusterWorker>> workers;
+    std::vector<std::unique_ptr<Router>> routers;
+    std::vector<Router *> targets;
+    std::vector<serve::Oracle> expected;
+    for (size_t k = 0; k < paths.size(); ++k) {
+        workers.push_back(makeWorker(std::to_string(k), paths[k]));
+        RouterOptions ropts;
+        ropts.workers = {workers.back()->endpoint()};
+        routers.push_back(std::make_unique<Router>(ropts));
+        std::string err;
+        ASSERT_TRUE(routers.back()->start(&err)) << err;
+        targets.push_back(routers.back().get());
+        expected.push_back(serve::referenceOutputs(
+            io::TieModel::load(paths[k]).layers(), k, paths.size(),
+            lopts.seed, lopts.requests));
+    }
+    EXPECT_NE(targets[0]->inSize(), targets[1]->inSize());
+
+    const serve::LoadGenReport rep =
+        serve::runLoadGen(targets, lopts, &expected);
+    // Zero lost, all served, every output bit-exact.
+    EXPECT_EQ(rep.submitted, lopts.requests);
+    EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out,
+              lopts.requests);
+    EXPECT_EQ(rep.completed, lopts.requests);
+    EXPECT_EQ(rep.mismatched, 0u);
+    // Request i went to tenant i % 2, and each tenant's replica
+    // served exactly its share.
+    ASSERT_EQ(rep.per_tenant.size(), 2u);
+    EXPECT_EQ(rep.per_tenant[0].submitted, 21u);
+    EXPECT_EQ(rep.per_tenant[1].submitted, 20u);
+    for (size_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(rep.per_tenant[k].completed,
+                  rep.per_tenant[k].submitted);
+        EXPECT_EQ(rep.per_tenant[k].mismatched, 0u);
+        EXPECT_EQ(workers[k]->doneCount(), rep.per_tenant[k].completed);
+    }
+
+    for (const std::unique_ptr<Router> &r : routers)
+        r->stop();
+    for (const std::unique_ptr<ClusterWorker> &w : workers)
+        w->stop();
+    ::unlink(other_path.c_str());
 }
 
 TEST_F(ClusterTest, CrossReplicaOutputsAreByteIdentical)
@@ -751,16 +814,15 @@ TEST_F(ClusterTest, DeadReplicaFailsOverWithoutLosingRequests)
     // dead replica must fail over, not hang or vanish.
     w0->stop();
 
-    ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests = 32;
     lopts.clients = 4;
     lopts.seed = 5;
     const io::TieModel oracle = io::TieModel::load(model_path_);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), lopts.seed,
-                                lopts.requests);
-    const serve::LoadGenReport rep =
-        runClusterLoad(router, lopts, &expected);
+    const std::vector<serve::Oracle> expected{serve::referenceOutputs(
+        oracle.layers(), 0, 1, lopts.seed, lopts.requests)};
+    const serve::LoadGenReport rep = serve::runLoadGen(
+        std::vector<Router *>{&router}, lopts, &expected);
 
     // Zero lost: every request has a terminal outcome...
     EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out,

@@ -41,7 +41,7 @@ sampleModel(uint64_t seed)
 std::vector<std::vector<double>>
 refs(const TtMatrix &tt, uint64_t seed, size_t requests)
 {
-    return serve::referenceOutputs({layerView(tt)}, seed, requests);
+    return serve::referenceOutputs({layerView(tt)}, 0, 1, seed, requests);
 }
 
 TEST(ModelRegistry, PublishInferMatchesReferenceBitExactly)

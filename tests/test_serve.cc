@@ -140,6 +140,12 @@ struct TestModel
     {
         return {&layer1, &layer2};
     }
+
+    std::vector<TtLayerViewD>
+    views() const
+    {
+        return {layerView(layer1), layerView(layer2)};
+    }
 };
 
 // -------------------------------------------------------------------
@@ -252,7 +258,7 @@ TEST(Server, BatchingInvarianceAcrossPoliciesAndWorkers)
     const uint64_t seed = 77;
     const size_t requests = 40;
     const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), seed, requests);
+        referenceOutputs(model.views(), 0, 1, seed, requests);
 
     for (size_t max_batch : {size_t(1), size_t(8), size_t(64)}) {
         for (uint64_t timeout_us : {uint64_t(0), uint64_t(1000)}) {
@@ -351,7 +357,7 @@ TEST(Server, StopDrainsQueuedRequests)
     const uint64_t seed = 5;
     const size_t requests = 12;
     const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), seed, requests);
+        referenceOutputs(model.views(), 0, 1, seed, requests);
 
     ServerOptions opts;
     opts.max_batch = 4;
@@ -393,7 +399,7 @@ TEST(Server, MatrixBackedServerLateBindsWeightUpdates)
     std::vector<double> y;
     Ticket t = server.submit(x);
     ASSERT_EQ(server.wait(t, &y), RequestStatus::Done);
-    EXPECT_EQ(y, referenceOutputs(model.chain(), seed, 1)[0]);
+    EXPECT_EQ(y, referenceOutputs(model.views(), 0, 1, seed, 1)[0]);
 
     // Replace every core's storage: move-assigning a fresh Matrix
     // steals its newly allocated buffer, so a snapshotted data
@@ -412,7 +418,7 @@ TEST(Server, MatrixBackedServerLateBindsWeightUpdates)
     Ticket t2 = server.submit(x);
     std::vector<double> y2;
     ASSERT_EQ(server.wait(t2, &y2), RequestStatus::Done);
-    EXPECT_EQ(y2, referenceOutputs(updated.chain(), seed, 1)[0]);
+    EXPECT_EQ(y2, referenceOutputs(updated.views(), 0, 1, seed, 1)[0]);
 }
 
 TEST(ServerFatal, MismatchedLayerChainDies)
@@ -491,10 +497,11 @@ TEST(LoadGen, ClosedLoopCompletesAndVerifiesBitExactly)
     lopts.requests = 96;
     lopts.clients = 4;
     lopts.seed = 9;
-    const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), lopts.seed, lopts.requests);
+    const std::vector<Oracle> expected{referenceOutputs(
+        model.views(), 0, 1, lopts.seed, lopts.requests)};
 
-    const LoadGenReport rep = runLoadGen(server, lopts, &expected);
+    const LoadGenReport rep =
+        runLoadGen(std::vector<Server *>{&server}, lopts, &expected);
     EXPECT_FALSE(rep.open_loop);
     EXPECT_EQ(rep.submitted, lopts.requests);
     // Closed-loop clients never outrun the queue: nothing is shed.
@@ -523,10 +530,11 @@ TEST(LoadGen, OpenLoopAccountsForEveryRequest)
     lopts.requests = 64;
     lopts.offered_qps = 20000; // well into the batching regime
     lopts.seed = 15;
-    const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), lopts.seed, lopts.requests);
+    const std::vector<Oracle> expected{referenceOutputs(
+        model.views(), 0, 1, lopts.seed, lopts.requests)};
 
-    const LoadGenReport rep = runLoadGen(server, lopts, &expected);
+    const LoadGenReport rep =
+        runLoadGen(std::vector<Server *>{&server}, lopts, &expected);
     EXPECT_TRUE(rep.open_loop);
     EXPECT_EQ(rep.submitted, lopts.requests);
     EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out,
@@ -678,7 +686,7 @@ TEST_F(ServeFlightTest, RecorderOnOutputsStayBitIdentical)
     const uint64_t seed = 21;
     const size_t requests = 32;
     const std::vector<std::vector<double>> expected =
-        referenceOutputs(model.chain(), seed, requests);
+        referenceOutputs(model.views(), 0, 1, seed, requests);
 
     ServerOptions opts;
     opts.max_batch = 8;

@@ -20,7 +20,7 @@
 #include "nn/dataset.hh"
 #include "obs/json.hh"
 #include "serve/model_registry.hh"
-#include "serve/multi_tenant.hh"
+#include "serve/load_gen.hh"
 #include "tt/cost_model.hh"
 #include "tt/infer_session.hh"
 #include "tt/tt_io.hh"
@@ -309,27 +309,76 @@ TEST(Zoo, MultiTenantMixIsBitExact)
         tune::publishZoo(dir.path, registry);
     ASSERT_EQ(names.size(), 2u);
 
-    serve::MultiTenantOptions mo;
+    serve::LoadGenOptions mo;
     mo.requests = 40;
     mo.clients = 3;
     mo.seed = 5;
-    std::vector<std::vector<std::vector<double>>> expected;
+    std::vector<serve::RegistryTenant> tenants;
+    std::vector<serve::Oracle> expected;
     for (size_t k = 0; k < names.size(); ++k) {
+        tenants.push_back({&registry, names[k]});
         const serve::ServableModel m = serve::loadServable(
             dir.path + "/" + manifest.entries[k].file);
-        expected.push_back(serve::tenantReferenceOutputs(
+        expected.push_back(serve::referenceOutputs(
             m.views, k, names.size(), mo.seed, mo.requests));
     }
-    const serve::MultiTenantReport rep =
-        serve::runMultiTenant(registry, names, mo, &expected);
-    EXPECT_EQ(rep.aggregate.submitted, mo.requests);
-    EXPECT_EQ(rep.aggregate.completed, mo.requests);
-    EXPECT_EQ(rep.aggregate.mismatched, 0u);
-    ASSERT_EQ(rep.per_model.size(), 2u);
-    EXPECT_EQ(rep.per_model[0].submitted, 20u);
-    EXPECT_EQ(rep.per_model[1].submitted, 20u);
-    for (const serve::LoadGenReport &r : rep.per_model)
+    const serve::LoadGenReport rep =
+        serve::runLoadGen(tenants, mo, &expected);
+    EXPECT_EQ(rep.submitted, mo.requests);
+    EXPECT_EQ(rep.completed, mo.requests);
+    EXPECT_EQ(rep.mismatched, 0u);
+    ASSERT_EQ(rep.per_tenant.size(), 2u);
+    EXPECT_EQ(rep.per_tenant[0].submitted, 20u);
+    EXPECT_EQ(rep.per_tenant[1].submitted, 20u);
+    for (const serve::LoadGenReport &r : rep.per_tenant)
         EXPECT_EQ(r.mismatched, 0u);
+}
+
+/**
+ * Every numeric manifest field goes through one checked conversion:
+ * a string, a negative, a fraction or a value above 2^53 in a factor
+ * list, "mults" or "sim_cycles" is refused with a diagnostic (exit
+ * 1), never cast to size_t.
+ */
+TEST(Zoo, HostileManifestNumbersAreRejected)
+{
+    // Re-exec instead of fork: earlier tests leave pool threads.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempDir dir;
+    auto manifest = [&](const std::string &m, const std::string &mults,
+                        const std::string &cycles) {
+        std::ofstream os(dir.path + "/zoo.json");
+        os << R"({"models": [{"model": "mlp-x", "family": "mlp",)"
+           << R"( "budget": "x", "file": "mlp-x.tie", "m": )" << m
+           << R"(, "n": [4, 4], "r": [1, 2, 1], "accuracy": 0.5,)"
+           << R"( "compression": 2, "mults": )" << mults
+           << R"(, "sim_cycles": )" << cycles << R"(, "fxp": false}]})";
+    };
+    manifest("[4, 4]", "64", "100");
+    const tune::ZooManifest ok = tune::loadZooManifest(dir.path);
+    ASSERT_EQ(ok.entries.size(), 1u);
+    EXPECT_EQ(ok.entries[0].mults, 64u);
+    EXPECT_EQ(ok.entries[0].sim_cycles, 100u);
+
+    for (const char *bad : {"[\"4\", 4]", "[-1, 4]", "[2.5, 4]",
+                            "[1e30, 4]", "[9007199254740994, 4]"}) {
+        manifest(bad, "64", "100");
+        EXPECT_EXIT(tune::loadZooManifest(dir.path),
+                    ::testing::ExitedWithCode(1), "\"m\" must be a whole")
+            << bad;
+    }
+    for (const char *bad : {"\"64\"", "-1", "2.5", "1e30", "null"}) {
+        manifest("[4, 4]", bad, "100");
+        EXPECT_EXIT(tune::loadZooManifest(dir.path),
+                    ::testing::ExitedWithCode(1),
+                    "\"mults\" must be a whole")
+            << bad;
+        manifest("[4, 4]", "64", bad);
+        EXPECT_EXIT(tune::loadZooManifest(dir.path),
+                    ::testing::ExitedWithCode(1),
+                    "\"sim_cycles\" must be a whole")
+            << bad;
+    }
 }
 
 TEST(Servable, LoadsBothFormatsAndRejectsMissing)

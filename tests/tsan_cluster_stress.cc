@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/cluster_load.hh"
 #include "cluster/router.hh"
 #include "cluster/worker.hh"
 #include "io/tie_format.hh"
@@ -92,13 +91,12 @@ main()
     expect(router.start(&err), "router start");
 
     const io::TieModel oracle = io::TieModel::load(model_path);
-    cluster::ClusterLoadOptions lopts;
+    serve::LoadGenOptions lopts;
     lopts.requests = 96;
     lopts.clients = 4;
     lopts.seed = 7;
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(oracle.layers(), lopts.seed,
-                                lopts.requests);
+    const std::vector<serve::Oracle> expected{serve::referenceOutputs(
+        oracle.layers(), 0, 1, lopts.seed, lopts.requests)};
 
     // Kill one replica mid-load so dispatch, the dying receiver, the
     // monitor's detach and failOverLocked all race for real.
@@ -107,7 +105,8 @@ main()
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         w0->stop();
     });
-    rep = runClusterLoad(router, lopts, &expected);
+    rep = serve::runLoadGen(std::vector<cluster::Router *>{&router},
+                            lopts, &expected);
     chaos.join();
 
     expect(rep.completed + rep.rejected + rep.timed_out ==

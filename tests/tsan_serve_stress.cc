@@ -72,7 +72,8 @@ producerStorm(const tie::TtMatrix &layer)
     const size_t producers = 4;
     const size_t per_producer = 200;
     const std::vector<std::vector<double>> expected =
-        referenceOutputs({&layer}, /*seed=*/3, per_producer);
+        referenceOutputs({layerView(layer)}, 0, 1, /*seed=*/3,
+                         per_producer);
 
     std::atomic<size_t> done{0}, timed_out{0}, rejected{0},
         mismatched{0};

@@ -32,13 +32,15 @@
  *                    --m .. --n .. [--rank r] [--seed s]) [--fxp]
  *       package a layer chain as a versioned .tie artifact
  *       (docs/serialization.md); --fxp embeds the quantized twin
- *   tie_cli cluster-bench model.tie [--replicas K] [--requests R]
- *                    [--chaos [--chaos-kills N]] [--p99-bound-us X]
- *       spawn K tie_worker processes, shard a closed-loop run across
- *       them through the cluster router, verify every output
- *       bit-exactly against the single-process oracle; --chaos
- *       SIGKILLs and restarts replicas mid-load and asserts zero
- *       lost requests (docs/cluster.md)
+ *   tie_cli cluster-bench (model.tie | --zoo DIR) [--replicas K]
+ *                    [--requests R] [--chaos [--chaos-kills N]]
+ *                    [--p99-bound-us X]
+ *       spawn K tie_worker processes per model, shard a closed-loop
+ *       run across them through one cluster router per model, verify
+ *       every output bit-exactly against the single-process oracle;
+ *       --zoo drives every zoo artifact as one mixed-traffic run;
+ *       --chaos (single model) SIGKILLs and restarts replicas
+ *       mid-load and asserts zero lost requests (docs/cluster.md)
  *
  * info and serve-bench sniff the artifact kind by magic, so both
  * accept legacy single-layer .ttm streams and .tie containers.
@@ -55,13 +57,15 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -70,7 +74,6 @@
 
 #include "arch/stats_io.hh"
 #include "arch/tie_sim.hh"
-#include "cluster/cluster_load.hh"
 #include "cluster/process.hh"
 #include "cluster/router.hh"
 #include "common/table.hh"
@@ -82,7 +85,6 @@
 #include "serve/load_gen.hh"
 #include "serve/metrics_endpoint.hh"
 #include "serve/model_registry.hh"
-#include "serve/multi_tenant.hh"
 #include "serve/server.hh"
 #include "tt/cost_model.hh"
 #include "tt/tt_io.hh"
@@ -94,6 +96,29 @@
 using namespace tie;
 
 namespace {
+
+/**
+ * @p text as a T: a plain non-negative decimal, finite and at most
+ * @p max. Anything else (a sign, trailing garbage, out of range,
+ * inf/nan) is fatal with a diagnostic naming @p what, so a bad flag
+ * exits 1 instead of throwing out of std::sto*.
+ */
+template <class T>
+T
+parseNumber(const std::string &text, const std::string &what,
+            T max = std::numeric_limits<T>::max())
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    const bool ok = !text.empty() && text[0] != '-' &&
+                    ec == std::errc() && ptr == end &&
+                    std::isfinite(static_cast<double>(v)) && v <= max;
+    TIE_CHECK_ARG(ok, what, " must be a non-negative ",
+                  std::is_integral_v<T> ? "integer" : "finite number",
+                  " no larger than ", max, "; got \"", text, "\"");
+    return v;
+}
 
 /** Minimal "--key value" / "--flag" option parser. */
 struct Options
@@ -112,6 +137,15 @@ struct Options
     has(const std::string &key) const
     {
         return flags.count(key) > 0 || named.count(key) > 0;
+    }
+    /** --key through parseNumber; @p fallback when absent. */
+    template <class T>
+    T
+    num(const std::string &key, T fallback,
+        T max = std::numeric_limits<T>::max()) const
+    {
+        return has(key) ? parseNumber<T>(get(key), "--" + key, max)
+                        : fallback;
     }
 };
 
@@ -146,7 +180,7 @@ parseFactors(const std::string &csv)
     std::stringstream ss(csv);
     std::string tok;
     while (std::getline(ss, tok, ','))
-        out.push_back(static_cast<size_t>(std::stoul(tok)));
+        out.push_back(parseNumber<size_t>(tok, "factor"));
     TIE_CHECK_ARG(!out.empty(), "empty factor list");
     return out;
 }
@@ -159,8 +193,7 @@ configFrom(const Options &opt)
     TtLayerConfig cfg;
     cfg.m = parseFactors(opt.get("m"));
     cfg.n = parseFactors(opt.get("n"));
-    const size_t rank =
-        static_cast<size_t>(std::stoul(opt.get("rank", "4")));
+    const size_t rank = opt.num<size_t>("rank", 4);
     cfg.r.assign(cfg.m.size() + 1, rank);
     cfg.r.front() = cfg.r.back() = 1;
     cfg.validate();
@@ -174,7 +207,7 @@ cmdSynth(const Options &opt)
                   "usage: tie_cli synth <out.ttm> --m .. --n .. "
                   "[--rank r] [--seed s]");
     TtLayerConfig cfg = configFrom(opt);
-    Rng rng(std::stoull(opt.get("seed", "1")));
+    Rng rng(opt.num<uint64_t>("seed", 1));
     TtMatrix tt = TtMatrix::random(cfg, rng);
     saveTtMatrixFile(tt, opt.positional[0]);
     std::cout << "wrote " << opt.positional[0] << ": "
@@ -198,7 +231,7 @@ cmdDecompose(const Options &opt)
     TIE_CHECK_ARG(static_cast<bool>(is), "dense file too small: need ",
                   w.size() * sizeof(double), " bytes");
 
-    const double eps = std::stod(opt.get("eps", "0"));
+    const double eps = opt.num<double>("eps", 0);
     TtMatrix tt = ttSvdMatrix(w, cfg, eps);
     saveTtMatrixFile(tt, opt.positional[1]);
 
@@ -234,7 +267,7 @@ cmdSaveModel(const Options &opt)
         TIE_CHECK_ARG(!layers.empty(), "--from lists no files");
     } else {
         TtLayerConfig cfg = configFrom(opt);
-        Rng rng(std::stoull(opt.get("seed", "1")));
+        Rng rng(opt.num<uint64_t>("seed", 1));
         layers.push_back(TtMatrix::random(cfg, rng));
     }
 
@@ -349,9 +382,8 @@ cmdRound(const Options &opt)
                   "usage: tie_cli round <in.ttm> <out.ttm> --rank r "
                   "[--eps e]");
     TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
-    const size_t rank =
-        static_cast<size_t>(std::stoul(opt.get("rank", "4")));
-    const double eps = std::stod(opt.get("eps", "0"));
+    const size_t rank = opt.num<size_t>("rank", 4);
+    const double eps = opt.num<double>("eps", 0);
     TtMatrix rounded = ttRound(tt, rank, eps);
     saveTtMatrixFile(rounded, opt.positional[1]);
     std::cout << "rounded " << tt.config().toString() << "\n  ->    "
@@ -369,13 +401,12 @@ cmdSimulate(const Options &opt)
     TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
 
     TieArchConfig cfg;
-    cfg.n_pe = static_cast<size_t>(std::stoul(opt.get("npe", "16")));
-    cfg.n_mac = static_cast<size_t>(std::stoul(opt.get("nmac", "16")));
-    cfg.freq_mhz = std::stod(opt.get("freq", "1000"));
-    const size_t batch =
-        static_cast<size_t>(std::stoul(opt.get("batch", "1")));
+    cfg.n_pe = opt.num<size_t>("npe", 16);
+    cfg.n_mac = opt.num<size_t>("nmac", 16);
+    cfg.freq_mhz = opt.num<double>("freq", 1000);
+    const size_t batch = opt.num<size_t>("batch", 1);
 
-    Rng rng(std::stoull(opt.get("seed", "7")));
+    Rng rng(opt.num<uint64_t>("seed", 7));
     const FxpFormat act{16, 8};
     TtMatrixFxp ttq = TtMatrixFxp::quantizeAuto(tt, act);
     MatrixF xf(tt.config().inSize(), batch);
@@ -441,38 +472,26 @@ tune::TuneOptions
 tuneOptionsFrom(const Options &opt)
 {
     tune::TuneOptions topts;
-    topts.seed = std::stoull(opt.get("seed", "1"));
-    topts.space.min_d =
-        static_cast<size_t>(std::stoul(opt.get("min-d", "2")));
-    topts.space.max_d =
-        static_cast<size_t>(std::stoul(opt.get("max-d", "3")));
+    topts.seed = opt.num<uint64_t>("seed", 1);
+    topts.space.min_d = opt.num<size_t>("min-d", 2);
+    topts.space.max_d = opt.num<size_t>("max-d", 3);
     if (opt.has("ranks"))
         topts.space.ranks = parseFactors(opt.get("ranks"));
-    topts.budget.min_compression =
-        std::stod(opt.get("min-compression", "1"));
-    topts.budget.max_mults =
-        static_cast<size_t>(std::stoul(opt.get("max-mults", "0")));
-    topts.budget.max_working_elems =
-        static_cast<size_t>(std::stoul(opt.get("max-working", "0")));
-    topts.budget.max_params =
-        static_cast<size_t>(std::stoul(opt.get("max-params", "0")));
-    topts.max_evals =
-        static_cast<size_t>(std::stoul(opt.get("max-evals", "32")));
-    topts.epochs =
-        static_cast<size_t>(std::stoul(opt.get("epochs", "4")));
-    topts.classes =
-        static_cast<size_t>(std::stoul(opt.get("classes", "8")));
-    topts.train_samples =
-        static_cast<size_t>(std::stoul(opt.get("train", "256")));
-    topts.test_samples =
-        static_cast<size_t>(std::stoul(opt.get("test", "128")));
+    topts.budget.min_compression = opt.num<double>("min-compression", 1);
+    topts.budget.max_mults = opt.num<size_t>("max-mults", 0);
+    topts.budget.max_working_elems = opt.num<size_t>("max-working", 0);
+    topts.budget.max_params = opt.num<size_t>("max-params", 0);
+    topts.max_evals = opt.num<size_t>("max-evals", 32);
+    topts.epochs = opt.num<size_t>("epochs", 4);
+    topts.classes = opt.num<size_t>("classes", 8);
+    topts.train_samples = opt.num<size_t>("train", 256);
+    topts.test_samples = opt.num<size_t>("test", 128);
     const std::string data = opt.get("data", "images");
     if (data == "video")
         topts.data = tune::DataKind::Video;
     else
         TIE_CHECK_ARG(data == "images", "--data must be images|video");
-    topts.video_steps =
-        static_cast<size_t>(std::stoul(opt.get("steps", "4")));
+    topts.video_steps = opt.num<size_t>("steps", 4);
     const std::string sim = opt.get("sim", "run");
     if (sim == "off")
         topts.sim_mode = tune::SimMode::Off;
@@ -480,10 +499,8 @@ tuneOptionsFrom(const Options &opt)
         topts.sim_mode = tune::SimMode::Analytic;
     else
         TIE_CHECK_ARG(sim == "run", "--sim must be run|analytic|off");
-    topts.arch.n_pe =
-        static_cast<size_t>(std::stoul(opt.get("npe", "16")));
-    topts.arch.n_mac =
-        static_cast<size_t>(std::stoul(opt.get("nmac", "16")));
+    topts.arch.n_pe = opt.num<size_t>("npe", 16);
+    topts.arch.n_mac = opt.num<size_t>("nmac", 16);
     topts.measure = opt.has("measure");
     return topts;
 }
@@ -500,10 +517,8 @@ cmdTune(const Options &opt)
         " [--train N] [--test N] [--data images|video] [--steps T]"
         " [--sim run|analytic|off] [--npe N] [--nmac M] [--measure]"
         " [--pareto-out FILE]");
-    const size_t out_dim =
-        static_cast<size_t>(std::stoul(opt.positional[0]));
-    const size_t in_dim =
-        static_cast<size_t>(std::stoul(opt.positional[1]));
+    const size_t out_dim = parseNumber<size_t>(opt.positional[0], "out_dim");
+    const size_t in_dim = parseNumber<size_t>(opt.positional[1], "in_dim");
     const tune::TuneOptions topts = tuneOptionsFrom(opt);
 
     const tune::TuneReport report = tune::autotune(out_dim, in_dim,
@@ -561,7 +576,8 @@ cmdZooBuild(const Options &opt)
                           "got ", tok);
             zopts.budgets.push_back(
                 {tok.substr(0, colon),
-                 std::stod(tok.substr(colon + 1))});
+                 parseNumber<double>(tok.substr(colon + 1),
+                                     "--budgets cap fraction")});
         }
     }
     if (opt.has("families")) {
@@ -602,6 +618,31 @@ cmdZooBuild(const Options &opt)
     return 0;
 }
 
+/** The batching-server knobs serve-bench and cluster-bench share. */
+serve::ServerOptions
+serverOptionsFrom(const Options &opt, size_t max_batch, size_t queue_cap)
+{
+    serve::ServerOptions sopts;
+    sopts.workers = opt.num<size_t>("workers", 1);
+    sopts.max_batch = opt.num<size_t>("max-batch", max_batch);
+    sopts.batch_timeout_us = opt.num<uint64_t>("timeout-us", 200);
+    sopts.queue_capacity = opt.num<size_t>("queue-cap", queue_cap);
+    return sopts;
+}
+
+/** The load generator's knobs, shared likewise. */
+serve::LoadGenOptions
+loadOptionsFrom(const Options &opt, size_t requests)
+{
+    serve::LoadGenOptions lopts;
+    lopts.requests = opt.num<size_t>("requests", requests);
+    lopts.clients = opt.num<size_t>("clients", 4);
+    lopts.offered_qps = opt.num<double>("qps", 0);
+    lopts.deadline_us = opt.num<uint64_t>("deadline-us", 0);
+    lopts.seed = opt.num<uint64_t>("seed", 1);
+    return lopts;
+}
+
 int
 cmdServeBench(const Options &opt)
 {
@@ -621,26 +662,10 @@ cmdServeBench(const Options &opt)
         serve::loadServable(opt.positional[0]);
     const std::vector<TtLayerViewD> &views = model.views;
 
-    serve::ServerOptions sopts;
-    sopts.workers =
-        static_cast<size_t>(std::stoul(opt.get("workers", "1")));
-    sopts.max_batch =
-        static_cast<size_t>(std::stoul(opt.get("max-batch", "8")));
-    sopts.batch_timeout_us = std::stoull(opt.get("timeout-us", "200"));
-    sopts.queue_capacity =
-        static_cast<size_t>(std::stoul(opt.get("queue-cap", "256")));
-
-    serve::LoadGenOptions lopts;
-    lopts.requests =
-        static_cast<size_t>(std::stoul(opt.get("requests", "256")));
-    lopts.clients =
-        static_cast<size_t>(std::stoul(opt.get("clients", "4")));
-    lopts.offered_qps = std::stod(opt.get("qps", "0"));
-    lopts.deadline_us = std::stoull(opt.get("deadline-us", "0"));
-    lopts.seed = std::stoull(opt.get("seed", "1"));
-
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(views, lopts.seed, lopts.requests);
+    const serve::ServerOptions sopts = serverOptionsFrom(opt, 8, 256);
+    const serve::LoadGenOptions lopts = loadOptionsFrom(opt, 256);
+    const std::vector<serve::Oracle> expected{serve::referenceOutputs(
+        views, 0, 1, lopts.seed, lopts.requests)};
 
     // Live metrics: a loopback Prometheus endpoint and/or a periodic
     // exposition snapshot file. Either implies observability so the
@@ -651,9 +676,7 @@ cmdServeBench(const Options &opt)
     if (want_metrics) {
         obs::setEnabled(true);
         serve::MetricsEndpointOptions mopts;
-        mopts.port = opt.has("metrics-port")
-                         ? std::stoi(opt.get("metrics-port", "0"))
-                         : -1;
+        mopts.port = opt.num<int>("metrics-port", -1, 65535);
         mopts.snapshot_path = opt.get("metrics-snapshot", "");
         TIE_CHECK_ARG(metrics.start(mopts),
                       "cannot start the metrics endpoint");
@@ -670,14 +693,14 @@ cmdServeBench(const Options &opt)
     obs::FlightRecorder::instance().start();
 
     serve::Server server(views, sopts);
-    const serve::LoadGenReport rep =
-        serve::runLoadGen(server, lopts, &expected);
+    const serve::LoadGenReport rep = serve::runLoadGen(
+        std::vector<serve::Server *>{&server}, lopts, &expected);
 
     obs::FlightRecorder::instance().stop();
 
     if (want_metrics) {
         const uint64_t linger =
-            std::stoull(opt.get("metrics-linger-ms", "0"));
+            opt.num<uint64_t>("metrics-linger-ms", 0);
         if (linger > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(linger));
@@ -835,227 +858,61 @@ spawnWorker(const std::string &bin, const std::string &model,
 }
 
 /**
- * Multi-tenant cluster bench: one worker fleet + router per zoo
- * model, mixed closed-loop traffic across all of them, per-model
- * bit-exact verification against the mmap'd artifacts.
+ * Cluster bench: K tie_worker replicas and one router per tenant, a
+ * closed-loop run through the load generator, every output verified
+ * bit-exactly against the single-process oracle. The tenants are one
+ * .tie model, or every artifact of a --zoo manifest (mixed traffic).
  */
-int
-cmdClusterBenchZoo(const Options &opt)
-{
-    const std::string zoo_dir = opt.get("zoo");
-    const tune::ZooManifest manifest =
-        tune::loadZooManifest(zoo_dir);
-    const size_t n_models = manifest.entries.size();
-    TIE_CHECK_ARG(!opt.has("chaos") && !opt.has("chaos-kills"),
-                  "--chaos applies to the single-model bench only");
-
-    const size_t replicas =
-        static_cast<size_t>(std::stoul(opt.get("replicas", "1")));
-    TIE_CHECK_ARG(replicas >= 1, "--replicas must be >= 1");
-
-    serve::ServerOptions sopts;
-    sopts.workers =
-        static_cast<size_t>(std::stoul(opt.get("workers", "1")));
-    sopts.max_batch =
-        static_cast<size_t>(std::stoul(opt.get("max-batch", "4")));
-    sopts.batch_timeout_us = std::stoull(opt.get("timeout-us", "200"));
-    sopts.queue_capacity =
-        static_cast<size_t>(std::stoul(opt.get("queue-cap", "128")));
-
-    cluster::ClusterLoadOptions lopts;
-    lopts.requests =
-        static_cast<size_t>(std::stoul(opt.get("requests", "64")));
-    lopts.clients =
-        static_cast<size_t>(std::stoul(opt.get("clients", "4")));
-    lopts.deadline_us = std::stoull(opt.get("deadline-us", "0"));
-    lopts.seed = std::stoull(opt.get("seed", "1"));
-
-    // Per-tenant oracles from the same artifacts the workers load.
-    std::vector<std::string> paths;
-    std::vector<std::vector<std::vector<double>>> expected;
-    for (size_t k = 0; k < n_models; ++k) {
-        paths.push_back(zoo_dir + "/" + manifest.entries[k].file);
-        io::TieModel artifact = io::TieModel::load(paths.back());
-        expected.push_back(serve::tenantReferenceOutputs(
-            artifact.layers(), k, n_models, lopts.seed,
-            lopts.requests));
-    }
-
-    std::string sock_dir = opt.get("sock-dir", "");
-    if (sock_dir.empty()) {
-        char tmpl[] = "/tmp/tie-cluster-XXXXXX";
-        TIE_CHECK_ARG(::mkdtemp(tmpl) != nullptr,
-                      "cannot create socket directory");
-        sock_dir = tmpl;
-    }
-    const std::string bin = workerBinPath(opt);
-
-    std::vector<WorkerProc> workers(n_models * replicas);
-    std::vector<std::unique_ptr<cluster::Router>> routers;
-    for (size_t k = 0; k < n_models; ++k) {
-        cluster::RouterOptions ropts;
-        for (size_t r = 0; r < replicas; ++r) {
-            const std::string sock = sock_dir + "/m" +
-                                     std::to_string(k) + "w" +
-                                     std::to_string(r) + ".sock";
-            WorkerProc &w = workers[k * replicas + r];
-            std::string err;
-            TIE_CHECK_ARG(spawnWorker(bin, paths[k], sock, sopts, &w,
-                                      &err),
-                          "cannot spawn ", manifest.entries[k].name,
-                          " replica ", r, ": ", err);
-            ropts.workers.push_back(w.endpoint);
-        }
-        ropts.health_period_ms = 50;
-        routers.push_back(
-            std::make_unique<cluster::Router>(ropts));
-        std::string err;
-        TIE_CHECK_ARG(routers.back()->start(&err),
-                      manifest.entries[k].name, " router start "
-                      "failed: ", err);
-    }
-    std::cout << n_models << " model(s) x " << replicas
-              << " replica(s) ready on " << sock_dir << std::endl;
-
-    std::vector<cluster::Router *> router_ptrs;
-    for (const std::unique_ptr<cluster::Router> &r : routers)
-        router_ptrs.push_back(r.get());
-    const cluster::MixedClusterReport rep =
-        cluster::runMixedClusterLoad(router_ptrs, lopts, &expected);
-
-    for (const std::unique_ptr<cluster::Router> &r : routers)
-        r->drainWorkers(/*timeout_ms=*/5000);
-    for (const std::unique_ptr<cluster::Router> &r : routers)
-        r->stop();
-    for (WorkerProc &w : workers) {
-        if (w.proc.stdin_fd >= 0) {
-            ::close(w.proc.stdin_fd);
-            w.proc.stdin_fd = -1;
-        }
-        cluster::waitProcess(w.proc);
-    }
-
-    const size_t resolved = rep.aggregate.completed +
-                            rep.aggregate.rejected +
-                            rep.aggregate.timed_out;
-    const bool none_lost = resolved == rep.aggregate.submitted;
-    const bool bit_exact = rep.aggregate.mismatched == 0;
-
-    if (obs::Session *s = obs::Session::current();
-        s != nullptr && s->statsRequested()) {
-        obs::JsonWriter w;
-        w.beginObject();
-        w.field("zoo", zoo_dir);
-        w.field("replicas", static_cast<uint64_t>(replicas));
-        w.field("requests",
-                static_cast<uint64_t>(rep.aggregate.submitted));
-        w.field("completed",
-                static_cast<uint64_t>(rep.aggregate.completed));
-        w.field("rejected",
-                static_cast<uint64_t>(rep.aggregate.rejected));
-        w.field("timed_out",
-                static_cast<uint64_t>(rep.aggregate.timed_out));
-        w.field("mismatched",
-                static_cast<uint64_t>(rep.aggregate.mismatched));
-        w.field("achieved_qps", rep.aggregate.achieved_qps);
-        w.field("none_lost", none_lost);
-        w.key("models").beginArray();
-        for (size_t k = 0; k < n_models; ++k) {
-            const serve::LoadGenReport &r = rep.per_model[k];
-            w.beginObject();
-            w.field("model", manifest.entries[k].name);
-            w.field("completed", static_cast<uint64_t>(r.completed));
-            w.field("mismatched",
-                    static_cast<uint64_t>(r.mismatched));
-            w.field("latency_p50_us", r.latency.p50);
-            w.field("latency_p99_us", r.latency.p99);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        s->setExtra("cluster_bench", w.str());
-    }
-
-    TextTable t("multi-tenant cluster-bench: " + zoo_dir);
-    t.header({"model", "done/rej/to", "mismatch", "p50 us",
-              "p99 us"});
-    for (size_t k = 0; k < n_models; ++k) {
-        const serve::LoadGenReport &r = rep.per_model[k];
-        t.row({manifest.entries[k].name,
-               std::to_string(r.completed) + "/" +
-                   std::to_string(r.rejected) + "/" +
-                   std::to_string(r.timed_out),
-               std::to_string(r.mismatched),
-               TextTable::num(r.latency.p50, 1),
-               TextTable::num(r.latency.p99, 1)});
-    }
-    t.row({"aggregate",
-           std::to_string(rep.aggregate.completed) + "/" +
-               std::to_string(rep.aggregate.rejected) + "/" +
-               std::to_string(rep.aggregate.timed_out),
-           std::to_string(rep.aggregate.mismatched),
-           TextTable::num(rep.aggregate.latency.p50, 1),
-           TextTable::num(rep.aggregate.latency.p99, 1)});
-    t.print();
-    std::cout << "all requests resolved: "
-              << (none_lost ? "yes" : "NO")
-              << "\nbit-exact vs references: "
-              << (bit_exact ? "yes" : "NO") << "\n";
-    return none_lost && bit_exact ? 0 : 2;
-}
-
 int
 cmdClusterBench(const Options &opt)
 {
-    if (opt.has("zoo"))
-        return cmdClusterBenchZoo(opt);
+    const bool zoo = opt.has("zoo");
     TIE_CHECK_ARG(
-        opt.positional.size() == 1,
+        opt.positional.size() == (zoo ? 0u : 1u),
         "usage: tie_cli cluster-bench (<model.tie> | --zoo DIR)"
         " [--replicas K]"
         " [--requests R] [--clients C] [--seed s] [--deadline-us D]"
         " [--workers W] [--max-batch B] [--timeout-us T]"
         " [--queue-cap Q] [--chaos] [--chaos-kills N]"
         " [--p99-bound-us X] [--worker-bin PATH] [--sock-dir DIR]");
-    const std::string &model_path = opt.positional[0];
-    TIE_CHECK_ARG(io::isTieArtifact(model_path),
-                  "cluster-bench serves .tie artifacts (workers load "
-                  "the file themselves); got ", model_path);
+    const std::string zoo_dir = opt.get("zoo");
+    std::vector<std::string> names, paths;
+    if (zoo) {
+        for (const tune::ZooEntry &e :
+             tune::loadZooManifest(zoo_dir).entries) {
+            names.push_back(e.name);
+            paths.push_back(zoo_dir + "/" + e.file);
+        }
+    } else {
+        names = paths = {opt.positional[0]};
+        TIE_CHECK_ARG(io::isTieArtifact(paths[0]),
+                      "cluster-bench serves .tie artifacts (workers "
+                      "load the file themselves); got ", paths[0]);
+    }
+    const size_t n_models = paths.size();
 
-    const size_t replicas =
-        static_cast<size_t>(std::stoul(opt.get("replicas", "2")));
+    const size_t replicas = opt.num<size_t>("replicas", zoo ? 1 : 2);
     TIE_CHECK_ARG(replicas >= 1, "--replicas must be >= 1");
     const bool chaos = opt.has("chaos");
-    const size_t chaos_kills = static_cast<size_t>(
-        std::stoul(opt.get("chaos-kills", chaos ? "1" : "0")));
+    const size_t chaos_kills = opt.num<size_t>("chaos-kills", chaos ? 1 : 0);
+    TIE_CHECK_ARG(!zoo || chaos_kills == 0,
+                  "--chaos applies to the single-model bench only");
     TIE_CHECK_ARG(!chaos || replicas >= 2,
                   "--chaos needs at least 2 replicas (a killed "
                   "replica's work fails over to a live one)");
+    const double p99_bound = opt.num<double>("p99-bound-us", 0);
 
-    serve::ServerOptions sopts;
-    sopts.workers =
-        static_cast<size_t>(std::stoul(opt.get("workers", "1")));
-    sopts.max_batch =
-        static_cast<size_t>(std::stoul(opt.get("max-batch", "4")));
-    sopts.batch_timeout_us = std::stoull(opt.get("timeout-us", "200"));
-    sopts.queue_capacity =
-        static_cast<size_t>(std::stoul(opt.get("queue-cap", "128")));
+    const serve::ServerOptions sopts = serverOptionsFrom(opt, 4, 128);
+    const serve::LoadGenOptions lopts = loadOptionsFrom(opt, 64);
 
-    cluster::ClusterLoadOptions lopts;
-    lopts.requests =
-        static_cast<size_t>(std::stoul(opt.get("requests", "64")));
-    lopts.clients =
-        static_cast<size_t>(std::stoul(opt.get("clients", "4")));
-    lopts.deadline_us = std::stoull(opt.get("deadline-us", "0"));
-    lopts.seed = std::stoull(opt.get("seed", "1"));
-
-    // The single-process oracle: the same seeded request stream
-    // through the same artifact, batch-1. Every Done output from any
+    // The single-process oracles: the same seeded request stream
+    // through the same artifacts, batch-1. Every Done output from any
     // replica must match these bits exactly.
-    io::TieModel artifact = io::TieModel::load(model_path);
-    const std::vector<std::vector<double>> expected =
-        serve::referenceOutputs(artifact.layers(), lopts.seed,
-                                lopts.requests);
+    std::vector<serve::Oracle> expected;
+    for (size_t k = 0; k < n_models; ++k)
+        expected.push_back(serve::referenceOutputs(
+            io::TieModel::load(paths[k]).layers(), k, n_models,
+            lopts.seed, lopts.requests));
 
     std::string sock_dir = opt.get("sock-dir", "");
     if (sock_dir.empty()) {
@@ -1065,27 +922,32 @@ cmdClusterBench(const Options &opt)
         sock_dir = tmpl;
     }
     const std::string bin = workerBinPath(opt);
+    auto sockPath = [&](size_t k, size_t r) {
+        return sock_dir + "/m" + std::to_string(k) + "w" +
+               std::to_string(r) + ".sock";
+    };
 
-    std::vector<WorkerProc> workers(replicas);
-    std::vector<cluster::Endpoint> endpoints;
-    for (size_t i = 0; i < replicas; ++i) {
-        const std::string sock =
-            sock_dir + "/w" + std::to_string(i) + ".sock";
+    std::vector<WorkerProc> workers(n_models * replicas);
+    std::vector<std::unique_ptr<cluster::Router>> routers;
+    for (size_t k = 0; k < n_models; ++k) {
+        cluster::RouterOptions ropts;
+        for (size_t r = 0; r < replicas; ++r) {
+            WorkerProc &w = workers[k * replicas + r];
+            std::string err;
+            TIE_CHECK_ARG(spawnWorker(bin, paths[k], sockPath(k, r),
+                                      sopts, &w, &err),
+                          "cannot spawn ", names[k], " replica ", r,
+                          ": ", err);
+            ropts.workers.push_back(w.endpoint);
+        }
+        ropts.health_period_ms = 50; // fast failure detection for chaos
+        routers.push_back(std::make_unique<cluster::Router>(ropts));
         std::string err;
-        TIE_CHECK_ARG(spawnWorker(bin, model_path, sock, sopts,
-                                  &workers[i], &err),
-                      "cannot spawn replica ", i, ": ", err);
-        endpoints.push_back(workers[i].endpoint);
+        TIE_CHECK_ARG(routers.back()->start(&err), names[k],
+                      " router start failed: ", err);
     }
-    std::cout << replicas << " replica(s) ready on " << sock_dir
-              << std::endl;
-
-    cluster::RouterOptions ropts;
-    ropts.workers = endpoints;
-    ropts.health_period_ms = 50; // fast failure detection for chaos
-    cluster::Router router(ropts);
-    std::string err;
-    TIE_CHECK_ARG(router.start(&err), "router start failed: ", err);
+    std::cout << n_models << " model(s) x " << replicas
+              << " replica(s) ready on " << sock_dir << std::endl;
 
     // Chaos: SIGKILL replicas (round-robin) under load, restart each
     // on the same socket so the router's monitor re-adopts it. The
@@ -1093,7 +955,6 @@ cmdClusterBench(const Options &opt)
     // requested kill happens even if the load drains first — a smoke
     // run with a short load still exercises the kill/restart/re-adopt
     // path deterministically.
-    std::atomic<bool> load_done{false};
     size_t killed = 0, restarted = 0;
     std::thread chaos_thread;
     if (chaos_kills > 0) {
@@ -1107,12 +968,9 @@ cmdClusterBench(const Options &opt)
                 ++killed;
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(100));
-                const std::string sock =
-                    sock_dir + "/w" + std::to_string(k % replicas) +
-                    ".sock";
                 std::string serr;
-                if (spawnWorker(bin, model_path, sock, sopts,
-                                &victim, &serr))
+                if (spawnWorker(bin, paths[0], sockPath(0, k % replicas),
+                                sopts, &victim, &serr))
                     ++restarted;
                 else
                     TIE_WARN("chaos: restart failed: ", serr);
@@ -1120,15 +978,23 @@ cmdClusterBench(const Options &opt)
         });
     }
 
+    std::vector<cluster::Router *> targets;
+    for (const std::unique_ptr<cluster::Router> &r : routers)
+        targets.push_back(r.get());
     const serve::LoadGenReport rep =
-        runClusterLoad(router, lopts, &expected);
-    load_done.store(true);
+        serve::runLoadGen(targets, lopts, &expected);
     if (chaos_thread.joinable())
         chaos_thread.join();
 
-    router.drainWorkers(/*timeout_ms=*/5000);
-    const cluster::RouterStats stats = router.stats();
-    router.stop();
+    cluster::RouterStats stats;
+    for (const std::unique_ptr<cluster::Router> &r : routers) {
+        r->drainWorkers(/*timeout_ms=*/5000);
+        const cluster::RouterStats s = r->stats();
+        stats.redispatched += s.redispatched;
+        stats.worker_deaths += s.worker_deaths;
+        stats.reconnects += s.reconnects;
+        r->stop();
+    }
     for (WorkerProc &w : workers) {
         // Drained workers exit on their own; closing stdin is the
         // EOF backstop for any that never saw the Drain.
@@ -1145,8 +1011,6 @@ cmdClusterBench(const Options &opt)
         rep.completed + rep.rejected + rep.timed_out;
     const bool none_lost = resolved == rep.submitted;
     const bool bit_exact = rep.mismatched == 0;
-    const double p99_bound =
-        std::stod(opt.get("p99-bound-us", "0"));
     const bool p99_ok =
         p99_bound <= 0 || rep.latency.p99 <= p99_bound;
 
@@ -1154,7 +1018,7 @@ cmdClusterBench(const Options &opt)
         s != nullptr && s->statsRequested()) {
         obs::JsonWriter w;
         w.beginObject();
-        w.field("model", model_path);
+        w.field(zoo ? "zoo" : "model", zoo ? zoo_dir : paths[0]);
         w.field("replicas", static_cast<uint64_t>(replicas));
         w.field("chaos_kills", static_cast<uint64_t>(killed));
         w.field("chaos_restarts", static_cast<uint64_t>(restarted));
@@ -1170,16 +1034,37 @@ cmdClusterBench(const Options &opt)
         w.field("latency_p50_us", rep.latency.p50);
         w.field("latency_p99_us", rep.latency.p99);
         w.field("none_lost", none_lost);
+        serve::appendTenantsJson(w, rep, names);
         w.endObject();
         s->setExtra("cluster_bench", w.str());
     }
 
+    if (n_models > 1) {
+        TextTable t("tenants: " + zoo_dir);
+        t.header({"model", "done/rej/to", "mismatch", "p50 us",
+                  "p99 us"});
+        for (size_t k = 0; k < n_models; ++k) {
+            const serve::LoadGenReport &r = rep.per_tenant[k];
+            t.row({names[k],
+                   std::to_string(r.completed) + "/" +
+                       std::to_string(r.rejected) + "/" +
+                       std::to_string(r.timed_out),
+                   std::to_string(r.mismatched),
+                   TextTable::num(r.latency.p50, 1),
+                   TextTable::num(r.latency.p99, 1)});
+        }
+        t.print();
+    }
+
     TextTable t("cluster-bench report");
     t.header({"metric", "value"});
-    t.row({"model", model_path});
+    t.row({"model", zoo ? zoo_dir + " (" + std::to_string(n_models) +
+                              " models, mixed)"
+                        : paths[0]});
     t.row({"replicas", std::to_string(replicas) + " x " +
                            std::to_string(sopts.workers) +
-                           " server thread(s)"});
+                           " server thread(s)" +
+                           (zoo ? " per model" : "")});
     t.row({"load", "closed loop, " + std::to_string(lopts.clients) +
                        " client(s), " +
                        std::to_string(lopts.requests) + " requests"});
