@@ -5,7 +5,7 @@
  * sample on the cycle-accurate TIE model, and compare the simulated
  * accelerator's accuracy against the float model — the deployment
  * story the paper's engine exists for. Also demonstrates the model
- * save/load flow (tt_io).
+ * save/load flow (one two-layer .tie artifact).
  */
 
 #include <cstdio>
@@ -18,8 +18,8 @@
 #include "nn/loss.hh"
 #include "nn/sequential.hh"
 #include "nn/trainer.hh"
+#include "io/tie_format.hh"
 #include "nn/tt_dense.hh"
-#include "tt/tt_io.hh"
 
 using namespace tie;
 
@@ -62,15 +62,18 @@ main()
               << "float test accuracy: "
               << TextTable::num(hist.finalTestAcc() * 100, 1) << " %\n\n";
 
-    // Persist and reload the trained TT layers (the .ttm flow).
-    auto &fc1 = dynamic_cast<TtDense &>(model.layer(0));
-    auto &fc2 = dynamic_cast<TtDense &>(model.layer(2));
-    saveTtMatrixFile(fc1.toTtMatrix(), "/tmp/tie_mlp_fc1.ttm");
-    saveTtMatrixFile(fc2.toTtMatrix(), "/tmp/tie_mlp_fc2.ttm");
-    TtMatrix w1 = loadTtMatrixFile("/tmp/tie_mlp_fc1.ttm");
-    TtMatrix w2 = loadTtMatrixFile("/tmp/tie_mlp_fc2.ttm");
-    std::remove("/tmp/tie_mlp_fc1.ttm");
-    std::remove("/tmp/tie_mlp_fc2.ttm");
+    // Persist the trained TT layers as one two-layer .tie and reload.
+    const TtMatrix fc1 =
+        dynamic_cast<TtDense &>(model.layer(0)).toTtMatrix();
+    const TtMatrix fc2 =
+        dynamic_cast<TtDense &>(model.layer(2)).toTtMatrix();
+    const char *path = "/tmp/tie_mlp.tie";
+    io::saveTieModel({io::makeLayerSpec(fc1), io::makeLayerSpec(fc2)},
+                     path);
+    const io::TieModel saved = io::TieModel::load(path);
+    std::remove(path);
+    TtMatrix w1 = saved.toTtMatrix(0);
+    TtMatrix w2 = saved.toTtMatrix(1);
 
     // Deploy on the accelerator model.
     const FxpFormat act{16, 8};

@@ -29,32 +29,11 @@ raiseTo(std::atomic<size_t> &peak, size_t v)
 
 } // namespace
 
-ClusterWorker::ClusterWorker(serve::ServableModel model,
+ClusterWorker::ClusterWorker(io::TieModel model,
                              ClusterWorkerOptions opts)
     : model_(std::move(model)), opts_(std::move(opts))
 {
-    TIE_CHECK_ARG(!model_.views.empty(),
-                  "ClusterWorker needs a loaded model");
-}
-
-namespace {
-
-serve::ServableModel
-toServable(io::TieModel model)
-{
-    serve::ServableModel m;
-    m.artifact = std::move(model);
-    if (m.artifact.valid())
-        m.views = m.artifact.layers();
-    return m;
-}
-
-} // namespace
-
-ClusterWorker::ClusterWorker(io::TieModel model,
-                             ClusterWorkerOptions opts)
-    : ClusterWorker(toServable(std::move(model)), std::move(opts))
-{
+    TIE_CHECK_ARG(model_.valid(), "ClusterWorker needs a loaded model");
 }
 
 ClusterWorker::~ClusterWorker()
@@ -71,7 +50,7 @@ ClusterWorker::start(std::string *error)
     // The server (and its warmed worker sessions) comes up before the
     // first connection is accepted, so a request can never observe a
     // half-built replica.
-    server_ = std::make_unique<serve::Server>(model_.views,
+    server_ = std::make_unique<serve::Server>(model_.layers(),
                                               opts_.server);
     started_ = true;
     accept_thread_ = std::thread([this] { acceptLoop(); });
@@ -253,7 +232,7 @@ ClusterWorker::writerLoop(Conn &c)
             HelloAckMsg ack;
             ack.in_size = server_->inSize();
             ack.out_size = server_->outSize();
-            ack.layers = model_.views.size();
+            ack.layers = model_.layerCount();
             ack.pid = static_cast<uint32_t>(::getpid());
             encodeHelloAck(ack, tx);
             break;

@@ -44,7 +44,6 @@
 
 #include "cluster/socket.hh"
 #include "io/tie_format.hh"
-#include "serve/model_registry.hh"
 #include "serve/server.hh"
 
 namespace tie {
@@ -65,12 +64,7 @@ struct ClusterWorkerOptions
 class ClusterWorker
 {
   public:
-    /** Serve @p model (kept alive by the worker) — whatever
-        loadServable produced, mapped artifact or owned matrices. */
-    ClusterWorker(serve::ServableModel model,
-                  ClusterWorkerOptions opts);
-
-    /** Mapped-artifact convenience. */
+    /** Serve @p model (kept alive by the worker). */
     ClusterWorker(io::TieModel model, ClusterWorkerOptions opts);
 
     ~ClusterWorker(); ///< stop()
@@ -144,7 +138,7 @@ class ClusterWorker
     void writerLoop(Conn &c);
     void pushItem(Conn &c, Item item);
 
-    serve::ServableModel model_;
+    io::TieModel model_;
     ClusterWorkerOptions opts_;
     std::unique_ptr<serve::Server> server_;
     Listener listener_;

@@ -44,27 +44,14 @@ tie_last_error(void)
 }
 
 /**
- * A model handle: a validated artifact (possibly mmap-backed) or a
- * synthesized owned chain. Both representations are shared-ownership
- * under the hood, so sessions and registries stay valid after the
- * handle itself is freed.
+ * A model handle: a validated artifact, mmap-backed when loaded and
+ * an in-memory image when synthesized. The artifact is
+ * shared-ownership under the hood, so sessions and registries stay
+ * valid after the handle itself is freed.
  */
 struct tie_model
 {
-    io::TieModel artifact; ///< invalid when synthesized
-    std::shared_ptr<const std::vector<TtMatrix>> owned;
-
-    std::vector<TtLayerViewD>
-    layers() const
-    {
-        if (artifact.valid())
-            return artifact.layers();
-        std::vector<TtLayerViewD> v;
-        v.reserve(owned->size());
-        for (const TtMatrix &tt : *owned)
-            v.push_back(layerView(tt));
-        return v;
-    }
+    io::TieModel artifact;
 };
 
 tie_status
@@ -105,10 +92,10 @@ tie_model_synth(const size_t *m, const size_t *n, size_t d, size_t rank,
         std::vector<size_t>(m, m + d), std::vector<size_t>(n, n + d),
         rank);
     Rng rng(seed);
-    auto chain = std::make_shared<std::vector<TtMatrix>>();
-    chain->push_back(TtMatrix::random(cfg, rng));
+    const TtMatrix tt = TtMatrix::random(cfg, rng);
     auto *h = new tie_model();
-    h->owned = std::move(chain);
+    h->artifact = io::TieModel::parse(
+        io::serializeTieModel({io::makeLayerSpec(tt)}));
     *out = h;
     return TIE_OK;
 }
@@ -118,24 +105,18 @@ tie_model_save(const tie_model *model, const char *path)
 {
     if (model == nullptr || path == nullptr)
         return fail(TIE_ERR_ARG, "tie_model_save: NULL argument");
+    const io::TieModel &a = model->artifact;
     std::vector<io::TieLayerSpec> specs;
-    if (model->artifact.valid()) {
-        const io::TieModel &a = model->artifact;
-        specs.reserve(a.layerCount());
-        for (size_t i = 0; i < a.layerCount(); ++i) {
-            io::TieLayerSpec s;
-            s.f64 = a.layer(i);
-            if (a.hasFxp()) {
-                TtFxpLayerView q = a.fxpLayer(i);
-                s.fxp_cores = std::move(q.cores);
-                s.fxp_fmt = std::move(q.fmt);
-            }
-            specs.push_back(std::move(s));
+    specs.reserve(a.layerCount());
+    for (size_t i = 0; i < a.layerCount(); ++i) {
+        io::TieLayerSpec s;
+        s.f64 = a.layer(i);
+        if (a.hasFxp()) {
+            TtFxpLayerView q = a.fxpLayer(i);
+            s.fxp_cores = std::move(q.cores);
+            s.fxp_fmt = std::move(q.fmt);
         }
-    } else {
-        specs.reserve(model->owned->size());
-        for (const TtMatrix &tt : *model->owned)
-            specs.push_back(io::makeLayerSpec(tt));
+        specs.push_back(std::move(s));
     }
     io::saveTieModel(specs, path);
     return TIE_OK;
@@ -152,8 +133,7 @@ tie_model_layer_count(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid() ? model->artifact.layerCount()
-                                   : model->owned->size();
+    return model->artifact.layerCount();
 }
 
 size_t
@@ -161,9 +141,7 @@ tie_model_in_size(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid()
-               ? model->artifact.inSize()
-               : model->owned->front().config().inSize();
+    return model->artifact.inSize();
 }
 
 size_t
@@ -171,9 +149,7 @@ tie_model_out_size(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid()
-               ? model->artifact.outSize()
-               : model->owned->back().config().outSize();
+    return model->artifact.outSize();
 }
 
 int
@@ -181,7 +157,7 @@ tie_model_has_fxp(const tie_model *model)
 {
     if (model == nullptr)
         return 0;
-    return model->artifact.valid() && model->artifact.hasFxp() ? 1 : 0;
+    return model->artifact.hasFxp() ? 1 : 0;
 }
 
 /**
@@ -191,8 +167,7 @@ tie_model_has_fxp(const tie_model *model)
  */
 struct tie_session
 {
-    io::TieModel artifact; ///< pins the mapping, if any
-    std::shared_ptr<const std::vector<TtMatrix>> owned;
+    io::TieModel artifact; ///< pins the weights
     std::vector<InferSessionD> chain;
     std::vector<double> buf_a; ///< max_width * max_batch each
     std::vector<double> buf_b;
@@ -228,8 +203,7 @@ tie_session_create(const tie_model *model, size_t max_batch,
 
     auto s = std::make_unique<tie_session>();
     s->artifact = model->artifact;
-    s->owned = model->owned;
-    const std::vector<TtLayerViewD> layers = model->layers();
+    const std::vector<TtLayerViewD> layers = s->artifact.layers();
     s->chain.reserve(layers.size());
     size_t max_width = layers.front().cfg.inSize();
     for (const TtLayerViewD &l : layers) {
@@ -294,13 +268,7 @@ tie_registry_publish(tie_registry *reg, const char *name,
         return fail(TIE_ERR_ARG, "tie_registry_publish: NULL argument");
     if (name[0] == '\0')
         return fail(TIE_ERR_ARG, "tie_registry_publish: empty name");
-    uint64_t version;
-    if (model->artifact.valid()) {
-        version = reg->reg.publish(name, model->artifact);
-    } else {
-        version = reg->reg.publish(
-            name, std::vector<TtMatrix>(*model->owned));
-    }
+    const uint64_t version = reg->reg.publish(name, model->artifact);
     if (version_out != nullptr)
         *version_out = version;
     return TIE_OK;

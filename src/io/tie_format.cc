@@ -1,6 +1,7 @@
 #include "io/tie_format.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -653,6 +654,13 @@ TieModel::Rep::parse(std::string *err)
             return fail(strCat("layer ", i, ": CoresF64 is ",
                                f64_sec[i]->size, " bytes, expected ",
                                elems * sizeof(double)));
+        // Weights must be finite: a NaN or inf core would be served
+        // as silently wrong outputs instead of failing here.
+        for (uint64_t k = 0; k < elems; ++k)
+            if (!std::isfinite(getLe<double>(base + f64_sec[i]->offset +
+                                             k * sizeof(double))))
+                return fail(strCat("layer ", i, ": CoresF64 element ",
+                                   k, " is non-finite"));
         rep.f64[i] = reinterpret_cast<const double *>(
             base + f64_sec[i]->offset);
 
@@ -973,18 +981,6 @@ TieModel::toTtMatrixFxp(size_t i) const
         tt.cores.push_back(std::move(g));
     }
     return tt;
-}
-
-bool
-isTieArtifact(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is.is_open())
-        return false;
-    char magic[sizeof(kTieMagic)] = {};
-    is.read(magic, sizeof(magic));
-    return static_cast<bool>(is) &&
-           std::memcmp(magic, kTieMagic, sizeof(magic)) == 0;
 }
 
 } // namespace io

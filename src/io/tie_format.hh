@@ -15,10 +15,11 @@
  * little-endian header with a byte-order sentinel, a section table,
  * and a CRC-32 per section (plus one over the header). The loader
  * verifies all of it — truncation, trailing garbage, bit flips,
- * misaligned or overlapping sections, malformed configs — before a
- * single weight is handed out. TieModel::tryLoad reports failures as
- * error strings (the C FFI path); TieModel::load turns them into the
- * library's usual fatal().
+ * misaligned or overlapping sections, malformed configs, non-finite
+ * f64 weights — before a single weight is handed out.
+ * TieModel::tryLoad reports failures as error strings (the C FFI and
+ * serving paths); TieModel::load turns them into the library's usual
+ * fatal().
  *
  * Loading mmaps the file read-only: TieModel::layer() returns
  * TtLayerViews whose core pointers alias the mapping, so an
@@ -204,9 +205,6 @@ class TieModel
     struct Rep;
     std::shared_ptr<const Rep> rep_;
 };
-
-/** True when @p path starts with the .tie magic (format sniffing). */
-bool isTieArtifact(const std::string &path);
 
 } // namespace io
 } // namespace tie

@@ -1,62 +1,22 @@
 #include "serve/model_registry.hh"
 
-#include <fstream>
 #include <utility>
 
 #include "common/logging.hh"
-#include "tt/tt_io.hh"
 
 namespace tie {
 namespace serve {
 
-bool
-tryLoadServable(const std::string &path, ServableModel *out,
-                std::string *error)
-{
-    *out = ServableModel{};
-    if (io::isTieArtifact(path)) {
-        if (!io::TieModel::tryLoad(path, &out->artifact, error))
-            return false;
-        out->views = out->artifact.layers();
-        return true;
-    }
-    // Legacy .ttm: surface unreadable files as a soft error here; a
-    // malformed payload still fails fatally inside the .ttm loader,
-    // which has no try-variant.
-    {
-        std::ifstream probe(path, std::ios::binary);
-        if (!probe.good()) {
-            if (error != nullptr)
-                *error = "cannot open model file " + path;
-            return false;
-        }
-    }
-    out->owned.push_back(loadTtMatrixFile(path));
-    out->views.push_back(layerView(out->owned.back()));
-    return true;
-}
-
-ServableModel
-loadServable(const std::string &path)
-{
-    ServableModel m;
-    std::string error;
-    TIE_CHECK_ARG(tryLoadServable(path, &m, &error), "loading ", path,
-                  ": ", error);
-    return m;
-}
-
 /**
- * One published (name, version): the weights — owned matrices or a
- * mapped artifact — plus the warmed server over them. Tickets and the
- * registry map share the entry; the last reference drops the server
- * (already stopped by then) and with it the weight storage.
+ * One published (name, version): the artifact plus the warmed server
+ * over it. Tickets and the registry map share the entry; the last
+ * reference drops the server (already stopped by then) and with it
+ * the weight storage.
  */
 struct ModelRegistry::Entry
 {
     uint64_t version = 0;
-    io::TieModel artifact;      ///< keeps the mmap alive (may be empty)
-    std::vector<TtMatrix> owned; ///< owned-weights alternative
+    io::TieModel artifact; ///< the weights the server's views alias
     std::unique_ptr<Server> server;
 };
 
@@ -109,34 +69,10 @@ ModelRegistry::publish(const std::string &name, io::TieModel model)
                   "cannot publish an empty TieModel as '", name, "'");
     auto entry = std::make_shared<Entry>();
     entry->artifact = std::move(model);
-    // The server's views alias the mapping the entry keeps alive.
+    // The server's views alias the artifact the entry keeps alive.
     entry->server = std::make_unique<Server>(entry->artifact.layers(),
                                              opts_);
     return publishEntry(name, std::move(entry));
-}
-
-uint64_t
-ModelRegistry::publish(const std::string &name,
-                       std::vector<TtMatrix> model)
-{
-    TIE_CHECK_ARG(!model.empty(), "cannot publish an empty chain as '",
-                  name, "'");
-    auto entry = std::make_shared<Entry>();
-    entry->owned = std::move(model);
-    std::vector<TtLayerViewD> views;
-    views.reserve(entry->owned.size());
-    for (const TtMatrix &tt : entry->owned)
-        views.push_back(layerView(tt));
-    entry->server = std::make_unique<Server>(std::move(views), opts_);
-    return publishEntry(name, std::move(entry));
-}
-
-uint64_t
-ModelRegistry::publish(const std::string &name, const TtMatrix &model)
-{
-    std::vector<TtMatrix> chain;
-    chain.push_back(model);
-    return publish(name, std::move(chain));
 }
 
 uint64_t
@@ -155,12 +91,10 @@ ModelRegistry::tryPublishFile(const std::string &name,
                               const std::string &path,
                               uint64_t *version, std::string *error)
 {
-    ServableModel m;
-    if (!tryLoadServable(path, &m, error))
+    io::TieModel m;
+    if (!io::TieModel::tryLoad(path, &m, error))
         return false;
-    const uint64_t v = m.fromArtifact()
-                           ? publish(name, std::move(m.artifact))
-                           : publish(name, std::move(m.owned));
+    const uint64_t v = publish(name, std::move(m));
     if (version != nullptr)
         *version = v;
     return true;
@@ -282,11 +216,9 @@ ModelRegistry::infoOf(const std::string &name, const Entry &e)
     ModelInfo mi;
     mi.name = name;
     mi.version = e.version;
-    mi.layers =
-        e.artifact.valid() ? e.artifact.layerCount() : e.owned.size();
+    mi.layers = e.artifact.layerCount();
     mi.in_size = e.server->inSize();
     mi.out_size = e.server->outSize();
-    mi.from_artifact = e.artifact.valid();
     return mi;
 }
 

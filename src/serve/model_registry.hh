@@ -14,10 +14,10 @@
  * In-flight tickets pin their entry via shared_ptr, so waiting on a
  * ticket after its model was replaced (or unloaded) is safe.
  *
- * Models come either from owned TT matrices or from a mapped .tie
- * artifact (io::TieModel) — the entry keeps the mapping alive while
- * any server or ticket still references it. See docs/serialization.md
- * for the artifact side and docs/serving.md for the server semantics.
+ * Every model is a validated .tie artifact (io::TieModel, mapped or
+ * parsed) — the entry keeps it alive while any server or ticket still
+ * references it. See docs/serialization.md for the artifact side and
+ * docs/serving.md for the server semantics.
  */
 
 #ifndef TIE_SERVE_MODEL_REGISTRY_HH
@@ -44,7 +44,6 @@ struct ModelInfo
     size_t layers = 0;
     size_t in_size = 0;
     size_t out_size = 0;
-    bool from_artifact = false; ///< backed by a mapped .tie file
 };
 
 /** A submit() outcome: the ticket plus the entry that owns it. */
@@ -66,34 +65,6 @@ class RegistryTicket
     uint64_t version_ = 0;
 };
 
-/**
- * A model loaded from disk in whichever format the file holds, ready
- * to build a Server / InferSession over: a mapped .tie artifact
- * (artifact.valid(), zero-copy) or a .ttm matrix copied into owned.
- * Either way `views` is the layer chain in execution order; it aliases
- * this object, which must outlive every consumer of the views.
- */
-struct ServableModel
-{
-    io::TieModel artifact;
-    std::vector<TtMatrix> owned;
-    std::vector<TtLayerViewD> views;
-
-    bool fromArtifact() const { return artifact.valid(); }
-};
-
-/**
- * Load @p path as a ServableModel, sniffing the format (.tie magic
- * vs. .ttm). False with a diagnostic in *error on unreadable or
- * corrupt files. This is the one mmap/view dance shared by
- * registry publishing, tie_cli serve benches and tie_worker.
- */
-bool tryLoadServable(const std::string &path, ServableModel *out,
-                     std::string *error);
-
-/** tryLoadServable or fatal() with the diagnostic. */
-ServableModel loadServable(const std::string &path);
-
 class ModelRegistry
 {
   public:
@@ -105,30 +76,22 @@ class ModelRegistry
     ModelRegistry &operator=(const ModelRegistry &) = delete;
 
     /**
-     * Publish a mapped artifact under @p name: build + warm a new
-     * server, swap it in atomically, then drain the displaced one
-     * (if any). Returns the new version (1 for a first publish).
+     * Publish an artifact under @p name: build + warm a new server,
+     * swap it in atomically, then drain the displaced one (if any).
+     * Returns the new version (1 for a first publish).
      */
     uint64_t publish(const std::string &name, io::TieModel model);
 
-    /** Publish an owned matrix chain (copied into the entry). */
-    uint64_t publish(const std::string &name,
-                     std::vector<TtMatrix> model);
-
-    /** Single-layer convenience (copies the matrix). */
-    uint64_t publish(const std::string &name, const TtMatrix &model);
-
     /**
-     * Publish straight from a model file (.tie mmap'd zero-copy, .ttm
-     * copied) — the path every file-backed publisher shares instead
-     * of hand-rolling the load/view/publish dance. fatal() on
-     * unreadable or corrupt files.
+     * Publish straight from a .tie file (mmap'd zero-copy) — the path
+     * every file-backed publisher shares. fatal() on unreadable or
+     * corrupt files.
      */
     uint64_t publishFile(const std::string &name,
                          const std::string &path);
 
     /** Non-fatal publishFile: false with a diagnostic in *error (and
-        nothing published) on load failure. */
+        nothing published) when TieModel::tryLoad refuses the file. */
     bool tryPublishFile(const std::string &name,
                         const std::string &path,
                         uint64_t *version = nullptr,

@@ -29,20 +29,6 @@ validatedModel(std::vector<TtLayerViewD> model)
     return model;
 }
 
-/** Lift an owned-matrix chain into the view representation. */
-std::vector<TtLayerViewD>
-viewsOfModel(const std::vector<const TtMatrix *> &model)
-{
-    std::vector<TtLayerViewD> views;
-    views.reserve(model.size());
-    for (size_t i = 0; i < model.size(); ++i) {
-        TIE_CHECK_ARG(model[i] != nullptr, "Server layer ", i,
-                      " is null");
-        views.push_back(layerView(*model[i]));
-    }
-    return views;
-}
-
 ServerOptions
 validatedOptions(ServerOptions opts)
 {
@@ -68,13 +54,7 @@ slotCount(const ServerOptions &opts)
 } // namespace
 
 Server::Server(std::vector<TtLayerViewD> model, ServerOptions opts)
-    : Server(std::move(model), std::vector<const TtMatrix *>{}, opts)
-{}
-
-Server::Server(std::vector<TtLayerViewD> model,
-               std::vector<const TtMatrix *> bound, ServerOptions opts)
     : model_(validatedModel(std::move(model))),
-      bound_(std::move(bound)),
       opts_(validatedOptions(opts)),
       in_size_(model_.front().cfg.inSize()),
       out_size_(model_.back().cfg.outSize()),
@@ -91,14 +71,8 @@ Server::Server(std::vector<TtLayerViewD> model,
     for (size_t w = 0; w < opts_.workers; ++w) {
         auto wk = std::make_unique<Worker>();
         wk->sessions.reserve(model_.size());
-        // Matrix-backed chains late-bind (weights re-read every run,
-        // so live updates are served); view chains snapshot pointers
-        // (the mmap'd-artifact zero-copy path, immutable by contract).
-        for (size_t i = 0; i < model_.size(); ++i)
-            wk->sessions.push_back(
-                bound_.empty()
-                    ? InferSessionD(model_[i], opts_.session)
-                    : makeSession(*bound_[i], opts_.session));
+        for (const TtLayerViewD &layer : model_)
+            wk->sessions.push_back(InferSessionD(layer, opts_.session));
         wk->buf_a.assign(max_width * opts_.max_batch, 0.0);
         wk->buf_b.assign(max_width * opts_.max_batch, 0.0);
         wk->ids.resize(opts_.max_batch);
@@ -120,14 +94,6 @@ Server::Server(std::vector<TtLayerViewD> model,
             workerLoop(*w);
         });
 }
-
-Server::Server(std::vector<const TtMatrix *> model, ServerOptions opts)
-    : Server(viewsOfModel(model), model, opts)
-{}
-
-Server::Server(const TtMatrix &model, ServerOptions opts)
-    : Server(std::vector<const TtMatrix *>{&model}, opts)
-{}
 
 Server::~Server()
 {

@@ -36,7 +36,6 @@
 
 #include "serve/request_queue.hh"
 #include "tt/infer_session.hh"
-#include "tt/tt_matrix.hh"
 
 namespace tie {
 namespace serve {
@@ -77,25 +76,12 @@ class Server
     /**
      * Serve a chain of TT layers applied in order (layer i's output
      * feeds layer i+1; interface sizes are validated). The layer
-     * views' core storage must outlive the server — owned matrices,
-     * or a mapped io::TieModel artifact (kept alive by whoever built
-     * the views, e.g. a ModelRegistry entry). Workers and their
-     * warmed sessions are started before the constructor returns.
+     * views' core storage is immutable and must outlive the server —
+     * an io::TieModel kept alive by whoever built the views (e.g. a
+     * ModelRegistry entry). Workers and their warmed sessions are
+     * started before the constructor returns.
      */
     Server(std::vector<TtLayerViewD> model, ServerOptions opts = {});
-
-    /**
-     * Chain of owned TT matrices (must outlive the server). Worker
-     * sessions late-bind to the Matrix objects, makeSession-style:
-     * core *values* may be updated — even reallocated — between runs
-     * (e.g. by training) and workers pick up the new weights; the
-     * shapes/ranks must stay fixed. Use the view constructor for
-     * immutable-weight serving (mmap'd artifacts).
-     */
-    Server(std::vector<const TtMatrix *> model, ServerOptions opts = {});
-
-    /** Single-layer convenience (late-bound, as above). */
-    explicit Server(const TtMatrix &model, ServerOptions opts = {});
 
     ~Server(); ///< stop(), drain the queue, join the workers
 
@@ -147,15 +133,9 @@ class Server
         std::thread thread;
     };
 
-    Server(std::vector<TtLayerViewD> model,
-           std::vector<const TtMatrix *> bound, ServerOptions opts);
-
     void workerLoop(Worker &w);
 
-    std::vector<TtLayerViewD> model_; ///< cfg authority; data may be stale when bound_ is set
-    /** Non-empty for the matrix-pointer constructors: sessions bind
-        to these Matrix objects and re-read them every run. */
-    std::vector<const TtMatrix *> bound_;
+    std::vector<TtLayerViewD> model_;
     ServerOptions opts_;
     size_t in_size_ = 0;
     size_t out_size_ = 0;

@@ -1,28 +1,48 @@
 #!/bin/sh
-# Smoke test for tie_cli: synth -> info -> round -> simulate round trip,
-# plus the metrics endpoint, the stats pretty-printer, and (when the
-# binary is passed as $2) the bench_diff regression gate.
+# Smoke test for tie_cli: synth -> info -> round -> simulate round trip
+# over .tie artifacts, plus the metrics endpoint, the stats
+# pretty-printer, and (when the binary is passed as $2) the bench_diff
+# regression gate.
 set -e
 CLI="$1"
 BENCH_DIFF="$2"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-"$CLI" synth "$DIR/a.ttm" --m 4,4 --n 4,6 --rank 3 --seed 5
-"$CLI" info "$DIR/a.ttm" | grep -q "compression"
-"$CLI" round "$DIR/a.ttm" "$DIR/b.ttm" --rank 2
-"$CLI" info "$DIR/b.ttm" | grep -q "r=\[1,2,1\]"
-"$CLI" simulate "$DIR/a.ttm" --batch 2 | grep -q "bit-exact vs reference | yes"
-"$CLI" simulate "$DIR/b.ttm" --npe 8 --nmac 8 | grep -q "8 PE x 8 MAC"
+"$CLI" synth "$DIR/l.tie" --m 4,4 --n 4,6 --rank 3 --seed 5
+"$CLI" info "$DIR/l.tie" | grep -q "compression"
+"$CLI" round "$DIR/l.tie" "$DIR/b.tie" --rank 2
+"$CLI" info "$DIR/b.tie" | grep -q "r=\[1,2,1\]"
+"$CLI" simulate "$DIR/l.tie" --batch 2 | grep -q "bit-exact vs reference | yes"
+"$CLI" simulate "$DIR/b.tie" --npe 8 --nmac 8 | grep -q "8 PE x 8 MAC"
 
 # decompose round trip through a raw dense file produced from a model.
-"$CLI" simulate "$DIR/a.ttm" >/dev/null
+"$CLI" simulate "$DIR/l.tie" >/dev/null
+
+# save-model --from concatenates the inputs' layers (24 -> 16 -> 24);
+# info prints the cost rows of every layer, and the one-matrix
+# commands refuse the two-layer artifact with a diagnostic.
+"$CLI" synth "$DIR/m.tie" --m 4,6 --n 4,4 --rank 2 --seed 6
+"$CLI" save-model "$DIR/two.tie" --from "$DIR/l.tie,$DIR/m.tie"
+"$CLI" info "$DIR/two.tie" > "$DIR/two_info.txt"
+grep -q "layers    | 2" "$DIR/two_info.txt"
+[ "$(grep -c "compression" "$DIR/two_info.txt")" -eq 2 ]
+expect_one_layer() {
+    rc=0
+    "$@" >/dev/null 2>"$DIR/err.txt" || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q "one-layer" "$DIR/err.txt"; then
+        echo "accepted a two-layer artifact (rc $rc): $*" >&2
+        exit 1
+    fi
+}
+expect_one_layer "$CLI" simulate "$DIR/two.tie"
+expect_one_layer "$CLI" round "$DIR/two.tie" "$DIR/two_r.tie" --rank 2
 
 # .tie artifact round trip: package, inspect, serve off the mapping.
 # serve-bench verifies every completed output bit-exactly against the
 # in-process reference, so a zero-mismatch run proves the reloaded
 # artifact computes identically.
-"$CLI" save-model "$DIR/a.tie" --from "$DIR/a.ttm" --fxp
+"$CLI" save-model "$DIR/a.tie" --from "$DIR/l.tie" --fxp
 "$CLI" info "$DIR/a.tie" | grep -q "fxp twin  | yes"
 "$CLI" info "$DIR/a.tie" | grep -q ".tie v1"
 "$CLI" serve-bench "$DIR/a.tie" --requests 64 --clients 2 \
@@ -37,6 +57,13 @@ if "$CLI" info "$DIR/bad.tie" 2>"$DIR/err.txt"; then
     exit 1
 fi
 grep -q "tie" "$DIR/err.txt"
+# cluster-bench validates the model before spawning any worker.
+rc=0
+"$CLI" cluster-bench "$DIR/bad.tie" >/dev/null 2>"$DIR/err.txt" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "bad.tie" "$DIR/err.txt"; then
+    echo "cluster-bench accepted a corrupt artifact (rc $rc)" >&2
+    exit 1
+fi
 
 # Numeric flags are checked: a sign on a count, garbage, trailing
 # garbage, an out-of-range value, inf and zero clients each fail with
@@ -65,19 +92,19 @@ for flag in "--qps -5" "--qps inf" "--deadline-us 1.5" \
     expect_bad_flag "$CLI" serve-bench "$DIR/s.tie" $flag
 done
 expect_bad_flag "$CLI" cluster-bench "$DIR/s.tie" --replicas -2
-expect_bad_flag "$CLI" synth "$DIR/x.ttm" --m 4,-4 --n 4,4
+expect_bad_flag "$CLI" synth "$DIR/x.tie" --m 4,-4 --n 4,4
 expect_bad_flag "$CLI" tune abc 16
 
 # Observability: --stats-json / --trace-out must write valid JSON, and
 # the TIE_STATS_JSON / TIE_TRACE env fallbacks must do the same.
-"$CLI" simulate "$DIR/a.ttm" \
+"$CLI" simulate "$DIR/l.tie" \
     --stats-json="$DIR/s.json" --trace-out="$DIR/t.json" >/dev/null
 python3 -m json.tool "$DIR/s.json" >/dev/null
 python3 -m json.tool "$DIR/t.json" >/dev/null
 grep -q '"simulate"' "$DIR/s.json"
 grep -q '"traceEvents"' "$DIR/t.json"
 TIE_STATS_JSON="$DIR/s2.json" TIE_TRACE="$DIR/t2.json" \
-    "$CLI" simulate "$DIR/a.ttm" >/dev/null
+    "$CLI" simulate "$DIR/l.tie" >/dev/null
 python3 -m json.tool "$DIR/s2.json" >/dev/null
 python3 -m json.tool "$DIR/t2.json" >/dev/null
 

@@ -16,6 +16,19 @@ trap 'rm -rf "$DIR"' EXIT
 
 "$CLI" save-model "$DIR/m.tie" --m 4,4 --n 4,4 --rank 3 --seed 9
 
+# A file that is not a .tie: the worker exits 1 with the loader's
+# diagnostic before it ever reports ready.
+printf 'not a model' > "$DIR/junk.bin"
+rc=0
+"$WORKER" --model "$DIR/junk.bin" --listen "unix:$DIR/junk.sock" \
+    < /dev/null > "$DIR/junk_out.txt" 2> "$DIR/junk_err.txt" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "cannot load" "$DIR/junk_err.txt" ||
+    grep -q "ready" "$DIR/junk_out.txt"; then
+    echo "tie_worker served a non-.tie file (rc $rc)" >&2
+    cat "$DIR/junk_out.txt" "$DIR/junk_err.txt" >&2
+    exit 1
+fi
+
 # Plain sharded run: two worker processes, every request resolved,
 # every completed output bit-identical to the single-process oracle.
 "$CLI" cluster-bench "$DIR/m.tie" --replicas 2 --requests 48 \

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for serve::ModelRegistry: publish/infer against bit-exact
- * references, version bumps, artifact-backed entries, unknown-name
- * handling, unload/ticket-pinning semantics, and the hot-swap
+ * references, version bumps, mapped and parsed artifacts, hostile
+ * model files refused without a publish, unknown-name handling,
+ * unload/ticket-pinning semantics, and the hot-swap
  * guarantee — concurrent swaps under client load lose no accepted
  * request and every completed output matches one published version
  * bit-exactly.
@@ -12,6 +13,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +41,15 @@ sampleModel(uint64_t seed)
     return TtMatrix::random(cfg, rng);
 }
 
+/** @p tt as an in-memory one-layer artifact, the form the registry
+    serves. */
+io::TieModel
+asTie(const TtMatrix &tt)
+{
+    return io::TieModel::parse(
+        io::serializeTieModel({io::makeLayerSpec(tt)}));
+}
+
 std::vector<std::vector<double>>
 refs(const TtMatrix &tt, uint64_t seed, size_t requests)
 {
@@ -48,7 +60,7 @@ TEST(ModelRegistry, PublishInferMatchesReferenceBitExactly)
 {
     ModelRegistry reg;
     TtMatrix tt = sampleModel(1);
-    EXPECT_EQ(reg.publish("m", tt), 1u);
+    EXPECT_EQ(reg.publish("m", asTie(tt)), 1u);
     ASSERT_TRUE(reg.has("m"));
 
     const auto expected = refs(tt, 11, 8);
@@ -68,17 +80,16 @@ TEST(ModelRegistry, InfoListAndVersionBump)
 {
     ModelRegistry reg;
     TtMatrix tt = sampleModel(2);
-    EXPECT_EQ(reg.publish("a", tt), 1u);
-    EXPECT_EQ(reg.publish("b", tt), 1u);
-    EXPECT_EQ(reg.publish("a", tt), 2u); // hot-swap bumps
-    EXPECT_EQ(reg.publish("a", tt), 3u);
+    EXPECT_EQ(reg.publish("a", asTie(tt)), 1u);
+    EXPECT_EQ(reg.publish("b", asTie(tt)), 1u);
+    EXPECT_EQ(reg.publish("a", asTie(tt)), 2u); // hot-swap bumps
+    EXPECT_EQ(reg.publish("a", asTie(tt)), 3u);
 
     serve::ModelInfo mi = reg.info("a");
     EXPECT_EQ(mi.version, 3u);
     EXPECT_EQ(mi.layers, 1u);
     EXPECT_EQ(mi.in_size, tt.config().inSize());
     EXPECT_EQ(mi.out_size, tt.config().outSize());
-    EXPECT_FALSE(mi.from_artifact);
 
     const std::vector<serve::ModelInfo> all = reg.list();
     ASSERT_EQ(all.size(), 2u);
@@ -93,17 +104,16 @@ TEST(ModelRegistry, ArtifactBackedEntryServesIdentically)
     io::saveTieModel(tt, path);
 
     ModelRegistry reg;
-    reg.publish("owned", tt);
+    reg.publish("parsed", asTie(tt));
     reg.publish("mapped", io::TieModel::load(path));
     std::remove(path.c_str()); // the entry keeps the mapping alive
 
-    EXPECT_TRUE(reg.info("mapped").from_artifact);
     const auto expected = refs(tt, 21, 4);
     for (size_t i = 0; i < expected.size(); ++i) {
         const std::vector<double> x =
             serve::makeRequestInput(21, i, tt.config().inSize());
         std::vector<double> y1, y2;
-        RegistryTicket t1 = reg.submit("owned", x);
+        RegistryTicket t1 = reg.submit("parsed", x);
         RegistryTicket t2 = reg.submit("mapped", x);
         ASSERT_EQ(reg.wait(t1, &y1), RequestStatus::Done);
         ASSERT_EQ(reg.wait(t2, &y2), RequestStatus::Done);
@@ -112,10 +122,37 @@ TEST(ModelRegistry, ArtifactBackedEntryServesIdentically)
     }
 }
 
+TEST(ModelRegistry, TryPublishFileRefusesHostileFilesAndLives)
+{
+    // A NaN weight and a file that is no .tie at all: both are load
+    // failures reported as false, never a dead serving process.
+    const std::string nan_path = "/tmp/tie_registry_nan.tie";
+    const std::string junk_path = "/tmp/tie_registry_junk.bin";
+    TtMatrix tt = sampleModel(8);
+    tt.core(2).unfolded()(0, 1) =
+        std::numeric_limits<double>::quiet_NaN();
+    io::saveTieModel(tt, nan_path); // the writer does not check values
+    std::ofstream(junk_path) << "not a model file";
+
+    ModelRegistry reg;
+    for (const std::string &path : {nan_path, junk_path}) {
+        uint64_t version = 0;
+        std::string err;
+        EXPECT_FALSE(reg.tryPublishFile("m", path, &version, &err))
+            << path;
+        EXPECT_FALSE(err.empty()) << path;
+        EXPECT_EQ(version, 0u) << path;
+    }
+    EXPECT_FALSE(reg.has("m"));
+    EXPECT_TRUE(reg.list().empty());
+    std::remove(nan_path.c_str());
+    std::remove(junk_path.c_str());
+}
+
 TEST(ModelRegistry, UnknownNameIsFatalTrySubmitIsNot)
 {
     ModelRegistry reg;
-    reg.publish("real", sampleModel(4));
+    reg.publish("real", asTie(sampleModel(4)));
     EXPECT_FALSE(reg.has("ghost"));
     serve::ModelInfo mi;
     EXPECT_FALSE(reg.tryInfo("ghost", &mi));
@@ -134,7 +171,7 @@ TEST(ModelRegistry, SizedTrySubmitRejectsInterfaceMismatch)
     // racing the caller can never make the queue over-read the input.
     ModelRegistry reg;
     TtMatrix tt = sampleModel(6);
-    reg.publish("m", tt);
+    reg.publish("m", asTie(tt));
     const size_t n_in = tt.config().inSize();
     const size_t n_out = tt.config().outSize();
     std::vector<double> x(n_in, 0.5);
@@ -172,7 +209,7 @@ TEST(ModelRegistry, UnloadDrainsAndTicketsStayCollectable)
 {
     ModelRegistry reg;
     TtMatrix tt = sampleModel(5);
-    reg.publish("m", tt);
+    reg.publish("m", asTie(tt));
 
     const auto expected = refs(tt, 31, 8);
     std::vector<RegistryTicket> tickets;
@@ -213,7 +250,7 @@ TEST(ModelRegistry, HotSwapUnderLoadLosesNoAcceptedRequest)
     serve::ServerOptions opts;
     opts.workers = 2;
     ModelRegistry reg(opts);
-    reg.publish("m", v1);
+    reg.publish("m", asTie(v1));
 
     std::atomic<size_t> done{0}, shed{0}, wrong{0};
     std::vector<std::thread> clients;
@@ -241,7 +278,7 @@ TEST(ModelRegistry, HotSwapUnderLoadLosesNoAcceptedRequest)
 
     // Hot-swap back and forth while the clients hammer the name.
     for (int swap = 0; swap < 6; ++swap)
-        reg.publish("m", swap % 2 == 0 ? v2 : v1);
+        reg.publish("m", asTie(swap % 2 == 0 ? v2 : v1));
 
     for (std::thread &t : clients)
         t.join();

@@ -135,12 +135,6 @@ struct TestModel
         return TtMatrix::random(cfg, rng);
     }
 
-    std::vector<const TtMatrix *>
-    chain() const
-    {
-        return {&layer1, &layer2};
-    }
-
     std::vector<TtLayerViewD>
     views() const
     {
@@ -268,7 +262,7 @@ TEST(Server, BatchingInvarianceAcrossPoliciesAndWorkers)
                 opts.batch_timeout_us = timeout_us;
                 opts.workers = workers;
                 opts.queue_capacity = 64;
-                Server server(model.chain(), opts);
+                Server server(model.views(), opts);
 
                 // Submit everything up front so the batcher actually
                 // coalesces, then collect and compare bit-exactly.
@@ -302,7 +296,7 @@ TEST(Server, AdmissionControlShedsExplicitly)
     opts.batch_timeout_us = 200000; // hold the batch open 200 ms
     opts.queue_capacity = 2;
     opts.workers = 1;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
 
     // The worker waits for its batch window, so the queue holds at
     // most queue_capacity pending requests; the rest are rejected.
@@ -331,7 +325,7 @@ TEST(Server, EnqueueDeadlineTimesOutStaleRequests)
     opts.batch_timeout_us = 100000; // 100 ms batch window
     opts.queue_capacity = 8;
     opts.workers = 1;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
 
     const std::vector<double> x =
         makeRequestInput(2, 0, server.inSize());
@@ -364,7 +358,7 @@ TEST(Server, StopDrainsQueuedRequests)
     opts.batch_timeout_us = 500000; // would idle half a second...
     opts.queue_capacity = 16;
     opts.workers = 2;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
 
     std::vector<Ticket> tickets(requests);
     for (size_t i = 0; i < requests; ++i)
@@ -384,43 +378,6 @@ TEST(Server, StopDrainsQueuedRequests)
     }
 }
 
-TEST(Server, MatrixBackedServerLateBindsWeightUpdates)
-{
-    // The matrix-pointer constructor late-binds, makeSession-style: a
-    // caller may update — even reallocate — core storage between
-    // runs, and workers serve the new weights instead of chasing a
-    // stale pointer snapshot.
-    TestModel model(41);
-    Server server(model.chain());
-    const uint64_t seed = 7;
-    const std::vector<double> x =
-        makeRequestInput(seed, 0, server.inSize());
-
-    std::vector<double> y;
-    Ticket t = server.submit(x);
-    ASSERT_EQ(server.wait(t, &y), RequestStatus::Done);
-    EXPECT_EQ(y, referenceOutputs(model.views(), 0, 1, seed, 1)[0]);
-
-    // Replace every core's storage: move-assigning a fresh Matrix
-    // steals its newly allocated buffer, so a snapshotted data
-    // pointer would dangle. No request is in flight, matching the
-    // "values may change between runs" session contract.
-    const TestModel updated(43);
-    for (TtMatrix *dst : {&model.layer1, &model.layer2}) {
-        const TtMatrix &src =
-            dst == &model.layer1 ? updated.layer1 : updated.layer2;
-        for (size_t h = 1; h <= dst->d(); ++h) {
-            MatrixD fresh = src.core(h).unfolded();
-            dst->core(h).unfolded() = std::move(fresh);
-        }
-    }
-
-    Ticket t2 = server.submit(x);
-    std::vector<double> y2;
-    ASSERT_EQ(server.wait(t2, &y2), RequestStatus::Done);
-    EXPECT_EQ(y2, referenceOutputs(updated.views(), 0, 1, seed, 1)[0]);
-}
-
 TEST(ServerFatal, MismatchedLayerChainDies)
 {
     EXPECT_EXIT(
@@ -428,8 +385,8 @@ TEST(ServerFatal, MismatchedLayerChainDies)
             const TestModel model(23);
             // layer1 twice: its 12-wide output cannot feed its own
             // 10-wide input.
-            Server bad(std::vector<const TtMatrix *>(
-                {&model.layer1, &model.layer1}));
+            Server bad({layerView(model.layer1),
+                        layerView(model.layer1)});
         },
         ::testing::ExitedWithCode(1), "consumes");
 }
@@ -442,7 +399,7 @@ TEST(Server, SteadyStateServingDoesNotHeapAllocate)
     opts.batch_timeout_us = 0; // latency-greedy keeps the test fast
     opts.queue_capacity = 64;
     opts.workers = 1;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
 
     Rng rng(31);
     std::vector<double> x(server.inSize());
@@ -491,7 +448,7 @@ TEST(LoadGen, ClosedLoopCompletesAndVerifiesBitExactly)
     sopts.batch_timeout_us = 200;
     sopts.queue_capacity = 64;
     sopts.workers = 2;
-    Server server(model.chain(), sopts);
+    Server server(model.views(), sopts);
 
     LoadGenOptions lopts;
     lopts.requests = 96;
@@ -524,7 +481,7 @@ TEST(LoadGen, OpenLoopAccountsForEveryRequest)
     sopts.batch_timeout_us = 500;
     sopts.queue_capacity = 32;
     sopts.workers = 1;
-    Server server(model.chain(), sopts);
+    Server server(model.views(), sopts);
 
     LoadGenOptions lopts;
     lopts.requests = 64;
@@ -560,7 +517,7 @@ TEST(ServeObs, StatsAccumulateWhenEnabled)
         opts.batch_timeout_us = 0;
         opts.queue_capacity = 4;
         opts.workers = 1;
-        Server server(model.chain(), opts);
+        Server server(model.views(), opts);
 
         const std::vector<double> x =
             makeRequestInput(3, 0, server.inSize());
@@ -642,7 +599,7 @@ TEST_F(ServeFlightTest, InstrumentedSteadyStateDoesNotHeapAllocate)
     opts.batch_timeout_us = 0;
     opts.queue_capacity = 64;
     opts.workers = 1;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
 
     Rng rng(31);
     std::vector<double> x(server.inSize());
@@ -693,7 +650,7 @@ TEST_F(ServeFlightTest, RecorderOnOutputsStayBitIdentical)
     opts.batch_timeout_us = 200;
     opts.queue_capacity = 64;
     opts.workers = 2;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
 
     std::vector<Ticket> tickets(requests);
     for (size_t i = 0; i < requests; ++i)
@@ -721,7 +678,7 @@ TEST_F(ServeFlightTest, SpansCarryPerRequestAttribution)
     opts.batch_timeout_us = 200;
     opts.queue_capacity = 64;
     opts.workers = 1;
-    Server server(model.chain(), opts);
+    Server server(model.views(), opts);
     server.setFlightTag(/*model_id=*/3, /*model_version=*/7);
 
     const size_t requests = 24;

@@ -4,8 +4,11 @@
  * header layout, f64/fxp/multi-layer round-trip bit-identity, the
  * exhaustive truncation/corruption matrix (every prefix rejected,
  * every single-bit flip rejected), mmap-backed zero-copy inference
- * that is bit-identical and steady-state allocation-free, and the
- * fatal load()/parse() wrappers.
+ * that is bit-identical and steady-state allocation-free, non-finite
+ * weights refused by the loader and the C FFI, and the fatal
+ * load()/parse() wrappers. The TtIo suite pins the single-matrix
+ * contract: one TtMatrix saved as a one-layer .tie comes back
+ * losslessly, and every malformed stream is fatal.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +19,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <new>
 
 #include "io/crc32.hh"
 #include "io/tie_format.hh"
+#include "tie_c.h"
 #include "tt/infer_session.hh"
+#include "tt/tt_infer.hh"
 #include "tt/tt_matrix.hh"
 
 // ---------------------------------------------------------------------
@@ -332,7 +338,6 @@ TEST(TieFormat, FileRoundTripIsMmapped)
     const std::string path = "/tmp/tie_fmt_roundtrip.tie";
     TtMatrix tt = sampleLayer(7);
     io::saveTieModel(tt, path);
-    EXPECT_TRUE(io::isTieArtifact(path));
 
     TieModel m = TieModel::load(path);
     EXPECT_TRUE(m.mapped());
@@ -465,6 +470,52 @@ TEST(TieFormat, ProductShiftPastTheInt32BoundIsRejected)
               kMaxProductShift);
 }
 
+TEST(TieFormat, NonFiniteCoreIsRejected)
+{
+    // The writer does not check values, so the artifact carries valid
+    // CRCs; the loader must still refuse to serve a NaN weight.
+    std::vector<TtMatrix> chain = sampleChain(18);
+    chain[1].core(2).unfolded()(0, 1) =
+        std::numeric_limits<double>::quiet_NaN();
+    TieModel m;
+    std::string err;
+    EXPECT_FALSE(TieModel::tryParse(image(chain), &m, &err));
+    EXPECT_FALSE(m.valid());
+    EXPECT_NE(err.find("layer 1: CoresF64"), std::string::npos) << err;
+    EXPECT_NE(err.find("non-finite"), std::string::npos) << err;
+}
+
+TEST(TieFormat, InfiniteCoreIsRejected)
+{
+    const std::string path = "/tmp/tie_fmt_inf.tie";
+    TtMatrix tt = sampleLayer(19);
+    tt.core(1).unfolded()(0, 0) =
+        -std::numeric_limits<double>::infinity();
+    io::saveTieModel(tt, path);
+    TieModel m;
+    std::string err;
+    EXPECT_FALSE(TieModel::tryLoad(path, &m, &err));
+    EXPECT_FALSE(m.valid());
+    EXPECT_NE(err.find("non-finite"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
+TEST(TieFormat, CApiLoadRefusesNonFiniteCores)
+{
+    const std::string path = "/tmp/tie_fmt_capi_nan.tie";
+    TtMatrix tt = sampleLayer(20);
+    tt.core(3).unfolded()(1, 0) =
+        std::numeric_limits<double>::quiet_NaN();
+    io::saveTieModel(tt, path);
+    tie_model *model = nullptr;
+    EXPECT_EQ(tie_model_load(path.c_str(), &model), TIE_ERR_IO);
+    EXPECT_EQ(model, nullptr);
+    EXPECT_NE(std::string(tie_last_error()).find("non-finite"),
+              std::string::npos)
+        << tie_last_error();
+    std::remove(path.c_str());
+}
+
 TEST(TieFormat, SaveRejectsMoreLayersThanTheReaderAccepts)
 {
     // The reader caps n_layers at 65536; a save beyond that must fail
@@ -559,6 +610,98 @@ TEST(TieFormat, ViewsSurviveTheHandleViaSharedRep)
     TtMatrix back = keep.toTtMatrix(0);
     for (size_t h = 1; h <= tt.d(); ++h)
         EXPECT_EQ(back.core(h).unfolded(), tt.core(h).unfolded());
+}
+
+// ---------------------------------------------------------------------
+// Single-matrix I/O: a TtMatrix saved alone is a one-layer .tie, and
+// the fatal load()/parse() wrappers refuse every malformed stream.
+// ---------------------------------------------------------------------
+
+/** One matrix through the in-memory image and back. */
+TtMatrix
+reparse(const TtMatrix &tt)
+{
+    return TieModel::parse(image({tt})).toTtMatrix(0);
+}
+
+TEST(TtIo, StreamRoundTripIsLossless)
+{
+    TtMatrix tt = sampleLayer(1);
+    TtMatrix back = reparse(tt);
+
+    EXPECT_EQ(back.config(), tt.config());
+    for (size_t h = 1; h <= tt.d(); ++h)
+        EXPECT_EQ(back.core(h).unfolded(), tt.core(h).unfolded());
+}
+
+TEST(TtIo, FileRoundTrip)
+{
+    TtMatrix tt = sampleLayer(2);
+    const std::string path = "/tmp/tie_test_model.tie";
+    io::saveTieModel(tt, path);
+    TtMatrix back = TieModel::load(path).toTtMatrix(0);
+    EXPECT_LT(maxAbsDiff(back.toDense(), tt.toDense()), 0.0 + 1e-15);
+    std::remove(path.c_str());
+}
+
+TEST(TtIo, BadMagicIsFatal)
+{
+    // A header-sized stream of junk words, so only the magic fails.
+    std::vector<uint8_t> junk(io::kTieHeaderSize);
+    const uint64_t word = 0xdeadbeef;
+    for (size_t off = 0; off < junk.size(); off += sizeof(word))
+        std::memcpy(junk.data() + off, &word, sizeof(word));
+    EXPECT_EXIT(TieModel::parse(std::move(junk)),
+                ::testing::ExitedWithCode(1), "bad magic");
+}
+
+TEST(TtIo, TruncatedStreamIsFatal)
+{
+    std::vector<uint8_t> img = image({sampleLayer(3)});
+    img.resize(img.size() / 2);
+    EXPECT_EXIT(TieModel::parse(std::move(img)),
+                ::testing::ExitedWithCode(1), "truncated");
+}
+
+TEST(TtIo, TrailingGarbageIsFatal)
+{
+    std::vector<uint8_t> img = image({sampleLayer(7)});
+    for (char c : std::string("tail")) // corrupt tail after the model
+        img.push_back(uint8_t(c));
+    EXPECT_EXIT(TieModel::parse(std::move(img)),
+                ::testing::ExitedWithCode(1), "trailing garbage");
+}
+
+TEST(TtIo, ConcatenatedModelsAreFatal)
+{
+    // Two models in one image: loading the first silently would hand
+    // back half the artifact. The header's file size owns the image.
+    std::vector<uint8_t> img = image({sampleLayer(8)});
+    const std::vector<uint8_t> second = image({sampleLayer(9)});
+    img.insert(img.end(), second.begin(), second.end());
+    EXPECT_EXIT(TieModel::parse(std::move(img)),
+                ::testing::ExitedWithCode(1), "trailing garbage");
+}
+
+TEST(TtIo, MissingFileIsFatal)
+{
+    EXPECT_EXIT(TieModel::load("/nonexistent/dir/x.tie"),
+                ::testing::ExitedWithCode(1), "cannot open");
+}
+
+TEST(TtIo, RoundTripPreservesInference)
+{
+    TtMatrix tt = sampleLayer(4);
+    TtMatrix back = reparse(tt);
+
+    Rng rng(5);
+    std::vector<double> x(tt.config().inSize());
+    for (auto &v : x)
+        v = rng.normal();
+    auto y1 = compactInferVec(tt, x);
+    auto y2 = compactInferVec(back, x);
+    for (size_t i = 0; i < y1.size(); ++i)
+        EXPECT_DOUBLE_EQ(y1[i], y2[i]);
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 #include "serve/load_gen.hh"
 #include "tt/cost_model.hh"
 #include "tt/infer_session.hh"
-#include "tt/tt_io.hh"
 #include "tune/autotune.hh"
 #include "tune/search_space.hh"
 #include "tune/zoo.hh"
@@ -270,7 +269,6 @@ TEST(Zoo, BuildPublishServeRoundTrip)
 
     for (size_t k = 0; k < names.size(); ++k) {
         const serve::ModelInfo info = registry.info(names[k]);
-        EXPECT_TRUE(info.from_artifact); // mmap'd, not copied
         EXPECT_EQ(info.in_size,
                   built.entries[k].config.inSize());
 
@@ -317,10 +315,10 @@ TEST(Zoo, MultiTenantMixIsBitExact)
     std::vector<serve::Oracle> expected;
     for (size_t k = 0; k < names.size(); ++k) {
         tenants.push_back({&registry, names[k]});
-        const serve::ServableModel m = serve::loadServable(
+        const io::TieModel m = io::TieModel::load(
             dir.path + "/" + manifest.entries[k].file);
         expected.push_back(serve::referenceOutputs(
-            m.views, k, names.size(), mo.seed, mo.requests));
+            m.layers(), k, names.size(), mo.seed, mo.requests));
     }
     const serve::LoadGenReport rep =
         serve::runLoadGen(tenants, mo, &expected);
@@ -383,6 +381,9 @@ TEST(Zoo, HostileManifestNumbersAreRejected)
 
 TEST(Servable, LoadsBothFormatsAndRejectsMissing)
 {
+    // .tie is the one model format: a mapped file and the same bytes
+    // parsed in memory serve the same bits; a missing file is a
+    // non-fatal load failure with a diagnostic.
     TempDir dir;
     TtLayerConfig cfg;
     cfg.m = {2, 4};
@@ -392,21 +393,21 @@ TEST(Servable, LoadsBothFormatsAndRejectsMissing)
     const TtMatrix tt = TtMatrix::random(cfg, rng);
 
     const std::string tie_path = dir.path + "/m.tie";
-    const std::string ttm_path = dir.path + "/m.ttm";
     io::saveTieModel(tt, tie_path);
-    saveTtMatrixFile(tt, ttm_path);
 
-    serve::ServableModel a, b;
+    io::TieModel a, b;
     std::string err;
-    ASSERT_TRUE(serve::tryLoadServable(tie_path, &a, &err)) << err;
-    EXPECT_TRUE(a.fromArtifact());
-    ASSERT_TRUE(serve::tryLoadServable(ttm_path, &b, &err)) << err;
-    EXPECT_FALSE(b.fromArtifact());
-    ASSERT_EQ(a.views.size(), 1u);
-    ASSERT_EQ(b.views.size(), 1u);
+    ASSERT_TRUE(io::TieModel::tryLoad(tie_path, &a, &err)) << err;
+    EXPECT_TRUE(a.mapped());
+    ASSERT_TRUE(io::TieModel::tryParse(
+        io::serializeTieModel({io::makeLayerSpec(tt)}), &b, &err))
+        << err;
+    EXPECT_FALSE(b.mapped());
+    ASSERT_EQ(a.layers().size(), 1u);
+    ASSERT_EQ(b.layers().size(), 1u);
 
     // Both backings serve the same bits.
-    InferSessionD sa(a.views[0]), sb(b.views[0]);
+    InferSessionD sa(a.layer(0)), sb(b.layer(0));
     std::vector<double> x(cfg.inSize());
     for (double &v : x)
         v = rng.uniform(-1, 1);
@@ -415,14 +416,16 @@ TEST(Servable, LoadsBothFormatsAndRejectsMissing)
     sb.runVec(x, yb);
     EXPECT_EQ(ya, yb);
 
-    serve::ServableModel c;
-    EXPECT_FALSE(serve::tryLoadServable(dir.path + "/nope.tie", &c,
-                                        &err));
+    io::TieModel c;
+    EXPECT_FALSE(io::TieModel::tryLoad(dir.path + "/nope.tie", &c,
+                                       &err));
     EXPECT_FALSE(err.empty());
 }
 
 TEST(Servable, PublishFileServesEitherFormat)
 {
+    // publishFile over a .tie serves what the in-memory artifact
+    // serves; a missing file publishes nothing.
     TempDir dir;
     TtLayerConfig cfg;
     cfg.m = {2, 4};
@@ -431,13 +434,13 @@ TEST(Servable, PublishFileServesEitherFormat)
     Rng rng(78);
     const TtMatrix tt = TtMatrix::random(cfg, rng);
     io::saveTieModel(tt, dir.path + "/m.tie");
-    saveTtMatrixFile(tt, dir.path + "/m.ttm");
 
     serve::ModelRegistry registry;
     EXPECT_EQ(registry.publishFile("a", dir.path + "/m.tie"), 1u);
-    EXPECT_EQ(registry.publishFile("b", dir.path + "/m.ttm"), 1u);
-    EXPECT_TRUE(registry.info("a").from_artifact);
-    EXPECT_FALSE(registry.info("b").from_artifact);
+    EXPECT_EQ(registry.publish("b", io::TieModel::parse(
+                                        io::serializeTieModel(
+                                            {io::makeLayerSpec(tt)}))),
+              1u);
 
     std::vector<double> x(cfg.inSize());
     for (double &v : x)

@@ -59,7 +59,7 @@ makeLayer(uint64_t seed)
  * control fires, collectors verifying every outcome bit-exactly.
  */
 void
-producerStorm(const tie::TtMatrix &layer)
+producerStorm(const std::vector<tie::TtLayerViewD> &model)
 {
     using namespace tie::serve;
     ServerOptions opts;
@@ -67,13 +67,12 @@ producerStorm(const tie::TtMatrix &layer)
     opts.batch_timeout_us = 50;
     opts.queue_capacity = 8;
     opts.workers = 2;
-    tie::serve::Server server(layer, opts);
+    tie::serve::Server server(model, opts);
 
     const size_t producers = 4;
     const size_t per_producer = 200;
     const std::vector<std::vector<double>> expected =
-        referenceOutputs({layerView(layer)}, 0, 1, /*seed=*/3,
-                         per_producer);
+        referenceOutputs(model, 0, 1, /*seed=*/3, per_producer);
 
     std::atomic<size_t> done{0}, timed_out{0}, rejected{0},
         mismatched{0};
@@ -119,7 +118,7 @@ producerStorm(const tie::TtMatrix &layer)
 
 /** Stop the server while producers are mid-volley. */
 void
-shutdownMidFlight(const tie::TtMatrix &layer)
+shutdownMidFlight(const std::vector<tie::TtLayerViewD> &model)
 {
     using namespace tie::serve;
     for (int round = 0; round < 5; ++round) {
@@ -128,7 +127,7 @@ shutdownMidFlight(const tie::TtMatrix &layer)
         opts.batch_timeout_us = 1000;
         opts.queue_capacity = 64;
         opts.workers = 2;
-        auto server = std::make_unique<Server>(layer, opts);
+        auto server = std::make_unique<Server>(model, opts);
 
         std::atomic<bool> go{false};
         std::atomic<size_t> accepted{0}, terminal{0};
@@ -179,13 +178,14 @@ main()
     }
 
     const tie::TtMatrix layer = makeLayer(7);
-    producerStorm(layer);
+    const std::vector<tie::TtLayerViewD> model{layerView(layer)};
+    producerStorm(model);
 
     // Restart mid-run: the epoch bump must retire every thread's
     // claimed ring without racing stragglers.
     flight.stop();
     flight.start();
-    shutdownMidFlight(layer);
+    shutdownMidFlight(model);
 
     flight.stop(); // final drain
     expect(flight.drained() > 0, "flight events drained");

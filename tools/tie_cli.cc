@@ -3,14 +3,15 @@
  * tie_cli — command-line front end for the library, the workflow a
  * deployment engineer would script:
  *
- *   tie_cli synth out.ttm --m 4,4,4 --n 4,8,8 --rank 4 [--seed 1]
+ *   tie_cli synth out.tie --m 4,4,4 --n 4,8,8 --rank 4 [--seed 1]
  *       create a random TT model (train-from-scratch stand-in)
- *   tie_cli decompose dense.f64 out.ttm --m .. --n .. --rank ..
+ *   tie_cli decompose dense.f64 out.tie --m .. --n .. --rank ..
  *       TT-SVD a dense row-major float64 weight file
- *   tie_cli info model.ttm
- *       shapes, compression, multiplication counts, SRAM fit
- *   tie_cli round in.ttm out.ttm --rank 2 [--eps 1e-4]
- *       re-rank an existing model (tt rounding)
+ *   tie_cli info model.tie
+ *       artifact summary, per layer shapes, compression,
+ *       multiplication counts and SRAM fit, the section table
+ *   tie_cli round in.tie out.tie --rank 2 [--eps 1e-4]
+ *       re-rank an existing one-layer model (tt rounding)
  *   tie_cli tune <out_dim> <in_dim> [--seed 1] [--ranks 1,2,4,8] ..
  *       rank/shape autotune: enumerate factorizations x ranks, prune
  *       with the cost model, train/evaluate survivors in parallel,
@@ -19,19 +20,21 @@
  *   tie_cli zoo-build <dir> [--budgets fast:0.25,accurate:0] ..
  *       tune the paper's four workload families and serialize each
  *       budget's winner as a .tie artifact + zoo.json manifest
- *   tie_cli simulate model.ttm [--npe 16 --nmac 16 --freq 1000]
+ *   tie_cli simulate model.tie [--npe 16 --nmac 16 --freq 1000]
  *                    [--batch 1] [--relu]
- *       run the cycle-accurate simulator, print the full report
- *   tie_cli serve-bench model.{ttm,tie} [--workers 1 --max-batch 8
+ *       run the cycle-accurate simulator on a one-layer model, print
+ *       the full report
+ *   tie_cli serve-bench model.tie [--workers 1 --max-batch 8
  *                    --timeout-us 200 --queue-cap 256] [--requests 256]
  *                    [--clients 4 | --qps Q] [--deadline-us D] [--seed]
  *       drive the dynamic-batching server with the closed-loop
  *       (--clients) or open-loop (--qps) load generator, verify every
  *       completed output bit-exactly, print the latency/SLO report
- *   tie_cli save-model out.tie (--from a.ttm[,b.ttm..] |
+ *   tie_cli save-model out.tie (--from a.tie[,b.tie..] |
  *                    --m .. --n .. [--rank r] [--seed s]) [--fxp]
- *       package a layer chain as a versioned .tie artifact
- *       (docs/serialization.md); --fxp embeds the quantized twin
+ *       package a layer chain (the inputs' layers, concatenated) as
+ *       one .tie artifact (docs/serialization.md); --fxp embeds the
+ *       quantized twin
  *   tie_cli cluster-bench (model.tie | --zoo DIR) [--replicas K]
  *                    [--requests R] [--chaos [--chaos-kills N]]
  *                    [--p99-bound-us X]
@@ -42,8 +45,8 @@
  *       --chaos (single model) SIGKILLs and restarts replicas
  *       mid-load and asserts zero lost requests (docs/cluster.md)
  *
- * info and serve-bench sniff the artifact kind by magic, so both
- * accept legacy single-layer .ttm streams and .tie containers.
+ * Every model file is a .tie artifact; a file its loader refuses
+ * (bad bytes, non-finite weights) exits 1 with the diagnostic.
  *
  * Every command additionally accepts --stats-json[=path] and
  * --trace-out[=path] (or the TIE_STATS_JSON / TIE_TRACE environment
@@ -87,7 +90,6 @@
 #include "serve/model_registry.hh"
 #include "serve/server.hh"
 #include "tt/cost_model.hh"
-#include "tt/tt_io.hh"
 #include "tt/tt_round.hh"
 #include "tt/tt_svd.hh"
 #include "tune/autotune.hh"
@@ -204,12 +206,12 @@ int
 cmdSynth(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli synth <out.ttm> --m .. --n .. "
+                  "usage: tie_cli synth <out.tie> --m .. --n .. "
                   "[--rank r] [--seed s]");
     TtLayerConfig cfg = configFrom(opt);
     Rng rng(opt.num<uint64_t>("seed", 1));
     TtMatrix tt = TtMatrix::random(cfg, rng);
-    saveTtMatrixFile(tt, opt.positional[0]);
+    io::saveTieModel(tt, opt.positional[0]);
     std::cout << "wrote " << opt.positional[0] << ": "
               << cfg.toString() << "\n";
     return 0;
@@ -219,7 +221,7 @@ int
 cmdDecompose(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 2,
-                  "usage: tie_cli decompose <dense.f64> <out.ttm> "
+                  "usage: tie_cli decompose <dense.f64> <out.tie> "
                   "--m .. --n .. [--rank r] [--eps e]");
     TtLayerConfig cfg = configFrom(opt);
 
@@ -233,7 +235,7 @@ cmdDecompose(const Options &opt)
 
     const double eps = opt.num<double>("eps", 0);
     TtMatrix tt = ttSvdMatrix(w, cfg, eps);
-    saveTtMatrixFile(tt, opt.positional[1]);
+    io::saveTieModel(tt, opt.positional[1]);
 
     std::cout << "wrote " << opt.positional[1] << ": "
               << tt.config().toString() << "\nreconstruction error "
@@ -258,12 +260,15 @@ cmdSaveModel(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
                   "usage: tie_cli save-model <out.tie> "
-                  "(--from a.ttm[,b.ttm..] | --m .. --n .. [--rank r] "
+                  "(--from a.tie[,b.tie..] | --m .. --n .. [--rank r] "
                   "[--seed s]) [--fxp]");
     std::vector<TtMatrix> layers;
     if (opt.has("from")) {
-        for (const std::string &p : splitCsv(opt.get("from")))
-            layers.push_back(loadTtMatrixFile(p));
+        for (const std::string &p : splitCsv(opt.get("from"))) {
+            const io::TieModel m = io::TieModel::load(p);
+            for (size_t i = 0; i < m.layerCount(); ++i)
+                layers.push_back(m.toTtMatrix(i));
+        }
         TIE_CHECK_ARG(!layers.empty(), "--from lists no files");
     } else {
         TtLayerConfig cfg = configFrom(opt);
@@ -306,9 +311,37 @@ crcHex(uint32_t crc)
     return buf;
 }
 
-int
-infoTie(const std::string &path)
+/** One layer's cost rows: compression, mults, SRAM fit. */
+void
+printLayerCosts(const std::string &title, const TtLayerConfig &cfg)
 {
+    TextTable t(title);
+    t.header({"property", "value"});
+    t.row({"config", cfg.toString()});
+    t.row({"dense params", std::to_string(cfg.denseParamCount())});
+    t.row({"TT params", std::to_string(cfg.ttParamCount())});
+    t.row({"compression", TextTable::ratio(cfg.compressionRatio(), 1)});
+    t.row({"mults (naive, Eqn. 3)", std::to_string(multNaive(cfg))});
+    t.row({"mults (compact)", std::to_string(multCompact(cfg))});
+    t.row({"mults (minimum, Eqn. 7)",
+           std::to_string(multTheoreticalMin(cfg))});
+    const double wkb = cfg.ttParamCount() * 2.0 / 1024.0;
+    const double ikb = workingBufferElems(cfg) * 2.0 / 1024.0;
+    t.row({"weight footprint", TextTable::num(wkb, 2) + " KB" +
+                                   (wkb <= 16 ? " (fits 16 KB)"
+                                              : " (exceeds 16 KB)")});
+    t.row({"peak intermediate", TextTable::num(ikb, 1) + " KB" +
+                                    (ikb <= 384 ? " (fits 384 KB)"
+                                                : " (exceeds 384 KB)")});
+    t.print();
+}
+
+int
+cmdInfo(const Options &opt)
+{
+    TIE_CHECK_ARG(opt.positional.size() == 1,
+                  "usage: tie_cli info <model.tie>");
+    const std::string &path = opt.positional[0];
     io::TieModel m = io::TieModel::load(path);
     TextTable t(path);
     t.header({"property", "value"});
@@ -318,10 +351,9 @@ infoTie(const std::string &path)
     t.row({"interface", std::to_string(m.inSize()) + " -> " +
                             std::to_string(m.outSize())});
     t.row({"fxp twin", m.hasFxp() ? "yes" : "no"});
-    for (size_t i = 0; i < m.layerCount(); ++i)
-        t.row({"layer " + std::to_string(i),
-               m.config(i).toString()});
     t.print();
+    for (size_t i = 0; i < m.layerCount(); ++i)
+        printLayerCosts("layer " + std::to_string(i), m.config(i));
 
     // The full validated section table — every row already passed the
     // loader's bounds and CRC checks, so this doubles as an integrity
@@ -343,49 +375,31 @@ infoTie(const std::string &path)
     return 0;
 }
 
-int
-cmdInfo(const Options &opt)
+/**
+ * The single layer of the .tie at @p path, for the commands that
+ * operate on one TT matrix; a multi-layer artifact is refused.
+ */
+TtMatrix
+loadOneLayer(const std::string &path, const char *command)
 {
-    TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli info <model.{ttm,tie}>");
-    if (io::isTieArtifact(opt.positional[0]))
-        return infoTie(opt.positional[0]);
-    TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
-    const TtLayerConfig &cfg = tt.config();
-
-    TextTable t(opt.positional[0]);
-    t.header({"property", "value"});
-    t.row({"config", cfg.toString()});
-    t.row({"dense params", std::to_string(cfg.denseParamCount())});
-    t.row({"TT params", std::to_string(cfg.ttParamCount())});
-    t.row({"compression", TextTable::ratio(cfg.compressionRatio(), 1)});
-    t.row({"mults (naive, Eqn. 3)", std::to_string(multNaive(cfg))});
-    t.row({"mults (compact)", std::to_string(multCompact(cfg))});
-    t.row({"mults (minimum, Eqn. 7)",
-           std::to_string(multTheoreticalMin(cfg))});
-    const double wkb = cfg.ttParamCount() * 2.0 / 1024.0;
-    const double ikb = workingBufferElems(cfg) * 2.0 / 1024.0;
-    t.row({"weight footprint", TextTable::num(wkb, 2) + " KB" +
-                                   (wkb <= 16 ? " (fits 16 KB)"
-                                              : " (exceeds 16 KB)")});
-    t.row({"peak intermediate", TextTable::num(ikb, 1) + " KB" +
-                                    (ikb <= 384 ? " (fits 384 KB)"
-                                                : " (exceeds 384 KB)")});
-    t.print();
-    return 0;
+    const io::TieModel m = io::TieModel::load(path);
+    TIE_CHECK_ARG(m.layerCount() == 1, command,
+                  " takes a one-layer .tie; ", path, " has ",
+                  m.layerCount(), " layers");
+    return m.toTtMatrix(0);
 }
 
 int
 cmdRound(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 2,
-                  "usage: tie_cli round <in.ttm> <out.ttm> --rank r "
+                  "usage: tie_cli round <in.tie> <out.tie> --rank r "
                   "[--eps e]");
-    TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
+    TtMatrix tt = loadOneLayer(opt.positional[0], "round");
     const size_t rank = opt.num<size_t>("rank", 4);
     const double eps = opt.num<double>("eps", 0);
     TtMatrix rounded = ttRound(tt, rank, eps);
-    saveTtMatrixFile(rounded, opt.positional[1]);
+    io::saveTieModel(rounded, opt.positional[1]);
     std::cout << "rounded " << tt.config().toString() << "\n  ->    "
               << rounded.config().toString() << "\n";
     return 0;
@@ -395,10 +409,10 @@ int
 cmdSimulate(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli simulate <model.ttm> [--npe N] "
+                  "usage: tie_cli simulate <model.tie> [--npe N] "
                   "[--nmac M] [--freq MHz] [--batch B] [--relu] "
                   "[--seed s]");
-    TtMatrix tt = loadTtMatrixFile(opt.positional[0]);
+    TtMatrix tt = loadOneLayer(opt.positional[0], "simulate");
 
     TieArchConfig cfg;
     cfg.n_pe = opt.num<size_t>("npe", 16);
@@ -647,7 +661,7 @@ int
 cmdServeBench(const Options &opt)
 {
     TIE_CHECK_ARG(opt.positional.size() == 1,
-                  "usage: tie_cli serve-bench <model.{ttm,tie}>"
+                  "usage: tie_cli serve-bench <model.tie>"
                   " [--workers W]"
                   " [--max-batch B] [--timeout-us T] [--queue-cap C]"
                   " [--requests R] [--clients K | --qps Q]"
@@ -655,12 +669,9 @@ cmdServeBench(const Options &opt)
                   " [--metrics-port P] [--metrics-snapshot FILE]"
                   " [--metrics-linger-ms L]");
 
-    // Either artifact kind serves through the same view chain; the
-    // ServableModel owns the backing (matrix or mapping) and must
-    // outlive the server.
-    const serve::ServableModel model =
-        serve::loadServable(opt.positional[0]);
-    const std::vector<TtLayerViewD> &views = model.views;
+    // The views alias the mapping, which must outlive the server.
+    const io::TieModel model = io::TieModel::load(opt.positional[0]);
+    const std::vector<TtLayerViewD> views = model.layers();
 
     const serve::ServerOptions sopts = serverOptionsFrom(opt, 8, 256);
     const serve::LoadGenOptions lopts = loadOptionsFrom(opt, 256);
@@ -885,11 +896,15 @@ cmdClusterBench(const Options &opt)
         }
     } else {
         names = paths = {opt.positional[0]};
-        TIE_CHECK_ARG(io::isTieArtifact(paths[0]),
-                      "cluster-bench serves .tie artifacts (workers "
-                      "load the file themselves); got ", paths[0]);
     }
     const size_t n_models = paths.size();
+
+    // Load every model here, before any worker is spawned: a file the
+    // loader refuses fails the bench with its diagnostic instead of a
+    // worker dying before "ready".
+    std::vector<io::TieModel> models;
+    for (const std::string &p : paths)
+        models.push_back(io::TieModel::load(p));
 
     const size_t replicas = opt.num<size_t>("replicas", zoo ? 1 : 2);
     TIE_CHECK_ARG(replicas >= 1, "--replicas must be >= 1");
@@ -911,8 +926,8 @@ cmdClusterBench(const Options &opt)
     std::vector<serve::Oracle> expected;
     for (size_t k = 0; k < n_models; ++k)
         expected.push_back(serve::referenceOutputs(
-            io::TieModel::load(paths[k]).layers(), k, n_models,
-            lopts.seed, lopts.requests));
+            models[k].layers(), k, n_models, lopts.seed,
+            lopts.requests));
 
     std::string sock_dir = opt.get("sock-dir", "");
     if (sock_dir.empty()) {
@@ -1230,12 +1245,12 @@ usage()
 {
     std::cout
         << "tie_cli — TT-format model tool\n"
-           "  synth <out.ttm> --m 4,4,4 --n 4,8,8 [--rank 4] [--seed]\n"
-           "  decompose <dense.f64> <out.ttm> --m .. --n .. [--rank]\n"
-           "  save-model <out.tie> (--from a.ttm[,b.ttm..] |"
+           "  synth <out.tie> --m 4,4,4 --n 4,8,8 [--rank 4] [--seed]\n"
+           "  decompose <dense.f64> <out.tie> --m .. --n .. [--rank]\n"
+           "  save-model <out.tie> (--from a.tie[,b.tie..] |"
            " --m .. --n ..) [--fxp]\n"
-           "  info <model.{ttm,tie}>\n"
-           "  round <in.ttm> <out.ttm> --rank r [--eps e]\n"
+           "  info <model.tie>\n"
+           "  round <in.tie> <out.tie> --rank r [--eps e]\n"
            "  tune <out_dim> <in_dim> [--seed][--min-d][--max-d]"
            "[--ranks 1,2,4,8]\n"
            "              [--min-compression][--max-mults]"
@@ -1253,9 +1268,9 @@ usage()
            "              [--no-fxp] + tune knobs\n"
            "              build the per-budget .tie model zoo + "
            "zoo.json manifest\n"
-           "  simulate <model.ttm> [--npe][--nmac][--freq][--batch]"
+           "  simulate <model.tie> [--npe][--nmac][--freq][--batch]"
            "[--relu]\n"
-           "  serve-bench <model.{ttm,tie}> [--workers][--max-batch]"
+           "  serve-bench <model.tie> [--workers][--max-batch]"
            "[--timeout-us]\n"
            "              [--queue-cap][--requests][--clients|--qps]"
            "[--deadline-us]\n"

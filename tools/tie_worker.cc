@@ -6,9 +6,9 @@
  *              [--workers N] [--max-batch B] [--queue-cap Q] \
  *              [--batch-timeout-us T]
  *
- * Loads a model file — a .tie artifact (mmap, fully CRC-verified
- * before serving) or a legacy .ttm matrix —
- * starts a ClusterWorker on the given endpoint, prints a single
+ * Loads a .tie artifact (mmap, fully validated before serving; a
+ * file the loader refuses exits 1 before "ready"), starts a
+ * ClusterWorker on the given endpoint, prints a single
  * flushed "ready <endpoint>" line on stdout (the spawn handshake the
  * router harness reads), then runs until either stdin reaches EOF
  * (parent died or closed the pipe — tie down with the harness) or a
@@ -30,7 +30,7 @@
 
 #include "cluster/worker.hh"
 #include "common/logging.hh"
-#include "serve/model_registry.hh"
+#include "io/tie_format.hh"
 
 namespace {
 
@@ -113,9 +113,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    serve::ServableModel model;
+    io::TieModel model;
     std::string err;
-    if (!serve::tryLoadServable(model_path, &model, &err)) {
+    if (!io::TieModel::tryLoad(model_path, &model, &err)) {
         std::fprintf(stderr, "tie_worker: cannot load %s: %s\n",
                      model_path.c_str(), err.c_str());
         return 1;
