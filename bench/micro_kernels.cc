@@ -303,7 +303,7 @@ BM_TtInferFxp_Session(benchmark::State &state)
     xf.setUniform(rng, -1, 1);
     Matrix<int16_t> x = quantizeMatrix(xf, FxpFormat{16, 8});
     Matrix<int16_t> y;
-    InferSessionFxp session(fxp);
+    InferSessionFxp session(layerView(fxp));
     session.runInto(x, y);
     for (auto _ : state) {
         session.runInto(x, y);

@@ -111,11 +111,8 @@ tie_model_save(const tie_model *model, const char *path)
     for (size_t i = 0; i < a.layerCount(); ++i) {
         io::TieLayerSpec s;
         s.f64 = a.layer(i);
-        if (a.hasFxp()) {
-            TtFxpLayerView q = a.fxpLayer(i);
-            s.fxp_cores = std::move(q.cores);
-            s.fxp_fmt = std::move(q.fmt);
-        }
+        if (a.hasFxp())
+            s.fxp = a.fxpLayer(i);
         specs.push_back(std::move(s));
     }
     io::saveTieModel(specs, path);

@@ -192,9 +192,7 @@ makeLayerSpec(const TtMatrix &tt, const TtMatrixFxp &fxp)
     TIE_CHECK_ARG(fxp.config == tt.config(),
                   "fxp twin has a different TT config than the float "
                   "layer");
-    TtFxpLayerView q = layerView(fxp);
-    spec.fxp_cores = std::move(q.cores);
-    spec.fxp_fmt = std::move(q.fmt);
+    spec.fxp = layerView(fxp);
     return spec;
 }
 
@@ -209,39 +207,22 @@ serializeTieModel(const std::vector<TieLayerSpec> &layers)
                   layers.size(), ")");
     const size_t n_layers = layers.size();
 
-    const bool fxp = !layers.front().fxp_cores.empty();
+    const bool fxp = !layers.front().fxp.cores.empty();
     for (size_t i = 0; i < n_layers; ++i) {
         const TieLayerSpec &s = layers[i];
         std::string err;
         if (configError(s.f64.cfg, &err))
             TIE_FATAL("layer ", i, ": ", err);
-        TIE_CHECK_ARG(s.f64.cores.size() == s.f64.cfg.d(), "layer ", i,
-                      " has ", s.f64.cores.size(), " cores for d = ",
-                      s.f64.cfg.d());
-        for (size_t h = 1; h <= s.f64.cfg.d(); ++h) {
-            const CoreView<double> &v = s.f64.cores[h - 1];
-            TIE_CHECK_ARG(v.data != nullptr &&
-                              v.rows == s.f64.cfg.coreRows(h) &&
-                              v.cols == s.f64.cfg.coreCols(h),
-                          "layer ", i, " stage ", h,
-                          " core view malformed");
-        }
-        TIE_CHECK_ARG(s.fxp_cores.empty() == !fxp, "either every "
+        err = checkCoreViews(s.f64.cfg, s.f64.cores);
+        TIE_CHECK_ARG(err.empty(), "layer ", i, ": ", err);
+        TIE_CHECK_ARG(s.fxp.cores.empty() == !fxp, "either every "
                       "layer carries fxp data or none does (layer ",
                       i, " differs)");
         if (fxp) {
-            TIE_CHECK_ARG(s.fxp_cores.size() == s.f64.cfg.d() &&
-                              s.fxp_fmt.size() == s.f64.cfg.d(),
-                          "layer ", i, " fxp twin must have d cores "
-                          "and d formats");
-            for (size_t h = 1; h <= s.f64.cfg.d(); ++h) {
-                const CoreView<int16_t> &v = s.fxp_cores[h - 1];
-                TIE_CHECK_ARG(v.data != nullptr &&
-                                  v.rows == s.f64.cfg.coreRows(h) &&
-                                  v.cols == s.f64.cfg.coreCols(h),
-                              "layer ", i, " stage ", h,
-                              " fxp core view malformed");
-            }
+            err = checkCoreViews(s.f64.cfg, s.fxp.cores);
+            TIE_CHECK_ARG(err.empty(), "layer ", i, " fxp twin: ", err);
+            TIE_CHECK_ARG(s.fxp.fmt.size() == s.f64.cfg.d(), "layer ", i,
+                          " fxp twin must have d formats");
         }
         if (i + 1 < n_layers)
             TIE_CHECK_ARG(s.f64.cfg.outSize() ==
@@ -305,7 +286,7 @@ serializeTieModel(const std::vector<TieLayerSpec> &layers)
 
         if (fxp) {
             std::vector<uint8_t> fm;
-            for (const MacFormat &f : s.fxp_fmt) {
+            for (const MacFormat &f : s.fxp.fmt) {
                 appendLe<int32_t>(fm, f.weight.total_bits);
                 appendLe<int32_t>(fm, f.weight.frac_bits);
                 appendLe<int32_t>(fm, f.act_in.total_bits);
@@ -320,7 +301,7 @@ serializeTieModel(const std::vector<TieLayerSpec> &layers)
             std::vector<uint8_t> qc;
             qc.reserve(coreElems(cfg) * sizeof(int16_t));
             for (size_t h = 1; h <= cfg.d(); ++h) {
-                const CoreView<int16_t> &v = s.fxp_cores[h - 1];
+                const CoreView<int16_t> &v = s.fxp.cores[h - 1];
                 const size_t bytes = v.rows * v.cols * sizeof(int16_t);
                 const size_t off = qc.size();
                 qc.resize(off + bytes);
@@ -688,6 +669,9 @@ TieModel::Rep::parse(std::string *err)
             if (!c.exhausted())
                 return fail(strCat("layer ", i,
                                    ": trailing bytes in FxpMeta"));
+            const std::string chain = checkFormatChain(fmts, cfg.d());
+            if (!chain.empty())
+                return fail(strCat("layer ", i, ": ", chain));
             if (i16_sec[i]->size != elems * sizeof(int16_t))
                 return fail(strCat("layer ", i, ": CoresI16 is ",
                                    i16_sec[i]->size,

@@ -16,7 +16,8 @@
  * and a CRC-32 per section (plus one over the header). The loader
  * verifies all of it — truncation, trailing garbage, bit flips,
  * misaligned or overlapping sections, malformed configs, non-finite
- * f64 weights — before a single weight is handed out.
+ * f64 weights, int16 stage formats that do not chain — before a single
+ * weight is handed out.
  * TieModel::tryLoad reports failures as error strings (the C FFI and
  * serving paths); TieModel::load turns them into the library's usual
  * fatal().
@@ -108,9 +109,8 @@ const char *tieSectionKindName(uint32_t kind);
  */
 struct TieLayerSpec
 {
-    TtLayerViewD f64;                         ///< required
-    std::vector<CoreView<int16_t>> fxp_cores; ///< optional, index h-1
-    std::vector<MacFormat> fxp_fmt;           ///< with fxp_cores
+    TtLayerViewD f64;   ///< required
+    TtFxpLayerView fxp; ///< optional quantized twin (no cores: none)
 };
 
 /** Spec over a float model (and optionally its quantized twin). */

@@ -92,6 +92,22 @@ dequantizeMatrix(const Matrix<int16_t> &m, const FxpFormat &fmt)
     return out;
 }
 
+std::string
+checkFormatChain(const std::vector<MacFormat> &fmt, size_t stages)
+{
+    if (fmt.size() != stages)
+        return strCat("fxp layer has ", fmt.size(), " stage formats, not ",
+                      stages);
+    for (size_t h = stages; h >= 2; --h) {
+        const FxpFormat &out = fmt[h - 1].act_out;
+        const FxpFormat &in = fmt[h - 2].act_in;
+        if (out.frac_bits != in.frac_bits || out.total_bits != in.total_bits)
+            return strCat("stage ", h, " act_out format does not match stage ",
+                          h - 1, " act_in format");
+    }
+    return {};
+}
+
 int32_t
 macProduct(int16_t w, int16_t x, const MacFormat &fmt)
 {

@@ -13,6 +13,7 @@
 #define TIE_QUANT_FXP_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.hh"
@@ -92,6 +93,16 @@ struct MacFormat
         return weight.frac_bits + act_in.frac_bits - product_shift;
     }
 };
+
+/**
+ * Stage-format chain of a @p stages-stage fixed-point layer (index
+ * h-1): one MacFormat per stage, and each stage's act_out must be the
+ * next executed stage's (h-1's) act_in. Returns the first break
+ * ("stage h act_out format does not match ..."), or an empty string
+ * when the chain is consistent.
+ */
+std::string checkFormatChain(const std::vector<MacFormat> &fmt,
+                             size_t stages);
 
 /**
  * One multiply: 16b x 16b -> 32b product, pre-shifted (with rounding)

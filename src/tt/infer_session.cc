@@ -98,9 +98,8 @@ operandPanel(size_t h, size_t d, size_t ncols)
 /** stagedPanels store: the tile goes where stage @p d's consumer reads. */
 template <typename T>
 auto
-storeFor(const StageDescriptor &d, size_t batch, T *out)
+storeFor(simd::Isa isa, const StageDescriptor &d, size_t batch, T *out)
 {
-    const simd::Isa isa = simd::activeIsa();
     return [&d, batch, out, isa](const T *tile, size_t p0, size_t w) {
         storeStageTile(isa, d, tile, p0, w, batch, out);
     };
@@ -144,51 +143,6 @@ flattenOutputInto(const TtLayerConfig &cfg, const T *v1, size_t batch,
                     v1[i1 * cols * batch + b * cols + q];
 }
 
-} // namespace
-
-namespace {
-
-/** Shared shape validation for the view-based session constructors. */
-template <typename T>
-void
-checkCoreViews(const TtLayerConfig &c,
-               const std::vector<CoreView<T>> &cores)
-{
-    TIE_CHECK_ARG(cores.size() == c.d(), "InferSession needs ", c.d(),
-                  " stage cores, got ", cores.size());
-    for (size_t h = 1; h <= c.d(); ++h) {
-        const CoreView<T> &v = cores[h - 1];
-        TIE_CHECK_ARG(v.data != nullptr, "stage ", h,
-                      " core view is null");
-        TIE_CHECK_ARG(v.rows == c.coreRows(h) && v.cols == c.coreCols(h),
-                      "stage ", h, " core is ", v.rows, "x", v.cols,
-                      ", expected ", c.coreRows(h), "x", c.coreCols(h));
-    }
-}
-
-/**
- * Fixed-point stage formats: one per stage, and each stage's act_out
- * must feed the next stage's act_in. Checked at construction and on
- * every re-bind of a TtMatrixFxp-backed session.
- */
-void
-checkFormatChain(const TtLayerConfig &cfg,
-                 const std::vector<MacFormat> &fmt)
-{
-    TIE_CHECK_ARG(fmt.size() == cfg.d(), "fxp layer has ", fmt.size(),
-                  " stage formats for d = ", cfg.d());
-    for (size_t h = cfg.d(); h >= 2; --h) {
-        const MacFormat &cur = fmt[h - 1];
-        const MacFormat &next = fmt[h - 2];
-        TIE_CHECK_ARG(cur.act_out.frac_bits == next.act_in.frac_bits &&
-                          cur.act_out.total_bits ==
-                              next.act_in.total_bits,
-                      "stage ", h,
-                      " act_out format does not match stage ", h - 1,
-                      " act_in format");
-    }
-}
-
 template <typename T>
 std::vector<CoreView<T>>
 viewsOf(const std::vector<const Matrix<T> *> &cores)
@@ -203,6 +157,30 @@ viewsOf(const std::vector<const Matrix<T> *> &cores)
 }
 
 } // namespace
+
+template <typename T>
+std::string
+checkCoreViews(const TtLayerConfig &c, const std::vector<CoreView<T>> &cores)
+{
+    if (cores.size() != c.d())
+        return strCat("needs ", c.d(), " stage cores, got ", cores.size());
+    for (size_t h = 1; h <= c.d(); ++h) {
+        const CoreView<T> &v = cores[h - 1];
+        if (v.data == nullptr)
+            return strCat("stage ", h, " core view is null");
+        if (v.rows != c.coreRows(h) || v.cols != c.coreCols(h))
+            return strCat("stage ", h, " core is ", v.rows, "x", v.cols,
+                          ", expected ", c.coreRows(h), "x", c.coreCols(h));
+    }
+    return {};
+}
+
+template std::string checkCoreViews(const TtLayerConfig &,
+                                    const std::vector<CoreView<double>> &);
+template std::string checkCoreViews(const TtLayerConfig &,
+                                    const std::vector<CoreView<float>> &);
+template std::string checkCoreViews(const TtLayerConfig &,
+                                    const std::vector<CoreView<int16_t>> &);
 
 TtLayerViewD
 layerView(const TtMatrix &tt)
@@ -233,6 +211,7 @@ template <typename T>
 InferSessionT<T>::InferSessionT(const TtLayerConfig &cfg,
                                 std::vector<const Matrix<T> *> cores,
                                 SessionOptions opts)
+    requires std::floating_point<T>
     : InferSessionT(TtLayerView<T>{cfg, viewsOf(cores)}, opts)
 {
     // Matrix-backed sessions stay late-bound: the views are refreshed
@@ -245,7 +224,14 @@ InferSessionT<T>::InferSessionT(TtLayerView<T> layer, SessionOptions opts)
     : plan_(layer.cfg), cores_(std::move(layer.cores)), opts_(opts),
       fast_(simd::resolveFastMode(opts.fast) == simd::FastMode::On)
 {
-    checkCoreViews(plan_.config(), cores_);
+    const std::string err = checkCoreViews(plan_.config(), cores_);
+    TIE_CHECK_ARG(err.empty(), "InferSession ", err);
+    if constexpr (kFxp) {
+        const std::string chain =
+            checkFormatChain(layer.fmt, plan_.config().d());
+        TIE_CHECK_ARG(chain.empty(), chain);
+        fmt_ = std::move(layer.fmt);
+    }
     packCores();
 }
 
@@ -259,6 +245,8 @@ template <typename T>
 void
 InferSessionT<T>::packCores()
 {
+    if constexpr (kFxp)
+        return; // fxpBlock reads the unpacked cores
     packed_.resize(cores_.size());
     size_t panels = 0, bytes = 0;
     for (size_t i = 0; i < cores_.size(); ++i) {
@@ -309,7 +297,8 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
             const Matrix<T> &g = *bound_[i];
             cores_[i] = {g.data(), g.rows(), g.cols()};
         }
-        checkCoreViews(cfg, cores_);
+        const std::string err = checkCoreViews(cfg, cores_);
+        TIE_CHECK_ARG(err.empty(), "InferSession ", err);
         // The packed panels mirror the weight bytes, so they go stale
         // with the views; repacking costs one pass over the cores
         // (sum of m_h * k_h elements — noise next to the GEMMs).
@@ -317,8 +306,13 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
     }
     ensureBatch(batch);
     const size_t slots = ensureStagingTiles(cfg, batch, tiles_);
-    if (obs::enabled())
+    const simd::Isa isa = simd::activeIsa();
+    if (obs::enabled()) {
         SessionStats::get().runs.add();
+        if constexpr (kFxp)
+            gemm::KernelStats::get().simd_isa.set(
+                static_cast<int64_t>(isa));
+    }
     obs::HostSpan span("session.run");
 
     if (capture)
@@ -374,9 +368,21 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
         T *out = (h == 1 && ydirect != nullptr)
                      ? ydirect
                      : (live == 0 ? half1 : half0);
-        gemm::gemmPackedStaged(m, ncols, k, packed_[h - 1].data(), op,
-                               bpanel, tiles_.data(), slots, fast_,
-                               storeFor(plan_.stage(h), batch, out));
+        const auto store = storeFor(isa, plan_.stage(h), batch, out);
+        if constexpr (kFxp) {
+            const MacFormat &fmt = fmt_[h - 1];
+            gemm::stagedPanels(
+                m, ncols, k, op, bpanel, tiles_.data(), slots,
+                [&](const T *bp, size_t ldb, T *tile, size_t w) {
+                    fxpBlock(isa, k, ldb, gemm::kColBlock, g.data, bp,
+                             fmt, tile, 0, m, 0, w);
+                },
+                store);
+        } else {
+            gemm::gemmPackedStaged(m, ncols, k, packed_[h - 1].data(),
+                                   op, bpanel, tiles_.data(), slots,
+                                   fast_, store);
+        }
 
         const size_t sm = m * k * ncols;
         mults += sm;
@@ -456,6 +462,7 @@ InferSessionT<T>::runCapture(const Matrix<T> &x, Matrix<T> &y,
 
 template class InferSessionT<double>;
 template class InferSessionT<float>;
+template class InferSessionT<int16_t>;
 
 InferSessionD
 makeSession(const TtMatrix &tt, SessionOptions opts)
@@ -467,134 +474,6 @@ makeSession(const TtMatrix &tt, SessionOptions opts)
     for (size_t h = 1; h <= tt.d(); ++h)
         cores.push_back(&tt.core(h).unfolded());
     return InferSessionD(tt.config(), std::move(cores), opts);
-}
-
-InferSessionFxp::InferSessionFxp(const TtMatrixFxp &tt,
-                                 SessionOptions opts)
-    : InferSessionFxp(layerView(tt), opts)
-{
-    bound_ = &tt; // stay late-bound, like InferSessionT over Matrix
-}
-
-InferSessionFxp::InferSessionFxp(TtFxpLayerView layer,
-                                 SessionOptions /*opts*/)
-    : plan_(layer.cfg), cores_(std::move(layer.cores)),
-      fmt_(std::move(layer.fmt))
-{
-    checkCoreViews(plan_.config(), cores_);
-    checkFormatChain(plan_.config(), fmt_);
-}
-
-void
-InferSessionFxp::ensureBatch(size_t batch)
-{
-    if (has_batch_ && batch == batch_) {
-        SessionStats::get().plan_cache_hits.add();
-        return;
-    }
-    half_ = halfElems(plan_.config(), batch);
-    if (arena_.size() < 2 * half_)
-        arena_.resize(2 * half_);
-    has_batch_ = true;
-    batch_ = batch;
-    if (obs::enabled()) {
-        SessionStats &ss = SessionStats::get();
-        ss.plan_builds.add();
-        ss.arena_bytes.set(static_cast<int64_t>(arenaBytes()));
-    }
-}
-
-Matrix<int16_t>
-InferSessionFxp::run(const Matrix<int16_t> &x, InferStats *stats)
-{
-    Matrix<int16_t> y;
-    runInto(x, y, stats);
-    return y;
-}
-
-void
-InferSessionFxp::runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
-                         InferStats *stats)
-{
-    const TtLayerConfig &cfg = plan_.config();
-    TIE_CHECK_ARG(x.rows() == cfg.inSize(), "input rows ", x.rows(),
-                  " != N = ", cfg.inSize());
-    const size_t batch = x.cols();
-    const size_t d = cfg.d();
-    // Re-bind TtMatrixFxp-backed cores/formats (see runRaw): the
-    // owner may have requantized or replaced them since the last run.
-    if (bound_) {
-        TIE_CHECK_ARG(bound_->cores.size() == cores_.size() &&
-                          bound_->stage_fmt.size() == fmt_.size(),
-                      "bound TtMatrixFxp changed stage count");
-        for (size_t i = 0; i < cores_.size(); ++i) {
-            const Matrix<int16_t> &g = bound_->cores[i];
-            cores_[i] = {g.data(), g.rows(), g.cols()};
-            fmt_[i] = bound_->stage_fmt[i];
-        }
-        checkCoreViews(cfg, cores_);
-        checkFormatChain(cfg, fmt_);
-    }
-    ensureShape(y, cfg.outSize(), batch);
-    ensureBatch(batch);
-    const size_t slots = ensureStagingTiles(cfg, batch, tiles_);
-    const simd::Isa isa = simd::activeIsa();
-    if (obs::enabled()) {
-        SessionStats::get().runs.add();
-        gemm::KernelStats::get().simd_isa.set(static_cast<int64_t>(isa));
-    }
-    obs::HostSpan span("session.run_fxp");
-
-    int16_t *const half0 = arena_.data();
-    int16_t *const half1 = arena_.data() + half_;
-
-    const int16_t *op = nullptr;
-    int live = -1;
-    if (batch == 1) {
-        op = x.data(); // reshapeInput is the identity for one sample
-    } else {
-        reshapeInputInto(cfg, x.data(), batch, half0);
-        op = half0;
-        live = 0;
-    }
-
-    size_t mults = 0;
-    if (stats)
-        stats->stage_mults.resize(d);
-
-    for (size_t h = d; h >= 1; --h) {
-        const CoreView<int16_t> &g = cores_[h - 1];
-        const MacFormat &fmt = fmt_[h - 1];
-        const size_t m = g.rows;
-        const size_t k = g.cols;
-        const size_t ncols = cfg.stageCols(h) * batch;
-
-        int16_t *out = (h == 1 && batch == 1)
-                           ? y.data()
-                           : (live == 0 ? half1 : half0);
-        gemm::stagedPanels(
-            m, ncols, k, op, operandPanel(h, d, ncols), tiles_.data(),
-            slots,
-            [&](const int16_t *bp, size_t ldb, int16_t *tile, size_t w) {
-                fxpBlock(isa, k, ldb, gemm::kColBlock, g.data, bp, fmt,
-                         tile, 0, m, 0, w);
-            },
-            storeFor(plan_.stage(h), batch, out));
-
-        const size_t sm = m * k * ncols;
-        mults += sm;
-        if (stats)
-            stats->stage_mults[h - 1] = sm;
-        op = out;
-        live = out == half0 ? 0 : (out == half1 ? 1 : -1);
-    }
-
-    if (batch != 1)
-        flattenOutputInto(cfg, op, batch, y.data());
-    if (stats) {
-        stats->mults = mults;
-        stats->adds = mults; // one MAC accumulation per product
-    }
 }
 
 } // namespace tie

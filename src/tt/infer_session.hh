@@ -3,14 +3,21 @@
  * Reusable compact-scheme inference sessions — paper Algorithm 1 as a
  * persistent object instead of a per-call pipeline.
  *
- * A session is built once per TT matrix: the CompactPlan (the
+ * One class template, InferSessionT<T>, serves every dtype: f64, f32
+ * and int16 (the 16-bit MAC datapath) share its constructor checks,
+ * arena, stage loop and entry points (run, runInto, runVec, runPtr,
+ * runCapture); only the dense call per stage is picked at compile
+ * time. A session is built once per TT matrix: the CompactPlan (the
  * controller's stage program, tt/stage_program.hh — a few scalars per
- * stage) is compiled at that point, every stage core is packed, and a
- * single arena sized to the maximum per-stage working set backs two
- * ping-pong buffers, mirroring the paper's dual working SRAMs
- * (Sec. 3.2 / 4.4). After the first run() at a given batch size,
- * steady-state calls perform **zero heap allocations**: the arena, the
- * staging tiles and the caller's output storage are all reused.
+ * stage) is compiled at that point, every float stage core is packed,
+ * and a single arena sized to the maximum per-stage working set backs
+ * two ping-pong buffers, mirroring the paper's dual working SRAMs
+ * (Sec. 3.2 / 4.4). After the first run at a given batch size,
+ * steady-state calls of every dtype perform **zero heap allocations**:
+ * the arena, the staging tiles and the caller's output storage are all
+ * reused. int16 sessions are view-only: they read a TtFxpLayerView's
+ * fixed bytes and formats; only float sessions bind to mutable Matrix
+ * cores.
  *
  * The inter-stage Transform costs no pass of its own, as in TIE's
  * working-SRAM write scheme (Algorithm 2): every stage runs its dense
@@ -38,6 +45,9 @@
 #ifndef TIE_TT_INFER_SESSION_HH
 #define TIE_TT_INFER_SESSION_HH
 
+#include <concepts>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/pack.hh"
@@ -86,44 +96,64 @@ struct TtLayerView
     std::vector<CoreView<T>> cores; ///< unfolded, index h-1
 };
 
-using TtLayerViewD = TtLayerView<double>;
-
-/** View of a TtMatrix's unfolded cores (tt must outlive the view). */
-TtLayerViewD layerView(const TtMatrix &tt);
-
 /**
- * Fixed-point sibling: int16 core views plus the per-stage MAC
- * formats (copied by value — they are a few ints per stage).
+ * Fixed-point layers also carry the per-stage MAC formats (copied by
+ * value — they are a few ints per stage).
  */
-struct TtFxpLayerView
+template <>
+struct TtLayerView<int16_t>
 {
     TtLayerConfig cfg;
     std::vector<CoreView<int16_t>> cores; ///< unfolded, index h-1
     std::vector<MacFormat> fmt;           ///< arithmetic, index h-1
 };
 
+using TtLayerViewD = TtLayerView<double>;
+using TtFxpLayerView = TtLayerView<int16_t>;
+
+/** View of a TtMatrix's unfolded cores (tt must outlive the view). */
+TtLayerViewD layerView(const TtMatrix &tt);
+
 /** View of a TtMatrixFxp's cores/formats (tt must outlive it). */
 TtFxpLayerView layerView(const TtMatrixFxp &tt);
 
 /**
- * Float-path inference session over externally-owned unfolded stage
- * cores (index h-1, shapes coreRows(h) x coreCols(h)). The referenced
- * matrices must outlive the session; their *values* may change between
- * runs (training updates them in place).
+ * Shape check of a layer's core views against @p cfg: d non-null views
+ * of coreRows(h) x coreCols(h). Returns the first problem ("stage h
+ * ..."), or an empty string when the views fit.
+ */
+template <typename T>
+std::string checkCoreViews(const TtLayerConfig &cfg,
+                           const std::vector<CoreView<T>> &cores);
+
+/**
+ * Inference session over unfolded stage cores (index h-1, shapes
+ * coreRows(h) x coreCols(h)) for T = double, float or int16_t. Float
+ * stages run the packed microkernel; int16 stages run the 16-bit MAC
+ * datapath (fxpBlock) under the view's per-stage MacFormats, whose
+ * chain (each stage's act_out feeds the next stage's act_in) the
+ * constructor validates.
  */
 template <typename T>
 class InferSessionT
 {
   public:
+    /**
+     * Float only: bind to Matrix objects that must outlive the
+     * session; their *values* may change between runs (training
+     * updates them in place), so every run re-reads and repacks them.
+     */
     InferSessionT(const TtLayerConfig &cfg,
                   std::vector<const Matrix<T> *> cores,
-                  SessionOptions opts = {});
+                  SessionOptions opts = {})
+        requires std::floating_point<T>;
 
     /**
      * Construct over non-owning core views — the zero-copy path for
      * mmap-backed artifacts: the view pointers (e.g. into the mapped
-     * file) are consumed by the stage GEMMs directly, no weight bytes
-     * are ever copied. The viewed storage must outlive the session.
+     * file) are consumed by the stage kernels directly, no weight bytes
+     * are ever copied. The viewed storage must outlive the session and
+     * is treated as immutable; this is the only int16 constructor.
      */
     explicit InferSessionT(TtLayerView<T> layer,
                            SessionOptions opts = {});
@@ -173,8 +203,8 @@ class InferSessionT
     size_t arenaBytes() const { return arena_.size() * sizeof(T); }
 
     /**
-     * Bytes held in packed operand panels: every stage core packed at
-     * warm-up plus the per-slot staging tiles. Separate from
+     * Bytes held in packed operand panels: every float stage core
+     * packed at warm-up plus the per-slot staging tiles. Separate from
      * arenaBytes(), which models the paper's dual working SRAMs.
      */
     size_t
@@ -187,6 +217,8 @@ class InferSessionT
     }
 
   private:
+    static constexpr bool kFxp = std::is_same_v<T, int16_t>;
+
     void ensureBatch(size_t batch);
     void packCores();
     void runRaw(const T *x, size_t batch, T *ydirect, T *yflat,
@@ -194,6 +226,8 @@ class InferSessionT
 
     CompactPlan plan_;
     std::vector<CoreView<T>> cores_; ///< unfolded views, index h-1
+    /** int16 stage arithmetic, index h-1 (empty for float). */
+    std::vector<MacFormat> fmt_;
     /**
      * Non-empty when constructed over Matrix objects: the views in
      * cores_ are refreshed from these pointers at every run, so
@@ -207,11 +241,12 @@ class InferSessionT
     bool fast_ = false; ///< opts_.fast resolved (f32 FMA permitted)
 
     /**
-     * Per-stage weight cores packed into microkernel panels
+     * Per-stage float weight cores packed into microkernel panels
      * (linalg/pack.hh), index h-1 — filled at construction and, for
      * Matrix-bound sessions, refreshed from the re-bound views every
      * run (the owners may update weights in place between runs). The
      * buffers are grow-only, so steady-state repacks never allocate.
+     * Empty for int16: fxpBlock reads the unpacked cores.
      */
     std::vector<pack::AlignedBuf<T>> packed_;
     /** Staging tiles, one m x kColBlock tile per slot
@@ -226,57 +261,10 @@ class InferSessionT
 
 using InferSessionD = InferSessionT<double>;
 using InferSessionF = InferSessionT<float>;
+using InferSessionFxp = InferSessionT<int16_t>;
 
 /** Session over a TtMatrix's unfolded cores (tt must outlive it). */
 InferSessionD makeSession(const TtMatrix &tt, SessionOptions opts = {});
-
-/**
- * Fixed-point session over a TtMatrixFxp (which must outlive it); the
- * bit-exact sibling of InferSessionT using the 16-bit MAC datapath.
- * Construction, and every run that re-binds a TtMatrixFxp's formats,
- * validates that each stage's act_out format feeds the next stage's
- * act_in format.
- */
-class InferSessionFxp
-{
-  public:
-    explicit InferSessionFxp(const TtMatrixFxp &tt,
-                             SessionOptions opts = {});
-
-    /** View-based twin of InferSessionT's view constructor. */
-    explicit InferSessionFxp(TtFxpLayerView layer,
-                             SessionOptions opts = {});
-
-    const TtLayerConfig &config() const { return plan_.config(); }
-    const CompactPlan &plan() const { return plan_; }
-
-    Matrix<int16_t> run(const Matrix<int16_t> &x,
-                        InferStats *stats = nullptr);
-    void runInto(const Matrix<int16_t> &x, Matrix<int16_t> &y,
-                 InferStats *stats = nullptr);
-
-    size_t arenaBytes() const
-    {
-        return arena_.size() * sizeof(int16_t);
-    }
-
-  private:
-    void ensureBatch(size_t batch);
-
-    CompactPlan plan_;
-    std::vector<CoreView<int16_t>> cores_; ///< unfolded, index h-1
-    std::vector<MacFormat> fmt_;           ///< per stage, index h-1
-    /** Like InferSessionT::bound_: re-read tt's cores/formats each
-        run when constructed over a TtMatrixFxp. */
-    const TtMatrixFxp *bound_ = nullptr;
-    /** Staging tiles, as InferSessionT::tiles_. */
-    pack::AlignedBuf<int16_t> tiles_;
-
-    bool has_batch_ = false;
-    size_t batch_ = 0;
-    size_t half_ = 0;
-    std::vector<int16_t> arena_;
-};
 
 } // namespace tie
 

@@ -148,8 +148,7 @@ Matrix<int16_t>
 compactInferFxp(const TtMatrixFxp &tt, const Matrix<int16_t> &x,
                 InferStats *stats)
 {
-    InferSessionFxp session(tt);
-    return session.run(x, stats);
+    return InferSessionFxp(layerView(tt)).run(x, stats);
 }
 
 CompactPlan::CompactPlan(const TtLayerConfig &cfg)

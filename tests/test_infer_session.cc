@@ -271,7 +271,7 @@ TEST(InferSession, StoreConfigsBitIdenticalForEveryDtype)
         InferSessionD s64 = makeSession(tt);
         InferSessionF s32(cfg, fptrs, exact);
         InferSessionF s32f(cfg, fptrs, fast);
-        InferSessionFxp s16(fxp);
+        InferSessionFxp s16(layerView(fxp));
         for (size_t batch : sc.batches) {
             MatrixD xd(cfg.inSize(), batch);
             xd.setUniform(rng);
@@ -365,7 +365,7 @@ TEST(InferSession, FxpBitIdenticalToReference)
     for (const TtLayerConfig &cfg : testConfigs()) {
         TtMatrix tt = TtMatrix::random(cfg, rng);
         TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
-        InferSessionFxp session(fxp);
+        InferSessionFxp session(layerView(fxp));
         for (size_t batch : kSweepBatches) {
             MatrixF xf(cfg.inSize(), batch);
             xf.setUniform(rng);
@@ -444,6 +444,15 @@ TEST(InferSession, MatrixBackedSessionsTrackWeightUpdates)
     EXPECT_FALSE(y1 == y0);
 }
 
+/** A quantized N x batch input for an int16 session. */
+Matrix<int16_t>
+fxpInput(const TtLayerConfig &cfg, size_t batch, Rng &rng)
+{
+    MatrixF xf(cfg.inSize(), batch);
+    xf.setUniform(rng, -1, 1);
+    return quantizeMatrix(xf, FxpFormat{16, 8});
+}
+
 TEST(InferSession, RunVecMatchesBatchedColumn)
 {
     Rng rng(3);
@@ -464,6 +473,32 @@ TEST(InferSession, RunVecMatchesBatchedColumn)
     MatrixD xm(cfg.inSize(), 1, x);
     EXPECT_TRUE(MatrixD(cfg.outSize(), 1, y) ==
                 referenceCompact(tt, xm));
+
+    // int16: the same entry point on the fixed-point datapath.
+    const TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    InferSessionFxp s16(layerView(fxp));
+    const Matrix<int16_t> xq = fxpInput(cfg, 1, rng);
+    std::vector<int16_t> y16;
+    s16.runVec(xq.flat(), y16, nullptr);
+    ASSERT_EQ(y16.size(), cfg.outSize());
+    EXPECT_TRUE(Matrix<int16_t>(cfg.outSize(), 1, y16) ==
+                referenceCompactFxp(fxp, xq));
+}
+
+/** runPtr writes the bits runInto does, for any dtype. */
+template <typename T>
+void
+expectRunPtrMatchesRunInto(InferSessionT<T> &session, const Matrix<T> &x,
+                           const std::string &at)
+{
+    Matrix<T> y;
+    session.runInto(x, y);
+    std::vector<T> flat(session.config().outSize() * x.cols(), T(-1));
+    session.runPtr(x.data(), x.cols(), flat.data());
+    ASSERT_EQ(y.rows() * y.cols(), flat.size());
+    EXPECT_EQ(0, std::memcmp(flat.data(), y.data(),
+                             flat.size() * sizeof(T)))
+        << at;
 }
 
 TEST(InferSession, RunPtrMatchesRunInto)
@@ -472,17 +507,17 @@ TEST(InferSession, RunPtrMatchesRunInto)
     for (const TtLayerConfig &cfg : testConfigs()) {
         TtMatrix tt = TtMatrix::random(cfg, rng);
         InferSessionD session = makeSession(tt);
+        const TtMatrixFxp fxp =
+            TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+        InferSessionFxp s16(layerView(fxp));
         for (size_t batch : {size_t(1), size_t(9)}) {
+            const std::string at =
+                cfg.toString() + " batch " + std::to_string(batch);
             MatrixD x(cfg.inSize(), batch);
             x.setUniform(rng);
-            MatrixD y;
-            session.runInto(x, y);
-            std::vector<double> flat(cfg.outSize() * batch, -1.0);
-            session.runPtr(x.data(), batch, flat.data());
-            ASSERT_EQ(y.rows() * y.cols(), flat.size());
-            EXPECT_EQ(0, std::memcmp(flat.data(), y.data(),
-                                     flat.size() * sizeof(double)))
-                << cfg.toString() << " batch " << batch;
+            expectRunPtrMatchesRunInto(session, x, "f64 " + at);
+            expectRunPtrMatchesRunInto(s16, fxpInput(cfg, batch, rng),
+                                       "int16 " + at);
         }
     }
 }
@@ -594,20 +629,27 @@ TEST(InferSession, SteadyStateRunsDoNotHeapAllocate)
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << "steady-state float runs must not touch the heap";
 
-    // Same guarantee on the fixed-point datapath.
+    // Same guarantee on the fixed-point datapath, through every entry.
     TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
-    InferSessionFxp fsession(fxp);
+    InferSessionFxp fsession(layerView(fxp));
     MatrixF xf(cfg.inSize(), batch);
     xf.setUniform(rng);
     Matrix<int16_t> xq = quantizeMatrix(xf, FxpFormat{16, 8});
     Matrix<int16_t> yq;
+    std::vector<int16_t> flat(cfg.outSize() * batch);
+    std::vector<int16_t> xqv(cfg.inSize()), yqv;
     fsession.runInto(xq, yq, &stats);
     fsession.runInto(xq, yq, &stats);
+    fsession.runPtr(xq.data(), batch, flat.data(), &stats);
+    fsession.runVec(xqv, yqv, &stats);
 
     g_alloc_count.store(0);
     g_count_allocs.store(true);
-    for (int i = 0; i < 5; ++i)
+    for (int i = 0; i < 5; ++i) {
         fsession.runInto(xq, yq, &stats);
+        fsession.runPtr(xq.data(), batch, flat.data(), &stats);
+    }
+    fsession.runVec(xqv, yqv, &stats);
     g_count_allocs.store(false);
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << "steady-state fxp runs must not touch the heap";
@@ -624,7 +666,7 @@ TEST(InferSession, PoolResizeAllocatesOnceThenSteadyStateIsFree)
     TtMatrix tt = TtMatrix::random(cfg, rng);
     TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
     InferSessionD session = makeSession(tt);
-    InferSessionFxp fsession(fxp);
+    InferSessionFxp fsession(layerView(fxp));
 
     const size_t batch = 64; // several panels per gathered stage
     MatrixD x(cfg.inSize(), batch), y;
@@ -820,27 +862,6 @@ TEST(InferSessionFatal, InputRowsMismatchDies)
                 "input rows");
 }
 
-TEST(InferSessionFatal, RebindWithMismatchedStageFormatsDies)
-{
-    // A TtMatrixFxp-backed session re-reads the formats every run, so
-    // a requantized owner whose stage chain no longer lines up must be
-    // refused there too, not only at construction.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Rng rng(3);
-    const TtLayerConfig cfg = testConfigs()[1];
-    TtMatrix tt = TtMatrix::random(cfg, rng);
-    TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
-    InferSessionFxp session(fxp);
-    MatrixF xf(cfg.inSize(), 2);
-    xf.setUniform(rng);
-    const Matrix<int16_t> x = quantizeMatrix(xf, FxpFormat{16, 8});
-    Matrix<int16_t> y;
-    session.runInto(x, y);
-    fxp.stage_fmt[1].act_out.frac_bits += 1; // break the stage chain
-    EXPECT_EXIT(session.runInto(x, y), ::testing::ExitedWithCode(1),
-                "act_out format");
-}
-
 TEST(InferSessionFatal, MismatchedStageFormatsDie)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -849,8 +870,8 @@ TEST(InferSessionFatal, MismatchedStageFormatsDie)
     TtMatrix tt = TtMatrix::random(cfg, rng);
     TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
     fxp.stage_fmt[1].act_out.frac_bits += 1; // break the stage chain
-    EXPECT_EXIT(InferSessionFxp bad(fxp), ::testing::ExitedWithCode(1),
-                "act_out format");
+    EXPECT_EXIT(InferSessionFxp bad(layerView(fxp)),
+                ::testing::ExitedWithCode(1), "act_out format");
 }
 
 } // namespace

@@ -470,6 +470,30 @@ TEST(TieFormat, ProductShiftPastTheInt32BoundIsRejected)
               kMaxProductShift);
 }
 
+TEST(TieFormat, BrokenStageFormatChainIsRejected)
+{
+    // Every format is in range, so only the chain check can catch that
+    // stage 2's act_out no longer feeds stage 1's act_in; a session
+    // over this twin would die, so the loader must refuse the file.
+    TtMatrix tt = sampleLayer(20);
+    TtMatrixFxp q = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    const TtMatrixFxp good = q;
+    q.stage_fmt[1].act_out.frac_bits += 1;
+    TieModel m;
+    std::string err;
+    EXPECT_FALSE(TieModel::tryParse(
+        io::serializeTieModel({io::makeLayerSpec(tt, q)}), &m, &err));
+    EXPECT_FALSE(m.valid());
+    EXPECT_NE(err.find("layer 0: stage 2 act_out format"), std::string::npos)
+        << err;
+
+    ASSERT_TRUE(TieModel::tryParse(
+        io::serializeTieModel({io::makeLayerSpec(tt, good)}), &m, &err))
+        << err;
+    EXPECT_EQ(m.toTtMatrixFxp(0).stage_fmt[1].act_out.frac_bits,
+              good.stage_fmt[1].act_out.frac_bits);
+}
+
 TEST(TieFormat, NonFiniteCoreIsRejected)
 {
     // The writer does not check values, so the artifact carries valid
