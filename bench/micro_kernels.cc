@@ -205,6 +205,21 @@ BENCHMARK(BM_FxpMatmul_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // bit-identical outputs — only the setup/allocation cost differs.
 // ---------------------------------------------------------------------
 
+/**
+ * Session rows report two rates: items_per_second counts compact-scheme
+ * multiplies, infer_per_s counts inferences (samples), so per-item b1 /
+ * b8 / b32 compare straight from BENCH_micro.json.
+ */
+void
+setSessionRates(benchmark::State &state, const TtLayerConfig &cfg,
+                size_t batch)
+{
+    state.SetItemsProcessed(state.iterations() * multCompact(cfg) *
+                            batch);
+    state.counters["infer_per_s"] = benchmark::Counter(
+        double(state.iterations() * batch), benchmark::Counter::kIsRate);
+}
+
 void
 BM_TtInfer_PerCall(benchmark::State &state)
 {
@@ -231,15 +246,14 @@ BM_TtInfer_Session(benchmark::State &state)
     MatrixD x(cfg.inSize(), batch), y;
     x.setNormal(rng);
     InferSessionD session = makeSession(tt);
-    session.runInto(x, y); // warm-up: arena + gather tables
+    session.runInto(x, y); // warm-up: arena, group blocks, staging tiles
     for (auto _ : state) {
         session.runInto(x, y);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetItemsProcessed(state.iterations() * multCompact(cfg) *
-                            batch);
+    setSessionRates(state, cfg, batch);
 }
-BENCHMARK(BM_TtInfer_Session)->Arg(1)->Arg(32);
+BENCHMARK(BM_TtInfer_Session)->Arg(1)->Arg(8)->Arg(32);
 
 void
 BM_TtInferF32_Session(benchmark::State &state)
@@ -268,10 +282,9 @@ BM_TtInferF32_Session(benchmark::State &state)
         session.runInto(x, y);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetItemsProcessed(state.iterations() * multCompact(cfg) *
-                            batch);
+    setSessionRates(state, cfg, batch);
 }
-BENCHMARK(BM_TtInferF32_Session)->Arg(1)->Arg(32);
+BENCHMARK(BM_TtInferF32_Session)->Arg(1)->Arg(8)->Arg(32);
 
 void
 BM_TtInferFxp_PerCall(benchmark::State &state)
@@ -309,10 +322,9 @@ BM_TtInferFxp_Session(benchmark::State &state)
         session.runInto(x, y);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetItemsProcessed(state.iterations() * multCompact(cfg) *
-                            batch);
+    setSessionRates(state, cfg, batch);
 }
-BENCHMARK(BM_TtInferFxp_Session)->Arg(1)->Arg(32);
+BENCHMARK(BM_TtInferFxp_Session)->Arg(1)->Arg(8)->Arg(32);
 
 void
 BM_TtSvd(benchmark::State &state)

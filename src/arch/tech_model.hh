@@ -21,6 +21,8 @@
 
 #include <cstddef>
 
+#include "tt/cost_model.hh"
+
 namespace tie {
 
 /** Hardware configuration of a TIE instance (paper Table 5). */
@@ -29,7 +31,7 @@ struct TieArchConfig
     size_t n_pe = 16;                     ///< processing elements
     size_t n_mac = 16;                    ///< MAC units per PE
     size_t weight_sram_bytes = 16 * 1024; ///< 16 KB tensor-core SRAM
-    size_t working_sram_bytes = 384 * 1024; ///< per copy; two copies
+    size_t working_sram_bytes = kWorkingSramBytes; ///< per copy; two copies
     double freq_mhz = 1000.0;
     int data_bits = 16;
     int acc_bits = 24;

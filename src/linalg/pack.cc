@@ -1,8 +1,7 @@
 #include "linalg/pack.hh"
 
-#include <cstdlib>
+#include <new>
 
-#include "common/logging.hh"
 #include "linalg/gemm.hh"
 
 namespace tie {
@@ -13,19 +12,15 @@ alignedAlloc(size_t bytes)
 {
     if (bytes == 0)
         return nullptr;
-    // aligned_alloc requires the size to be a multiple of the
-    // alignment; round up — the slack is never read.
-    const size_t rounded = (bytes + kAlign - 1) / kAlign * kAlign;
-    void *p = std::aligned_alloc(kAlign, rounded);
-    if (p == nullptr)
-        TIE_PANIC("aligned_alloc(", kAlign, ", ", rounded, ") failed");
-    return p;
+    // The aligned operator new, so allocation hooks (the zero-allocation
+    // tests) see every packed buffer and session arena.
+    return ::operator new(bytes, std::align_val_t{kAlign});
 }
 
 void
 alignedFree(void *p)
 {
-    std::free(p);
+    ::operator delete(p, std::align_val_t{kAlign});
 }
 
 void

@@ -78,9 +78,9 @@ Server::Server(std::vector<TtLayerViewD> model, ServerOptions opts)
         wk->ids.resize(opts_.max_batch);
 
         // Warm the whole chain at max_batch: the session arenas and
-        // gather tables are grow-only and batch-count-independent in
-        // element count, so every batch size 1..max_batch is
-        // allocation-free from here on.
+        // staging tiles are grow-only and sized by the batch tile,
+        // which only shrinks with the batch, so every batch size
+        // 1..max_batch is allocation-free from here on.
         double *cur = wk->buf_a.data();
         double *nxt = wk->buf_b.data();
         for (InferSessionD &s : wk->sessions) {

@@ -16,6 +16,13 @@
 
 namespace tie {
 
+/**
+ * Capacity of one of TIE's two working SRAMs (paper Table 5: 2 x 384
+ * KB). TieArchConfig defaults to it, and inference sessions size their
+ * batch tiles so one ping-pong half fits it.
+ */
+inline constexpr size_t kWorkingSramBytes = 384 * 1024;
+
 /** Eqn. (3): MUL_naive = M * N * sum_i r_i r_{i-1}. */
 size_t multNaive(const TtLayerConfig &cfg);
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.hh"
 #include "linalg/gemm.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "quant/fxp_simd.hh"
+#include "tt/cost_model.hh"
 
 namespace tie {
 
@@ -27,7 +29,7 @@ struct SessionStats
                 "session.runs", "InferSession inference calls"),
             obs::StatRegistry::instance().counter(
                 "session.plan_builds",
-                "arena (re)builds on batch change"),
+                "arena (re)builds on batch-tile change"),
             obs::StatRegistry::instance().counter(
                 "session.plan_cache_hits",
                 "runs reusing the cached arena"),
@@ -40,28 +42,29 @@ struct SessionStats
 };
 
 /**
- * Elements one ping-pong half must hold at @p batch: the largest of the
- * reshaped input (N) and every stage output coreRows(h) * stageCols(h)
- * (each stage stores its output, permuted, as the next stage's
- * operand — same element count), times the batch —
- * workingBufferElems scaled to the batch, i.e. the capacity of one of
- * the paper's dual working SRAMs.
+ * Samples per batch tile: as many as keep one ping-pong half —
+ * workingBufferElems per sample — inside one working SRAM
+ * (kWorkingSramBytes) per pool thread, at least 1 and at most the
+ * batch. The threads split every stage's columns, so each one's share
+ * of the tile stays within one working SRAM. A batch that fits one
+ * SRAM is one tile without touching the pool.
  */
 size_t
-halfElems(const TtLayerConfig &cfg, size_t batch)
+tileSamples(const TtLayerConfig &cfg, size_t batch, size_t elem_bytes)
 {
-    size_t max_elems = cfg.inSize();
-    for (size_t h = 1; h <= cfg.d(); ++h)
-        max_elems =
-            std::max(max_elems, cfg.coreRows(h) * cfg.stageCols(h));
-    return max_elems * batch;
+    const size_t sample = workingBufferElems(cfg) * elem_bytes;
+    if (batch * sample <= kWorkingSramBytes)
+        return batch;
+    const size_t fit = threadCount() * kWorkingSramBytes / sample;
+    return std::clamp(fit, size_t(1), batch);
 }
 
 /**
  * Grow @p tiles to one m x kColBlock staging tile per slot for the
- * tallest stage at @p batch on the current pool, and return the slot
- * count. Runs before the stage loop, so a batch change or a pool
- * resize allocates once and the steady state never.
+ * tallest stage at @p batch samples (one batch tile) on the current
+ * pool, and return the slot count. Runs before the stage loop, so a
+ * tile change or a pool resize allocates once and the steady state
+ * never.
  */
 template <typename T>
 size_t
@@ -113,34 +116,55 @@ ensureShape(Matrix<T> &m, size_t r, size_t c)
         m = Matrix<T>(r, c);
 }
 
-/** CompactPlan::reshapeInput into caller storage (x is N x batch). */
-template <typename T>
-void
-reshapeInputInto(const TtLayerConfig &cfg, const T *x, size_t batch,
-                 T *out)
-{
-    const size_t nd = cfg.n.back();
-    const size_t cols = cfg.stageCols(cfg.d());
-    for (size_t b = 0; b < batch; ++b)
-        for (size_t p = 0; p < nd; ++p)
-            for (size_t q = 0; q < cols; ++q)
-                out[p * cols * batch + b * cols + q] =
-                    x[(p * cols + q) * batch + b];
-}
+/**
+ * Rows of x or y per block of the reshape and flatten passes: a
+ * block's lines stay in L1 while every sample of the group runs over
+ * them, so each sample's run in its tile block is one sequential copy.
+ */
+constexpr size_t kRowBlock = 16;
 
-/** CompactPlan::flattenOutput into caller storage (y is M x batch). */
-template <typename T>
+/**
+ * Move a group of @p gb samples between x or y — @p rows x @p ld,
+ * sample-minor, from the group's first column — and the per-tile
+ * blocks the stage chain reads and writes: the tile starting at sample
+ * t0 owns rows * tb elements at rows * t0, holding row p * cols + q of
+ * its sample b at p * cols * tb + b * cols + q. That is
+ * CompactPlan::reshapeInput for cols = stageCols(d) and, read the
+ * other way, flattenOutput for cols = stageCols(1). kIn copies x into
+ * the blocks (@p from is x), else the blocks into y (@p to is y).
+ * Each line of x or y moves once. Rows are disjoint, so a pass of at
+ * least gemm::kParallelMinWork elements runs on the pool with the same
+ * bits; a smaller one runs inline without touching the pool.
+ */
+template <bool kIn, typename T>
 void
-flattenOutputInto(const TtLayerConfig &cfg, const T *v1, size_t batch,
-                  T *y)
+moveGroup(size_t rows, size_t cols, const T *from, T *to, size_t ld,
+          size_t gb, size_t tile)
 {
-    const size_t m1 = cfg.m.front();
-    const size_t cols = cfg.stageCols(1);
-    for (size_t b = 0; b < batch; ++b)
-        for (size_t i1 = 0; i1 < m1; ++i1)
-            for (size_t q = 0; q < cols; ++q)
-                y[(i1 * cols + q) * batch + b] =
-                    v1[i1 * cols * batch + b * cols + q];
+    auto body = [&](size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1;) {
+            const size_t p = r / cols, q = r - p * cols;
+            const size_t len = std::min({kRowBlock, r1 - r, cols - q});
+            for (size_t t0 = 0; t0 < gb; t0 += tile) {
+                const size_t tb = std::min(tile, gb - t0);
+                const size_t blk = rows * t0 + p * cols * tb + q;
+                for (size_t b = 0; b < tb; ++b)
+                    for (size_t i = 0; i < len; ++i) {
+                        const size_t xy = (r + i) * ld + t0 + b;
+                        const size_t bl = blk + b * cols + i;
+                        if constexpr (kIn)
+                            to[bl] = from[xy];
+                        else
+                            to[xy] = from[bl];
+                    }
+            }
+            r += len;
+        }
+    };
+    if (rows * gb < gemm::kParallelMinWork)
+        body(0, rows);
+    else
+        parallelFor(0, rows, gemm::kParallelMinWork / gb, body);
 }
 
 template <typename T>
@@ -262,17 +286,20 @@ InferSessionT<T>::packCores()
 
 template <typename T>
 void
-InferSessionT<T>::ensureBatch(size_t batch)
+InferSessionT<T>::ensureTile(size_t tile)
 {
-    if (has_batch_ && batch == batch_) {
+    if (tile == tile_) {
         SessionStats::get().plan_cache_hits.add();
         return;
     }
-    half_ = halfElems(plan_.config(), batch);
+    // Round each half up to whole cache lines so half 1 starts on a
+    // 64-byte boundary too.
+    constexpr size_t line = pack::kAlign / sizeof(T);
+    half_ = (workingBufferElems(plan_.config()) * tile + line - 1) /
+            line * line;
     if (arena_.size() < 2 * half_)
         arena_.resize(2 * half_);
-    has_batch_ = true;
-    batch_ = batch;
+    tile_ = tile;
     if (obs::enabled()) {
         SessionStats &ss = SessionStats::get();
         ss.plan_builds.add();
@@ -304,8 +331,13 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
         // (sum of m_h * k_h elements — noise next to the GEMMs).
         packCores();
     }
-    ensureBatch(batch);
-    const size_t slots = ensureStagingTiles(cfg, batch, tiles_);
+    // Stages run over batch tiles whose working set fits one working
+    // SRAM; capture runs hand backward whole-batch operands, so they
+    // run the batch as one tile.
+    const size_t tile =
+        capture ? batch : tileSamples(cfg, batch, sizeof(T));
+    ensureTile(tile);
+    const size_t slots = ensureStagingTiles(cfg, tile, tiles_);
     const simd::Isa isa = simd::activeIsa();
     if (obs::enabled()) {
         SessionStats::get().runs.add();
@@ -315,85 +347,104 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
     }
     obs::HostSpan span("session.run");
 
+    // Tiles run in groups that span at least one cache line of a row
+    // of x and y: a group's input is reshaped into in_ and its output
+    // flattened from out_ in one pass each, so every line of x and y
+    // moves once however narrow the tile.
+    constexpr size_t line = pack::kAlign / sizeof(T);
+    const size_t group = std::min(batch, (line + tile - 1) / tile * tile);
+    const size_t nin = cfg.inSize(), nout = cfg.outSize();
+    if (batch > 1) {
+        if (!capture)
+            in_.resize(std::max(in_.size(), nin * group));
+        out_.resize(std::max(out_.size(), nout * group));
+    }
+
     if (capture)
         capture->resize(d);
+    if (stats)
+        stats->stage_mults.assign(d, 0);
 
     T *const half0 = arena_.data();
     T *const half1 = arena_.data() + half_;
-
-    // GEMM operand for the upcoming stage; `live` is the arena half it
-    // occupies (-1: caller input / capture storage outside the arena).
-    const T *op = nullptr;
-    int live = -1;
-
-    if (capture) {
-        Matrix<T> &cap = (*capture)[d - 1];
-        ensureShape(cap, cfg.n.back(), cfg.stageCols(d) * batch);
-        reshapeInputInto(cfg, x, batch, cap.data());
-        op = cap.data();
-    } else if (batch == 1) {
-        op = x; // reshapeInput is the identity map for one sample
-    } else {
-        reshapeInputInto(cfg, x, batch, half0);
-        op = half0;
-        live = 0;
-    }
-
     size_t mults = 0;
-    if (stats)
-        stats->stage_mults.resize(d);
 
-    for (size_t h = d; h >= 1; --h) {
-        const CoreView<T> &g = cores_[h - 1];
-        const size_t m = g.rows;
-        const size_t k = g.cols;
-        const size_t ncols = cfg.stageCols(h) * batch;
-
-        // Capture runs keep a row-major copy of each stage's operand
-        // for backward.
-        const size_t bpanel = operandPanel(h, d, ncols);
-        if (h < d && capture) {
-            Matrix<T> &cap = (*capture)[h - 1];
-            ensureShape(cap, k, ncols);
-            for (size_t p0 = 0; p0 < ncols; p0 += bpanel)
-                for (size_t row = 0; row < k; ++row)
-                    std::copy_n(
-                        op + gemm::panelOffset(k, ncols, bpanel, row, p0),
-                        gemm::panelLd(ncols, bpanel, p0),
-                        cap.data() + row * ncols + p0);
+    for (size_t g0 = 0; g0 < batch; g0 += group) {
+        const size_t gb = std::min(group, batch - g0);
+        if (capture) {
+            Matrix<T> &cap = (*capture)[d - 1];
+            ensureShape(cap, cfg.n.back(), cfg.stageCols(d) * batch);
+            moveGroup<true>(nin, cfg.stageCols(d), x, cap.data(), batch,
+                            batch, batch);
+        } else if (batch > 1) {
+            moveGroup<true>(nin, cfg.stageCols(d), x + g0, in_.data(),
+                            batch, gb, tile);
         }
 
-        // Stage h stores its output as stage h-1's operand; stage 1
-        // stores V_1 as is.
-        T *out = (h == 1 && ydirect != nullptr)
-                     ? ydirect
-                     : (live == 0 ? half1 : half0);
-        const auto store = storeFor(isa, plan_.stage(h), batch, out);
-        if constexpr (kFxp) {
-            const MacFormat &fmt = fmt_[h - 1];
-            gemm::stagedPanels(
-                m, ncols, k, op, bpanel, tiles_.data(), slots,
-                [&](const T *bp, size_t ldb, T *tile, size_t w) {
-                    fxpBlock(isa, k, ldb, gemm::kColBlock, g.data, bp,
-                             fmt, tile, 0, m, 0, w);
-                },
-                store);
-        } else {
-            gemm::gemmPackedStaged(m, ncols, k, packed_[h - 1].data(),
-                                   op, bpanel, tiles_.data(), slots,
-                                   fast_, store);
+        for (size_t t0 = 0; t0 < gb; t0 += tile) {
+            const size_t tb = std::min(tile, gb - t0);
+
+            // GEMM operand for the upcoming stage.
+            const T *op = capture     ? (*capture)[d - 1].data()
+                          : batch == 1 ? x // reshapeInput is the identity
+                                       : in_.data() + nin * t0;
+
+            for (size_t h = d; h >= 1; --h) {
+                const CoreView<T> &g = cores_[h - 1];
+                const size_t m = g.rows;
+                const size_t k = g.cols;
+                const size_t ncols = cfg.stageCols(h) * tb;
+
+                // Capture runs keep a row-major copy of each stage's
+                // operand for backward.
+                const size_t bpanel = operandPanel(h, d, ncols);
+                if (h < d && capture) {
+                    Matrix<T> &cap = (*capture)[h - 1];
+                    ensureShape(cap, k, ncols);
+                    for (size_t p0 = 0; p0 < ncols; p0 += bpanel)
+                        for (size_t row = 0; row < k; ++row)
+                            std::copy_n(
+                                op + gemm::panelOffset(k, ncols, bpanel,
+                                                       row, p0),
+                                gemm::panelLd(ncols, bpanel, p0),
+                                cap.data() + row * ncols + p0);
+                }
+
+                // Stage h stores its output as stage h-1's operand in
+                // the arena, stages alternating halves; stage 1 stores
+                // V_1 as is, into y for one sample and into the tile's
+                // block of out_ otherwise.
+                T *out = h > 1                ? ((d - h) % 2 ? half1 : half0)
+                         : ydirect != nullptr ? ydirect
+                                              : out_.data() + nout * t0;
+                const auto store = storeFor(isa, plan_.stage(h), tb, out);
+                if constexpr (kFxp) {
+                    const MacFormat &fmt = fmt_[h - 1];
+                    gemm::stagedPanels(
+                        m, ncols, k, op, bpanel, tiles_.data(), slots,
+                        [&](const T *bp, size_t ldb, T *dst, size_t w) {
+                            fxpBlock(isa, k, ldb, gemm::kColBlock, g.data,
+                                     bp, fmt, dst, 0, m, 0, w);
+                        },
+                        store);
+                } else {
+                    gemm::gemmPackedStaged(
+                        m, ncols, k, packed_[h - 1].data(), op, bpanel,
+                        tiles_.data(), slots, fast_, store);
+                }
+
+                const size_t sm = m * k * ncols;
+                mults += sm;
+                if (stats)
+                    stats->stage_mults[h - 1] += sm;
+                op = out;
+            }
         }
 
-        const size_t sm = m * k * ncols;
-        mults += sm;
-        if (stats)
-            stats->stage_mults[h - 1] = sm;
-        op = out;
-        live = out == half0 ? 0 : (out == half1 ? 1 : -1);
+        if (ydirect == nullptr)
+            moveGroup<false>(nout, cfg.stageCols(1), out_.data(),
+                             yflat + g0, batch, gb, tile);
     }
-
-    if (ydirect == nullptr)
-        flattenOutputInto(cfg, op, batch, yflat);
     if (stats) {
         stats->mults = mults;
         stats->adds = mults; // one accumulation per executed product

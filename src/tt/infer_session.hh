@@ -9,10 +9,21 @@
  * runCapture); only the dense call per stage is picked at compile
  * time. A session is built once per TT matrix: the CompactPlan (the
  * controller's stage program, tt/stage_program.hh — a few scalars per
- * stage) is compiled at that point, every float stage core is packed,
- * and a single arena sized to the maximum per-stage working set backs
- * two ping-pong buffers, mirroring the paper's dual working SRAMs
- * (Sec. 3.2 / 4.4). After the first run at a given batch size,
+ * stage) is compiled at that point and every float stage core is
+ * packed.
+ *
+ * A run walks the batch in tiles sized like the paper's dual working
+ * SRAMs (Sec. 3.2 / 4.4): a tile holds as many samples as keep one
+ * stage's working set (workingBufferElems per sample) inside one
+ * kWorkingSramBytes SRAM per pool thread, at least one and at most the
+ * batch. Each tile runs stages d..1 through two ping-pong halves of
+ * one 64-byte-aligned arena sized for that tile, so a stage's working
+ * set does not grow with the batch. Tiles run in groups spanning at
+ * least one cache line of x and y: a group's input is reshaped into
+ * per-tile blocks, and its output flattened from them, in one pass
+ * each, so every line of x and y moves once. A tile only changes
+ * which columns each dense call covers, so every output keeps its
+ * k-order and its bits. After the first run at a given tile size,
  * steady-state calls of every dtype perform **zero heap allocations**:
  * the arena, the staging tiles and the caller's output storage are all
  * reused. int16 sessions are view-only: they read a TtFxpLayerView's
@@ -28,14 +39,15 @@
  * (storeStageTile: a 4-way interleave per ISA when m_h = 4). That
  * layout keeps each kColBlock-wide column panel of the operand as one
  * contiguous block, so every stage reads a dense panel in place, and
- * no session holds a per-element table. Stage d reads the reshaped
- * input; stage 1 stores V_1 as is. Capture runs copy the materialized
- * operands out row-major. One path for every dtype; the kernels keep
- * their per-element k-loop order and the stores only move bits, so
- * results are bit-identical to compactInfer / compactInferFxp for
- * every shape, batch, thread count and dispatch ISA (TIE_SIMD) — tests
- * assert exact equality. The active path is reported by the simd.isa
- * gauge.
+ * no session holds a per-element table. Stage d reads the tile's
+ * reshaped input; stage 1 stores V_1 as is, which is then flattened
+ * into the tile's output columns. Capture runs take the whole batch as
+ * one tile and copy the materialized operands out row-major. One path
+ * for every dtype; the kernels keep their per-element k-loop order and
+ * the stores only move bits, so results are bit-identical to
+ * compactInfer / compactInferFxp for every shape, batch, thread count
+ * and dispatch ISA (TIE_SIMD) — tests assert exact equality. The
+ * active path is reported by the simd.isa gauge.
  *
  * compactInfer, compactInferVec and compactInferFxp (tt_infer.hh) are
  * thin wrappers over a transient session; long-lived callers
@@ -199,18 +211,24 @@ class InferSessionT
                     std::vector<Matrix<T>> &capture,
                     InferStats *stats = nullptr);
 
-    /** Current arena footprint in bytes (both ping-pong halves). */
+    /**
+     * Current arena footprint in bytes: both ping-pong halves, each
+     * workingBufferElems x the largest batch tile run so far, rounded
+     * up to whole 64-byte lines. For a batch that spans several tiles
+     * this is one tile's working set, not the batch's.
+     */
     size_t arenaBytes() const { return arena_.size() * sizeof(T); }
 
     /**
-     * Bytes held in packed operand panels: every float stage core
-     * packed at warm-up plus the per-slot staging tiles. Separate from
+     * Bytes held outside the arena for operands: every float stage
+     * core packed at warm-up, the per-slot staging tiles, and the tile
+     * group's reshaped input and V_1 blocks. Separate from
      * arenaBytes(), which models the paper's dual working SRAMs.
      */
     size_t
     packedBytes() const
     {
-        size_t b = tiles_.size() * sizeof(T);
+        size_t b = (tiles_.size() + in_.size() + out_.size()) * sizeof(T);
         for (const pack::AlignedBuf<T> &p : packed_)
             b += p.size() * sizeof(T);
         return b;
@@ -219,7 +237,7 @@ class InferSessionT
   private:
     static constexpr bool kFxp = std::is_same_v<T, int16_t>;
 
-    void ensureBatch(size_t batch);
+    void ensureTile(size_t tile);
     void packCores();
     void runRaw(const T *x, size_t batch, T *ydirect, T *yflat,
                 std::vector<Matrix<T>> *capture, InferStats *stats);
@@ -253,10 +271,12 @@ class InferSessionT
         (gemm::stagedPanels). */
     pack::AlignedBuf<T> tiles_;
 
-    bool has_batch_ = false;
-    size_t batch_ = 0;
-    size_t half_ = 0;     ///< elements per ping-pong half
-    std::vector<T> arena_; ///< 2 * half_ elements (grow-only)
+    size_t tile_ = 0;           ///< samples per batch tile (0: none yet)
+    size_t half_ = 0;           ///< elements per ping-pong half
+    pack::AlignedBuf<T> arena_; ///< >= 2 * half_ elements (grow-only)
+    /** A tile group's reshaped input (N rows per sample) and V_1
+        (M rows per sample), one block per tile (grow-only). */
+    pack::AlignedBuf<T> in_, out_;
 };
 
 using InferSessionD = InferSessionT<double>;

@@ -35,6 +35,9 @@ r = json.load(open(sys.argv[1]))
 names = {b["name"] for b in r["benchmarks"]}
 for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_TtInferFxp_PerCall/1", "BM_TtInferFxp_Session/1",
+             # session rows at b1 / b8 / b32 with a per-inference rate
+             "BM_TtInfer_Session/8", "BM_TtInferF32_Session/8",
+             "BM_TtInferFxp_Session/8", "BM_TtInferFxp_Session/32",
              # the per-ISA SIMD sweeps always include the scalar path
              "BM_GemmF32_Packed/scalar", "BM_GemmF32_PackedFast/scalar",
              "BM_StageStoreF32_Packed/scalar",
@@ -42,6 +45,9 @@ for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              # the cluster wire codec
              "BM_Crc32/32768", "BM_WireInferRoundTrip/4096"):
     assert want in names, f"missing {want}: {sorted(names)}"
+for b in r["benchmarks"]:
+    if "_Session/" in b["name"]:
+        assert b.get("infer_per_s", 0) > 0, f"no infer_per_s: {b['name']}"
 EOF
     echo "micro bench smoke ok"
     exit 0

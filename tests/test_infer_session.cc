@@ -2,14 +2,16 @@
  * @file
  * InferSession tests: bit-identity against the pre-session compact
  * pipeline (rebuilt here from the public primitives it was made of)
- * for f64, f32 and int16, capture-mode operands, the
- * stage-first InferStats convention, arena sizing, observability
- * counters, and — via a global operator new/delete hook — the
- * zero-heap-allocation guarantee of steady-state runs.
+ * for f64, f32 and int16, batch tiles against batch-1 runs,
+ * capture-mode operands, the stage-first InferStats convention, arena
+ * sizing, observability counters, and — via global operator new/delete
+ * hooks, aligned ones included — the zero-heap-allocation guarantee of
+ * steady-state runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -80,6 +82,34 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+// Aligned allocations: the session arena, staging tiles and packed
+// cores (pack::AlignedBuf).
+void *
+operator new(std::size_t sz, std::align_val_t al)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed)) {
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+        g_alloc_bytes.fetch_add(sz, std::memory_order_relaxed);
+    }
+    const std::size_t a = static_cast<std::size_t>(al);
+    void *p = std::aligned_alloc(a, (sz + a - 1) / a * a);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -305,10 +335,126 @@ TEST(InferSession, StoreConfigsBitIdenticalForEveryDtype)
     }
 }
 
+/**
+ * Samples per batch tile a session of element type T runs on @p cfg
+ * on the current pool: one working SRAM per thread.
+ */
+template <typename T>
+size_t
+tileOf(const TtLayerConfig &cfg, size_t batch)
+{
+    const size_t fit = threadCount() * kWorkingSramBytes /
+                       (workingBufferElems(cfg) * sizeof(T));
+    return std::clamp(fit, size_t(1), batch);
+}
+
+/** Arena bytes of a session whose largest tile so far is @p tile. */
+template <typename T>
+size_t
+tileArenaBytes(const TtLayerConfig &cfg, size_t tile)
+{
+    const size_t line = 64 / sizeof(T); // each half is 64-byte aligned
+    const size_t half =
+        (workingBufferElems(cfg) * tile + line - 1) / line * line;
+    return 2 * half * sizeof(T);
+}
+
+/**
+ * Batches that, on the current pool, run two full tiles and a ragged
+ * one-sample tail (2 * tile + 1), and two line groups of several tiles
+ * each plus a tail (2 * group + 1; the same batch once a tile spans a
+ * cache line of x).
+ */
+template <typename T>
+std::vector<size_t>
+tileBatches(const TtLayerConfig &cfg)
+{
+    const size_t tile = tileOf<T>(cfg, 1024);
+    const size_t line = 64 / sizeof(T);
+    const size_t group = (line + tile - 1) / tile * tile;
+    if (group == tile)
+        return {2 * tile + 1};
+    return {2 * tile + 1, 2 * group + 1};
+}
+
+/**
+ * Run @p x through @p s as one batch, then every column alone through
+ * runVec; every column must carry the same bits.
+ */
+template <typename T>
+void
+expectColumnsMatchBatchOne(InferSessionT<T> &s, const Matrix<T> &x,
+                           const std::string &at)
+{
+    const TtLayerConfig &cfg = s.config();
+    Matrix<T> y;
+    s.runInto(x, y);
+    EXPECT_EQ(s.arenaBytes(),
+              tileArenaBytes<T>(cfg, tileOf<T>(cfg, x.cols())))
+        << at;
+    std::vector<T> xv(cfg.inSize()), yv;
+    for (size_t b = 0; b < x.cols(); ++b) {
+        for (size_t i = 0; i < xv.size(); ++i)
+            xv[i] = x(i, b);
+        s.runVec(xv, yv);
+        size_t bad = 0;
+        for (size_t i = 0; i < yv.size(); ++i)
+            bad += std::memcmp(&yv[i], &y(i, b), sizeof(T)) != 0;
+        EXPECT_EQ(bad, 0u) << at << " column " << b;
+    }
+}
+
+TEST(InferSession, BatchTilesBitIdenticalToBatchOne)
+{
+    // On one thread VGG-FC7 tiles at 3 (f64), 6 (f32) and 12 (int16)
+    // samples, on four at 4x that.
+    ThreadCountGuard guard;
+    Rng rng(59);
+    const TtLayerConfig cfg = workloads::vggFc7();
+    TtMatrix tt = TtMatrix::random(cfg, rng);
+    const std::vector<MatrixF> fcores = floatCores(tt);
+    std::vector<const MatrixF *> fptrs;
+    for (const MatrixF &c : fcores)
+        fptrs.push_back(&c);
+    TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+    SessionOptions exact, fast;
+    exact.fast = simd::FastMode::Off;
+    fast.fast = simd::FastMode::On;
+
+    InferSessionD s64 = makeSession(tt);
+    InferSessionF s32(cfg, fptrs, exact);
+    InferSessionF s32f(cfg, fptrs, fast);
+    InferSessionFxp s16(layerView(fxp));
+    for (size_t threads : {size_t(1), size_t(4)}) {
+        setThreadCount(threads);
+        const std::string at = " threads " + std::to_string(threads);
+        for (size_t batch : tileBatches<double>(cfg)) {
+            MatrixD x(cfg.inSize(), batch);
+            x.setUniform(rng);
+            expectColumnsMatchBatchOne(
+                s64, x, "f64 batch " + std::to_string(batch) + at);
+        }
+        for (size_t batch : tileBatches<float>(cfg)) {
+            MatrixF x(cfg.inSize(), batch);
+            x.setUniform(rng);
+            const std::string b = " batch " + std::to_string(batch) + at;
+            expectColumnsMatchBatchOne(s32, x, "f32 exact" + b);
+            expectColumnsMatchBatchOne(s32f, x, "f32 fast" + b);
+        }
+        for (size_t batch : tileBatches<int16_t>(cfg)) {
+            MatrixF xf(cfg.inSize(), batch);
+            xf.setUniform(rng);
+            expectColumnsMatchBatchOne(
+                s16, quantizeMatrix(xf, FxpFormat{16, 8}),
+                "int16 batch " + std::to_string(batch) + at);
+        }
+    }
+}
+
 TEST(InferSession, HoldsNoPerElementTables)
 {
-    // Building and warming a session needs its arena, packed cores and
-    // staging tiles, plus a few small vectors. A per-element offset
+    // Building and warming a session needs its arena, packed cores,
+    // staging tiles and group blocks, plus a few small vectors. A per-element offset
     // table (one size_t per transformed element, 1.6 MiB on FC6) would
     // blow the 64 KiB slack.
     ThreadCountGuard guard;
@@ -581,21 +727,36 @@ TEST(InferStatsConvention, StageMultsAreStageFirst)
 TEST(InferSession, ArenaMatchesWorkingBufferModel)
 {
     Rng rng(9);
-    for (const TtLayerConfig &cfg : testConfigs()) {
+    std::vector<TtLayerConfig> cfgs = testConfigs();
+    cfgs.push_back(workloads::vggFc7()); // tiles at 3 f64 samples
+    for (const TtLayerConfig &cfg : cfgs) {
         TtMatrix tt = TtMatrix::random(cfg, rng);
-        for (size_t batch : {size_t(1), size_t(13)}) {
+        for (size_t batch : {size_t(1), size_t(8), size_t(13)}) {
             InferSessionD session = makeSession(tt);
             MatrixD x(cfg.inSize(), batch), y;
             x.setUniform(rng);
             session.runInto(x, y);
             // Two ping-pong halves, each one working-SRAM capacity
-            // (cost_model.hh) scaled by the batch.
+            // (cost_model.hh) scaled by the batch tile and rounded up
+            // to whole 64-byte lines.
+            const size_t tile = tileOf<double>(cfg, batch);
             EXPECT_EQ(session.arenaBytes(),
-                      2 * workingBufferElems(cfg) * batch *
-                          sizeof(double))
+                      tileArenaBytes<double>(cfg, tile))
+                << cfg.toString() << " batch " << batch;
+            EXPECT_LE(session.arenaBytes(),
+                      2 * std::max(threadCount() * kWorkingSramBytes,
+                                   workingBufferElems(cfg) *
+                                       sizeof(double) + 64))
                 << cfg.toString() << " batch " << batch;
         }
     }
+    // The benchmark shape: on one thread FC7 f64 batch 8 runs 3-sample
+    // tiles in a 768 KiB arena, not the 2 MiB a whole-batch arena would
+    // take.
+    ThreadCountGuard guard;
+    setThreadCount(1);
+    EXPECT_EQ(tileOf<double>(workloads::vggFc7(), 8), 3u);
+    EXPECT_EQ(tileArenaBytes<double>(workloads::vggFc7(), 3), 768u << 10);
 }
 
 TEST(InferSession, SteadyStateRunsDoNotHeapAllocate)
@@ -653,6 +814,30 @@ TEST(InferSession, SteadyStateRunsDoNotHeapAllocate)
     g_count_allocs.store(false);
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << "steady-state fxp runs must not touch the heap";
+
+    // A batch that spans several tiles: on four threads VGG-FC7 f64
+    // runs batch 32 as tiles of 12, 12 and 8 samples through one
+    // tile-sized arena.
+    const TtLayerConfig fc7 = workloads::vggFc7();
+    TtMatrix tt7 = TtMatrix::random(fc7, rng);
+    InferSessionD s7 = makeSession(tt7);
+    const size_t b7 = 32;
+    MatrixD x7(fc7.inSize(), b7), y7;
+    x7.setUniform(rng);
+    std::vector<double> flat7(fc7.outSize() * b7);
+    s7.runInto(x7, y7, &stats);
+    s7.runPtr(x7.data(), b7, flat7.data(), &stats);
+
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < 5; ++i) {
+        s7.runInto(x7, y7, &stats);
+        s7.runPtr(x7.data(), b7, flat7.data(), &stats);
+    }
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "steady-state multi-tile runs must not touch the heap";
+    EXPECT_LT(tileOf<double>(fc7, b7), b7 / 2);
 }
 
 TEST(InferSession, PoolResizeAllocatesOnceThenSteadyStateIsFree)
@@ -705,6 +890,8 @@ TEST(InferSession, PoolResizeAllocatesOnceThenSteadyStateIsFree)
 
 TEST(InferSession, ObservabilityCountersTrackRuns)
 {
+    ThreadCountGuard guard;
+    setThreadCount(1); // FC7 f64 tiles at 3 samples on one thread
     Rng rng(23);
     const TtLayerConfig cfg = testConfigs()[1]; // d = 3
     TtMatrix tt = TtMatrix::random(cfg, rng);
@@ -717,17 +904,30 @@ TEST(InferSession, ObservabilityCountersTrackRuns)
     MatrixD x3(cfg.inSize(), 3), x5(cfg.inSize(), 5), y;
     x3.setUniform(rng);
     x5.setUniform(rng);
-    session.runInto(x3, y); // build (batch 3)
+    // This layer fits whole batches in one tile, so the tile is the
+    // batch.
+    session.runInto(x3, y); // build (tile 3)
     session.runInto(x3, y); // cache hit
-    session.runInto(x5, y); // rebuild (batch 5)
+    session.runInto(x5, y); // rebuild (tile 5)
+
+    // The cache is keyed on the tile: VGG-FC7 f64 runs batches 8 and
+    // 3 as 3-sample tiles, so both reuse one arena.
+    const TtLayerConfig fc7 = workloads::vggFc7();
+    TtMatrix tt7 = TtMatrix::random(fc7, rng);
+    InferSessionD s7 = makeSession(tt7);
+    MatrixD x8(fc7.inSize(), 8), x7(fc7.inSize(), 3), y7;
+    x8.setUniform(rng);
+    x7.setUniform(rng);
+    s7.runInto(x8, y7); // build (tile 3)
+    s7.runInto(x7, y7); // cache hit
     obs::setEnabled(false);
 
-    EXPECT_EQ(reg.counter("session.runs").value(), 3u);
-    EXPECT_EQ(reg.counter("session.plan_builds").value(), 2u);
-    EXPECT_EQ(reg.counter("session.plan_cache_hits").value(), 1u);
+    EXPECT_EQ(reg.counter("session.runs").value(), 5u);
+    EXPECT_EQ(reg.counter("session.plan_builds").value(), 3u);
+    EXPECT_EQ(reg.counter("session.plan_cache_hits").value(), 2u);
     EXPECT_EQ(static_cast<size_t>(
                   reg.gauge("session.arena_bytes").value()),
-              session.arenaBytes());
+              s7.arenaBytes());
     reg.resetAll();
 }
 
