@@ -264,19 +264,11 @@ BM_TtInferF32_Session(benchmark::State &state)
     const TtLayerConfig cfg = workloads::vggFc6();
     TtMatrix tt = TtMatrix::random(cfg, rng);
     std::vector<MatrixF> cores;
-    for (size_t h = 1; h <= cfg.d(); ++h) {
-        const MatrixD &u = tt.core(h).unfolded();
-        MatrixF f(u.rows(), u.cols());
-        for (size_t i = 0; i < u.size(); ++i)
-            f.flat()[i] = static_cast<float>(u.flat()[i]);
-        cores.push_back(std::move(f));
-    }
-    std::vector<const MatrixF *> ptrs;
-    for (const MatrixF &c : cores)
-        ptrs.push_back(&c);
+    for (size_t h = 1; h <= cfg.d(); ++h)
+        cores.push_back(tt.core(h).unfolded().cast<float>());
     MatrixF x(cfg.inSize(), batch), y;
     x.setNormal(rng);
-    InferSessionF session(cfg, ptrs);
+    InferSessionF session(layerView(cfg, cores));
     session.runInto(x, y);
     for (auto _ : state) {
         session.runInto(x, y);

@@ -141,6 +141,13 @@ Router::attachReplica(size_t idx, std::string *error)
 void
 Router::detachReplica(size_t idx)
 {
+    std::lock_guard<std::mutex> lk(mu_);
+    detachLocked(idx);
+}
+
+void
+Router::detachLocked(size_t idx)
+{
     Replica &r = *replicas_[idx];
     if (r.alive.exchange(false)) {
         std::lock_guard<std::mutex> lk(stats_mu_);
@@ -150,7 +157,6 @@ Router::detachReplica(size_t idx)
     // thread is joined (by attachReplica or stop).
     if (r.data.open())
         ::shutdown(r.data.fd(), SHUT_RDWR);
-    std::lock_guard<std::mutex> lk(mu_);
     failOverLocked(idx);
 }
 
@@ -329,7 +335,7 @@ Router::submit(const double *x, uint64_t deadline_us)
         ++stats_.shed;
         return {};
     }
-    const int r = pickReplica();
+    int r = pickReplica();
     if (r < 0) {
         // No live replica: explicit shed at the door, like a full
         // RequestQueue — the caller sees it, nothing hangs.
@@ -354,11 +360,22 @@ Router::submit(const double *x, uint64_t deadline_us)
     p.replica = -1;
     p.terminal = false;
     p.status = ClusterStatus::Shed;
-    if (!dispatchLocked(id, p, r)) {
-        pending_.erase(it);
+    // A failed send means the replica's connection is gone, though
+    // neither its receiver nor the monitor may have seen it yet: retire
+    // it and send to the next live replica, as failOverLocked does for
+    // requests in flight.
+    while (!dispatchLocked(id, p, r)) {
+        detachLocked(r);
+        r = p.attempts < opts_.max_redispatch ? pickReplica() : -1;
+        if (r < 0) {
+            pending_.erase(it);
+            std::lock_guard<std::mutex> slk(stats_mu_);
+            ++stats_.shed;
+            return {};
+        }
+        ++p.attempts;
         std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.shed;
-        return {};
+        ++stats_.redispatched;
     }
     {
         std::lock_guard<std::mutex> slk(stats_mu_);
@@ -480,12 +497,7 @@ Router::receiverLoop(size_t idx)
     // The connection is gone: every request this replica still owes
     // gets re-dispatched or shed right now, so no wait() can hang on
     // a dead worker.
-    if (r.alive.exchange(false)) {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.worker_deaths;
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    failOverLocked(idx);
+    detachReplica(idx);
 }
 
 void

@@ -134,9 +134,11 @@ class Router
     size_t outSize() const { return out_size_; }
 
     /**
-     * Dispatch @p x (inSize values) to the least-loaded live replica.
-     * Invalid ticket when no replica is live or the router is
-     * stopped — the explicit shed outcome, counted in stats.
+     * Dispatch @p x (inSize values) to the least-loaded live replica;
+     * a replica whose send fails is marked dead and the next one tried
+     * (up to max_redispatch attempts). Invalid ticket when no replica
+     * takes it or the router is stopped — the explicit shed outcome,
+     * counted in stats.
      */
     ClusterTicket submit(const double *x, uint64_t deadline_us = 0);
 
@@ -192,6 +194,7 @@ class Router
 
     bool attachReplica(size_t idx, std::string *error);
     void detachReplica(size_t idx); ///< mark dead + fail over
+    void detachLocked(size_t idx);  ///< detachReplica, mu_ held
     void receiverLoop(size_t idx);
     void monitorLoop();
     int pickReplica(); ///< least-loaded live, -1 when none

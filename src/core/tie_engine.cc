@@ -1,5 +1,7 @@
 #include "core/tie_engine.hh"
 
+#include <type_traits>
+
 #include "arch/stats_io.hh"
 #include "nn/activations.hh"
 #include "nn/sequential.hh"
@@ -7,6 +9,10 @@
 #include "tt/tt_infer.hh"
 
 namespace tie {
+
+// Each float session views its layer's cores in their heap storage; a
+// reallocation of layers_float_ must move those buffers, not copy them.
+static_assert(std::is_nothrow_move_constructible_v<TtMatrix>);
 
 TieEngine::TieEngine(TieArchConfig cfg, TechModel tech)
     : cfg_(cfg), tech_(tech)
@@ -46,6 +52,7 @@ TieEngine::addLayer(const TtMatrix &tt, bool relu, FxpFormat act_fmt)
 {
     layers_float_.push_back(tt);
     layers_.push_back(TtMatrixFxp::quantizeAuto(tt, act_fmt));
+    sessions_.emplace_back(makeSession(layers_float_.back()));
     relu_.push_back(relu);
     return layers_.size() - 1;
 }
@@ -62,6 +69,7 @@ TieEngine::addLayer(TtMatrixFxp tt, bool relu)
                       "layer's output format");
     }
     layers_float_.emplace_back(); // no float twin available
+    sessions_.emplace_back(std::nullopt);
     layers_.push_back(std::move(tt));
     relu_.push_back(relu);
     return layers_.size() - 1;
@@ -71,23 +79,6 @@ MatrixD
 TieEngine::infer(const MatrixD &x) const
 {
     TIE_CHECK_ARG(!layers_.empty(), "no layers registered");
-
-    // (Re)build the session cache when the layer storage moved: layers
-    // were added (vector growth relocates the TtMatrix objects the
-    // sessions point into) or this engine is a copy of another.
-    if (sessions_.size() != layers_float_.size() ||
-        sessions_base_ != layers_float_.data()) {
-        sessions_.clear();
-        sessions_.reserve(layers_float_.size());
-        for (const TtMatrix &lf : layers_float_) {
-            if (lf.d() > 0)
-                sessions_.emplace_back(makeSession(lf));
-            else
-                sessions_.emplace_back(std::nullopt);
-        }
-        sessions_base_ = layers_float_.data();
-    }
-
     MatrixD v = x;
     for (size_t i = 0; i < layers_.size(); ++i) {
         TIE_CHECK_ARG(sessions_[i].has_value(),

@@ -86,11 +86,11 @@ class TieEngine
 
     /**
      * Host-side float inference (compact scheme), batch columns. Each
-     * layer's InferSession is built on first use and reused across
-     * calls, so repeat inference performs no per-call plan building
-     * and no steady-state heap allocation beyond the result. Not safe
-     * to call concurrently from multiple threads (the session cache is
-     * shared).
+     * layer's InferSession is built by addLayer, view-only over that
+     * layer's cores, and reused across calls, so repeat inference
+     * performs no per-call plan building and no steady-state heap
+     * allocation beyond the result. Not safe to call concurrently from
+     * multiple threads (the sessions are shared).
      */
     MatrixD infer(const MatrixD &x) const;
 
@@ -121,13 +121,10 @@ class TieEngine
 
     /**
      * Per-layer inference sessions (nullopt for pre-quantised layers
-     * with no float twin), rebuilt whenever layers_float_ changed —
-     * detected via its size and data address, which also invalidates
-     * the cache of a copied engine whose sessions would otherwise
-     * point into the source's layer storage.
+     * with no float twin), built by addLayer over layers_float_'s
+     * cores, whose heap storage moves with the TtMatrix objects.
      */
     mutable std::vector<std::optional<InferSessionD>> sessions_;
-    mutable const TtMatrix *sessions_base_ = nullptr;
 };
 
 /**

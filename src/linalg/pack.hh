@@ -62,9 +62,10 @@ void addPackStats(size_t panels, size_t bytes);
 
 /**
  * Grow-only 64-byte-aligned buffer: resize() only reallocates when the
- * capacity must grow, so steady-state repacks (Matrix-bound sessions
- * re-pack every run) perform zero allocations. Contents are
- * unspecified after a growing resize.
+ * capacity must grow, so repacks of same-shaped cores (sessions are
+ * view-only; InferSession::rebind repacks after the owner changes
+ * weights) perform zero allocations. Contents are unspecified after a
+ * growing resize.
  */
 template <typename T>
 class AlignedBuf

@@ -14,12 +14,7 @@ TtDense::TtDense(const TtLayerConfig &cfg, Rng &rng, bool bias)
         gcores_.emplace_back(cores_.back().rows(), cores_.back().cols());
     }
     stage_in_.resize(cfg_.d());
-    std::vector<const MatrixF *> core_ptrs;
-    core_ptrs.reserve(cores_.size());
-    for (const MatrixF &c : cores_)
-        core_ptrs.push_back(&c);
-    session_ =
-        std::make_unique<InferSessionF>(cfg_, std::move(core_ptrs));
+    session_ = std::make_unique<InferSessionF>(layerView(cfg_, cores_));
 }
 
 std::unique_ptr<TtDense>
@@ -39,6 +34,10 @@ TtDense::forward(const MatrixF &x)
     TIE_CHECK_ARG(x.rows() == cfg_.inSize(), "TtDense input features ",
                   x.rows(), " != ", cfg_.inSize());
     batch_ = x.cols();
+    // The optimizer updates cores_ in place and fromDense / stageCore
+    // assign them new values, so bind the session to their current
+    // bytes before every run.
+    session_->rebind(layerView(cfg_, cores_));
     MatrixF y;
     session_->runCapture(x, y, stage_in_);
     if (has_bias_) {

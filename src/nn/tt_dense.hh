@@ -66,10 +66,10 @@ class TtDense : public Layer
     MatrixF b_;
     MatrixF gb_;
     /**
-     * Session over cores_ (built after cores_; the Matrix objects are
-     * stable, so training updates flow through automatically). Forward
-     * runs in capture mode so stage_in_ holds each stage's operand for
-     * backward.
+     * View-only session over cores_; forward rebinds it to cores_
+     * before every run, since training changes the weights between
+     * runs. Forward runs in capture mode so stage_in_ holds each
+     * stage's operand for backward.
      */
     std::unique_ptr<InferSessionF> session_;
     std::vector<MatrixF> stage_in_; ///< captured operand per stage

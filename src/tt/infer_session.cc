@@ -167,19 +167,6 @@ moveGroup(size_t rows, size_t cols, const T *from, T *to, size_t ld,
         parallelFor(0, rows, gemm::kParallelMinWork / gb, body);
 }
 
-template <typename T>
-std::vector<CoreView<T>>
-viewsOf(const std::vector<const Matrix<T> *> &cores)
-{
-    std::vector<CoreView<T>> v;
-    v.reserve(cores.size());
-    for (const Matrix<T> *g : cores) {
-        TIE_CHECK_ARG(g != nullptr, "InferSession got a null core");
-        v.push_back({g->data(), g->rows(), g->cols()});
-    }
-    return v;
-}
-
 } // namespace
 
 template <typename T>
@@ -232,56 +219,60 @@ layerView(const TtMatrixFxp &tt)
 }
 
 template <typename T>
-InferSessionT<T>::InferSessionT(const TtLayerConfig &cfg,
-                                std::vector<const Matrix<T> *> cores,
-                                SessionOptions opts)
     requires std::floating_point<T>
-    : InferSessionT(TtLayerView<T>{cfg, viewsOf(cores)}, opts)
+TtLayerView<T>
+layerView(const TtLayerConfig &cfg, const std::vector<Matrix<T>> &cores)
 {
-    // Matrix-backed sessions stay late-bound: the views are refreshed
-    // from these objects at every run (see bound_ in the header).
-    bound_ = std::move(cores);
+    TtLayerView<T> v{cfg, {}};
+    v.cores.reserve(cores.size());
+    for (const Matrix<T> &g : cores)
+        v.cores.push_back({g.data(), g.rows(), g.cols()});
+    return v;
 }
+
+template TtLayerView<double> layerView(const TtLayerConfig &,
+                                       const std::vector<MatrixD> &);
+template TtLayerView<float> layerView(const TtLayerConfig &,
+                                      const std::vector<MatrixF> &);
 
 template <typename T>
 InferSessionT<T>::InferSessionT(TtLayerView<T> layer, SessionOptions opts)
-    : plan_(layer.cfg), cores_(std::move(layer.cores)), opts_(opts),
+    : plan_(layer.cfg), opts_(opts),
       fast_(simd::resolveFastMode(opts.fast) == simd::FastMode::On)
 {
-    const std::string err = checkCoreViews(plan_.config(), cores_);
+    rebind(std::move(layer));
+}
+
+template <typename T>
+void
+InferSessionT<T>::rebind(TtLayerView<T> layer)
+{
+    TIE_CHECK_ARG(layer.cfg == config(), "InferSession rebind to ",
+                  layer.cfg.toString(), ", bound to ",
+                  config().toString());
+    const std::string err = checkCoreViews(config(), layer.cores);
     TIE_CHECK_ARG(err.empty(), "InferSession ", err);
     if constexpr (kFxp) {
-        const std::string chain =
-            checkFormatChain(layer.fmt, plan_.config().d());
+        const std::string chain = checkFormatChain(layer.fmt, config().d());
         TIE_CHECK_ARG(chain.empty(), chain);
         fmt_ = std::move(layer.fmt);
     }
-    packCores();
-}
-
-/**
- * (Re)pack every stage core into microkernel panels. Called at
- * construction and again per run for Matrix-bound sessions, whose
- * weight bytes may change between runs; the packed buffers are
- * grow-only and core shapes are fixed, so repacks never allocate.
- */
-template <typename T>
-void
-InferSessionT<T>::packCores()
-{
-    if constexpr (kFxp)
-        return; // fxpBlock reads the unpacked cores
-    packed_.resize(cores_.size());
-    size_t panels = 0, bytes = 0;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-        const CoreView<T> &g = cores_[i];
-        const size_t elems = pack::packedAElems(g.rows, g.cols);
-        packed_[i].resize(elems);
-        pack::packA(g.rows, g.cols, g.data, packed_[i].data());
-        panels += (g.rows + pack::kRowPanel - 1) / pack::kRowPanel;
-        bytes += elems * sizeof(T);
+    cores_ = std::move(layer.cores);
+    if constexpr (!kFxp) {
+        // Pack every stage core into microkernel panels; the buffers
+        // only grow and core shapes are fixed by the config.
+        packed_.resize(cores_.size());
+        size_t panels = 0, bytes = 0;
+        for (size_t i = 0; i < cores_.size(); ++i) {
+            const CoreView<T> &g = cores_[i];
+            const size_t elems = pack::packedAElems(g.rows, g.cols);
+            packed_[i].resize(elems);
+            pack::packA(g.rows, g.cols, g.data, packed_[i].data());
+            panels += (g.rows + pack::kRowPanel - 1) / pack::kRowPanel;
+            bytes += elems * sizeof(T);
+        }
+        pack::addPackStats(panels, bytes);
     }
-    pack::addPackStats(panels, bytes);
 }
 
 template <typename T>
@@ -316,21 +307,6 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
 {
     const TtLayerConfig &cfg = plan_.config();
     const size_t d = cfg.d();
-    // Matrix-backed cores may have been replaced (and reallocated)
-    // since the last run — training updates, TieEngine cache reuse —
-    // so re-bind the views before touching any weight bytes.
-    if (!bound_.empty()) {
-        for (size_t i = 0; i < bound_.size(); ++i) {
-            const Matrix<T> &g = *bound_[i];
-            cores_[i] = {g.data(), g.rows(), g.cols()};
-        }
-        const std::string err = checkCoreViews(cfg, cores_);
-        TIE_CHECK_ARG(err.empty(), "InferSession ", err);
-        // The packed panels mirror the weight bytes, so they go stale
-        // with the views; repacking costs one pass over the cores
-        // (sum of m_h * k_h elements — noise next to the GEMMs).
-        packCores();
-    }
     // Stages run over batch tiles whose working set fits one working
     // SRAM; capture runs hand backward whole-batch operands, so they
     // run the batch as one tile.
@@ -518,13 +494,7 @@ template class InferSessionT<int16_t>;
 InferSessionD
 makeSession(const TtMatrix &tt, SessionOptions opts)
 {
-    // Bind to the core Matrix objects, not a pointer snapshot, so the
-    // session tracks in-place weight updates (TieEngine's cache).
-    std::vector<const MatrixD *> cores;
-    cores.reserve(tt.d());
-    for (size_t h = 1; h <= tt.d(); ++h)
-        cores.push_back(&tt.core(h).unfolded());
-    return InferSessionD(tt.config(), std::move(cores), opts);
+    return InferSessionD(layerView(tt), opts);
 }
 
 } // namespace tie

@@ -26,9 +26,11 @@
  * k-order and its bits. After the first run at a given tile size,
  * steady-state calls of every dtype perform **zero heap allocations**:
  * the arena, the staging tiles and the caller's output storage are all
- * reused. int16 sessions are view-only: they read a TtFxpLayerView's
- * fixed bytes and formats; only float sessions bind to mutable Matrix
- * cores.
+ * reused. Sessions are view-only, like TIE's weight SRAM, which is
+ * loaded once and then only read: a run reads the bound views' bytes
+ * and never re-reads a weight pointer or repacks. An owner that
+ * changes weights between runs (TtDense in training) calls rebind
+ * after changing them.
  *
  * The inter-stage Transform costs no pass of its own, as in TIE's
  * working-SRAM write scheme (Algorithm 2): every stage runs its dense
@@ -129,6 +131,12 @@ TtLayerViewD layerView(const TtMatrix &tt);
 /** View of a TtMatrixFxp's cores/formats (tt must outlive it). */
 TtFxpLayerView layerView(const TtMatrixFxp &tt);
 
+/** View of unfolded float cores (index h-1; cores must outlive it). */
+template <typename T>
+    requires std::floating_point<T>
+TtLayerView<T> layerView(const TtLayerConfig &cfg,
+                         const std::vector<Matrix<T>> &cores);
+
 /**
  * Shape check of a layer's core views against @p cfg: d non-null views
  * of coreRows(h) x coreCols(h). Returns the first problem ("stage h
@@ -143,32 +151,32 @@ std::string checkCoreViews(const TtLayerConfig &cfg,
  * coreRows(h) x coreCols(h)) for T = double, float or int16_t. Float
  * stages run the packed microkernel; int16 stages run the 16-bit MAC
  * datapath (fxpBlock) under the view's per-stage MacFormats, whose
- * chain (each stage's act_out feeds the next stage's act_in) the
- * constructor validates.
+ * chain (each stage's act_out feeds the next stage's act_in) rebind
+ * validates.
  */
 template <typename T>
 class InferSessionT
 {
   public:
     /**
-     * Float only: bind to Matrix objects that must outlive the
-     * session; their *values* may change between runs (training
-     * updates them in place), so every run re-reads and repacks them.
-     */
-    InferSessionT(const TtLayerConfig &cfg,
-                  std::vector<const Matrix<T> *> cores,
-                  SessionOptions opts = {})
-        requires std::floating_point<T>;
-
-    /**
-     * Construct over non-owning core views — the zero-copy path for
-     * mmap-backed artifacts: the view pointers (e.g. into the mapped
-     * file) are consumed by the stage kernels directly, no weight bytes
-     * are ever copied. The viewed storage must outlive the session and
-     * is treated as immutable; this is the only int16 constructor.
+     * Compile the stage program for layer.cfg and rebind(layer). The
+     * view pointers (into a TtMatrix, an mmap'd artifact or a caller's
+     * buffer) are consumed by the stage kernels directly; no weight
+     * bytes are copied except into the float packed panels. The viewed
+     * storage must outlive the session, and its bytes must stay
+     * unchanged unless the owner calls rebind after changing them.
      */
     explicit InferSessionT(TtLayerView<T> layer,
                            SessionOptions opts = {});
+
+    /**
+     * Bind the session to @p layer: the only place that validates core
+     * views (and, for int16, the format chain) and repacks the float
+     * cores. layer.cfg must equal config(); the packed buffers only
+     * grow, so rebinding same-shaped cores never allocates them. Call
+     * after changing the viewed weights or moving them.
+     */
+    void rebind(TtLayerView<T> layer);
 
     const TtLayerConfig &config() const { return plan_.config(); }
     const CompactPlan &plan() const { return plan_; }
@@ -238,7 +246,6 @@ class InferSessionT
     static constexpr bool kFxp = std::is_same_v<T, int16_t>;
 
     void ensureTile(size_t tile);
-    void packCores();
     void runRaw(const T *x, size_t batch, T *ydirect, T *yflat,
                 std::vector<Matrix<T>> *capture, InferStats *stats);
 
@@ -246,25 +253,15 @@ class InferSessionT
     std::vector<CoreView<T>> cores_; ///< unfolded views, index h-1
     /** int16 stage arithmetic, index h-1 (empty for float). */
     std::vector<MacFormat> fmt_;
-    /**
-     * Non-empty when constructed over Matrix objects: the views in
-     * cores_ are refreshed from these pointers at every run, so
-     * callers (training layers, optimizers, TieEngine's cache) may
-     * replace a core Matrix's value — reallocating its storage —
-     * between runs. Empty for view-constructed sessions (mmap'd
-     * artifacts), whose weight bytes are immutable by contract.
-     */
-    std::vector<const Matrix<T> *> bound_;
     SessionOptions opts_;
     bool fast_ = false; ///< opts_.fast resolved (f32 FMA permitted)
 
     /**
      * Per-stage float weight cores packed into microkernel panels
-     * (linalg/pack.hh), index h-1 — filled at construction and, for
-     * Matrix-bound sessions, refreshed from the re-bound views every
-     * run (the owners may update weights in place between runs). The
-     * buffers are grow-only, so steady-state repacks never allocate.
-     * Empty for int16: fxpBlock reads the unpacked cores.
+     * (linalg/pack.hh), index h-1 — filled by rebind only. The
+     * buffers are grow-only, so a rebind of same-shaped cores never
+     * allocates them. Empty for int16: fxpBlock reads the unpacked
+     * cores.
      */
     std::vector<pack::AlignedBuf<T>> packed_;
     /** Staging tiles, one m x kColBlock tile per slot
@@ -283,7 +280,11 @@ using InferSessionD = InferSessionT<double>;
 using InferSessionF = InferSessionT<float>;
 using InferSessionFxp = InferSessionT<int16_t>;
 
-/** Session over a TtMatrix's unfolded cores (tt must outlive it). */
+/**
+ * Session over a TtMatrix's unfolded cores: tt must outlive it, and its
+ * cores must stay unchanged unless the caller rebinds (session.rebind(
+ * layerView(tt))) after changing them.
+ */
 InferSessionD makeSession(const TtMatrix &tt, SessionOptions opts = {});
 
 } // namespace tie

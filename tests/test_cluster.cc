@@ -824,17 +824,23 @@ TEST_F(ClusterTest, DeadReplicaFailsOverWithoutLosingRequests)
     const serve::LoadGenReport rep = serve::runLoadGen(
         std::vector<Router *>{&router}, lopts, &expected);
 
+    const RouterStats stats = router.stats();
+    const std::string outcome = strCat(
+        "completed ", rep.completed, " rejected ", rep.rejected,
+        " timed_out ", rep.timed_out, "; router shed ", stats.shed,
+        " redispatched ", stats.redispatched, " deaths ",
+        stats.worker_deaths, " reconnects ", stats.reconnects,
+        " live ", router.liveWorkers());
     // Zero lost: every request has a terminal outcome...
     EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out,
-              lopts.requests);
+              lopts.requests) << outcome;
     // ...every completed one is bit-exact, and the live replica
     // carried the load.
     EXPECT_EQ(rep.mismatched, 0u);
-    EXPECT_GT(rep.completed, 0u);
+    EXPECT_GT(rep.completed, 0u) << outcome;
 
-    const RouterStats stats = router.stats();
-    EXPECT_GE(stats.worker_deaths, 1u);
-    EXPECT_EQ(router.liveWorkers(), 1u);
+    EXPECT_GE(stats.worker_deaths, 1u) << outcome;
+    EXPECT_EQ(router.liveWorkers(), 1u) << outcome;
 
     router.stop();
     w1->stop();

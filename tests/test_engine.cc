@@ -141,6 +141,42 @@ TEST(TieEngine, DenseEquivalentOpsSumAcrossLayers)
                      2.0 * (4 * 9) + 2.0 * (9 * 4));
 }
 
+TEST(TieEngine, InferSurvivesAddLayerAndMove)
+{
+    // Each float session views its layer's cores: growing the layer
+    // stack (which reallocates the engine's layer storage) and moving
+    // the engine must leave every session reading live weights.
+    Rng rng(6);
+    const TtLayerConfig cfg = TtLayerConfig::uniform(2, 4, 4, 3);
+    MatrixD x(cfg.inSize(), 3);
+    x.setUniform(rng, -1, 1);
+    std::vector<TtMatrix> layers;
+    auto reference = [&] {
+        MatrixD v = x;
+        for (const TtMatrix &tt : layers) {
+            v = compactInfer(tt, v);
+            for (double &e : v.flat())
+                e = e > 0.0 ? e : 0.0;
+        }
+        return v;
+    };
+
+    TieEngine engine;
+    layers.push_back(TtMatrix::random(cfg, rng));
+    engine.addLayer(layers.back());
+    EXPECT_TRUE(engine.infer(x) == reference());
+
+    // Nine more layers reallocate the layer storage several times.
+    for (int i = 0; i < 9; ++i) {
+        layers.push_back(TtMatrix::random(cfg, rng));
+        engine.addLayer(layers.back());
+    }
+    EXPECT_TRUE(engine.infer(x) == reference()) << "after addLayer";
+
+    TieEngine moved = std::move(engine);
+    EXPECT_TRUE(moved.infer(x) == reference()) << "after a move";
+}
+
 TEST(Workloads, Table4ConfigsMatchPaper)
 {
     auto bench = workloads::table4Benchmarks();

@@ -293,14 +293,11 @@ TEST(InferSession, StoreConfigsBitIdenticalForEveryDtype)
         for (size_t h = 1; h <= cfg.d(); ++h)
             dcores.push_back(tt.core(h).unfolded());
         const std::vector<MatrixF> fcores = floatCores(tt);
-        std::vector<const MatrixF *> fptrs;
-        for (const MatrixF &c : fcores)
-            fptrs.push_back(&c);
         TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
 
         InferSessionD s64 = makeSession(tt);
-        InferSessionF s32(cfg, fptrs, exact);
-        InferSessionF s32f(cfg, fptrs, fast);
+        InferSessionF s32(layerView(cfg, fcores), exact);
+        InferSessionF s32f(layerView(cfg, fcores), fast);
         InferSessionFxp s16(layerView(fxp));
         for (size_t batch : sc.batches) {
             MatrixD xd(cfg.inSize(), batch);
@@ -413,17 +410,14 @@ TEST(InferSession, BatchTilesBitIdenticalToBatchOne)
     const TtLayerConfig cfg = workloads::vggFc7();
     TtMatrix tt = TtMatrix::random(cfg, rng);
     const std::vector<MatrixF> fcores = floatCores(tt);
-    std::vector<const MatrixF *> fptrs;
-    for (const MatrixF &c : fcores)
-        fptrs.push_back(&c);
     TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
     SessionOptions exact, fast;
     exact.fast = simd::FastMode::Off;
     fast.fast = simd::FastMode::On;
 
     InferSessionD s64 = makeSession(tt);
-    InferSessionF s32(cfg, fptrs, exact);
-    InferSessionF s32f(cfg, fptrs, fast);
+    InferSessionF s32(layerView(cfg, fcores), exact);
+    InferSessionF s32f(layerView(cfg, fcores), fast);
     InferSessionFxp s16(layerView(fxp));
     for (size_t threads : {size_t(1), size_t(4)}) {
         setThreadCount(threads);
@@ -538,12 +532,9 @@ TEST(InferSession, F32BitIdenticalToReference)
     for (const TtLayerConfig &cfg : testConfigs()) {
         const std::vector<MatrixF> cores =
             floatCores(TtMatrix::random(cfg, rng));
-        std::vector<const MatrixF *> ptrs;
-        for (const MatrixF &c : cores)
-            ptrs.push_back(&c);
         SessionOptions exact; // bit-identity holds with TIE_FAST set too
         exact.fast = simd::FastMode::Off;
-        InferSessionF session(cfg, ptrs, exact);
+        InferSessionF session(layerView(cfg, cores), exact);
         for (size_t batch : kSweepBatches) {
             MatrixF x(cfg.inSize(), batch);
             x.setUniform(rng);
@@ -560,13 +551,12 @@ TEST(InferSession, F32BitIdenticalToReference)
     }
 }
 
-TEST(InferSession, MatrixBackedSessionsTrackWeightUpdates)
+TEST(InferSession, RebindPicksUpUpdatedWeights)
 {
-    // Sessions built over Matrix objects (makeSession, TtDense, the
-    // TieEngine cache) are late-bound: replacing a core Matrix's
-    // value — which reallocates its storage — between runs must be
-    // picked up, not served from a stale pointer snapshot. This is
-    // the contract training loops rely on.
+    // Sessions are view-only: an owner that replaces its weights —
+    // here a core Matrix's value, which reallocates its storage —
+    // rebinds the session before the next run, as TtDense does in
+    // training, and the run then serves the new weights.
     Rng rng(17);
     const TtLayerConfig cfg = testConfigs()[1];
     TtMatrix tt = TtMatrix::random(cfg, rng);
@@ -575,18 +565,19 @@ TEST(InferSession, MatrixBackedSessionsTrackWeightUpdates)
     MatrixD x(cfg.inSize(), 3);
     x.setUniform(rng);
     MatrixD y0;
-    session.runInto(x, y0); // bind + warm on the original weights
+    session.runInto(x, y0); // warm on the original weights
 
     const TtMatrix updated = TtMatrix::random(cfg, rng);
     for (size_t h = 1; h <= cfg.d(); ++h) {
-        // Value-assign through the same TtCore objects the session is
-        // bound to; the fresh unfolded Matrix has fresh storage.
+        // Value-assign through the same TtCore objects the session
+        // views; the fresh unfolded Matrix has fresh storage.
         tt.core(h) = updated.core(h);
     }
+    session.rebind(layerView(tt));
     MatrixD y1;
     session.runInto(x, y1);
     EXPECT_TRUE(y1 == referenceCompact(updated, x))
-        << "session served stale weights after an in-place update";
+        << "session served stale weights after a rebind";
     EXPECT_FALSE(y1 == y0);
 }
 
@@ -995,13 +986,10 @@ TEST(FastMode, F32SessionFastStaysWithinAccuracyContract)
     const TtLayerConfig cfg = testConfigs()[2]; // d = 4
     const std::vector<MatrixF> fcores =
         floatCores(TtMatrix::random(cfg, rng));
-    std::vector<const MatrixF *> ptrs;
-    for (const MatrixF &f : fcores)
-        ptrs.push_back(&f);
-    InferSessionF exact(cfg, ptrs);
+    InferSessionF exact(layerView(cfg, fcores));
     SessionOptions on;
     on.fast = simd::FastMode::On;
-    InferSessionF fast(cfg, ptrs, on);
+    InferSessionF fast(layerView(cfg, fcores), on);
 
     for (size_t batch : {size_t(1), size_t(64)}) {
         MatrixF x(cfg.inSize(), batch);
@@ -1034,12 +1022,12 @@ TEST(InferSession, PackingCountersAndFootprintTrackWarmup)
     EXPECT_GE(after_build, cfg.d());
     EXPECT_GT(reg.counter("gemm.pack_bytes").value(), 0u);
 
-    // Matrix-bound sessions repack on every run (weights may have been
-    // updated in place), so the counter keeps moving.
+    // Sessions are view-only: only rebind repacks, so runs pack
+    // nothing and the counter stays put.
     MatrixD x(cfg.inSize(), 3), y;
     x.setUniform(rng);
     session.runInto(x, y);
-    EXPECT_GT(reg.counter("gemm.packed_panels").value(), after_build);
+    EXPECT_EQ(reg.counter("gemm.packed_panels").value(), after_build);
     obs::setEnabled(false);
     reg.resetAll();
 
@@ -1060,6 +1048,17 @@ TEST(InferSessionFatal, InputRowsMismatchDies)
     MatrixD bad(cfg.inSize() + 1, 2), y;
     EXPECT_EXIT(session.runInto(bad, y), ::testing::ExitedWithCode(1),
                 "input rows");
+}
+
+TEST(InferSessionFatal, RebindToAnotherConfigDies)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rng rng(3);
+    TtMatrix tt = TtMatrix::random(testConfigs()[0], rng);
+    TtMatrix other = TtMatrix::random(testConfigs()[1], rng);
+    InferSessionD session = makeSession(tt);
+    EXPECT_EXIT(session.rebind(layerView(other)),
+                ::testing::ExitedWithCode(1), "rebind to");
 }
 
 TEST(InferSessionFatal, MismatchedStageFormatsDie)
