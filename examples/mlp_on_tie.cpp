@@ -31,7 +31,7 @@ main()
 
     // 256-d inputs, 8 classes; both hidden layers in TT format, sized
     // so logits fit the engine's TT output conventions.
-    constexpr size_t kFeat = 256, kHidden = 64, kClasses = 8;
+    constexpr size_t kFeat = 256, kClasses = 8;
 
     Dataset all = makeClusteredImages(900, kClasses, kFeat, 1.2, rng);
     Dataset train = all.slice(0, 700);

@@ -217,13 +217,14 @@ Router::stop()
 }
 
 int
-Router::pickReplica()
+Router::pickReplica(int skip)
 {
     int best = -1;
     uint64_t best_load = std::numeric_limits<uint64_t>::max();
     for (size_t i = 0; i < replicas_.size(); ++i) {
         Replica &r = *replicas_[i];
-        if (!r.alive.load(std::memory_order_acquire))
+        if (static_cast<int>(i) == skip ||
+            !r.alive.load(std::memory_order_acquire))
             continue;
         // Load = what the router has in flight there plus what the
         // replica last reported queued locally (other routers, the
@@ -237,6 +238,29 @@ Router::pickReplica()
         }
     }
     return best;
+}
+
+bool
+Router::dispatchLiveLocked(uint64_t id, Pending &p, int skip)
+{
+    while (p.attempts < opts_.max_redispatch) {
+        const int r = pickReplica(skip);
+        if (r < 0)
+            return false;
+        if (p.attempts++ > 0) {
+            std::lock_guard<std::mutex> lk(stats_mu_);
+            ++stats_.redispatched;
+        }
+        // Re-sending to a different replica is sound because inference
+        // is pure and replicas are bit-identical.
+        if (dispatchLocked(id, p, r))
+            return true;
+        // A failed send means the replica's connection is gone, though
+        // neither its receiver nor the monitor may have seen it yet:
+        // retire it (failing over what it owes) and try the next one.
+        detachLocked(static_cast<size_t>(r));
+    }
+    return false;
 }
 
 bool
@@ -306,21 +330,7 @@ Router::failOverLocked(size_t idx)
         replicas_[idx]->outstanding.fetch_sub(
             1, std::memory_order_relaxed);
         p.replica = -1;
-        bool moved = false;
-        if (p.attempts < opts_.max_redispatch) {
-            const int r = pickReplica();
-            if (r >= 0) {
-                ++p.attempts;
-                {
-                    std::lock_guard<std::mutex> lk(stats_mu_);
-                    ++stats_.redispatched;
-                }
-                // Re-sending to a different replica is sound because
-                // inference is pure and replicas are bit-identical.
-                moved = dispatchLocked(kv.first, p, r);
-            }
-        }
-        if (!moved)
+        if (!dispatchLiveLocked(kv.first, p))
             completeLocked(p, ClusterStatus::Shed);
     }
 }
@@ -330,15 +340,10 @@ Router::submit(const double *x, uint64_t deadline_us)
 {
     TIE_CHECK_ARG(x != nullptr, "Router::submit: null input");
     std::lock_guard<std::mutex> lk(mu_);
-    if (stop_flag_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.shed;
-        return {};
-    }
-    int r = pickReplica();
-    if (r < 0) {
-        // No live replica: explicit shed at the door, like a full
-        // RequestQueue — the caller sees it, nothing hangs.
+    if (stop_flag_.load(std::memory_order_relaxed) ||
+        pickReplica() < 0) {
+        // Stopped, or no live replica: explicit shed at the door, like
+        // a full RequestQueue — the caller sees it, nothing hangs.
         std::lock_guard<std::mutex> slk(stats_mu_);
         ++stats_.shed;
         return {};
@@ -356,32 +361,16 @@ Router::submit(const double *x, uint64_t deadline_us)
     Pending &p = it->second;
     p.x.assign(x, x + in_size_);
     p.deadline_us = deadline_us;
-    p.attempts = 1;
+    p.attempts = 0;
     p.replica = -1;
     p.terminal = false;
     p.status = ClusterStatus::Shed;
-    // A failed send means the replica's connection is gone, though
-    // neither its receiver nor the monitor may have seen it yet: retire
-    // it and send to the next live replica, as failOverLocked does for
-    // requests in flight.
-    while (!dispatchLocked(id, p, r)) {
-        detachLocked(r);
-        r = p.attempts < opts_.max_redispatch ? pickReplica() : -1;
-        if (r < 0) {
-            pending_.erase(it);
-            std::lock_guard<std::mutex> slk(stats_mu_);
-            ++stats_.shed;
-            return {};
-        }
-        ++p.attempts;
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.redispatched;
-    }
-    {
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.accepted;
-    }
-    return {id};
+    const bool sent = dispatchLiveLocked(id, p);
+    if (!sent)
+        pending_.erase(it);
+    std::lock_guard<std::mutex> slk(stats_mu_);
+    ++(sent ? stats_.accepted : stats_.shed);
+    return sent ? ClusterTicket{id} : ClusterTicket{};
 }
 
 ClusterStatus
@@ -478,19 +467,8 @@ Router::receiverLoop(size_t idx)
             // give another replica a chance before shedding.
             r.outstanding.fetch_sub(1, std::memory_order_relaxed);
             p.replica = -1;
-            bool moved = false;
-            if (p.attempts < opts_.max_redispatch) {
-                const int alt = pickReplica();
-                if (alt >= 0 && alt != static_cast<int>(idx)) {
-                    ++p.attempts;
-                    {
-                        std::lock_guard<std::mutex> slk(stats_mu_);
-                        ++stats_.redispatched;
-                    }
-                    moved = dispatchLocked(resp.req_id, p, alt);
-                }
-            }
-            if (!moved)
+            if (!dispatchLiveLocked(resp.req_id, p,
+                                    static_cast<int>(idx)))
                 completeLocked(p, ClusterStatus::Shed);
         }
     }

@@ -197,9 +197,19 @@ class Router
     void detachLocked(size_t idx);  ///< detachReplica, mu_ held
     void receiverLoop(size_t idx);
     void monitorLoop();
-    int pickReplica(); ///< least-loaded live, -1 when none
+    /** Least-loaded live replica other than @p skip; -1 when none. */
+    int pickReplica(int skip = -1);
     /** Send req to replica r. False when the send fails. */
     bool dispatchLocked(uint64_t id, Pending &p, int r);
+    /**
+     * Send @p p to the least-loaded live replica other than @p skip.
+     * A replica whose send fails is retired (detachLocked) and the
+     * next one tried, until a send succeeds or p.attempts reaches
+     * max_redispatch; every attempt after p's first is counted as a
+     * re-dispatch. False when no replica took it. The one dispatch
+     * loop for submit, fail-over and Rejected retries.
+     */
+    bool dispatchLiveLocked(uint64_t id, Pending &p, int skip = -1);
     /** Make @p p terminal; Done copies @p y into it. */
     void completeLocked(Pending &p, ClusterStatus st,
                         const std::vector<double> *y = nullptr);

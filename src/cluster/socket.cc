@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -406,6 +407,15 @@ void
 FrameConn::setMaxPayload(uint64_t bytes)
 {
     max_payload_ = std::min(bytes, kWireMaxPayload);
+}
+
+bool
+FrameConn::inputPending() const
+{
+    if (rx_end_ > rx_begin_)
+        return true;
+    int queued = 0;
+    return fd_ >= 0 && ::ioctl(fd_, FIONREAD, &queued) == 0 && queued > 0;
 }
 
 bool

@@ -145,6 +145,13 @@ class FrameConn
     /** Bytes the receive buffer holds allocated (diagnostics). */
     size_t rxCapacity() const { return rx_.capacity(); }
 
+    /**
+     * True when bytes past the last frame recvFrame returned have
+     * already arrived — buffered here or in the socket's receive
+     * queue — so another frame is on its way. Never blocks.
+     */
+    bool inputPending() const;
+
     /** Encode + send one frame within @p timeout_ms. */
     bool sendFrame(WireType type, const void *payload, size_t len,
                    int timeout_ms, std::string *error = nullptr);

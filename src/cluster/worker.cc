@@ -174,10 +174,14 @@ ClusterWorker::readerLoop(Conn &c)
             // Drained replicas shed explicitly: the router sees
             // Rejected and re-dispatches, nothing times out. The
             // server copies the input, so req is free again at once.
+            // More frames already here make this a burst: queue it so
+            // the worker threads batch it, rather than run it on this
+            // reader while the rest wait.
             const serve::Ticket t =
                 draining_.load(std::memory_order_relaxed)
                     ? serve::Ticket{}
-                    : server_->submit(req.x.data(), req.deadline_us);
+                    : server_->submit(req.x.data(), req.deadline_us,
+                                      c.io.inputPending());
             if (!t.valid()) {
                 shed_.fetch_add(1);
                 item.kind = Item::Kind::Rejected;

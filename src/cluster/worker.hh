@@ -13,8 +13,10 @@
  *
  * Structure per connection: a reader thread decodes frames and
  * submits to the server (admission control included — a full queue
- * becomes an explicit Rejected response, never silence), and a writer
- * thread collects tickets in FIFO order and sends the responses. Once
+ * becomes an explicit Rejected response, never silence; a request
+ * with more frames already behind it is queued, so a burst batches
+ * instead of running on the reader), and a writer thread collects
+ * tickets in FIFO order and sends the responses. Once
  * the reader stops (peer EOF, or a corrupt or oversized frame) and
  * every owed response is out, the writer shuts the socket down so the
  * peer sees the end of the stream.

@@ -43,8 +43,10 @@ toString(RequestStatus s)
 }
 
 RequestQueue::RequestQueue(size_t n_slots, size_t capacity,
-                           size_t in_elems, size_t out_elems)
-    : capacity_(capacity), in_elems_(in_elems), out_elems_(out_elems)
+                           size_t in_elems, size_t out_elems,
+                           size_t runners)
+    : capacity_(capacity), in_elems_(in_elems), out_elems_(out_elems),
+      runners_(runners, RunnerState::Idle)
 {
     TIE_CHECK_ARG(n_slots >= 1 && capacity >= 1 && in_elems >= 1 &&
                       out_elems >= 1,
@@ -66,9 +68,12 @@ RequestQueue::RequestQueue(size_t n_slots, size_t capacity,
 }
 
 Ticket
-RequestQueue::trySubmit(const double *x, uint64_t deadline_us)
+RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
+                        size_t *runner)
 {
     TIE_CHECK_ARG(x != nullptr, "trySubmit needs a non-null input");
+    if (runner != nullptr)
+        *runner = kNoRunner;
     // Sampled before the lock so the gate cost stays one relaxed load
     // and the Enqueue event below matches the assigned trace id.
     const bool fr = obs::FlightRecorder::enabled();
@@ -77,10 +82,14 @@ RequestQueue::trySubmit(const double *x, uint64_t deadline_us)
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (!stop_ && size_ < capacity_ && !free_.empty()) {
+            // Caller-runs: an idle queue — nothing queued, no runner
+            // busy or lent — lends runner 0 to the caller instead of
+            // handing the request to a batcher.
+            const bool run_here = runner != nullptr && size_ == 0 &&
+                                  active_ == 0 && lendLocked(0);
             const uint32_t id = free_.back();
             free_.pop_back();
             Slot &s = slots_[id];
-            s.status = RequestStatus::Pending;
             s.enqueued_at = Clock::now();
             s.deadline_us = deadline_us;
             s.timing = RequestTiming{};
@@ -91,11 +100,25 @@ RequestQueue::trySubmit(const double *x, uint64_t deadline_us)
             s.trace_id = trace_id;
             s.enqueue_us = enqueue_us;
             std::copy(x, x + in_elems_, s.input.begin());
-            ring_[(head_ + size_) % ring_.size()] = id;
-            ++size_;
+            if (run_here) {
+                *runner = 0;
+                s.status = RequestStatus::Running;
+                // The sample a dequeue would have recorded.
+                if (obs::enabled())
+                    detail::ServeStats::get().queue_wait_us.record(0.0);
+            } else {
+                s.status = RequestStatus::Pending;
+                ring_[(head_ + size_) % ring_.size()] = id;
+                ++size_;
+                // A lent batcher may be the one notify_one picks and
+                // cannot take the request; wake them all then.
+                if (lent_ > 0)
+                    work_cv_.notify_all();
+                else
+                    work_cv_.notify_one();
+            }
             if (obs::enabled())
                 detail::ServeStats::get().accepted.add();
-            work_cv_.notify_one();
             if (fr) {
                 obs::FlightEvent e;
                 e.t0_us = e.t1_us = enqueue_us;
@@ -142,15 +165,25 @@ RequestQueue::wait(Ticket t, std::vector<double> *out,
 
 size_t
 RequestQueue::dequeueBatch(size_t max_batch, uint64_t timeout_us,
-                           uint32_t *ids)
+                           uint32_t *ids, size_t runner)
 {
     TIE_CHECK_ARG(max_batch >= 1 && ids != nullptr,
                   "dequeueBatch needs max_batch >= 1 and an id array");
+    TIE_CHECK_ARG(runner == kNoRunner || runner < runners_.size(),
+                  "dequeueBatch runner ", runner, " out of range");
     std::unique_lock<std::mutex> lk(mu_);
+    RunnerState *self =
+        runner == kNoRunner ? nullptr : &runners_[runner];
+    const auto lent = [&] {
+        return self != nullptr && *self == RunnerState::Lent;
+    };
+    size_t n = 0;
     for (;;) {
-        work_cv_.wait(lk, [&] { return stop_ || size_ > 0; });
+        work_cv_.wait(lk, [&] {
+            return !lent() && (stop_ || size_ > 0);
+        });
         if (size_ == 0)
-            return 0; // stopped and drained
+            break; // stopped and drained
 
         // Let the batch fill, but never hold the oldest request past
         // timeout_us of queue wait (and don't dally during shutdown).
@@ -161,12 +194,11 @@ RequestQueue::dequeueBatch(size_t max_batch, uint64_t timeout_us,
             work_cv_.wait_until(lk, window_end, [&] {
                 return stop_ || size_ >= max_batch;
             });
-            if (size_ == 0)
+            if (size_ == 0 || lent())
                 continue; // raced with another batcher
         }
 
         const Clock::time_point now = Clock::now();
-        size_t n = 0;
         size_t expired = 0;
         while (n < max_batch && size_ > 0) {
             const uint32_t id = ring_[head_];
@@ -194,9 +226,14 @@ RequestQueue::dequeueBatch(size_t max_batch, uint64_t timeout_us,
             done_cv_.notify_all();
         }
         if (n > 0)
-            return n;
+            break;
         // Everything dequeued this round had expired; wait for more.
     }
+    if (self != nullptr && n > 0) {
+        *self = RunnerState::Busy;
+        ++active_;
+    }
+    return n;
 }
 
 const std::vector<double> &
@@ -229,13 +266,16 @@ RequestQueue::enqueueUs(uint32_t id) const
 
 void
 RequestQueue::completeBatch(const uint32_t *ids, size_t n,
-                            double service_us)
+                            double service_us, size_t runner)
 {
     if (n == 0)
         return;
     TIE_CHECK_ARG(ids != nullptr, "completeBatch needs an id array");
+    bool wake_runner = false;
     {
         std::lock_guard<std::mutex> lk(mu_);
+        if (runner != kNoRunner)
+            wake_runner = idleLocked(runner);
         for (size_t i = 0; i < n; ++i) {
             TIE_CHECK_ARG(ids[i] < slots_.size(), "slot id ", ids[i],
                           " out of range");
@@ -248,7 +288,33 @@ RequestQueue::completeBatch(const uint32_t *ids, size_t n,
     }
     if (obs::enabled())
         detail::ServeStats::get().completed.add(n);
+    if (wake_runner)
+        work_cv_.notify_all(); // the returned batcher among them
     done_cv_.notify_all();
+}
+
+bool
+RequestQueue::lendLocked(size_t r)
+{
+    if (r >= runners_.size() || runners_[r] != RunnerState::Idle)
+        return false;
+    runners_[r] = RunnerState::Lent;
+    ++active_;
+    ++lent_;
+    return true;
+}
+
+bool
+RequestQueue::idleLocked(size_t r)
+{
+    TIE_REQUIRE(r < runners_.size() && runners_[r] != RunnerState::Idle,
+                "runner ", r, " completed a batch it did not run");
+    const bool was_lent = runners_[r] == RunnerState::Lent;
+    if (was_lent)
+        --lent_;
+    --active_;
+    runners_[r] = RunnerState::Idle;
+    return was_lent && (stop_ || size_ > 0);
 }
 
 void

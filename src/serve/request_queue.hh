@@ -15,9 +15,19 @@
  * batchers (dequeueBatch), done_cv_ wakes collectors (wait). Slot
  * payload (input/output data) is written lock-free by exactly one
  * side at a time — the submitter before publishing Pending, the
- * owning worker while Running — and every handover happens through a
- * status change under the mutex, which provides the happens-before
- * edge for the payload bytes.
+ * thread that runs the batch while Running (a dequeuing batcher, or a
+ * caller-runs submitter until it completes the request) — and every
+ * handover happens through a status change under the mutex, which
+ * provides the happens-before edge for the payload bytes.
+ *
+ * Runners: a queue built with n runners tracks one state per batcher
+ * (dequeueBatch's runner index). A runner is busy from the dequeue of
+ * a batch to its completeBatch, lent while a caller-runs submit runs
+ * a request on it, and idle otherwise. Only an idle queue (nothing
+ * queued, every runner idle) lends a runner, and a lent runner's
+ * batcher dequeues nothing until completeBatch returns it. So the
+ * runner's resources (the Server's session chain) have exactly one
+ * user at a time, handed over under the mutex like the payloads.
  */
 
 #ifndef TIE_SERVE_REQUEST_QUEUE_HH
@@ -26,6 +36,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -39,6 +50,9 @@ class RequestQueue
   public:
     using Clock = std::chrono::steady_clock;
 
+    /** No runner: the plain queue path (trySubmit, dequeueBatch). */
+    static constexpr size_t kNoRunner = SIZE_MAX;
+
     /**
      * @param n_slots   total request slots (queue capacity plus the
      *                  requests that may be Running or Done-awaiting-
@@ -48,9 +62,12 @@ class RequestQueue
      * @param capacity  admission bound on *queued* (Pending) requests
      * @param in_elems  input vector length N (pre-sized per slot)
      * @param out_elems output vector length M (pre-sized per slot)
+     * @param runners   batchers that identify themselves to
+     *                  dequeueBatch and may be lent to caller-runs
+     *                  submits (see Runners above)
      */
     RequestQueue(size_t n_slots, size_t capacity, size_t in_elems,
-                 size_t out_elems);
+                 size_t out_elems, size_t runners = 0);
 
     RequestQueue(const RequestQueue &) = delete;
     RequestQueue &operator=(const RequestQueue &) = delete;
@@ -63,8 +80,18 @@ class RequestQueue
      * @p deadline_us > 0 arms an enqueue deadline: a batcher that
      * finds the request still queued after that many microseconds
      * drops it as TimedOut instead of running it.
+     *
+     * Caller-runs: with a non-null @p runner, a request admitted
+     * while the queue is idle (nothing queued, no runner busy or
+     * lent) skips the queue instead. It is admitted straight to Running with a zero
+     * queue wait, the runner is lent to the caller (*runner = its
+     * index), and the caller runs the request and publishes it with
+     * completeBatch(&id, 1, service_us, *runner), which returns the
+     * runner. Otherwise *runner = kNoRunner and the request is queued
+     * or rejected as above. Either way it takes the mutex once.
      */
-    Ticket trySubmit(const double *x, uint64_t deadline_us = 0);
+    Ticket trySubmit(const double *x, uint64_t deadline_us = 0,
+                     size_t *runner = nullptr);
 
     /**
      * Block until the request reaches a terminal state, then release
@@ -89,14 +116,17 @@ class RequestQueue
      * whose enqueue deadline has expired are marked TimedOut and
      * skipped. Returns 0 only when the queue is stopped AND drained;
      * after stop() remaining requests are still handed out so workers
-     * drain the backlog.
+     * drain the backlog. @p runner (< runners, or kNoRunner) names
+     * the calling batcher: a batch it returns makes the runner busy
+     * until completeBatch, and while the runner is lent it takes no
+     * batch and does not return 0.
      */
     size_t dequeueBatch(size_t max_batch, uint64_t timeout_us,
-                        uint32_t *ids);
+                        uint32_t *ids, size_t runner = kNoRunner);
 
     /**
-     * Input / output payload of a dequeued (Running) slot. Only the
-     * worker that dequeued the id may touch these, and only until it
+     * Input / output payload of a Running slot. Only the thread that
+     * dequeued or admitted the id may touch these, and only until it
      * calls completeBatch.
      */
     const std::vector<double> &input(uint32_t id) const;
@@ -114,9 +144,12 @@ class RequestQueue
     /**
      * Publish a finished batch: every id becomes Done with the given
      * per-batch service time and its waiting collector is woken.
+     * @p runner is the runner that ran the batch — the batcher's
+     * own, or the one trySubmit lent for a caller-runs request — and
+     * is idle again from here on.
      */
     void completeBatch(const uint32_t *ids, size_t n,
-                       double service_us);
+                       double service_us, size_t runner = kNoRunner);
 
     /**
      * Stop admitting; wakes every batcher and collector. Requests
@@ -135,6 +168,18 @@ class RequestQueue
     size_t outElems() const { return out_elems_; }
 
   private:
+    friend struct ServerTestPeer; // lends every runner to a test
+
+    enum class RunnerState : uint8_t { Idle, Busy, Lent };
+
+    /** Lend runner @p r if it is idle (mu_ held). */
+    bool lendLocked(size_t r);
+    /**
+     * Runner @p r finished its batch (mu_ held). True when it was lent
+     * and its batcher has work or must see the stop: wake batchers.
+     */
+    bool idleLocked(size_t r);
+
     struct Slot
     {
         std::vector<double> input;  ///< pre-sized to in_elems
@@ -162,6 +207,9 @@ class RequestQueue
     std::vector<uint32_t> ring_; ///< FIFO of pending ids (fixed size)
     size_t head_ = 0;            ///< ring read index
     size_t size_ = 0;            ///< pending count
+    std::vector<RunnerState> runners_;
+    size_t active_ = 0; ///< runners busy or lent
+    size_t lent_ = 0;   ///< runners lent
 };
 
 } // namespace serve

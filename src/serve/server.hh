@@ -16,6 +16,19 @@
  * batching-invariance test sweeps max_batch x batch_timeout x workers
  * against batch-1 references and demands exact equality.
  *
+ * Caller-runs: when the server is idle — nothing queued and no
+ * worker holding a batch — submit() borrows worker 0's warmed session
+ * chain and runs the request on the calling thread, as a batch of
+ * one, through the same batch routine a worker thread uses; that
+ * worker takes no batch until the run ends. The
+ * ticket is then Done when submit returns, so submit may block for
+ * one batch-1 run. Once a request is queued, later submits queue
+ * behind it and the batch window applies as usual; the window never
+ * delays a request that found the server idle. One submitting thread
+ * feeding several workers therefore runs every request that arrives
+ * while the server is idle itself, one at a time — unless it passes
+ * more_follows for a burst, which queues the burst so it coalesces.
+ *
  * Load shedding is explicit, never silent: admission control bounds
  * the queue (Rejected), per-request enqueue deadlines bound staleness
  * (TimedOut), and shutdown drains — every admitted request reaches a
@@ -50,6 +63,9 @@ struct ServerOptions
      * Microseconds a partially-filled batch may wait for more
      * requests, measured from the oldest queued request's enqueue.
      * 0 executes whatever is queued immediately (latency-greedy).
+     * The window applies only once a request is queued: a request
+     * that finds the server idle runs at once on the submitting
+     * thread (see Server::submit).
      */
     uint64_t batch_timeout_us = 200;
 
@@ -92,18 +108,28 @@ class Server
     size_t outSize() const { return out_size_; }
     const ServerOptions &options() const { return opts_; }
 
-    /** Admission-controlled submit; see RequestQueue::trySubmit. */
-    Ticket submit(const double *x, uint64_t deadline_us = 0);
+    /**
+     * Admission-controlled submit; see RequestQueue::trySubmit. An
+     * idle server runs the request on the calling thread (caller-runs,
+     * above) with the stats and flight phases of a queued batch of
+     * one; the ticket is then Done before submit returns. Pass
+     * @p more_follows when further requests are ready right behind
+     * this one: it is then always queued, so a burst from one thread
+     * coalesces into batches instead of running one by one here.
+     */
+    Ticket submit(const double *x, uint64_t deadline_us = 0,
+                  bool more_follows = false);
     Ticket submit(const std::vector<double> &x,
-                  uint64_t deadline_us = 0);
+                  uint64_t deadline_us = 0, bool more_follows = false);
 
     /** Collect a ticket; see RequestQueue::wait. */
     RequestStatus wait(Ticket t, std::vector<double> *out = nullptr,
                        RequestTiming *timing = nullptr);
 
     /**
-     * Stop admitting, drain queued requests through the workers and
-     * join them. Idempotent; the destructor calls it.
+     * Stop admitting, drain queued requests through the workers, join
+     * them and wait for every caller-runs submit already admitted to
+     * finish its run. Idempotent; the destructor calls it.
      */
     void stop();
 
@@ -124,16 +150,36 @@ class Server
     }
 
   private:
+    friend struct ServerTestPeer; // lends every chain to a test
+
+    /**
+     * One session chain. Its thread runs the batches it dequeues; a
+     * caller-runs submit uses the chain while the queue has this
+     * worker's runner (index) lent to it. The queue's runner state
+     * gives the chain one user at a time.
+     */
     struct Worker
     {
+        size_t index = 0; ///< runner index in queue_
         std::vector<InferSessionD> sessions; ///< one per layer
         std::vector<double> buf_a;  ///< ping-pong staging, row-major
         std::vector<double> buf_b;  ///< width_max * max_batch each
-        std::vector<uint32_t> ids;  ///< dequeued batch (max_batch)
+        std::vector<uint32_t> ids;  ///< worker thread's dequeue target
         std::thread thread;
     };
 
     void workerLoop(Worker &w);
+
+    /**
+     * Run requests @p ids[0..n) as one batch on @p w's chain — the
+     * worker's own dequeued batch, or a caller-runs request with the
+     * chain lent: gather, the layer chain, scatter, serve.* stats,
+     * flight phases and completeBatch, which makes the chain idle.
+     * @p fr is the recorder gate sampled once for the batch, @p bf_t0
+     * when forming began.
+     */
+    void runBatch(Worker &w, const uint32_t *ids, size_t n, bool fr,
+                  uint64_t bf_t0);
 
     std::vector<TtLayerViewD> model_;
     ServerOptions opts_;

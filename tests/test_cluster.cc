@@ -32,6 +32,7 @@
 #include "cluster/worker.hh"
 #include "io/crc32.hh"
 #include "io/tie_format.hh"
+#include "obs/stat_registry.hh"
 #include "serve/load_gen.hh"
 #include "tt/tt_matrix.hh"
 
@@ -86,6 +87,32 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+// Aligned allocations: session arenas, staging tiles and packed cores
+// (pack::AlignedBuf) allocate here, not through the plain hook above.
+void *
+operator new(std::size_t sz, std::align_val_t al)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t a = static_cast<std::size_t>(al);
+    void *p = std::aligned_alloc(a, ((sz ? sz : 1) + a - 1) / a * a);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -468,12 +495,16 @@ TEST(Socket, FrameConnReassemblesSplitFramesAndFailsStop)
     encodeFrame(WireType::Drain, nullptr, 0, &drain);
     std::vector<uint8_t> burst = frame;
     burst.insert(burst.end(), drain.begin(), drain.end());
+    EXPECT_FALSE(rx.inputPending());
     ASSERT_EQ(::send(sv[0], burst.data(), burst.size(), 0),
               static_cast<ssize_t>(burst.size()));
+    EXPECT_TRUE(rx.inputPending());
     ASSERT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Ok);
     EXPECT_EQ(out.type, WireType::InferResponse);
+    EXPECT_TRUE(rx.inputPending()); // the Drain frame is on its way
     ASSERT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Ok);
     EXPECT_EQ(out.type, WireType::Drain);
+    EXPECT_FALSE(rx.inputPending());
 
     // A corrupted frame is fail-stop.
     std::vector<uint8_t> evil = frame;
@@ -535,8 +566,9 @@ TEST(Socket, ListenConnectRoundTripTcpAndUnix)
         Listener l;
         std::string err;
         ASSERT_TRUE(listen(ep, &l, &err)) << err;
-        if (tcp)
+        if (tcp) {
             EXPECT_GT(l.endpoint.port, 0); // resolved ephemeral
+        }
 
         const int cfd = connectTimed(l.endpoint, 1000, &err);
         ASSERT_GE(cfd, 0) << err;
@@ -844,6 +876,240 @@ TEST_F(ClusterTest, DeadReplicaFailsOverWithoutLosingRequests)
 
     router.stop();
     w1->stop();
+}
+
+/**
+ * A scripted replica on a unix socket. It handshakes and answers
+ * health probes like a ClusterWorker, and it swallows every
+ * InferRequest, or with Mode::Refuse answers each one Rejected.
+ * deafen() makes the router's sends on the data connection fail while
+ * the router's receiver still sees an open stream: a replica that is
+ * dead but not yet detected. kill() drops the data connection, which
+ * the router's receiver does see.
+ */
+class FakeReplica
+{
+  public:
+    enum class Mode { Swallow, Refuse };
+
+    FakeReplica(const std::string &path, uint64_t n, Mode mode)
+        : n_(n), mode_(mode)
+    {
+        Endpoint ep;
+        ep.kind = Endpoint::Kind::Unix;
+        ep.path = path;
+        std::string err;
+        EXPECT_TRUE(listen(ep, &listener_, &err)) << err;
+        endpoint_ = listener_.endpoint;
+        accept_ = std::thread([this] {
+            // The router connects its data connection, then its
+            // health connection. Later connects (a monitor reattach)
+            // find no listener and fail at once.
+            data_.reset(acceptTimed(listener_, 5000));
+            data_fd_.store(data_.fd());
+            health_.reset(acceptTimed(listener_, 5000));
+            closeListener(listener_);
+            std::thread data([this] { serve(data_); });
+            serve(health_);
+            data.join();
+        });
+    }
+
+    ~FakeReplica()
+    {
+        stop_.store(true);
+        accept_.join();
+    }
+
+    Endpoint endpoint() const { return endpoint_; }
+
+    void deafen() { ::shutdown(data_fd_.load(), SHUT_RD); }
+    void kill() { ::shutdown(data_fd_.load(), SHUT_RDWR); }
+
+  private:
+    /** Answer frames until stopped or the connection ends (left open). */
+    void
+    serve(FrameConn &c)
+    {
+        WireFrame f;
+        InferRequestMsg req;
+        while (!stop_.load()) {
+            const FrameConn::RecvStatus st = c.recvFrame(&f, 50);
+            if (st == FrameConn::RecvStatus::Timeout)
+                continue;
+            if (st != FrameConn::RecvStatus::Ok)
+                return;
+            if (f.type == WireType::Hello) {
+                encodeHelloAck(HelloAckMsg{n_, n_, 1, 0}, c.txBuffer());
+            } else if (f.type == WireType::HealthCheck) {
+                encodeHealthReport(HealthReportMsg{}, c.txBuffer());
+            } else if (f.type == WireType::InferRequest &&
+                       mode_ == Mode::Refuse &&
+                       decodeInferRequest(f, &req)) {
+                encodeInferResponse(
+                    req.req_id,
+                    static_cast<uint32_t>(serve::RequestStatus::Rejected),
+                    nullptr, 0, c.txBuffer());
+            } else {
+                continue;
+            }
+            c.sendEncoded(1000);
+        }
+    }
+
+    const uint64_t n_;
+    const Mode mode_;
+    Listener listener_;
+    Endpoint endpoint_;
+    FrameConn data_, health_;
+    std::atomic<int> data_fd_{-1};
+    std::atomic<bool> stop_{false};
+    std::thread accept_;
+};
+
+/** A router over @p eps that probes health once, at start. */
+RouterOptions
+quietRouter(std::vector<Endpoint> eps)
+{
+    RouterOptions ropts;
+    ropts.workers = std::move(eps);
+    ropts.health_period_ms = 60000;
+    return ropts;
+}
+
+TEST_F(ClusterTest, FailOverRetiresAnUndetectedDeadReplica)
+{
+    // Replica 0 swallows the one request; replica 1 is dead but not
+    // yet detected; replica 2 is a real worker. Loads tie at zero, so
+    // dispatch prefers the lower index each time.
+    FakeReplica owner(dir_ + "/owner.sock", 16,
+                      FakeReplica::Mode::Swallow);
+    FakeReplica undetected(dir_ + "/undetected.sock", 16,
+                           FakeReplica::Mode::Swallow);
+    auto live = makeWorker("live");
+    Router router(quietRouter(
+        {owner.endpoint(), undetected.endpoint(), live->endpoint()}));
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+    ASSERT_EQ(router.liveWorkers(), 3u);
+
+    const std::vector<double> x =
+        serve::makeRequestInput(19, 0, router.inSize());
+    const ClusterTicket t = router.submit(x.data());
+    ASSERT_TRUE(t.valid());
+
+    // The owner dies with the request outstanding. Fail-over picks
+    // the undetected replica first; its send fails, so it must be
+    // retired and the request sent on to the live one, not shed.
+    undetected.deafen();
+    owner.kill();
+    std::vector<double> y;
+    ASSERT_EQ(router.wait(t, &y), ClusterStatus::Done);
+    const io::TieModel oracle = io::TieModel::load(model_path_);
+    const std::vector<double> ref =
+        serve::referenceOutputs(oracle.layers(), 0, 1, 19, 1)[0];
+    ASSERT_EQ(y.size(), ref.size());
+    EXPECT_EQ(0, std::memcmp(y.data(), ref.data(),
+                             y.size() * sizeof(double)));
+
+    const RouterStats stats = router.stats();
+    EXPECT_EQ(stats.shed, 0u);
+    EXPECT_EQ(stats.done, 1u);
+    EXPECT_EQ(stats.redispatched, 2u);
+    EXPECT_EQ(stats.worker_deaths, 2u);
+    EXPECT_EQ(router.liveWorkers(), 1u);
+    EXPECT_EQ(live->doneCount(), 1u);
+    router.stop();
+    live->stop();
+}
+
+TEST_F(ClusterTest, RejectedRetryRetiresAnUndetectedDeadReplica)
+{
+    // Replica 0 refuses everything; replica 1 is dead but not yet
+    // detected; replica 2 is a real worker.
+    FakeReplica refuser(dir_ + "/refuser.sock", 16,
+                        FakeReplica::Mode::Refuse);
+    FakeReplica undetected(dir_ + "/undetected.sock", 16,
+                           FakeReplica::Mode::Swallow);
+    auto live = makeWorker("live");
+    Router router(quietRouter(
+        {refuser.endpoint(), undetected.endpoint(), live->endpoint()}));
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+    undetected.deafen();
+
+    const io::TieModel oracle = io::TieModel::load(model_path_);
+    const size_t requests = 4;
+    const std::vector<std::vector<double>> ref =
+        serve::referenceOutputs(oracle.layers(), 0, 1, 23, requests);
+    std::vector<double> y;
+    for (size_t i = 0; i < requests; ++i) {
+        // Each lands on the refuser first; its Rejected retry must
+        // skip the dead replica and reach the live one.
+        const std::vector<double> x =
+            serve::makeRequestInput(23, i, router.inSize());
+        const ClusterTicket t = router.submit(x.data());
+        ASSERT_TRUE(t.valid());
+        ASSERT_EQ(router.wait(t, &y), ClusterStatus::Done)
+            << "request " << i;
+        EXPECT_EQ(0, std::memcmp(y.data(), ref[i].data(),
+                                 y.size() * sizeof(double)));
+    }
+    const RouterStats stats = router.stats();
+    EXPECT_EQ(stats.shed, 0u);
+    EXPECT_EQ(stats.done, requests);
+    EXPECT_EQ(stats.worker_deaths, 1u);
+    EXPECT_EQ(router.liveWorkers(), 2u);
+    EXPECT_EQ(live->doneCount(), requests);
+    router.stop();
+    live->stop();
+}
+
+TEST_F(ClusterTest, OneConnectionBurstCoalescesIntoOneBatch)
+{
+    ClusterWorkerOptions opts;
+    opts.listen.kind = Endpoint::Kind::Unix;
+    opts.listen.path = dir_ + "/burst.sock";
+    opts.server.workers = 2;
+    opts.server.max_batch = 8;
+    opts.server.batch_timeout_us = 1000000; // only a full batch ends it
+    ClusterWorker w0(io::TieModel::load(model_path_), opts);
+    std::string err;
+    ASSERT_TRUE(w0.start(&err)) << err;
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
+    reg.resetAll();
+
+    // Eight requests in one write. The worker's reader sees more bytes
+    // behind each of the first seven, so it queues them rather than
+    // run them itself, and the eighth queues behind them: the worker
+    // threads get one full batch.
+    const int fd = connectTimed(w0.endpoint(), 1000, &err);
+    ASSERT_GE(fd, 0) << err;
+    FrameConn conn(fd);
+    std::vector<uint8_t> burst, frame;
+    for (uint64_t i = 0; i < 8; ++i) {
+        const std::vector<double> x(16, 0.25 * static_cast<double>(i));
+        encodeInferRequest(i, 0, x.data(), x.size(), &frame);
+        burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    ASSERT_TRUE(sendAllTimed(fd, burst.data(), burst.size(), 1000, &err))
+        << err;
+    for (uint64_t i = 0; i < 8; ++i) {
+        WireFrame f;
+        InferResponseMsg resp;
+        ASSERT_EQ(conn.recvFrame(&f, 5000), FrameConn::RecvStatus::Ok);
+        ASSERT_TRUE(decodeInferResponse(f, &resp));
+        EXPECT_EQ(resp.req_id, i);
+        EXPECT_EQ(resp.status,
+                  static_cast<uint32_t>(serve::RequestStatus::Done));
+    }
+    EXPECT_EQ(reg.counter("serve.batches").value(), 1u);
+    EXPECT_EQ(reg.distribution("serve.batch_size").snapshot().max, 8.0);
+    obs::setEnabled(false);
+    reg.resetAll();
+    conn.close();
+    w0.stop();
 }
 
 TEST_F(ClusterTest, NoLiveReplicaShedsAtSubmitInsteadOfHanging)

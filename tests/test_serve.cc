@@ -19,10 +19,12 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <new>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -93,8 +95,88 @@ operator delete[](void *p, std::size_t) noexcept
     std::free(p);
 }
 
+// Aligned allocations: session arenas, staging tiles and packed cores
+// (pack::AlignedBuf) allocate here, not through the plain hook above.
+void *
+operator new(std::size_t sz, std::align_val_t al)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t a = static_cast<std::size_t>(al);
+    void *p = std::aligned_alloc(a, ((sz ? sz : 1) + a - 1) / a * a);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
 namespace tie {
 namespace serve {
+
+/**
+ * Lends every worker's session chain to the test, the way a
+ * caller-runs submit borrows one, until the returned guard dies.
+ * While they are lent the server is busy: a submit cannot run on the
+ * caller and queues, and no worker dequeues.
+ */
+struct ServerTestPeer
+{
+    class Held
+    {
+      public:
+        Held(Server &s, std::vector<size_t> runners)
+            : q_(s.queue_), runners_(std::move(runners))
+        {}
+        Held(const Held &) = delete;
+        Held &operator=(const Held &) = delete;
+
+        ~Held()
+        {
+            bool wake = false;
+            {
+                std::lock_guard<std::mutex> lk(q_.mu_);
+                for (size_t r : runners_)
+                    wake = q_.idleLocked(r) || wake;
+            }
+            if (wake)
+                q_.work_cv_.notify_all();
+        }
+
+      private:
+        RequestQueue &q_;
+        std::vector<size_t> runners_;
+    };
+
+    /** Blocks until every worker's current batch (if any) ends. */
+    static Held
+    holdChains(Server &s)
+    {
+        RequestQueue &q = s.queue_;
+        std::vector<size_t> runners;
+        while (runners.size() < s.workers_.size()) {
+            {
+                std::lock_guard<std::mutex> lk(q.mu_);
+                for (size_t r = 0; r < s.workers_.size(); ++r)
+                    if (q.lendLocked(r))
+                        runners.push_back(r);
+            }
+            std::this_thread::yield();
+        }
+        return Held(s, std::move(runners));
+    }
+};
+
 namespace {
 
 /** Two chained layers: 10 -> 12 -> 10. */
@@ -226,6 +308,67 @@ TEST(RequestQueue, StopDrainsThenReportsEmpty)
     EXPECT_EQ(q.dequeueBatch(4, 0, ids), 0u);
 }
 
+TEST(RequestQueue, CallerRunsLendsOnlyWhenIdle)
+{
+    RequestQueue q(/*n_slots=*/8, /*capacity=*/8, /*in=*/1, /*out=*/1,
+                   /*runners=*/2);
+    const double x[1] = {2.5};
+    uint32_t ids[4];
+    size_t runner = 0;
+
+    // Idle queue: the caller gets runner 0 and the request is Running
+    // at once, with no queue wait.
+    const Ticket a = q.trySubmit(x, 0, &runner);
+    ASSERT_EQ(runner, 0u);
+    // One runner is lent, so the queue is not idle: this one queues.
+    const Ticket b = q.trySubmit(x, 0, &runner);
+    EXPECT_EQ(runner, RequestQueue::kNoRunner);
+    EXPECT_EQ(q.depth(), 1u);
+    q.completeBatch(&a.id, 1, 1.0, /*runner=*/0);
+    RequestTiming timing;
+    EXPECT_EQ(q.wait(a, nullptr, &timing), RequestStatus::Done);
+    EXPECT_EQ(timing.queue_wait_us, 0.0);
+
+    // Something is queued: a submit queues behind it, runner or not.
+    const Ticket c = q.trySubmit(x, 0, &runner);
+    EXPECT_EQ(runner, RequestQueue::kNoRunner);
+    ASSERT_EQ(q.dequeueBatch(4, 0, ids, /*runner=*/0), 2u);
+    // The queue is empty again, but runner 0 holds a batch it has
+    // not completed: it is busy, never lent, and though runner 1 is
+    // idle this one queues.
+    const Ticket d = q.trySubmit(x, 0, &runner);
+    ASSERT_EQ(runner, RequestQueue::kNoRunner);
+    q.completeBatch(ids, 2, 1.0, /*runner=*/0);
+    ASSERT_EQ(q.dequeueBatch(4, 0, ids, /*runner=*/1), 1u);
+    q.completeBatch(ids, 1, 1.0, /*runner=*/1);
+    for (const Ticket t : {b, c, d})
+        EXPECT_EQ(q.wait(t), RequestStatus::Done);
+
+    // Lent again; a batcher waiting meanwhile takes nothing until the
+    // caller's completion returns the runner.
+    const Ticket e = q.trySubmit(x, 0, &runner);
+    ASSERT_EQ(runner, 0u);
+    std::atomic<size_t> dequeued{0};
+    std::thread batcher([&] {
+        uint32_t bids[4];
+        for (size_t n; (n = q.dequeueBatch(4, 0, bids, 0)) > 0;) {
+            dequeued += n;
+            q.completeBatch(bids, n, 1.0, 0);
+        }
+    });
+    const Ticket f = q.trySubmit(x, 0, &runner);
+    EXPECT_EQ(runner, RequestQueue::kNoRunner);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(q.depth(), 1u);
+    EXPECT_EQ(dequeued.load(), 0u);
+    q.completeBatch(&e.id, 1, 1.0, /*runner=*/0);
+    EXPECT_EQ(q.wait(e), RequestStatus::Done);
+    EXPECT_EQ(q.wait(f), RequestStatus::Done);
+    EXPECT_EQ(dequeued.load(), 1u);
+    q.stop();
+    batcher.join();
+}
+
 TEST(RequestQueueFatal, CollectingATicketTwiceDies)
 {
     EXPECT_EXIT(
@@ -254,6 +397,8 @@ TEST(Server, BatchingInvarianceAcrossPoliciesAndWorkers)
     const std::vector<std::vector<double>> expected =
         referenceOutputs(model.views(), 0, 1, seed, requests);
 
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
     for (size_t max_batch : {size_t(1), size_t(8), size_t(64)}) {
         for (uint64_t timeout_us : {uint64_t(0), uint64_t(1000)}) {
             for (size_t workers : {size_t(1), size_t(4)}) {
@@ -263,13 +408,18 @@ TEST(Server, BatchingInvarianceAcrossPoliciesAndWorkers)
                 opts.workers = workers;
                 opts.queue_capacity = 64;
                 Server server(model.views(), opts);
+                reg.resetAll();
 
-                // Submit everything up front so the batcher actually
-                // coalesces, then collect and compare bit-exactly.
+                // Submit everything while the server is busy, so every
+                // request queues and the batcher actually coalesces;
+                // then collect and compare bit-exactly.
                 std::vector<Ticket> tickets(requests);
-                for (size_t i = 0; i < requests; ++i)
-                    tickets[i] = server.submit(
-                        makeRequestInput(seed, i, server.inSize()));
+                {
+                    const auto busy = ServerTestPeer::holdChains(server);
+                    for (size_t i = 0; i < requests; ++i)
+                        tickets[i] = server.submit(
+                            makeRequestInput(seed, i, server.inSize()));
+                }
                 std::vector<double> y;
                 for (size_t i = 0; i < requests; ++i) {
                     ASSERT_TRUE(tickets[i].valid());
@@ -283,9 +433,68 @@ TEST(Server, BatchingInvarianceAcrossPoliciesAndWorkers)
                         << " timeout_us " << timeout_us << " workers "
                         << workers;
                 }
+                // No worker dequeued while the chains were lent, so
+                // the first batch took min(requests, max_batch).
+                if (max_batch > 1) {
+                    EXPECT_GT(reg.distribution("serve.batch_size")
+                                  .snapshot()
+                                  .max,
+                              1.0)
+                        << "max_batch " << max_batch << " timeout_us "
+                        << timeout_us << " workers " << workers;
+                }
             }
         }
     }
+    obs::setEnabled(false);
+    reg.resetAll();
+}
+
+TEST(Server, OneThreadBurstWithMoreFollowsCoalesces)
+{
+    const TestModel model(73);
+    const uint64_t seed = 79;
+    const size_t burst = 8;
+    const std::vector<std::vector<double>> expected =
+        referenceOutputs(model.views(), 0, 1, seed, burst);
+
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
+    for (size_t workers : {size_t(1), size_t(2)}) {
+        ServerOptions opts;
+        opts.max_batch = burst;
+        opts.batch_timeout_us = 1000000; // only a full batch ends it
+        opts.queue_capacity = 64;
+        opts.workers = workers;
+        Server server(model.views(), opts);
+        reg.resetAll();
+
+        // An idle server, one submitting thread: the burst queues
+        // (the last request too, behind the others) and the worker
+        // runs it as one full batch.
+        std::vector<Ticket> tickets(burst);
+        for (size_t i = 0; i < burst; ++i)
+            tickets[i] =
+                server.submit(makeRequestInput(seed, i, server.inSize()),
+                              0, /*more_follows=*/i + 1 < burst);
+        std::vector<double> y;
+        RequestTiming timing;
+        for (size_t i = 0; i < burst; ++i) {
+            ASSERT_EQ(server.wait(tickets[i], &y, &timing),
+                      RequestStatus::Done);
+            EXPECT_GT(timing.queue_wait_us, 0.0) << "request " << i;
+            EXPECT_EQ(0, std::memcmp(y.data(), expected[i].data(),
+                                     y.size() * sizeof(double)))
+                << "request " << i << " workers " << workers;
+        }
+        EXPECT_EQ(reg.counter("serve.batches").value(), 1u)
+            << "workers " << workers;
+        EXPECT_EQ(reg.distribution("serve.batch_size").snapshot().max,
+                  double(burst))
+            << "workers " << workers;
+    }
+    obs::setEnabled(false);
+    reg.resetAll();
 }
 
 TEST(Server, AdmissionControlShedsExplicitly)
@@ -298,18 +507,22 @@ TEST(Server, AdmissionControlShedsExplicitly)
     opts.workers = 1;
     Server server(model.views(), opts);
 
-    // The worker waits for its batch window, so the queue holds at
-    // most queue_capacity pending requests; the rest are rejected.
+    // The server is busy, so the first request queues; the worker then
+    // waits for its batch window, so the queue holds at most
+    // queue_capacity pending requests and the rest are rejected.
     const std::vector<double> x =
         makeRequestInput(1, 0, server.inSize());
     std::vector<Ticket> tickets;
     size_t rejected = 0;
-    for (size_t i = 0; i < 6; ++i) {
-        const Ticket t = server.submit(x);
-        if (t.valid())
-            tickets.push_back(t);
-        else
-            ++rejected;
+    {
+        const auto busy = ServerTestPeer::holdChains(server);
+        for (size_t i = 0; i < 6; ++i) {
+            const Ticket t = server.submit(x);
+            if (t.valid())
+                tickets.push_back(t);
+            else
+                ++rejected;
+        }
     }
     EXPECT_EQ(tickets.size(), 2u);
     EXPECT_EQ(rejected, 4u);
@@ -329,10 +542,15 @@ TEST(Server, EnqueueDeadlineTimesOutStaleRequests)
 
     const std::vector<double> x =
         makeRequestInput(2, 0, server.inSize());
-    // Both sit queued for the 100 ms window; by then the 1 us
-    // deadline has long expired while the undeadlined one runs.
-    const Ticket stale = server.submit(x, /*deadline_us=*/1);
-    const Ticket fresh = server.submit(x);
+    // The server is busy, so both queue and sit there for the 100 ms
+    // window; by then the 1 us deadline has long expired while the
+    // undeadlined one runs.
+    Ticket stale, fresh;
+    {
+        const auto busy = ServerTestPeer::holdChains(server);
+        stale = server.submit(x, /*deadline_us=*/1);
+        fresh = server.submit(x);
+    }
     ASSERT_TRUE(stale.valid());
     ASSERT_TRUE(fresh.valid());
 
@@ -343,6 +561,120 @@ TEST(Server, EnqueueDeadlineTimesOutStaleRequests)
     std::vector<double> y;
     EXPECT_EQ(server.wait(fresh, &y), RequestStatus::Done);
     EXPECT_EQ(y.size(), server.outSize());
+}
+
+TEST(Server, CallerRunsInlineQueuedAndBatchOneBitsMatch)
+{
+    const TestModel model(59);
+    const uint64_t seed = 61;
+    const size_t requests = 24;
+    const std::vector<std::vector<double>> expected =
+        referenceOutputs(model.views(), 0, 1, seed, requests);
+
+    for (size_t workers : {size_t(1), size_t(4)}) {
+        ServerOptions opts;
+        opts.max_batch = 8;
+        opts.batch_timeout_us = 200;
+        opts.queue_capacity = 64;
+        opts.workers = workers;
+        Server server(model.views(), opts);
+        std::vector<double> y;
+        RequestTiming timing;
+
+        // Idle server: each request runs on this thread, is Done when
+        // submit returns and never waited in the queue.
+        for (size_t i = 0; i < requests; ++i) {
+            const Ticket t =
+                server.submit(makeRequestInput(seed, i, server.inSize()));
+            EXPECT_EQ(server.queueDepth(), 0u);
+            ASSERT_EQ(server.wait(t, &y, &timing), RequestStatus::Done);
+            EXPECT_EQ(timing.queue_wait_us, 0.0) << "request " << i;
+            ASSERT_EQ(y.size(), expected[i].size());
+            EXPECT_EQ(0, std::memcmp(y.data(), expected[i].data(),
+                                     y.size() * sizeof(double)))
+                << "inline request " << i << " workers " << workers;
+        }
+
+        // Busy server: the same requests queue and run on the worker
+        // threads, in batches.
+        std::vector<Ticket> tickets(requests);
+        {
+            const auto busy = ServerTestPeer::holdChains(server);
+            for (size_t i = 0; i < requests; ++i)
+                tickets[i] = server.submit(
+                    makeRequestInput(seed, i, server.inSize()));
+        }
+        for (size_t i = 0; i < requests; ++i) {
+            ASSERT_EQ(server.wait(tickets[i], &y, &timing),
+                      RequestStatus::Done);
+            EXPECT_GT(timing.queue_wait_us, 0.0) << "request " << i;
+            EXPECT_EQ(0, std::memcmp(y.data(), expected[i].data(),
+                                     y.size() * sizeof(double)))
+                << "queued request " << i << " workers " << workers;
+        }
+    }
+}
+
+TEST(Server, StopRacingCallerRunsLosesNothing)
+{
+    const TestModel model(67);
+    const uint64_t seed = 71;
+    const size_t per_thread = 400;
+    const std::vector<std::vector<double>> expected =
+        referenceOutputs(model.views(), 0, 1, seed, per_thread);
+
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
+    for (int round = 0; round < 8; ++round) {
+        reg.resetAll();
+        ServerOptions opts;
+        opts.max_batch = 4;
+        opts.batch_timeout_us = 100;
+        opts.queue_capacity = 16;
+        opts.workers = 1 + round % 2;
+        Server server(model.views(), opts);
+
+        // Three submitters race each other (inline or queued) and then
+        // stop(); every accepted request must still finish Done with
+        // the reference bits.
+        std::atomic<size_t> accepted{0}, done{0}, mismatched{0};
+        std::vector<std::thread> threads;
+        for (int p = 0; p < 3; ++p)
+            threads.emplace_back([&] {
+                std::vector<double> y;
+                for (size_t i = 0; i < per_thread; ++i) {
+                    const Ticket t = server.submit(
+                        makeRequestInput(seed, i, server.inSize()));
+                    if (!t.valid())
+                        break; // stopped
+                    ++accepted;
+                    if (server.wait(t, &y) == RequestStatus::Done &&
+                        std::memcmp(y.data(), expected[i].data(),
+                                    y.size() * sizeof(double)) == 0)
+                        ++done;
+                    else
+                        ++mismatched;
+                }
+            });
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(300 * (round + 1)));
+        server.stop();
+        // Every run admitted before stop() has finished when it returns.
+        EXPECT_EQ(reg.counter("serve.completed").value(),
+                  reg.counter("serve.accepted").value())
+            << "round " << round;
+        const Ticket late =
+            server.submit(makeRequestInput(seed, 0, server.inSize()));
+        EXPECT_FALSE(late.valid());
+        EXPECT_EQ(server.wait(late), RequestStatus::Rejected);
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_EQ(done.load(), accepted.load()) << "round " << round;
+        EXPECT_EQ(mismatched.load(), 0u) << "round " << round;
+        EXPECT_EQ(reg.counter("serve.accepted").value(), accepted.load());
+    }
+    obs::setEnabled(false);
+    reg.resetAll();
 }
 
 TEST(Server, StopDrainsQueuedRequests)
@@ -664,6 +996,69 @@ TEST_F(ServeFlightTest, RecorderOnOutputsStayBitIdentical)
         EXPECT_EQ(0, std::memcmp(y.data(), expected[i].data(),
                                  y.size() * sizeof(double)))
             << "request " << i;
+    }
+}
+
+TEST_F(ServeFlightTest, CallerRunsBitsAndPhasesWithObsOnAndOff)
+{
+    const TestModel model(73);
+    const uint64_t seed = 79;
+    const size_t requests = 16;
+    const std::vector<std::vector<double>> expected =
+        referenceOutputs(model.views(), 0, 1, seed, requests);
+
+    for (const bool on : {false, true}) {
+        obs::setEnabled(on);
+        if (on)
+            obs::FlightRecorder::instance().start();
+        ServerOptions opts;
+        opts.max_batch = 8;
+        opts.batch_timeout_us = 200;
+        opts.workers = 2;
+        Server server(model.views(), opts);
+
+        std::vector<double> y;
+        RequestTiming timing;
+        for (size_t i = 0; i < requests; ++i) {
+            const Ticket t =
+                server.submit(makeRequestInput(seed, i, server.inSize()));
+            ASSERT_EQ(server.wait(t, &y, &timing), RequestStatus::Done);
+            EXPECT_EQ(timing.queue_wait_us, 0.0); // ran inline
+            EXPECT_EQ(0, std::memcmp(y.data(), expected[i].data(),
+                                     y.size() * sizeof(double)))
+                << "request " << i << " obs " << on;
+        }
+        server.stop();
+        if (!on)
+            continue;
+        obs::FlightRecorder::instance().stop(); // final drain
+
+        // Each inline batch of one recorded its Queue, Infer and
+        // Complete phases: one span per request (spans are assembled
+        // at Complete) and one Infer sample each.
+        const std::vector<obs::FlightSpan> spans =
+            obs::FlightRecorder::instance().spans();
+        ASSERT_EQ(spans.size(), requests);
+        std::set<uint32_t> batches;
+        for (const obs::FlightSpan &s : spans) {
+            EXPECT_NE(s.trace_id, 0u);
+            batches.insert(s.batch_id);
+        }
+        EXPECT_EQ(batches.size(), requests);
+        auto &reg = obs::StatRegistry::instance();
+        EXPECT_EQ(reg.distribution("serve.phase.infer_us")
+                      .snapshot().count, requests);
+        EXPECT_EQ(reg.distribution("serve.phase.queue_us")
+                      .snapshot().count, requests);
+        EXPECT_EQ(reg.counter("serve.batches").value(), requests);
+        EXPECT_EQ(reg.counter("serve.completed").value(), requests);
+        const auto waits =
+            reg.distribution("serve.queue_wait_us").snapshot();
+        EXPECT_EQ(waits.count, requests);
+        EXPECT_EQ(waits.max, 0.0);
+        EXPECT_EQ(reg.distribution("serve.batch_size").snapshot().max,
+                  1.0);
+        EXPECT_EQ(obs::FlightRecorder::instance().dropped(), 0u);
     }
 }
 

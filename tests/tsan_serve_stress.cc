@@ -5,8 +5,9 @@
  * Hammers the queue and server with the patterns real deployments
  * produce — many concurrent producers, deadline churn (a mix of
  * instantly-expiring and never-expiring requests), admission pressure
- * against a tiny queue, collectors racing completions, and shutdown
- * mid-flight with a volley of uncollected tickets — and exits nonzero
+ * against a tiny queue, collectors racing completions, shutdown
+ * mid-flight with a volley of uncollected tickets, and caller-runs
+ * submitters racing the worker threads and stop() — and exits nonzero
  * on any accounting error; TSan aborts on any race.
  *
  * Observability is enabled throughout so the serve.* counter and
@@ -162,6 +163,72 @@ shutdownMidFlight(const std::vector<tie::TtLayerViewD> &model)
     }
 }
 
+/**
+ * Caller-runs against the worker threads: submitters that find the
+ * server idle run their request on their own thread while volleys
+ * from the others queue for the workers, and a separate thread stops
+ * the server mid-storm. Every accepted request must finish Done with
+ * the reference bits, whichever thread ran it.
+ */
+void
+callerRunsRace(const std::vector<tie::TtLayerViewD> &model)
+{
+    using namespace tie::serve;
+    const size_t per_producer = 150;
+    const std::vector<std::vector<double>> expected =
+        referenceOutputs(model, 0, 1, /*seed=*/5, per_producer);
+    for (int round = 0; round < 4; ++round) {
+        ServerOptions opts;
+        opts.max_batch = 4;
+        opts.batch_timeout_us = 100;
+        opts.queue_capacity = 32;
+        opts.workers = 2;
+        Server server(model, opts);
+
+        std::atomic<size_t> accepted{0}, done{0};
+        std::vector<std::thread> producers;
+        for (size_t p = 0; p < 4; ++p)
+            producers.emplace_back([&, p] {
+                std::vector<double> y;
+                Ticket volley[3];
+                for (size_t i = 0; i + 3 <= per_producer; i += 3) {
+                    // Odd producers submit volleys of three, marked
+                    // more_follows so they queue and coalesce; even
+                    // ones one at a time, which may run inline.
+                    const size_t k = p % 2 == 1 ? 3 : 1;
+                    for (size_t j = 0; j < k; ++j)
+                        volley[j] = server.submit(
+                            makeRequestInput(5, i + j, server.inSize()),
+                            0, /*more_follows=*/j + 1 < k);
+                    for (size_t j = 0; j < k; ++j) {
+                        if (!volley[j].valid())
+                            continue;
+                        ++accepted;
+                        if (server.wait(volley[j], &y) ==
+                                RequestStatus::Done &&
+                            std::memcmp(y.data(), expected[i + j].data(),
+                                        y.size() * sizeof(double)) == 0)
+                            ++done;
+                    }
+                }
+            });
+        std::thread stopper([&] {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(500 * (round + 1)));
+            server.stop();
+        });
+        stopper.join();
+        for (std::thread &t : producers)
+            t.join();
+        expect(accepted > 0, "caller-runs: some requests accepted");
+        expect(done == accepted,
+               "caller-runs: every accepted request Done, bit-exact");
+        const std::vector<double> x(server.inSize(), 0.5);
+        expect(!server.submit(x).valid(),
+               "caller-runs: no admission after stop");
+    }
+}
+
 } // namespace
 
 int
@@ -186,6 +253,7 @@ main()
     flight.stop();
     flight.start();
     shutdownMidFlight(model);
+    callerRunsRace(model);
 
     flight.stop(); // final drain
     expect(flight.drained() > 0, "flight events drained");
