@@ -137,7 +137,7 @@ RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
 
 RequestStatus
 RequestQueue::wait(Ticket t, std::vector<double> *out,
-                   RequestTiming *timing)
+                   RequestTiming *timing, uint64_t timeout_us)
 {
     if (!t.valid())
         return RequestStatus::Rejected;
@@ -145,9 +145,14 @@ RequestQueue::wait(Ticket t, std::vector<double> *out,
                   " out of range");
     std::unique_lock<std::mutex> lk(mu_);
     Slot &s = slots_[t.id];
-    done_cv_.wait(lk, [&] {
+    const auto ended = [&] {
         return s.gen != t.gen || isTerminal(s.status);
-    });
+    };
+    if (timeout_us == 0)
+        done_cv_.wait(lk, ended);
+    else if (!done_cv_.wait_for(lk, std::chrono::microseconds(timeout_us),
+                                ended))
+        return s.status; // still Pending or Running; not collected
     TIE_CHECK_ARG(s.gen == t.gen,
                   "ticket ", t.id, " was already collected");
     const RequestStatus st = s.status;

@@ -101,10 +101,14 @@ class RequestQueue
      * @p timing receives the server-side latency split. Invalid
      * tickets return Rejected immediately. Each ticket may be waited
      * exactly once; a second wait on the same ticket is a fatal
-     * usage error (the generation counter catches it).
+     * usage error (the generation counter catches it). A nonzero
+     * @p timeout_us bounds the wait: a request not terminal by then
+     * returns its current status (Pending or Running) and stays
+     * uncollected, to be waited again.
      */
     RequestStatus wait(Ticket t, std::vector<double> *out = nullptr,
-                       RequestTiming *timing = nullptr);
+                       RequestTiming *timing = nullptr,
+                       uint64_t timeout_us = 0);
 
     /**
      * Dynamic batcher dequeue: blocks until work is available, then

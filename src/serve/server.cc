@@ -130,9 +130,10 @@ Server::submit(const std::vector<double> &x, uint64_t deadline_us,
 }
 
 RequestStatus
-Server::wait(Ticket t, std::vector<double> *out, RequestTiming *timing)
+Server::wait(Ticket t, std::vector<double> *out, RequestTiming *timing,
+             uint64_t timeout_us)
 {
-    return queue_.wait(t, out, timing);
+    return queue_.wait(t, out, timing, timeout_us);
 }
 
 void

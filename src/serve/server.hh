@@ -82,7 +82,7 @@ struct ServerOptions
      */
     size_t collect_margin = 64;
 
-    /** Session policy for the pooled sessions (fuse mode). */
+    /** Session policy for the pooled sessions. */
     SessionOptions session = {};
 };
 
@@ -122,9 +122,10 @@ class Server
     Ticket submit(const std::vector<double> &x,
                   uint64_t deadline_us = 0, bool more_follows = false);
 
-    /** Collect a ticket; see RequestQueue::wait. */
+    /** Collect a ticket; see RequestQueue::wait (and its timeout). */
     RequestStatus wait(Ticket t, std::vector<double> *out = nullptr,
-                       RequestTiming *timing = nullptr);
+                       RequestTiming *timing = nullptr,
+                       uint64_t timeout_us = 0);
 
     /**
      * Stop admitting, drain queued requests through the workers, join

@@ -237,16 +237,22 @@ TEST(RequestQueue, SingleThreadedLifecycle)
     const Ticket t = q.trySubmit(x);
     ASSERT_TRUE(t.valid());
     EXPECT_EQ(q.depth(), 1u);
+    // A bounded wait on an unfinished request reports its state and
+    // leaves the ticket to be waited again.
+    std::vector<double> y;
+    EXPECT_EQ(q.wait(t, &y, nullptr, /*timeout_us=*/100),
+              RequestStatus::Pending);
 
     uint32_t ids[4];
     ASSERT_EQ(q.dequeueBatch(4, /*timeout_us=*/0, ids), 1u);
     EXPECT_EQ(q.depth(), 0u);
+    EXPECT_EQ(q.wait(t, &y, nullptr, /*timeout_us=*/100),
+              RequestStatus::Running);
     EXPECT_EQ(q.input(ids[0]),
               (std::vector<double>{1.0, 2.0, 3.0}));
     q.output(ids[0]) = {7.0, 8.0};
     q.completeBatch(ids, 1, /*service_us=*/42.0);
 
-    std::vector<double> y;
     RequestTiming timing;
     EXPECT_EQ(q.wait(t, &y, &timing), RequestStatus::Done);
     EXPECT_EQ(y, (std::vector<double>{7.0, 8.0}));

@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "cluster/router.hh"
+#include "cluster/socket.hh"
+#include "cluster/wire.hh"
 #include "cluster/worker.hh"
 #include "io/tie_format.hh"
 #include "serve/load_gen.hh"
@@ -42,6 +44,78 @@ expect(bool ok, const char *what)
         std::fprintf(stderr, "FAIL: %s\n", what);
         ++failures;
     }
+}
+
+/**
+ * Pipeline bursts of 8 InferRequests at @p ep over one connection
+ * while @p storm holds, reading each burst's responses in order; then
+ * send Drain and expect every owed response before the DrainAck; then
+ * keep sending bursts, each answered Rejected, until the worker ends
+ * the stream. Sets @p drained once the ack is in; returns how many
+ * responses arrived.
+ */
+uint64_t
+rawClient(const tie::cluster::Endpoint &ep, size_t in_size,
+          const std::atomic<bool> &storm, std::atomic<bool> &drained)
+{
+    using namespace tie::cluster;
+    const uint32_t kDone =
+        static_cast<uint32_t>(tie::serve::RequestStatus::Done);
+    const uint32_t kRejected =
+        static_cast<uint32_t>(tie::serve::RequestStatus::Rejected);
+    std::string err;
+    const int fd = connectTimed(ep, 1000, &err);
+    expect(fd >= 0, "raw client connects");
+    if (fd < 0)
+        return 0;
+    FrameConn conn(fd);
+    std::vector<uint8_t> burst, frame;
+    const std::vector<double> x(in_size, 0.5);
+    uint64_t next_id = 0;
+    auto sendBurst = [&](bool then_drain) {
+        burst.clear();
+        for (int i = 0; i < 8; ++i) {
+            encodeInferRequest(next_id + i, 0, x.data(), x.size(),
+                               &frame);
+            burst.insert(burst.end(), frame.begin(), frame.end());
+        }
+        if (then_drain) {
+            encodeFrame(WireType::Drain, nullptr, 0, &frame);
+            burst.insert(burst.end(), frame.begin(), frame.end());
+        }
+        return sendAllTimed(fd, burst.data(), burst.size(), 5000, &err);
+    };
+    // False once the stream ends; a response must carry the next id.
+    auto readBurst = [&](bool rejected_only) {
+        for (int i = 0; i < 8; ++i, ++next_id) {
+            WireFrame f;
+            InferResponseMsg resp;
+            if (conn.recvFrame(&f, 5000) != FrameConn::RecvStatus::Ok)
+                return false;
+            expect(decodeInferResponse(f, &resp), "raw response decodes");
+            expect(resp.req_id == next_id, "raw responses in order");
+            expect(resp.status == kRejected ||
+                       (!rejected_only && resp.status == kDone),
+                   "raw response Done, or Rejected after drain");
+        }
+        return true;
+    };
+
+    while (storm.load()) {
+        expect(sendBurst(false), "raw burst sent");
+        expect(readBurst(false), "raw burst answered");
+    }
+    expect(sendBurst(true), "raw burst + drain sent");
+    expect(readBurst(false), "raw burst before drain answered");
+    WireFrame f;
+    expect(conn.recvFrame(&f, 5000) == FrameConn::RecvStatus::Ok &&
+               f.type == WireType::DrainAck,
+           "DrainAck after every owed response");
+    drained.store(true);
+    // Until stop() ends the stream: a send may then fail, a read ends.
+    while (sendBurst(false) && readBurst(true)) {
+    }
+    return next_id;
 }
 
 } // namespace
@@ -100,7 +174,15 @@ main()
 
     // Kill one replica mid-load so dispatch, the dying receiver, the
     // monitor's detach and failOverLocked all race for real.
+    // The raw connection pipelines to the survivor throughout.
     serve::LoadGenReport rep;
+    std::atomic<bool> storm{true};
+    std::atomic<bool> raw_drained{false};
+    uint64_t raw_answered = 0;
+    std::thread raw([&] {
+        raw_answered = rawClient(w1->endpoint(), router.inSize(), storm,
+                                 raw_drained);
+    });
     std::thread chaos([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         w0->stop();
@@ -108,6 +190,7 @@ main()
     rep = serve::runLoadGen(std::vector<cluster::Router *>{&router},
                             lopts, &expected);
     chaos.join();
+    storm.store(false);
 
     expect(rep.completed + rep.rejected + rep.timed_out ==
                lopts.requests,
@@ -118,6 +201,9 @@ main()
     // Drain handshake races against the monitor's health probes.
     router.drainWorkers(/*timeout_ms=*/5000);
     expect(w1->waitDrained(/*timeout_ms=*/5000), "drain acked");
+    for (int i = 0; i < 500 && !raw_drained.load(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    expect(raw_drained.load(), "raw connection drained");
 
     // shed counts submit-door refusals too, so the tight invariant
     // is: accepted requests are fully covered by terminal outcomes.
@@ -130,7 +216,8 @@ main()
 
     router.stop();
     w0->stop();
-    w1->stop();
+    w1->stop(); // ends the raw connection's post-drain bursts
+    raw.join();
 
     ::unlink(model_path.c_str());
     ::rmdir(dir.c_str());
@@ -138,7 +225,8 @@ main()
     if (failures.load() != 0)
         return 1;
     std::printf("tsan_cluster_stress: OK (%zu done, %zu rejected, "
-                "%zu timed out)\n",
-                rep.completed, rep.rejected, rep.timed_out);
+                "%zu timed out; %llu raw responses)\n",
+                rep.completed, rep.rejected, rep.timed_out,
+                static_cast<unsigned long long>(raw_answered));
     return 0;
 }
