@@ -63,6 +63,9 @@ Router::attachReplica(size_t idx, std::string *error)
     // A previous incarnation's receiver may still be winding down.
     if (r.receiver.joinable())
         r.receiver.join();
+    // A sender that picked this replica before it died may still be
+    // about to write to the old connection.
+    std::lock_guard<std::mutex> slk(r.send_mu);
 
     std::string err;
     const int dfd =
@@ -204,6 +207,7 @@ Router::stop()
             ::shutdown(r.data.fd(), SHUT_RDWR);
         if (r.receiver.joinable())
             r.receiver.join();
+        std::lock_guard<std::mutex> slk(r.send_mu);
         r.data.close();
         r.health.close();
     }
@@ -240,53 +244,56 @@ Router::pickReplica(int skip)
     return best;
 }
 
-bool
-Router::dispatchLiveLocked(uint64_t id, Pending &p, int skip)
+void
+Router::dispatch(std::unique_lock<std::mutex> &lk, uint64_t id, Pending &p)
 {
-    while (p.attempts < opts_.max_redispatch) {
-        const int r = pickReplica(skip);
-        if (r < 0)
-            return false;
+    while (!p.terminal && p.replica < 0) {
+        const int r = stop_flag_.load(std::memory_order_relaxed)
+                          ? -1
+                          : pickReplica(p.skip);
+        if (r < 0 || p.attempts >= opts_.max_redispatch) {
+            completeLocked(p, ClusterStatus::Shed);
+            return;
+        }
         if (p.attempts++ > 0) {
-            std::lock_guard<std::mutex> lk(stats_mu_);
+            std::lock_guard<std::mutex> slk(stats_mu_);
             ++stats_.redispatched;
         }
-        // Re-sending to a different replica is sound because inference
-        // is pure and replicas are bit-identical.
-        if (dispatchLocked(id, p, r))
-            return true;
-        // A failed send means the replica's connection is gone, though
-        // neither its receiver nor the monitor may have seen it yet:
-        // retire it (failing over what it owes) and try the next one.
-        detachLocked(static_cast<size_t>(r));
-    }
-    return false;
-}
-
-bool
-Router::dispatchLocked(uint64_t id, Pending &p, int r)
-{
-    Replica &rep = *replicas_[r];
-    std::string err;
-    bool sent = false;
-    {
-        // Encode straight from the retained input into the replica's
-        // reused tx buffer, which send_mu guards with the socket.
-        std::lock_guard<std::mutex> lk(rep.send_mu);
-        if (rep.data.open()) {
-            encodeInferRequest(id, p.deadline_us, p.x.data(), p.x.size(),
-                               rep.data.txBuffer());
-            sent = rep.data.sendEncoded(opts_.io_timeout_ms, &err);
+        Replica &rep = *replicas_[r];
+        p.replica = r;
+        rep.outstanding.fetch_add(1, std::memory_order_relaxed);
+        // Send with mu_ released: a send blocks while the worker is
+        // not reading, and the worker may be waiting for its responses
+        // to be read, so the receivers must never wait for mu_ behind
+        // it. Only the owner touches p.x, and only the owner waits the
+        // node out, so p stays put meanwhile.
+        lk.unlock();
+        std::string err;
+        bool sent = false;
+        {
+            // Encode straight from the retained input into the
+            // replica's reused tx buffer, which send_mu guards with the
+            // socket.
+            std::lock_guard<std::mutex> slk(rep.send_mu);
+            if (rep.data.open()) {
+                encodeInferRequest(id, p.deadline_us, p.x.data(),
+                                   p.x.size(), rep.data.txBuffer());
+                sent = rep.data.sendEncoded(opts_.io_timeout_ms, &err);
+            }
+        }
+        lk.lock();
+        if (!sent) {
+            TIE_WARN_ONCE("router: dispatch to ", rep.endpoint.toString(),
+                          " failed: ", err);
+            // The replica's connection is gone, though neither its
+            // receiver nor the monitor may have seen it yet: retire it,
+            // which hands p back (p.replica = -1) for the next try.
+            // Re-sending to a different replica is sound because
+            // inference is pure and replicas are bit-identical.
+            if (p.replica == r)
+                detachLocked(static_cast<size_t>(r));
         }
     }
-    if (!sent) {
-        TIE_WARN_ONCE("router: dispatch to ",
-                      rep.endpoint.toString(), " failed: ", err);
-        return false;
-    }
-    p.replica = r;
-    rep.outstanding.fetch_add(1, std::memory_order_relaxed);
-    return true;
 }
 
 void
@@ -327,19 +334,20 @@ Router::failOverLocked(size_t idx)
         if (p.terminal || p.replica != static_cast<int>(idx))
             continue;
         // The old owner is dead; its outstanding count dies with it.
+        // The request's owner re-sends it (dispatch) or sheds it.
         replicas_[idx]->outstanding.fetch_sub(
             1, std::memory_order_relaxed);
         p.replica = -1;
-        if (!dispatchLiveLocked(kv.first, p))
-            completeLocked(p, ClusterStatus::Shed);
+        p.skip = -1;
     }
+    done_cv_.notify_all();
 }
 
 ClusterTicket
 Router::submit(const double *x, uint64_t deadline_us)
 {
     TIE_CHECK_ARG(x != nullptr, "Router::submit: null input");
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
     if (stop_flag_.load(std::memory_order_relaxed) ||
         pickReplica() < 0) {
         // Stopped, or no live replica: explicit shed at the door, like
@@ -363,14 +371,19 @@ Router::submit(const double *x, uint64_t deadline_us)
     p.deadline_us = deadline_us;
     p.attempts = 0;
     p.replica = -1;
+    p.skip = -1;
     p.terminal = false;
     p.status = ClusterStatus::Shed;
-    const bool sent = dispatchLiveLocked(id, p);
-    if (!sent)
-        pending_.erase(it);
+    dispatch(lk, id, p);
+    // Shed already: no replica took it. Hand it back as an invalid
+    // ticket, as at the door (completeLocked has counted the shed).
+    if (p.terminal && p.status == ClusterStatus::Shed) {
+        recycleLocked(it);
+        return {};
+    }
     std::lock_guard<std::mutex> slk(stats_mu_);
-    ++(sent ? stats_.accepted : stats_.shed);
-    return sent ? ClusterTicket{id} : ClusterTicket{};
+    ++stats_.accepted;
+    return ClusterTicket{id};
 }
 
 ClusterStatus
@@ -383,16 +396,30 @@ Router::wait(ClusterTicket t, std::vector<double> *out)
     TIE_CHECK_ARG(it != pending_.end(),
                   "Router::wait: unknown or already-waited ticket ",
                   t.id);
-    done_cv_.wait(lk, [&] { return it->second.terminal; });
-    const ClusterStatus st = it->second.status;
+    Pending &p = it->second;
+    for (;;) {
+        // A request its replica refused or lost comes back here, to
+        // its owner, to be sent on or shed.
+        dispatch(lk, t.id, p);
+        if (p.terminal)
+            break;
+        done_cv_.wait(lk, [&] { return p.terminal || p.replica < 0; });
+    }
+    const ClusterStatus st = p.status;
     // Swapping hands the caller the output and keeps the caller's old
     // buffer for the next request this node carries.
     if (st == ClusterStatus::Done && out != nullptr)
-        out->swap(it->second.y);
+        out->swap(p.y);
+    recycleLocked(it);
+    return st;
+}
+
+void
+Router::recycleLocked(PendingMap::iterator it)
+{
     PendingMap::node_type node = pending_.extract(it);
     if (spare_.size() < kMaxSpareNodes)
         spare_.push_back(std::move(node));
-    return st;
 }
 
 size_t
@@ -464,12 +491,13 @@ Router::receiverLoop(size_t idx)
             completeLocked(p, ClusterStatus::TimedOut);
         } else {
             // Rejected (admission control / draining) or garbage:
-            // give another replica a chance before shedding.
+            // its owner gives another replica a chance before
+            // shedding. The receiver itself never sends, so it keeps
+            // reading this replica's responses.
             r.outstanding.fetch_sub(1, std::memory_order_relaxed);
             p.replica = -1;
-            if (!dispatchLiveLocked(resp.req_id, p,
-                                    static_cast<int>(idx)))
-                completeLocked(p, ClusterStatus::Shed);
+            p.skip = static_cast<int>(idx);
+            done_cv_.notify_all();
         }
     }
     // The connection is gone: every request this replica still owes

@@ -25,6 +25,12 @@
  * before being shed. wait() can therefore never hang on a dead
  * worker, and done + shed == accepted always holds (asserted by the
  * chaos harness, tie_cli cluster-bench --chaos).
+ *
+ * **Sends never hold up reads.** A request is sent, and re-sent, by
+ * the thread that owns it (submit, then wait), with only the
+ * replica's send lock held: receivers never send and never wait
+ * behind a send, because a worker stops reading while its responses
+ * go unread (worker.hh).
  */
 
 #ifndef TIE_CLUSTER_ROUTER_HH
@@ -143,8 +149,9 @@ class Router
     ClusterTicket submit(const double *x, uint64_t deadline_us = 0);
 
     /**
-     * Block until the request is terminal. Done copies the output
-     * into @p out (resized). Each ticket is waited exactly once.
+     * Block until the request is terminal, re-sending it meanwhile if
+     * its replica refuses it or dies. Done copies the output into
+     * @p out (resized). Each ticket is waited exactly once.
      */
     ClusterStatus wait(ClusterTicket t,
                        std::vector<double> *out = nullptr);
@@ -165,7 +172,7 @@ class Router
     struct Replica
     {
         Endpoint endpoint;
-        FrameConn data;     ///< guarded by send_mu for writes
+        FrameConn data;     ///< send_mu guards writes and reconnects
         FrameConn health;   ///< monitor thread only
         std::mutex send_mu; ///< serializes data-connection sends
         InferResponseMsg resp; ///< receiver's decode scratch
@@ -183,14 +190,17 @@ class Router
      */
     struct Pending
     {
-        std::vector<double> x; ///< retained for re-dispatch
+        std::vector<double> x; ///< retained for re-dispatch (owner)
         uint64_t deadline_us = 0;
         int attempts = 0;
-        int replica = -1; ///< current owner, -1 = none
+        int replica = -1; ///< replica holding it, -1 = none
+        int skip = -1;    ///< replica that refused it, -1 = none
         bool terminal = false;
         ClusterStatus status = ClusterStatus::Shed;
         std::vector<double> y;
     };
+
+    using PendingMap = std::map<uint64_t, Pending>;
 
     bool attachReplica(size_t idx, std::string *error);
     void detachReplica(size_t idx); ///< mark dead + fail over
@@ -199,22 +209,25 @@ class Router
     void monitorLoop();
     /** Least-loaded live replica other than @p skip; -1 when none. */
     int pickReplica(int skip = -1);
-    /** Send req to replica r. False when the send fails. */
-    bool dispatchLocked(uint64_t id, Pending &p, int r);
     /**
-     * Send @p p to the least-loaded live replica other than @p skip.
-     * A replica whose send fails is retired (detachLocked) and the
-     * next one tried, until a send succeeds or p.attempts reaches
-     * max_redispatch; every attempt after p's first is counted as a
-     * re-dispatch. False when no replica took it. The one dispatch
-     * loop for submit, fail-over and Rejected retries.
+     * Send @p p, unless a replica holds it or it is terminal, to the
+     * least-loaded live replica other than p.skip. A replica whose
+     * send fails is retired (detachLocked) and the next one tried,
+     * until a send succeeds or p.attempts reaches max_redispatch,
+     * when p is shed; every attempt after p's first is counted as a
+     * re-dispatch. Only p's owner calls it (submit, then wait), with
+     * @p lk held; the send itself runs with mu_ released.
      */
-    bool dispatchLiveLocked(uint64_t id, Pending &p, int skip = -1);
+    void dispatch(std::unique_lock<std::mutex> &lk, uint64_t id,
+                  Pending &p);
     /** Make @p p terminal; Done copies @p y into it. */
     void completeLocked(Pending &p, ClusterStatus st,
                         const std::vector<double> *y = nullptr);
-    /** Re-dispatch or shed every pending request owned by @p idx. */
+    /** Hand every pending request owned by @p idx back to its owner
+        to re-dispatch or shed. */
     void failOverLocked(size_t idx);
+    /** Erase a waited-out request, keeping its node for reuse. */
+    void recycleLocked(PendingMap::iterator it);
 
     RouterOptions opts_;
     std::vector<std::unique_ptr<Replica>> replicas_;
@@ -223,7 +236,6 @@ class Router
 
     mutable std::mutex mu_; ///< pending_ + dispatch bookkeeping
     std::condition_variable done_cv_;
-    using PendingMap = std::map<uint64_t, Pending>;
     PendingMap pending_;
     std::vector<PendingMap::node_type> spare_; ///< waited-out nodes
     uint64_t next_id_ = 1;
