@@ -339,18 +339,27 @@ BENCHMARK(BM_TtSvd);
 // ---------------------------------------------------------------------
 
 void
-BM_Crc32(benchmark::State &state)
+crc32Bench(benchmark::State &state, size_t n,
+           uint32_t (*crc)(const void *, size_t, uint32_t))
 {
-    const size_t n = static_cast<size_t>(state.range(0));
     Rng rng(21);
     std::vector<uint8_t> buf(n);
     for (uint8_t &b : buf)
         b = static_cast<uint8_t>(rng.intIn(0, 255));
     for (auto _ : state)
-        benchmark::DoNotOptimize(io::crc32(buf.data(), buf.size()));
+        benchmark::DoNotOptimize(crc(buf.data(), buf.size(), 0));
     state.SetBytesProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Crc32)->Arg(32768);
+
+// io::crc32 takes the carry-less-multiply path on x86-64 hosts with
+// PCLMULQDQ (inputs of 64 bytes or more); the /portable row times the
+// slicing-by-8 table loop on the same bytes.
+void
+BM_Crc32(benchmark::State &state)
+{
+    crc32Bench(state, static_cast<size_t>(state.range(0)), io::crc32);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(32768);
 
 void
 BM_WireInferRoundTrip(benchmark::State &state)
@@ -527,6 +536,10 @@ main(int argc, char **argv)
 {
     obs::Session obs_session("micro_kernels", &argc, argv);
     registerIsaSweeps();
+    benchmark::RegisterBenchmark(
+        "BM_Crc32/32768/portable", [](benchmark::State &s) {
+            crc32Bench(s, 32768, io::crc32Portable);
+        });
 
     // Default a JSON results file so perf history accumulates without
     // anyone remembering the flag; explicit --benchmark_out wins.

@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "core/workloads.hh"
 #include "tt/cost_model.hh"
@@ -21,8 +22,11 @@ std::string
 vec(const std::vector<size_t> &v)
 {
     std::string s = "[";
-    for (size_t i = 0; i < v.size(); ++i)
-        s += (i ? "," : "") + std::to_string(v[i]);
+    for (size_t i = 0; i < v.size(); ++i) {
+        if (i)
+            s += ',';
+        s += std::to_string(v[i]);
+    }
     return s + "]";
 }
 
@@ -49,8 +53,8 @@ main(int argc, char **argv)
     size_t i = 0;
     for (const auto &b : workloads::table4Benchmarks()) {
         t.row({b.name,
-               "(" + std::to_string(b.config.outSize()) + ", " +
-                   std::to_string(b.config.inSize()) + ")",
+               strCat("(", b.config.outSize(), ", ", b.config.inSize(),
+                      ")"),
                std::to_string(b.config.d()), vec(b.config.n),
                vec(b.config.m), vec(b.config.r),
                TextTable::ratio(b.config.compressionRatio(), 0),

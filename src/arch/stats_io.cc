@@ -1,5 +1,6 @@
 #include "arch/stats_io.hh"
 
+#include "obs/json.hh"
 #include "obs/trace.hh"
 
 namespace tie {
@@ -52,20 +53,6 @@ simStatsJson(const SimStats &s)
 }
 
 std::string
-simStatsCsv(const SimStats &s)
-{
-    std::string out =
-        "layer_index,core_index,cycles,mac_ops,stall_cycles\n";
-    for (const StageStats &st : s.stages)
-        out += std::to_string(st.layer_index) + "," +
-               std::to_string(st.core_index) + "," +
-               std::to_string(st.cycles) + "," +
-               std::to_string(st.mac_ops) + "," +
-               std::to_string(st.stall_cycles) + "\n";
-    return out;
-}
-
-std::string
 powerReportJson(const PowerReport &p)
 {
     obs::JsonWriter w;
@@ -93,72 +80,6 @@ perfReportJson(const PerfReport &r)
     w.field("gops_per_mm2", r.gopsPerMm2());
     w.endObject();
     return w.str();
-}
-
-std::string
-perfReportCsv(const PerfReport &r)
-{
-    std::string out = "metric,value\n";
-    out += "latency_us," + obs::jsonNumber(r.latency_us) + "\n";
-    out += "energy_nj," + obs::jsonNumber(r.energy_nj) + "\n";
-    out += "power_mw," + obs::jsonNumber(r.power_mw) + "\n";
-    out += "effective_gops," + obs::jsonNumber(r.effective_gops) + "\n";
-    out += "area_mm2," + obs::jsonNumber(r.area_mm2) + "\n";
-    out += "gops_per_watt," + obs::jsonNumber(r.gopsPerWatt()) + "\n";
-    out += "gops_per_mm2," + obs::jsonNumber(r.gopsPerMm2()) + "\n";
-    return out;
-}
-
-StageStats
-stageStatsFromJson(const obs::JsonValue &v)
-{
-    StageStats st;
-    st.layer_index = v.u64("layer_index");
-    st.core_index = v.u64("core_index");
-    st.cycles = v.u64("cycles");
-    st.mac_ops = v.u64("mac_ops");
-    st.stall_cycles = v.u64("stall_cycles");
-    return st;
-}
-
-SimStats
-simStatsFromJson(const obs::JsonValue &v)
-{
-    SimStats s;
-    s.cycles = v.u64("cycles");
-    s.mac_ops = v.u64("mac_ops");
-    s.weight_sram_reads = v.u64("weight_sram_reads");
-    s.working_sram_reads = v.u64("working_sram_reads");
-    s.working_sram_writes = v.u64("working_sram_writes");
-    s.reg_writes = v.u64("reg_writes");
-    s.stall_cycles = v.u64("stall_cycles");
-    if (const obs::JsonValue *stages = v.find("stages"))
-        for (const obs::JsonValue &e : stages->array)
-            s.stages.push_back(stageStatsFromJson(e));
-    return s;
-}
-
-PowerReport
-powerReportFromJson(const obs::JsonValue &v)
-{
-    PowerReport p;
-    p.memory_mw = v.num("memory_mw");
-    p.register_mw = v.num("register_mw");
-    p.combinational_mw = v.num("combinational_mw");
-    p.clock_mw = v.num("clock_mw");
-    return p;
-}
-
-PerfReport
-perfReportFromJson(const obs::JsonValue &v)
-{
-    PerfReport r;
-    r.latency_us = v.num("latency_us");
-    r.energy_nj = v.num("energy_nj");
-    r.power_mw = v.num("power_mw");
-    r.effective_gops = v.num("effective_gops");
-    r.area_mm2 = v.num("area_mm2");
-    return r;
 }
 
 void

@@ -1,14 +1,12 @@
 /**
  * @file
- * Machine-readable serialization of the simulator's statistics and
- * reports (JSON and CSV), plus the emitter that turns a finished
- * layer's SimStats into Chrome-trace events on the simulated-cycle
- * timeline.
+ * JSON serialization of the simulator's statistics and reports, plus
+ * the emitter that turns a finished layer's SimStats into Chrome-trace
+ * events on the simulated-cycle timeline.
  *
  * All JSON is emitted with a fixed key order and shortest-round-trip
  * number formatting, so output for fixed inputs is byte-stable and can
- * be golden-compared by tests. The *FromJson helpers invert the JSON
- * forms (derived fields are recomputed, not read back).
+ * be golden-compared by tests.
  */
 
 #ifndef TIE_ARCH_STATS_IO_HH
@@ -17,7 +15,6 @@
 #include <string>
 
 #include "arch/stats.hh"
-#include "obs/json.hh"
 
 namespace tie {
 
@@ -27,23 +24,11 @@ std::string stageStatsJson(const StageStats &st);
 /** Totals plus a "stages" array of stageStatsJson objects. */
 std::string simStatsJson(const SimStats &s);
 
-/** Per-stage CSV: header line + one row per stage. */
-std::string simStatsCsv(const SimStats &s);
-
 /** Table-6 power breakdown (mW) with the derived total. */
 std::string powerReportJson(const PowerReport &p);
 
 /** Latency/energy/power/throughput/area with derived efficiencies. */
 std::string perfReportJson(const PerfReport &r);
-
-/** "metric,value" CSV of the perf report. */
-std::string perfReportCsv(const PerfReport &r);
-
-/** Inverses over parsed documents (tests, tooling). */
-StageStats stageStatsFromJson(const obs::JsonValue &v);
-SimStats simStatsFromJson(const obs::JsonValue &v);
-PowerReport powerReportFromJson(const obs::JsonValue &v);
-PerfReport perfReportFromJson(const obs::JsonValue &v);
 
 /**
  * Append one simulated layer to the global Chrome-trace timeline: a

@@ -152,7 +152,9 @@ void
 Router::detachLocked(size_t idx)
 {
     Replica &r = *replicas_[idx];
-    if (r.alive.exchange(false)) {
+    // A replica that acked a drain exits by design; its EOF is no death.
+    if (r.alive.exchange(false) &&
+        !r.drain_acked.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lk(stats_mu_);
         ++stats_.worker_deaths;
     }

@@ -109,7 +109,7 @@ struct RouterStats
     uint64_t timed_out = 0;    ///< worker deadline expiries
     uint64_t shed = 0;         ///< explicit refusals
     uint64_t redispatched = 0; ///< fail-over re-sends
-    uint64_t worker_deaths = 0;
+    uint64_t worker_deaths = 0; ///< replicas lost without a drain ack
     uint64_t reconnects = 0;   ///< successful replica (re)attaches
 };
 

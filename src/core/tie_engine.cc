@@ -6,6 +6,7 @@
 #include "nn/activations.hh"
 #include "nn/sequential.hh"
 #include "nn/tt_dense.hh"
+#include "obs/json.hh"
 #include "tt/tt_infer.hh"
 
 namespace tie {

@@ -43,7 +43,8 @@ for want in ("BM_TtInfer_PerCall/1", "BM_TtInfer_Session/1",
              "BM_StageStoreF32_Packed/scalar",
              "BM_FxpMatmul_Isa/scalar", "BM_FxpMatmul_Stage/scalar",
              # the cluster wire codec
-             "BM_Crc32/32768", "BM_WireInferRoundTrip/4096"):
+             "BM_Crc32/64", "BM_Crc32/32768", "BM_Crc32/32768/portable",
+             "BM_WireInferRoundTrip/4096"):
     assert want in names, f"missing {want}: {sorted(names)}"
 for b in r["benchmarks"]:
     if "_Session/" in b["name"]:

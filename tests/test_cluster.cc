@@ -1403,6 +1403,35 @@ TEST_F(ClusterTest, DrainFinishesAcceptedWorkAndRefusesNew)
     w0->stop();
 }
 
+TEST_F(ClusterTest, ADrainedReplicaThatExitsIsNotADeath)
+{
+    // tie_worker exits once drained, so the router reads EOF on the
+    // replica's connections: the drain completing, not a death.
+    const std::vector<double> x(16, 0.25);
+    for (int round = 0; round < 50; ++round) {
+        auto w0 = makeWorker("w0");
+        RouterOptions ropts;
+        ropts.workers = {w0->endpoint()};
+        ropts.health_period_ms = 10;
+        Router router(ropts);
+        std::string err;
+        ASSERT_TRUE(router.start(&err)) << err;
+        ASSERT_EQ(router.inSize(), x.size());
+        for (int i = 0; i < 3; ++i)
+            ASSERT_EQ(router.wait(router.submit(x.data())),
+                      ClusterStatus::Done);
+
+        router.drainWorkers(/*timeout_ms=*/5000);
+        ASSERT_TRUE(w0->waitDrained(/*timeout_ms=*/5000));
+        w0->stop();
+        for (int i = 0; i < 1000 && router.liveWorkers() > 0; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ASSERT_EQ(router.liveWorkers(), 0u) << "round " << round;
+        EXPECT_EQ(router.stats().worker_deaths, 0u) << "round " << round;
+        router.stop();
+    }
+}
+
 TEST_F(ClusterTest, RouterRefusesAMismatchedReplicaSet)
 {
     // A second artifact with a different interface: the router must

@@ -139,7 +139,9 @@ image(const std::vector<TtMatrix> &chain, bool fxp = false)
 // ---------------------------------------------------------------------
 // CRC-32 known answers. Every other CRC check in the suite compares
 // io::crc32 with itself, so these pin its values independently: the
-// standard check value and a bit-at-a-time reference.
+// standard check value and a bit-at-a-time reference. Both paths are
+// checked: io::crc32 (carry-less folding on x86-64 hosts with
+// PCLMULQDQ, for inputs of 64 bytes or more) and io::crc32Portable.
 // ---------------------------------------------------------------------
 
 /** Bit-serial CRC-32 (reflected 0xEDB88320, init/xorout ~0). */
@@ -168,33 +170,60 @@ crcInput(size_t n)
     return b;
 }
 
+struct CrcPath
+{
+    const char *name;
+    uint32_t (*fn)(const void *, size_t, uint32_t);
+};
+
+const CrcPath kCrcPaths[] = {{"crc32", io::crc32},
+                             {"crc32Portable", io::crc32Portable}};
+
 TEST(Crc32, KnownAnswers)
 {
-    EXPECT_EQ(io::crc32("123456789", 9), 0xCBF43926u);
-    EXPECT_EQ(io::crc32("", 0), 0u);
-    EXPECT_EQ(io::crc32(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+    for (const CrcPath &c : kCrcPaths) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EQ(c.fn("123456789", 9, 0), 0xCBF43926u);
+        EXPECT_EQ(c.fn("", 0, 0), 0u);
+        EXPECT_EQ(c.fn(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+    }
 }
 
 TEST(Crc32, MatchesBitSerialReferenceAtEveryLengthAndAlignment)
 {
-    const std::vector<uint8_t> buf = crcInput(1024 + 8);
-    for (size_t off = 0; off < 8; ++off)
-        for (size_t len = 0; len <= 1024; ++len)
-            ASSERT_EQ(io::crc32(buf.data() + off, len),
-                      referenceCrc32(buf.data() + off, len))
-                << "offset " << off << " length " << len;
+    // Every length up to 1024 crosses the folded path's entry (64) and
+    // its four-lane step (128); add lengths around a page and one
+    // cluster frame payload (32 KiB) with a 5-byte tail.
+    std::vector<size_t> lens;
+    for (size_t len = 0; len <= 1024; ++len)
+        lens.push_back(len);
+    for (size_t len = 4096 - 17; len <= 4096 + 17; ++len)
+        lens.push_back(len);
+    lens.push_back(32768 + 5);
+    const std::vector<uint8_t> buf = crcInput(32768 + 5 + 8);
+    for (const CrcPath &c : kCrcPaths)
+        for (size_t off = 0; off < 8; ++off)
+            for (size_t len : lens)
+                ASSERT_EQ(c.fn(buf.data() + off, len, 0),
+                          referenceCrc32(buf.data() + off, len))
+                    << c.name << " offset " << off << " length " << len;
 }
 
 TEST(Crc32, ChainedCallsEqualOneShotAtEverySplit)
 {
+    // Splits land inside folded 16-byte blocks and 64-byte steps, and
+    // the second piece folds from a non-zero running CRC; the two
+    // paths may also be mixed mid-stream.
     const std::vector<uint8_t> buf = crcInput(300);
-    const uint32_t whole = io::crc32(buf.data(), buf.size());
-    EXPECT_EQ(whole, referenceCrc32(buf.data(), buf.size()));
-    for (size_t k = 0; k <= buf.size(); ++k)
-        ASSERT_EQ(io::crc32(buf.data() + k, buf.size() - k,
-                            io::crc32(buf.data(), k)),
-                  whole)
-            << "split at " << k;
+    const uint32_t whole = referenceCrc32(buf.data(), buf.size());
+    for (const CrcPath &head : kCrcPaths)
+        for (const CrcPath &tail : kCrcPaths)
+            for (size_t k = 0; k <= buf.size(); ++k)
+                ASSERT_EQ(tail.fn(buf.data() + k, buf.size() - k,
+                                  head.fn(buf.data(), k, 0)),
+                          whole)
+                    << head.name << " then " << tail.name
+                    << ", split at " << k;
 }
 
 // ---------------------------------------------------------------------
