@@ -172,57 +172,6 @@ sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
 }
 
 bool
-recvAllTimed(int fd, void *data, size_t len, int timeout_ms,
-             std::string *error)
-{
-    if (!setNonBlocking(fd)) {
-        setError(error, strCat("fcntl(O_NONBLOCK) failed: ",
-                               std::strerror(errno)));
-        return false;
-    }
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    uint8_t *p = static_cast<uint8_t *>(data);
-    size_t off = 0;
-    while (off < len) {
-        const ssize_t n = ::recv(fd, p + off, len - off, 0);
-        if (n > 0) {
-            off += static_cast<size_t>(n);
-            continue;
-        }
-        if (n == 0) {
-            setError(error, strCat("peer closed with ", len - off,
-                                   " bytes missing"));
-            return false;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-            setError(error,
-                     strCat("recv() failed: ", std::strerror(errno)));
-            return false;
-        }
-        const int wait = remainingMs(deadline);
-        if (wait == 0) {
-            setError(error, strCat("recv timed out after ",
-                                   timeout_ms, " ms with ", len - off,
-                                   " bytes missing"));
-            return false;
-        }
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        const int r = ::poll(&pfd, 1, wait);
-        if (r < 0 && errno != EINTR) {
-            setError(error,
-                     strCat("poll() failed: ", std::strerror(errno)));
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
 listen(const Endpoint &ep, Listener *out, std::string *error)
 {
     out->endpoint = ep;

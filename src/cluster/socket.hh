@@ -65,13 +65,6 @@ bool setNonBlocking(int fd);
 bool sendAllTimed(int fd, const void *data, size_t len, int timeout_ms,
                   std::string *error = nullptr);
 
-/**
- * Receive exactly @p len bytes with a deadline (poll(POLLIN)-gated
- * nonblocking recv). False on timeout, EOF or error.
- */
-bool recvAllTimed(int fd, void *data, size_t len, int timeout_ms,
-                  std::string *error = nullptr);
-
 /** A bound, listening socket (close with closeListener). */
 struct Listener
 {

@@ -68,8 +68,8 @@ struct KernelStats
                 "gemm.call_us", "wall-clock microseconds per GEMM"),
             obs::StatRegistry::instance().gauge(
                 "simd.isa",
-                "active SIMD path (0=scalar 1=sse 2=avx2 3=neon "
-                "4=avx512)"),
+                "active SIMD path (0=scalar 2=avx2 3=neon 4=avx512; "
+                "1 is retired)"),
             obs::StatRegistry::instance().counter(
                 "gemm.packed_panels",
                 "operand panels packed for the microkernel"),

@@ -81,9 +81,6 @@ class Matrix
     std::vector<T> &flat() { return data_; }
     const std::vector<T> &flat() const { return data_; }
 
-    T *rowPtr(size_t r) { return data_.data() + r * cols_; }
-    const T *rowPtr(size_t r) const { return data_.data() + r * cols_; }
-
     void
     fill(T v)
     {

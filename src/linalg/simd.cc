@@ -34,8 +34,6 @@ isaName(Isa isa)
     switch (isa) {
       case Isa::Scalar:
         return "scalar";
-      case Isa::Sse42:
-        return "sse";
       case Isa::Avx2:
         return "avx2";
       case Isa::Neon:
@@ -54,8 +52,6 @@ isaSupported(Isa isa)
       case Isa::Scalar:
         return true;
 #if TIE_SIMD_X86
-      case Isa::Sse42:
-        return __builtin_cpu_supports("sse4.2");
       case Isa::Avx2:
         return __builtin_cpu_supports("avx2");
       case Isa::Avx512:
@@ -125,7 +121,6 @@ floatLanes(Isa isa)
         return 16;
       case Isa::Avx2:
         return 8;
-      case Isa::Sse42:
       case Isa::Neon:
         return 4;
       case Isa::Scalar:
@@ -381,112 +376,6 @@ tilePackedF64Avx2(size_t k, const double *pa, const double *b,
             }
             for (size_t r = 0; r < MR; ++r)
                 _mm256_storeu_pd(c + (i + r) * ldc + j, acc[r]);
-        }
-        if (j < j1)
-            packedColTail(k, ap, b, ldb, c, ldc, i, j, j1);
-    }
-    if (i < i1)
-        tilePackedScalar(k, pa, b, ldb, c, ldc, i, i1, j0, j1);
-}
-
-__attribute__((target("sse4.2"))) void
-tilePackedF32Sse(size_t k, const float *pa, const float *b, size_t ldb,
-                 float *c, size_t ldc, size_t i0, size_t i1, size_t j0,
-                 size_t j1)
-{
-    constexpr size_t MR = pack::kRowPanel, W = 4;
-    size_t i = i0;
-    for (; i + MR <= i1; i += MR) {
-        const float *ap = pa + i * k;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            __m128 acc0[MR], acc1[MR];
-            for (size_t r = 0; r < MR; ++r) {
-                acc0[r] = _mm_loadu_ps(c + (i + r) * ldc + j);
-                acc1[r] = _mm_loadu_ps(c + (i + r) * ldc + j + W);
-            }
-            for (size_t kk = 0; kk < k; ++kk) {
-                const float *av = ap + kk * MR;
-                const float *bp = b + kk * ldb + j;
-                const __m128 b0 = _mm_loadu_ps(bp);
-                const __m128 b1 = _mm_loadu_ps(bp + W);
-                for (size_t r = 0; r < MR; ++r) {
-                    const __m128 a = _mm_set1_ps(av[r]);
-                    acc0[r] = _mm_add_ps(acc0[r], _mm_mul_ps(a, b0));
-                    acc1[r] = _mm_add_ps(acc1[r], _mm_mul_ps(a, b1));
-                }
-            }
-            for (size_t r = 0; r < MR; ++r) {
-                _mm_storeu_ps(c + (i + r) * ldc + j, acc0[r]);
-                _mm_storeu_ps(c + (i + r) * ldc + j + W, acc1[r]);
-            }
-        }
-        for (; j + W <= j1; j += W) {
-            __m128 acc[MR];
-            for (size_t r = 0; r < MR; ++r)
-                acc[r] = _mm_loadu_ps(c + (i + r) * ldc + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const float *av = ap + kk * MR;
-                const __m128 b0 = _mm_loadu_ps(b + kk * ldb + j);
-                for (size_t r = 0; r < MR; ++r)
-                    acc[r] = _mm_add_ps(
-                        acc[r], _mm_mul_ps(_mm_set1_ps(av[r]), b0));
-            }
-            for (size_t r = 0; r < MR; ++r)
-                _mm_storeu_ps(c + (i + r) * ldc + j, acc[r]);
-        }
-        if (j < j1)
-            packedColTail(k, ap, b, ldb, c, ldc, i, j, j1);
-    }
-    if (i < i1)
-        tilePackedScalar(k, pa, b, ldb, c, ldc, i, i1, j0, j1);
-}
-
-__attribute__((target("sse4.2"))) void
-tilePackedF64Sse(size_t k, const double *pa, const double *b,
-                 size_t ldb, double *c, size_t ldc, size_t i0,
-                 size_t i1, size_t j0, size_t j1)
-{
-    constexpr size_t MR = pack::kRowPanel, W = 2;
-    size_t i = i0;
-    for (; i + MR <= i1; i += MR) {
-        const double *ap = pa + i * k;
-        size_t j = j0;
-        for (; j + 2 * W <= j1; j += 2 * W) {
-            __m128d acc0[MR], acc1[MR];
-            for (size_t r = 0; r < MR; ++r) {
-                acc0[r] = _mm_loadu_pd(c + (i + r) * ldc + j);
-                acc1[r] = _mm_loadu_pd(c + (i + r) * ldc + j + W);
-            }
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double *av = ap + kk * MR;
-                const double *bp = b + kk * ldb + j;
-                const __m128d b0 = _mm_loadu_pd(bp);
-                const __m128d b1 = _mm_loadu_pd(bp + W);
-                for (size_t r = 0; r < MR; ++r) {
-                    const __m128d a = _mm_set1_pd(av[r]);
-                    acc0[r] = _mm_add_pd(acc0[r], _mm_mul_pd(a, b0));
-                    acc1[r] = _mm_add_pd(acc1[r], _mm_mul_pd(a, b1));
-                }
-            }
-            for (size_t r = 0; r < MR; ++r) {
-                _mm_storeu_pd(c + (i + r) * ldc + j, acc0[r]);
-                _mm_storeu_pd(c + (i + r) * ldc + j + W, acc1[r]);
-            }
-        }
-        for (; j + W <= j1; j += W) {
-            __m128d acc[MR];
-            for (size_t r = 0; r < MR; ++r)
-                acc[r] = _mm_loadu_pd(c + (i + r) * ldc + j);
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double *av = ap + kk * MR;
-                const __m128d b0 = _mm_loadu_pd(b + kk * ldb + j);
-                for (size_t r = 0; r < MR; ++r)
-                    acc[r] = _mm_add_pd(
-                        acc[r], _mm_mul_pd(_mm_set1_pd(av[r]), b0));
-            }
-            for (size_t r = 0; r < MR; ++r)
-                _mm_storeu_pd(c + (i + r) * ldc + j, acc[r]);
         }
         if (j < j1)
             packedColTail(k, ap, b, ldb, c, ldc, i, j, j1);
@@ -794,10 +683,6 @@ gemmPackedF32(Isa isa, bool fast, size_t k, const float *pa,
         else
             tilePackedF32Avx2(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
         return;
-      case Isa::Sse42:
-        // No FMA at the SSE4.2 feature level: fast == exact.
-        tilePackedF32Sse(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
-        return;
 #endif
 #if TIE_SIMD_NEON
       case Isa::Neon:
@@ -834,9 +719,6 @@ gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
       case Isa::Avx2:
         tilePackedF64Avx2(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
         return;
-      case Isa::Sse42:
-        tilePackedF64Sse(k, pa, b, ldb, c, ldc, i0, i1, j0, j1);
-        return;
 #endif
 #if TIE_SIMD_NEON
       case Isa::Neon:
@@ -853,55 +735,7 @@ gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
 namespace {
 
 #if TIE_SIMD_X86
-/** Four rows of one vector step, loaded as raw 128/256-bit lanes. */
-template <typename T>
-__attribute__((target("sse4.2"))) size_t
-interleave4Sse(const T *src, size_t lds, size_t len, T *dst)
-{
-    constexpr size_t V = 16 / sizeof(T);
-    size_t c = 0;
-    for (; c + V <= len; c += V) {
-        const __m128i a =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(src + c));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + lds + c));
-        const __m128i e = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + 2 * lds + c));
-        const __m128i f = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + 3 * lds + c));
-        __m128i o[4];
-        if constexpr (sizeof(T) == 8) {
-            o[0] = _mm_unpacklo_epi64(a, b);
-            o[1] = _mm_unpacklo_epi64(e, f);
-            o[2] = _mm_unpackhi_epi64(a, b);
-            o[3] = _mm_unpackhi_epi64(e, f);
-        } else if constexpr (sizeof(T) == 4) {
-            const __m128i ab0 = _mm_unpacklo_epi32(a, b);
-            const __m128i ab1 = _mm_unpackhi_epi32(a, b);
-            const __m128i ef0 = _mm_unpacklo_epi32(e, f);
-            const __m128i ef1 = _mm_unpackhi_epi32(e, f);
-            o[0] = _mm_unpacklo_epi64(ab0, ef0);
-            o[1] = _mm_unpackhi_epi64(ab0, ef0);
-            o[2] = _mm_unpacklo_epi64(ab1, ef1);
-            o[3] = _mm_unpackhi_epi64(ab1, ef1);
-        } else {
-            static_assert(sizeof(T) == 2, "2-, 4- or 8-byte elements");
-            const __m128i ab0 = _mm_unpacklo_epi16(a, b);
-            const __m128i ab1 = _mm_unpackhi_epi16(a, b);
-            const __m128i ef0 = _mm_unpacklo_epi16(e, f);
-            const __m128i ef1 = _mm_unpackhi_epi16(e, f);
-            o[0] = _mm_unpacklo_epi32(ab0, ef0);
-            o[1] = _mm_unpackhi_epi32(ab0, ef0);
-            o[2] = _mm_unpacklo_epi32(ab1, ef1);
-            o[3] = _mm_unpackhi_epi32(ab1, ef1);
-        }
-        __m128i *out = reinterpret_cast<__m128i *>(dst + 4 * c);
-        for (size_t i = 0; i < 4; ++i)
-            _mm_storeu_si128(out + i, o[i]);
-    }
-    return c;
-}
-
+/** Four rows of one vector step, loaded as raw 256-bit lanes. */
 template <typename T>
 __attribute__((target("avx2"))) size_t
 interleave4Avx2(const T *src, size_t lds, size_t len, T *dst)
@@ -1020,9 +854,6 @@ interleave4(Isa isa, const T *src, size_t lds, size_t len, T *dst)
       case Isa::Avx512:
       case Isa::Avx2:
         c = interleave4Avx2(src, lds, len, dst);
-        break;
-      case Isa::Sse42:
-        c = interleave4Sse(src, lds, len, dst);
         break;
 #endif
 #if TIE_SIMD_NEON

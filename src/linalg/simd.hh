@@ -7,7 +7,7 @@
  * ISA enum and a set of kernel entry points that take the ISA as an
  * explicit argument; the process-wide path is resolved exactly once
  * (activeIsa) from cpuid-style feature detection, overridable with the
- * TIE_SIMD environment variable (avx512|avx2|sse|neon|scalar) for
+ * TIE_SIMD environment variable (avx512|avx2|neon|scalar) for
  * testing. kIsas lists every path once, most preferred first; the
  * resolver, the support mask, the tests and the benches all walk it.
  *
@@ -40,20 +40,20 @@ namespace simd {
 
 /**
  * Dispatchable instruction sets. The values are stable: they are the
- * exported simd.isa gauge.
+ * exported simd.isa gauge. Value 1 (the former SSE4.2 path) is
+ * retired, not reused; x86 hosts without AVX2 run Scalar.
  */
 enum class Isa
 {
     Scalar = 0, ///< portable reference loops
-    Sse42 = 1,  ///< x86 SSE4.2 (128-bit lanes)
     Avx2 = 2,   ///< x86 AVX2 (256-bit lanes)
     Neon = 3,   ///< AArch64 NEON (128-bit lanes)
     Avx512 = 4, ///< x86 AVX-512F + AVX-512BW (512-bit lanes)
 };
 
 /** Every Isa, most preferred first: the order resolveIsa picks in. */
-inline constexpr Isa kIsas[] = {Isa::Avx512, Isa::Avx2, Isa::Sse42,
-                                Isa::Neon, Isa::Scalar};
+inline constexpr Isa kIsas[] = {Isa::Avx512, Isa::Avx2, Isa::Neon,
+                                Isa::Scalar};
 
 /** Stable lowercase name, matching the TIE_SIMD spelling. */
 const char *isaName(Isa isa);
@@ -68,7 +68,7 @@ unsigned supportedMask();
  * Resolve the dispatch path from a TIE_SIMD value and a support mask
  * (supportedMask() in production; tests pass synthetic masks). An
  * unset/empty value picks the first supported ISA of kIsas (AVX-512 >
- * AVX2 > SSE4.2 > NEON > scalar); a recognised value must be supported
+ * AVX2 > NEON > scalar); a recognised value must be supported
  * by the mask and anything else is a fatal user error. Exposed
  * separately from activeIsa so tests can cover the parsing without
  * forking processes per ISA.
@@ -84,8 +84,8 @@ Isa resolveIsa(const char *env_value, unsigned supported_mask);
 Isa activeIsa();
 
 /**
- * Float lanes per vector op: 16 (AVX-512), 8 (AVX2), 4 (SSE4.2/NEON),
- * 1 (scalar).
+ * Float lanes per vector op: 16 (AVX-512), 8 (AVX2), 4 (NEON), 1
+ * (scalar).
  */
 size_t floatLanes(Isa isa);
 
@@ -166,7 +166,7 @@ void gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
  * i.e. a 4 x len transpose written as 4 * len consecutive elements —
  * the inter-stage store of every TT stage with m_h = 4
  * (tt/stage_program.hh). One kernel per ISA for 2-, 4- and 8-byte
- * elements (AVX2/SSE4.2 unpack + lane permutes, NEON vst4); columns
+ * elements (AVX2 unpack + lane permutes, NEON vst4); columns
  * past the last full vector take the scalar loop. Pure data
  * movement: bit-identical on every ISA. Instantiated for int16_t,
  * float and double.

@@ -312,76 +312,6 @@ rowsAvx512(size_t k, size_t ldx, size_t ldo, const int16_t *w,
 #pragma GCC diagnostic pop
 #endif
 
-/** macAvx2 on 4 lanes; SSE4.2 has no per-lane shift, so pcnt is scalar. */
-__attribute__((target("sse4.2"), always_inline)) inline __m128i
-macSse(__m128i acc, __m128i prod_biased, __m128i pcnt, __m128i lo,
-       __m128i hi)
-{
-    acc = _mm_add_epi32(acc, _mm_sra_epi32(prod_biased, pcnt));
-    return _mm_min_epi32(_mm_max_epi32(acc, lo), hi);
-}
-
-/** rowsAvx2 with R x 8 tiles: R rows x 2 vectors of 4 int32 lanes. */
-template <size_t R>
-__attribute__((target("sse4.2"))) void
-rowsSse(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-        const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
-        size_t j0, size_t j1)
-{
-    constexpr size_t W = 8;
-    int32_t pairs[kTileRows * kPairChunk];
-    const bool one_chunk = k <= kPairChunk;
-    if (one_chunk)
-        buildPairs<R>(k, w, i, 0, k, p.pbias, pairs);
-    const __m128i one = _mm_set1_epi16(1);
-    const __m128i pcnt = _mm_cvtsi32_si128(p.pshift);
-    const __m128i acc_hi = _mm_set1_epi32(p.acc_hi);
-    const __m128i acc_lo = _mm_set1_epi32(p.acc_lo);
-    const __m128i rbias = _mm_set1_epi32(p.rbias);
-    const __m128i rcnt = _mm_cvtsi32_si128(p.rshift);
-    const __m128i out_hi = _mm_set1_epi32(p.out_hi);
-    const __m128i out_lo = _mm_set1_epi32(p.out_lo);
-    for (size_t j = j0;; j += W) {
-        j = j + W <= j1 ? j : j1 - W;
-        __m128i acc[R][2];
-        for (size_t r = 0; r < R; ++r)
-            acc[r][0] = acc[r][1] = _mm_setzero_si128();
-        for (size_t k0 = 0; k0 < k; k0 += kPairChunk) {
-            const size_t kc = std::min(kPairChunk, k - k0);
-            if (!one_chunk)
-                buildPairs<R>(k, w, i, k0, kc, p.pbias, pairs);
-            const int16_t *xk = x + k0 * ldx + j;
-            for (size_t kk = 0; kk < kc; ++kk, xk += ldx) {
-                const __m128i xv = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(xk));
-                const __m128i xlo = _mm_unpacklo_epi16(xv, one);
-                const __m128i xhi = _mm_unpackhi_epi16(xv, one);
-                for (size_t r = 0; r < R; ++r) {
-                    const __m128i wp =
-                        _mm_set1_epi32(pairs[r * kPairChunk + kk]);
-                    acc[r][0] = macSse(acc[r][0], _mm_madd_epi16(xlo, wp),
-                                       pcnt, acc_lo, acc_hi);
-                    acc[r][1] = macSse(acc[r][1], _mm_madd_epi16(xhi, wp),
-                                       pcnt, acc_lo, acc_hi);
-                }
-            }
-        }
-        for (size_t r = 0; r < R; ++r) {
-            __m128i q[2];
-            for (size_t h = 0; h < 2; ++h) {
-                q[h] = _mm_sra_epi32(_mm_add_epi32(acc[r][h], rbias),
-                                     rcnt);
-                q[h] = _mm_min_epi32(_mm_max_epi32(q[h], out_lo), out_hi);
-            }
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(out + (i + r) * ldo + j),
-                _mm_packs_epi32(q[0], q[1]));
-        }
-        if (j + W == j1)
-            return;
-    }
-}
-
 #endif // TIE_SIMD_X86
 
 #if TIE_SIMD_NEON
@@ -479,12 +409,6 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
             rowsAvx2<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
                                             j0, j1);
-        });
-        return;
-      case simd::Isa::Sse42:
-        forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsSse<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
-                                           j0, j1);
         });
         return;
 #endif

@@ -14,7 +14,7 @@
  *
  * Register tile: one kernel per ISA holds 4 rows x 2 vectors of int32
  * accumulators (4 x 32 columns on AVX-512, 4 x 16 on AVX2, 4 x 8 on
- * SSE4.2 and NEON), so each operand load feeds 4 rows, each weight
+ * NEON), so each operand load feeds 4 rows, each weight
  * broadcast feeds 2 column vectors, and 8 independent chains hide the
  * add -> max -> min latency of the saturating accumulate. Row windows
  * that are not a multiple of 4 end with one 1-3 row tile; a column

@@ -168,8 +168,6 @@ class RequestQueue
 
     size_t slotCount() const { return slots_.size(); }
     size_t capacity() const { return capacity_; }
-    size_t inElems() const { return in_elems_; }
-    size_t outElems() const { return out_elems_; }
 
   private:
     friend struct ServerTestPeer; // lends every runner to a test

@@ -27,16 +27,31 @@ trap 'rm -rf "$DIR"' EXIT
 "$CLI" info "$DIR/two.tie" > "$DIR/two_info.txt"
 grep -q "layers    | 2" "$DIR/two_info.txt"
 [ "$(grep -c "compression" "$DIR/two_info.txt")" -eq 2 ]
-expect_one_layer() {
+# expect_refused PATTERN CMD...: CMD must exit 1 with PATTERN on stderr.
+expect_refused() {
+    pattern="$1"
+    shift
     rc=0
     "$@" >/dev/null 2>"$DIR/err.txt" || rc=$?
-    if [ "$rc" -ne 1 ] || ! grep -q "one-layer" "$DIR/err.txt"; then
-        echo "accepted a two-layer artifact (rc $rc): $*" >&2
+    if [ "$rc" -ne 1 ] || ! grep -q "$pattern" "$DIR/err.txt"; then
+        echo "expected exit 1 + '$pattern', got $rc: $*" >&2
+        cat "$DIR/err.txt" >&2
         exit 1
     fi
 }
-expect_one_layer "$CLI" simulate "$DIR/two.tie"
-expect_one_layer "$CLI" round "$DIR/two.tie" "$DIR/two_r.tie" --rank 2
+expect_refused "one-layer" "$CLI" simulate "$DIR/two.tie"
+expect_refused "one-layer" "$CLI" round "$DIR/two.tie" "$DIR/two_r.tie" \
+    --rank 2
+
+# Fail-stop env knobs: a running binary refuses a malformed TIE_SIMD
+# (including the retired "sse" path) or TIE_FAST with the resolver's
+# diagnostic, before it computes anything.
+for isa in sse bogus; do
+    expect_refused "TIE_SIMD='$isa' must be avx512, avx2, neon or scalar" \
+        env TIE_SIMD=$isa "$CLI" simulate "$DIR/l.tie"
+done
+expect_refused "TIE_FAST='2' must be 0 or 1" \
+    env TIE_FAST=2 "$CLI" simulate "$DIR/l.tie"
 
 # .tie artifact round trip: package, inspect, serve off the mapping.
 # serve-bench verifies every completed output bit-exactly against the
