@@ -246,7 +246,7 @@ BM_TtInfer_Session(benchmark::State &state)
     MatrixD x(cfg.inSize(), batch), y;
     x.setNormal(rng);
     InferSessionD session = makeSession(tt);
-    session.runInto(x, y); // warm-up: arena, group blocks, staging tiles
+    session.runInto(x, y); // warm-up: arena and group blocks
     for (auto _ : state) {
         session.runInto(x, y);
         benchmark::DoNotOptimize(y.data());
@@ -428,11 +428,11 @@ BM_GemmF32_Packed(benchmark::State &state, simd::Isa isa, bool fast)
 void
 BM_StageStoreF32_Packed(benchmark::State &state, simd::Isa isa)
 {
-    // One VGG-FC7 TT stage at batch 8 (16 x 16 core, 8192 columns)
-    // through the session's staged-panel path, serial with the ISA
-    // explicit: per kColBlock-wide panel, the packed microkernel reads
-    // the operand panel in place into a zeroed staging tile, then the
-    // tile is stored through the stage descriptor (4-way interleave)
+    // One VGG-FC7 TT stage at batch 8 (16 x 4 core, 8192 columns)
+    // through the session's stage path, serial with the ISA explicit:
+    // per kColBlock-wide panel, the packed microkernel reads the
+    // operand panel in place and stores each accumulator block from
+    // the registers through the stage descriptor (4-way interleave)
     // into the next stage's operand.
     const size_t batch = 8;
     const StageDescriptor desc =
@@ -445,17 +445,15 @@ BM_StageStoreF32_Packed(benchmark::State &state, simd::Isa isa)
     a.setUniform(rng, -1, 1);
     b.setUniform(rng, -1, 1);
     std::vector<float> pa(pack::packedAElems(m, k));
-    pack::packA(m, k, a.data(), pa.data());
-    std::vector<float> tile(m * gemm::kColBlock);
+    pack::packAGroups(desc.r_out, k, a.data(), pa.data());
+    const gemm::StageOut<float> out = stageOut(desc, batch, next.data());
     for (auto _ : state) {
         for (size_t p0 = 0; p0 < n; p0 += gemm::kColBlock) {
             const size_t w = std::min(n - p0, gemm::kColBlock);
-            std::fill(tile.begin(), tile.end(), 0.0f);
-            simd::gemmPackedF32(isa, false, k, pa.data(), b.data() + p0 * k,
-                                w, tile.data(), gemm::kColBlock, 0, m, 0,
-                                w);
-            storeStageTile(isa, desc, tile.data(), p0, w, batch,
-                           next.data());
+            gemm::StageOut<float> o = out;
+            o.q0 = p0;
+            simd::stagePacked(isa, false, k, pa.data(), b.data() + p0 * k,
+                              w, o, 0, m, 0, w);
         }
         benchmark::DoNotOptimize(next.data());
         benchmark::ClobberMemory();

@@ -2,7 +2,7 @@
  * @file
  * Blocked, multithreaded GEMM/GEMV drivers on raw row-major buffers.
  * matmul (linalg) packs A and runs gemmPackedBlocked, matVec runs
- * gemvBlocked, the session stages run gemmPackedStaged / stagedPanels
+ * gemvBlocked, the session stages run gemmPackedStage / stagePanels
  * and fxpMatmul (quant) splits on the same block constants, so every
  * GEMM-shaped stage in the library shares one execution layer.
  *
@@ -14,9 +14,10 @@
  * The TT compact-scheme stages are short and wide (tens of rows, tens
  * of thousands of batched columns), so the kernels split whichever
  * output axis is larger rather than always splitting rows. Every
- * stage goes through one driver for every dtype (stagedPanels): run
- * the dense kernel on a column panel into a staging tile, then store
- * the tile straight into the next stage's operand layout.
+ * stage goes through one driver for every dtype (stagePanels): the
+ * dense kernel runs on one column panel and its epilogue (StageOut)
+ * stores each accumulator block from the registers straight into the
+ * next stage's operand layout, as TIE's working-SRAM write scheme does.
  *
  * Float and double tiles dispatch to the one packed kernel family of
  * the SIMD layer (linalg/simd.hh): lanes run across output columns
@@ -85,8 +86,6 @@ struct KernelStats
 inline constexpr size_t kRowBlock = 16;
 /** Columns of C per parallel chunk when splitting the column axis. */
 inline constexpr size_t kColBlock = 256;
-/** k-panel width; one panel of B rows stays hot across an i-block. */
-inline constexpr size_t kDepthBlock = 128;
 /** Below this many multiply-adds the serial kernel is always used. */
 inline constexpr size_t kParallelMinWork = size_t(1) << 15;
 
@@ -152,13 +151,6 @@ gemmPackedBlocked(size_t m, size_t n, size_t k, const T *pa,
     }
 }
 
-/** kColBlock-wide column panels covering @p n columns. */
-inline size_t
-panelCount(size_t n)
-{
-    return (n + kColBlock - 1) / kColBlock;
-}
-
 /**
  * Column-panel layout of a rows x n operand: columns are cut into
  * panels of @p panel columns, and each panel is stored as its own
@@ -182,103 +174,195 @@ panelOffset(size_t rows, size_t n, size_t panel, size_t row, size_t col)
 }
 
 /**
- * Tile slots stagedPanels uses for an m x n x k product: one below
- * kParallelMinWork (without touching the pool), else
- * min(threadCount(), panelCount(n)). Callers size their staging tiles
- * to slots * m * kColBlock elements before the steady state.
+ * Kernel epilogue into row-major C (row stride ldc): with kAdd the
+ * kernel adds its products onto C (C += A * B), else it stores A * B.
+ * Kernel row i and column j are C's row i and column j.
  */
-inline size_t
-panelSlots(size_t m, size_t n, size_t k)
+template <typename T, bool kAdd>
+struct RowsOut
 {
-    if (m * n * k < kParallelMinWork)
-        return 1;
-    return std::min(threadCount(), panelCount(n));
-}
+    static constexpr bool kLoad = kAdd;
+    static constexpr bool kScatter = false;
+
+    T *c;
+    size_t ldc;
+
+    size_t row(size_t i) const { return i; }
+    T *at(size_t i, size_t j) const { return c + i * ldc + j; }
+};
 
 /**
- * The inter-stage panel driver shared by every dtype: for each
- * kColBlock-wide column panel [p0, p0 + w) of the m x n product
- * A * B, with B (k x n) in the panel layout @p bpanel (n for
- * row-major, or kColBlock), @p dense(bp, ldb, tile, w) runs the
- * dtype's dense kernel over all m rows, reading the panel's B columns
- * in place (bp, row stride ldb), into the slot's m x kColBlock staging
- * tile (row stride kColBlock). Then @p store(tile, p0, w) writes the
- * tile wherever the consumer reads it — for a TT stage, the next
- * stage's operand (tt/stage_program.hh), so no stage ever gathers its
- * operand.
+ * Kernel epilogue of a TT stage that stores its m x n product straight
+ * into the next stage's operand (tt/stage_program.hh builds it from a
+ * StageDescriptor). Output (p, q), with p = i * r + t and
+ * q = b * cols + j * seg + c, lands at row j * r + t, column
+ * b * dst_cols + c * m + i of the rows x n operand, stored in
+ * kColBlock column panels (panelOffset): the write-side address
+ * generator operandDest. Kernel column j is product column q0 + j.
  *
- * Panels run in parallel and are never split: S = min(@p slots,
- * panelSlots(m, n, k)) slots each own one tile and claim the next
- * unclaimed panel until none is left, so a slowed thread does not
- * hold back a fixed share. @p tiles holds @p slots >= 1 tiles. Each
- * output column is produced by exactly one dense call and stored once,
- * whichever slot runs it, so results are bit-identical to running the
- * dense kernel over the whole product, for every thread count.
+ * With @c groups set (m = 4), A is packed in interleave-group order
+ * (pack::packAGroups): packed row 4t + i is core row i * r + t, so a
+ * row panel's 4 accumulator rows share t, and a vector of w columns
+ * inside one segment of one sample lands as 4 * w contiguous elements
+ * of operand row j * r + t. take() finds those runs; every other block
+ * is spilled and stored element by element through at(). A kernel
+ * works on its own copy: take() keeps the position of its last run.
  */
-template <typename T, typename Dense, typename Store>
-void
-stagedPanels(size_t m, size_t n, size_t k, const T *b, size_t bpanel,
-             T *tiles, size_t slots, Dense &&dense, Store &&store)
+template <typename T>
+struct StageOut
 {
-    if (m == 0 || n == 0 || k == 0)
-        return;
-    const size_t panels = panelCount(n);
-    const size_t used = std::min(slots, panelSlots(m, n, k));
-    std::atomic<size_t> next{0};
-    auto run = [&](size_t s0, size_t s1) {
-        for (size_t s = s0; s < s1; ++s) {
-            T *tile = tiles + s * m * kColBlock;
-            for (;;) {
-                const size_t p =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (p >= panels)
-                    break;
-                const size_t p0 = p * kColBlock;
-                const size_t w = std::min(kColBlock, n - p0);
-                dense(b + panelOffset(k, n, bpanel, 0, p0),
-                      panelLd(n, bpanel, p0), tile, w);
-                store(static_cast<const T *>(tile), p0, w);
+    static constexpr bool kLoad = false;
+    static constexpr bool kScatter = true;
+
+    T *dst = nullptr;
+    size_t q0 = 0;
+    /** Stage 1 stores V_1 row-major with this row stride instead; the
+        kernels then run RowsOut at dst + q0. */
+    size_t ld = 0;
+    bool groups = false;
+    size_t r = 0, m = 0, seg = 0, cols = 0, dst_cols = 0;
+    size_t rows = 0, n = 0; ///< operand shape
+
+    /** Core row of packed row @p i. */
+    size_t
+    row(size_t i) const
+    {
+        return groups ? i % 4 * r + i / 4 : i;
+    }
+
+    /** Where output (row(i), q0 + j) lands. */
+    T *
+    at(size_t i, size_t j) const
+    {
+        const size_t p = row(i), q = q0 + j;
+        const size_t b = q / cols, qq = q - b * cols;
+        const size_t js = qq / seg, c = qq - js * seg;
+        return dst + panelOffset(rows, n, kColBlock, js * r + p % r,
+                                 b * dst_cols + c * m + p / r);
+    }
+
+    /**
+     * Where the 4 x w block of row panel i (a multiple of 4) at kernel
+     * column j goes as 4 * w contiguous elements, or null when it
+     * straddles a segment, sample or destination-panel edge or the rows
+     * are not grouped. Blocks that continue the last run only bump a
+     * pointer; the divisions run when a run ends or the kernel jumps.
+     */
+    T *
+    take(size_t i, size_t j, size_t w)
+    {
+        if (i != ti_ || j != next_ || w > room_) {
+            if (!groups)
+                return nullptr;
+            seek(i, j);
+            if (w > room_) {
+                next_ = ~size_t(0);
+                return nullptr;
             }
         }
-    };
-    if (used <= 1)
-        run(0, 1);
-    else
-        parallelFor(0, used, 1, run);
-}
+        T *d = d_;
+        d_ += 4 * w;
+        room_ -= w;
+        next_ = j + w;
+        return d;
+    }
+
+  private:
+    /** Points d_ at (i, j), with room_ columns left before a segment,
+        sample or destination-panel edge. */
+    void
+    seek(size_t i, size_t j)
+    {
+        const size_t q = q0 + j;
+        const size_t b = q / cols, qq = q - b * cols;
+        const size_t js = qq / seg, c = qq - js * seg;
+        const size_t dc = b * dst_cols + 4 * c;
+        const size_t p0 = dc / kColBlock * kColBlock;
+        d_ = dst + p0 * rows +
+             (js * r + i / 4) * std::min(kColBlock, n - p0) + (dc - p0);
+        room_ = std::min(seg - c, (p0 + kColBlock - dc) / 4);
+        ti_ = i;
+        next_ = j;
+    }
+
+    size_t ti_ = ~size_t(0), next_ = 0, room_ = 0;
+    T *d_ = nullptr;
+};
 
 /**
- * packedA * B (pa packed by pack::packA, B k x n in the panel layout
- * @p bpanel) through stagedPanels: each panel's tile is zeroed,
- * accumulated by the packed microkernel reading B in place, then
- * handed to @p store. @p tiles holds @p slots m x kColBlock tiles.
- * Bit-identical to gemmPackedBlocked into a zeroed C.
+ * The stage driver shared by every dtype: @p dense(bp, ldb, p0, w)
+ * runs the dtype's stage kernel on the kColBlock-wide column panel
+ * [p0, p0 + w) of an m x n x k product whose B (k x n) is in the panel
+ * layout @p bpanel (n for row-major, or kColBlock), reading the
+ * panel's B columns in place (bp, row stride ldb). The kernel stores
+ * its products where the consumer reads them (StageOut), so no stage
+ * gathers its operand and no product passes through a buffer.
+ *
+ * Panels run in parallel and are never split: below kParallelMinWork
+ * one slot runs them all without touching the pool, else
+ * min(threadCount(), panels) slots each claim the next
+ * unclaimed panel until none is left, so a slowed thread does not hold
+ * back a fixed share. Each panel writes its own output elements once,
+ * whichever slot runs it, so results are bit-identical for every
+ * thread count.
  */
-template <typename T, typename Store>
+template <typename T, typename Dense>
 void
-gemmPackedStaged(size_t m, size_t n, size_t k, const T *pa, const T *b,
-                 size_t bpanel, T *tiles, size_t slots, bool fast,
-                 Store &&store)
+stagePanels(size_t m, size_t n, size_t k, const T *b, size_t bpanel,
+            Dense &&dense)
 {
     if (m == 0 || n == 0 || k == 0)
         return;
+    const size_t panels = (n + kColBlock - 1) / kColBlock;
+    std::atomic<size_t> next{0};
+    auto run = [&](size_t, size_t) {
+        for (;;) {
+            const size_t p = next.fetch_add(1, std::memory_order_relaxed);
+            if (p >= panels)
+                break;
+            const size_t p0 = p * kColBlock;
+            dense(b + panelOffset(k, n, bpanel, 0, p0),
+                  panelLd(n, bpanel, p0), p0,
+                  std::min(kColBlock, n - p0));
+        }
+    };
+    if (m * n * k < kParallelMinWork || threadCount() == 1 || panels == 1)
+        run(0, 1);
+    else
+        parallelFor(0, std::min(threadCount(), panels), 1, run);
+}
+
+/**
+ * A float TT stage: packedA * B (pa packed by pack::packA, or by
+ * pack::packAGroups when @p out groups its rows; B k x n in the panel
+ * layout @p bpanel) through stagePanels, each panel's packed kernel
+ * storing from its registers through @p out. Bit-identical to
+ * gemmPackedBlocked into a zeroed C followed by the store.
+ */
+template <typename T>
+void
+gemmPackedStage(size_t m, size_t n, size_t k, const T *pa, const T *b,
+                size_t bpanel, bool fast, const StageOut<T> &out)
+{
+    if (m == 0 || n == 0 || k == 0)
+        return;
+    const simd::Isa isa = simd::activeIsa();
     if (obs::enabled()) {
         KernelStats &ks = KernelStats::get();
         ks.gemm_calls.add();
         ks.gemm_madds.add(m * n * k);
-        ks.simd_isa.set(static_cast<int64_t>(simd::activeIsa()));
+        ks.simd_isa.set(static_cast<int64_t>(isa));
     }
     obs::ScopedTimer timer(KernelStats::get().gemm_us);
-    obs::HostSpan span("gemm.packed_staged");
-    stagedPanels(m, n, k, b, bpanel, tiles, slots,
-                 [&](const T *bp, size_t ldb, T *tile, size_t w) {
-                     obs::HostSpan t("gemm.tile");
-                     for (size_t i = 0; i < m; ++i)
-                         std::fill_n(tile + i * kColBlock, w, T(0));
-                     gemmPackedTile(k, pa, bp, ldb, tile, kColBlock, fast,
-                                    0, m, 0, w);
-                 },
-                 store);
+    obs::HostSpan span("gemm.packed_stage");
+    stagePanels(m, n, k, b, bpanel,
+                [&](const T *bp, size_t ldb, size_t p0, size_t w) {
+                    obs::HostSpan t("gemm.tile");
+                    StageOut<T> o = out;
+                    o.q0 += p0;
+                    simd::stagePacked(isa, fast, k, pa, bp, ldb, o, 0, m,
+                                      0, w);
+                });
 }
 
 /** y = A * x with A (m x n) row-major, parallelised over rows. */

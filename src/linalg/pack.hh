@@ -15,10 +15,13 @@
  *
  * TT inference is the ideal packing client: each stage's weight core is
  * fixed per session, so InferSession packs every core once at warm-up
- * (tt/infer_session.hh) and the per-call cost is zero. The B operand
- * needs no packing: every stage stores its output straight into the
- * next stage's operand layout (gemm::stagedPanels,
- * tt/stage_program.hh), so the microkernel always reads a dense B in
+ * (tt/infer_session.hh) and the per-call cost is zero. A stage that
+ * stores through a 4-way interleave is packed in interleave-group
+ * order instead (packAGroups), so each row panel's accumulators are
+ * the four rows that land side by side in the next operand. The B
+ * operand needs no packing: every stage kernel stores its products
+ * from the registers straight into the next stage's operand layout
+ * (gemm::StageOut), so the microkernel always reads a dense B in
  * place — see docs/performance.md.
  *
  * matmul (linalg/matrix.hh) packs A into a per-call AlignedBuf, so
@@ -140,6 +143,28 @@ packA(size_t m, size_t k, const T *a, T *pa)
             const T *src = a + (p * kRowPanel + r) * k;
             for (size_t kk = 0; kk < k; ++kk)
                 dst[kk * kRowPanel + r] = src[kk];
+        }
+    }
+}
+
+/**
+ * packA of a 4r x k row-major @p a with its rows in interleave-group
+ * order: panel t holds rows {i * r + t : i < 4}, so packed row 4t + i
+ * is row i * r + t (gemm::StageOut::row). A stage whose 4 output rows
+ * i_h * r + t land side by side in the next operand is packed this
+ * way, so one row panel's accumulators leave the kernel as one 4-way
+ * interleave (packedAElems(4r, k) elements; no panel is partial).
+ */
+template <typename T>
+void
+packAGroups(size_t r, size_t k, const T *a, T *pa)
+{
+    for (size_t t = 0; t < r; ++t) {
+        T *dst = pa + t * kRowPanel * k;
+        for (size_t i = 0; i < kRowPanel; ++i) {
+            const T *src = a + (i * r + t) * k;
+            for (size_t kk = 0; kk < k; ++kk)
+                dst[kk * kRowPanel + i] = src[kk];
         }
     }
 }

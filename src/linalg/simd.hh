@@ -12,8 +12,8 @@
  * resolver, the support mask, the tests and the benches all walk it.
  *
  * Avx512 (AVX-512F + AVX-512BW) runs 512-bit twins of the packed
- * f32/f64 and fixed-point register tiles; their column remainders and
- * interleave4 run the AVX2 code under it.
+ * f32/f64 and fixed-point register tiles; their column remainders run
+ * the AVX2 code under it.
  *
  * Determinism contract (see docs/performance.md):
  *  - Every kernel vectorizes across *output columns* only: each output
@@ -36,6 +36,11 @@
 #include <cstddef>
 
 namespace tie {
+namespace gemm {
+template <typename T>
+struct StageOut;
+} // namespace gemm
+
 namespace simd {
 
 /**
@@ -159,20 +164,23 @@ void gemmPackedF64(Isa isa, bool fast, size_t k, const double *pa,
                    size_t i0, size_t i1, size_t j0, size_t j1);
 
 /**
- * 4-way interleave of four rows @p lds elements apart:
- *
- *   dst[4 * c + i] = src[i * lds + c]   for c < len, i < 4
- *
- * i.e. a 4 x len transpose written as 4 * len consecutive elements —
- * the inter-stage store of every TT stage with m_h = 4
- * (tt/stage_program.hh). One kernel per ISA for 2-, 4- and 8-byte
- * elements (AVX2 unpack + lane permutes, NEON vst4); columns
- * past the last full vector take the scalar loop. Pure data
- * movement: bit-identical on every ISA. Instantiated for int16_t,
- * float and double.
+ * The packed kernel of a TT stage: packedA * B over rows [i0, i1) and
+ * columns [j0, j1), accumulators starting from zero, stored from the
+ * registers through @p out (linalg/gemm.hh) instead of into C: stage
+ * 1's V_1 row-major, every other stage's product straight into the
+ * next stage's operand. When out.groups is set, pa holds interleave
+ * groups (pack::packAGroups) and each row panel's vector of 4 rows is
+ * interleaved in registers and stored as 4 * lanes contiguous
+ * elements (AVX-512 vpermt2, AVX2 unpacks and lane permutes, NEON
+ * vst4); a block that does not land contiguously is spilled to the
+ * stack and stored element by element. The k-loop is gemmPackedF32 /
+ * F64's, so every output element keeps its chain and bits; the store
+ * only moves them. Instantiated for float and double.
  */
 template <typename T>
-void interleave4(Isa isa, const T *src, size_t lds, size_t len, T *dst);
+void stagePacked(Isa isa, bool fast, size_t k, const T *pa, const T *b,
+                 size_t ldb, const gemm::StageOut<T> &out, size_t i0,
+                 size_t i1, size_t j0, size_t j1);
 
 } // namespace simd
 } // namespace tie

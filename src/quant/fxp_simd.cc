@@ -4,21 +4,8 @@
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "linalg/simd_ops.hh"
 #include "quant/fxp.hh"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define TIE_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define TIE_SIMD_X86 0
-#endif
-
-#if defined(__aarch64__)
-#define TIE_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define TIE_SIMD_NEON 0
-#endif
 
 namespace tie {
 
@@ -39,23 +26,26 @@ namespace {
 
 /**
  * Scalar reference chain — the loop fxpMatmulRaw ran before the SIMD
- * layer existed, with separate operand (@p ldx) and output (@p ldo)
- * row strides. Every vector kernel below must produce identical bits.
+ * layer existed, reading the operand at row stride @p ldx and storing
+ * through the epilogue (gemm::RowsOut or gemm::StageOut, whose row(i)
+ * also picks the weight row). Every vector kernel below must produce
+ * identical bits.
  */
+template <typename Out>
 void
-scalarBlock(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-            const int16_t *x, const MacFormat &fmt, int16_t *out,
-            size_t i0, size_t i1, size_t j0, size_t j1)
+scalarBlock(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
+            const MacFormat &fmt, const Out &out, size_t i0, size_t i1,
+            size_t j0, size_t j1)
 {
     for (size_t i = i0; i < i1; ++i) {
-        const int16_t *wrow = w + i * k;
+        const int16_t *wrow = w + out.row(i) * k;
         for (size_t j = j0; j < j1; ++j) {
             int64_t acc = 0;
             for (size_t kk = 0; kk < k; ++kk)
                 accumulate(acc,
                            macProduct(wrow[kk], x[kk * ldx + j], fmt),
                            fmt.acc_bits);
-            out[i * ldo + j] = requantizeAcc(acc, fmt);
+            *out.at(i, j) = requantizeAcc(acc, fmt);
         }
     }
 }
@@ -122,18 +112,19 @@ forRowTiles(size_t i0, size_t i1, Rows rows)
 constexpr size_t kPairChunk = 256;
 
 /**
- * The (w, pbias) int16 pairs of rows [i, i + R) for k steps
- * [k0, k0 + kc), as int32 words pairs[r * kPairChunk + kk]: madd_epi16
- * of one pair with an (x, 1) pair is w * x + pbias, exactly.
+ * The (w, pbias) int16 pairs of tile rows [i, i + R) (weight rows
+ * out.row(i + r)) for k steps [k0, k0 + kc), as int32 words
+ * pairs[r * kPairChunk + kk]: madd_epi16 of one pair with an (x, 1)
+ * pair is w * x + pbias, exactly.
  */
-template <size_t R>
+template <size_t R, typename Out>
 void
-buildPairs(size_t k, const int16_t *w, size_t i, size_t k0, size_t kc,
-           int32_t pbias, int32_t *pairs)
+buildPairs(size_t k, const int16_t *w, const Out &out, size_t i,
+           size_t k0, size_t kc, int32_t pbias, int32_t *pairs)
 {
     const uint32_t hi = static_cast<uint32_t>(pbias) << 16;
     for (size_t r = 0; r < R; ++r) {
-        const int16_t *wrow = w + (i + r) * k + k0;
+        const int16_t *wrow = w + out.row(i + r) * k + k0;
         for (size_t kk = 0; kk < kc; ++kk)
             pairs[r * kPairChunk + kk] = static_cast<int32_t>(
                 hi | static_cast<uint16_t>(wrow[kk]));
@@ -153,19 +144,19 @@ macAvx2(__m256i acc, __m256i prod_biased, __m256i pcnt, __m256i lo,
  * Rows [i, i + R) x columns [j0, j1) (j1 - j0 >= 16) in R x 16 tiles:
  * R rows x 2 vectors of 8 int32 accumulators. The last tile overlaps
  * its predecessor instead of leaving a column remainder; the
- * recomputed columns get the same bits.
+ * recomputed columns get the same bits. Each tile's R rows of 16
+ * int16 leave through simd::ops::storeRows into @p out.
  */
-template <size_t R>
+template <size_t R, typename Out>
 __attribute__((target("avx2"))) void
-rowsAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-         const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
-         size_t j0, size_t j1)
+rowsAvx2(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
+         const LaneParams &p, Out out, size_t i, size_t j0, size_t j1)
 {
     constexpr size_t W = 16;
     int32_t pairs[kTileRows * kPairChunk];
     const bool one_chunk = k <= kPairChunk;
     if (one_chunk)
-        buildPairs<R>(k, w, i, 0, k, p.pbias, pairs);
+        buildPairs<R>(k, w, out, i, 0, k, p.pbias, pairs);
     const __m256i one = _mm256_set1_epi16(1);
     const __m256i pcnt = _mm256_set1_epi32(p.pshift);
     const __m256i acc_hi = _mm256_set1_epi32(p.acc_hi);
@@ -182,7 +173,7 @@ rowsAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
         for (size_t k0 = 0; k0 < k; k0 += kPairChunk) {
             const size_t kc = std::min(kPairChunk, k - k0);
             if (!one_chunk)
-                buildPairs<R>(k, w, i, k0, kc, p.pbias, pairs);
+                buildPairs<R>(k, w, out, i, k0, kc, p.pbias, pairs);
             const int16_t *xk = x + k0 * ldx + j;
             for (size_t kk = 0; kk < kc; ++kk, xk += ldx) {
                 // (x, 1) pairs: columns 0-3 | 8-11 and 4-7 | 12-15.
@@ -202,6 +193,7 @@ rowsAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
                 }
             }
         }
+        __m256i v[R];
         for (size_t r = 0; r < R; ++r) {
             __m256i q[2];
             for (size_t h = 0; h < 2; ++h) {
@@ -213,10 +205,9 @@ rowsAvx2(size_t k, size_t ldx, size_t ldo, const int16_t *w,
             // Values already sit inside int16 range, so the saturating
             // pack is a pure narrowing, and its per-128-bit-lane
             // interleave puts the two halves back in column order.
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(out + (i + r) * ldo + j),
-                _mm256_packs_epi32(q[0], q[1]));
+            v[r] = _mm256_packs_epi32(q[0], q[1]);
         }
+        simd::ops::storeRowsAvx2<int16_t>(out, i, j, v);
         if (j + W == j1)
             return;
     }
@@ -247,17 +238,16 @@ macAvx512(__m512i acc, __m512i prod_biased, __m512i pcnt, __m512i lo,
  * (j1 - j0 >= 32). The unpacks and the pack work per 128-bit lane
  * exactly as on AVX2, so the halves again land in column order.
  */
-template <size_t R>
+template <size_t R, typename Out>
 __attribute__((target("avx512f,avx512bw"))) void
-rowsAvx512(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-           const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
-           size_t j0, size_t j1)
+rowsAvx512(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
+           const LaneParams &p, Out out, size_t i, size_t j0, size_t j1)
 {
     constexpr size_t W = 32;
     int32_t pairs[kTileRows * kPairChunk];
     const bool one_chunk = k <= kPairChunk;
     if (one_chunk)
-        buildPairs<R>(k, w, i, 0, k, p.pbias, pairs);
+        buildPairs<R>(k, w, out, i, 0, k, p.pbias, pairs);
     const __m512i one = _mm512_set1_epi16(1);
     const __m512i pcnt = _mm512_set1_epi32(p.pshift);
     const __m512i acc_hi = _mm512_set1_epi32(p.acc_hi);
@@ -274,7 +264,7 @@ rowsAvx512(size_t k, size_t ldx, size_t ldo, const int16_t *w,
         for (size_t k0 = 0; k0 < k; k0 += kPairChunk) {
             const size_t kc = std::min(kPairChunk, k - k0);
             if (!one_chunk)
-                buildPairs<R>(k, w, i, k0, kc, p.pbias, pairs);
+                buildPairs<R>(k, w, out, i, k0, kc, p.pbias, pairs);
             const int16_t *xk = x + k0 * ldx + j;
             for (size_t kk = 0; kk < kc; ++kk, xk += ldx) {
                 const __m512i xv = _mm512_loadu_si512(xk);
@@ -292,6 +282,7 @@ rowsAvx512(size_t k, size_t ldx, size_t ldo, const int16_t *w,
                 }
             }
         }
+        __m512i v[R];
         for (size_t r = 0; r < R; ++r) {
             __m512i q[2];
             for (size_t h = 0; h < 2; ++h) {
@@ -300,9 +291,9 @@ rowsAvx512(size_t k, size_t ldx, size_t ldo, const int16_t *w,
                 q[h] = _mm512_min_epi32(_mm512_max_epi32(q[h], out_lo),
                                         out_hi);
             }
-            _mm512_storeu_si512(out + (i + r) * ldo + j,
-                                _mm512_packs_epi32(q[0], q[1]));
+            v[r] = _mm512_packs_epi32(q[0], q[1]);
         }
+        simd::ops::storeRowsAvx512<int16_t>(out, i, j, v);
         if (j + W == j1)
             return;
     }
@@ -329,11 +320,10 @@ macNeon(int32x4_t acc, int32x4_t prod_biased, int32x4_t pcnt,
  * rowsAvx2 with R x 8 tiles: R rows x 2 vectors of 4 int32 lanes.
  * vmlal_n_s16 widens pbias + w * x exactly, so no pair table.
  */
-template <size_t R>
+template <size_t R, typename Out>
 void
-rowsNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
-         const int16_t *x, const LaneParams &p, int16_t *out, size_t i,
-         size_t j0, size_t j1)
+rowsNeon(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
+         const LaneParams &p, Out out, size_t i, size_t j0, size_t j1)
 {
     constexpr size_t W = 8;
     const int32x4_t pbias = vdupq_n_s32(p.pbias);
@@ -344,7 +334,9 @@ rowsNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
     const int32x4_t rcnt = vdupq_n_s32(-p.rshift);
     const int32x4_t out_hi = vdupq_n_s32(p.out_hi);
     const int32x4_t out_lo = vdupq_n_s32(p.out_lo);
-    const int16_t *wrow = w + i * k;
+    const int16_t *wrow[R];
+    for (size_t r = 0; r < R; ++r)
+        wrow[r] = w + out.row(i + r) * k;
     for (size_t j = j0;; j += W) {
         j = j + W <= j1 ? j : j1 - W;
         int32x4_t acc[R][2];
@@ -356,22 +348,23 @@ rowsNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
             const int16x4_t xlo = vget_low_s16(xv);
             const int16x4_t xhi = vget_high_s16(xv);
             for (size_t r = 0; r < R; ++r) {
-                const int16_t wv = wrow[r * k + kk];
+                const int16_t wv = wrow[r][kk];
                 acc[r][0] = macNeon(acc[r][0], vmlal_n_s16(pbias, xlo, wv),
                                     pcnt, acc_lo, acc_hi);
                 acc[r][1] = macNeon(acc[r][1], vmlal_n_s16(pbias, xhi, wv),
                                     pcnt, acc_lo, acc_hi);
             }
         }
+        int16x8_t v[R];
         for (size_t r = 0; r < R; ++r) {
             int32x4_t q[2];
             for (size_t h = 0; h < 2; ++h) {
                 q[h] = vshlq_s32(vaddq_s32(acc[r][h], rbias), rcnt);
                 q[h] = vminq_s32(vmaxq_s32(q[h], out_lo), out_hi);
             }
-            vst1q_s16(out + (i + r) * ldo + j,
-                      vcombine_s16(vqmovn_s32(q[0]), vqmovn_s32(q[1])));
+            v[r] = vcombine_s16(vqmovn_s32(q[0]), vqmovn_s32(q[1]));
         }
+        simd::ops::storeRowsNeon<int16_t>(out, i, j, v);
         if (j + W == j1)
             return;
     }
@@ -379,12 +372,12 @@ rowsNeon(size_t k, size_t ldx, size_t ldo, const int16_t *w,
 
 #endif // TIE_SIMD_NEON
 
-} // namespace
-
+/** fxpBlock / fxpStage for one epilogue type. */
+template <typename Out>
 void
-fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
-         const int16_t *w, const int16_t *x, const MacFormat &fmt,
-         int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
+fxpKernel(simd::Isa isa, size_t k, size_t ldx, const int16_t *w,
+          const int16_t *x, const MacFormat &fmt, Out out, size_t i0,
+          size_t i1, size_t j0, size_t j1)
 {
     // A window narrower than one tile (two vectors of int32 lanes) has
     // no full tile to run: under AVX-512 it takes the AVX2 tile, and
@@ -393,7 +386,7 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
         isa = simd::Isa::Avx2;
     if (isa == simd::Isa::Scalar || !fxpSimdEligible(fmt) ||
         j1 - j0 < 2 * simd::fxpLanes(isa)) {
-        scalarBlock(k, ldx, ldo, w, x, fmt, out, i0, i1, j0, j1);
+        scalarBlock(k, ldx, w, x, fmt, out, i0, i1, j0, j1);
         return;
     }
     const LaneParams p = laneParams(fmt);
@@ -401,22 +394,22 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
 #if TIE_SIMD_X86
       case simd::Isa::Avx512:
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsAvx512<decltype(rows)::value>(k, ldx, ldo, w, x, p, out,
-                                              i, j0, j1);
+            rowsAvx512<decltype(rows)::value>(k, ldx, w, x, p, out, i, j0,
+                                              j1);
         });
         return;
       case simd::Isa::Avx2:
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsAvx2<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
-                                            j0, j1);
+            rowsAvx2<decltype(rows)::value>(k, ldx, w, x, p, out, i, j0,
+                                            j1);
         });
         return;
 #endif
 #if TIE_SIMD_NEON
       case simd::Isa::Neon:
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsNeon<decltype(rows)::value>(k, ldx, ldo, w, x, p, out, i,
-                                            j0, j1);
+            rowsNeon<decltype(rows)::value>(k, ldx, w, x, p, out, i, j0,
+                                            j1);
         });
         return;
 #endif
@@ -425,6 +418,31 @@ fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
     }
     TIE_PANIC("fxpBlock dispatched to ", simd::isaName(isa),
               ", which this build cannot execute");
+}
+
+} // namespace
+
+void
+fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
+         const int16_t *w, const int16_t *x, const MacFormat &fmt,
+         int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1)
+{
+    fxpKernel(isa, k, ldx, w, x, fmt, gemm::RowsOut<int16_t, false>{out, ldo},
+              i0, i1, j0, j1);
+}
+
+void
+fxpStage(simd::Isa isa, size_t k, size_t ldx, const int16_t *w,
+         const int16_t *x, const MacFormat &fmt,
+         const gemm::StageOut<int16_t> &out, size_t i0, size_t i1,
+         size_t j0, size_t j1)
+{
+    if (out.ld != 0)
+        fxpKernel(isa, k, ldx, w, x, fmt,
+                  gemm::RowsOut<int16_t, false>{out.dst + out.q0, out.ld},
+                  i0, i1, j0, j1);
+    else
+        fxpKernel(isa, k, ldx, w, x, fmt, out, i0, i1, j0, j1);
 }
 
 } // namespace tie

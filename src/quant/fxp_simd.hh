@@ -51,6 +51,11 @@ namespace tie {
 
 struct MacFormat;
 
+namespace gemm {
+template <typename T>
+struct StageOut;
+} // namespace gemm
+
 /**
  * True when @p fmt's MAC chain is exact in the vector kernels: a
  * product shift of at most 15 (its rounding bias is an int16 operand
@@ -63,15 +68,29 @@ bool fxpSimdEligible(const MacFormat &fmt);
 /**
  * out[i0:i1, j0:j1) of the fixed-point GEMM out = w (m x k) * x, all
  * row-major int16 raw values: x has row stride @p ldx and out row
- * stride @p ldo, so the kernel reads one column panel of the operand in
- * place and writes a staging tile (ldo = gemm::kColBlock) — the block
- * kernel behind fxpMatmulRaw (ldx = ldo = n) and the fixed-point
- * session stages. Isa::Scalar (or an ineligible @p fmt) runs the
- * reference chain; every other ISA is bit-identical to it.
+ * stride @p ldo, so the kernel reads one column panel of the operand
+ * in place — the block kernel behind fxpMatmulRaw (ldx = ldo = n).
+ * Isa::Scalar (or an ineligible @p fmt) runs the reference chain;
+ * every other ISA is bit-identical to it.
  */
 void fxpBlock(simd::Isa isa, size_t k, size_t ldx, size_t ldo,
               const int16_t *w, const int16_t *x, const MacFormat &fmt,
               int16_t *out, size_t i0, size_t i1, size_t j0, size_t j1);
+
+/**
+ * fxpBlock of a fixed-point TT stage, storing each requantized tile
+ * from the registers through @p out (linalg/gemm.hh) instead of into a
+ * row-major block: V_1 row-major, every other product straight into
+ * the next stage's operand. When out.groups is set, tile t's 4 rows
+ * are the weight rows {i * r + t} — read from the unpacked w at base
+ * t * k and row stride r * k, so nothing is repacked — and their
+ * vectors leave as one 4-way interleave. Same chain and bits as
+ * fxpBlock.
+ */
+void fxpStage(simd::Isa isa, size_t k, size_t ldx, const int16_t *w,
+              const int16_t *x, const MacFormat &fmt,
+              const gemm::StageOut<int16_t> &out, size_t i0, size_t i1,
+              size_t j0, size_t j1);
 
 } // namespace tie
 

@@ -81,7 +81,7 @@ Server::Server(std::vector<TtLayerViewD> model, ServerOptions opts)
         wk->index = w;
 
         // Warm the whole chain at max_batch: the session arenas and
-        // staging tiles are grow-only and sized by the batch tile,
+        // group blocks are grow-only and sized by the batch tile,
         // which only shrinks with the batch, so every batch size
         // 1..max_batch is allocation-free from here on.
         double *cur = wk->buf_a.data();

@@ -60,31 +60,6 @@ tileSamples(const TtLayerConfig &cfg, size_t batch, size_t elem_bytes)
 }
 
 /**
- * Grow @p tiles to one m x kColBlock staging tile per slot for the
- * tallest stage at @p batch samples (one batch tile) on the current
- * pool, and return the slot count. Runs before the stage loop, so a
- * tile change or a pool resize allocates once and the steady state
- * never.
- */
-template <typename T>
-size_t
-ensureStagingTiles(const TtLayerConfig &cfg, size_t batch,
-                   pack::AlignedBuf<T> &tiles)
-{
-    size_t max_m = 0, slots = 1;
-    for (size_t h = 1; h <= cfg.d(); ++h) {
-        const size_t m = cfg.coreRows(h);
-        max_m = std::max(max_m, m);
-        slots = std::max(slots,
-                         gemm::panelSlots(m, cfg.stageCols(h) * batch,
-                                          cfg.coreCols(h)));
-    }
-    tiles.resize(std::max(tiles.size(),
-                          slots * max_m * gemm::kColBlock));
-    return slots;
-}
-
-/**
  * Column-panel layout (gemm::panelOffset) of stage h's operand, ncols
  * columns wide: stage d reads the reshaped input row-major; every
  * other operand is stored in kColBlock panels by the stage before, so
@@ -96,16 +71,6 @@ size_t
 operandPanel(size_t h, size_t d, size_t ncols)
 {
     return h == d ? ncols : gemm::kColBlock;
-}
-
-/** stagedPanels store: the tile goes where stage @p d's consumer reads. */
-template <typename T>
-auto
-storeFor(simd::Isa isa, const StageDescriptor &d, size_t batch, T *out)
-{
-    return [&d, batch, out, isa](const T *tile, size_t p0, size_t w) {
-        storeStageTile(isa, d, tile, p0, w, batch, out);
-    };
 }
 
 template <typename T>
@@ -259,15 +224,21 @@ InferSessionT<T>::rebind(TtLayerView<T> layer)
     }
     cores_ = std::move(layer.cores);
     if constexpr (!kFxp) {
-        // Pack every stage core into microkernel panels; the buffers
-        // only grow and core shapes are fixed by the config.
+        // Pack every stage core into microkernel panels, in interleave
+        // groups where the stage stores through one; the buffers only
+        // grow and core shapes are fixed by the config.
         packed_.resize(cores_.size());
         size_t panels = 0, bytes = 0;
         for (size_t i = 0; i < cores_.size(); ++i) {
             const CoreView<T> &g = cores_[i];
             const size_t elems = pack::packedAElems(g.rows, g.cols);
             packed_[i].resize(elems);
-            pack::packA(g.rows, g.cols, g.data, packed_[i].data());
+            const StageDescriptor &sd = plan_.stage(i + 1);
+            if (storesGroups(sd))
+                pack::packAGroups(sd.r_out, g.cols, g.data,
+                                  packed_[i].data());
+            else
+                pack::packA(g.rows, g.cols, g.data, packed_[i].data());
             panels += (g.rows + pack::kRowPanel - 1) / pack::kRowPanel;
             bytes += elems * sizeof(T);
         }
@@ -313,7 +284,6 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
     const size_t tile =
         capture ? batch : tileSamples(cfg, batch, sizeof(T));
     ensureTile(tile);
-    const size_t slots = ensureStagingTiles(cfg, tile, tiles_);
     const simd::Isa isa = simd::activeIsa();
     if (obs::enabled()) {
         SessionStats::get().runs.add();
@@ -393,20 +363,22 @@ InferSessionT<T>::runRaw(const T *x, size_t batch, T *ydirect,
                 T *out = h > 1                ? ((d - h) % 2 ? half1 : half0)
                          : ydirect != nullptr ? ydirect
                                               : out_.data() + nout * t0;
-                const auto store = storeFor(isa, plan_.stage(h), tb, out);
+                const gemm::StageOut<T> so =
+                    stageOut(plan_.stage(h), tb, out);
                 if constexpr (kFxp) {
                     const MacFormat &fmt = fmt_[h - 1];
-                    gemm::stagedPanels(
-                        m, ncols, k, op, bpanel, tiles_.data(), slots,
-                        [&](const T *bp, size_t ldb, T *dst, size_t w) {
-                            fxpBlock(isa, k, ldb, gemm::kColBlock, g.data,
-                                     bp, fmt, dst, 0, m, 0, w);
-                        },
-                        store);
+                    gemm::stagePanels(
+                        m, ncols, k, op, bpanel,
+                        [&](const T *bp, size_t ldb, size_t p0, size_t w) {
+                            gemm::StageOut<T> o = so;
+                            o.q0 += p0;
+                            fxpStage(isa, k, ldb, g.data, bp, fmt, o, 0, m,
+                                     0, w);
+                        });
                 } else {
-                    gemm::gemmPackedStaged(
-                        m, ncols, k, packed_[h - 1].data(), op, bpanel,
-                        tiles_.data(), slots, fast_, store);
+                    gemm::gemmPackedStage(m, ncols, k,
+                                          packed_[h - 1].data(), op,
+                                          bpanel, fast_, so);
                 }
 
                 const size_t sm = m * k * ncols;

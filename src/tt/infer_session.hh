@@ -25,7 +25,7 @@
  * which columns each dense call covers, so every output keeps its
  * k-order and its bits. After the first run at a given tile size,
  * steady-state calls of every dtype perform **zero heap allocations**:
- * the arena, the staging tiles and the caller's output storage are all
+ * the arena, the group blocks and the caller's output storage are
  * reused. Sessions are view-only, like TIE's weight SRAM, which is
  * loaded once and then only read: a run reads the bound views' bytes
  * and never re-reads a weight pointer or repacks. An owner that
@@ -34,22 +34,27 @@
  *
  * The inter-stage Transform costs no pass of its own, as in TIE's
  * working-SRAM write scheme (Algorithm 2): every stage runs its dense
- * kernel — the packed microkernel for float, fxpBlock for int16 — one
- * kColBlock-wide column panel at a time into a small staging tile
- * (gemm::stagedPanels), then stores the tile through the stage
- * descriptor straight into the layout the next stage reads
- * (storeStageTile: a 4-way interleave per ISA when m_h = 4). That
- * layout keeps each kColBlock-wide column panel of the operand as one
- * contiguous block, so every stage reads a dense panel in place, and
- * no session holds a per-element table. Stage d reads the tile's
- * reshaped input; stage 1 stores V_1 as is, which is then flattened
- * into the tile's output columns. Capture runs take the whole batch as
- * one tile and copy the materialized operands out row-major. One path
- * for every dtype; the kernels keep their per-element k-loop order and
- * the stores only move bits, so results are bit-identical to
- * compactInfer / compactInferFxp for every shape, batch, thread count
- * and dispatch ISA (TIE_SIMD) — tests assert exact equality. The
- * active path is reported by the simd.isa gauge.
+ * kernel — the packed microkernel for float, fxpStage for int16 — one
+ * kColBlock-wide column panel at a time (gemm::stagePanels), and the
+ * kernel's epilogue stores each accumulator block from the registers
+ * through the stage descriptor (stageOut, gemm::StageOut) straight
+ * into the layout the next stage reads: no staging tile, no zero fill
+ * and no copy pass. Where a stage's 4 output rows {i_h * r + t} land
+ * side by side (m_h = 4), its core is packed in interleave-group order
+ * (int16 reads the view at that row stride), so a row panel's vector
+ * leaves as one 4-way interleave; other blocks are spilled and stored
+ * element by element. That layout keeps each kColBlock-wide column
+ * panel of the operand as one contiguous block, so every stage reads
+ * a dense panel in place, and no session holds a per-element table.
+ * Stage d reads the tile's reshaped input; stage 1 stores V_1 as is,
+ * which is then flattened into the tile's output columns. Capture
+ * runs take the whole batch as one tile and copy the materialized
+ * operands out row-major. One path for every dtype; the kernels keep
+ * their per-element k-loop order and the stores only move bits, so
+ * results are bit-identical to compactInfer / compactInferFxp for
+ * every shape, batch, thread count and dispatch ISA (TIE_SIMD) —
+ * tests assert exact equality. The active path is reported by the
+ * simd.isa gauge.
  *
  * compactInfer, compactInferVec and compactInferFxp (tt_infer.hh) are
  * thin wrappers over a transient session; long-lived callers
@@ -150,7 +155,7 @@ std::string checkCoreViews(const TtLayerConfig &cfg,
  * Inference session over unfolded stage cores (index h-1, shapes
  * coreRows(h) x coreCols(h)) for T = double, float or int16_t. Float
  * stages run the packed microkernel; int16 stages run the 16-bit MAC
- * datapath (fxpBlock) under the view's per-stage MacFormats, whose
+ * datapath (fxpStage) under the view's per-stage MacFormats, whose
  * chain (each stage's act_out feeds the next stage's act_in) rebind
  * validates.
  */
@@ -229,14 +234,15 @@ class InferSessionT
 
     /**
      * Bytes held outside the arena for operands: every float stage
-     * core packed at warm-up, the per-slot staging tiles, and the tile
-     * group's reshaped input and V_1 blocks. Separate from
+     * core packed at rebind (none for int16, whose kernels read the
+     * views), and the tile group's reshaped input and V_1 blocks,
+     * which only runs of more than one sample allocate. Separate from
      * arenaBytes(), which models the paper's dual working SRAMs.
      */
     size_t
     packedBytes() const
     {
-        size_t b = (tiles_.size() + in_.size() + out_.size()) * sizeof(T);
+        size_t b = (in_.size() + out_.size()) * sizeof(T);
         for (const pack::AlignedBuf<T> &p : packed_)
             b += p.size() * sizeof(T);
         return b;
@@ -258,15 +264,12 @@ class InferSessionT
 
     /**
      * Per-stage float weight cores packed into microkernel panels
-     * (linalg/pack.hh), index h-1 — filled by rebind only. The
-     * buffers are grow-only, so a rebind of same-shaped cores never
-     * allocates them. Empty for int16: fxpBlock reads the unpacked
-     * cores.
+     * (linalg/pack.hh), in interleave groups where the stage stores
+     * through one, index h-1 — filled by rebind only. The buffers are
+     * grow-only, so a rebind of same-shaped cores never allocates
+     * them. Empty for int16: fxpStage reads the unpacked cores.
      */
     std::vector<pack::AlignedBuf<T>> packed_;
-    /** Staging tiles, one m x kColBlock tile per slot
-        (gemm::stagedPanels). */
-    pack::AlignedBuf<T> tiles_;
 
     size_t tile_ = 0;           ///< samples per batch tile (0: none yet)
     size_t half_ = 0;           ///< elements per ping-pong half

@@ -13,20 +13,19 @@
  * generator and operandDest() the write-side one — pure integer
  * functions the hardware implements with dividers by constant/modulo
  * counters. Tests prove both equal to the TransformSpec permutation
- * table (tt/tt_transform.hh) for every configuration.
+ * table (tt/tt_transform.hh) for every configuration. stageOut() hands
+ * the write side to the host stage kernels (gemm::StageOut), which
+ * store their products from the registers where operandDest() says.
  */
 
 #ifndef TIE_TT_STAGE_PROGRAM_HH
 #define TIE_TT_STAGE_PROGRAM_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "linalg/gemm.hh"
-#include "linalg/simd.hh"
 #include "tt/tt_shape.hh"
 
 namespace tie {
@@ -101,69 +100,43 @@ std::pair<size_t, size_t> operandDest(const StageDescriptor &d, size_t p,
                                       size_t q);
 
 /**
- * Store an m x w staging tile of gemm::stagedPanels — output columns
- * [p0, p0 + w) of stage @p d, row stride gemm::kColBlock — where the
- * next stage reads it: element (p, q) of the tile lands at
- * operandDest(d, p, p0 + q) of @p dst, the next stage's operand of
- * dst_cols * batch columns, stored in kColBlock-wide column panels
- * (gemm::panelOffset). The identity store of stage 1 writes V_1
- * row-major instead (cols * batch columns).
- *
- * The tile is walked in runs that stay inside one j_{h-1} segment of
- * one sample. Within a run, the rows {i_h * r_out + t} for a fixed t
- * become m_out * len consecutive operand columns: for m_out = 4 that
- * is one 4-way interleave per destination panel (simd::interleave4,
- * vectorized per @p isa), otherwise a scalar store per element. Pure
- * data movement, so the operand is the same bits on every ISA.
+ * True when stage @p d stores through a 4-way interleave: its output
+ * rows {i_h * r_out + t : i_h < 4} land side by side in the next
+ * operand, so its core is packed in interleave groups
+ * (pack::packAGroups) and each kernel row panel stores one group.
+ */
+inline bool
+storesGroups(const StageDescriptor &d)
+{
+    return !d.store_identity && d.m_out == 4;
+}
+
+/**
+ * The kernel epilogue of stage @p d over @p batch samples: the identity
+ * store of stage 1 writes V_1 row-major into @p dst (cols * batch
+ * columns); every other stage stores output (p, q) at operandDest(d,
+ * p, q) of the next stage's operand @p dst, dst_cols * batch columns
+ * in kColBlock-wide column panels (gemm::StageOut).
  */
 template <typename T>
-void
-storeStageTile(simd::Isa isa, const StageDescriptor &d, const T *tile,
-               size_t p0, size_t w, size_t batch, T *dst)
+gemm::StageOut<T>
+stageOut(const StageDescriptor &d, size_t batch, T *dst)
 {
-    constexpr size_t ldt = gemm::kColBlock, panel = gemm::kColBlock;
+    gemm::StageOut<T> o;
+    o.dst = dst;
     if (d.store_identity) {
-        const size_t ld = size_t(d.cols) * batch;
-        for (size_t p = 0; p < d.rows; ++p)
-            std::memcpy(dst + p * ld + p0, tile + p * ldt, w * sizeof(T));
-        return;
+        o.ld = size_t(d.cols) * batch;
+        return o;
     }
-    const size_t r = d.r_out, m = d.m_out;
-    const size_t n = size_t(d.dst_cols) * batch;
-    const size_t rows = size_t(d.cols / d.seg) * r; // n_{h-1} * r_out
-    for (size_t q = 0; q < w;) {
-        const size_t col = p0 + q;
-        const size_t b = col / d.cols;
-        const size_t qq = col - b * d.cols;
-        const size_t j = qq / d.seg;
-        const size_t c = qq - j * d.seg;
-        const size_t len = std::min(w - q, d.seg - c);
-        const size_t dcol = b * d.dst_cols + c * m;
-        for (size_t t = 0; t < r; ++t) {
-            const T *src = tile + t * ldt + q;
-            const size_t drow = j * r + t;
-            if (m == 4) {
-                // The run's 4 * len columns may span panels.
-                for (size_t cc = 0; cc < len;) {
-                    const size_t dc = dcol + 4 * cc;
-                    const size_t l = std::min(
-                        len - cc,
-                        (gemm::panelLd(n, panel, dc) - dc % panel) / 4);
-                    simd::interleave4(
-                        isa, src + cc, r * ldt, l,
-                        dst + gemm::panelOffset(rows, n, panel, drow, dc));
-                    cc += l;
-                }
-            } else {
-                for (size_t i = 0; i < m; ++i)
-                    for (size_t cc = 0; cc < len; ++cc)
-                        dst[gemm::panelOffset(rows, n, panel, drow,
-                                              dcol + cc * m + i)] =
-                            src[i * r * ldt + cc];
-            }
-        }
-        q += len;
-    }
+    o.groups = storesGroups(d);
+    o.r = d.r_out;
+    o.m = d.m_out;
+    o.seg = d.seg;
+    o.cols = d.cols;
+    o.dst_cols = d.dst_cols;
+    o.rows = size_t(d.cols / d.seg) * d.r_out; // n_{h-1} * r_out
+    o.n = size_t(d.dst_cols) * batch;
+    return o;
 }
 
 } // namespace tie

@@ -86,7 +86,7 @@ operator delete[](void *p, std::size_t) noexcept
     std::free(p);
 }
 
-// Aligned allocations: the session arena, staging tiles and packed
+// Aligned allocations: the session arena, group blocks and packed
 // cores (pack::AlignedBuf).
 void *
 operator new(std::size_t sz, std::align_val_t al)
@@ -265,7 +265,12 @@ struct StoreCase
  * width. uniform(4, 4, 4, 4) has segments of 16 everywhere, so every
  * tile of every dtype runs the interleave; `edges` (m_h = 4, segments
  * 24 / 8 / 16) has tiles straddling segment edges, whose runs split
- * and end in scalar tails; VGG-FC7 is the benchmark shape.
+ * and end in scalar tails; VGG-FC7 is the benchmark shape. `odd`
+ * stores with m_h = 3 and 5, and `r1` with m_h = 2, so both take the
+ * fallback epilogue; `r1` and `groups` also store with r_out = 1 and
+ * rank 5, and `groups` interleaves at r_out = 1 into segments of 16.
+ * Their n factors 3, 5 and 7 make vectors straddle segment and sample
+ * edges.
  */
 std::vector<StoreCase>
 storeCases()
@@ -274,9 +279,22 @@ storeCases()
     edges.m = {4, 4, 4, 4};
     edges.n = {2, 12, 3, 2};
     edges.r = {1, 3, 2, 5, 1};
+    TtLayerConfig odd;
+    odd.m = {2, 3, 5};
+    odd.n = {3, 5, 7};
+    odd.r = {1, 5, 2, 1};
+    TtLayerConfig r1;
+    r1.m = {4, 2, 4, 4};
+    r1.n = {3, 5, 7, 2};
+    r1.r = {1, 1, 5, 3, 1};
+    TtLayerConfig groups = r1;
+    groups.m = {4, 4, 4, 4};
     return {{TtLayerConfig::uniform(4, 4, 4, 4), {1, 7, 37}},
             {edges, {1, 7, 37}},
-            {workloads::vggFc7(), {3}}};
+            {workloads::vggFc7(), {3}},
+            {odd, {1, 2, 7, 37}},
+            {r1, {1, 2, 7, 37}},
+            {groups, {1, 2, 7, 37}}};
 }
 
 TEST(InferSession, StoreConfigsBitIdenticalForEveryDtype)
@@ -447,10 +465,10 @@ TEST(InferSession, BatchTilesBitIdenticalToBatchOne)
 
 TEST(InferSession, HoldsNoPerElementTables)
 {
-    // Building and warming a session needs its arena, packed cores,
-    // staging tiles and group blocks, plus a few small vectors. A per-element offset
-    // table (one size_t per transformed element, 1.6 MiB on FC6) would
-    // blow the 64 KiB slack.
+    // Building and warming a session needs its arena, packed cores and
+    // group blocks, plus a few small vectors. A per-element offset table
+    // (one size_t per transformed element, 1.6 MiB on FC6) or a staging
+    // buffer would blow the 64 KiB slack.
     ThreadCountGuard guard;
     setThreadCount(1);
     Rng rng(47);
@@ -469,8 +487,44 @@ TEST(InferSession, HoldsNoPerElementTables)
     const uint64_t budget =
         session.arenaBytes() + session.packedBytes() + (64u << 10);
     EXPECT_LE(g_alloc_bytes.load(), budget)
-        << "arena " << session.arenaBytes() << " packed + tiles "
+        << "arena " << session.arenaBytes() << " packed + groups "
         << session.packedBytes();
+}
+
+TEST(InferSession, PackedBytesCountPackedCoresOnly)
+{
+    // Batch-1 runs allocate no group block, so what a session holds
+    // outside its arena is its packed cores: packedAElems per float
+    // stage and nothing for int16, which reads the core views. A
+    // staging buffer that came back would show here.
+    ThreadCountGuard guard;
+    Rng rng(61);
+    for (const TtLayerConfig &cfg :
+         {workloads::vggFc7(), testConfigs()[2], testConfigs()[3]}) {
+        TtMatrix tt = TtMatrix::random(cfg, rng);
+        const std::vector<MatrixF> fcores = floatCores(tt);
+        TtMatrixFxp fxp = TtMatrixFxp::quantizeAuto(tt, FxpFormat{16, 8});
+        InferSessionD s64 = makeSession(tt);
+        InferSessionF s32(layerView(cfg, fcores));
+        InferSessionFxp s16(layerView(fxp));
+        size_t elems = 0;
+        for (size_t h = 1; h <= cfg.d(); ++h)
+            elems += pack::packedAElems(cfg.coreRows(h), cfg.coreCols(h));
+        for (size_t threads : {size_t(1), size_t(4)}) {
+            setThreadCount(threads);
+            std::vector<double> yd;
+            std::vector<float> yf;
+            std::vector<int16_t> yq;
+            s64.runVec(std::vector<double>(cfg.inSize(), 0.5), yd);
+            s32.runVec(std::vector<float>(cfg.inSize(), 0.5f), yf);
+            s16.runVec(std::vector<int16_t>(cfg.inSize(), 64), yq);
+            EXPECT_EQ(s64.packedBytes(), elems * sizeof(double))
+                << cfg.toString();
+            EXPECT_EQ(s32.packedBytes(), elems * sizeof(float))
+                << cfg.toString();
+            EXPECT_EQ(s16.packedBytes(), 0u) << cfg.toString();
+        }
+    }
 }
 
 TEST(InferSession, BitIdenticalToReferenceAcrossShapesBatchesThreads)
@@ -1006,6 +1060,48 @@ TEST(FastMode, F32SessionFastStaysWithinAccuracyContract)
             }
         }
     }
+}
+
+TEST(InferSession, FloatStagesKeepKernelObservability)
+{
+    // Each float stage is one kernel call for the gemm.* stats and the
+    // simd.isa gauge, and observability changes no output bit.
+    ThreadCountGuard guard;
+    setThreadCount(1);
+    Rng rng(67);
+    const TtLayerConfig cfg = testConfigs()[3];
+    TtMatrix tt = TtMatrix::random(cfg, rng);
+    const std::vector<MatrixF> fcores = floatCores(tt);
+    InferSessionD s64 = makeSession(tt);
+    InferSessionF s32(layerView(cfg, fcores));
+    const size_t batch = 7;
+    MatrixD xd(cfg.inSize(), batch), yd_off, yd_on;
+    MatrixF xf(cfg.inSize(), batch), yf_off, yf_on;
+    xd.setUniform(rng);
+    xf.setUniform(rng);
+    s64.runInto(xd, yd_off);
+    s32.runInto(xf, yf_off);
+
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
+    reg.resetAll();
+    s64.runInto(xd, yd_on);
+    s32.runInto(xf, yf_on);
+    obs::setEnabled(false);
+
+    uint64_t madds = 0;
+    for (size_t h = 1; h <= cfg.d(); ++h)
+        madds += cfg.coreRows(h) * cfg.coreCols(h) * cfg.stageCols(h) *
+                 batch;
+    EXPECT_EQ(reg.counter("gemm.calls").value(), 2 * cfg.d());
+    EXPECT_EQ(reg.counter("gemm.madds").value(), 2 * madds);
+    EXPECT_EQ(reg.distribution("gemm.call_us").snapshot().count,
+              2 * cfg.d());
+    EXPECT_EQ(reg.gauge("simd.isa").value(),
+              static_cast<int64_t>(simd::activeIsa()));
+    reg.resetAll();
+    EXPECT_TRUE(yd_on == yd_off);
+    EXPECT_TRUE(yf_on == yf_off);
 }
 
 TEST(InferSession, PackingCountersAndFootprintTrackWarmup)

@@ -95,7 +95,7 @@ operator delete[](void *p, std::size_t) noexcept
     std::free(p);
 }
 
-// Aligned allocations: session arenas, staging tiles and packed cores
+// Aligned allocations: session arenas, group blocks and packed cores
 // (pack::AlignedBuf) allocate here, not through the plain hook above.
 void *
 operator new(std::size_t sz, std::align_val_t al)

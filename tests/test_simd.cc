@@ -238,10 +238,10 @@ template <typename T>
 void
 checkStagedTilesOnEveryIsa()
 {
-    // What gemm::gemmPackedStaged does per panel of a row-major B (the
-    // stage-d input), on every ISA: run the packed kernel reading B in
-    // place (ldb = n) into a zeroed staging tile (ldc = kColBlock), then
-    // copy the tile out. n spans a full and a ragged panel.
+    // The packed kernel per panel of a row-major B (the stage-d input),
+    // on every ISA: read B in place (ldb = n) into a zeroed
+    // kColBlock-wide tile (ldc = kColBlock), then copy the tile out.
+    // n spans a full and a ragged panel.
     Rng rng(0x6a7);
     const size_t m = 5, k = 12, n = 315;
     const auto a = randomBuf<T>(m * k, rng);
@@ -371,8 +371,7 @@ TEST(SimdPacked, BlockedWrapperMatchesUnpacked)
 {
     // Against the naive loop: below and above the kParallelMinWork
     // threshold, row- and column-dominant splits, partial row panels
-    // (m % kRowPanel != 0), a single column, and k past kDepthBlock.
-    static_assert(gemm::kDepthBlock < 300);
+    // (m % kRowPanel != 0), a single column, and a deep k (300).
     for (auto [m, n, k] : {std::array<size_t, 3>{5, 9, 7},
                            {64, 96, 64},
                            {17, 1031, 33},
@@ -409,17 +408,14 @@ checkPackedStagedMatchesBlocked(size_t batch)
     for (size_t threads : {size_t(1), size_t(4)}) {
         setThreadCount(threads);
         for (size_t bpanel : {n, gemm::kColBlock}) {
-            const size_t slots = gemm::panelSlots(m, n, k);
+            // The identity store: row-major C, stored from zero.
             std::vector<T> c(m * n, T(-7));
-            std::vector<T> tiles(slots * m * gemm::kColBlock, T(-9));
-            gemm::gemmPackedStaged(
-                m, n, k, pa.data(), bpanel == n ? b.data() : bp.data(),
-                bpanel, tiles.data(), slots, false,
-                [&](const T *tile, size_t p0, size_t w) {
-                    for (size_t i = 0; i < m; ++i)
-                        std::copy_n(tile + i * gemm::kColBlock, w,
-                                    c.data() + i * n + p0);
-                });
+            gemm::StageOut<T> out;
+            out.dst = c.data();
+            out.ld = n;
+            gemm::gemmPackedStage(m, n, k, pa.data(),
+                                  bpanel == n ? b.data() : bp.data(),
+                                  bpanel, false, out);
             EXPECT_EQ(
                 std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)), 0)
                 << "batch=" << batch << " threads=" << threads
@@ -431,8 +427,8 @@ checkPackedStagedMatchesBlocked(size_t batch)
 TEST(SimdPacked, StagedMatchesBlockedForEveryBatch)
 {
     // batch 37 and 64 push n past kColBlock: several panels, parallel
-    // slots at 4 threads, and (37) a ragged last panel. The tiles start
-    // as garbage, so a missed zero fill shows.
+    // slots at 4 threads, and (37) a ragged last panel. The output
+    // starts as garbage, so a stage kernel that adds onto it shows.
     const size_t ambient = threadCount();
     for (size_t batch : {size_t(1), size_t(7), size_t(37), size_t(64)}) {
         checkPackedStagedMatchesBlocked<float>(batch);
@@ -739,39 +735,180 @@ TEST(SimdFxp, StagedTilesMatchDenseOnEveryIsa)
     }
 }
 
+// ---------------------------------------------------------------------
+// Stage epilogues: each stage kernel stores its products from the
+// registers into the next stage's operand (gemm::StageOut).
+// ---------------------------------------------------------------------
+
+/**
+ * One stage's store geometry: m x r output rows (p = i * r + t),
+ * batch samples of nseg segments of seg columns (q = b * cols +
+ * j * seg + c), or with identity V_1 row-major.
+ */
+struct StageGeom
+{
+    size_t m, r, seg, nseg, batch;
+    bool identity;
+
+    size_t rows() const { return m * r; }
+    size_t cols() const { return seg * nseg; }
+    size_t n() const { return cols() * batch; }
+};
+
+/**
+ * The stages of the sweep. m = 4 stores through the interleave: seg 40
+ * over 3 samples has vectors inside a segment, vectors straddling a
+ * segment or sample edge, and 4-way runs straddling the destination
+ * panel edge at column 256, and seg 5 is narrower than every vector.
+ * m = 3 (6 rows: a partial row panel) and the identity store of V_1
+ * take the other epilogues. Every n leaves a ragged last column panel.
+ */
+const StageGeom kStageGeoms[] = {
+    {4, 3, 40, 3, 3, false},
+    {4, 2, 5, 6, 2, false},
+    {3, 2, 23, 4, 3, false},
+    {4, 1, 45, 2, 3, true},
+};
+
+template <typename T>
+gemm::StageOut<T>
+stageOutOf(const StageGeom &g, T *dst)
+{
+    gemm::StageOut<T> o;
+    o.dst = dst;
+    if (g.identity) {
+        o.ld = g.n();
+        return o;
+    }
+    o.groups = g.m == 4;
+    o.r = g.r;
+    o.m = g.m;
+    o.seg = g.seg;
+    o.cols = g.cols();
+    o.dst_cols = g.seg * g.m;
+    o.rows = g.nseg * g.r;
+    o.n = o.dst_cols * g.batch;
+    return o;
+}
+
+/**
+ * Where product element (p, q) lands, from the definition: row
+ * j * r + t, column b * dst_cols + c * m + i of the next operand in
+ * 256-column panels (operandDest), or (p, q) for the identity store.
+ */
+size_t
+stageOffset(const StageGeom &g, size_t p, size_t q)
+{
+    if (g.identity)
+        return p * g.n() + q;
+    const size_t i = p / g.r, t = p % g.r;
+    const size_t b = q / g.cols();
+    const size_t j = q % g.cols() / g.seg;
+    const size_t c = q % g.seg;
+    const size_t rows = g.nseg * g.r, n = g.seg * g.m * g.batch;
+    const size_t row = j * g.r + t;
+    const size_t col = b * g.seg * g.m + c * g.m + i;
+    const size_t p0 = col / 256 * 256;
+    return p0 * rows + row * std::min<size_t>(256, n - p0) + col - p0;
+}
+
+/** The product @p prod (rows x n, row-major) as the stage stores it. */
+template <typename T>
+std::vector<T>
+storedAs(const StageGeom &g, const std::vector<T> &prod)
+{
+    std::vector<T> out(prod.size());
+    for (size_t p = 0; p < g.rows(); ++p)
+        for (size_t q = 0; q < g.n(); ++q)
+            out[stageOffset(g, p, q)] = prod[p * g.n() + q];
+    return out;
+}
+
+/**
+ * Runs one stage's kernel per 256-column panel, as gemm::stagePanels
+ * does, with the ISA explicit.
+ */
+template <typename T, typename Kernel>
+std::vector<T>
+runStage(const StageGeom &g, T fill, Kernel kernel)
+{
+    std::vector<T> dst(g.rows() * g.n(), fill);
+    for (size_t p0 = 0; p0 < g.n(); p0 += gemm::kColBlock) {
+        gemm::StageOut<T> o = stageOutOf(g, dst.data());
+        o.q0 = p0;
+        kernel(o, p0, std::min(gemm::kColBlock, g.n() - p0));
+    }
+    return dst;
+}
+
 template <typename T>
 void
-checkInterleave4OnEveryIsa()
+checkFloatStagesOnEveryIsa()
 {
-    Rng rng(0x1e4 + sizeof(T));
-    for (size_t len : {size_t(0), size_t(1), size_t(3), size_t(7),
-                       size_t(8), size_t(15), size_t(16), size_t(17),
-                       size_t(33), size_t(69)}) {
-        const size_t lds = len + 5;
-        std::vector<T> src(4 * lds);
-        for (auto &v : src)
-            v = static_cast<T>(rng.intIn(-30000, 30000));
-        std::vector<T> ref(4 * len + 3, T(-1));
-        for (size_t c = 0; c < len; ++c)
-            for (size_t i = 0; i < 4; ++i)
-                ref[4 * c + i] = src[i * lds + c];
+    Rng rng(0x57a + sizeof(T));
+    const size_t k = 10;
+    for (const StageGeom &g : kStageGeoms) {
+        const size_t m = g.rows(), n = g.n();
+        const auto a = randomBuf<T>(m * k, rng);
+        const auto b = randomBuf<T>(k * n, rng);
+        std::vector<T> prod(m * n, T(0));
+        naiveGemm(n, k, a.data(), b.data(), prod.data(), 0, m, 0, n);
+        const std::vector<T> want = storedAs(g, prod);
+        std::vector<T> pa(pack::packedAElems(m, k));
+        if (stageOutOf<T>(g, nullptr).groups)
+            pack::packAGroups(g.r, k, a.data(), pa.data());
+        else
+            pack::packA(m, k, a.data(), pa.data());
         for (Isa isa : supportedIsas()) {
-            std::vector<T> dst(4 * len + 3, T(-1));
-            simd::interleave4(isa, src.data(), lds, len, dst.data());
-            EXPECT_EQ(dst, ref)
-                << simd::isaName(isa) << " " << sizeof(T) << "-byte len "
-                << len;
+            auto kernel = [&](const gemm::StageOut<T> &o, size_t p0,
+                              size_t w) {
+                simd::stagePacked(isa, false, k, pa.data(), b.data() + p0,
+                                  n, o, 0, m, 0, w);
+            };
+            const std::vector<T> got = runStage<T>(g, T(-7), kernel);
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(T)),
+                      0)
+                << simd::isaName(isa) << " " << sizeof(T) << "-byte m "
+                << g.m << " r " << g.r << " seg " << g.seg
+                << (g.identity ? " identity" : "");
         }
     }
 }
 
-TEST(SimdInterleave, FourWayMatchesDefinitionOnEveryIsa)
+TEST(SimdStage, StoresMatchScalarOnEveryIsa)
 {
-    // Every element width, full vectors plus scalar tails, and nothing
-    // written past 4 * len.
-    checkInterleave4OnEveryIsa<int16_t>();
-    checkInterleave4OnEveryIsa<float>();
-    checkInterleave4OnEveryIsa<double>();
+    // Every ISA (scalar included) must store exactly the definition:
+    // the interleave, fallback and identity epilogues of f32, f64 and
+    // the int16 stage kernel, nothing written twice or left out.
+    checkFloatStagesOnEveryIsa<float>();
+    checkFloatStagesOnEveryIsa<double>();
+
+    MacFormat fmt;
+    Rng rng(0x57b);
+    const size_t k = 10;
+    for (const StageGeom &g : kStageGeoms) {
+        const size_t m = g.rows(), n = g.n();
+        const auto w = randomI16(m * k, rng);
+        const auto x = randomI16(k * n, rng);
+        std::vector<int16_t> prod(m * n, 0);
+        fxpBlock(Isa::Scalar, k, n, n, w.data(), x.data(), fmt,
+                 prod.data(), 0, m, 0, n);
+        const std::vector<int16_t> want = storedAs(g, prod);
+        for (Isa isa : supportedIsas()) {
+            auto kernel = [&](const gemm::StageOut<int16_t> &o,
+                              size_t p0, size_t pw) {
+                fxpStage(isa, k, n, w.data(), x.data() + p0, fmt, o, 0, m,
+                         0, pw);
+            };
+            const std::vector<int16_t> got =
+                runStage<int16_t>(g, int16_t(99), kernel);
+            EXPECT_EQ(got, want)
+                << simd::isaName(isa) << " int16 m " << g.m << " r "
+                << g.r << " seg " << g.seg
+                << (g.identity ? " identity" : "");
+        }
+    }
 }
 
 TEST(SimdFxp, PublicMatmulMatchesPerElementChain)
