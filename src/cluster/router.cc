@@ -21,6 +21,13 @@ constexpr int kTickMs = 50;
 /** Waited-out request nodes kept for reuse; more are freed. */
 constexpr size_t kMaxSpareNodes = 64;
 
+/** Longest a (re)connect to a replica may take. */
+constexpr int kConnectTimeoutMs = 2000;
+
+/** Sends of one request, each to the least-loaded live replica,
+    before it is shed. */
+constexpr int kMaxDispatches = 4;
+
 } // namespace
 
 const char *
@@ -41,8 +48,6 @@ Router::Router(RouterOptions opts) : opts_(std::move(opts))
 {
     TIE_CHECK_ARG(!opts_.workers.empty(),
                   "Router needs at least one worker endpoint");
-    TIE_CHECK_ARG(opts_.max_redispatch >= 1,
-                  "Router max_redispatch must be >= 1");
     for (const Endpoint &ep : opts_.workers) {
         auto r = std::make_unique<Replica>();
         r->endpoint = ep;
@@ -69,14 +74,14 @@ Router::attachReplica(size_t idx, std::string *error)
 
     std::string err;
     const int dfd =
-        connectTimed(r.endpoint, opts_.connect_timeout_ms, &err);
+        connectTimed(r.endpoint, kConnectTimeoutMs, &err);
     if (dfd < 0) {
         if (error != nullptr)
             *error = err;
         return false;
     }
     const int hfd =
-        connectTimed(r.endpoint, opts_.connect_timeout_ms, &err);
+        connectTimed(r.endpoint, kConnectTimeoutMs, &err);
     if (hfd < 0) {
         ::close(dfd);
         if (error != nullptr)
@@ -253,7 +258,7 @@ Router::dispatch(std::unique_lock<std::mutex> &lk, uint64_t id, Pending &p)
         const int r = stop_flag_.load(std::memory_order_relaxed)
                           ? -1
                           : pickReplica(p.skip);
-        if (r < 0 || p.attempts >= opts_.max_redispatch) {
+        if (r < 0 || p.attempts >= kMaxDispatches) {
             completeLocked(p, ClusterStatus::Shed);
             return;
         }

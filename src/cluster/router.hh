@@ -56,17 +56,12 @@ struct RouterOptions
 {
     std::vector<Endpoint> workers; ///< replica addresses
 
-    int connect_timeout_ms = 2000;
     int io_timeout_ms = 5000;
 
     /** Health probe period; liveness detection latency is about one
         period plus health_timeout_ms. */
     int health_period_ms = 100;
     int health_timeout_ms = 1000;
-
-    /** Dispatch attempts before a request is shed (>= 1). Each
-        attempt picks the least-loaded live replica. */
-    int max_redispatch = 4;
 };
 
 /** Handle to one in-flight cluster request. */
@@ -142,7 +137,7 @@ class Router
     /**
      * Dispatch @p x (inSize values) to the least-loaded live replica;
      * a replica whose send fails is marked dead and the next one tried
-     * (up to max_redispatch attempts). Invalid ticket when no replica
+     * (up to four attempts). Invalid ticket when no replica
      * takes it or the router is stopped — the explicit shed outcome,
      * counted in stats.
      */
@@ -213,7 +208,7 @@ class Router
      * Send @p p, unless a replica holds it or it is terminal, to the
      * least-loaded live replica other than p.skip. A replica whose
      * send fails is retired (detachLocked) and the next one tried,
-     * until a send succeeds or p.attempts reaches max_redispatch,
+     * until a send succeeds or p.attempts reaches kMaxDispatches,
      * when p is shed; every attempt after p's first is counted as a
      * re-dispatch. Only p's owner calls it (submit, then wait), with
      * @p lk held; the send itself runs with mu_ released.

@@ -1,9 +1,13 @@
 #include "cluster/worker.hh"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.hh"
@@ -13,14 +17,8 @@ namespace cluster {
 
 namespace {
 
-/** Poll tick for loops that must notice stop_flag_ promptly. */
+/** Accept-loop tick, so it notices stop_flag_ promptly. */
 constexpr int kTickMs = 100;
-
-/**
- * Longest a connection waits on a running request before it looks
- * for new frames again, so those reach idle worker threads meanwhile.
- */
-constexpr uint64_t kAwaitUs = 100;
 
 /** Raise @p peak to at least @p v. */
 void
@@ -80,9 +78,9 @@ ClusterWorker::stop()
     stopped_ = true;
     stop_flag_.store(true, std::memory_order_relaxed);
     // Kick blocked peers without closing fds other threads still use;
-    // connection threads exit on their next tick after answering what
-    // they owe (every accepted ticket is still waited — nothing is
-    // lost).
+    // the accept loop shuts every connection's socket down, and each
+    // connection thread exits once it has answered what it owes
+    // (every accepted ticket is still waited — nothing is lost).
     if (listener_.fd >= 0)
         ::shutdown(listener_.fd, SHUT_RDWR);
     if (accept_thread_.joinable())
@@ -99,6 +97,12 @@ ClusterWorker::waitDrained(int timeout_ms)
     return drain_cv_.wait_for(
         lk, std::chrono::milliseconds(timeout_ms),
         [this] { return drained_.load(std::memory_order_relaxed); });
+}
+
+ClusterWorker::Conn::~Conn()
+{
+    ::close(done_pipe[0]);
+    ::close(done_pipe[1]);
 }
 
 void
@@ -121,6 +125,11 @@ ClusterWorker::acceptLoop()
             continue;
         auto conn = std::make_unique<Conn>();
         conn->io.reset(fd);
+        if (::pipe2(conn->done_pipe, O_NONBLOCK | O_CLOEXEC) != 0) {
+            TIE_WARN("cluster worker: dropping connection: pipe2: ",
+                     std::strerror(errno));
+            continue;
+        }
         // Nothing a peer may send is larger than one InferRequest.
         conn->io.setMaxPayload(inferPayloadSize(server_->inSize()));
         Conn *c = conn.get();
@@ -145,55 +154,57 @@ ClusterWorker::serveConn(Conn &c)
     std::vector<Owed> owed(so.max_batch * so.workers + 1);
     size_t head = 0;
     size_t owing = 0;
+    std::vector<uint32_t> ids(owed.size()); // 4-byte ids, one per owed
     InferRequestMsg req;   // decode scratch, reused for every request
     std::vector<double> y; // output scratch, reused for every response
-    // Answer the oldest owed request, waiting at most wait_us for it
-    // if nonzero; false while it still runs. An invalid ticket (shed
-    // at submit) waits as Rejected.
-    auto answerOldest = [&](uint64_t wait_us = 0) {
-        const Owed &o = owed[head];
-        const serve::RequestStatus st =
-            server_->wait(o.ticket, &y, nullptr, wait_us);
-        if (!serve::isTerminal(st))
-            return false;
-        if (o.ticket.valid())
-            in_flight_.fetch_sub(1);
-        const bool done = st == serve::RequestStatus::Done;
-        (done ? done_ : shed_).fetch_add(1);
-        encodeInferResponse(o.req_id, static_cast<uint32_t>(st),
-                            y.data(), done ? y.size() : 0,
-                            c.io.txBuffer());
-        sendTx(c.io, opts_.io_timeout_ms);
-        head = (head + 1) % owed.size();
-        --owing;
-        return true;
+    // No whole frame is buffered or queued: wait for the socket. Only
+    // bytes that have arrived are taken, so the rest of a partial frame
+    // never holds up the answers owed before it.
+    bool rx_idle = false;
+    // Send the finished responses at the ring's head, in order (a shed
+    // ticket is born finished and waits as Rejected). Then, unless a
+    // frame may be read now, poll() for a finished ticket's id and,
+    // with @p read and room in the ring, for the socket.
+    auto answer = [&](bool read) {
+        for (; owing > 0 && owed[head].finished; --owing) {
+            const Owed &o = owed[head];
+            const serve::RequestStatus st = server_->wait(o.ticket, &y);
+            if (o.ticket.valid())
+                in_flight_.fetch_sub(1);
+            const bool done = st == serve::RequestStatus::Done;
+            (done ? done_ : shed_).fetch_add(1);
+            encodeInferResponse(o.req_id, static_cast<uint32_t>(st),
+                                y.data(), done ? y.size() : 0,
+                                c.io.txBuffer());
+            sendTx(c.io, opts_.io_timeout_ms);
+            head = (head + 1) % owed.size();
+        }
+        const bool sock = read && owing < owed.size();
+        pollfd p[2] = {{sock ? c.io.fd() : -1, POLLIN, 0},
+                       {c.done_pipe[0], POLLIN, 0}};
+        if ((sock ? !rx_idle : owing == 0) || ::poll(p, 2, -1) <= 0)
+            return; // or EINTR: look again
+        const ssize_t n = p[1].revents == 0 ? 0
+                          : ::read(p[1].fd, ids.data(), ids.size() * 4);
+        for (ssize_t i = 0; i < n / 4; ++i)
+            for (size_t k = 0; k < owing; ++k)
+                if (Owed &o = owed[(head + k) % owed.size()];
+                    o.ticket.id == ids[i])
+                    o.finished = true;
+        rx_idle = rx_idle && p[0].revents == 0;
     };
 
     for (;;) {
-        if (stop_flag_.load(std::memory_order_relaxed))
-            break;
-        // With no further frame waiting (or the ring full), answer the
-        // oldest owed request, then look again: one at a time, so
-        // requests that arrive meanwhile still reach the server while
-        // earlier ones run.
-        if (owing > 0 &&
-            (owing == owed.size() || !c.io.inputPending())) {
-            answerOldest(owing == owed.size() ? 0 : kAwaitUs);
+        answer(true);
+        if (owing == owed.size() || rx_idle)
             continue;
-        }
-        // With responses owed, take only what has arrived: the rest of
-        // a partial frame may be slow to come, and must not hold up
-        // the answers owed before it.
         WireFrame f;
         std::string err;
-        const FrameConn::RecvStatus st =
-            c.io.recvFrame(&f, owing > 0 ? 0 : kTickMs, &err);
+        const FrameConn::RecvStatus st = c.io.recvFrame(&f, 0, &err);
         raiseTo(rx_peak_, c.io.rxCapacity());
-        if (st == FrameConn::RecvStatus::Timeout) {
-            if (owing > 0)
-                answerOldest(kAwaitUs);
+        rx_idle = st == FrameConn::RecvStatus::Timeout;
+        if (rx_idle)
             continue;
-        }
         if (st == FrameConn::RecvStatus::Closed)
             break;
         if (st == FrameConn::RecvStatus::Corrupt) {
@@ -219,14 +230,17 @@ ClusterWorker::serveConn(Conn &c)
             // responses are work this thread has yet to do: then queue
             // it for the worker threads, rather than run it here while
             // the rest wait.
+            rx_idle = !c.io.inputPending();
             const serve::Ticket t =
                 draining_.load(std::memory_order_relaxed)
                     ? serve::Ticket{}
                     : server_->submit(req.x.data(), req.deadline_us,
-                                      owing > 0 || c.io.inputPending());
+                                      owing > 0 || !rx_idle,
+                                      c.done_pipe[1]);
             if (t.valid())
                 in_flight_.fetch_add(1);
-            owed[(head + owing) % owed.size()] = Owed{req.req_id, t};
+            owed[(head + owing) % owed.size()] =
+                Owed{req.req_id, t, !t.valid()};
             ++owing;
             continue;
         }
@@ -236,14 +250,15 @@ ClusterWorker::serveConn(Conn &c)
         // on this connection, so by the time the router reads a
         // DrainAck all prior work on it has terminal outcomes.
         while (owing > 0)
-            answerOldest();
+            answer(false);
         if (!reply(c, f.type))
             break;
     }
     // Every accepted ticket is waited even when the peer is gone:
-    // slots must recycle and the done/shed accounting must stay exact.
+    // slots must recycle, the done/shed accounting must stay exact,
+    // and no id may be left to reach the pipe once it is closed.
     while (owing > 0)
-        answerOldest();
+        answer(false);
     // Let the peer see the end of the stream now (a dropped corrupt
     // client reads EOF) rather than when the worker stops.
     ::shutdown(c.io.fd(), SHUT_RDWR);

@@ -17,19 +17,20 @@
  * never silence; a request with more frames behind it, or with
  * responses still owed, is queued, so a burst batches instead of
  * running on this thread) and keeps the responses it owes, oldest
- * first, in a fixed ring sized from ServerOptions. Whenever no further
- * frame is waiting, or the ring is full, it waits on the oldest owed
- * ticket and sends that response, one at a time; while the ring has
- * room it looks for new frames every 100 us of that wait, so requests
- * that arrive meanwhile still reach idle worker threads, and while it
- * owes responses it takes only bytes that have already arrived. It
- * reads nothing while the ring is full or a response waits for the
- * peer to read it. A peer must therefore read responses while it
- * sends, as the router does: its receivers never send and never wait
- * behind a send (router.hh). Once reading stops
- * (peer EOF, a corrupt or oversized frame, or stop()) and every owed
- * response is out, the thread shuts the socket down so the peer sees
- * the end of the stream, and the accept loop reaps the connection.
+ * first, in a fixed ring sized from ServerOptions. The server writes
+ * each ticket's slot id to the connection's completion pipe as it
+ * turns terminal, and the thread waits in one place: a poll() with no
+ * timeout on the socket and the pipe. It sends the finished responses
+ * at the ring's head, in order, and while it owes responses it takes
+ * only bytes that have already arrived. It reads nothing while the
+ * ring is full or a response waits for the peer to read it. A peer
+ * must therefore read responses while it sends, as the router does:
+ * its receivers never send and never wait behind a send (router.hh).
+ * Once reading stops (peer EOF, a corrupt or oversized frame, or
+ * stop(), which shuts the socket down) and every owed response is out
+ * — so no id is still to come down the pipe — the thread shuts the
+ * socket down so the peer sees the end of the stream, and the accept
+ * loop reaps the connection and closes its pipe.
  * Health checks ride a separate connection so they are never queued
  * behind inference. Graceful drain: on a Drain frame the worker
  * refuses new work (Rejected), answers everything already accepted
@@ -125,8 +126,10 @@ class ClusterWorker
     struct Conn
     {
         FrameConn io;
+        int done_pipe[2] = {-1, -1}; ///< completion pipe (read, write)
         std::thread thread;
         std::atomic<bool> done{false}; ///< thread exited; reap it
+        ~Conn(); ///< closes the pipe: reaped, so no id is owed
     };
 
     /** One response a connection owes: its request id and ticket. */
@@ -134,6 +137,7 @@ class ClusterWorker
     {
         uint64_t req_id = 0;
         serve::Ticket ticket; ///< invalid when shed at submit
+        bool finished = false; ///< shed, or its id came down the pipe
     };
 
     void acceptLoop();

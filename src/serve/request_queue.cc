@@ -1,6 +1,10 @@
 #include "serve/request_queue.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "obs/flight_recorder.hh"
@@ -69,7 +73,7 @@ RequestQueue::RequestQueue(size_t n_slots, size_t capacity,
 
 Ticket
 RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
-                        size_t *runner)
+                        size_t *runner, int notify_fd)
 {
     TIE_CHECK_ARG(x != nullptr, "trySubmit needs a non-null input");
     if (runner != nullptr)
@@ -99,6 +103,7 @@ RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
             }
             s.trace_id = trace_id;
             s.enqueue_us = enqueue_us;
+            s.notify_fd = notify_fd;
             std::copy(x, x + in_elems_, s.input.begin());
             if (run_here) {
                 *runner = 0;
@@ -137,7 +142,7 @@ RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
 
 RequestStatus
 RequestQueue::wait(Ticket t, std::vector<double> *out,
-                   RequestTiming *timing, uint64_t timeout_us)
+                   RequestTiming *timing)
 {
     if (!t.valid())
         return RequestStatus::Rejected;
@@ -145,14 +150,9 @@ RequestQueue::wait(Ticket t, std::vector<double> *out,
                   " out of range");
     std::unique_lock<std::mutex> lk(mu_);
     Slot &s = slots_[t.id];
-    const auto ended = [&] {
+    done_cv_.wait(lk, [&] {
         return s.gen != t.gen || isTerminal(s.status);
-    };
-    if (timeout_us == 0)
-        done_cv_.wait(lk, ended);
-    else if (!done_cv_.wait_for(lk, std::chrono::microseconds(timeout_us),
-                                ended))
-        return s.status; // still Pending or Running; not collected
+    });
     TIE_CHECK_ARG(s.gen == t.gen,
                   "ticket ", t.id, " was already collected");
     const RequestStatus st = s.status;
@@ -215,6 +215,7 @@ RequestQueue::dequeueBatch(size_t max_batch, uint64_t timeout_us,
                            std::chrono::microseconds(s.deadline_us)) {
                 s.status = RequestStatus::TimedOut;
                 s.timing.queue_wait_us = elapsedUs(s.enqueued_at, now);
+                notifyLocked(id);
                 ++expired;
                 continue;
             }
@@ -289,6 +290,7 @@ RequestQueue::completeBatch(const uint32_t *ids, size_t n,
                         "completeBatch on a slot that is not Running");
             s.status = RequestStatus::Done;
             s.timing.service_us = service_us;
+            notifyLocked(ids[i]);
         }
     }
     if (obs::enabled())
@@ -320,6 +322,15 @@ RequestQueue::idleLocked(size_t r)
     --active_;
     runners_[r] = RunnerState::Idle;
     return was_lent && (stop_ || size_ > 0);
+}
+
+void
+RequestQueue::notifyLocked(uint32_t id)
+{
+    const int fd = slots_[id].notify_fd;
+    if (fd >= 0 && ::write(fd, &id, sizeof id) != sizeof id)
+        TIE_WARN_ONCE("request queue: notification write failed: ",
+                      std::strerror(errno));
 }
 
 void

@@ -28,6 +28,12 @@
  * batcher dequeues nothing until completeBatch returns it. So the
  * runner's resources (the Server's session chain) have exactly one
  * user at a time, handed over under the mutex like the payloads.
+ *
+ * Notification: a request submitted with a notification fd has its
+ * 4-byte slot id written there exactly once, under the mutex, as it
+ * turns terminal (Done in completeBatch, TimedOut in dequeueBatch), so
+ * its wait() then returns at once and a thread can poll() the fd along
+ * with a socket. The reader may close the fd once every id is in.
  */
 
 #ifndef TIE_SERVE_REQUEST_QUEUE_HH
@@ -89,9 +95,11 @@ class RequestQueue
      * completeBatch(&id, 1, service_us, *runner), which returns the
      * runner. Otherwise *runner = kNoRunner and the request is queued
      * or rejected as above. Either way it takes the mutex once.
+     * @p notify_fd >= 0 gets the slot id when the request turns
+     * terminal (Notification above); a rejected one writes nothing.
      */
     Ticket trySubmit(const double *x, uint64_t deadline_us = 0,
-                     size_t *runner = nullptr);
+                     size_t *runner = nullptr, int notify_fd = -1);
 
     /**
      * Block until the request reaches a terminal state, then release
@@ -101,14 +109,10 @@ class RequestQueue
      * @p timing receives the server-side latency split. Invalid
      * tickets return Rejected immediately. Each ticket may be waited
      * exactly once; a second wait on the same ticket is a fatal
-     * usage error (the generation counter catches it). A nonzero
-     * @p timeout_us bounds the wait: a request not terminal by then
-     * returns its current status (Pending or Running) and stays
-     * uncollected, to be waited again.
+     * usage error (the generation counter catches it).
      */
     RequestStatus wait(Ticket t, std::vector<double> *out = nullptr,
-                       RequestTiming *timing = nullptr,
-                       uint64_t timeout_us = 0);
+                       RequestTiming *timing = nullptr);
 
     /**
      * Dynamic batcher dequeue: blocks until work is available, then
@@ -181,6 +185,8 @@ class RequestQueue
      * and its batcher has work or must see the stop: wake batchers.
      */
     bool idleLocked(size_t r);
+    /** Slot @p id turned terminal: tell its notification fd (mu_ held). */
+    void notifyLocked(uint32_t id);
 
     struct Slot
     {
@@ -193,6 +199,7 @@ class RequestQueue
         RequestTiming timing{};
         uint64_t trace_id = 0;   ///< flight-recorder id (0: off)
         uint64_t enqueue_us = 0; ///< hostNowUs at admission
+        int notify_fd = -1;      ///< gets the id when terminal
     };
 
     const size_t capacity_;

@@ -42,15 +42,17 @@ validatedOptions(ServerOptions opts)
 /**
  * Slots must cover every place a request can live at once: the queue,
  * each worker's in-flight batch, and completed-but-uncollected
- * requests up to the collect margin. A caller-runs request takes the
- * place of its lent worker's batch: a worker is lent only while it
- * holds none, and takes none while lent.
+ * requests, of which open-loop clients may hold up to this many. A
+ * caller-runs request takes the place of its lent worker's batch: a
+ * worker is lent only while it holds none, and takes none while lent.
  */
+constexpr size_t kCollectMargin = 64;
+
 size_t
 slotCount(const ServerOptions &opts)
 {
     return opts.queue_capacity + opts.workers * opts.max_batch +
-           opts.collect_margin;
+           kCollectMargin;
 }
 
 } // namespace
@@ -104,17 +106,18 @@ Server::~Server()
 }
 
 Ticket
-Server::submit(const double *x, uint64_t deadline_us, bool more_follows)
+Server::submit(const double *x, uint64_t deadline_us, bool more_follows,
+               int notify_fd)
 {
-    if (more_follows)
-        return queue_.trySubmit(x, deadline_us);
     // Caller-runs: on an idle server, run the request here as a batch
     // of one on a worker's chain rather than wake the worker to wait
-    // out the batch window for company that is not coming.
+    // out the batch window for company that is not coming. A burst
+    // always queues.
     const bool fr = obs::FlightRecorder::enabled();
     const uint64_t bf_t0 = fr ? obs::hostNowUs() : 0;
     size_t lent = RequestQueue::kNoRunner;
-    const Ticket t = queue_.trySubmit(x, deadline_us, &lent);
+    const Ticket t = queue_.trySubmit(
+        x, deadline_us, more_follows ? nullptr : &lent, notify_fd);
     if (lent != RequestQueue::kNoRunner)
         runBatch(*workers_[lent], &t.id, 1, fr, bf_t0);
     return t;
@@ -130,10 +133,9 @@ Server::submit(const std::vector<double> &x, uint64_t deadline_us,
 }
 
 RequestStatus
-Server::wait(Ticket t, std::vector<double> *out, RequestTiming *timing,
-             uint64_t timeout_us)
+Server::wait(Ticket t, std::vector<double> *out, RequestTiming *timing)
 {
-    return queue_.wait(t, out, timing, timeout_us);
+    return queue_.wait(t, out, timing);
 }
 
 void

@@ -29,6 +29,10 @@
  * while the server is idle itself, one at a time — unless it passes
  * more_follows for a burst, which queues the burst so it coalesces.
  *
+ * A submitter that must also watch a socket passes a notification fd
+ * to submit and polls it: the queue writes the ticket's id there when
+ * the request turns terminal, so wait() then returns at once.
+ *
  * Load shedding is explicit, never silent: admission control bounds
  * the queue (Rejected), per-request enqueue deadlines bound staleness
  * (TimedOut), and shutdown drains — every admitted request reaches a
@@ -75,13 +79,6 @@ struct ServerOptions
     /** Worker threads, each with its own session chain. */
     size_t workers = 1;
 
-    /**
-     * Extra request slots available beyond queue_capacity and the
-     * workers' in-flight batches, covering completed-but-uncollected
-     * requests (open-loop clients collect asynchronously).
-     */
-    size_t collect_margin = 64;
-
     /** Session policy for the pooled sessions. */
     SessionOptions session = {};
 };
@@ -116,16 +113,17 @@ class Server
      * @p more_follows when further requests are ready right behind
      * this one: it is then always queued, so a burst from one thread
      * coalesces into batches instead of running one by one here.
+     * @p notify_fd gets the ticket's id once it is terminal, inline
+     * runs included (RequestQueue's Notification).
      */
     Ticket submit(const double *x, uint64_t deadline_us = 0,
-                  bool more_follows = false);
+                  bool more_follows = false, int notify_fd = -1);
     Ticket submit(const std::vector<double> &x,
                   uint64_t deadline_us = 0, bool more_follows = false);
 
-    /** Collect a ticket; see RequestQueue::wait (and its timeout). */
+    /** Block until @p t is terminal, then collect it (queue wait). */
     RequestStatus wait(Ticket t, std::vector<double> *out = nullptr,
-                       RequestTiming *timing = nullptr,
-                       uint64_t timeout_us = 0);
+                       RequestTiming *timing = nullptr);
 
     /**
      * Stop admitting, drain queued requests through the workers, join

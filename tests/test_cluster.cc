@@ -36,6 +36,8 @@
 #include "serve/load_gen.hh"
 #include "tt/tt_matrix.hh"
 
+#include "server_test_peer.hh"
+
 // ---------------------------------------------------------------------
 // Global allocation hook, as in test_serve.cc (counting off by default;
 // flipped on only around steady-state regions).
@@ -120,13 +122,22 @@ operator delete(void *p, std::size_t, std::align_val_t) noexcept
 namespace tie {
 namespace cluster {
 
-/** Reads a worker's connection count, which only its accept loop owns. */
+/**
+ * Reads a worker's connection count, which only its accept loop owns,
+ * and reaches its server.
+ */
 struct ClusterWorkerTestPeer
 {
     static size_t
     connections(const ClusterWorker &w)
     {
         return w.conn_count_.load();
+    }
+
+    static serve::Server &
+    server(ClusterWorker &w)
+    {
+        return *w.server_;
     }
 };
 
@@ -1191,37 +1202,139 @@ TEST_F(ClusterTest, PipelinedBurstIsAnsweredOnceInOrder)
     // Four rings' worth of requests in one write to a worker with a
     // two-request queue: each is answered exactly once, in order,
     // Done or Rejected, and the worker's counters cover the burst.
+    // With two worker threads a later batch may finish first; its
+    // responses still wait their turn.
+    for (const size_t workers : {size_t{1}, size_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << "workers " << workers);
+        ClusterWorkerOptions opts;
+        opts.listen.kind = Endpoint::Kind::Unix;
+        opts.listen.path = dir_ + "/pipe.sock";
+        opts.server.workers = workers;
+        opts.server.max_batch = 4;
+        opts.server.queue_capacity = 2;
+        ClusterWorker w0(io::TieModel::load(model_path_), opts);
+        std::string err;
+        ASSERT_TRUE(w0.start(&err)) << err;
+        const uint64_t burst = 4 * (4 * workers + 1);
+
+        const int fd = connectTimed(w0.endpoint(), 1000, &err);
+        ASSERT_GE(fd, 0) << err;
+        FrameConn conn(fd);
+        const std::vector<uint8_t> bytes = requestBurst(0, burst, 16);
+        ASSERT_TRUE(
+            sendAllTimed(fd, bytes.data(), bytes.size(), 1000, &err))
+            << err;
+        uint64_t done = 0;
+        for (uint64_t i = 0; i < burst; ++i) {
+            const uint32_t st = readResponse(conn, i);
+            EXPECT_TRUE(
+                st == static_cast<uint32_t>(serve::RequestStatus::Done) ||
+                st == static_cast<uint32_t>(
+                          serve::RequestStatus::Rejected))
+                << "request " << i << " status " << st;
+            done += st == static_cast<uint32_t>(serve::RequestStatus::Done);
+        }
+        EXPECT_GT(done, 0u);
+        EXPECT_EQ(w0.doneCount(), done);
+        EXPECT_EQ(w0.doneCount() + w0.shedCount(), burst);
+        EXPECT_EQ(w0.inFlight(), 0u);
+        conn.close();
+        w0.stop();
+    }
+}
+
+TEST_F(ClusterTest, PeersThatHangUpOwingResponsesLeaveNoTrace)
+{
+    // 64 peers each pipeline eight requests and close without reading
+    // a response, then a live client opens eight connections and runs
+    // closed-loop traffic over them. The server's chains are lent to
+    // the test until the live connections are accepted, so the peers'
+    // tickets are still owed when their threads see EOF: a completion
+    // pipe closed then would pass its fd number on to a live
+    // connection, and the ids still owed to it would land there. The
+    // pipes close only after the last id: the live client gets exactly
+    // its own responses, bit-exact, and nothing stays in flight.
     ClusterWorkerOptions opts;
     opts.listen.kind = Endpoint::Kind::Unix;
-    opts.listen.path = dir_ + "/pipe.sock";
+    opts.listen.path = dir_ + "/hangup.sock";
     opts.server.workers = 2;
     opts.server.max_batch = 4;
-    opts.server.queue_capacity = 2;
+    opts.server.queue_capacity = 1024;
     ClusterWorker w0(io::TieModel::load(model_path_), opts);
     std::string err;
     ASSERT_TRUE(w0.start(&err)) << err;
-    const uint64_t burst = 4 * (4 * 2 + 1);
 
-    const int fd = connectTimed(w0.endpoint(), 1000, &err);
-    ASSERT_GE(fd, 0) << err;
-    FrameConn conn(fd);
-    const std::vector<uint8_t> bytes = requestBurst(0, burst, 16);
-    ASSERT_TRUE(sendAllTimed(fd, bytes.data(), bytes.size(), 1000, &err))
-        << err;
-    uint64_t done = 0;
-    for (uint64_t i = 0; i < burst; ++i) {
-        const uint32_t st = readResponse(conn, i);
-        EXPECT_TRUE(
-            st == static_cast<uint32_t>(serve::RequestStatus::Done) ||
-            st == static_cast<uint32_t>(serve::RequestStatus::Rejected))
-            << "request " << i << " status " << st;
-        done += st == static_cast<uint32_t>(serve::RequestStatus::Done);
+    constexpr uint64_t kPeers = 64, kBurst = 8, kLiveConns = 8;
+    std::vector<std::unique_ptr<FrameConn>> live;
+    {
+        const auto held = serve::ServerTestPeer::holdChains(
+            ClusterWorkerTestPeer::server(w0));
+        const std::vector<uint8_t> burst = requestBurst(1000, kBurst, 16);
+        for (uint64_t i = 0; i < kPeers; ++i) {
+            const int fd = connectTimed(w0.endpoint(), 1000, &err);
+            ASSERT_GE(fd, 0) << err;
+            EXPECT_TRUE(
+                sendAllTimed(fd, burst.data(), burst.size(), 1000, &err))
+                << err;
+            ::close(fd);
+        }
+        // Every request is queued behind the lent chains; give the
+        // peers' threads time to read their EOF.
+        for (int i = 0; i < 250 && w0.inFlight() < kPeers * kBurst; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ASSERT_EQ(w0.inFlight(), kPeers * kBurst);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        for (uint64_t i = 0; i < kLiveConns; ++i) {
+            const int fd = connectTimed(w0.endpoint(), 1000, &err);
+            ASSERT_GE(fd, 0) << err;
+            live.push_back(std::make_unique<FrameConn>(fd));
+        }
+        for (int i = 0; i < 250 && ClusterWorkerTestPeer::connections(w0) <
+                                       kPeers + kLiveConns;
+             ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ASSERT_EQ(ClusterWorkerTestPeer::connections(w0),
+                  kPeers + kLiveConns);
     }
-    EXPECT_GT(done, 0u);
-    EXPECT_EQ(w0.doneCount(), done);
-    EXPECT_EQ(w0.doneCount() + w0.shedCount(), burst);
+
+    constexpr uint64_t kLive = 256;
+    constexpr uint64_t kSeed = 31;
+    const io::TieModel oracle = io::TieModel::load(model_path_);
+    const serve::Oracle expected =
+        serve::referenceOutputs(oracle.layers(), 0, 1, kSeed, kLive);
+    std::vector<uint8_t> frame;
+    InferResponseMsg resp;
+    for (uint64_t i = 0; i < kLive; ++i) {
+        FrameConn &conn = *live[i % kLiveConns];
+        const std::vector<double> x = serve::makeRequestInput(kSeed, i, 16);
+        encodeInferRequest(i, 0, x.data(), x.size(), &frame);
+        ASSERT_TRUE(sendAllTimed(conn.fd(), frame.data(), frame.size(),
+                                 1000, &err))
+            << err;
+        WireFrame f;
+        ASSERT_EQ(conn.recvFrame(&f, 5000), FrameConn::RecvStatus::Ok)
+            << "request " << i;
+        ASSERT_TRUE(decodeInferResponse(f, &resp));
+        ASSERT_EQ(resp.req_id, i);
+        ASSERT_EQ(resp.status,
+                  static_cast<uint32_t>(serve::RequestStatus::Done));
+        ASSERT_EQ(resp.y.size(), expected[i].size());
+        EXPECT_EQ(std::memcmp(resp.y.data(), expected[i].data(),
+                              resp.y.size() * sizeof(double)),
+                  0)
+            << "request " << i;
+    }
+    live.clear();
+
+    // Every connection thread finishes on its own, each request Done.
+    const uint64_t total = kLive + kPeers * kBurst;
+    for (int i = 0; i < 250 && (w0.inFlight() != 0 ||
+                                w0.doneCount() + w0.shedCount() < total);
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_EQ(w0.inFlight(), 0u);
-    conn.close();
+    EXPECT_EQ(w0.doneCount(), total);
+    EXPECT_EQ(w0.shedCount(), 0u);
     w0.stop();
 }
 

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -38,6 +39,7 @@
 #include "serve/load_gen.hh"
 #include "serve/metrics_endpoint.hh"
 #include "serve/request_queue.hh"
+#include "server_test_peer.hh"
 #include "serve/server.hh"
 
 // ---------------------------------------------------------------------
@@ -124,59 +126,6 @@ operator delete(void *p, std::size_t, std::align_val_t) noexcept
 namespace tie {
 namespace serve {
 
-/**
- * Lends every worker's session chain to the test, the way a
- * caller-runs submit borrows one, until the returned guard dies.
- * While they are lent the server is busy: a submit cannot run on the
- * caller and queues, and no worker dequeues.
- */
-struct ServerTestPeer
-{
-    class Held
-    {
-      public:
-        Held(Server &s, std::vector<size_t> runners)
-            : q_(s.queue_), runners_(std::move(runners))
-        {}
-        Held(const Held &) = delete;
-        Held &operator=(const Held &) = delete;
-
-        ~Held()
-        {
-            bool wake = false;
-            {
-                std::lock_guard<std::mutex> lk(q_.mu_);
-                for (size_t r : runners_)
-                    wake = q_.idleLocked(r) || wake;
-            }
-            if (wake)
-                q_.work_cv_.notify_all();
-        }
-
-      private:
-        RequestQueue &q_;
-        std::vector<size_t> runners_;
-    };
-
-    /** Blocks until every worker's current batch (if any) ends. */
-    static Held
-    holdChains(Server &s)
-    {
-        RequestQueue &q = s.queue_;
-        std::vector<size_t> runners;
-        while (runners.size() < s.workers_.size()) {
-            {
-                std::lock_guard<std::mutex> lk(q.mu_);
-                for (size_t r = 0; r < s.workers_.size(); ++r)
-                    if (q.lendLocked(r))
-                        runners.push_back(r);
-            }
-            std::this_thread::yield();
-        }
-        return Held(s, std::move(runners));
-    }
-};
-
 namespace {
 
 /** Two chained layers: 10 -> 12 -> 10. */
@@ -237,27 +186,81 @@ TEST(RequestQueue, SingleThreadedLifecycle)
     const Ticket t = q.trySubmit(x);
     ASSERT_TRUE(t.valid());
     EXPECT_EQ(q.depth(), 1u);
-    // A bounded wait on an unfinished request reports its state and
-    // leaves the ticket to be waited again.
-    std::vector<double> y;
-    EXPECT_EQ(q.wait(t, &y, nullptr, /*timeout_us=*/100),
-              RequestStatus::Pending);
 
     uint32_t ids[4];
     ASSERT_EQ(q.dequeueBatch(4, /*timeout_us=*/0, ids), 1u);
     EXPECT_EQ(q.depth(), 0u);
-    EXPECT_EQ(q.wait(t, &y, nullptr, /*timeout_us=*/100),
-              RequestStatus::Running);
     EXPECT_EQ(q.input(ids[0]),
               (std::vector<double>{1.0, 2.0, 3.0}));
     q.output(ids[0]) = {7.0, 8.0};
     q.completeBatch(ids, 1, /*service_us=*/42.0);
 
     RequestTiming timing;
+    std::vector<double> y;
     EXPECT_EQ(q.wait(t, &y, &timing), RequestStatus::Done);
     EXPECT_EQ(y, (std::vector<double>{7.0, 8.0}));
     EXPECT_EQ(timing.service_us, 42.0);
     EXPECT_GE(timing.queue_wait_us, 0.0);
+}
+
+TEST(RequestQueue, NotificationFdGetsEachTerminalIdOnce)
+{
+    int fd[2];
+    ASSERT_EQ(::pipe2(fd, O_NONBLOCK), 0);
+    // Every id the pipe holds right now, in write order.
+    auto arrived = [&] {
+        std::vector<uint32_t> got(16);
+        const ssize_t n =
+            ::read(fd[0], got.data(), got.size() * sizeof got[0]);
+        got.resize(n > 0 ? static_cast<size_t>(n) / sizeof got[0] : 0);
+        return got;
+    };
+    using Ids = std::vector<uint32_t>;
+    RequestQueue q(/*n_slots=*/8, /*capacity=*/8, /*in=*/1, /*out=*/1,
+                   /*runners=*/1);
+    const double x[1] = {0.5};
+    uint32_t ids[4];
+
+    // Done through a batcher: written at completion, not before, and
+    // collecting writes nothing more.
+    const Ticket done = q.trySubmit(x, 0, nullptr, fd[1]);
+    ASSERT_TRUE(done.valid());
+    EXPECT_EQ(arrived(), Ids{});
+    ASSERT_EQ(q.dequeueBatch(4, 0, ids, /*runner=*/0), 1u);
+    EXPECT_EQ(arrived(), Ids{});
+    q.completeBatch(ids, 1, 1.0, /*runner=*/0);
+    EXPECT_EQ(arrived(), Ids{done.id});
+    EXPECT_EQ(q.wait(done), RequestStatus::Done);
+    EXPECT_EQ(arrived(), Ids{});
+
+    // Caller-runs: the caller's completion writes it.
+    size_t runner = RequestQueue::kNoRunner;
+    const Ticket here = q.trySubmit(x, 0, &runner, fd[1]);
+    ASSERT_EQ(runner, 0u);
+    EXPECT_EQ(arrived(), Ids{});
+    q.completeBatch(&here.id, 1, 1.0, runner);
+    EXPECT_EQ(arrived(), Ids{here.id});
+    EXPECT_EQ(q.wait(here), RequestStatus::Done);
+
+    // TimedOut: written when the batcher drops it; a request without
+    // an fd writes nothing when it completes.
+    const Ticket stale = q.trySubmit(x, /*deadline_us=*/1, nullptr, fd[1]);
+    const Ticket plain = q.trySubmit(x);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(q.dequeueBatch(4, 0, ids, /*runner=*/0), 1u);
+    EXPECT_EQ(ids[0], plain.id);
+    EXPECT_EQ(arrived(), Ids{stale.id});
+    q.completeBatch(ids, 1, 1.0, /*runner=*/0);
+    EXPECT_EQ(arrived(), Ids{});
+    EXPECT_EQ(q.wait(stale), RequestStatus::TimedOut);
+    EXPECT_EQ(q.wait(plain), RequestStatus::Done);
+
+    // A rejected submit never had a slot, so nothing is written.
+    q.stop();
+    EXPECT_FALSE(q.trySubmit(x, 0, nullptr, fd[1]).valid());
+    EXPECT_EQ(arrived(), Ids{});
+    ::close(fd[0]);
+    ::close(fd[1]);
 }
 
 TEST(RequestQueue, AdmissionControlRejectsBeyondCapacity)

@@ -58,8 +58,10 @@
  */
 
 #include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -868,6 +870,26 @@ spawnWorker(const std::string &bin, const std::string &model,
     return true;
 }
 
+/** CPU time and context switches of every child reaped so far. */
+struct ChildUsage
+{
+    double cpu_us = 0;
+    double ctx_switches = 0;
+};
+
+ChildUsage
+childUsage()
+{
+    rusage ru{};
+    ::getrusage(RUSAGE_CHILDREN, &ru);
+    auto us = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) * 1e6 +
+               static_cast<double>(t.tv_usec);
+    };
+    return {us(ru.ru_utime) + us(ru.ru_stime),
+            static_cast<double>(ru.ru_nvcsw + ru.ru_nivcsw)};
+}
+
 /**
  * Cluster bench: K tie_worker replicas and one router per tenant, a
  * closed-loop run through the load generator, every output verified
@@ -930,7 +952,8 @@ cmdClusterBench(const Options &opt)
             lopts.requests));
 
     std::string sock_dir = opt.get("sock-dir", "");
-    if (sock_dir.empty()) {
+    const bool own_sock_dir = sock_dir.empty();
+    if (own_sock_dir) {
         char tmpl[] = "/tmp/tie-cluster-XXXXXX";
         TIE_CHECK_ARG(::mkdtemp(tmpl) != nullptr,
                       "cannot create socket directory");
@@ -942,6 +965,9 @@ cmdClusterBench(const Options &opt)
                std::to_string(r) + ".sock";
     };
 
+    // Every worker is spawned and reaped in between, so the children's
+    // rusage delta covers all of their threads, exited ones included.
+    const ChildUsage usage0 = childUsage();
     std::vector<WorkerProc> workers(n_models * replicas);
     std::vector<std::unique_ptr<cluster::Router>> routers;
     for (size_t k = 0; k < n_models; ++k) {
@@ -1019,6 +1045,16 @@ cmdClusterBench(const Options &opt)
         }
         cluster::waitProcess(w.proc);
     }
+    // Each worker unlinked its socket on exit, so a directory made
+    // here is empty again.
+    if (own_sock_dir)
+        ::rmdir(sock_dir.c_str());
+    const ChildUsage usage1 = childUsage();
+    const double per_req =
+        1.0 / static_cast<double>(std::max<size_t>(rep.submitted, 1));
+    const double worker_cpu_us = (usage1.cpu_us - usage0.cpu_us) * per_req;
+    const double worker_ctx =
+        (usage1.ctx_switches - usage0.ctx_switches) * per_req;
 
     // The chaos contract. "Lost" = accepted but never resolved;
     // shed/timed-out requests are explicit outcomes, not losses.
@@ -1048,6 +1084,8 @@ cmdClusterBench(const Options &opt)
         w.field("achieved_qps", rep.achieved_qps);
         w.field("latency_p50_us", rep.latency.p50);
         w.field("latency_p99_us", rep.latency.p99);
+        w.field("worker_cpu_us_per_request", worker_cpu_us);
+        w.field("worker_ctx_switches_per_request", worker_ctx);
         w.field("none_lost", none_lost);
         serve::appendTenantsJson(w, rep, names);
         w.endObject();
@@ -1101,6 +1139,9 @@ cmdClusterBench(const Options &opt)
            TextTable::num(rep.latency.p50, 1) + " / " +
                TextTable::num(rep.latency.p95, 1) + " / " +
                TextTable::num(rep.latency.p99, 1) + " us"});
+    t.row({"worker CPU / context switches per request",
+           TextTable::num(worker_cpu_us, 1) + " us / " +
+               TextTable::num(worker_ctx, 2)});
     t.row({"all requests resolved", none_lost ? "yes" : "NO"});
     t.row({"bit-exact vs single-process reference",
            bit_exact ? "yes" : "NO"});
