@@ -1,10 +1,12 @@
 #include "quant/fxp_simd.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <type_traits>
 
 #include "common/logging.hh"
 #include "linalg/simd_ops.hh"
+#include "obs/stat_registry.hh"
 #include "quant/fxp.hh"
 
 namespace tie {
@@ -20,6 +22,18 @@ fxpSimdEligible(const MacFormat &fmt)
     return fmt.acc_bits >= 2 && fmt.acc_bits <= 30 &&
            fmt.product_shift <= 15 && rshift >= 0 && rshift <= 30 &&
            fmt.act_out.total_bits >= 2 && fmt.act_out.total_bits <= 16;
+}
+
+int64_t
+fxpClampFreeBudget(const MacFormat &fmt, size_t k)
+{
+    TIE_REQUIRE(fxpSimdEligible(fmt),
+                "clamp budget of a format the lanes do not run");
+    const int64_t acc_hi = (int64_t(1) << (fmt.acc_bits - 1)) - 1;
+    if (k > static_cast<uint64_t>(acc_hi))
+        return -1;
+    return (acc_hi - static_cast<int64_t>(k))
+           << std::max(fmt.product_shift, 0);
 }
 
 namespace {
@@ -61,6 +75,9 @@ struct LaneParams
     int32_t rbias;
     int32_t out_hi;  ///< output saturation bounds
     int32_t out_lo;
+    /** A row tile whose largest row sum of |w| is at most this runs
+        clamp-free (header); negative: none does. */
+    int64_t sumw_max;
 };
 
 LaneParams
@@ -75,6 +92,7 @@ laneParams(const MacFormat &fmt)
     p.rbias = p.rshift > 0 ? int32_t(1) << (p.rshift - 1) : 0;
     p.out_hi = (int32_t(1) << (fmt.act_out.total_bits - 1)) - 1;
     p.out_lo = -(int32_t(1) << (fmt.act_out.total_bits - 1));
+    p.sumw_max = -1;
     return p;
 }
 
@@ -106,6 +124,54 @@ forRowTiles(size_t i0, size_t i1, Rows rows)
     }
 }
 
+/** The largest row sum of |w| over tile rows [i, i + R). */
+template <size_t R, typename Out>
+int64_t
+maxRowAbsSum(size_t k, const int16_t *w, const Out &out, size_t i)
+{
+    int64_t most = 0;
+    for (size_t r = 0; r < R; ++r) {
+        const int16_t *wrow = w + out.row(i + r) * k;
+        int64_t sum = 0;
+        for (size_t kk = 0; kk < k; ++kk)
+            sum += std::abs(int32_t(wrow[kk]));
+        most = std::max(most, sum);
+    }
+    return most;
+}
+
+/**
+ * p.sumw_max from the chain's clamp budget (fxpClampFreeBudget) and
+ * the operand window's largest |x|, which @p scan finds only when a
+ * budget exists.
+ */
+template <typename Scan>
+void
+setClampLimit(LaneParams &p, int64_t budget, Scan scan)
+{
+    if (budget < 0)
+        return;
+    const uint32_t xmax = scan();
+    p.sumw_max = xmax == 0 ? INT64_MAX : budget / xmax;
+}
+
+/**
+ * rows(std::bool_constant<kClamp>()) for one row tile whose largest
+ * row sum of |w| is @p sumw: kClamp is false when the bound proves the
+ * clamp cannot fire. Returns whether the tile ran clamp-free.
+ */
+template <typename Rows>
+bool
+withClamp(const LaneParams &p, int64_t sumw, Rows rows)
+{
+    if (sumw <= p.sumw_max) {
+        rows(std::false_type());
+        return true;
+    }
+    rows(std::true_type());
+    return false;
+}
+
 #if TIE_SIMD_X86
 
 /** k steps per weight-pair table: kTileRows x 256 int32 = 4 KiB. */
@@ -115,29 +181,81 @@ constexpr size_t kPairChunk = 256;
  * The (w, pbias) int16 pairs of tile rows [i, i + R) (weight rows
  * out.row(i + r)) for k steps [k0, k0 + kc), as int32 words
  * pairs[r * kPairChunk + kk]: madd_epi16 of one pair with an (x, 1)
- * pair is w * x + pbias, exactly.
+ * pair is w * x + pbias, exactly. Returns the largest row sum of |w|
+ * over those steps.
  */
 template <size_t R, typename Out>
-void
+int64_t
 buildPairs(size_t k, const int16_t *w, const Out &out, size_t i,
            size_t k0, size_t kc, int32_t pbias, int32_t *pairs)
 {
     const uint32_t hi = static_cast<uint32_t>(pbias) << 16;
+    int64_t most = 0;
     for (size_t r = 0; r < R; ++r) {
         const int16_t *wrow = w + out.row(i + r) * k + k0;
-        for (size_t kk = 0; kk < kc; ++kk)
+        int32_t sum = 0; // kc <= 256, so at most 2^23
+        for (size_t kk = 0; kk < kc; ++kk) {
             pairs[r * kPairChunk + kk] = static_cast<int32_t>(
                 hi | static_cast<uint16_t>(wrow[kk]));
+            sum += std::abs(int32_t(wrow[kk]));
+        }
+        most = std::max<int64_t>(most, sum);
     }
+    return most;
 }
 
-/** One MAC step of the chain: rounding shift, add, saturate. */
+/**
+ * The largest row sum of |w| of tile rows [i, i + R). A chain of one
+ * chunk sums it while building the tile's pairs, which the kernel then
+ * reuses; a longer one sums it in a pass of its own and the kernel
+ * builds its pairs per chunk.
+ */
+template <size_t R, typename Out>
+int64_t
+tileAbsSum(size_t k, const int16_t *w, const Out &out, size_t i,
+           int32_t pbias, int32_t *pairs)
+{
+    return k <= kPairChunk
+               ? buildPairs<R>(k, w, out, i, 0, k, pbias, pairs)
+               : maxRowAbsSum<R>(k, w, out, i);
+}
+
+/**
+ * One MAC step of the chain: rounding shift, add, and with kClamp the
+ * saturate.
+ */
+template <bool kClamp>
 __attribute__((target("avx2"), always_inline)) inline __m256i
 macAvx2(__m256i acc, __m256i prod_biased, __m256i pcnt, __m256i lo,
         __m256i hi)
 {
     acc = _mm256_add_epi32(acc, _mm256_srav_epi32(prod_biased, pcnt));
-    return _mm256_min_epi32(_mm256_max_epi32(acc, lo), hi);
+    if constexpr (kClamp)
+        acc = _mm256_min_epi32(_mm256_max_epi32(acc, lo), hi);
+    return acc;
+}
+
+/** The largest |x| of rows [0, k) x columns [j0, j1), j1 - j0 >= 16. */
+__attribute__((target("avx2"))) uint32_t
+maxAbsAvx2(size_t k, size_t ldx, const int16_t *x, size_t j0, size_t j1)
+{
+    constexpr size_t W = 16;
+    // abs(-32768) stays 0x8000, which the unsigned max reads as 32768.
+    __m256i most = _mm256_setzero_si256();
+    for (size_t kk = 0; kk < k; ++kk) {
+        const int16_t *row = x + kk * ldx;
+        for (size_t j = j0;; j += W) {
+            j = j + W <= j1 ? j : j1 - W;
+            most = _mm256_max_epu16(
+                most, _mm256_abs_epi16(_mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(row + j))));
+            if (j + W == j1)
+                break;
+        }
+    }
+    alignas(32) uint16_t lanes[W];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), most);
+    return *std::max_element(lanes, lanes + W);
 }
 
 /**
@@ -145,18 +263,17 @@ macAvx2(__m256i acc, __m256i prod_biased, __m256i pcnt, __m256i lo,
  * R rows x 2 vectors of 8 int32 accumulators. The last tile overlaps
  * its predecessor instead of leaving a column remainder; the
  * recomputed columns get the same bits. Each tile's R rows of 16
- * int16 leave through simd::ops::storeRows into @p out.
+ * int16 leave through simd::ops::storeRows into @p out. @p pairs
+ * already holds the weight pairs when k fits one chunk (tileAbsSum).
  */
-template <size_t R, typename Out>
+template <size_t R, bool kClamp, typename Out>
 __attribute__((target("avx2"))) void
 rowsAvx2(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
-         const LaneParams &p, Out out, size_t i, size_t j0, size_t j1)
+         const LaneParams &p, Out out, size_t i, size_t j0, size_t j1,
+         int32_t *pairs)
 {
     constexpr size_t W = 16;
-    int32_t pairs[kTileRows * kPairChunk];
     const bool one_chunk = k <= kPairChunk;
-    if (one_chunk)
-        buildPairs<R>(k, w, out, i, 0, k, p.pbias, pairs);
     const __m256i one = _mm256_set1_epi16(1);
     const __m256i pcnt = _mm256_set1_epi32(p.pshift);
     const __m256i acc_hi = _mm256_set1_epi32(p.acc_hi);
@@ -184,12 +301,12 @@ rowsAvx2(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
                 for (size_t r = 0; r < R; ++r) {
                     const __m256i wp =
                         _mm256_set1_epi32(pairs[r * kPairChunk + kk]);
-                    acc[r][0] = macAvx2(acc[r][0],
-                                        _mm256_madd_epi16(xlo, wp), pcnt,
-                                        acc_lo, acc_hi);
-                    acc[r][1] = macAvx2(acc[r][1],
-                                        _mm256_madd_epi16(xhi, wp), pcnt,
-                                        acc_lo, acc_hi);
+                    acc[r][0] = macAvx2<kClamp>(
+                        acc[r][0], _mm256_madd_epi16(xlo, wp), pcnt,
+                        acc_lo, acc_hi);
+                    acc[r][1] = macAvx2<kClamp>(
+                        acc[r][1], _mm256_madd_epi16(xhi, wp), pcnt,
+                        acc_lo, acc_hi);
                 }
             }
         }
@@ -225,12 +342,37 @@ rowsAvx2(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
 #endif
 
 /** macAvx2 on 16 lanes. */
+template <bool kClamp>
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline __m512i
 macAvx512(__m512i acc, __m512i prod_biased, __m512i pcnt, __m512i lo,
           __m512i hi)
 {
     acc = _mm512_add_epi32(acc, _mm512_srav_epi32(prod_biased, pcnt));
-    return _mm512_min_epi32(_mm512_max_epi32(acc, lo), hi);
+    if constexpr (kClamp)
+        acc = _mm512_min_epi32(_mm512_max_epi32(acc, lo), hi);
+    return acc;
+}
+
+/** maxAbsAvx2 with 32 columns a step (j1 - j0 >= 32). */
+__attribute__((target("avx512f,avx512bw"))) uint32_t
+maxAbsAvx512(size_t k, size_t ldx, const int16_t *x, size_t j0,
+             size_t j1)
+{
+    constexpr size_t W = 32;
+    __m512i most = _mm512_setzero_si512();
+    for (size_t kk = 0; kk < k; ++kk) {
+        const int16_t *row = x + kk * ldx;
+        for (size_t j = j0;; j += W) {
+            j = j + W <= j1 ? j : j1 - W;
+            most = _mm512_max_epu16(
+                most, _mm512_abs_epi16(_mm512_loadu_si512(row + j)));
+            if (j + W == j1)
+                break;
+        }
+    }
+    alignas(64) uint16_t lanes[W];
+    _mm512_store_si512(lanes, most);
+    return *std::max_element(lanes, lanes + W);
 }
 
 /**
@@ -238,16 +380,14 @@ macAvx512(__m512i acc, __m512i prod_biased, __m512i pcnt, __m512i lo,
  * (j1 - j0 >= 32). The unpacks and the pack work per 128-bit lane
  * exactly as on AVX2, so the halves again land in column order.
  */
-template <size_t R, typename Out>
+template <size_t R, bool kClamp, typename Out>
 __attribute__((target("avx512f,avx512bw"))) void
 rowsAvx512(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
-           const LaneParams &p, Out out, size_t i, size_t j0, size_t j1)
+           const LaneParams &p, Out out, size_t i, size_t j0, size_t j1,
+           int32_t *pairs)
 {
     constexpr size_t W = 32;
-    int32_t pairs[kTileRows * kPairChunk];
     const bool one_chunk = k <= kPairChunk;
-    if (one_chunk)
-        buildPairs<R>(k, w, out, i, 0, k, p.pbias, pairs);
     const __m512i one = _mm512_set1_epi16(1);
     const __m512i pcnt = _mm512_set1_epi32(p.pshift);
     const __m512i acc_hi = _mm512_set1_epi32(p.acc_hi);
@@ -273,12 +413,12 @@ rowsAvx512(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
                 for (size_t r = 0; r < R; ++r) {
                     const __m512i wp =
                         _mm512_set1_epi32(pairs[r * kPairChunk + kk]);
-                    acc[r][0] = macAvx512(acc[r][0],
-                                          _mm512_madd_epi16(xlo, wp),
-                                          pcnt, acc_lo, acc_hi);
-                    acc[r][1] = macAvx512(acc[r][1],
-                                          _mm512_madd_epi16(xhi, wp),
-                                          pcnt, acc_lo, acc_hi);
+                    acc[r][0] = macAvx512<kClamp>(
+                        acc[r][0], _mm512_madd_epi16(xlo, wp), pcnt,
+                        acc_lo, acc_hi);
+                    acc[r][1] = macAvx512<kClamp>(
+                        acc[r][1], _mm512_madd_epi16(xhi, wp), pcnt,
+                        acc_lo, acc_hi);
                 }
             }
         }
@@ -308,19 +448,42 @@ rowsAvx512(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
 #if TIE_SIMD_NEON
 
 /** One MAC step of the chain on 4 lanes (pcnt = -pshift). */
+template <bool kClamp>
 inline int32x4_t
 macNeon(int32x4_t acc, int32x4_t prod_biased, int32x4_t pcnt,
         int32x4_t lo, int32x4_t hi)
 {
     acc = vaddq_s32(acc, vshlq_s32(prod_biased, pcnt));
-    return vminq_s32(vmaxq_s32(acc, lo), hi);
+    if constexpr (kClamp)
+        acc = vminq_s32(vmaxq_s32(acc, lo), hi);
+    return acc;
+}
+
+/** maxAbsAvx2 with 8 columns a step (j1 - j0 >= 8). */
+uint32_t
+maxAbsNeon(size_t k, size_t ldx, const int16_t *x, size_t j0, size_t j1)
+{
+    constexpr size_t W = 8;
+    // vabsq_s16 wraps -32768 to 0x8000, which reads as 32768 unsigned.
+    uint16x8_t most = vdupq_n_u16(0);
+    for (size_t kk = 0; kk < k; ++kk) {
+        const int16_t *row = x + kk * ldx;
+        for (size_t j = j0;; j += W) {
+            j = j + W <= j1 ? j : j1 - W;
+            most = vmaxq_u16(
+                most, vreinterpretq_u16_s16(vabsq_s16(vld1q_s16(row + j))));
+            if (j + W == j1)
+                break;
+        }
+    }
+    return vmaxvq_u16(most);
 }
 
 /**
  * rowsAvx2 with R x 8 tiles: R rows x 2 vectors of 4 int32 lanes.
  * vmlal_n_s16 widens pbias + w * x exactly, so no pair table.
  */
-template <size_t R, typename Out>
+template <size_t R, bool kClamp, typename Out>
 void
 rowsNeon(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
          const LaneParams &p, Out out, size_t i, size_t j0, size_t j1)
@@ -349,10 +512,12 @@ rowsNeon(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
             const int16x4_t xhi = vget_high_s16(xv);
             for (size_t r = 0; r < R; ++r) {
                 const int16_t wv = wrow[r][kk];
-                acc[r][0] = macNeon(acc[r][0], vmlal_n_s16(pbias, xlo, wv),
-                                    pcnt, acc_lo, acc_hi);
-                acc[r][1] = macNeon(acc[r][1], vmlal_n_s16(pbias, xhi, wv),
-                                    pcnt, acc_lo, acc_hi);
+                acc[r][0] = macNeon<kClamp>(
+                    acc[r][0], vmlal_n_s16(pbias, xlo, wv), pcnt, acc_lo,
+                    acc_hi);
+                acc[r][1] = macNeon<kClamp>(
+                    acc[r][1], vmlal_n_s16(pbias, xhi, wv), pcnt, acc_lo,
+                    acc_hi);
             }
         }
         int16x8_t v[R];
@@ -372,7 +537,11 @@ rowsNeon(size_t k, size_t ldx, const int16_t *w, const int16_t *x,
 
 #endif // TIE_SIMD_NEON
 
-/** fxpBlock / fxpStage for one epilogue type. */
+/**
+ * fxpBlock / fxpStage for one epilogue type. Each call scans its
+ * operand window for the largest |x| once, and each row tile then
+ * runs the clamp-free chain when its weights prove it cannot saturate.
+ */
 template <typename Out>
 void
 fxpKernel(simd::Isa isa, size_t k, size_t ldx, const int16_t *w,
@@ -389,35 +558,70 @@ fxpKernel(simd::Isa isa, size_t k, size_t ldx, const int16_t *w,
         scalarBlock(k, ldx, w, x, fmt, out, i0, i1, j0, j1);
         return;
     }
-    const LaneParams p = laneParams(fmt);
+    LaneParams p = laneParams(fmt);
+    const int64_t budget = fxpClampFreeBudget(fmt, k);
+    size_t clamp_free = 0;
     switch (isa) {
 #if TIE_SIMD_X86
       case simd::Isa::Avx512:
+        setClampLimit(p, budget,
+                      [&] { return maxAbsAvx512(k, ldx, x, j0, j1); });
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsAvx512<decltype(rows)::value>(k, ldx, w, x, p, out, i, j0,
-                                              j1);
+            constexpr size_t R = decltype(rows)::value;
+            int32_t pairs[kTileRows * kPairChunk];
+            clamp_free += withClamp(
+                p, tileAbsSum<R>(k, w, out, i, p.pbias, pairs),
+                [&](auto clamp) {
+                    rowsAvx512<R, decltype(clamp)::value>(
+                        k, ldx, w, x, p, out, i, j0, j1, pairs);
+                });
         });
-        return;
+        break;
       case simd::Isa::Avx2:
+        setClampLimit(p, budget,
+                      [&] { return maxAbsAvx2(k, ldx, x, j0, j1); });
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsAvx2<decltype(rows)::value>(k, ldx, w, x, p, out, i, j0,
-                                            j1);
+            constexpr size_t R = decltype(rows)::value;
+            int32_t pairs[kTileRows * kPairChunk];
+            clamp_free += withClamp(
+                p, tileAbsSum<R>(k, w, out, i, p.pbias, pairs),
+                [&](auto clamp) {
+                    rowsAvx2<R, decltype(clamp)::value>(
+                        k, ldx, w, x, p, out, i, j0, j1, pairs);
+                });
         });
-        return;
+        break;
 #endif
 #if TIE_SIMD_NEON
       case simd::Isa::Neon:
+        setClampLimit(p, budget,
+                      [&] { return maxAbsNeon(k, ldx, x, j0, j1); });
         forRowTiles(i0, i1, [&](size_t i, auto rows) {
-            rowsNeon<decltype(rows)::value>(k, ldx, w, x, p, out, i, j0,
-                                            j1);
+            constexpr size_t R = decltype(rows)::value;
+            clamp_free += withClamp(
+                p, maxRowAbsSum<R>(k, w, out, i), [&](auto clamp) {
+                    rowsNeon<R, decltype(clamp)::value>(k, ldx, w, x, p,
+                                                        out, i, j0, j1);
+                });
         });
-        return;
+        break;
 #endif
       default:
-        break;
+        TIE_PANIC("fxpBlock dispatched to ", simd::isaName(isa),
+                  ", which this build cannot execute");
     }
-    TIE_PANIC("fxpBlock dispatched to ", simd::isaName(isa),
-              ", which this build cannot execute");
+    if (obs::enabled()) {
+        obs::StatRegistry &reg = obs::StatRegistry::instance();
+        static obs::Counter &free_tiles = reg.counter(
+            "fxp.tiles_clamp_free",
+            "fixed-point row tiles run without the accumulator clamp");
+        static obs::Counter &clamped_tiles = reg.counter(
+            "fxp.tiles_clamped",
+            "fixed-point row tiles run with the accumulator clamp");
+        const size_t tiles = (i1 - i0 + kTileRows - 1) / kTileRows;
+        free_tiles.add(clamp_free);
+        clamped_tiles.add(tiles - clamp_free);
+    }
 }
 
 } // namespace

@@ -31,6 +31,22 @@
  * not used: it adds two products before accumulating, while the chain
  * saturates after every product.
  *
+ * Clamp rule: the max/min saturate is 2 of each step's 5 vector ops
+ * and sits on the loop-carried chain, yet it provably cannot fire when
+ *
+ *     sum_k |w_ik| * X + k * 2^s <= acc_hi * 2^s
+ *
+ * for every row i of a tile, where X is the largest |x| of the operand
+ * window and s = max(product_shift, 0): each rounded product has
+ * |t| <= |w| |x| / 2^s + 1, so no partial sum leaves [-acc_hi,
+ * acc_hi], which lies inside [acc_lo, acc_hi], and dropping the clamp
+ * gives the same bits. Each call scans its operand window for X once
+ * (one abs/max vector pass); each row tile sums its rows' |w| (on x86
+ * while building its weight pairs) and runs the kernel instantiated
+ * without the clamp when the bound holds. Rounding shift, k order,
+ * requantize and epilogue are the same in both instantiations. The
+ * counters fxp.tiles_clamp_free / fxp.tiles_clamped count the two.
+ *
  * Eligibility (fxpSimdEligible): the bias must fit an int16
  * (product_shift <= 15), and the lane math runs in 32-bit registers,
  * which is exact only when the intermediate |acc + product| cannot
@@ -64,6 +80,14 @@ struct StageOut;
  * requantize shift (the datapath never widens on output).
  */
 bool fxpSimdEligible(const MacFormat &fmt);
+
+/**
+ * The clamp-free budget of an eligible @p fmt over @p k MAC steps:
+ * (acc_hi - k) * 2^max(product_shift, 0). A row whose sum of |w| times
+ * the largest |x| it meets is at most this never saturates (see the
+ * file comment); -1 when k alone exceeds acc_hi.
+ */
+int64_t fxpClampFreeBudget(const MacFormat &fmt, size_t k);
 
 /**
  * out[i0:i1, j0:j1) of the fixed-point GEMM out = w (m x k) * x, all

@@ -60,6 +60,7 @@ expect_refused "TIE_FAST='2' must be 0 or 1" \
 "$CLI" save-model "$DIR/a.tie" --from "$DIR/l.tie" --fxp
 "$CLI" info "$DIR/a.tie" | grep -q "fxp twin  | yes"
 "$CLI" info "$DIR/a.tie" | grep -q ".tie v1"
+"$CLI" info "$DIR/a.tie" | grep -q "clamp-free max |x|"
 "$CLI" serve-bench "$DIR/a.tie" --requests 64 --clients 2 \
     | grep -q "bit-exact vs reference.*| yes"
 "$CLI" save-model "$DIR/s.tie" --m 4,4 --n 4,6 --rank 3 --seed 5
@@ -93,6 +94,12 @@ expect_bad_flag() {
         exit 1
     fi
 }
+# cluster-bench refuses them before it makes its /tmp/tie-cluster-*
+# socket directory, so the refused runs leave none behind.
+cluster_dirs() {
+    ls -d /tmp/tie-cluster-?????? 2>/dev/null | sort
+}
+cluster_dirs > "$DIR/dirs_before.txt"
 for cmd in serve-bench cluster-bench; do
     for flag in "--clients -1" "--clients 0" "--requests abc" \
         "--requests 12x" "--requests 99999999999999999999999" \
@@ -101,6 +108,13 @@ for cmd in serve-bench cluster-bench; do
         expect_bad_flag "$CLI" $cmd "$DIR/s.tie" $flag
     done
 done
+expect_bad_flag "$CLI" cluster-bench "$DIR/s.tie" --qps 5
+cluster_dirs > "$DIR/dirs_after.txt"
+if ! cmp -s "$DIR/dirs_before.txt" "$DIR/dirs_after.txt"; then
+    echo "refused cluster-bench runs left socket directories:" >&2
+    comm -13 "$DIR/dirs_before.txt" "$DIR/dirs_after.txt" >&2
+    exit 1
+fi
 for flag in "--qps -5" "--qps inf" "--deadline-us 1.5" \
     "--metrics-port 70000"; do
     # shellcheck disable=SC2086

@@ -1354,8 +1354,9 @@ TEST_F(ClusterTest, AStalledPartialFrameDoesNotHoldUpOwedResponses)
     for (uint64_t i = 0; i < 4; ++i)
         EXPECT_EQ(readResponse(conn, i),
                   static_cast<uint32_t>(serve::RequestStatus::Done));
-    // The worker looks for frames every 100 ms when it owes nothing;
-    // four responses that each waited for that would take 400 ms.
+    // The worker blocks in poll() with no timeout on the socket and
+    // its completion pipe, so each owed response leaves when its batch
+    // completes, not when the half-sent fifth frame next moves.
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -21,6 +21,7 @@
 #include "linalg/gemm.hh"
 #include "linalg/pack.hh"
 #include "linalg/simd.hh"
+#include "obs/stat_registry.hh"
 #include "quant/fxp.hh"
 #include "quant/fxp_simd.hh"
 
@@ -682,6 +683,173 @@ TEST(SimdFxp, ProductShiftEligibilityEndsAt15)
     ASSERT_GE(past.accFracBits(), past.act_out.frac_bits);
     EXPECT_FALSE(fxpSimdEligible(past));
     sweepFxpTiles(past, 0x5eed4);
+}
+
+// ---------------------------------------------------------------------
+// The clamp-free chain: a row tile whose sum_k |w| times the window's
+// largest |x| is within fxpClampFreeBudget skips the accumulator clamp
+// and must keep the scalar chain's bits.
+// ---------------------------------------------------------------------
+
+/** fxp.tiles_clamp_free and fxp.tiles_clamped right now. */
+std::array<uint64_t, 2>
+fxpTileCounts()
+{
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    return {reg.counter("fxp.tiles_clamp_free").value(),
+            reg.counter("fxp.tiles_clamped").value()};
+}
+
+/**
+ * Rows [0, m) x columns [j0, j1) of w (m x k) * x (k rows of stride
+ * ldx) on every ISA against Isa::Scalar, the sentinel kept outside the
+ * window. Every vector ISA must run @p clamp_free of the window's row
+ * tiles without the clamp and the rest with it.
+ */
+void
+checkClampWindow(const MacFormat &fmt, size_t m, size_t k, size_t ldx,
+                 const std::vector<int16_t> &w,
+                 const std::vector<int16_t> &x, size_t j0, size_t j1,
+                 uint64_t clamp_free)
+{
+    const size_t ldo = ldx + 5;
+    const uint64_t tiles = (m + 3) / 4;
+    std::vector<int16_t> ref(m * ldo, 99);
+    fxpBlock(Isa::Scalar, k, ldx, ldo, w.data(), x.data(), fmt,
+             ref.data(), 0, m, j0, j1);
+    obs::setEnabled(true);
+    for (Isa isa : supportedIsas()) {
+        std::vector<int16_t> out(m * ldo, 99);
+        const std::array<uint64_t, 2> before = fxpTileCounts();
+        fxpBlock(isa, k, ldx, ldo, w.data(), x.data(), fmt, out.data(), 0,
+                 m, j0, j1);
+        const std::array<uint64_t, 2> after = fxpTileCounts();
+        EXPECT_EQ(out, ref) << simd::isaName(isa) << " k=" << k;
+        if (isa == Isa::Scalar)
+            continue;
+        EXPECT_EQ(after[0] - before[0], clamp_free)
+            << simd::isaName(isa) << " k=" << k;
+        EXPECT_EQ(after[1] - before[1], tiles - clamp_free)
+            << simd::isaName(isa) << " k=" << k;
+    }
+    obs::setEnabled(false);
+}
+
+/** Largest row sum of |w| of an m x k weight block. */
+int64_t
+maxRowAbsSum(const std::vector<int16_t> &w, size_t m, size_t k)
+{
+    int64_t most = 0;
+    for (size_t i = 0; i < m; ++i) {
+        int64_t sum = 0;
+        for (size_t kk = 0; kk < k; ++kk)
+            sum += std::abs(int32_t(w[i * k + kk]));
+        most = std::max(most, sum);
+    }
+    return most;
+}
+
+TEST(SimdFxpClamp, ProvenWindowRunsClampFree)
+{
+    // sum|w| <= 64 * 2000 and max|x| <= 3000: far inside the budget.
+    MacFormat fmt;
+    Rng rng(0xc1a3);
+    const size_t m = 7, k = 64, ldx = 80;
+    const auto w = randomI16(m * k, rng, -2000, 2000);
+    const auto x = randomI16(k * ldx, rng, -3000, 3000);
+    ASSERT_LE(maxRowAbsSum(w, m, k) * 3000, fxpClampFreeBudget(fmt, k));
+    checkClampWindow(fmt, m, k, ldx, w, x, 3, 75, 2);
+}
+
+TEST(SimdFxpClamp, SaturatingWindowKeepsTheClamp)
+{
+    // Rows 4-5 climb far past acc_hi and come back down by the same
+    // weights (each column holds one x throughout): unclamped they end
+    // near 0, clamped at acc_lo, so their tile must keep the clamp.
+    // Rows 0-3 have small weights, which the same window's max|x|
+    // still proves. At k = 600 the first 300 weights are zero, so only
+    // a decision over the whole chain (not its first 256-step chunk)
+    // sees the climb.
+    MacFormat fmt;
+    Rng rng(0x5a7);
+    const size_t m = 6, ldx = 40, j0 = 1, j1 = 39;
+    for (size_t k : {size_t(8), size_t(600)}) {
+        const size_t lead = k > 8 ? k / 2 : 0, half = (k - lead) / 2;
+        std::vector<int16_t> w(m * k, 0);
+        for (size_t i = 0; i < m; ++i) {
+            for (size_t kk = lead; kk < lead + half; ++kk) {
+                const int16_t mag = i < 4 ? 60 : 30000;
+                w[i * k + kk] =
+                    static_cast<int16_t>(rng.intIn(mag / 2, mag));
+                w[i * k + kk + half] = static_cast<int16_t>(-w[i * k + kk]);
+            }
+        }
+        const auto col = randomI16(ldx, rng, 30000, 32767);
+        std::vector<int16_t> x(k * ldx);
+        for (size_t kk = 0; kk < k; ++kk)
+            std::copy(col.begin(), col.end(), x.begin() + kk * ldx);
+
+        // The unclamped chain must differ somewhere, else the case
+        // proves nothing.
+        std::vector<int16_t> ref(m * ldx, 0);
+        fxpBlock(Isa::Scalar, k, ldx, ldx, w.data(), x.data(), fmt,
+                 ref.data(), 0, m, j0, j1);
+        size_t differs = 0;
+        for (size_t i = 0; i < m; ++i) {
+            for (size_t j = j0; j < j1; ++j) {
+                int64_t acc = 0;
+                for (size_t kk = 0; kk < k; ++kk)
+                    acc += macProduct(w[i * k + kk], x[kk * ldx + j], fmt);
+                differs += requantizeAcc(acc, fmt) != ref[i * ldx + j];
+            }
+        }
+        EXPECT_GT(differs, 0u) << "k=" << k;
+        checkClampWindow(fmt, m, k, ldx, w, x, j0, j1, 1);
+    }
+}
+
+TEST(SimdFxpClamp, WindowAtTheBoundRunsClampFree)
+{
+    // k = 127 makes the default format's budget (2^23 - 1 - 127) * 2^8
+    // = 65535 * 32768: rows with sum|w| = 65535 against an operand that
+    // holds -32768 sit exactly on the bound; one more unit is past it.
+    MacFormat fmt;
+    const size_t m = 8, k = 127, ldx = 70;
+    ASSERT_EQ(fxpClampFreeBudget(fmt, k), int64_t(65535) * 32768);
+    Rng rng(0xb0d);
+    std::vector<int16_t> w(m * k);
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t kk = 0; kk < k; ++kk) {
+            const int16_t mag = kk < 3 ? 517 : 516; // 3 + 127 * 516
+            w[i * k + kk] = (i + kk) % 3 ? mag : int16_t(-mag);
+        }
+    }
+    // Half the columns are -32768 throughout, where same-sign rows run
+    // the accumulator within 2^7 of its range; the rest are random.
+    auto x = randomI16(k * ldx, rng);
+    for (size_t kk = 0; kk < k; ++kk)
+        std::fill_n(x.begin() + kk * ldx, ldx / 2, int16_t(-32768));
+    for (size_t kk = 0; kk < k; ++kk)
+        w[kk] = 516 + (kk < 3); // row 0: all positive
+    ASSERT_EQ(maxRowAbsSum(w, m, k), 65535);
+    checkClampWindow(fmt, m, k, ldx, w, x, 0, ldx, 2);
+
+    w[5 * k + 7] += w[5 * k + 7] > 0 ? 1 : -1; // row 5: 65536
+    ASSERT_EQ(maxRowAbsSum(w, m, k), 65536);
+    checkClampWindow(fmt, m, k, ldx, w, x, 0, ldx, 1);
+}
+
+TEST(SimdFxpClamp, MultiChunkWindowRunsClampFree)
+{
+    // k = 600 spans three weight-pair chunks (256 + 256 + 88); sum|w|
+    // <= 600 * 400 against max|x| <= 2000 is inside the budget.
+    MacFormat fmt;
+    Rng rng(0x600);
+    const size_t m = 9, k = 600, ldx = 50;
+    const auto w = randomI16(m * k, rng, -400, 400);
+    const auto x = randomI16(k * ldx, rng, -2000, 2000);
+    ASSERT_LE(maxRowAbsSum(w, m, k) * 2000, fxpClampFreeBudget(fmt, k));
+    checkClampWindow(fmt, m, k, ldx, w, x, 0, 49, 3);
 }
 
 TEST(SimdFxp, UnalignedColumnWindowMatchesScalar)

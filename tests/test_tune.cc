@@ -8,7 +8,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,6 +60,8 @@ struct TempDir
         EXPECT_NE(::mkdtemp(tmpl), nullptr);
         path = tmpl;
     }
+    /** Adopts the directory @p made, which the caller created. */
+    explicit TempDir(std::string made) : path(std::move(made)) {}
     ~TempDir()
     {
         const int rc =
@@ -338,11 +343,34 @@ TEST(Zoo, MultiTenantMixIsBitExact)
  * list, "mults" or "sim_cycles" is refused with a diagnostic (exit
  * 1), never cast to size_t.
  */
+/** True in a threadsafe death-test child, which re-runs its test. */
+bool
+inDeathTestChild()
+{
+    // The flag moved from testing::internal to testing across gtest
+    // releases; the using-directives find it in either.
+    using namespace ::testing;
+    using namespace ::testing::internal;
+    return !FLAGS_gtest_internal_run_death_test.empty();
+}
+
 TEST(Zoo, HostileManifestNumbersAreRejected)
 {
-    // Re-exec instead of fork: earlier tests leave pool threads.
+    // Re-exec instead of fork: earlier tests leave pool threads. Each
+    // death-test child re-runs this body and exits inside EXPECT_EXIT,
+    // before any destructor, so it must create nothing: only the parent
+    // makes the directory, named after its pid, and the children (whose
+    // parent it is) rewrite the manifest inside it.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TempDir dir;
+    const bool child = inDeathTestChild();
+    const std::string path =
+        "/tmp/tie-tune-test-hostile-" +
+        std::to_string(child ? ::getppid() : ::getpid());
+    if (!child) {
+        ASSERT_TRUE(::mkdir(path.c_str(), 0700) == 0 || errno == EEXIST)
+            << path;
+    }
+    TempDir dir(path);
     auto manifest = [&](const std::string &m, const std::string &mults,
                         const std::string &cycles) {
         std::ofstream os(dir.path + "/zoo.json");

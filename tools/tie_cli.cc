@@ -87,6 +87,7 @@
 #include "obs/json.hh"
 #include "obs/report.hh"
 #include "obs/stat_registry.hh"
+#include "quant/fxp_simd.hh"
 #include "serve/load_gen.hh"
 #include "serve/metrics_endpoint.hh"
 #include "serve/model_registry.hh"
@@ -338,6 +339,44 @@ printLayerCosts(const std::string &title, const TtLayerConfig &cfg)
     t.print();
 }
 
+/**
+ * Per stage of an int16 twin: the largest row sum of |w| of its core
+ * and the largest operand |x| for which every row tile of that stage
+ * runs the accumulator clamp-free (quant/fxp_simd.hh). A stage whose
+ * operands stay within that |x| cannot saturate at all.
+ */
+void
+printClampReach(const std::string &title, const TtFxpLayerView &v)
+{
+    TextTable t(title);
+    t.header({"stage", "core", "max row sum |w|", "clamp-free max |x|"});
+    for (size_t h = 1; h <= v.cores.size(); ++h) {
+        const CoreView<int16_t> &g = v.cores[h - 1];
+        int64_t most = 0;
+        for (size_t i = 0; i < g.rows; ++i) {
+            int64_t sum = 0;
+            for (size_t kk = 0; kk < g.cols; ++kk)
+                sum += std::abs(int32_t(g.data[i * g.cols + kk]));
+            most = std::max(most, sum);
+        }
+        std::string reach = "scalar chain";
+        if (fxpSimdEligible(v.fmt[h - 1])) {
+            const int64_t budget = fxpClampFreeBudget(v.fmt[h - 1], g.cols);
+            const int64_t x = budget < 0 ? -1
+                              : most == 0 ? 32768
+                                          : std::min<int64_t>(budget / most,
+                                                              32768);
+            reach = x < 0 ? "none" : std::to_string(x);
+            if (x == 32768)
+                reach += " (any int16)";
+        }
+        t.row({std::to_string(h),
+               std::to_string(g.rows) + " x " + std::to_string(g.cols),
+               std::to_string(most), reach});
+    }
+    t.print();
+}
+
 int
 cmdInfo(const Options &opt)
 {
@@ -354,8 +393,13 @@ cmdInfo(const Options &opt)
                             std::to_string(m.outSize())});
     t.row({"fxp twin", m.hasFxp() ? "yes" : "no"});
     t.print();
-    for (size_t i = 0; i < m.layerCount(); ++i)
+    for (size_t i = 0; i < m.layerCount(); ++i) {
         printLayerCosts("layer " + std::to_string(i), m.config(i));
+        if (m.hasFxp())
+            printClampReach("layer " + std::to_string(i) +
+                                " int16 clamp bound",
+                            m.fxpLayer(i));
+    }
 
     // The full validated section table — every row already passed the
     // loader's bounds and CRC checks, so this doubles as an integrity
@@ -941,6 +985,9 @@ cmdClusterBench(const Options &opt)
 
     const serve::ServerOptions sopts = serverOptionsFrom(opt, 4, 128);
     const serve::LoadGenOptions lopts = loadOptionsFrom(opt, 64);
+    // runLoadGen's own check (routers report no RequestTiming), made
+    // before the socket directory and the workers exist.
+    serve::detail::checkLoad(lopts, n_models, nullptr, /*timed=*/false);
 
     // The single-process oracles: the same seeded request stream
     // through the same artifacts, batch-1. Every Done output from any
