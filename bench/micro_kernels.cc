@@ -351,9 +351,9 @@ crc32Bench(benchmark::State &state, size_t n,
     state.SetBytesProcessed(state.iterations() * n);
 }
 
-// io::crc32 takes the carry-less-multiply path on x86-64 hosts with
-// PCLMULQDQ (inputs of 64 bytes or more); the /portable row times the
-// slicing-by-8 table loop on the same bytes.
+// io::crc32 takes the best carry-less-multiply fold the host has
+// (io/crc32.hh); the /clmul128 and /portable rows time the 128-bit
+// fold and the slicing-by-8 table loop on the same bytes.
 void
 BM_Crc32(benchmark::State &state)
 {
@@ -364,12 +364,13 @@ BENCHMARK(BM_Crc32)->Arg(64)->Arg(32768);
 void
 BM_WireInferRoundTrip(benchmark::State &state)
 {
-    // One InferRequest frame encoded into a reused buffer and decoded
-    // back into a reused message, with both CRCs and every check: the
-    // router's encode plus the worker's decode of one request.
+    // One InferRequest frame encoded into a reused buffer, decoded and
+    // its values loaded into a reused vector, with both CRCs and every
+    // check: the router's encode plus the worker's decode of one
+    // request into its queue slot.
     const size_t n = static_cast<size_t>(state.range(0));
     Rng rng(22);
-    std::vector<double> x(n);
+    std::vector<double> x(n), slot(n);
     for (double &v : x)
         v = rng.uniform(-1, 1);
     std::vector<uint8_t> frame;
@@ -386,7 +387,8 @@ BM_WireInferRoundTrip(benchmark::State &state)
             state.SkipWithError("wire round trip failed");
             break;
         }
-        benchmark::DoNotOptimize(req.x.data());
+        cluster::loadWireF64s(req.values, req.n, slot.data());
+        benchmark::DoNotOptimize(slot.data());
         benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(state.iterations() * frame.size());
@@ -538,6 +540,14 @@ main(int argc, char **argv)
         "BM_Crc32/32768/portable", [](benchmark::State &s) {
             crc32Bench(s, 32768, io::crc32Portable);
         });
+    if (io::crc32Supported(io::Crc32Path::Clmul128))
+        benchmark::RegisterBenchmark(
+            "BM_Crc32/32768/clmul128", [](benchmark::State &s) {
+                crc32Bench(s, 32768, [](const void *d, size_t n,
+                                        uint32_t c) {
+                    return io::crc32With(io::Crc32Path::Clmul128, d, n, c);
+                });
+            });
 
     // Default a JSON results file so perf history accumulates without
     // anyone remembering the flag; explicit --benchmark_out wins.

@@ -252,7 +252,7 @@ Router::pickReplica(int skip)
 }
 
 void
-Router::dispatch(std::unique_lock<std::mutex> &lk, uint64_t id, Pending &p)
+Router::dispatch(std::unique_lock<std::mutex> &lk, Pending &p)
 {
     while (!p.terminal && p.replica < 0) {
         const int r = stop_flag_.load(std::memory_order_relaxed)
@@ -272,21 +272,15 @@ Router::dispatch(std::unique_lock<std::mutex> &lk, uint64_t id, Pending &p)
         // Send with mu_ released: a send blocks while the worker is
         // not reading, and the worker may be waiting for its responses
         // to be read, so the receivers must never wait for mu_ behind
-        // it. Only the owner touches p.x, and only the owner waits the
-        // node out, so p stays put meanwhile.
+        // it. Only the owner touches p.frame, and only the owner waits
+        // the node out, so p stays put meanwhile.
         lk.unlock();
         std::string err;
         bool sent = false;
         {
-            // Encode straight from the retained input into the
-            // replica's reused tx buffer, which send_mu guards with the
-            // socket.
             std::lock_guard<std::mutex> slk(rep.send_mu);
-            if (rep.data.open()) {
-                encodeInferRequest(id, p.deadline_us, p.x.data(),
-                                   p.x.size(), rep.data.txBuffer());
-                sent = rep.data.sendEncoded(opts_.io_timeout_ms, &err);
-            }
+            sent = rep.data.open() &&
+                   rep.data.send(p.frame, opts_.io_timeout_ms, &err);
         }
         lk.lock();
         if (!sent) {
@@ -304,8 +298,7 @@ Router::dispatch(std::unique_lock<std::mutex> &lk, uint64_t id, Pending &p)
 }
 
 void
-Router::completeLocked(Pending &p, ClusterStatus st,
-                       const std::vector<double> *y)
+Router::completeLocked(Pending &p, ClusterStatus st)
 {
     if (p.replica >= 0) {
         replicas_[p.replica]->outstanding.fetch_sub(
@@ -314,8 +307,6 @@ Router::completeLocked(Pending &p, ClusterStatus st,
     }
     p.terminal = true;
     p.status = st;
-    if (y != nullptr)
-        p.y.assign(y->begin(), y->end());
     {
         std::lock_guard<std::mutex> lk(stats_mu_);
         switch (st) {
@@ -374,14 +365,13 @@ Router::submit(const double *x, uint64_t deadline_us)
         it = pending_.insert(std::move(node)).position;
     }
     Pending &p = it->second;
-    p.x.assign(x, x + in_size_);
-    p.deadline_us = deadline_us;
+    encodeInferRequest(id, deadline_us, x, in_size_, &p.frame);
     p.attempts = 0;
     p.replica = -1;
     p.skip = -1;
     p.terminal = false;
     p.status = ClusterStatus::Shed;
-    dispatch(lk, id, p);
+    dispatch(lk, p);
     // Shed already: no replica took it. Hand it back as an invalid
     // ticket, as at the door (completeLocked has counted the shed).
     if (p.terminal && p.status == ClusterStatus::Shed) {
@@ -407,7 +397,7 @@ Router::wait(ClusterTicket t, std::vector<double> *out)
     for (;;) {
         // A request its replica refused or lost comes back here, to
         // its owner, to be sent on or shed.
-        dispatch(lk, t.id, p);
+        dispatch(lk, p);
         if (p.terminal)
             break;
         done_cv_.wait(lk, [&] { return p.terminal || p.replica < 0; });
@@ -470,7 +460,7 @@ Router::receiverLoop(size_t idx)
                      r.endpoint.toString());
             break;
         }
-        InferResponseMsg &resp = r.resp;
+        InferResponseMsg resp;
         if (!decodeInferResponse(f, &resp)) {
             TIE_WARN("router: malformed InferResponse from ",
                      r.endpoint.toString());
@@ -489,9 +479,10 @@ Router::receiverLoop(size_t idx)
         Pending &p = it->second;
         const auto status =
             static_cast<serve::RequestStatus>(resp.status);
-        if (status == serve::RequestStatus::Done &&
-            resp.y.size() == out_size_) {
-            completeLocked(p, ClusterStatus::Done, &resp.y);
+        if (status == serve::RequestStatus::Done && resp.n == out_size_) {
+            p.y.resize(out_size_);
+            loadWireF64s(resp.values, resp.n, p.y.data());
+            completeLocked(p, ClusterStatus::Done);
         } else if (status == serve::RequestStatus::TimedOut) {
             // The worker's own deadline fired; retrying would only
             // serve an answer that is already late.

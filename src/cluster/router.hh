@@ -31,6 +31,9 @@
  * replica's send lock held: receivers never send and never wait
  * behind a send, because a worker stops reading while its responses
  * go unread (worker.hh).
+ *
+ * **One copy per hop.** submit encodes a request once and every
+ * dispatch sends those bytes; receivers copy outputs straight in.
  */
 
 #ifndef TIE_CLUSTER_ROUTER_HH
@@ -170,7 +173,6 @@ class Router
         FrameConn data;     ///< send_mu guards writes and reconnects
         FrameConn health;   ///< monitor thread only
         std::mutex send_mu; ///< serializes data-connection sends
-        InferResponseMsg resp; ///< receiver's decode scratch
         std::thread receiver;
         std::atomic<bool> alive{false};
         std::atomic<bool> drain_acked{false};
@@ -180,13 +182,12 @@ class Router
 
     /**
      * One in-flight request (pending_ map, guarded by mu_). Map nodes
-     * are recycled through spare_, so x and y keep their capacity
+     * are recycled through spare_, so frame and y keep their capacity
      * from one request to the next.
      */
     struct Pending
     {
-        std::vector<double> x; ///< retained for re-dispatch (owner)
-        uint64_t deadline_us = 0;
+        std::vector<uint8_t> frame; ///< its InferRequest (owner only)
         int attempts = 0;
         int replica = -1; ///< replica holding it, -1 = none
         int skip = -1;    ///< replica that refused it, -1 = none
@@ -213,11 +214,9 @@ class Router
      * re-dispatch. Only p's owner calls it (submit, then wait), with
      * @p lk held; the send itself runs with mu_ released.
      */
-    void dispatch(std::unique_lock<std::mutex> &lk, uint64_t id,
-                  Pending &p);
-    /** Make @p p terminal; Done copies @p y into it. */
-    void completeLocked(Pending &p, ClusterStatus st,
-                        const std::vector<double> *y = nullptr);
+    void dispatch(std::unique_lock<std::mutex> &lk, Pending &p);
+    /** Make @p p terminal (Done: p.y already holds the output). */
+    void completeLocked(Pending &p, ClusterStatus st);
     /** Hand every pending request owned by @p idx back to its owner
         to re-dispatch or shed. */
     void failOverLocked(size_t idx);

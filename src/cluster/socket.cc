@@ -372,17 +372,18 @@ FrameConn::sendFrame(WireType type, const void *payload, size_t len,
                      int timeout_ms, std::string *error)
 {
     encodeFrame(type, payload, len, &tx_);
-    return sendEncoded(timeout_ms, error);
+    return send(tx_, timeout_ms, error);
 }
 
 bool
-FrameConn::sendEncoded(int timeout_ms, std::string *error)
+FrameConn::send(const std::vector<uint8_t> &frame, int timeout_ms,
+                std::string *error)
 {
     if (fd_ < 0) {
         setError(error, "send on a closed connection");
         return false;
     }
-    return sendAll(fd_, tx_.data(), tx_.size(), timeout_ms, error);
+    return sendAll(fd_, frame.data(), frame.size(), timeout_ms, error);
 }
 
 FrameConn::RecvStatus

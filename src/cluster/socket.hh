@@ -97,12 +97,12 @@ int connectTimed(const Endpoint &ep, int timeout_ms,
 
 /**
  * A connected peer speaking the wire protocol: owns the fd, a reused
- * transmit buffer and a reused receive buffer, so partially-arrived
- * frames survive between recvFrame calls and the steady state neither
- * allocates nor copies a frame more than once per hop. Not
- * thread-safe; callers serialize sends and receives independently
- * (one writer, one reader is fine — the tx buffer is only touched by
- * senders, the rx buffer only by recvFrame).
+ * transmit buffer (sendFrame's) and a reused receive buffer, so
+ * partially-arrived frames survive between recvFrame calls and the
+ * steady state neither allocates nor copies a frame more than once
+ * per hop. Not thread-safe; callers serialize sends and receives
+ * independently (one writer, one reader is fine — the tx buffer is
+ * only touched by senders, the rx buffer only by recvFrame).
  */
 class FrameConn
 {
@@ -149,13 +149,9 @@ class FrameConn
     bool sendFrame(WireType type, const void *payload, size_t len,
                    int timeout_ms, std::string *error = nullptr);
 
-    /**
-     * The reused transmit buffer: a typed encoder (wire.hh) writes a
-     * frame into it, then sendEncoded() sends that frame. Belongs to
-     * whichever thread sends on this connection.
-     */
-    std::vector<uint8_t> *txBuffer() { return &tx_; }
-    bool sendEncoded(int timeout_ms, std::string *error = nullptr);
+    /** Send @p frame, encoded by a typed encoder (wire.hh). */
+    bool send(const std::vector<uint8_t> &frame, int timeout_ms,
+              std::string *error = nullptr);
 
     /** Outcome of recvFrame. */
     enum class RecvStatus { Ok, Timeout, Closed, Corrupt };

@@ -68,22 +68,6 @@ getU64(const uint8_t *p)
 }
 
 void
-getF64s(const uint8_t *p, size_t n, std::vector<double> *out)
-{
-    out->resize(n);
-    double *v = out->data();
-    if constexpr (std::endian::native == std::endian::little) {
-        if (n != 0)
-            std::memcpy(v, p, 8 * n);
-    } else {
-        for (size_t i = 0; i < n; ++i) {
-            const uint64_t bits = getU64(p + 8 * i);
-            std::memcpy(&v[i], &bits, sizeof(bits));
-        }
-    }
-}
-
-void
 setError(std::string *error, const std::string &msg)
 {
     if (error != nullptr)
@@ -304,9 +288,9 @@ decodeInferRequest(const WireFrame &f, InferRequestMsg *out)
     const uint8_t *p = f.payload;
     out->req_id = getU64(p);
     out->deadline_us = getU64(p + 8);
-    const size_t n = (f.payload_size - 16) / 8;
-    getF64s(p + 16, n, &out->x);
-    return n > 0;
+    out->n = (f.payload_size - 16) / 8;
+    out->values = p + 16;
+    return out->n > 0;
 }
 
 void
@@ -331,7 +315,8 @@ decodeInferResponse(const WireFrame &f, InferResponseMsg *out)
     out->status = getU32(p + 8);
     if (getU32(p + 12) != 0)
         return false;
-    getF64s(p + 16, (f.payload_size - 16) / 8, &out->y);
+    out->n = (f.payload_size - 16) / 8;
+    out->values = p + 16;
     return true;
 }
 
@@ -360,6 +345,21 @@ decodeHealthReport(const WireFrame &f, HealthReportMsg *out)
     out->shed = getU64(p + 24);
     out->draining = getU32(p + 32);
     return getU32(p + 36) == 0;
+}
+
+void
+loadWireF64s(const void *src, size_t n, double *dst)
+{
+    const uint8_t *p = static_cast<const uint8_t *>(src);
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(dst, p, 8 * n);
+    } else {
+        for (size_t i = 0; i < n; ++i) {
+            const uint64_t bits = getU64(p + 8 * i);
+            std::memcpy(&dst[i], &bits, sizeof(bits));
+        }
+    }
 }
 
 } // namespace cluster

@@ -145,8 +145,8 @@ DecodeStatus tryDecodeFrame(const uint8_t *data, size_t len,
 // caller-owned buffer (resized to fit, capacity kept). Every decode
 // validates the frame type, the exact payload size and every field
 // before returning true; false means the payload is malformed (treat
-// like Corrupt). Decoders fill vectors by resize, so a message reused
-// across calls stops allocating once it has seen the largest payload.
+// like Corrupt). The Infer* decoders copy no values: they point into
+// the frame, for loadWireF64s to copy them out once.
 // ---------------------------------------------------------------------
 
 /** HelloAck: the serving interface of the worker's model. */
@@ -158,24 +158,26 @@ struct HelloAckMsg
     uint32_t pid = 0; ///< worker process id (diagnostics)
 };
 
-/** InferRequest: id + deadline + in_size f64 activations. */
+/** InferRequest: id + deadline + n f64 activations, left in the frame. */
 struct InferRequestMsg
 {
     uint64_t req_id = 0;
     uint64_t deadline_us = 0;
-    std::vector<double> x;
+    size_t n = 0;
+    const uint8_t *values = nullptr;
 };
 
 /**
  * InferResponse: the request's terminal outcome. @p status carries a
  * serve::RequestStatus value; the output payload is present exactly
- * when status == Done.
+ * when status == Done, left in the frame as for InferRequestMsg.
  */
 struct InferResponseMsg
 {
     uint64_t req_id = 0;
     uint32_t status = 0;
-    std::vector<double> y;
+    size_t n = 0;
+    const uint8_t *values = nullptr;
 };
 
 /** HealthReport: the worker's live load + lifetime counters. */
@@ -213,6 +215,10 @@ void encodeInferResponse(uint64_t req_id, uint32_t status,
                          const double *y, size_t n,
                          std::vector<uint8_t> *frame);
 bool decodeInferResponse(const WireFrame &f, InferResponseMsg *out);
+
+/** Copy the @p n f64 values whose wire bytes are at @p src (any
+    alignment) into @p dst; a serve::InputLoader. */
+void loadWireF64s(const void *src, size_t n, double *dst);
 
 void encodeHealthReport(const HealthReportMsg &m,
                         std::vector<uint8_t> *frame);

@@ -31,12 +31,12 @@ raiseTo(std::atomic<size_t> &peak, size_t v)
     }
 }
 
-/** Send the frame encoded in @p io's tx buffer; a dead peer is logged. */
+/** Send the frame encoded in @p tx; a dead peer is logged. */
 void
-sendTx(FrameConn &io, int timeout_ms)
+sendTx(FrameConn &io, const std::vector<uint8_t> &tx, int timeout_ms)
 {
     std::string err;
-    if (io.open() && !io.sendEncoded(timeout_ms, &err))
+    if (io.open() && !io.send(tx, timeout_ms, &err))
         TIE_WARN_ONCE("cluster worker: send failed: ", err);
 }
 
@@ -155,8 +155,8 @@ ClusterWorker::serveConn(Conn &c)
     size_t head = 0;
     size_t owing = 0;
     std::vector<uint32_t> ids(owed.size()); // 4-byte ids, one per owed
-    InferRequestMsg req;   // decode scratch, reused for every request
-    std::vector<double> y; // output scratch, reused for every response
+    InferRequestMsg req; // a view of the frame being read
+    std::vector<double> y; // swapped with each Done output slot
     // No whole frame is buffered or queued: wait for the socket. Only
     // bytes that have arrived are taken, so the rest of a partial frame
     // never holds up the answers owed before it.
@@ -174,9 +174,8 @@ ClusterWorker::serveConn(Conn &c)
             const bool done = st == serve::RequestStatus::Done;
             (done ? done_ : shed_).fetch_add(1);
             encodeInferResponse(o.req_id, static_cast<uint32_t>(st),
-                                y.data(), done ? y.size() : 0,
-                                c.io.txBuffer());
-            sendTx(c.io, opts_.io_timeout_ms);
+                                y.data(), done ? y.size() : 0, &c.tx);
+            sendTx(c.io, c.tx, opts_.io_timeout_ms);
             head = (head + 1) % owed.size();
         }
         const bool sock = read && owing < owed.size();
@@ -217,7 +216,7 @@ ClusterWorker::serveConn(Conn &c)
 
         if (f.type == WireType::InferRequest) {
             if (!decodeInferRequest(f, &req) ||
-                req.x.size() != server_->inSize()) {
+                req.n != server_->inSize()) {
                 TIE_WARN("cluster worker: malformed InferRequest "
                          "(payload ", f.payload_size,
                          " bytes); dropping connection");
@@ -225,7 +224,7 @@ ClusterWorker::serveConn(Conn &c)
             }
             // Drained replicas shed explicitly: the router sees
             // Rejected and re-dispatches, nothing times out. The
-            // server copies the input, so req is free again at once.
+            // server copies the values from the frame into a slot.
             // More frames already here make this a burst, and owed
             // responses are work this thread has yet to do: then queue
             // it for the worker threads, rather than run it here while
@@ -234,9 +233,9 @@ ClusterWorker::serveConn(Conn &c)
             const serve::Ticket t =
                 draining_.load(std::memory_order_relaxed)
                     ? serve::Ticket{}
-                    : server_->submit(req.x.data(), req.deadline_us,
+                    : server_->submit(req.values, req.deadline_us,
                                       owing > 0 || !rx_idle,
-                                      c.done_pipe[1]);
+                                      c.done_pipe[1], loadWireF64s);
             if (t.valid())
                 in_flight_.fetch_add(1);
             owed[(head + owing) % owed.size()] =
@@ -268,7 +267,7 @@ ClusterWorker::serveConn(Conn &c)
 bool
 ClusterWorker::reply(Conn &c, WireType type)
 {
-    std::vector<uint8_t> *tx = c.io.txBuffer();
+    std::vector<uint8_t> *tx = &c.tx;
     switch (type) {
       case WireType::Hello: {
         HelloAckMsg ack;
@@ -298,7 +297,7 @@ ClusterWorker::reply(Conn &c, WireType type)
                  " frame; dropping connection");
         return false;
     }
-    sendTx(c.io, opts_.io_timeout_ms);
+    sendTx(c.io, c.tx, opts_.io_timeout_ms);
     if (type == WireType::Drain) {
         // All prior responses are out; the server backlog from this
         // connection is terminal. Publish the drained state for

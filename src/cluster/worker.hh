@@ -12,25 +12,27 @@
  * terminal outcome (Done + output bits, TimedOut, or Rejected).
  *
  * Structure per connection: one thread reads frames and answers
- * them. It submits each InferRequest to the server (admission control
- * included — a full queue becomes an explicit Rejected response,
- * never silence; a request with more frames behind it, or with
- * responses still owed, is queued, so a burst batches instead of
- * running on this thread) and keeps the responses it owes, oldest
- * first, in a fixed ring sized from ServerOptions. The server writes
- * each ticket's slot id to the connection's completion pipe as it
- * turns terminal, and the thread waits in one place: a poll() with no
- * timeout on the socket and the pipe. It sends the finished responses
- * at the ring's head, in order, and while it owes responses it takes
- * only bytes that have already arrived. It reads nothing while the
- * ring is full or a response waits for the peer to read it. A peer
- * must therefore read responses while it sends, as the router does:
- * its receivers never send and never wait behind a send (router.hh).
- * Once reading stops (peer EOF, a corrupt or oversized frame, or
- * stop(), which shuts the socket down) and every owed response is out
- * — so no id is still to come down the pipe — the thread shuts the
- * socket down so the peer sees the end of the stream, and the accept
- * loop reaps the connection and closes its pipe.
+ * them. It submits each InferRequest to the server, whose slot takes
+ * the values straight from the frame (admission control included — a
+ * full queue becomes an explicit Rejected response, never silence; a
+ * request with more frames behind it, or with responses still owed,
+ * is queued, so a burst batches instead of running on this thread)
+ * and keeps the responses it owes, oldest first, in a fixed ring
+ * sized from ServerOptions. The server writes each ticket's slot id
+ * to the connection's completion pipe as it turns terminal, and the
+ * thread waits in one place: a poll() with no timeout on the socket
+ * and the pipe. It sends the finished responses at the ring's head,
+ * in order, each encoded from its output slot, and while it owes
+ * responses it takes only bytes that have already arrived. It reads
+ * nothing while the ring is full or a response waits for the peer to
+ * read it. A peer must therefore read responses while it sends, as
+ * the router does: its receivers never send and never wait behind a
+ * send (router.hh). Once reading stops (peer EOF, a corrupt or
+ * oversized frame, or stop(), which shuts the socket down) and every
+ * owed response is out — so no id is still to come down the pipe —
+ * the thread shuts the socket down so the peer sees the end of the
+ * stream, and the accept loop reaps the connection and closes its
+ * pipe.
  * Health checks ride a separate connection so they are never queued
  * behind inference. Graceful drain: on a Drain frame the worker
  * refuses new work (Rejected), answers everything already accepted
@@ -126,6 +128,7 @@ class ClusterWorker
     struct Conn
     {
         FrameConn io;
+        std::vector<uint8_t> tx; ///< the frame being sent, reused
         int done_pipe[2] = {-1, -1}; ///< completion pipe (read, write)
         std::thread thread;
         std::atomic<bool> done{false}; ///< thread exited; reap it

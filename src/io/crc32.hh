@@ -3,14 +3,25 @@
  * CRC-32 (IEEE 802.3: polynomial 0xEDB88320, reflected, init/final
  * xor 0xFFFFFFFF) — the per-section integrity check of the .tie model
  * artifact (tie_format.hh) and of every cluster wire frame
- * (cluster/wire.hh). On x86-64 hosts with PCLMULQDQ, crc32 folds the
- * 16-byte-multiple bulk of inputs of 64 bytes or more with carry-less
- * multiplies (about 10x faster); the rest, and every other host, takes
- * crc32Portable's slicing-by-8 tables. The path is picked once, from
- * cpuid, not from TIE_SIMD: with no rounding to pin, both give the
- * values of the classic byte-at-a-time CRC-32 and of zlib's crc32(),
- * bit for bit. tests/test_tie_format.cc pins both with known answers
- * and a bit-serial reference.
+ * (cluster/wire.hh).
+ *
+ * Three paths compute it, all bit for bit equal to the classic
+ * byte-at-a-time CRC-32 and to zlib's crc32():
+ *
+ *   - Clmul512: on x86-64 hosts with AVX-512F and VPCLMULQDQ, inputs
+ *     of 256 bytes or more fold their 16-byte-multiple bulk four zmm
+ *     registers (256 bytes) per step with 512-bit carry-less
+ *     multiplies; shorter inputs take the next path down.
+ *   - Clmul128: on x86-64 hosts with PCLMULQDQ, inputs of 64 bytes or
+ *     more fold four xmm registers (64 bytes) per step.
+ *   - Portable: slicing-by-8 tables on every host, and for the tail of
+ *     fewer than 16 bytes the folds leave.
+ *
+ * crc32 takes the best path the host supports, picked once from
+ * cpuid (not from TIE_SIMD: with no rounding to pin, the paths cannot
+ * differ). crc32With runs a named path so tests and benches reach
+ * every path the host can execute; tests/test_tie_format.cc pins each
+ * against known answers and a bit-serial reference.
  */
 
 #ifndef TIE_IO_CRC32_HH
@@ -31,6 +42,27 @@ uint32_t crc32(const void *data, size_t len, uint32_t crc = 0);
 
 /** crc32 through the table loop on every host (tests, benches). */
 uint32_t crc32Portable(const void *data, size_t len, uint32_t crc = 0);
+
+/** The CRC-32 implementations, slowest first (see the file comment). */
+enum class Crc32Path
+{
+    Portable,
+    Clmul128,
+    Clmul512,
+};
+
+/** "portable", "clmul128" or "clmul512". */
+const char *toString(Crc32Path p);
+
+/** True when this host can run @p p (Portable always can). */
+bool crc32Supported(Crc32Path p);
+
+/**
+ * crc32 through @p p, which must be supported: its fold takes inputs
+ * long enough for it and the next path down takes the rest.
+ */
+uint32_t crc32With(Crc32Path p, const void *data, size_t len,
+                   uint32_t crc = 0);
 
 } // namespace io
 } // namespace tie

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -72,8 +71,8 @@ RequestQueue::RequestQueue(size_t n_slots, size_t capacity,
 }
 
 Ticket
-RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
-                        size_t *runner, int notify_fd)
+RequestQueue::trySubmit(const void *x, uint64_t deadline_us,
+                        size_t *runner, int notify_fd, InputLoader load)
 {
     TIE_CHECK_ARG(x != nullptr, "trySubmit needs a non-null input");
     if (runner != nullptr)
@@ -104,7 +103,10 @@ RequestQueue::trySubmit(const double *x, uint64_t deadline_us,
             s.trace_id = trace_id;
             s.enqueue_us = enqueue_us;
             s.notify_fd = notify_fd;
-            std::copy(x, x + in_elems_, s.input.begin());
+            if (load != nullptr)
+                load(x, in_elems_, s.input.data());
+            else
+                std::memcpy(s.input.data(), x, in_elems_ * sizeof(double));
             if (run_here) {
                 *runner = 0;
                 s.status = RequestStatus::Running;
@@ -158,7 +160,7 @@ RequestQueue::wait(Ticket t, std::vector<double> *out,
     const RequestStatus st = s.status;
     if (st == RequestStatus::Done && out != nullptr) {
         out->resize(out_elems_);
-        std::copy(s.output.begin(), s.output.end(), out->begin());
+        out->swap(s.output);
     }
     if (timing != nullptr)
         *timing = s.timing;
@@ -342,13 +344,6 @@ RequestQueue::stop()
     }
     work_cv_.notify_all();
     done_cv_.notify_all();
-}
-
-bool
-RequestQueue::stopped() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return stop_;
 }
 
 size_t

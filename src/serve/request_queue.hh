@@ -51,6 +51,10 @@
 namespace tie {
 namespace serve {
 
+/** Writes the @p n input values stored at @p src, in its own layout
+    and at any alignment, into @p dst (e.g. cluster::loadWireF64s). */
+using InputLoader = void (*)(const void *src, size_t n, double *dst);
+
 class RequestQueue
 {
   public:
@@ -79,9 +83,10 @@ class RequestQueue
     RequestQueue &operator=(const RequestQueue &) = delete;
 
     /**
-     * Admission-controlled submit: copies @p x (in_elems values) into
-     * a free slot and enqueues it. Returns an invalid ticket — the
-     * Rejected outcome — when the queue holds @p capacity pending
+     * Admission-controlled submit: copies @p x (in_elems host doubles,
+     * or what a non-null @p load reads) into a free slot and enqueues
+     * it. Returns an invalid ticket — the Rejected outcome — when the
+     * queue holds @p capacity pending
      * requests, no free slot remains, or the queue is stopped.
      * @p deadline_us > 0 arms an enqueue deadline: a batcher that
      * finds the request still queued after that many microseconds
@@ -98,14 +103,15 @@ class RequestQueue
      * @p notify_fd >= 0 gets the slot id when the request turns
      * terminal (Notification above); a rejected one writes nothing.
      */
-    Ticket trySubmit(const double *x, uint64_t deadline_us = 0,
-                     size_t *runner = nullptr, int notify_fd = -1);
+    Ticket trySubmit(const void *x, uint64_t deadline_us = 0,
+                     size_t *runner = nullptr, int notify_fd = -1,
+                     InputLoader load = nullptr);
 
     /**
      * Block until the request reaches a terminal state, then release
-     * its slot. For Done requests the output (out_elems values) is
-     * copied into @p out (resized; reusing the same vector across
-     * calls keeps steady-state collection allocation-free) and
+     * its slot. A Done output (out_elems values) is swapped into
+     * @p out, which is resized first and whose buffer the slot keeps:
+     * reusing one vector keeps collection allocation- and copy-free.
      * @p timing receives the server-side latency split. Invalid
      * tickets return Rejected immediately. Each ticket may be waited
      * exactly once; a second wait on the same ticket is a fatal
@@ -165,13 +171,8 @@ class RequestQueue
      */
     void stop();
 
-    bool stopped() const;
-
     /** Pending (queued, not yet dequeued) requests right now. */
     size_t depth() const;
-
-    size_t slotCount() const { return slots_.size(); }
-    size_t capacity() const { return capacity_; }
 
   private:
     friend struct ServerTestPeer; // lends every runner to a test

@@ -106,8 +106,8 @@ Server::~Server()
 }
 
 Ticket
-Server::submit(const double *x, uint64_t deadline_us, bool more_follows,
-               int notify_fd)
+Server::submit(const void *x, uint64_t deadline_us, bool more_follows,
+               int notify_fd, InputLoader load)
 {
     // Caller-runs: on an idle server, run the request here as a batch
     // of one on a worker's chain rather than wake the worker to wait
@@ -117,7 +117,7 @@ Server::submit(const double *x, uint64_t deadline_us, bool more_follows,
     const uint64_t bf_t0 = fr ? obs::hostNowUs() : 0;
     size_t lent = RequestQueue::kNoRunner;
     const Ticket t = queue_.trySubmit(
-        x, deadline_us, more_follows ? nullptr : &lent, notify_fd);
+        x, deadline_us, more_follows ? nullptr : &lent, notify_fd, load);
     if (lent != RequestQueue::kNoRunner)
         runBatch(*workers_[lent], &t.id, 1, fr, bf_t0);
     return t;
@@ -209,25 +209,31 @@ Server::runBatch(Worker &w, const uint32_t *ids, size_t n, bool fr,
 
     // Gather: request b becomes column b of the row-major N x n
     // staging block — the layout under which batched TT inference is
-    // column-wise bit-identical to batch-1 runs.
+    // column-wise bit-identical to batch-1 runs. A batch of one runs
+    // in place in its slots; its Gather and Scatter take no time.
     uint64_t ph_t0 = fr ? obs::hostNowUs() : 0;
-    double *cur = w.buf_a.data();
-    double *nxt = w.buf_b.data();
-    for (size_t b = 0; b < n; ++b) {
+    const bool in_place = n == 1;
+    double *bufs[2] = {w.buf_a.data(), w.buf_b.data()};
+    for (size_t b = 0; b < n && !in_place; ++b) {
         const std::vector<double> &in = queue_.input(ids[b]);
         for (size_t r = 0; r < n_in; ++r)
-            cur[r * n + b] = in[r];
+            bufs[0][r * n + b] = in[r];
     }
+    const double *cur = in_place ? queue_.input(ids[0]).data() : bufs[0];
     if (fr) {
-        const uint64_t now = obs::hostNowUs();
+        const uint64_t now = in_place ? ph_t0 : obs::hostNowUs();
         flight(obs::FlightPhase::Gather, ph_t0, now);
         ph_t0 = now;
     }
 
     const Clock::time_point t0 = Clock::now();
-    for (InferSessionD &s : w.sessions) {
-        s.runPtr(cur, n, nxt);
-        std::swap(cur, nxt);
+    const size_t layers = w.sessions.size();
+    for (size_t i = 0; i < layers; ++i) {
+        double *nxt = in_place && i + 1 == layers
+                          ? queue_.output(ids[0]).data()
+                          : bufs[(i + 1) % 2];
+        w.sessions[i].runPtr(cur, n, nxt);
+        cur = nxt;
     }
     const double service_us =
         std::chrono::duration<double, std::micro>(Clock::now() - t0)
@@ -238,13 +244,13 @@ Server::runBatch(Worker &w, const uint32_t *ids, size_t n, bool fr,
         ph_t0 = now;
     }
 
-    for (size_t b = 0; b < n; ++b) {
+    for (size_t b = 0; b < n && !in_place; ++b) {
         std::vector<double> &out = queue_.output(ids[b]);
         for (size_t r = 0; r < n_out; ++r)
             out[r] = cur[r * n + b];
     }
     if (fr) {
-        const uint64_t now = obs::hostNowUs();
+        const uint64_t now = in_place ? ph_t0 : obs::hostNowUs();
         flight(obs::FlightPhase::Scatter, ph_t0, now);
         ph_t0 = now;
     }

@@ -114,10 +114,11 @@ class Server
      * this one: it is then always queued, so a burst from one thread
      * coalesces into batches instead of running one by one here.
      * @p notify_fd gets the ticket's id once it is terminal, inline
-     * runs included (RequestQueue's Notification).
+     * runs included (RequestQueue's Notification); @p load as there.
      */
-    Ticket submit(const double *x, uint64_t deadline_us = 0,
-                  bool more_follows = false, int notify_fd = -1);
+    Ticket submit(const void *x, uint64_t deadline_us = 0,
+                  bool more_follows = false, int notify_fd = -1,
+                  InputLoader load = nullptr);
     Ticket submit(const std::vector<double> &x,
                   uint64_t deadline_us = 0, bool more_follows = false);
 
@@ -173,7 +174,8 @@ class Server
      * Run requests @p ids[0..n) as one batch on @p w's chain — the
      * worker's own dequeued batch, or a caller-runs request with the
      * chain lent: gather, the layer chain, scatter, serve.* stats,
-     * flight phases and completeBatch, which makes the chain idle.
+     * flight phases and completeBatch, which makes the chain idle; a
+     * batch of one runs in place in its slots.
      * @p fr is the recorder gate sampled once for the batch, @p bf_t0
      * when forming began.
      */

@@ -13,9 +13,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <new>
@@ -264,8 +266,10 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     ASSERT_TRUE(decodeInferRequest(decodeWhole(buf), &req2));
     EXPECT_EQ(req2.req_id, 7u);
     EXPECT_EQ(req2.deadline_us, 12345u);
-    ASSERT_EQ(req2.x.size(), x.size());
-    EXPECT_EQ(std::memcmp(req2.x.data(), x.data(),
+    ASSERT_EQ(req2.n, x.size());
+    std::vector<double> got(req2.n);
+    loadWireF64s(req2.values, req2.n, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), x.data(),
                           x.size() * sizeof(double)),
               0);
 
@@ -275,8 +279,9 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     ASSERT_TRUE(decodeInferResponse(decodeWhole(buf), &resp2));
     EXPECT_EQ(resp2.req_id, 7u);
     EXPECT_EQ(resp2.status, 3u);
-    ASSERT_EQ(resp2.y.size(), 2u);
-    EXPECT_EQ(std::memcmp(resp2.y.data(), y.data(), 2 * sizeof(double)),
+    ASSERT_EQ(resp2.n, 2u);
+    loadWireF64s(resp2.values, resp2.n, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), y.data(), 2 * sizeof(double)),
               0);
 
     HealthReportMsg rep;
@@ -295,20 +300,55 @@ TEST(Wire, TypedMessagesRoundTripBitExactly)
     EXPECT_EQ(rep2.draining, 1u);
 }
 
-TEST(Wire, TypedDecodersKeepTheCallersCapacity)
+TEST(Wire, InferDecodersViewFramesAtEveryByteOffset)
 {
-    // A reused message stops allocating: decoding a payload no larger
-    // than the last one keeps the vector's storage.
-    const std::vector<double> x(64, 0.5);
-    std::vector<uint8_t> buf;
-    encodeInferRequest(1, 0, x.data(), x.size(), &buf);
-    InferRequestMsg req;
-    ASSERT_TRUE(decodeInferRequest(decodeWhole(buf), &req));
-    const double *storage = req.x.data();
-    encodeInferRequest(2, 0, x.data(), 32, &buf);
-    ASSERT_TRUE(decodeInferRequest(decodeWhole(buf), &req));
-    EXPECT_EQ(req.x.size(), 32u);
-    EXPECT_EQ(req.x.data(), storage);
+    // The decoders copy no values: they point into the frame, which a
+    // receive buffer may hold at any byte offset, and loadWireF64s
+    // copies the values out bit for bit (under UBSan, a load through a
+    // misaligned double* would abort here).
+    std::vector<double> x(37);
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = std::ldexp(static_cast<double>(i) - 18.5, int(i) - 20);
+    x[3] = -0.0;
+    x[5] = std::numeric_limits<double>::quiet_NaN();
+    x[7] = 5e-324;
+    std::vector<uint8_t> req_frame, resp_frame;
+    encodeInferRequest(11, 222, x.data(), x.size(), &req_frame);
+    encodeInferResponse(12, 3, x.data(), x.size(), &resp_frame);
+    for (size_t off = 0; off < 8; ++off) {
+        SCOPED_TRACE(off);
+        for (const std::vector<uint8_t> *frame : {&req_frame, &resp_frame}) {
+            std::vector<uint8_t> buf(off + frame->size() + 8);
+            std::memcpy(buf.data() + off, frame->data(), frame->size());
+            WireFrame f;
+            size_t consumed = 0;
+            ASSERT_EQ(tryDecodeFrame(buf.data() + off, frame->size(), &f,
+                                     &consumed),
+                      DecodeStatus::Ok);
+            const uint8_t *values;
+            size_t n;
+            if (frame == &req_frame) {
+                InferRequestMsg req;
+                ASSERT_TRUE(decodeInferRequest(f, &req));
+                EXPECT_EQ(req.req_id, 11u);
+                EXPECT_EQ(req.deadline_us, 222u);
+                values = req.values;
+                n = req.n;
+            } else {
+                InferResponseMsg resp;
+                ASSERT_TRUE(decodeInferResponse(f, &resp));
+                EXPECT_EQ(resp.req_id, 12u);
+                EXPECT_EQ(resp.status, 3u);
+                values = resp.values;
+                n = resp.n;
+            }
+            EXPECT_EQ(values, buf.data() + off + kWireHeaderSize + 16);
+            ASSERT_EQ(n, x.size());
+            std::vector<double> got(n);
+            loadWireF64s(values, n, got.data());
+            EXPECT_EQ(std::memcmp(got.data(), x.data(), 8 * n), 0);
+        }
+    }
 }
 
 TEST(Wire, TypedDecodersRejectMalformedPayloads)
@@ -955,6 +995,7 @@ class FakeReplica
     {
         WireFrame f;
         InferRequestMsg req;
+        std::vector<uint8_t> tx;
         while (!stop_.load()) {
             const FrameConn::RecvStatus st = c.recvFrame(&f, 50);
             if (st == FrameConn::RecvStatus::Timeout)
@@ -962,20 +1003,20 @@ class FakeReplica
             if (st != FrameConn::RecvStatus::Ok)
                 return;
             if (f.type == WireType::Hello) {
-                encodeHelloAck(HelloAckMsg{n_, n_, 1, 0}, c.txBuffer());
+                encodeHelloAck(HelloAckMsg{n_, n_, 1, 0}, &tx);
             } else if (f.type == WireType::HealthCheck) {
-                encodeHealthReport(HealthReportMsg{}, c.txBuffer());
+                encodeHealthReport(HealthReportMsg{}, &tx);
             } else if (f.type == WireType::InferRequest &&
                        mode_ == Mode::Refuse &&
                        decodeInferRequest(f, &req)) {
                 encodeInferResponse(
                     req.req_id,
                     static_cast<uint32_t>(serve::RequestStatus::Rejected),
-                    nullptr, 0, c.txBuffer());
+                    nullptr, 0, &tx);
             } else {
                 continue;
             }
-            c.sendEncoded(1000);
+            c.send(tx, 1000);
         }
     }
 
@@ -1132,6 +1173,19 @@ TEST_F(ClusterTest, OneConnectionBurstCoalescesIntoOneBatch)
     reg.resetAll();
     conn.close();
     w0.stop();
+}
+
+/** Entries of /proc/self/fd: the descriptors this process has open. */
+size_t
+openFdCount()
+{
+    size_t n = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        (void)e;
+        ++n;
+    }
+    return n;
 }
 
 /** InferRequest frames for ids [first, first + n), concatenated. */
@@ -1318,9 +1372,11 @@ TEST_F(ClusterTest, PeersThatHangUpOwingResponsesLeaveNoTrace)
         ASSERT_EQ(resp.req_id, i);
         ASSERT_EQ(resp.status,
                   static_cast<uint32_t>(serve::RequestStatus::Done));
-        ASSERT_EQ(resp.y.size(), expected[i].size());
-        EXPECT_EQ(std::memcmp(resp.y.data(), expected[i].data(),
-                              resp.y.size() * sizeof(double)),
+        ASSERT_EQ(resp.n, expected[i].size());
+        std::vector<double> y(resp.n);
+        loadWireF64s(resp.values, resp.n, y.data());
+        EXPECT_EQ(std::memcmp(y.data(), expected[i].data(),
+                              y.size() * sizeof(double)),
                   0)
             << "request " << i;
     }
@@ -1374,6 +1430,9 @@ TEST_F(ClusterTest, FinishedConnectionsAreReaped)
 {
     auto w0 = makeWorker("w0");
     std::string err;
+    // Each connection owns a socket and a completion pipe; reaping
+    // closes all three fds.
+    const size_t fds_before = openFdCount();
 
     // 64 short-lived peers, every other one speaking garbage. Each
     // reads the worker's end of stream before closing, so its
@@ -1392,10 +1451,11 @@ TEST_F(ClusterTest, FinishedConnectionsAreReaped)
         ASSERT_EQ(peer.recvFrame(&f, 5000),
                   FrameConn::RecvStatus::Closed);
     }
-    for (int i = 0; i < 100 && ClusterWorkerTestPeer::connections(*w0) > 1;
+    for (int i = 0; i < 100 && ClusterWorkerTestPeer::connections(*w0) > 0;
          ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_LE(ClusterWorkerTestPeer::connections(*w0), 1u);
+    EXPECT_LE(openFdCount(), fds_before);
 
     // It keeps serving a router afterwards.
     RouterOptions ropts;

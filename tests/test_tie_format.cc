@@ -139,9 +139,10 @@ image(const std::vector<TtMatrix> &chain, bool fxp = false)
 // ---------------------------------------------------------------------
 // CRC-32 known answers. Every other CRC check in the suite compares
 // io::crc32 with itself, so these pin its values independently: the
-// standard check value and a bit-at-a-time reference. Both paths are
-// checked: io::crc32 (carry-less folding on x86-64 hosts with
-// PCLMULQDQ, for inputs of 64 bytes or more) and io::crc32Portable.
+// standard check value and a bit-at-a-time reference. Every path the
+// host can run is checked — the dispatched io::crc32, crc32Portable
+// and each carry-less fold through crc32With — and a fold the host
+// lacks (CI runners may have no AVX-512) is skipped by name.
 // ---------------------------------------------------------------------
 
 /** Bit-serial CRC-32 (reflected 0xEDB88320, init/xorout ~0). */
@@ -176,8 +177,38 @@ struct CrcPath
     uint32_t (*fn)(const void *, size_t, uint32_t);
 };
 
-const CrcPath kCrcPaths[] = {{"crc32", io::crc32},
-                             {"crc32Portable", io::crc32Portable}};
+template <io::Crc32Path P>
+uint32_t
+crc32Via(const void *data, size_t len, uint32_t crc)
+{
+    return io::crc32With(P, data, len, crc);
+}
+
+/** io::crc32, crc32Portable and each supported carry-less fold. */
+std::vector<CrcPath>
+hostCrcPaths()
+{
+    std::vector<CrcPath> paths = {{"crc32", io::crc32},
+                                  {"crc32Portable", io::crc32Portable}};
+    using P = io::Crc32Path;
+    const struct
+    {
+        P path;
+        uint32_t (*fn)(const void *, size_t, uint32_t);
+    } all[] = {{P::Clmul128, crc32Via<P::Clmul128>},
+               {P::Clmul512, crc32Via<P::Clmul512>}};
+    for (const auto &a : all) {
+        if (io::crc32Supported(a.path))
+            paths.push_back({io::toString(a.path), a.fn});
+        else
+            std::printf("note: CRC-32 path %s is not supported on this "
+                        "host; skipped\n",
+                        io::toString(a.path));
+    }
+    return paths;
+}
+
+const std::vector<CrcPath> kCrcPaths = hostCrcPaths();
 
 TEST(Crc32, KnownAnswers)
 {
@@ -191,30 +222,35 @@ TEST(Crc32, KnownAnswers)
 
 TEST(Crc32, MatchesBitSerialReferenceAtEveryLengthAndAlignment)
 {
-    // Every length up to 1024 crosses the folded path's entry (64) and
-    // its four-lane step (128); add lengths around a page and one
-    // cluster frame payload (32 KiB) with a 5-byte tail.
+    // Every length up to 1024 crosses the 128-bit fold's entry (64)
+    // and four-lane step (128), and the 512-bit fold's entry (256) and
+    // four-register step (512), each within 17 bytes either side; add
+    // lengths around a page and one cluster frame payload (32 KiB)
+    // with tails that end in each of the folds' loops.
     std::vector<size_t> lens;
     for (size_t len = 0; len <= 1024; ++len)
         lens.push_back(len);
     for (size_t len = 4096 - 17; len <= 4096 + 17; ++len)
         lens.push_back(len);
-    lens.push_back(32768 + 5);
-    const std::vector<uint8_t> buf = crcInput(32768 + 5 + 8);
-    for (const CrcPath &c : kCrcPaths)
-        for (size_t off = 0; off < 8; ++off)
-            for (size_t len : lens)
-                ASSERT_EQ(c.fn(buf.data() + off, len, 0),
-                          referenceCrc32(buf.data() + off, len))
+    for (size_t tail : {0, 1, 5, 15, 16, 17, 48, 63, 64, 65, 255})
+        lens.push_back(32768 + tail);
+    const std::vector<uint8_t> buf = crcInput(32768 + 255 + 8);
+    for (size_t off = 0; off < 8; ++off)
+        for (size_t len : lens) {
+            const uint32_t want = referenceCrc32(buf.data() + off, len);
+            for (const CrcPath &c : kCrcPaths)
+                ASSERT_EQ(c.fn(buf.data() + off, len, 0), want)
                     << c.name << " offset " << off << " length " << len;
+        }
 }
 
 TEST(Crc32, ChainedCallsEqualOneShotAtEverySplit)
 {
-    // Splits land inside folded 16-byte blocks and 64-byte steps, and
-    // the second piece folds from a non-zero running CRC; the two
-    // paths may also be mixed mid-stream.
-    const std::vector<uint8_t> buf = crcInput(300);
+    // Splits land inside folded 16-byte blocks, 64-byte and 256-byte
+    // steps, with either piece long enough for the 512-bit fold, and
+    // the second piece folds from a non-zero running CRC; the paths
+    // are also mixed mid-stream.
+    const std::vector<uint8_t> buf = crcInput(600);
     const uint32_t whole = referenceCrc32(buf.data(), buf.size());
     for (const CrcPath &head : kCrcPaths)
         for (const CrcPath &tail : kCrcPaths)

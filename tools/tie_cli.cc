@@ -914,18 +914,20 @@ spawnWorker(const std::string &bin, const std::string &model,
     return true;
 }
 
-/** CPU time and context switches of every child reaped so far. */
-struct ChildUsage
+/** CPU time and context switches, from getrusage. */
+struct Usage
 {
     double cpu_us = 0;
     double ctx_switches = 0;
 };
 
-ChildUsage
-childUsage()
+/** Usage of this process (RUSAGE_SELF) or of every child reaped so
+    far (RUSAGE_CHILDREN). */
+Usage
+usage(int who)
 {
     rusage ru{};
-    ::getrusage(RUSAGE_CHILDREN, &ru);
+    ::getrusage(who, &ru);
     auto us = [](const timeval &t) {
         return static_cast<double>(t.tv_sec) * 1e6 +
                static_cast<double>(t.tv_usec);
@@ -1014,7 +1016,7 @@ cmdClusterBench(const Options &opt)
 
     // Every worker is spawned and reaped in between, so the children's
     // rusage delta covers all of their threads, exited ones included.
-    const ChildUsage usage0 = childUsage();
+    const Usage usage0 = usage(RUSAGE_CHILDREN);
     std::vector<WorkerProc> workers(n_models * replicas);
     std::vector<std::unique_ptr<cluster::Router>> routers;
     for (size_t k = 0; k < n_models; ++k) {
@@ -1069,8 +1071,11 @@ cmdClusterBench(const Options &opt)
     std::vector<cluster::Router *> targets;
     for (const std::unique_ptr<cluster::Router> &r : routers)
         targets.push_back(r.get());
+    // This process is the routers plus the load generator's clients.
+    const Usage self0 = usage(RUSAGE_SELF);
     const serve::LoadGenReport rep =
         serve::runLoadGen(targets, lopts, &expected);
+    const Usage self1 = usage(RUSAGE_SELF);
     if (chaos_thread.joinable())
         chaos_thread.join();
 
@@ -1096,12 +1101,15 @@ cmdClusterBench(const Options &opt)
     // here is empty again.
     if (own_sock_dir)
         ::rmdir(sock_dir.c_str());
-    const ChildUsage usage1 = childUsage();
+    const Usage usage1 = usage(RUSAGE_CHILDREN);
     const double per_req =
         1.0 / static_cast<double>(std::max<size_t>(rep.submitted, 1));
     const double worker_cpu_us = (usage1.cpu_us - usage0.cpu_us) * per_req;
     const double worker_ctx =
         (usage1.ctx_switches - usage0.ctx_switches) * per_req;
+    const double router_cpu_us = (self1.cpu_us - self0.cpu_us) * per_req;
+    const double router_ctx =
+        (self1.ctx_switches - self0.ctx_switches) * per_req;
 
     // The chaos contract. "Lost" = accepted but never resolved;
     // shed/timed-out requests are explicit outcomes, not losses.
@@ -1133,6 +1141,8 @@ cmdClusterBench(const Options &opt)
         w.field("latency_p99_us", rep.latency.p99);
         w.field("worker_cpu_us_per_request", worker_cpu_us);
         w.field("worker_ctx_switches_per_request", worker_ctx);
+        w.field("router_cpu_us_per_request", router_cpu_us);
+        w.field("router_ctx_switches_per_request", router_ctx);
         w.field("none_lost", none_lost);
         serve::appendTenantsJson(w, rep, names);
         w.endObject();
@@ -1189,6 +1199,9 @@ cmdClusterBench(const Options &opt)
     t.row({"worker CPU / context switches per request",
            TextTable::num(worker_cpu_us, 1) + " us / " +
                TextTable::num(worker_ctx, 2)});
+    t.row({"router CPU / context switches per request",
+           TextTable::num(router_cpu_us, 1) + " us / " +
+               TextTable::num(router_ctx, 2)});
     t.row({"all requests resolved", none_lost ? "yes" : "NO"});
     t.row({"bit-exact vs single-process reference",
            bit_exact ? "yes" : "NO"});
