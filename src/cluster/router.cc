@@ -1,7 +1,6 @@
 #include "cluster/router.hh"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -14,12 +13,6 @@ namespace tie {
 namespace cluster {
 
 namespace {
-
-/** Poll tick for loops that must notice stop_flag_ promptly. */
-constexpr int kTickMs = 50;
-
-/** Waited-out request nodes kept for reuse; more are freed. */
-constexpr size_t kMaxSpareNodes = 64;
 
 /** Longest a (re)connect to a replica may take. */
 constexpr int kConnectTimeoutMs = 2000;
@@ -53,7 +46,6 @@ Router::Router(RouterOptions opts) : opts_(std::move(opts))
         r->endpoint = ep;
         replicas_.push_back(std::move(r));
     }
-    spare_.reserve(kMaxSpareNodes);
 }
 
 Router::~Router()
@@ -71,23 +63,17 @@ Router::attachReplica(size_t idx, std::string *error)
     // A sender that picked this replica before it died may still be
     // about to write to the old connection.
     std::lock_guard<std::mutex> slk(r.send_mu);
+    auto refuse = [&](std::string msg) {
+        r.data.close();
+        r.health.close();
+        *error = std::move(msg);
+        return false;
+    };
 
     std::string err;
-    const int dfd =
-        connectTimed(r.endpoint, kConnectTimeoutMs, &err);
-    if (dfd < 0) {
-        if (error != nullptr)
-            *error = err;
-        return false;
-    }
+    const int dfd = connectTimed(r.endpoint, kConnectTimeoutMs, &err);
     const int hfd =
-        connectTimed(r.endpoint, kConnectTimeoutMs, &err);
-    if (hfd < 0) {
-        ::close(dfd);
-        if (error != nullptr)
-            *error = err;
-        return false;
-    }
+        dfd < 0 ? -1 : connectTimed(r.endpoint, kConnectTimeoutMs, &err);
     // Each connection accepts no payload larger than the biggest
     // message it can legitimately carry; the data connection widens
     // to a full response once the handshake names the model.
@@ -95,6 +81,8 @@ Router::attachReplica(size_t idx, std::string *error)
     r.data.setMaxPayload(kHelloAckPayload);
     r.health.reset(hfd);
     r.health.setMaxPayload(kHealthReportPayload);
+    if (hfd < 0)
+        return refuse(err);
 
     // Handshake on the data connection: the ack pins the model
     // interface this replica serves.
@@ -103,23 +91,12 @@ Router::attachReplica(size_t idx, std::string *error)
                           opts_.io_timeout_ms, &err) ||
         r.data.recvFrame(&ack, opts_.io_timeout_ms, &err) !=
             FrameConn::RecvStatus::Ok ||
-        ack.type != WireType::HelloAck) {
-        r.data.close();
-        r.health.close();
-        if (error != nullptr)
-            *error = strCat("handshake with ", r.endpoint.toString(),
-                            " failed: ", err);
-        return false;
-    }
+        ack.type != WireType::HelloAck)
+        return refuse(strCat("handshake with ", r.endpoint.toString(),
+                             " failed: ", err));
     HelloAckMsg hello;
-    if (!decodeHelloAck(ack, &hello)) {
-        r.data.close();
-        r.health.close();
-        if (error != nullptr)
-            *error = strCat("bad HelloAck from ",
-                            r.endpoint.toString());
-        return false;
-    }
+    if (!decodeHelloAck(ack, &hello))
+        return refuse(strCat("bad HelloAck from ", r.endpoint.toString()));
     if (in_size_ == 0 && out_size_ == 0) {
         in_size_ = hello.in_size;
         out_size_ = hello.out_size;
@@ -127,14 +104,10 @@ Router::attachReplica(size_t idx, std::string *error)
                hello.out_size != out_size_) {
         // A replica serving a different model would silently break
         // the any-replica-same-bits contract; refuse it outright.
-        r.data.close();
-        r.health.close();
-        if (error != nullptr)
-            *error = strCat("replica ", r.endpoint.toString(),
-                            " serves a different model: ",
-                            hello.in_size, "->", hello.out_size,
-                            " vs ", in_size_, "->", out_size_);
-        return false;
+        return refuse(strCat("replica ", r.endpoint.toString(),
+                             " serves a different model: ",
+                             hello.in_size, "->", hello.out_size, " vs ",
+                             in_size_, "->", out_size_));
     }
 
     r.data.setMaxPayload(
@@ -147,50 +120,38 @@ Router::attachReplica(size_t idx, std::string *error)
 }
 
 void
-Router::detachReplica(size_t idx)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    detachLocked(idx);
-}
-
-void
 Router::detachLocked(size_t idx)
 {
     Replica &r = *replicas_[idx];
     // A replica that acked a drain exits by design; its EOF is no death.
     if (r.alive.exchange(false) &&
-        !r.drain_acked.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lk(stats_mu_);
+        !r.drain_acked.load(std::memory_order_acquire))
         ++stats_.worker_deaths;
-    }
-    // Kick the receiver off its poll; fds are closed only after the
-    // thread is joined (by attachReplica or stop).
+    // End the receiver's read; fds are closed only after the thread is
+    // joined (by attachReplica or stop).
     if (r.data.open())
         ::shutdown(r.data.fd(), SHUT_RDWR);
     failOverLocked(idx);
+    cv_.notify_all(); // a drain waiting on this replica is over
 }
 
 bool
 Router::start(std::string *error)
 {
     TIE_REQUIRE(!started_, "Router::start called twice");
-    std::string first_err = "no workers configured";
+    std::string err;
     size_t live = 0;
     for (size_t i = 0; i < replicas_.size(); ++i) {
-        std::string err;
-        if (attachReplica(i, &err)) {
+        if (attachReplica(i, &err))
             ++live;
-        } else {
+        else
             TIE_WARN("router: worker ",
                      replicas_[i]->endpoint.toString(),
                      " not reachable at start: ", err);
-            if (live == 0)
-                first_err = err;
-        }
     }
     if (live == 0) {
         if (error != nullptr)
-            *error = strCat("no live workers: ", first_err);
+            *error = strCat("no live workers: ", err);
         return false;
     }
     started_ = true;
@@ -204,11 +165,17 @@ Router::stop()
     if (!started_ || stopped_)
         return;
     stopped_ = true;
-    stop_flag_.store(true, std::memory_order_relaxed);
-    if (monitor_.joinable())
-        monitor_.join();
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-        Replica &r = *replicas_[i];
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_flag_.store(true, std::memory_order_relaxed);
+    }
+    cv_.notify_all();
+    monitor_.join();
+    // Each receiver, ended by the shutdown, detaches its replica: the
+    // requests it held go back to their owners, whose dispatch sheds
+    // them now that stop_flag_ is set.
+    for (const auto &rp : replicas_) {
+        Replica &r = *rp;
         r.alive.store(false, std::memory_order_relaxed);
         if (r.data.open())
             ::shutdown(r.data.fd(), SHUT_RDWR);
@@ -217,13 +184,6 @@ Router::stop()
         std::lock_guard<std::mutex> slk(r.send_mu);
         r.data.close();
         r.health.close();
-    }
-    // Anything still pending has no replica left to answer it; shed
-    // explicitly so every wait() returns.
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto &kv : pending_) {
-        if (!kv.second.terminal)
-            completeLocked(kv.second, ClusterStatus::Shed);
     }
 }
 
@@ -241,7 +201,7 @@ Router::pickReplica(int skip)
         // replica last reported queued locally (other routers, the
         // batcher backlog).
         const uint64_t load =
-            r.outstanding.load(std::memory_order_relaxed) +
+            r.outstanding +
             r.reported_load.load(std::memory_order_relaxed);
         if (load < best_load) {
             best_load = load;
@@ -262,18 +222,16 @@ Router::dispatch(std::unique_lock<std::mutex> &lk, Pending &p)
             completeLocked(p, ClusterStatus::Shed);
             return;
         }
-        if (p.attempts++ > 0) {
-            std::lock_guard<std::mutex> slk(stats_mu_);
+        if (p.attempts++ > 0)
             ++stats_.redispatched;
-        }
         Replica &rep = *replicas_[r];
         p.replica = r;
-        rep.outstanding.fetch_add(1, std::memory_order_relaxed);
+        ++rep.outstanding;
         // Send with mu_ released: a send blocks while the worker is
         // not reading, and the worker may be waiting for its responses
         // to be read, so the receivers must never wait for mu_ behind
-        // it. Only the owner touches p.frame, and only the owner waits
-        // the node out, so p stays put meanwhile.
+        // it. Only the owner touches p.frame or frees the slot, and
+        // slots never move.
         lk.unlock();
         std::string err;
         bool sent = false;
@@ -301,44 +259,38 @@ void
 Router::completeLocked(Pending &p, ClusterStatus st)
 {
     if (p.replica >= 0) {
-        replicas_[p.replica]->outstanding.fetch_sub(
-            1, std::memory_order_relaxed);
+        --replicas_[p.replica]->outstanding;
         p.replica = -1;
     }
     p.terminal = true;
     p.status = st;
-    {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        switch (st) {
-          case ClusterStatus::Done:
-            ++stats_.done;
-            break;
-          case ClusterStatus::TimedOut:
-            ++stats_.timed_out;
-            break;
-          case ClusterStatus::Shed:
-            ++stats_.shed;
-            break;
-        }
+    switch (st) {
+      case ClusterStatus::Done:
+        ++stats_.done;
+        break;
+      case ClusterStatus::TimedOut:
+        ++stats_.timed_out;
+        break;
+      case ClusterStatus::Shed:
+        ++stats_.shed;
+        break;
     }
-    done_cv_.notify_all();
+    p.wake.notify_one();
 }
 
 void
 Router::failOverLocked(size_t idx)
 {
-    for (auto &kv : pending_) {
-        Pending &p = kv.second;
-        if (p.terminal || p.replica != static_cast<int>(idx))
+    for (Pending &p : slots_) {
+        if (p.replica != static_cast<int>(idx))
             continue;
-        // The old owner is dead; its outstanding count dies with it.
+        // The old holder is dead; its outstanding count dies with it.
         // The request's owner re-sends it (dispatch) or sheds it.
-        replicas_[idx]->outstanding.fetch_sub(
-            1, std::memory_order_relaxed);
+        --replicas_[idx]->outstanding;
         p.replica = -1;
         p.skip = -1;
+        p.wake.notify_one();
     }
-    done_cv_.notify_all();
 }
 
 ClusterTicket
@@ -350,35 +302,29 @@ Router::submit(const double *x, uint64_t deadline_us)
         pickReplica() < 0) {
         // Stopped, or no live replica: explicit shed at the door, like
         // a full RequestQueue — the caller sees it, nothing hangs.
-        std::lock_guard<std::mutex> slk(stats_mu_);
         ++stats_.shed;
         return {};
     }
-    const uint64_t id = next_id_++;
-    PendingMap::iterator it;
-    if (spare_.empty()) {
-        it = pending_.try_emplace(id).first;
-    } else {
-        PendingMap::node_type node = std::move(spare_.back());
-        spare_.pop_back();
-        node.key() = id;
-        it = pending_.insert(std::move(node)).position;
+    if (free_.empty()) {
+        free_.push_back(static_cast<uint32_t>(slots_.size()));
+        slots_.emplace_back();
     }
-    Pending &p = it->second;
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    Pending &p = slots_[slot];
+    const uint64_t id = uint64_t{p.gen} << 32 | slot;
     encodeInferRequest(id, deadline_us, x, in_size_, &p.frame);
+    p.busy = true;
     p.attempts = 0;
-    p.replica = -1;
     p.skip = -1;
     p.terminal = false;
-    p.status = ClusterStatus::Shed;
     dispatch(lk, p);
     // Shed already: no replica took it. Hand it back as an invalid
     // ticket, as at the door (completeLocked has counted the shed).
     if (p.terminal && p.status == ClusterStatus::Shed) {
-        recycleLocked(it);
+        releaseLocked(slot);
         return {};
     }
-    std::lock_guard<std::mutex> slk(stats_mu_);
     ++stats_.accepted;
     return ClusterTicket{id};
 }
@@ -389,61 +335,65 @@ Router::wait(ClusterTicket t, std::vector<double> *out)
     if (!t.valid())
         return ClusterStatus::Shed;
     std::unique_lock<std::mutex> lk(mu_);
-    auto it = pending_.find(t.id);
-    TIE_CHECK_ARG(it != pending_.end(),
+    Pending *found = findLocked(t.id);
+    TIE_CHECK_ARG(found != nullptr,
                   "Router::wait: unknown or already-waited ticket ",
                   t.id);
-    Pending &p = it->second;
+    Pending &p = *found;
     for (;;) {
         // A request its replica refused or lost comes back here, to
         // its owner, to be sent on or shed.
         dispatch(lk, p);
         if (p.terminal)
             break;
-        done_cv_.wait(lk, [&] { return p.terminal || p.replica < 0; });
+        p.wake.wait(lk, [&] { return p.terminal || p.replica < 0; });
     }
     const ClusterStatus st = p.status;
     // Swapping hands the caller the output and keeps the caller's old
-    // buffer for the next request this node carries.
+    // buffer for the next request this slot carries.
     if (st == ClusterStatus::Done && out != nullptr)
         out->swap(p.y);
-    recycleLocked(it);
+    releaseLocked(static_cast<uint32_t>(t.id));
     return st;
 }
 
-void
-Router::recycleLocked(PendingMap::iterator it)
+Router::Pending *
+Router::findLocked(uint64_t id)
 {
-    PendingMap::node_type node = pending_.extract(it);
-    if (spare_.size() < kMaxSpareNodes)
-        spare_.push_back(std::move(node));
+    const uint64_t slot = id & 0xffffffffu;
+    if (slot >= slots_.size())
+        return nullptr;
+    Pending &p = slots_[slot];
+    return p.busy && p.gen == id >> 32 ? &p : nullptr;
+}
+
+void
+Router::releaseLocked(uint32_t slot)
+{
+    Pending &p = slots_[slot];
+    p.busy = false;
+    // Generation 0 is skipped so that no ticket id is 0.
+    p.gen = p.gen == UINT32_MAX ? 1 : p.gen + 1;
+    free_.push_back(slot);
 }
 
 size_t
 Router::liveWorkers() const
 {
-    size_t n = 0;
-    for (const auto &r : replicas_)
-        if (r->alive.load(std::memory_order_acquire))
-            ++n;
-    return n;
+    return std::count_if(replicas_.begin(), replicas_.end(),
+                         [](const auto &r) { return r->alive.load(); });
 }
 
 void
 Router::receiverLoop(size_t idx)
 {
     Replica &r = *replicas_[idx];
-    for (;;) {
-        if (stop_flag_.load(std::memory_order_relaxed))
-            return;
-        if (!r.alive.load(std::memory_order_acquire))
-            return;
-        WireFrame f;
-        std::string err;
-        const FrameConn::RecvStatus st =
-            r.data.recvFrame(&f, kTickMs, &err);
-        if (st == FrameConn::RecvStatus::Timeout)
-            continue;
+    WireFrame f;
+    std::string err;
+    while (r.alive.load(std::memory_order_acquire)) {
+        // No deadline: stop() and detachLocked shut the socket down,
+        // which ends the read as Closed.
+        const FrameConn::RecvStatus st = r.data.recvFrame(&f, -1, &err);
         if (st != FrameConn::RecvStatus::Ok) {
             if (st == FrameConn::RecvStatus::Corrupt)
                 TIE_WARN("router: corrupt frame from ",
@@ -451,7 +401,9 @@ Router::receiverLoop(size_t idx)
             break;
         }
         if (f.type == WireType::DrainAck) {
+            std::lock_guard<std::mutex> lk(mu_);
             r.drain_acked.store(true, std::memory_order_release);
+            cv_.notify_all();
             continue;
         }
         if (f.type != WireType::InferResponse) {
@@ -468,15 +420,14 @@ Router::receiverLoop(size_t idx)
         }
 
         std::lock_guard<std::mutex> lk(mu_);
-        auto it = pending_.find(resp.req_id);
-        if (it == pending_.end() || it->second.terminal ||
-            it->second.replica != static_cast<int>(idx)) {
-            // Stale: the request was re-dispatched elsewhere (or
-            // already answered). Outputs are bit-identical across
+        Pending *found = findLocked(resp.req_id);
+        if (found == nullptr || found->replica != static_cast<int>(idx)) {
+            // Stale: another generation of the slot, or re-dispatched
+            // elsewhere, or answered. Outputs are bit-identical across
             // replicas, so dropping the duplicate loses nothing.
             continue;
         }
-        Pending &p = it->second;
+        Pending &p = *found;
         const auto status =
             static_cast<serve::RequestStatus>(resp.status);
         if (status == serve::RequestStatus::Done && resp.n == out_size_) {
@@ -492,22 +443,23 @@ Router::receiverLoop(size_t idx)
             // its owner gives another replica a chance before
             // shedding. The receiver itself never sends, so it keeps
             // reading this replica's responses.
-            r.outstanding.fetch_sub(1, std::memory_order_relaxed);
+            --r.outstanding;
             p.replica = -1;
             p.skip = static_cast<int>(idx);
-            done_cv_.notify_all();
+            p.wake.notify_one();
         }
     }
     // The connection is gone: every request this replica still owes
     // gets re-dispatched or shed right now, so no wait() can hang on
     // a dead worker.
-    detachReplica(idx);
+    std::lock_guard<std::mutex> lk(mu_);
+    detachLocked(idx);
 }
 
 void
 Router::monitorLoop()
 {
-    while (!stop_flag_.load(std::memory_order_relaxed)) {
+    for (;;) {
         for (size_t i = 0; i < replicas_.size(); ++i) {
             if (stop_flag_.load(std::memory_order_relaxed))
                 return;
@@ -517,7 +469,7 @@ Router::monitorLoop()
                 // worker answers, then fold it back into dispatch.
                 std::string err;
                 if (attachReplica(i, &err)) {
-                    std::lock_guard<std::mutex> lk(stats_mu_);
+                    std::lock_guard<std::mutex> lk(mu_);
                     ++stats_.reconnects;
                 }
                 continue;
@@ -537,21 +489,17 @@ Router::monitorLoop()
                 TIE_WARN("router: worker ", r.endpoint.toString(),
                          " failed health check (", err,
                          "); failing over");
-                detachReplica(i);
+                std::lock_guard<std::mutex> lk(mu_);
+                detachLocked(i);
                 continue;
             }
             r.reported_load.store(rep.queue_depth,
                                   std::memory_order_relaxed);
         }
-        // Sleep one period in stop-aware ticks.
-        int left = opts_.health_period_ms;
-        while (left > 0 &&
-               !stop_flag_.load(std::memory_order_relaxed)) {
-            const int step = left < kTickMs ? left : kTickMs;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(step));
-            left -= step;
-        }
+        std::unique_lock<std::mutex> lk(mu_);
+        const auto period = std::chrono::milliseconds(opts_.health_period_ms);
+        if (cv_.wait_for(lk, period, [this] { return stop_flag_.load(); }))
+            return;
     }
 }
 
@@ -577,25 +525,25 @@ Router::drainWorkers(int timeout_ms)
             TIE_WARN("router: Drain send to ",
                      r.endpoint.toString(), " failed: ", err);
     }
-    // Acks arrive on the data connections via the receiver threads.
+    // Acks arrive on the data connections via the receiver threads,
+    // which notify cv_, as does a replica's detach.
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(timeout_ms);
+    std::unique_lock<std::mutex> lk(mu_);
     for (size_t i : sent) {
         Replica &r = *replicas_[i];
-        while (!r.drain_acked.load(std::memory_order_acquire) &&
-               r.alive.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-        }
+        cv_.wait_until(lk, deadline, [&r] {
+            return r.drain_acked.load(std::memory_order_acquire) ||
+                   !r.alive.load(std::memory_order_acquire);
+        });
     }
 }
 
 RouterStats
 Router::stats() const
 {
-    std::lock_guard<std::mutex> lk(stats_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     return stats_;
 }
 

@@ -34,6 +34,12 @@
  *
  * **One copy per hop.** submit encodes a request once and every
  * dispatch sends those bytes; receivers copy outputs straight in.
+ *
+ * **A slot table, one wake per response.** Requests live in reused
+ * slots; a ticket id (also the wire req_id) is (generation << 32) |
+ * slot, and a freed slot moves to its next generation, so an answer
+ * or a wait naming another one finds nothing. A response wakes only
+ * its slot's owner. One mutex guards slots, loads and stats.
  */
 
 #ifndef TIE_CLUSTER_ROUTER_HH
@@ -42,7 +48,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -129,8 +135,8 @@ class Router
      */
     bool start(std::string *error = nullptr);
 
-    /** Stop admitting, resolve every in-flight request (shedding
-        those no replica can take), join all threads. Idempotent. */
+    /** Stop admitting, hand in-flight requests back to their owners
+        to shed in wait(), join all threads. Idempotent. */
     void stop();
 
     /** Model interface discovered at handshake. */
@@ -176,18 +182,22 @@ class Router
         std::thread receiver;
         std::atomic<bool> alive{false};
         std::atomic<bool> drain_acked{false};
-        std::atomic<uint64_t> outstanding{0}; ///< router-side load
+        uint64_t outstanding = 0; ///< router-side load (mu_)
         std::atomic<uint64_t> reported_load{0}; ///< from health
     };
 
     /**
-     * One in-flight request (pending_ map, guarded by mu_). Map nodes
-     * are recycled through spare_, so frame and y keep their capacity
-     * from one request to the next.
+     * One slot of the request table (guarded by mu_, except frame).
+     * Slots are reused, so frame and y keep their capacity from one
+     * request to the next. replica >= 0 only while a replica holds a
+     * live, non-terminal request.
      */
     struct Pending
     {
         std::vector<uint8_t> frame; ///< its InferRequest (owner only)
+        std::condition_variable wake; ///< its owner waits here
+        uint32_t gen = 1;  ///< generation of its current or next ticket
+        bool busy = false; ///< a ticket holds it
         int attempts = 0;
         int replica = -1; ///< replica holding it, -1 = none
         int skip = -1;    ///< replica that refused it, -1 = none
@@ -196,11 +206,8 @@ class Router
         std::vector<double> y;
     };
 
-    using PendingMap = std::map<uint64_t, Pending>;
-
     bool attachReplica(size_t idx, std::string *error);
-    void detachReplica(size_t idx); ///< mark dead + fail over
-    void detachLocked(size_t idx);  ///< detachReplica, mu_ held
+    void detachLocked(size_t idx); ///< mark dead + fail over, mu_ held
     void receiverLoop(size_t idx);
     void monitorLoop();
     /** Least-loaded live replica other than @p skip; -1 when none. */
@@ -220,27 +227,28 @@ class Router
     /** Hand every pending request owned by @p idx back to its owner
         to re-dispatch or shed. */
     void failOverLocked(size_t idx);
-    /** Erase a waited-out request, keeping its node for reuse. */
-    void recycleLocked(PendingMap::iterator it);
+    /** The busy slot ticket @p id names, or null. */
+    Pending *findLocked(uint64_t id);
+    /** Free @p slot and move it to its next generation. */
+    void releaseLocked(uint32_t slot);
 
     RouterOptions opts_;
     std::vector<std::unique_ptr<Replica>> replicas_;
     size_t in_size_ = 0;
     size_t out_size_ = 0;
 
-    mutable std::mutex mu_; ///< pending_ + dispatch bookkeeping
-    std::condition_variable done_cv_;
-    PendingMap pending_;
-    std::vector<PendingMap::node_type> spare_; ///< waited-out nodes
-    uint64_t next_id_ = 1;
+    mutable std::mutex mu_; ///< slots, loads, stats, stop_flag_ writes
+    /** The monitor's period and drainWorkers' wait for acks: notified
+        by stop(), a DrainAck and a replica's detach. */
+    std::condition_variable cv_;
+    std::deque<Pending> slots_; ///< only grows; references stay put
+    std::vector<uint32_t> free_; ///< free slot indices
+    RouterStats stats_;
 
     std::thread monitor_;
     std::atomic<bool> stop_flag_{false};
     bool started_ = false;
     bool stopped_ = false;
-
-    mutable std::mutex stats_mu_;
-    RouterStats stats_;
 };
 
 } // namespace cluster

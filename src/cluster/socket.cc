@@ -459,7 +459,7 @@ FrameConn::recvFrame(WireFrame *out, int timeout_ms,
                      strCat("recv() failed: ", std::strerror(errno)));
             return RecvStatus::Closed;
         }
-        const int wait = remainingMs(deadline);
+        const int wait = timeout_ms < 0 ? -1 : remainingMs(deadline);
         if (wait == 0)
             return RecvStatus::Timeout;
         pollfd pfd{};

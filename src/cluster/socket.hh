@@ -158,7 +158,8 @@ class FrameConn
 
     /**
      * Receive one whole frame, waiting at most @p timeout_ms for the
-     * bytes to arrive. On Ok, @p out views the payload inside the rx
+     * bytes to arrive (no deadline when negative, as for poll(); a
+     * shutdown() of the socket ends the wait as Closed). On Ok, @p out views the payload inside the rx
      * buffer until the next recvFrame, reset or close. Timeout leaves
      * any partial frame buffered (a later call continues it); Closed
      * means orderly EOF between frames or mid-frame death; Corrupt is

@@ -584,6 +584,39 @@ TEST(Socket, FrameConnReassemblesSplitFramesAndFailsStop)
     EXPECT_EQ(rx.recvFrame(&out, 1000), FrameConn::RecvStatus::Closed);
 }
 
+TEST(Socket, ANegativeTimeoutWaitsForTheFrameOrAShutdown)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    FrameConn rx(sv[1]);
+    std::vector<uint8_t> frame;
+    encodeFrame(WireType::Drain, nullptr, 0, &frame);
+
+    // A receive started before the frame is sent waits for it, for
+    // as long as that takes.
+    FrameConn::RecvStatus st = FrameConn::RecvStatus::Timeout;
+    WireFrame out;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread reader([&] { st = rx.recvFrame(&out, -1); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_TRUE(sendAllTimed(sv[0], frame.data(), frame.size(), 1000));
+    reader.join();
+    EXPECT_EQ(st, FrameConn::RecvStatus::Ok);
+    EXPECT_EQ(out.type, WireType::Drain);
+    const double waited_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+    EXPECT_GE(waited_ms, 150.0);
+
+    // Another thread's shutdown() ends a receive that is still waiting.
+    reader = std::thread([&] { st = rx.recvFrame(&out, -1); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::shutdown(sv[1], SHUT_RDWR);
+    reader.join();
+    EXPECT_EQ(st, FrameConn::RecvStatus::Closed);
+    ::close(sv[0]);
+}
+
 TEST(Socket, FrameConnRejectsAClaimOverItsCapBeforeBuffering)
 {
     int sv[2];
@@ -941,9 +974,12 @@ TEST_F(ClusterTest, DeadReplicaFailsOverWithoutLosingRequests)
 }
 
 /**
- * A scripted replica on a unix socket. It handshakes and answers
- * health probes like a ClusterWorker, and it swallows every
- * InferRequest, or with Mode::Refuse answers each one Rejected.
+ * A scripted replica. It handshakes and answers health probes like a
+ * ClusterWorker, and it swallows every InferRequest, or with
+ * Mode::Refuse answers each one Rejected. With Mode::Stale it answers
+ * each one Done three times: for the same slot's previous and next
+ * generations (req_id -/+ 2^32) with outputs of kStale, then for the
+ * request itself with outputs of kFresh.
  * deafen() makes the router's sends on the data connection fail while
  * the router's receiver still sees an open stream: a replica that is
  * dead but not yet detected. kill() drops the data connection, which
@@ -952,14 +988,18 @@ TEST_F(ClusterTest, DeadReplicaFailsOverWithoutLosingRequests)
 class FakeReplica
 {
   public:
-    enum class Mode { Swallow, Refuse };
+    enum class Mode { Swallow, Refuse, Stale };
+    static constexpr double kStale = -1.0;
+    static constexpr double kFresh = 2.0;
 
     FakeReplica(const std::string &path, uint64_t n, Mode mode)
+        : FakeReplica(Endpoint{Endpoint::Kind::Unix, 0, path}, n, mode)
+    {
+    }
+
+    FakeReplica(const Endpoint &ep, uint64_t n, Mode mode)
         : n_(n), mode_(mode)
     {
-        Endpoint ep;
-        ep.kind = Endpoint::Kind::Unix;
-        ep.path = path;
         std::string err;
         EXPECT_TRUE(listen(ep, &listener_, &err)) << err;
         endpoint_ = listener_.endpoint;
@@ -1013,6 +1053,20 @@ class FakeReplica
                     req.req_id,
                     static_cast<uint32_t>(serve::RequestStatus::Rejected),
                     nullptr, 0, &tx);
+            } else if (f.type == WireType::InferRequest &&
+                       mode_ == Mode::Stale &&
+                       decodeInferRequest(f, &req)) {
+                const auto done =
+                    static_cast<uint32_t>(serve::RequestStatus::Done);
+                const std::vector<double> stale(n_, kStale);
+                const std::vector<double> fresh(n_, kFresh);
+                const uint64_t gen = uint64_t{1} << 32;
+                for (const uint64_t id : {req.req_id - gen, req.req_id + gen}) {
+                    encodeInferResponse(id, done, stale.data(), n_, &tx);
+                    c.send(tx, 1000);
+                }
+                encodeInferResponse(req.req_id, done, fresh.data(), n_,
+                                    &tx);
             } else {
                 continue;
             }
@@ -1084,6 +1138,68 @@ TEST_F(ClusterTest, FailOverRetiresAnUndetectedDeadReplica)
     EXPECT_EQ(live->doneCount(), 1u);
     router.stop();
     live->stop();
+}
+
+TEST_F(ClusterTest, AnswersForAnotherGenerationOfTheSlotAreDropped)
+{
+    FakeReplica stale(dir_ + "/stale.sock", 16, FakeReplica::Mode::Stale);
+    Router router(quietRouter({stale.endpoint()}));
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+    const std::vector<double> x(router.inSize(), 0.5);
+    // The second request reuses the slot at its next generation.
+    for (uint64_t i = 1; i <= 2; ++i) {
+        const ClusterTicket t = router.submit(x.data());
+        ASSERT_TRUE(t.valid());
+        std::vector<double> y;
+        ASSERT_EQ(router.wait(t, &y), ClusterStatus::Done);
+        EXPECT_EQ(y, std::vector<double>(16, FakeReplica::kFresh));
+        EXPECT_EQ(router.stats().done, i);
+    }
+    router.stop();
+}
+
+TEST_F(ClusterTest, StopWakesAClientWaitingOnASwallowedRequest)
+{
+    FakeReplica sink(dir_ + "/sink.sock", 16, FakeReplica::Mode::Swallow);
+    Router router(quietRouter({sink.endpoint()}));
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+    const std::vector<double> x(router.inSize(), 0.5);
+    const ClusterTicket t = router.submit(x.data());
+    ASSERT_TRUE(t.valid());
+
+    ClusterStatus st = ClusterStatus::Done;
+    std::thread client([&] { st = router.wait(t); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto t0 = std::chrono::steady_clock::now();
+    router.stop();
+    const double stop_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    client.join();
+    EXPECT_EQ(st, ClusterStatus::Shed);
+    EXPECT_LT(stop_ms, 1000.0);
+    EXPECT_EQ(router.stats().shed, 1u);
+}
+
+// Earlier tests leave threads running, and a "fast" death test forks
+// the process with them alive; "threadsafe" re-executes the binary for
+// the child. The replica listens on TCP, so the child that dies leaves
+// no socket file behind.
+TEST(RouterDeathTest, ASecondWaitOnOneTicketDies)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    FakeReplica replica(Endpoint{}, 16, FakeReplica::Mode::Stale);
+    Router router(quietRouter({replica.endpoint()}));
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+    const std::vector<double> x(router.inSize(), 0.5);
+    const ClusterTicket t = router.submit(x.data());
+    ASSERT_EQ(router.wait(t), ClusterStatus::Done);
+    EXPECT_EXIT(router.wait(t), ::testing::ExitedWithCode(1),
+                "already-waited");
+    router.stop();
 }
 
 TEST_F(ClusterTest, RejectedRetryRetiresAnUndetectedDeadReplica)

@@ -3,15 +3,16 @@
  * ThreadSanitizer stress of the cluster plane, compiled with
  * -fsanitize=thread even in the default build (see tests/CMakeLists).
  * Runs real sockets end to end: two in-process workers, a sharding
- * router, concurrent closed-loop clients — then kills a worker in the
- * middle of the storm so the fail-over path (receiver death, monitor
- * detach, re-dispatch under mu_) races against live dispatch, and
- * finishes with a drain handshake. Exits nonzero on any lost request
+ * router, 16 closed-loop clients — then kills a worker in the middle
+ * of the storm so the fail-over path (receiver death, monitor detach,
+ * re-dispatch under mu_) races against live dispatch and the per-slot
+ * wakes of many blocked waiters, and finishes with a drain handshake. Exits nonzero on any lost request
  * or bit mismatch; TSan aborts on any race.
  *
  * Sized for a 1-CPU CI box running instrumented code: small model,
- * short load, tight health period so death detection happens inside
- * the run.
+ * a load long enough to outlast the kill at 50 ms (well under a
+ * second), tight health period so death detection happens inside the
+ * run.
  */
 
 #include <unistd.h>
@@ -166,8 +167,8 @@ main()
 
     const io::TieModel oracle = io::TieModel::load(model_path);
     serve::LoadGenOptions lopts;
-    lopts.requests = 96;
-    lopts.clients = 4;
+    lopts.requests = 960;
+    lopts.clients = 16;
     lopts.seed = 7;
     const std::vector<serve::Oracle> expected{serve::referenceOutputs(
         oracle.layers(), 0, 1, lopts.seed, lopts.requests)};
@@ -225,8 +226,10 @@ main()
     if (failures.load() != 0)
         return 1;
     std::printf("tsan_cluster_stress: OK (%zu done, %zu rejected, "
-                "%zu timed out; %llu raw responses)\n",
+                "%zu timed out, %llu re-dispatched; %llu raw "
+                "responses)\n",
                 rep.completed, rep.rejected, rep.timed_out,
+                static_cast<unsigned long long>(stats.redispatched),
                 static_cast<unsigned long long>(raw_answered));
     return 0;
 }
