@@ -49,7 +49,7 @@ RequestQueue::RequestQueue(size_t n_slots, size_t capacity,
                            size_t in_elems, size_t out_elems,
                            size_t runners)
     : capacity_(capacity), in_elems_(in_elems), out_elems_(out_elems),
-      runners_(runners, RunnerState::Idle)
+      slots_(n_slots), runners_(runners, RunnerState::Idle)
 {
     TIE_CHECK_ARG(n_slots >= 1 && capacity >= 1 && in_elems >= 1 &&
                       out_elems >= 1,
@@ -58,11 +58,6 @@ RequestQueue::RequestQueue(size_t n_slots, size_t capacity,
     TIE_CHECK_ARG(n_slots >= capacity,
                   "RequestQueue slot table (", n_slots,
                   ") must cover the queue capacity (", capacity, ")");
-    slots_.resize(n_slots);
-    for (Slot &s : slots_) {
-        s.input.resize(in_elems_);
-        s.output.resize(out_elems_);
-    }
     free_.reserve(n_slots);
     // LIFO free list; hand out low ids first for readable tests.
     for (size_t i = n_slots; i-- > 0;)
@@ -93,6 +88,16 @@ RequestQueue::trySubmit(const void *x, uint64_t deadline_us,
             const uint32_t id = free_.back();
             free_.pop_back();
             Slot &s = slots_[id];
+            if (s.input.empty()) {
+                // First use: the slot keeps its buffers from here on
+                // (the LIFO free list reuses the sized slots first).
+                s.input.resize(in_elems_);
+                s.output.resize(out_elems_);
+                ++sized_;
+                if (obs::enabled())
+                    detail::ServeStats::get().slots_allocated.set(
+                        static_cast<int64_t>(sized_));
+            }
             s.enqueued_at = Clock::now();
             s.deadline_us = deadline_us;
             s.timing = RequestTiming{};
@@ -152,7 +157,7 @@ RequestQueue::wait(Ticket t, std::vector<double> *out,
                   " out of range");
     std::unique_lock<std::mutex> lk(mu_);
     Slot &s = slots_[t.id];
-    done_cv_.wait(lk, [&] {
+    s.wake.wait(lk, [&] {
         return s.gen != t.gen || isTerminal(s.status);
     });
     TIE_CHECK_ARG(s.gen == t.gen,
@@ -218,6 +223,7 @@ RequestQueue::dequeueBatch(size_t max_batch, uint64_t timeout_us,
                 s.status = RequestStatus::TimedOut;
                 s.timing.queue_wait_us = elapsedUs(s.enqueued_at, now);
                 notifyLocked(id);
+                s.wake.notify_all();
                 ++expired;
                 continue;
             }
@@ -228,11 +234,8 @@ RequestQueue::dequeueBatch(size_t max_batch, uint64_t timeout_us,
                     s.timing.queue_wait_us);
             ids[n++] = id;
         }
-        if (expired > 0) {
-            if (obs::enabled())
-                detail::ServeStats::get().timed_out.add(expired);
-            done_cv_.notify_all();
-        }
+        if (expired > 0 && obs::enabled())
+            detail::ServeStats::get().timed_out.add(expired);
         if (n > 0)
             break;
         // Everything dequeued this round had expired; wait for more.
@@ -297,9 +300,12 @@ RequestQueue::completeBatch(const uint32_t *ids, size_t n,
     }
     if (obs::enabled())
         detail::ServeStats::get().completed.add(n);
+    // notify_all costs what notify_one does with the one collector, and
+    // a second wait on the same ticket still fails instead of hanging.
+    for (size_t i = 0; i < n; ++i)
+        slots_[ids[i]].wake.notify_all();
     if (wake_runner)
         work_cv_.notify_all(); // the returned batcher among them
-    done_cv_.notify_all();
 }
 
 bool
@@ -343,7 +349,6 @@ RequestQueue::stop()
         stop_ = true;
     }
     work_cv_.notify_all();
-    done_cv_.notify_all();
 }
 
 size_t

@@ -1,18 +1,23 @@
 /**
  * @file
- * Bounded, pre-allocated request queue with admission control,
- * enqueue deadlines and dynamic-batch dequeue.
+ * Bounded request queue with admission control, enqueue deadlines
+ * and dynamic-batch dequeue.
  *
- * All request storage lives in a slot slab sized at construction:
- * each slot owns a pre-sized input vector (N elements) and output
- * vector (M elements), so the steady-state submit -> dequeue ->
- * complete -> collect cycle performs **zero heap allocations** —
- * slots are recycled through a free list and the FIFO is a fixed
- * ring of slot ids. tests/test_serve.cc asserts this with the same
- * global operator-new hook used for InferSession.
+ * Requests live in a fixed table of slots, recycled through a LIFO
+ * free list; the FIFO is a fixed ring of slot ids. Construction sizes
+ * only the table's metadata. A slot gets its input vector (N
+ * elements) and output vector (M elements) the first time trySubmit
+ * hands it out, and keeps them, so only the high-water mark of
+ * requests in flight ever holds payload memory, and the table's
+ * size bounds it. From that mark on, the submit -> dequeue ->
+ * complete -> collect cycle performs **zero heap allocations**;
+ * tests/test_serve.cc asserts this with the same global operator-new
+ * hook used for InferSession.
  *
  * Concurrency: one mutex guards all queue state; work_cv_ wakes
- * batchers (dequeueBatch), done_cv_ wakes collectors (wait). Slot
+ * batchers (dequeueBatch), and each slot's own condition variable
+ * wakes its collector (wait), so a completion wakes only the
+ * collectors of the requests it finishes. Slot
  * payload (input/output data) is written lock-free by exactly one
  * side at a time — the submitter before publishing Pending, the
  * thread that runs the batch while Running (a dequeuing batcher, or a
@@ -68,10 +73,13 @@ class RequestQueue
      *                  requests that may be Running or Done-awaiting-
      *                  collection at once; the Server sizes this as
      *                  capacity + workers * max_batch + in-flight
-     *                  collector margin)
+     *                  collector margin). Each costs its metadata until
+     *                  a request first uses it.
      * @param capacity  admission bound on *queued* (Pending) requests
-     * @param in_elems  input vector length N (pre-sized per slot)
-     * @param out_elems output vector length M (pre-sized per slot)
+     * @param in_elems  input vector length N (sized at a slot's first
+     *                  use)
+     * @param out_elems output vector length M (sized at a slot's first
+     *                  use)
      * @param runners   batchers that identify themselves to
      *                  dequeueBatch and may be lent to caller-runs
      *                  submits (see Runners above)
@@ -166,8 +174,8 @@ class RequestQueue
                        double service_us, size_t runner = kNoRunner);
 
     /**
-     * Stop admitting; wakes every batcher and collector. Requests
-     * already queued remain dequeuable (drain-on-shutdown).
+     * Stop admitting; wakes every batcher. Requests already queued
+     * remain dequeuable (drain-on-shutdown).
      */
     void stop();
 
@@ -191,8 +199,9 @@ class RequestQueue
 
     struct Slot
     {
-        std::vector<double> input;  ///< pre-sized to in_elems
-        std::vector<double> output; ///< pre-sized to out_elems
+        std::vector<double> input;  ///< in_elems once first used
+        std::vector<double> output; ///< out_elems once first used
+        std::condition_variable wake; ///< its collector waits here
         RequestStatus status = RequestStatus::Free;
         uint32_t gen = 0;
         Clock::time_point enqueued_at{};
@@ -209,10 +218,10 @@ class RequestQueue
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_; ///< wakes dequeueBatch
-    std::condition_variable done_cv_; ///< wakes wait
     bool stop_ = false;
 
     std::vector<Slot> slots_;
+    size_t sized_ = 0;           ///< slots holding payload buffers
     std::vector<uint32_t> free_; ///< free slot ids (stack, reserved)
     std::vector<uint32_t> ring_; ///< FIFO of pending ids (fixed size)
     size_t head_ = 0;            ///< ring read index

@@ -25,6 +25,7 @@ struct ServeStats
     obs::Distribution &queue_wait_us;
     obs::Distribution &batch_size;
     obs::Distribution &service_us;
+    obs::Gauge &slots_allocated;
 
     static ServeStats &
     get()
@@ -47,6 +48,9 @@ struct ServeStats
             reg.distribution(
                 "serve.service_us",
                 "inference wall-clock microseconds per batch"),
+            reg.gauge("serve.slots_allocated",
+                      "request slots holding payload buffers (the "
+                      "queue that grew last)"),
         };
         return s;
     }

@@ -73,7 +73,12 @@ struct ServerOptions
      */
     uint64_t batch_timeout_us = 200;
 
-    /** Admission bound on queued requests; beyond it -> Rejected. */
+    /**
+     * Admission bound on queued requests; beyond it -> Rejected. Each
+     * unit of capacity costs a request slot's metadata until traffic
+     * first uses the slot; only then does it take its N + M doubles.
+     * The worst case is unchanged: every slot in use.
+     */
     size_t queue_capacity = 256;
 
     /** Worker threads, each with its own session chain. */

@@ -87,6 +87,8 @@ for path in sys.argv[1:]:
     # getrusage(RUSAGE_SELF) over the load phase: routers + clients.
     assert cb["router_cpu_us_per_request"] > 0, (path, cb)
     assert cb["router_ctx_switches_per_request"] > 0, (path, cb)
+    # getrusage(RUSAGE_CHILDREN): the largest reaped worker's peak.
+    assert cb["worker_rss_peak_mib"] > 0, (path, cb)
 chaos = json.load(open(sys.argv[2]))["cluster_bench"]
 assert chaos["chaos_kills"] >= 1, chaos
 zoo = json.load(open(sys.argv[3]))["cluster_bench"]

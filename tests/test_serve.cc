@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <set>
@@ -36,6 +37,7 @@
 #include "common/random.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/stat_registry.hh"
+#include "obs/trace.hh"
 #include "serve/load_gen.hh"
 #include "serve/metrics_endpoint.hh"
 #include "serve/request_queue.hh"
@@ -775,6 +777,126 @@ TEST(Server, SteadyStateServingDoesNotHeapAllocate)
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << "steady-state submit/serve/collect cycle must not touch "
            "the heap (either side)";
+}
+
+TEST(Server, ConstructionCostDoesNotGrowWithQueueCapacity)
+{
+    // Slots take their payload buffers at first use, so building a
+    // server allocates the same whatever its capacity: the slot table
+    // is one allocation of metadata.
+    const TestModel model(83);
+    ServerOptions opts;
+    opts.max_batch = 8;
+    opts.workers = 1;
+    auto constructionAllocs = [&](size_t capacity) {
+        opts.queue_capacity = capacity;
+        g_alloc_count.store(0);
+        g_count_allocs.store(true);
+        auto server = std::make_unique<Server>(model.views(), opts);
+        g_count_allocs.store(false);
+        return g_alloc_count.load();
+    };
+    constructionAllocs(16); // first-use statics of the serving layer
+    const uint64_t small = constructionAllocs(16);
+    const uint64_t large = constructionAllocs(4096);
+    EXPECT_EQ(small, large)
+        << "queue_capacity 16 vs 4096: a server must not allocate "
+           "payload buffers for slots no request has used";
+}
+
+TEST(Server, SequentialRequestsAllocateNothingAfterTheFirst)
+{
+    const TestModel model(89);
+    ServerOptions opts;
+    opts.max_batch = 8;
+    opts.batch_timeout_us = 0;
+    opts.workers = 1;
+    const std::vector<double> x(model.views().front().cfg.inSize(), 0.5);
+    std::vector<double> y;
+    auto serveOne = [&](Server &server) {
+        return server.wait(server.submit(x.data()), &y);
+    };
+    {
+        // The process-wide first-use statics (the serving and session
+        // stats) are not this test's subject: settle them elsewhere.
+        Server warm(model.views(), opts);
+        for (int i = 0; i < 2; ++i)
+            ASSERT_EQ(serveOne(warm), RequestStatus::Done);
+    }
+
+    Server server(model.views(), opts);
+    ASSERT_EQ(serveOne(server), RequestStatus::Done); // sizes a slot
+
+    constexpr size_t kRequests = 64;
+    size_t done = 0;
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (size_t i = 0; i < kRequests; ++i)
+        done += serveOne(server) == RequestStatus::Done;
+    g_count_allocs.store(false);
+    EXPECT_EQ(done, kRequests);
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "one request at a time reuses the slot the first one sized";
+}
+
+TEST(Server, ABurstGrowsTheSlotTableOnceThenAllocatesNothing)
+{
+    // Stats on, for the serve.slots_allocated gauge; host spans off,
+    // since recording one allocates.
+    obs::StatRegistry &reg = obs::StatRegistry::instance();
+    obs::setEnabled(true);
+    obs::Trace::instance().setCategories(true, false);
+    {
+        const TestModel model(101);
+        ServerOptions opts;
+        opts.max_batch = 4;
+        opts.batch_timeout_us = 0;
+        opts.workers = 2;
+        opts.queue_capacity = 256;
+        Server server(model.views(), opts);
+
+        const std::vector<double> x(server.inSize(), 0.25);
+        std::vector<double> y(server.outSize());
+        // One request first: the serving layer's first-use statics.
+        ASSERT_EQ(server.wait(server.submit(x.data()), &y),
+                  RequestStatus::Done);
+        reg.resetAll();
+        const obs::Gauge &sized = reg.gauge("serve.slots_allocated");
+
+        // With every chain held, all k requests are in flight at once.
+        constexpr size_t k = 12;
+        std::vector<Ticket> tickets(k);
+        size_t done = 0;
+        auto burst = [&] {
+            uint64_t allocs = 0;
+            {
+                const auto busy = ServerTestPeer::holdChains(server);
+                g_alloc_count.store(0);
+                g_count_allocs.store(true);
+                for (Ticket &t : tickets)
+                    t = server.submit(x.data());
+                g_count_allocs.store(false);
+                allocs = g_alloc_count.load();
+            }
+            g_alloc_count.store(0);
+            g_count_allocs.store(true);
+            for (const Ticket t : tickets)
+                done += server.wait(t, &y) == RequestStatus::Done;
+            g_count_allocs.store(false);
+            return allocs + g_alloc_count.load();
+        };
+
+        EXPECT_LE(burst(), 2 * k) << "an input and an output per slot";
+        EXPECT_EQ(sized.value(), static_cast<int64_t>(k));
+        for (int round = 0; round < 3; ++round) {
+            EXPECT_EQ(burst(), 0u) << "round " << round;
+            EXPECT_EQ(sized.value(), static_cast<int64_t>(k));
+        }
+        EXPECT_EQ(done, 4 * k);
+    }
+    obs::Trace::instance().setCategories(true, true);
+    obs::setEnabled(false);
+    reg.resetAll();
 }
 
 // -------------------------------------------------------------------

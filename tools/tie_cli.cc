@@ -678,6 +678,30 @@ cmdZooBuild(const Options &opt)
     return 0;
 }
 
+/** CPU time, context switches and peak RSS, from getrusage. */
+struct Usage
+{
+    double cpu_us = 0;
+    double ctx_switches = 0;
+    double rss_peak_mib = 0; ///< RUSAGE_CHILDREN: the largest child's
+};
+
+/** Usage of this process (RUSAGE_SELF) or of every child reaped so
+    far (RUSAGE_CHILDREN). */
+Usage
+usage(int who)
+{
+    rusage ru{};
+    ::getrusage(who, &ru);
+    auto us = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) * 1e6 +
+               static_cast<double>(t.tv_usec);
+    };
+    return {us(ru.ru_utime) + us(ru.ru_stime),
+            static_cast<double>(ru.ru_nvcsw + ru.ru_nivcsw),
+            static_cast<double>(ru.ru_maxrss) / 1024.0};
+}
+
 /** The batching-server knobs serve-bench and cluster-bench share. */
 serve::ServerOptions
 serverOptionsFrom(const Options &opt, size_t max_batch, size_t queue_cap)
@@ -754,6 +778,7 @@ cmdServeBench(const Options &opt)
         std::vector<serve::Server *>{&server}, lopts, &expected);
 
     obs::FlightRecorder::instance().stop();
+    const double rss_peak_mib = usage(RUSAGE_SELF).rss_peak_mib;
 
     if (want_metrics) {
         const uint64_t linger =
@@ -782,6 +807,7 @@ cmdServeBench(const Options &opt)
         w.field("latency_p50_us", rep.latency.p50);
         w.field("latency_p95_us", rep.latency.p95);
         w.field("latency_p99_us", rep.latency.p99);
+        w.field("rss_peak_mib", rss_peak_mib);
         w.endObject();
         s->setExtra("serve_bench", w.str());
     }
@@ -824,6 +850,7 @@ cmdServeBench(const Options &opt)
                                     " / " +
                                     TextTable::num(rep.service.p99, 1) +
                                     " us"});
+    t.row({"peak RSS", TextTable::num(rss_peak_mib, 1) + " MiB"});
     t.row({"bit-exact vs reference",
            rep.mismatched == 0 ? "yes" : "NO"});
     if (obs::enabled()) {
@@ -912,28 +939,6 @@ spawnWorker(const std::string &bin, const std::string &model,
         return false;
     }
     return true;
-}
-
-/** CPU time and context switches, from getrusage. */
-struct Usage
-{
-    double cpu_us = 0;
-    double ctx_switches = 0;
-};
-
-/** Usage of this process (RUSAGE_SELF) or of every child reaped so
-    far (RUSAGE_CHILDREN). */
-Usage
-usage(int who)
-{
-    rusage ru{};
-    ::getrusage(who, &ru);
-    auto us = [](const timeval &t) {
-        return static_cast<double>(t.tv_sec) * 1e6 +
-               static_cast<double>(t.tv_usec);
-    };
-    return {us(ru.ru_utime) + us(ru.ru_stime),
-            static_cast<double>(ru.ru_nvcsw + ru.ru_nivcsw)};
 }
 
 /**
@@ -1143,6 +1148,7 @@ cmdClusterBench(const Options &opt)
         w.field("worker_ctx_switches_per_request", worker_ctx);
         w.field("router_cpu_us_per_request", router_cpu_us);
         w.field("router_ctx_switches_per_request", router_ctx);
+        w.field("worker_rss_peak_mib", usage1.rss_peak_mib);
         w.field("none_lost", none_lost);
         serve::appendTenantsJson(w, rep, names);
         w.endObject();
@@ -1202,6 +1208,8 @@ cmdClusterBench(const Options &opt)
     t.row({"router CPU / context switches per request",
            TextTable::num(router_cpu_us, 1) + " us / " +
                TextTable::num(router_ctx, 2)});
+    t.row({"worker peak RSS (largest)",
+           TextTable::num(usage1.rss_peak_mib, 1) + " MiB"});
     t.row({"all requests resolved", none_lost ? "yes" : "NO"});
     t.row({"bit-exact vs single-process reference",
            bit_exact ? "yes" : "NO"});
